@@ -5,7 +5,8 @@ pass), `run` (one solve, artifacts on disk), `sweep` (independent multi-seed
 replicas, concurrent), `constants` (print the feasibility constants).
 
 Exit codes are a stable contract: 0 success, 1 validation failure, 2 run
-failure (any replica not converged, or an I/O problem).
+failure (any replica not converged, a norm estimate or reference solve that
+does not converge, or an I/O problem).
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import build_experiment, load_config
-from .errors import ConfigurationError, InfeasibleProblemError
+from .errors import (
+    ConfigurationError,
+    InfeasibleProblemError,
+    NormEstimationError,
+    OracleError,
+)
 from .operators import check_cocoercivity
 from .primal_dual import compute_constants
 from .solver import CONVERGED, run
@@ -51,7 +57,6 @@ def _validation_rows(exp):
         try:
             rep = compute_constants(exp.pd)
             rows.append(("coupling norm c < 1", True, f"c={rep.c:.6g}"))
-            rows.append(("balance parameter xi_hat", True, f"xi_hat={rep.xi_hat:.6g}"))
             if exp.algorithm == "pd_class2":
                 rows.append(("class-II constant 2*beta > 1", rep.feasible_class2,
                              f"beta={rep.beta:.6g}"))
@@ -113,14 +118,10 @@ def _write_json(path, payload):
 def _execute_single(exp, seed, out_dir=None, trace_name="trace.csv"):
     inst = exp.make_instance(seed)
     cfg = exp.solver_config(inst.beta)
-    reference = None
     ref_primal = exp.reference()
-    if ref_primal is not None:
-        if exp.algorithm == "sifb":
-            reference = ref_primal
-        else:
-            # distance tracked on the primal half only when stacked dims allow
-            reference = None
+    # the trace tracks distances only on the plain route; the primal-dual
+    # routes report the primal distance in the summary below
+    reference = ref_primal if exp.algorithm == "sifb" else None
     t0 = time.perf_counter()
     x, trace = run(inst, cfg, reference=reference)
     trace.wall_time = time.perf_counter() - t0
@@ -288,6 +289,9 @@ def main(argv=None):
         return EXIT_VALIDATION
     except OSError as e:
         print(f"i/o failure: {e}", file=sys.stderr)
+        return EXIT_RUN
+    except (NormEstimationError, OracleError) as e:
+        print(f"run failure: {e}", file=sys.stderr)
         return EXIT_RUN
 
 

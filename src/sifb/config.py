@@ -176,11 +176,15 @@ class Experiment:
     constants_given: bool = False
     want_reference: bool = True
     _reference: object = field(default=None, repr=False)
+    _pd: object = field(default=None, repr=False)
 
     @property
     def pd(self):
+        """The structured problem of a primal-dual route, built once."""
         if self.demo is not None and self.algorithm in ("pd_class1", "pd_class2"):
-            return pd_problem(self.demo, self.pd_form)
+            if self._pd is None:
+                self._pd = pd_problem(self.demo, self.pd_form)
+            return self._pd
         return self.custom_pd
 
     def make_instance(self, seed):

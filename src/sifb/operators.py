@@ -16,12 +16,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch
 from .spaces import (
-    BlockLinearOperator,
     BlockVector,
     Preconditioner,
     block_concat,
     block_split,
-    estimate_weighted_norm,
 )
 
 _FAMILIES = ("zero", "l1", "sq_l2", "box", "linf_ball", "affine")
@@ -422,7 +420,8 @@ class CocoerciveMap:
         """Gradient of 0.5 ||A x - b||^2 on a single block.
 
         beta = 1 / ||sqrt(M) A^T A sqrt(M)|| with respect to the metric M,
-        estimated by power iteration.
+        from one dense eigensolve of the smaller Gram matrix of A sqrt(M),
+        which also yields the extremal probe direction.
         """
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -433,13 +432,26 @@ class CocoerciveMap:
         dims = (a.shape[1],)
         if metric is None:
             metric = Preconditioner.identity(dims)
-        op = BlockLinearOperator.from_matrix(a)
-        ident = Preconditioner.identity((a.shape[0],))
-        nrm = estimate_weighted_norm(op, metric, ident, tol=1e-14, max_iter=200000)
-        if nrm == 0.0:
-            beta_exact = float("inf")
-        else:
-            beta_exact = 1.0 / nrm**2
+        if metric.dims != dims:
+            raise DimensionMismatch(f"metric dims {metric.dims} != map dims {dims}")
+
+        # top eigenpair of G^T G, G = A sqrt(M); for wide A through G G^T,
+        # whose top eigenvector u gives the right singular vector G^T u / ||G^T u||
+        sw = np.sqrt(metric.diag_blocks()[0])
+        lam_max = 0.0
+        extremal = None
+        if a.size:
+            g = a * sw
+            if g.shape[0] < g.shape[1]:
+                vals, vecs = np.linalg.eigh(g @ g.T)
+                top = g.T @ vecs[:, -1]
+            else:
+                vals, vecs = np.linalg.eigh(g.T @ g)
+                top = vecs[:, -1]
+            lam_max = float(vals[-1])
+            if lam_max > 0:
+                extremal = BlockVector._wrap([sw * (top / np.linalg.norm(top))])
+        beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
         beta = beta_exact / BETA_DEFLATION if (deflate and np.isfinite(beta_exact)) else beta_exact
 
         def apply_fn(x):
@@ -453,12 +465,6 @@ class CocoerciveMap:
             g = (nrows / len(idx)) * (rows.T @ (rows @ x.blocks[0] - b[idx]))
             return BlockVector._wrap([g])
 
-        # dominant right singular direction of A sqrt(M): deterministic probe
-        gram = a.T @ a
-        w = metric.diag_blocks()[0]
-        sym = np.sqrt(w)[:, None] * gram * np.sqrt(w)[None, :]
-        vals, vecs = np.linalg.eigh(sym)
-        extremal = BlockVector._wrap([np.sqrt(w) * vecs[:, -1]])
         return cls("lstsq", dims, apply_fn, beta=beta, beta_exact=beta_exact,
                    metric=metric, components=(nrows, batch_fn), extremal=extremal)
 

@@ -235,7 +235,7 @@ class RunTrace:
     def to_csv(self, fileobj=None):
         own = fileobj is None
         f = io.StringIO() if own else fileobj
-        f.write("#schema=1\n")
+        f.write("#schema=2\n")
         f.write(self.CSV_COLUMNS + "\n")
         for r in self.rows:
             dist = "" if np.isnan(r.dist_to_ref) else f"{r.dist_to_ref:.17g}"

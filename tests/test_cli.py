@@ -2,8 +2,11 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from sifb import NormEstimationError, OracleError
 from sifb.cli import main
+from sifb.config import build_experiment
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -103,6 +106,46 @@ def test_run_exit_code_2_when_not_converged(tmp_path):
     cfg = lasso_config(solver={"max_iter": 3, "stop_tol": 1e-12})
     path = write_config(tmp_path, cfg)
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("error", [
+    NormEstimationError("power iteration did not converge", last=1.0, prev=0.5),
+    OracleError("reference solve did not converge"),
+])
+def test_run_exit_code_2_on_numerical_failure(tmp_path, capsys, monkeypatch, error):
+    def failing_run(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("sifb.cli.run", failing_run)
+    path = write_config(tmp_path, lasso_config())
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failure: ") and err.count("\n") == 1
+
+
+def pd_lasso_config():
+    return {
+        "problem": {"demo": {"name": "lasso",
+                             "params": {"n": 12, "p": 10, "lam": 0.2,
+                                        "cond": 20.0, "seed": 3},
+                             "form": "split"}},
+        "algorithm": "pd_class1",
+        "noise": {"mode": "zero"},
+        "inertia": {"mode": "zero"},
+    }
+
+
+def test_validate_lists_only_checks_that_can_fail(tmp_path, capsys):
+    path = write_config(tmp_path, pd_lasso_config())
+    assert main(["validate", path]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] coupling norm c < 1" in out
+    assert "xi_hat" not in out
+
+
+def test_experiment_builds_pd_problem_once():
+    exp = build_experiment(pd_lasso_config())
+    assert exp.pd is exp.pd
 
 
 def test_sweep_zero_noise_identical_traces(tmp_path, capsys):

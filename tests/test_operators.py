@@ -5,6 +5,7 @@ from sifb import (
     BlockVector,
     CocoerciveMap,
     ConfigurationError,
+    DimensionMismatch,
     MonotoneBlock,
     Preconditioner,
     ProxFunction,
@@ -16,6 +17,7 @@ from sifb import (
     resolvent,
 )
 from sifb.operators import conjugate_subdiff_distance, subdiff_distance
+from sifb.spaces import BlockLinearOperator, estimate_weighted_norm
 
 CATALOGUE = [
     ProxFunction.zero(),
@@ -307,6 +309,59 @@ def test_least_squares_beta_both_directions_multidim():
     assert check_cocoercivity(b_map, trials=100, seed=3).passed
     inflated = 1.05 * b_map.beta
     assert not check_cocoercivity(b_map, trials=100, seed=3, beta=inflated).passed
+
+
+def _lstsq_case(shape, weighted, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape)
+    metric = (Preconditioner.diagonal([rng.uniform(0.5, 2.0, shape[1])]) if weighted
+              else Preconditioner.identity((shape[1],)))
+    return a, rng.standard_normal(shape[0]), metric
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("shape", [(12, 8), (8, 12), (1, 1)])
+def test_least_squares_beta_matches_dense_and_power_iteration(shape, weighted):
+    a, b, metric = _lstsq_case(shape, weighted, seed=20)
+    b_map = CocoerciveMap.least_squares_gradient(a, b, metric=metric, deflate=False)
+    sw = np.sqrt(metric.diag_blocks()[0])
+    dense = np.linalg.eigvalsh(sw[:, None] * (a.T @ a) * sw[None, :])[-1]
+    assert b_map.beta_exact == pytest.approx(1.0 / dense, rel=1e-12)
+    nrm = estimate_weighted_norm(BlockLinearOperator.from_matrix(a), metric,
+                                 Preconditioner.identity((shape[0],)),
+                                 tol=1e-14, max_iter=200000)
+    assert b_map.beta_exact == pytest.approx(1.0 / nrm**2, rel=1e-10)
+    assert b_map.beta == b_map.beta_exact
+
+
+def test_least_squares_beta_bit_identical_between_builds():
+    a, b, metric = _lstsq_case((30, 45), True, seed=21)
+    first = CocoerciveMap.least_squares_gradient(a, b, metric=metric)
+    second = CocoerciveMap.least_squares_gradient(a, b, metric=metric)
+    assert first.beta == second.beta
+    assert first.beta_exact == second.beta_exact
+
+
+def test_least_squares_wide_weighted_probe_stays_sharp():
+    # rows < cols: the probe comes from the row-space Gram matrix
+    a, b, metric = _lstsq_case((8, 14), True, seed=22)
+    b_map = CocoerciveMap.least_squares_gradient(a, b, metric=metric)
+    assert check_cocoercivity(b_map, trials=100, seed=3).passed
+    inflated = 1.05 * b_map.beta
+    assert not check_cocoercivity(b_map, trials=100, seed=3, beta=inflated).passed
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (3, 0), (0, 3)])
+def test_least_squares_zero_matrix_has_infinite_beta(shape):
+    b_map = CocoerciveMap.least_squares_gradient(np.zeros(shape), np.ones(shape[0]))
+    assert b_map.beta == float("inf") and b_map.beta_exact == float("inf")
+    assert check_cocoercivity(b_map, trials=10, seed=0).passed
+
+
+def test_least_squares_rejects_metric_of_other_dims():
+    with pytest.raises(DimensionMismatch):
+        CocoerciveMap.least_squares_gradient(np.ones((3, 2)), np.ones(3),
+                                             metric=Preconditioner.identity((3,)))
 
 
 def test_cocoercive_implies_lipschitz_bound():

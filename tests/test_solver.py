@@ -326,7 +326,7 @@ def test_trace_csv_format_and_determinism():
     c1, c2 = t1.to_csv(), t2.to_csv()
     assert c1 == c2  # same seed, same bytes
     lines = c1.strip().split("\n")
-    assert lines[0] == "#schema=1"
+    assert lines[0] == "#schema=2"
     assert lines[1] == "n,fp_residual,step_norm,dist_to_ref,sigma_n,alpha_n"
     first = lines[2].split(",")
     assert first[0] == "0"
