@@ -5,8 +5,8 @@ pass), `run` (one solve, artifacts on disk), `sweep` (independent multi-seed
 replicas, concurrent), `constants` (print the feasibility constants).
 
 Exit codes are a stable contract: 0 success, 1 validation failure, 2 run
-failure (any replica not converged, a norm estimate or reference solve that
-does not converge, or an I/O problem).
+failure (any replica not converged, a coupling norm that cannot be computed,
+a reference solve that does not converge, or an I/O problem).
 """
 
 from __future__ import annotations
@@ -96,9 +96,15 @@ def _validation_rows(exp):
     return rows
 
 
-def cmd_validate(args):
-    exp = build_experiment(load_config(args.config),
-                           base_dir=os.path.dirname(os.path.abspath(args.config)))
+def _load_experiment(args):
+    return build_experiment(load_config(args.config),
+                            base_dir=os.path.dirname(os.path.abspath(args.config)))
+
+
+def cmd_validate(args, exp=None):
+    """Print one row per gating condition; `exp` reuses an experiment already built."""
+    if exp is None:
+        exp = _load_experiment(args)
     rows = _validation_rows(exp)
     ok = True
     for name, passed, value in rows:
@@ -146,11 +152,10 @@ def _execute_single(exp, seed, out_dir=None, trace_name="trace.csv"):
 
 
 def cmd_run(args):
-    code = cmd_validate(args)
+    exp = _load_experiment(args)
+    code = cmd_validate(args, exp)
     if code != EXIT_OK:
         return code
-    exp = build_experiment(load_config(args.config),
-                           base_dir=os.path.dirname(os.path.abspath(args.config)))
     seed = args.seed if args.seed is not None else exp.seeds[0]
     out_dir = args.out or exp.output_dir
     try:
@@ -179,12 +184,10 @@ def _sweep_worker(payload):
 
 
 def cmd_sweep(args):
-    code = cmd_validate(args)
+    exp = _load_experiment(args)
+    code = cmd_validate(args, exp)
     if code != EXIT_OK:
         return code
-    cfg = load_config(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    exp = build_experiment(cfg, base_dir=base_dir)
     seeds = exp.seeds
     if args.seeds is not None:
         from .stochastic import derive_seeds
@@ -193,7 +196,8 @@ def cmd_sweep(args):
         seeds = derive_seeds(master, args.seeds)
     out_dir = args.out or exp.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    payloads = [(cfg, base_dir, seed, out_dir, i) for i, seed in enumerate(seeds)]
+    payloads = [(exp.raw, exp.base_dir, seed, out_dir, i)
+                for i, seed in enumerate(seeds)]
     jobs = args.jobs or min(len(payloads), os.cpu_count() or 1)
     if jobs <= 1 or len(payloads) == 1:
         results = [_sweep_worker(p) for p in payloads]
@@ -224,8 +228,7 @@ def cmd_sweep(args):
 
 
 def cmd_constants(args):
-    exp = build_experiment(load_config(args.config),
-                           base_dir=os.path.dirname(os.path.abspath(args.config)))
+    exp = _load_experiment(args)
     prob = exp.pd
     if prob is None and exp.demo is not None:
         try:

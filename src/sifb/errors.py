@@ -17,9 +17,14 @@ class InfeasibleProblemError(ConfigurationError):
 
 
 class NormEstimationError(RuntimeError):
-    """Power iteration failed to converge; carries the last two Rayleigh quotients."""
+    """A weighted operator norm could not be computed.
 
-    def __init__(self, message, last, prev):
+    Raised when the coupling's Gram matrix is not finite or its eigensolve
+    fails. `last` and `prev` hold the last two estimates of an iterative
+    estimator; the dense eigensolve has none and leaves them None.
+    """
+
+    def __init__(self, message, last=None, prev=None):
         super().__init__(message)
         self.last = last
         self.prev = prev

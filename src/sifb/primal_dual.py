@@ -143,10 +143,9 @@ def optimal_balance(nu0, mu0, c):
     return (nu0 - mu0 + disc) / (2.0 * mu0 * c)
 
 
-def compute_constants(prob, tol=1e-12, max_iter=200000):
+def compute_constants(prob):
     """Norm, optimal balance, and both feasibility constants for a problem."""
-    c = estimate_weighted_norm(prob.coupling, prob.V, prob.W, tol=tol,
-                               max_iter=max_iter)
+    c = estimate_weighted_norm(prob.coupling, prob.V, prob.W)
     if c >= 1.0:
         raise InfeasibleProblemError(
             f"||sqrt(W) L sqrt(V)|| = {c:.6g} >= 1; the stacked preconditioners "
@@ -289,27 +288,12 @@ def assemble_class2(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
 # ---------------------------------------------------------------------------
 
 
-def _dense_coupling(prob):
-    rows = []
-    for k in range(prob.s):
-        cells = []
-        for i in range(prob.m):
-            cell = prob.coupling.entries[k][i]
-            if cell is None:
-                cell = np.zeros((prob.dual_dims[k], prob.primal_dims[i]))
-            cells.append(cell)
-        rows.append(np.hstack(cells) if cells else np.zeros((prob.dual_dims[k], 0)))
-    if rows:
-        return np.vstack(rows)
-    return np.zeros((0, sum(prob.primal_dims)))
-
-
 class _SchurActions:
     """Shared dense machinery behind the two stacked-metric actions."""
 
     def __init__(self, prob):
         self.prob = prob
-        self.ld = _dense_coupling(prob)
+        self.ld = prob.coupling.dense()
         self.v_diag = (np.concatenate(prob.V.diag_blocks())
                        if sum(prob.primal_dims) else np.zeros(0))
         self.w_diag = (np.concatenate(prob.W.diag_blocks())

@@ -3,6 +3,8 @@
 Everything at this layer is an immutable value: vectors own read-only numpy
 arrays, operators own read-only matrices, and every operation returns a fresh
 object. That makes all of it safe to share across concurrent replica runs.
+Weighted norms of block couplings come from one dense eigensolve of a Gram
+matrix, so they are exact to rounding and deterministic.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormEstimationError
 
-# Fixed seed for the power-iteration start vector, so norm estimates are
-# reproducible run to run.
-_POWER_SEED = 20240517
-
 
 def _freeze(a):
     a.flags.writeable = False
     return a
+
+
+def _offsets(dims):
+    """Start of each block in the stacked vector, then the total length."""
+    return np.concatenate(([0], np.cumsum(dims, dtype=np.int64)))
 
 
 class BlockVector:
@@ -333,54 +336,83 @@ class BlockLinearOperator:
     def is_zero(self):
         return all(cell is None for row in self.entries for cell in row)
 
+    def dense(self):
+        """The whole operator as one (sum dims_out, sum dims_in) array; None cells are zeros."""
+        rows, cols = _offsets(self.dims_out), _offsets(self.dims_in)
+        out = np.zeros((rows[-1], cols[-1]))
+        for k, row in enumerate(self.entries):
+            for i, cell in enumerate(row):
+                if cell is not None:
+                    out[rows[k]:rows[k + 1], cols[i]:cols[i + 1]] = cell
+        return out
+
     def __repr__(self):
         return f"BlockLinearOperator({self.dims_in} -> {self.dims_out})"
 
 
-def estimate_weighted_norm(L, V, W, tol=1e-10, max_iter=10000):
-    """Operator norm of sqrt(W) L sqrt(V), by power iteration.
+# Rows of G = sqrt(W) L sqrt(V) weighted at a time while its Gram matrix is
+# accumulated; bounds the weighted copy to this many rows of one block strip.
+_GRAM_CHUNK = 64
 
-    Runs on the symmetric positive semidefinite composition
-    sqrt(V) L* W L sqrt(V) and returns the square root of its dominant
-    Rayleigh quotient. Deterministic: the start vector comes from a fixed
-    internal seed.
+
+def _weighted_strips(L, V, W, tall):
+    """The rows of G = sqrt(W) L sqrt(V) feeding its smaller Gram matrix.
+
+    Yields strips of at most _GRAM_CHUNK rows, each a list over the blocks of
+    the Gram side: slices of the block rows of G when G is tall (Gram G^T G),
+    otherwise slices of its block columns, transposed (Gram G G^T). The sum
+    of ga.T @ gb over the strips is block (a, b) of the Gram matrix. None
+    cells stay None.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    sv = [np.sqrt(d) for d in V.diag_blocks()]
+    sw = [np.sqrt(d)[:, None] for d in W.diag_blocks()]
+    if tall:
+        for k, row in enumerate(L.entries):
+            for r in range(0, L.dims_out[k], _GRAM_CHUNK):
+                rows = slice(r, r + _GRAM_CHUNK)
+                yield [None if c is None else sw[k][rows] * c[rows] * sv[i]
+                       for i, c in enumerate(row)]
+    else:
+        for i in range(len(L.dims_in)):
+            for r in range(0, L.dims_in[i], _GRAM_CHUNK):
+                cols = slice(r, r + _GRAM_CHUNK)
+                yield [None if row[i] is None else (sw[k] * row[i][:, cols] * sv[i][cols]).T
+                       for k, row in enumerate(L.entries)]
+
+
+def estimate_weighted_norm(L, V, W):
+    """Operator norm of sqrt(W) L sqrt(V), from one dense eigensolve.
+
+    Accumulates the smaller Gram matrix of G = sqrt(W) L sqrt(V) block by
+    block (G^T G when G has no more columns than rows, G G^T otherwise) and
+    returns the square root of its largest eigenvalue. Raises
+    NormEstimationError when that matrix is not finite or the eigensolve
+    fails.
+    """
     if L.dims_in != V.dims:
         raise DimensionMismatch(f"V dims {V.dims} != operator input dims {L.dims_in}")
     if L.dims_out != W.dims:
         raise DimensionMismatch(f"W dims {W.dims} != operator output dims {L.dims_out}")
-    n_in = sum(L.dims_in)
-    if n_in == 0 or sum(L.dims_out) == 0 or L.is_zero():
+    if sum(L.dims_in) == 0 or sum(L.dims_out) == 0 or L.is_zero():
         return 0.0
-
-    def gram(x):
-        y = W.apply(L.apply(V.apply_sqrt(x)))
-        return V.apply_sqrt(L.adjoint_apply(y))
-
-    rng = np.random.default_rng(_POWER_SEED)
-    x = BlockVector._wrap([rng.standard_normal(d) for d in L.dims_in])
-    nx = x.norm()
-    x = (1.0 / nx) * x
-    prev = None
-    lam = None
-    for _ in range(max_iter):
-        y = gram(x)
-        lam_new = x.dot(y)
-        ny = y.norm()
-        if ny <= 1e-300:
-            return 0.0
-        x = (1.0 / ny) * y
-        prev, lam = lam, lam_new
-        if prev is not None and abs(lam - prev) <= tol * max(abs(lam), 1e-300):
-            return float(np.sqrt(max(lam, 0.0)))
-    prev_txt = "none" if prev is None else f"{prev:.17g}"
-    raise NormEstimationError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last Rayleigh quotients {prev_txt}, {lam:.17g})",
-        last=lam,
-        prev=prev,
-    )
+    tall = sum(L.dims_in) <= sum(L.dims_out)
+    off = _offsets(L.dims_in if tall else L.dims_out)
+    gram = np.zeros((off[-1], off[-1]))
+    for strip in _weighted_strips(L, V, W, tall):
+        # upper block triangle only; eigvalsh below reads that triangle
+        for a, ga in enumerate(strip):
+            if ga is None:
+                continue
+            for b in range(a, len(strip)):
+                if strip[b] is not None:
+                    gram[off[a]:off[a + 1], off[b]:off[b + 1]] += ga.T @ strip[b]
+    if not np.isfinite(gram).all():
+        raise NormEstimationError(
+            "weighted coupling norm: the Gram matrix of sqrt(W) L sqrt(V) "
+            "has non-finite entries"
+        )
+    try:
+        lam = np.linalg.eigvalsh(gram, UPLO="U")[-1]
+    except np.linalg.LinAlgError as e:
+        raise NormEstimationError(f"weighted coupling norm: eigensolve failed: {e}") from e
+    return float(np.sqrt(max(lam, 0.0)))

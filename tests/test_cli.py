@@ -123,6 +123,50 @@ def test_run_exit_code_2_on_numerical_failure(tmp_path, capsys, monkeypatch, err
     assert err.startswith("run failure: ") and err.count("\n") == 1
 
 
+def test_run_exit_code_2_on_nan_coupling(tmp_path, capsys):
+    cfg = {
+        "problem": {"custom_pd": {
+            "primal": [{"dim": 2}],
+            "dual": [{"dim": 2, "g": {"family": "l1", "lam": 1.0}}],
+            "coupling": [[[[float("nan"), 0.0], [0.0, 0.5]]]],
+            "V": {"kind": "scalar", "values": [1.0]},
+            "W": {"kind": "scalar", "values": [1.0]},
+        }},
+        "algorithm": "pd_class1",
+        "noise": {"mode": "zero"},
+        "inertia": {"mode": "zero"},
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failure: ") and "non-finite" in err
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_experiment(*args, **kwargs)
+
+    monkeypatch.setattr("sifb.cli.build_experiment", counting)
+    return calls
+
+
+def test_run_builds_the_experiment_once(tmp_path, count_builds):
+    path = write_config(tmp_path, pd_lasso_config())
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(count_builds) == 1
+
+
+def test_sweep_parent_builds_the_experiment_once(tmp_path, count_builds):
+    path = write_config(tmp_path, lasso_config(seeds=[1, 2, 3]))
+    assert main(["sweep", path, "--jobs", "1", "--out", str(tmp_path / "s")]) == 0
+    # one build in the parent, then one per replica run in this process
+    assert len(count_builds) == 1 + 3
+
+
 def pd_lasso_config():
     return {
         "problem": {"demo": {"name": "lasso",

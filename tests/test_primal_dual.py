@@ -27,7 +27,7 @@ from sifb import (
     step,
 )
 from sifb.primal_dual import class1_metric_apply, class2_metric_apply, dense_metrics
-from sifb.problems import build_lasso, pd_problem, reference_oracle
+from sifb.problems import build_demo, build_lasso, pd_problem, reference_oracle
 
 
 class ReplayOracle:
@@ -606,3 +606,41 @@ def test_class1_solves_random_scalar_block_lassos():
         p, _ = extract_primal_dual(xy, prob)
         ref = reference_oracle(demo, tol=1e-10)
         assert (p - ref).norm() <= 1e-6
+
+
+# compute_constants on every demo form; values from the earlier power-iteration
+# norm at tol 1e-12, each within 1e-10 relative of the exact norm
+LASSO_TALL = {"n": 12, "p": 10, "lam": 0.2, "cond": 20.0, "seed": 3}
+LASSO_WIDE = {"n": 8, "p": 14, "lam": 0.2, "cond": 20.0, "seed": 4}
+PINNED_CONSTANTS = [
+    ("lasso", LASSO_TALL, "smooth",
+     {"c": 0.0, "xi_hat": float("nan"), "beta_hat": 0.9900990099009901,
+      "beta": 0.9900990099009901}),
+    ("lasso", LASSO_TALL, "cp",
+     {"c": 0.9499999999996258, "xi_hat": float("nan"), "beta_hat": float("inf"),
+      "beta": float("inf")}),
+    ("lasso", LASSO_TALL, "split",
+     {"c": 0.9499999999986765, "xi_hat": float("nan"), "beta_hat": float("inf"),
+      "beta": float("inf")}),
+    ("lasso", LASSO_WIDE, "cp",
+     {"c": 0.9499999999997635, "xi_hat": float("nan"), "beta_hat": float("inf"),
+      "beta": float("inf")}),
+    ("lasso", LASSO_WIDE, "split",
+     {"c": 0.9499999999990968, "xi_hat": float("nan"), "beta_hat": float("inf"),
+      "beta": float("inf")}),
+    ("coupled_box_qp", {"m": 3, "dims": 4, "seed": 0}, None,
+     {"c": 0.0, "xi_hat": float("nan"), "beta_hat": 1.2376237623762383,
+      "beta": 1.2376237623762383}),
+    ("parallel_sum", {"dims": 6, "mu": 0.5, "lam": 0.3, "seed": 0}, None,
+     {"c": 0.49999999999999994, "xi_hat": 0.11208248107977163,
+      "beta_hat": 0.8789598229209696, "beta": 1.2376237623762387}),
+]
+
+
+@pytest.mark.parametrize("name,params,form,pinned", PINNED_CONSTANTS,
+                         ids=[f"{c[0]}-{c[2]}-{c[1].get('p', '')}" for c in PINNED_CONSTANTS])
+def test_constants_match_pinned_values(name, params, form, pinned):
+    rep = compute_constants(pd_problem(build_demo(name, params), form))
+    for key, want in pinned.items():
+        assert getattr(rep, key) == pytest.approx(want, rel=1e-10, nan_ok=True), key
+    assert rep.feasible_class1 and rep.feasible_class2
