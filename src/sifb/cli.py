@@ -71,7 +71,7 @@ def _validation_rows(exp):
     if inst is not None:
         try:
             cfg = exp.solver_config(inst.beta)
-            gamma = cfg.gamma_at(0, inst.default_gamma)
+            gamma = inst.check_gamma(cfg.gamma_at(0, inst.default_gamma))
             lo, hi = cfg.gamma_range
             rows.append((f"step size in [eps, (2-eps)*beta] = [{lo:.3g}, {hi:.3g}]",
                          True, f"gamma={gamma:.6g}"))
@@ -133,9 +133,6 @@ def _execute_single(exp, seed, out_dir=None, trace_name="trace.csv"):
     trace.wall_time = time.perf_counter() - t0
     summary = trace.summary()
     summary.update({"seed": seed, "algorithm": exp.algorithm})
-    # annotation only: strongly monotone forward maps converge in norm
-    summary["demiregular_forward_map"] = bool(
-        getattr(inst.oracle.base, "demiregular", False))
     if ref_primal is not None:
         if exp.algorithm == "sifb":
             summary["dist_to_ref"] = (x - ref_primal).norm()

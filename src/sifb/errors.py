@@ -20,14 +20,8 @@ class NormEstimationError(RuntimeError):
     """A weighted operator norm could not be computed.
 
     Raised when the coupling's Gram matrix is not finite or its eigensolve
-    fails. `last` and `prev` hold the last two estimates of an iterative
-    estimator; the dense eigensolve has none and leaves them None.
+    fails.
     """
-
-    def __init__(self, message, last=None, prev=None):
-        super().__init__(message)
-        self.last = last
-        self.prev = prev
 
 
 class OracleError(RuntimeError):

@@ -170,10 +170,6 @@ class ProxFunction:
             f"family {self.family!r} has no closed-form conjugate rule"
         )
 
-    @property
-    def strongly_convex(self):
-        return self.family == "sq_l2"
-
     def to_config(self):
         p = self.params
 
@@ -198,13 +194,12 @@ class ProxFunction:
 class _Rule:
     """One block of a blockwise monotone operator."""
 
-    __slots__ = ("kind", "fn", "matrix", "demiregular")
+    __slots__ = ("kind", "fn", "matrix")
 
-    def __init__(self, kind, fn=None, matrix=None, demiregular=False):
+    def __init__(self, kind, fn=None, matrix=None):
         self.kind = kind
         self.fn = fn
         self.matrix = matrix
-        self.demiregular = demiregular
 
 
 class MonotoneBlock:
@@ -212,9 +207,8 @@ class MonotoneBlock:
     resolvent rules.
 
     Supported block kinds: the zero operator, subdifferentials of catalogue
-    functions, subdifferentials of conjugates (for dual blocks), monotone
-    linear maps, and raw user rules computing the resolvent in a weighted
-    metric directly.
+    functions, subdifferentials of conjugates (for dual blocks), and monotone
+    linear maps.
     """
 
     def __init__(self, rules):
@@ -226,20 +220,20 @@ class MonotoneBlock:
 
     @classmethod
     def subdiff(cls, fs):
-        return cls([_Rule("subdiff", fn=f, demiregular=f.strongly_convex) for f in fs])
+        return cls([_Rule("subdiff", fn=f) for f in fs])
 
     @classmethod
     def conjugate_subdiff(cls, gs):
         return cls([_Rule("conjugate_subdiff", fn=g) for g in gs])
 
     @classmethod
-    def linear(cls, matrices, demiregular=False):
+    def linear(cls, matrices):
         rules = []
         for m in matrices:
             m = np.asarray(m, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ConfigurationError(f"linear block must be square, got {m.shape}")
-            rules.append(_Rule("linear", matrix=m, demiregular=demiregular))
+            rules.append(_Rule("linear", matrix=m))
         return cls(rules)
 
     @classmethod
@@ -252,25 +246,15 @@ class MonotoneBlock:
 
     @staticmethod
     def rule_subdiff(f):
-        return _Rule("subdiff", fn=f, demiregular=f.strongly_convex)
+        return _Rule("subdiff", fn=f)
 
     @staticmethod
     def rule_conjugate_subdiff(g):
         return _Rule("conjugate_subdiff", fn=g)
 
-    @staticmethod
-    def rule_custom(fn):
-        """fn(arg_block, metric_entries) must return the resolvent block."""
-        return _Rule("custom", fn=fn)
-
     @property
     def nblocks(self):
         return len(self.rules)
-
-    @property
-    def demiregular(self):
-        """Metadata only: true when every block is from a strongly monotone family."""
-        return all(r.demiregular for r in self.rules)
 
     def is_zero(self):
         return all(r.kind == "zero" for r in self.rules)
@@ -301,8 +285,6 @@ class MonotoneBlock:
             elif rule.kind == "linear":
                 n = zb.shape[0]
                 out.append(np.linalg.solve(np.eye(n) + step[:, None] * rule.matrix, zb))
-            elif rule.kind == "custom":
-                out.append(np.asarray(rule.fn(zb, step), dtype=np.float64).reshape(-1))
             else:
                 raise AssertionError(rule.kind)
         return BlockVector._wrap(out)
@@ -367,7 +349,7 @@ class CocoerciveMap:
     """
 
     def __init__(self, kind, dims, apply_fn, beta, beta_exact=None, metric=None,
-                 components=None, extremal=None, demiregular=False):
+                 components=None, extremal=None):
         self.kind = kind
         self.dims = tuple(int(d) for d in dims)
         self._apply = apply_fn
@@ -376,7 +358,6 @@ class CocoerciveMap:
         self.metric = metric
         self.components = components  # (count, batch_fn) for finite sums
         self.extremal = extremal      # BlockVector probe direction, if known
-        self.demiregular = demiregular
 
     def apply(self, x):
         if x.dims != self.dims:
@@ -412,8 +393,7 @@ class CocoerciveMap:
             extremal = BlockVector.from_flat(probe, dims)
         beta = 1.0 / (mu * top)
         return cls("scaled_identity", dims, lambda x: mu * x, beta=beta,
-                   beta_exact=beta, metric=metric, extremal=extremal,
-                   demiregular=True)
+                   beta_exact=beta, metric=metric, extremal=extremal)
 
     @classmethod
     def least_squares_gradient(cls, a, b, metric=None, deflate=True):
@@ -505,11 +485,9 @@ class CocoerciveMap:
                    metric=metric, extremal=extremal)
 
     @classmethod
-    def from_callable(cls, dims, fn, beta, metric=None, extremal=None,
-                      demiregular=False):
+    def from_callable(cls, dims, fn, beta, metric=None, extremal=None):
         """Wrap a user map with a caller-certified constant."""
-        return cls("callable", dims, fn, beta=beta, metric=metric,
-                   extremal=extremal, demiregular=demiregular)
+        return cls("callable", dims, fn, beta=beta, metric=metric, extremal=extremal)
 
     @classmethod
     def paired(cls, first, second, beta, metric=None):

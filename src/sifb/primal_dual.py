@@ -236,10 +236,7 @@ def assemble_class1(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
         q = prob.dual_inverse.resolvent(1.0, prob.W, d + prob.W.apply(u_k))
         return block_concat(p, q)
 
-    return ProblemInstance.from_backward(
-        backward, oracle, start, beta=rep.beta_hat, gamma_fixed=1.0,
-        label="pd_class1", extras={"problem": prob, "constants": rep},
-    )
+    return ProblemInstance(oracle, start, rep.beta_hat, backward, gamma_fixed=1.0)
 
 
 def assemble_class2(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
@@ -277,10 +274,7 @@ def assemble_class2(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
         p = s_i - prob.V.apply(prob.coupling.adjoint_apply(q))
         return block_concat(p, q)
 
-    return ProblemInstance.from_backward(
-        backward, oracle, start, beta=rep.beta, gamma_fixed=1.0,
-        label="pd_class2", extras={"problem": prob, "constants": rep},
-    )
+    return ProblemInstance(oracle, start, rep.beta, backward, gamma_fixed=1.0)
 
 
 # ---------------------------------------------------------------------------

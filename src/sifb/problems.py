@@ -10,7 +10,7 @@ controlled condition number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class DemoProblem:
     name: str                      # "lasso" | "coupled_box_qp" | "parallel_sum"
     params: dict
     data: dict
-    metadata: dict = field(default_factory=dict)
 
 
 def _conditioned_matrix(rng, n, p, cond):
@@ -60,8 +59,6 @@ def build_lasso(n, p, lam, cond=10.0, seed=0):
         params={"n": int(n), "p": int(p), "lam": float(lam),
                 "cond": float(cond), "seed": int(seed)},
         data={"a": a, "b": b},
-        metadata={"terms": {"data_fit": "quadratic", "regularizer": "l1"},
-                  "forms": ["smooth", "cp", "split"]},
     )
 
 
@@ -74,19 +71,13 @@ def build_coupled_system(m, dims, seed=0):
     g = rng.standard_normal((total, total))
     q = g.T @ g
     q /= float(np.linalg.eigvalsh(q)[-1])
-    ridged = False
-    eigmin = float(np.linalg.eigvalsh(q)[0])
-    if eigmin < 0.0:
+    if float(np.linalg.eigvalsh(q)[0]) < 0.0:
         q = q + 1e-6 * np.eye(total)
-        ridged = True
     c = rng.standard_normal(total)
     return DemoProblem(
         name="coupled_box_qp",
         params={"m": int(m), "dims": int(dims), "seed": int(seed)},
         data={"q": q, "c": c, "lo": -1.0, "hi": 1.0},
-        metadata={"ridged": ridged,
-                  "terms": {"objective": "coupled quadratic",
-                            "constraint": "box per block"}},
     )
 
 
@@ -113,9 +104,6 @@ def build_parallel_sum_instance(dims, mu, lam, seed=0, g_family="l1"):
         name="parallel_sum",
         params={"dims": p, "mu": float(mu), "lam": float(lam), "seed": int(seed)},
         data={"a": a, "b": b},
-        metadata={"terms": {"data_fit": "quadratic",
-                            "regularizer": "l1 through a smoothing block",
-                            "smoothing": float(mu)}},
     )
 
 

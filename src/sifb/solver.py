@@ -110,76 +110,58 @@ class SolverConfig:
         return lam
 
 
+@dataclass
 class ProblemInstance:
     """A monotone inclusion packaged for the solver.
 
-    Two flavors share the interface: `forward_backward` instances carry the
-    blockwise operator A and the preconditioner U, and compute the backward
-    step as a resolvent; `from_backward` instances (the assembled primal-dual
-    classes) carry an explicit backward map valid at one fixed step size.
+    The solver sees one interface: the stochastic oracle of the cocoercive
+    part, the starting point x0, its cocoercivity constant beta, and the
+    backward map `backward_fn(w, gamma, r)` from the extrapolated point w and
+    the draw r to the next point. `forward_backward` builds that map as the
+    preconditioned resolvent step J_{gamma U A}(w - gamma U r); the
+    primal-dual assemblies pass their class-I/II block sweeps, which realize
+    the stacked backward map only at one step, `gamma_fixed` = 1.
     """
 
-    def __init__(self, oracle, x0, beta, operator=None, metric=None,
-                 backward=None, gamma_fixed=None, label="sifb", extras=None):
-        if (operator is None) == (backward is None):
-            raise ConfigurationError(
-                "exactly one of operator (with metric) or backward must be given"
-            )
-        if operator is not None and metric is None:
-            raise ConfigurationError("forward-backward instances need a metric U")
-        self.oracle = oracle
-        self.x0 = x0
-        self.beta = float(beta)
-        self.operator = operator
-        self.metric = metric
-        self.backward_fn = backward
-        self.gamma_fixed = gamma_fixed
-        self.label = label
-        self.extras = extras or {}
+    oracle: object
+    x0: object
+    beta: float
+    backward_fn: object
+    gamma_fixed: float = None
+
+    def __post_init__(self):
+        self.beta = float(self.beta)
 
     @classmethod
-    def forward_backward(cls, operator, oracle, metric, x0, beta=None, label="sifb",
-                         extras=None):
+    def forward_backward(cls, operator, oracle, metric, x0, beta=None):
+        if metric is None:
+            raise ConfigurationError("forward-backward instances need a metric U")
         if beta is None:
             beta = oracle.base.beta
-        return cls(oracle, x0, beta, operator=operator, metric=metric,
-                   label=label, extras=extras)
 
-    @classmethod
-    def from_backward(cls, backward, oracle, x0, beta, gamma_fixed=1.0,
-                      label="custom", extras=None):
-        return cls(oracle, x0, beta, backward=backward,
-                   gamma_fixed=gamma_fixed, label=label, extras=extras)
+        def backward_fn(w, gamma, r):
+            return operator.resolvent(gamma, metric, w.axpy(-gamma, metric.apply(r)))
+
+        return cls(oracle, x0, beta, backward_fn)
+
+    def check_gamma(self, gamma):
+        """gamma itself, if the backward map is defined at that step."""
+        if self.gamma_fixed is not None and gamma != self.gamma_fixed:
+            raise ConfigurationError(
+                f"this instance defines its backward map only at "
+                f"gamma={self.gamma_fixed}, got {gamma}"
+            )
+        return gamma
 
     def backward(self, w, gamma, r):
         """The resolvent half-step: from the extrapolated point w and draw r."""
-        if self.backward_fn is not None:
-            if self.gamma_fixed is not None and gamma != self.gamma_fixed:
-                raise ConfigurationError(
-                    f"this instance defines its backward map only at "
-                    f"gamma={self.gamma_fixed}, got {gamma}"
-                )
-            return self.backward_fn(w, gamma, r)
-        z = w.axpy(-gamma, self.metric.apply(r))
-        return self.operator.resolvent(gamma, self.metric, z)
+        return self.backward_fn(w, self.check_gamma(gamma), r)
 
     @property
     def default_gamma(self):
         if self.gamma_fixed is not None:
             return self.gamma_fixed
         return self.beta if np.isfinite(self.beta) else 1.0
-
-    @property
-    def residual_gamma(self):
-        # Mid-range step for the noise-free fixed-point residual; assembled
-        # instances only define their backward map at the fixed step.
-        return self.default_gamma
-
-    def with_x0(self, x0):
-        return ProblemInstance(self.oracle, x0, self.beta, operator=self.operator,
-                               metric=self.metric, backward=self.backward_fn,
-                               gamma_fixed=self.gamma_fixed, label=self.label,
-                               extras=self.extras)
 
 
 def fp_residual(prob, x):
@@ -188,7 +170,7 @@ def fp_residual(prob, x):
     Vanishes exactly on the solution set for catalogue operators.
     """
     b = prob.oracle.base.apply(x)
-    p = prob.backward(x, prob.residual_gamma, b)
+    p = prob.backward(x, prob.default_gamma, b)
     return (x - p).norm()
 
 
@@ -291,7 +273,7 @@ def run(prob, cfg, reference=None):
         raise ConfigurationError(
             f"config beta={cfg.beta:g} exceeds the instance constant {prob.beta:g}"
         )
-    cfg.gamma_at(0, prob.default_gamma)
+    prob.check_gamma(cfg.gamma_at(0, prob.default_gamma))
 
     trace = RunTrace()
     x = prob.x0

@@ -236,7 +236,9 @@ class StochasticOracle:
     additive_gaussian mode returns B(w) + sigma_n * g with g standard normal;
     minibatch mode returns an equal-weight average over a uniformly drawn
     batch of component gradients, with batch size ceil(b0 * (n+1)^(2 theta))
-    so the per-sample variance decays like the additive schedule.
+    so the per-sample variance decays like the additive schedule; it is
+    refused unless that variance is summable (2 theta > 1 under poly noise,
+    or a first batch that already covers every component).
 
     The variates at step n come from a child generator spawned from
     (rng_seed, n); the value of sample(n, w) is deterministic in those two
@@ -255,11 +257,24 @@ class StochasticOracle:
             )
         if batch0 < 1:
             raise ConfigurationError(f"batch0 must be at least 1, got {batch0}")
+        # minibatch size batch0 (n+1)^growth
+        growth = 2.0 * noise.theta if noise.mode == "poly" else 0.0
+        if mode == "minibatch":
+            # the variance of a batch_n-sample average decays like 1/batch_n
+            count = base.components[0]
+            if growth <= 1.0 and batch0 < count:
+                raise ConfigurationError(
+                    f"summable_noise_variance: minibatch size ceil({batch0} "
+                    f"(n+1)^{growth:g}) from {count} component rows under "
+                    f"{noise.mode} noise leaves sum_n 1/batch_n divergent; use "
+                    "poly noise with 2*theta > 1 or batch0 >= the row count"
+                )
         self.base = base
         self.noise = noise
         self.rng_seed = int(rng_seed)
         self.mode = mode
         self.batch0 = int(batch0)
+        self._growth = growth
 
     def _stream(self, n):
         return np.random.default_rng(
@@ -269,8 +284,7 @@ class StochasticOracle:
     def batch_size(self, n):
         if self.mode != "minibatch":
             raise ConfigurationError("batch_size only applies to minibatch mode")
-        theta = self.noise.theta if self.noise.mode == "poly" else 0.0
-        return int(np.ceil(self.batch0 * (n + 1.0) ** (2.0 * theta)))
+        return int(np.ceil(self.batch0 * (n + 1.0) ** self._growth))
 
     def sample(self, n, w):
         """One draw of the stochastic forward map at iteration n, point w."""

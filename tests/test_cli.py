@@ -65,6 +65,22 @@ def test_validate_rejects_coupling_norm_at_least_one(tmp_path, capsys):
     assert "[FAIL] coupling norm c < 1" in out or "[FAIL] problem assembly" in out
 
 
+def test_fixed_step_gate_fails_validate_and_run_before_iterating(tmp_path, capsys):
+    # the class-I sweep is the stacked backward map only at gamma = 1
+    cfg = lasso_config(algorithm="pd_class1",
+                       solver={"max_iter": 20000, "stop_tol": 1e-8, "gamma": 0.5})
+    cfg["problem"]["demo"]["form"] = "split"
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", path]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] step size" in out and "only at gamma=1.0, got 0.5" in out
+    assert "validation: FAILED" in out
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] step size" in captured.out and captured.err == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_writes_artifacts_and_is_deterministic(tmp_path, capsys):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     path = write_config(tmp_path, lasso_config())
@@ -109,7 +125,7 @@ def test_run_exit_code_2_when_not_converged(tmp_path):
 
 
 @pytest.mark.parametrize("error", [
-    NormEstimationError("power iteration did not converge", last=1.0, prev=0.5),
+    NormEstimationError("power iteration did not converge"),
     OracleError("reference solve did not converge"),
 ])
 def test_run_exit_code_2_on_numerical_failure(tmp_path, capsys, monkeypatch, error):

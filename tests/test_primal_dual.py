@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -430,6 +432,26 @@ def test_class2_feasibility_gate():
     prob = small_problem(0.9, nu=0.45, mu=0.45)
     with pytest.raises(InfeasibleProblemError, match="2\\*beta > 1"):
         assemble_class2(prob)
+
+
+@pytest.mark.parametrize("assemble", [assemble_class1, assemble_class2])
+def test_run_rejects_other_step_on_assembled_instance_at_once(assemble):
+    # the sweeps realize the stacked backward map only at gamma = 1
+    inst = assemble(pd_problem(build_lasso(12, 10, 0.2, cond=20.0, seed=3), "split"))
+    steps = []
+
+    def counting(w, gamma, r):
+        steps.append(gamma)
+        return inst.backward_fn(w, gamma, r)
+
+    counted = dataclasses.replace(inst, backward_fn=counting)
+    cfg = SolverConfig(beta=inst.beta, gamma=0.5, max_iter=10)
+    with pytest.raises(ConfigurationError, match="only at gamma=1.0, got 0.5"):
+        run(counted, cfg)
+    assert steps == []
+    with pytest.raises(ConfigurationError, match="only at gamma=1.0"):
+        counted.backward(inst.x0, 0.5, inst.x0)
+    assert steps == []
 
 
 # --- stacked metrics -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,9 +101,7 @@ def test_step_scalar_lasso_reaches_minimizer_and_stays():
 def test_step_draws_oracle_exactly_once():
     prob = scalar_instance()
     counter = CountingOracle(prob.oracle)
-    prob = ProblemInstance.forward_backward(
-        prob.operator, counter, prob.metric, prob.x0, beta=prob.beta
-    )
+    prob = dataclasses.replace(prob, oracle=counter)
     cfg = SolverConfig(beta=prob.beta)
     state = (prob.x0, prob.x0)
     for n in range(7):
@@ -124,7 +124,7 @@ def test_run_deterministic_lasso_matches_ista_oracle():
 
 def test_run_from_solution_terminates_at_n0():
     prob = scalar_instance(deflate=False)
-    prob = prob.with_x0(BlockVector([[1.0]]))
+    prob = dataclasses.replace(prob, x0=BlockVector([[1.0]]))
     cfg = SolverConfig(beta=1.0, gamma=1.0, stop_tol=1e-12)
     x, trace = run(prob, cfg)
     assert trace.status == "converged"
@@ -286,8 +286,7 @@ def test_run_rejects_nonsummable_schedules():
     prob = scalar_instance()
     bad = StochasticOracle(prob.oracle.base, NoiseSchedule.polynomial(1.0, 0.4),
                            rng_seed=0)
-    prob = ProblemInstance.forward_backward(prob.operator, bad, prob.metric,
-                                            prob.x0, beta=prob.beta)
+    prob = dataclasses.replace(prob, oracle=bad)
     cfg = SolverConfig(beta=prob.beta, max_iter=10)
     with pytest.raises(ConfigurationError, match="summable_noise_variance"):
         run(prob, cfg)

@@ -11,6 +11,8 @@ from sifb import (
     derive_seeds,
     validate_schedules,
 )
+from sifb.problems import build_lasso, sifb_instance
+from sifb.solver import SolverConfig, run
 
 
 # --- schedule summability -----------------------------------------------------
@@ -161,6 +163,28 @@ def test_minibatch_unbiased_and_deterministic():
     samples = [oracle.sample(n, w) for n in range(400)]
     mean = np.mean([s.blocks[0] for s in samples], axis=0)
     assert np.linalg.norm(mean - exact.blocks[0]) <= 0.5
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseSchedule.zero(),
+    NoiseSchedule.geometric(0.5, 0.9),
+    NoiseSchedule.polynomial(0.0, 0.4),
+], ids=["zero", "geom", "poly_sigma0_zero"])
+def test_minibatch_without_summable_variance_is_refused(noise):
+    # a batch that does not grow like (n+1)^{2 theta}, 2 theta > 1, keeps a
+    # variance whose sum diverges; with zero or geom noise the batch stays at 2
+    demo = build_lasso(40, 30, 0.1, seed=0)
+    with pytest.raises(ConfigurationError, match="summable_noise_variance"):
+        sifb_instance(demo, noise=noise, oracle_mode="minibatch", batch0=2)
+
+
+def test_minibatch_covering_every_row_is_exact_and_converges():
+    demo = build_lasso(40, 30, 0.1, seed=0)
+    inst = sifb_instance(demo, oracle_mode="minibatch", batch0=40)
+    w = BlockVector([np.ones(30)])
+    assert (inst.oracle.sample(5, w) - inst.oracle.base.apply(w)).norm() == 0.0
+    _, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=20000, stop_tol=1e-8))
+    assert trace.status == "converged"
 
 
 def test_derive_seeds_distinct_and_deterministic():
