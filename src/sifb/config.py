@@ -90,14 +90,13 @@ def _build_custom_flat(spec, base_dir):
     blocks = spec["blocks"]
     dims = tuple(int(b["dim"]) for b in blocks)
     metric = _load_precond(spec.get("preconditioner"), dims)
-    operator = MonotoneBlock.mixed([_block_operator(b.get("operator")) for b in blocks])
+    operator = MonotoneBlock([_block_operator(b.get("operator")) for b in blocks])
     b_map = _load_map(spec["map"], dims, metric, base_dir)
     given_beta = spec.get("beta")
     beta = float(given_beta) if given_beta is not None else b_map.beta
     x0 = (BlockVector.from_flat(load_matrix(spec["x0"], base_dir).reshape(-1), dims)
           if "x0" in spec else BlockVector.zeros(dims))
     return {
-        "dims": dims,
         "metric": metric,
         "operator": operator,
         "map": b_map,
@@ -119,7 +118,7 @@ def _build_custom_pd(spec, base_dir):
                      for b in primal])
     r = BlockVector([np.asarray(b.get("r", np.zeros(b["dim"])), dtype=np.float64)
                      for b in dual])
-    primal_ops = MonotoneBlock.mixed([_block_operator(b.get("operator")) for b in primal])
+    primal_ops = MonotoneBlock([_block_operator(b.get("operator")) for b in primal])
     dual_rules = []
     for b in dual:
         g = b.get("g")
@@ -149,7 +148,7 @@ def _build_custom_pd(spec, base_dir):
         dual_smooth = CocoerciveMap.scaled_identity(ddims, float(mus[0]), metric=w)
     prob = PrimalDualProblem(
         primal_ops=primal_ops, z=z, V=v,
-        dual_inverse=MonotoneBlock.mixed(dual_rules), r=r, W=w,
+        dual_inverse=MonotoneBlock(dual_rules), r=r, W=w,
         coupling=coupling, smooth=smooth, dual_smooth=dual_smooth,
         nu0=spec.get("nu0"), mu0=spec.get("mu0"),
     )

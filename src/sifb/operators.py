@@ -236,10 +236,6 @@ class MonotoneBlock:
             rules.append(_Rule("linear", matrix=m))
         return cls(rules)
 
-    @classmethod
-    def mixed(cls, rules):
-        return cls(rules)
-
     @staticmethod
     def rule_zero():
         return _Rule("zero")
@@ -596,14 +592,7 @@ def subdiff_distance(f, x, u):
         d = np.where(at_lo & at_hi, 0.0, d)  # degenerate single-point interval
         return float(np.linalg.norm(d) + np.linalg.norm(viol))
     if f.family == "linf_ball":
-        r = p["radius"]
-        viol = np.maximum(np.abs(x) - r, 0.0)
-        at_hi = np.abs(x - r) <= _ACTIVE_TOL
-        at_lo = np.abs(x + r) <= _ACTIVE_TOL
-        d = np.abs(u)
-        d = np.where(at_hi, np.maximum(-u, 0.0), d)
-        d = np.where(at_lo, np.maximum(u, 0.0), d)
-        return float(np.linalg.norm(d) + np.linalg.norm(viol))
+        return subdiff_distance(ProxFunction.box(-p["radius"], p["radius"]), x, u)
     return None
 
 

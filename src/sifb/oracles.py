@@ -67,10 +67,6 @@ def huber_value(u, lam, mu):
     return float(np.where(np.abs(u) <= lam * mu, quad, lin).sum())
 
 
-def huber_grad(u, lam, mu):
-    return np.clip(u / mu, -lam, lam)
-
-
 def huber_prox(z, step, lam, mu):
     """Closed-form prox of the smoothed absolute value, elementwise.
 

@@ -201,12 +201,7 @@ def extract_primal_dual(x_stacked, prob):
     return block_split(x_stacked, prob.m)
 
 
-def _zeros(dims):
-    return BlockVector.zeros(dims)
-
-
-def assemble_class1(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
-                    constants=None):
+def assemble_class1(prob, noise=None, seed=0, oracle=None, constants=None):
     """Stacked instance whose unit-step backward map is the class-I sweep.
 
     One solver step reproduces, blockwise: primal resolvents at the
@@ -218,9 +213,6 @@ def assemble_class1(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
         raise InfeasibleProblemError(
             f"class-I assembly requires beta_hat > 1/2; got beta_hat={rep.beta_hat:.6g}"
         )
-    x0 = x0 if x0 is not None else _zeros(prob.primal_dims)
-    v0 = v0 if v0 is not None else _zeros(prob.dual_dims)
-    start = block_concat(x0, v0)
     q_map = prob.smooth_pair_map(beta=rep.beta_hat)
     if oracle is None:
         oracle = StochasticOracle(q_map, noise=noise, rng_seed=seed)
@@ -236,11 +228,11 @@ def assemble_class1(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
         q = prob.dual_inverse.resolvent(1.0, prob.W, d + prob.W.apply(u_k))
         return block_concat(p, q)
 
-    return ProblemInstance(oracle, start, rep.beta_hat, backward, gamma_fixed=1.0)
+    return ProblemInstance(oracle, BlockVector.zeros(prob.stacked_dims), rep.beta_hat,
+                           backward, gamma_fixed=1.0)
 
 
-def assemble_class2(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
-                    constants=None):
+def assemble_class2(prob, noise=None, seed=0, oracle=None, constants=None):
     """Stacked instance for the all-explicit-primal variant.
 
     Only valid when every primal block operator is zero; the primal half
@@ -256,9 +248,6 @@ def assemble_class2(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
         raise InfeasibleProblemError(
             f"class-II assembly requires 2*beta > 1; got beta={rep.beta:.6g}"
         )
-    x0 = x0 if x0 is not None else _zeros(prob.primal_dims)
-    v0 = v0 if v0 is not None else _zeros(prob.dual_dims)
-    start = block_concat(x0, v0)
     q_map = prob.smooth_pair_map(beta=rep.beta)
     if oracle is None:
         oracle = StochasticOracle(q_map, noise=noise, rng_seed=seed)
@@ -274,7 +263,8 @@ def assemble_class2(prob, noise=None, seed=0, x0=None, v0=None, oracle=None,
         p = s_i - prob.V.apply(prob.coupling.adjoint_apply(q))
         return block_concat(p, q)
 
-    return ProblemInstance(oracle, start, rep.beta, backward, gamma_fixed=1.0)
+    return ProblemInstance(oracle, BlockVector.zeros(prob.stacked_dims), rep.beta,
+                           backward, gamma_fixed=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +364,6 @@ class DualityReport:
     primal_block_res: list
     dual_block_res: list
     unchecked: list
-
-    @property
-    def primal_inclusion_res(self):
-        vals = [v for v in self.primal_block_res if v is not None]
-        return max(vals) if vals else float("nan")
-
-    @property
-    def dual_inclusion_res(self):
-        vals = [v for v in self.dual_block_res if v is not None]
-        return max(vals, default=0.0)
 
     @property
     def max_residual(self):

@@ -158,7 +158,7 @@ def sifb_instance(demo, noise=None, seed=0, oracle_mode="additive_gaussian",
                                             metric=u)
         op = MonotoneBlock.zero(1)
         oracle = StochasticOracle(b_map, noise=noise, rng_seed=seed,
-                                  mode="additive_gaussian")
+                                  mode=oracle_mode, batch0=batch0)
         return ProblemInstance.forward_backward(op, oracle, u, BlockVector.zeros(dims))
     raise ConfigurationError(f"unknown demo problem {demo.name!r}")
 

@@ -263,7 +263,9 @@ def run(prob, cfg, reference=None):
 
     Returns (final iterate, RunTrace). The trace records every `record_every`
     iterations; non-finite iterates or norm blow-up terminate with the
-    `diverged` status and the offending iteration index.
+    `diverged` status and the offending iteration index. An instance with a
+    fixed step refuses any other step, and any callable one, before the
+    first iteration.
     """
     report = validate_schedules(prob.oracle.noise, cfg.inertia)
     if not report.ok:
@@ -272,6 +274,11 @@ def run(prob, cfg, reference=None):
     if np.isfinite(prob.beta) and cfg.beta > prob.beta * (1.0 + 1e-12):
         raise ConfigurationError(
             f"config beta={cfg.beta:g} exceeds the instance constant {prob.beta:g}"
+        )
+    if prob.gamma_fixed is not None and callable(cfg.gamma):
+        raise ConfigurationError(
+            f"this instance defines its backward map only at "
+            f"gamma={prob.gamma_fixed}; a callable step size cannot be used"
         )
     prob.check_gamma(cfg.gamma_at(0, prob.default_gamma))
 

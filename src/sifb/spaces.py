@@ -220,16 +220,6 @@ class Preconditioner:
     def inverse(self):
         return Preconditioner(self.kind, self.dims, [1.0 / w for w in self._diag])
 
-    def scaled(self, c):
-        """The operator c * self, for c > 0."""
-        c = float(c)
-        if c <= 0:
-            raise ValueError(f"scale must be positive, got {c}")
-        if self.kind == "identity" and c == 1.0:
-            return self
-        kind = "scalar" if self.kind == "identity" else self.kind
-        return Preconditioner(kind, self.dims, [c * w for w in self._diag])
-
     def __repr__(self):
         return f"Preconditioner(kind={self.kind!r}, dims={self.dims}, chi={self.lower_bound:g})"
 

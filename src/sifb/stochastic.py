@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import ConfigurationError
 from .spaces import BlockVector
@@ -81,16 +80,6 @@ class NoiseSchedule:
         if self.mode == "poly":
             return 2.0 * self.theta > 1.0
         return self.rho < 1.0
-
-    def variance_series_limit(self):
-        """Analytic value of sum_n sigma_n^2 (inf when divergent)."""
-        if self.mode == "zero" or self.sigma0 == 0.0:
-            return 0.0
-        if not self.summable_variance():
-            return float("inf")
-        if self.mode == "poly":
-            return self.sigma0**2 * float(zeta(2.0 * self.theta))
-        return self.sigma0**2 / (1.0 - self.rho**2)
 
     def to_config(self):
         out = {"mode": self.mode, "sigma0": self.sigma0}
@@ -163,15 +152,6 @@ class InertiaSchedule:
             return self.q > 1.0
         return self.rho < 1.0
 
-    def series_limit(self):
-        if self.mode == "zero" or self.alpha0 == 0.0:
-            return 0.0
-        if not self.summable():
-            return float("inf")
-        if self.mode == "poly":
-            return self.alpha0 * float(zeta(self.q))
-        return self.alpha0 / (1.0 - self.rho)
-
     def to_config(self):
         out = {"mode": self.mode, "alpha0": self.alpha0}
         if self.mode == "poly":
@@ -236,9 +216,11 @@ class StochasticOracle:
     additive_gaussian mode returns B(w) + sigma_n * g with g standard normal;
     minibatch mode returns an equal-weight average over a uniformly drawn
     batch of component gradients, with batch size ceil(b0 * (n+1)^(2 theta))
-    so the per-sample variance decays like the additive schedule; it is
-    refused unless that variance is summable (2 theta > 1 under poly noise,
-    or a first batch that already covers every component).
+    so the per-sample variance decays like the additive schedule. Once the
+    batch covers every component the draw is the exact map, so the variance
+    sum is finite exactly when the batch grows (theta > 0 under poly noise)
+    or the first batch already covers every component; any other minibatch
+    oracle is refused.
 
     The variates at step n come from a child generator spawned from
     (rng_seed, n); the value of sample(n, w) is deterministic in those two
@@ -260,14 +242,15 @@ class StochasticOracle:
         # minibatch size batch0 (n+1)^growth
         growth = 2.0 * noise.theta if noise.mode == "poly" else 0.0
         if mode == "minibatch":
-            # the variance of a batch_n-sample average decays like 1/batch_n
+            # a growing batch covers every row after finitely many steps,
+            # and from then on the draw is exact
             count = base.components[0]
-            if growth <= 1.0 and batch0 < count:
+            if growth <= 0.0 and batch0 < count:
                 raise ConfigurationError(
-                    f"summable_noise_variance: minibatch size ceil({batch0} "
-                    f"(n+1)^{growth:g}) from {count} component rows under "
-                    f"{noise.mode} noise leaves sum_n 1/batch_n divergent; use "
-                    "poly noise with 2*theta > 1 or batch0 >= the row count"
+                    f"summable_noise_variance: minibatch size {batch0} from "
+                    f"{count} component rows never grows under {noise.mode} "
+                    "noise, which leaves sum_n 1/batch_n divergent; use poly "
+                    "noise with theta > 0 or batch0 >= the row count"
                 )
         self.base = base
         self.noise = noise

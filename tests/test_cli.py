@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sifb
 from sifb import NormEstimationError, OracleError
 from sifb.cli import main
 from sifb.config import build_experiment
@@ -28,6 +31,16 @@ def lasso_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency of the package and its CLI
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sifb.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sifb, sifb.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_validate_ok(tmp_path, capsys):

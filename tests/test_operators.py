@@ -240,8 +240,10 @@ def test_resolvent_linear_block():
 
 def test_resolvent_characterization_subdiff_families():
     rng = np.random.default_rng(8)
+    # the radius-0 ball is the indicator of {0}: every residual is admissible
     for f in [ProxFunction.l1(0.6), ProxFunction.squared_l2(2.0, 0.1),
-              ProxFunction.box(-0.5, 1.5)]:
+              ProxFunction.box(-0.5, 1.5), ProxFunction.linf_ball(0.7),
+              ProxFunction.linf_ball(0.0)]:
         a = MonotoneBlock.subdiff([f])
         for _ in range(20):
             gamma = float(rng.uniform(0.2, 3.0))

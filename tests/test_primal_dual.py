@@ -313,10 +313,10 @@ def random_structured_problem(rng, zero_primal):
             ProxFunction.squared_l2(fam[1], fam[2]))
 
     prob = PrimalDualProblem(
-        primal_ops=MonotoneBlock.mixed([to_rule(f) for f in primal_fams]),
+        primal_ops=MonotoneBlock([to_rule(f) for f in primal_fams]),
         z=BlockVector(data["z"]),
         V=Preconditioner.diagonal(vd),
-        dual_inverse=MonotoneBlock.mixed([to_dual_rule(f) for f in dual_fams]),
+        dual_inverse=MonotoneBlock([to_dual_rule(f) for f in dual_fams]),
         r=BlockVector(data["r"]),
         W=Preconditioner.diagonal(wd),
         coupling=BlockLinearOperator(ld, pdims, ddims),
@@ -452,6 +452,27 @@ def test_run_rejects_other_step_on_assembled_instance_at_once(assemble):
     with pytest.raises(ConfigurationError, match="only at gamma=1.0"):
         counted.backward(inst.x0, 0.5, inst.x0)
     assert steps == []
+
+
+@pytest.mark.parametrize("assemble", [assemble_class1, assemble_class2])
+def test_run_refuses_callable_step_on_assembled_instance_before_drawing(assemble):
+    # a callable step is known one iteration at a time; this one leaves 1 at n = 3
+    inst = assemble(pd_problem(build_lasso(12, 10, 0.2, cond=20.0, seed=3), "split"))
+    draws = []
+
+    class CountingOracle:
+        base, noise = inst.oracle.base, inst.oracle.noise
+
+        def sample(self, n, w):
+            draws.append(n)
+            return inst.oracle.sample(n, w)
+
+    counted = dataclasses.replace(inst, oracle=CountingOracle())
+    cfg = SolverConfig(beta=inst.beta, gamma=lambda n: 1.0 if n < 3 else 0.9,
+                       max_iter=10)
+    with pytest.raises(ConfigurationError, match="callable step size"):
+        run(counted, cfg)
+    assert draws == []
 
 
 # --- stacked metrics -----------------------------------------------------------------

@@ -178,12 +178,6 @@ def test_preconditioner_rejects_nonpositive_entries():
         Preconditioner.scalar([-1.0], (2,))
 
 
-def test_scaled_preconditioner():
-    p = Preconditioner.scalar([2.0], (3,))
-    x = BlockVector([[1.0, 1.0, 1.0]])
-    assert p.scaled(0.5).apply(x).blocks[0].tolist() == [1.0, 1.0, 1.0]
-
-
 # --- block linear operators ---------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from sifb import (
     BlockVector,
@@ -55,10 +56,11 @@ def test_zero_schedules_always_pass():
 
 
 def test_partial_sums_bounded_by_analytic_limit():
+    # closed forms: sigma0^2 zeta(2 theta) and alpha0 zeta(q)
     noise = NoiseSchedule.polynomial(1.3, 0.75)
     inertia = InertiaSchedule.polynomial(0.5, 1.5)
-    var_limit = noise.variance_series_limit()
-    inertia_limit = inertia.series_limit()
+    var_limit = 1.3**2 * zeta(1.5)
+    inertia_limit = 0.5 * zeta(1.5)
     acc_v = acc_a = 0.0
     prev_v = prev_a = -1.0
     for n in range(20000):
@@ -71,10 +73,12 @@ def test_partial_sums_bounded_by_analytic_limit():
 
 
 def test_geometric_series_limits():
+    # closed forms: sigma0^2 / (1 - rho^2) and alpha0 / (1 - rho); at rho = 0.5
+    # 200 terms leave a tail far below double precision
     noise = NoiseSchedule.geometric(2.0, 0.5)
-    assert noise.variance_series_limit() == pytest.approx(4.0 / (1 - 0.25))
+    assert sum(noise.sigma(n) ** 2 for n in range(200)) == pytest.approx(4.0 / (1 - 0.25))
     inertia = InertiaSchedule.geometric(0.4, 0.5)
-    assert inertia.series_limit() == pytest.approx(0.8)
+    assert sum(inertia.alpha(n) for n in range(200)) == pytest.approx(0.8)
 
 
 def test_alpha0_range_validated():
@@ -168,14 +172,27 @@ def test_minibatch_unbiased_and_deterministic():
 @pytest.mark.parametrize("noise", [
     NoiseSchedule.zero(),
     NoiseSchedule.geometric(0.5, 0.9),
-    NoiseSchedule.polynomial(0.0, 0.4),
-], ids=["zero", "geom", "poly_sigma0_zero"])
+    NoiseSchedule.polynomial(0.0, 0.0),
+], ids=["zero", "geom", "poly_theta_zero"])
 def test_minibatch_without_summable_variance_is_refused(noise):
-    # a batch that does not grow like (n+1)^{2 theta}, 2 theta > 1, keeps a
-    # variance whose sum diverges; with zero or geom noise the batch stays at 2
+    # a batch that never grows keeps a variance whose sum diverges; with zero
+    # or geom noise, or poly noise at theta = 0, the batch stays at 2 of 40 rows
     demo = build_lasso(40, 30, 0.1, seed=0)
     with pytest.raises(ConfigurationError, match="summable_noise_variance"):
         sifb_instance(demo, noise=noise, oracle_mode="minibatch", batch0=2)
+
+
+def test_minibatch_growing_batch_covers_every_row_and_converges():
+    # ceil(2 (n+1)^0.8) reaches all 40 rows at n = 40: any growth gets there,
+    # and from then on the draw is the exact map
+    demo = build_lasso(40, 30, 0.1, seed=0)
+    inst = sifb_instance(demo, noise=NoiseSchedule.polynomial(0.0, 0.4),
+                         oracle_mode="minibatch", batch0=2)
+    assert inst.oracle.batch_size(39) < 40 <= inst.oracle.batch_size(40)
+    w = BlockVector([np.ones(30)])
+    assert (inst.oracle.sample(40, w) - inst.oracle.base.apply(w)).norm() == 0.0
+    _, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=20000, stop_tol=1e-8))
+    assert trace.status == "converged"
 
 
 def test_minibatch_covering_every_row_is_exact_and_converges():
