@@ -11,6 +11,14 @@ One iteration, from the current pair (x_n, x_{n-1}):
 Assembled primal-dual instances replace the middle two lines with an explicit
 per-block sequence that realizes the same backward map at gamma = 1; the
 extrapolation and relaxation lines are shared.
+
+Cost: a step makes one oracle draw and one backward sweep, and a recorded
+row one exact map evaluation and one sweep for its fixed-point residual.
+When a recorded row is followed by an exact step at the same point and step
+(alpha_n = 0, sigma_n = 0 or a minibatch covering every row, gamma_n equal to
+the residual's step), the step gets back the residual's map value and sweep
+instead of recomputing them: one evaluation and one sweep per iteration
+instead of two. A noisy step with alpha_n = 0 still reuses the map value.
 """
 
 from __future__ import annotations
@@ -115,9 +123,10 @@ class ProblemInstance:
     """A monotone inclusion packaged for the solver.
 
     The solver sees one interface: the stochastic oracle of the cocoercive
-    part, the starting point x0, its cocoercivity constant beta, and the
-    backward map `backward_fn(w, gamma, r)` from the extrapolated point w and
-    the draw r to the next point. `forward_backward` builds that map as the
+    part (`sample`, `exact`, `summable_variance` and the `noise` schedule,
+    as on `StochasticOracle`), the starting point x0, its cocoercivity
+    constant beta, and the backward map `backward_fn(w, gamma, r)` from the
+    extrapolated point w and the draw r to the next point. `forward_backward` builds that map as the
     preconditioned resolvent step J_{gamma U A}(w - gamma U r); the
     primal-dual assemblies pass their class-I/II block sweeps, which realize
     the stacked backward map only at one step, `gamma_fixed` = 1.
@@ -128,6 +137,7 @@ class ProblemInstance:
     beta: float
     backward_fn: object
     gamma_fixed: float = None
+    _last_backward: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.beta = float(self.beta)
@@ -154,8 +164,22 @@ class ProblemInstance:
         return gamma
 
     def backward(self, w, gamma, r):
-        """The resolvent half-step: from the extrapolated point w and draw r."""
-        return self.backward_fn(w, self.check_gamma(gamma), r)
+        """The resolvent half-step: from the extrapolated point w and draw r.
+
+        Keeps the last (w, gamma, r, p) and returns that p again for the same
+        w and r objects and an equal gamma, so an exact step reuses the sweep
+        of the residual recorded just before it. This assumes that a
+        `BlockVector` is never mutated (its arrays are read-only), so one
+        object always holds one value, and that `backward_fn` depends on its
+        arguments alone.
+        """
+        gamma = self.check_gamma(gamma)
+        last = self._last_backward
+        if last is not None and last[0] is w and last[2] is r and last[1] == gamma:
+            return last[3]
+        p = self.backward_fn(w, gamma, r)
+        self._last_backward = (w, gamma, r, p)
+        return p
 
     @property
     def default_gamma(self):
@@ -169,7 +193,7 @@ def fp_residual(prob, x):
 
     Vanishes exactly on the solution set for catalogue operators.
     """
-    b = prob.oracle.base.apply(x)
+    b = prob.oracle.exact(x)
     p = prob.backward(x, prob.default_gamma, b)
     return (x - p).norm()
 
@@ -267,10 +291,6 @@ def run(prob, cfg, reference=None):
     fixed step refuses any other step, and any callable one, before the
     first iteration.
     """
-    report = validate_schedules(prob.oracle.noise, cfg.inertia)
-    if not report.ok:
-        msgs = "; ".join(f"{v.condition}: {v.detail}" for v in report.violations)
-        raise ConfigurationError(f"schedule validation failed: {msgs}")
     if np.isfinite(prob.beta) and cfg.beta > prob.beta * (1.0 + 1e-12):
         raise ConfigurationError(
             f"config beta={cfg.beta:g} exceeds the instance constant {prob.beta:g}"
@@ -281,17 +301,22 @@ def run(prob, cfg, reference=None):
             f"gamma={prob.gamma_fixed}; a callable step size cannot be used"
         )
     prob.check_gamma(cfg.gamma_at(0, prob.default_gamma))
+    report = validate_schedules(prob.oracle.noise, cfg.inertia,
+                                noise_summable=prob.oracle.summable_variance())
+    if not report.ok:
+        msgs = "; ".join(f"{v.condition}: {v.detail}" for v in report.violations)
+        raise ConfigurationError(f"schedule validation failed: {msgs}")
 
     trace = RunTrace()
     x = prob.x0
     x_prev = prob.x0  # x_{-1} = x_0
+    sn = (x - x_prev).norm()  # ||x_n - x_{n-1}||, then carried over from each step
     for n in range(cfg.max_iter + 1):
         recorded = (n % cfg.record_every == 0) or n == cfg.max_iter
         if recorded:
             res = fp_residual(prob, x)
-            step_norm = (x - x_prev).norm()
             dist = (x - reference).norm() if reference is not None else float("nan")
-            trace.append(TraceRow(n, res, step_norm, dist,
+            trace.append(TraceRow(n, res, sn, dist,
                                   prob.oracle.noise.sigma(n), cfg.inertia.alpha(n)))
             if res <= cfg.stop_tol:
                 trace.status = CONVERGED
@@ -305,7 +330,9 @@ def run(prob, cfg, reference=None):
             trace.first_step_norm = sn
         trace.max_step_norm = max(trace.max_step_norm, sn)
         x, x_prev = x_next, x_curr
-        if not x.all_finite() or x.norm() > _DIVERGE_NORM:
+        # a NaN or infinite entry, or an overflowing sum of squares, makes
+        # the norm NaN or inf, which fails the comparison
+        if not x.norm() <= _DIVERGE_NORM:
             trace.status = DIVERGED
             trace.iterations = n + 1
             trace.diverged_at = n

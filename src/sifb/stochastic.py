@@ -187,14 +187,19 @@ class ScheduleReport:
     violations: list = field(default_factory=list)
 
 
-def validate_schedules(noise, inertia):
+def validate_schedules(noise, inertia, noise_summable=None):
     """Check the summability conditions the convergence guarantee needs.
 
     Two conditions gate a run: the conditional variance budget
     sum_n sigma_n^2 < inf, and the inertia budget sum_n alpha_n < inf.
+    `noise_summable`, when given, answers the first in place of the schedule:
+    `run` passes the oracle's own answer (`StochasticOracle.summable_variance`),
+    because a minibatch oracle's variance does not follow sigma_n.
     """
     violations = []
-    if not noise.summable_variance():
+    if noise_summable is None:
+        noise_summable = noise.summable_variance()
+    if not noise_summable:
         if noise.mode == "poly":
             detail = (f"sum sigma_n^2 diverges: theta={noise.theta} gives "
                       f"2*theta={2 * noise.theta} <= 1")
@@ -258,11 +263,37 @@ class StochasticOracle:
         self.mode = mode
         self.batch0 = int(batch0)
         self._growth = growth
+        self._last_exact = None
 
     def _stream(self, n):
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.rng_seed, spawn_key=(int(n),))
         )
+
+    def exact(self, w):
+        """The noise-free map value B(w).
+
+        Keeps the last (w, B(w)) and returns that value again for the same w
+        object, so the exact draw of a step reuses the map value of the
+        residual recorded at the same point just before it. This assumes that
+        a `BlockVector` is never mutated (its arrays are read-only), so one
+        object always holds one value.
+        """
+        last = self._last_exact
+        if last is not None and last[0] is w:
+            return last[1]
+        value = self.base.apply(w)
+        self._last_exact = (w, value)
+        return value
+
+    def summable_variance(self):
+        """Whether the conditional variances of the draws sum to a finite value.
+
+        Additive draws follow the noise schedule. A minibatch draw is exact
+        once its batch covers every row, which the constructor guarantees
+        happens after finitely many steps, whatever sigma0.
+        """
+        return self.mode == "minibatch" or self.noise.summable_variance()
 
     def batch_size(self, n):
         if self.mode != "minibatch":
@@ -275,7 +306,7 @@ class StochasticOracle:
             raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
         if self.mode == "additive_gaussian":
             s = self.noise.sigma(n)
-            exact = self.base.apply(w)
+            exact = self.exact(w)
             if s == 0.0:
                 return exact
             rng = self._stream(n)
@@ -287,7 +318,7 @@ class StochasticOracle:
         bsz = self.batch_size(n)
         if bsz >= count:
             # the grown batch covers the sum: the exact map, zero variance
-            return self.base.apply(w)
+            return self.exact(w)
         rng = self._stream(n)
         return batch_fn(rng.integers(0, count, size=bsz), w)
 
@@ -300,7 +331,7 @@ class StochasticOracle:
         if self.mode != "additive_gaussian":
             raise ConfigurationError("sample_batch supports additive mode only")
         s = self.noise.sigma(n)
-        exact = self.base.apply(w)
+        exact = self.exact(w)
         rng = self._stream(n)
         out = []
         for _ in range(int(draws)):

@@ -19,7 +19,8 @@ from sifb import (
     run,
     step,
 )
-from sifb.problems import build_lasso, reference_oracle, sifb_instance
+from sifb.primal_dual import assemble_class1
+from sifb.problems import build_lasso, pd_problem, reference_oracle, sifb_instance
 
 
 class CountingOracle:
@@ -232,6 +233,75 @@ def test_inertial_run_converges_to_same_solution():
     x_inert, t1 = run(inst, inertial_cfg)
     assert t0.status == t1.status == "converged"
     assert (x_plain - x_inert).norm() <= 1e-6
+
+
+# --- reuse of the recorded residual's evaluation ----------------------------------------
+
+
+def counted(inst):
+    """`inst` with its exact map and its backward sweep counted in `calls`."""
+    base, sweep = inst.oracle.base, inst.backward_fn
+    calls = {"map": 0, "sweep": 0}
+
+    def counted_map(x):
+        calls["map"] += 1
+        return base.apply(x)
+
+    def counted_sweep(w, gamma, r):
+        calls["sweep"] += 1
+        return sweep(w, gamma, r)
+
+    oracle = StochasticOracle(
+        CocoerciveMap.from_callable(base.dims, counted_map, base.beta),
+        inst.oracle.noise, rng_seed=inst.oracle.rng_seed)
+    return dataclasses.replace(inst, oracle=oracle, backward_fn=counted_sweep), calls
+
+
+LASSO = build_lasso(14, 10, 0.2, cond=30.0, seed=21)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sifb_instance(LASSO),
+    lambda: assemble_class1(pd_problem(LASSO, "split")),
+], ids=["forward_backward", "class1"])
+def test_exact_iteration_evaluates_map_and_sweep_once(build):
+    # every step reuses the map value and sweep of the residual recorded at
+    # its point: N + 1 of each in N iterations, against 2N + 1 recomputing
+    inst = build()
+    prob, calls = counted(inst)
+    x, trace = run(prob, SolverConfig(beta=inst.beta, max_iter=100000, stop_tol=1e-10))
+    assert trace.status == "converged"
+    n = trace.iterations
+    assert n > 10
+    assert calls == {"map": n + 1, "sweep": n + 1}
+    # bit for bit the iterate of a loop that recomputes everything
+    want = inst.x0
+    for _ in range(n):
+        want = inst.backward_fn(want, inst.default_gamma, inst.oracle.base.apply(want))
+    assert all(np.array_equal(a, b) for a, b in zip(x.blocks, want.blocks))
+
+
+def test_inertial_iteration_sweeps_twice_per_recorded_iteration():
+    # alpha_n > 0 moves the step off the residual's point: nothing is reused
+    inst = sifb_instance(LASSO)
+    prob, calls = counted(inst)
+    cfg = SolverConfig(beta=inst.beta, max_iter=100000, stop_tol=1e-10,
+                       inertia=InertiaSchedule.polynomial(0.5, 2.0))
+    _, trace = run(prob, cfg)
+    assert trace.status == "converged"
+    assert calls["sweep"] == 2 * trace.iterations + 1
+
+
+def test_backward_recomputes_for_other_operands():
+    prob, calls = counted(scalar_instance())
+    w, r = BlockVector([[3.0]]), BlockVector([[0.5]])
+    p = prob.backward(w, 1.0, r)
+    # an equal value in another object, or another step, is computed afresh
+    assert prob.backward(w, 1.0, BlockVector([[0.5]])).blocks[0][0] == p.blocks[0][0]
+    assert calls["sweep"] == 2
+    q = prob.backward(w, 0.5, r)
+    assert calls["sweep"] == 3
+    assert (q.blocks[0][0], p.blocks[0][0]) == (2.25, 1.5)
 
 
 # --- monotonicity diagnostics ---------------------------------------------------------

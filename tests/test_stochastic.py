@@ -204,6 +204,37 @@ def test_minibatch_covering_every_row_is_exact_and_converges():
     assert trace.status == "converged"
 
 
+def test_minibatch_run_does_not_gate_on_sigma0():
+    # a minibatch draw never reads sigma0: sigma0 = 1 makes the same draws,
+    # iterates and residuals as sigma0 = 0, and only the sigma_n column differs
+    demo = build_lasso(40, 30, 0.1, seed=0)
+    runs = []
+    for sigma0 in (0.0, 1.0):
+        inst = sifb_instance(demo, noise=NoiseSchedule.polynomial(sigma0, 0.4),
+                             oracle_mode="minibatch", batch0=2)
+        runs.append(run(inst, SolverConfig(beta=inst.beta, max_iter=20000,
+                                           stop_tol=1e-8)))
+    (x0, t0), (x1, t1) = runs
+    assert t0.status == t1.status == "converged"
+    assert np.array_equal(x0.blocks[0], x1.blocks[0])
+    assert [r.fp_residual for r in t0.rows] == [r.fp_residual for r in t1.rows]
+    assert t1.rows[1].sigma == 2.0 ** -0.4
+
+
+def test_noisy_sample_adds_fresh_noise_to_the_reused_exact_value():
+    # the second draw at the same point reuses the exact value, not the noise
+    b_map = lstsq_map()
+    noise = NoiseSchedule.polynomial(1.0, 0.75)
+    w = BlockVector([[0.4, -0.2, 1.0]])
+    oracle = StochasticOracle(b_map, noise, rng_seed=42)
+    s3, s4 = oracle.sample(3, w), oracle.sample(4, w)
+    for n, got in ((3, s3), (4, s4)):
+        want = StochasticOracle(b_map, noise, rng_seed=42).sample(n, w)
+        assert np.array_equal(got.blocks[0], want.blocks[0])
+        assert (got - b_map.apply(w)).norm() > 0
+    assert (s3 - s4).norm() > 0
+
+
 def test_derive_seeds_distinct_and_deterministic():
     seeds = derive_seeds(123, 50)
     assert len(set(seeds)) == 50
