@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .operators import check_cocoercivity
 from .primal_dual import compute_constants
+from .problems import DemoProblem, pd_problem
 from .solver import CONVERGED, run
 from .stochastic import validate_schedules
 
@@ -115,9 +117,21 @@ def cmd_validate(args, exp=None):
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+def _finite_or_null(value):
+    """Non-finite floats (a diverged run's residual) become null: strict JSON."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=float)
+        json.dump(_finite_or_null(payload), f, indent=2, sort_keys=True,
+                  default=float, allow_nan=False)
         f.write("\n")
 
 
@@ -227,13 +241,8 @@ def cmd_sweep(args):
 def cmd_constants(args):
     exp = _load_experiment(args)
     prob = exp.pd
-    if prob is None and exp.demo is not None:
-        try:
-            from .problems import pd_problem
-
-            prob = pd_problem(exp.demo, exp.pd_form)
-        except ConfigurationError:
-            prob = None
+    if prob is None and isinstance(exp.problem, DemoProblem):
+        prob = pd_problem(exp.problem, exp.pd_form)
     if prob is None:
         inst = exp.make_instance(exp.seeds[0])
         print(f"beta={inst.beta:.12g} (single-inclusion instance; no "

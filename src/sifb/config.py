@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
-from .problems import build_demo, pd_problem, reference_oracle, sifb_instance
+from .problems import (DemoProblem, build_demo, pd_problem, reference_oracle,
+                       sifb_instance)
 from .solver import ProblemInstance, SolverConfig
 from .spaces import BlockLinearOperator, BlockVector, Preconditioner
 from .stochastic import InertiaSchedule, NoiseSchedule, StochasticOracle
@@ -85,25 +86,33 @@ def _block_operator(spec):
     return MonotoneBlock.rule_subdiff(ProxFunction.from_config(spec))
 
 
-def _build_custom_flat(spec, base_dir):
-    """Custom single-inclusion problem for the sifb route."""
-    blocks = spec["blocks"]
-    dims = tuple(int(b["dim"]) for b in blocks)
-    metric = _load_precond(spec.get("preconditioner"), dims)
-    operator = MonotoneBlock([_block_operator(b.get("operator")) for b in blocks])
-    b_map = _load_map(spec["map"], dims, metric, base_dir)
-    given_beta = spec.get("beta")
-    beta = float(given_beta) if given_beta is not None else b_map.beta
-    x0 = (BlockVector.from_flat(load_matrix(spec["x0"], base_dir).reshape(-1), dims)
-          if "x0" in spec else BlockVector.zeros(dims))
-    return {
-        "metric": metric,
-        "operator": operator,
-        "map": b_map,
-        "beta": beta,
-        "beta_given": given_beta is not None,
-        "x0": x0,
-    }
+class FlatProblem:
+    """Custom single-inclusion problem for the sifb route, parsed once.
+
+    `beta` is the constant the config gives, or None to take the map's own.
+    """
+
+    def __init__(self, spec, base_dir):
+        blocks = spec["blocks"]
+        dims = tuple(int(b["dim"]) for b in blocks)
+        self.metric = _load_precond(spec.get("preconditioner"), dims)
+        self.operator = MonotoneBlock([_block_operator(b.get("operator")) for b in blocks])
+        self.map = _load_map(spec["map"], dims, self.metric, base_dir)
+        self.beta = None if spec.get("beta") is None else float(spec["beta"])
+        self.x0 = BlockVector.zeros(dims)
+        if "x0" in spec:
+            flat = load_matrix(spec["x0"], base_dir).reshape(-1)
+            if not np.isfinite(flat).all():
+                where = spec["x0"].get("file") if isinstance(spec["x0"], dict) else "inline"
+                raise ConfigurationError(f"x0 ({where}) has non-finite entries")
+            self.x0 = BlockVector.from_flat(flat, dims)
+
+    def sifb_instance(self, noise=None, seed=0, oracle_mode="additive_gaussian",
+                      batch0=1):
+        oracle = StochasticOracle(self.map, noise=noise, rng_seed=seed,
+                                  mode=oracle_mode, batch0=batch0)
+        return ProblemInstance.forward_backward(self.operator, oracle, self.metric,
+                                                self.x0, beta=self.beta)
 
 
 def _build_custom_pd(spec, base_dir):
@@ -158,7 +167,12 @@ def _build_custom_pd(spec, base_dir):
 
 @dataclass
 class Experiment:
-    """A fully resolved experiment: problem, route, schedules, solver knobs."""
+    """A fully resolved experiment: problem, route, schedules, solver knobs.
+
+    `problem` is what the config names: a demo, a `FlatProblem` or a custom
+    `PrimalDualProblem`. `pd` is the structured problem the primal-dual routes
+    assemble (None on sifb), and `pd_form` the demo's checked form.
+    """
 
     raw: dict
     base_dir: str
@@ -168,38 +182,18 @@ class Experiment:
     solver_spec: dict
     seeds: list
     output_dir: str
-    demo: object = None
+    problem: object = None
+    pd: PrimalDualProblem = None
     pd_form: str = None
-    custom_flat: dict = None
-    custom_pd: PrimalDualProblem = None
     constants_given: bool = False
     want_reference: bool = True
     _reference: object = field(default=None, repr=False)
-    _pd: object = field(default=None, repr=False)
-
-    @property
-    def pd(self):
-        """The structured problem of a primal-dual route, built once."""
-        if self.demo is not None and self.algorithm in ("pd_class1", "pd_class2"):
-            if self._pd is None:
-                self._pd = pd_problem(self.demo, self.pd_form)
-            return self._pd
-        return self.custom_pd
 
     def make_instance(self, seed):
-        if self.demo is not None:
-            if self.algorithm == "sifb":
-                return sifb_instance(self.demo, noise=self.noise, seed=seed)
-            prob = self.pd
-            assemble = assemble_class1 if self.algorithm == "pd_class1" else assemble_class2
-            return assemble(prob, noise=self.noise, seed=seed)
-        if self.custom_flat is not None:
-            c = self.custom_flat
-            oracle = StochasticOracle(c["map"], noise=self.noise, rng_seed=seed)
-            return ProblemInstance.forward_backward(
-                c["operator"], oracle, c["metric"], c["x0"], beta=c["beta"])
+        if self.pd is None:
+            return sifb_instance(self.problem, noise=self.noise, seed=seed)
         assemble = assemble_class1 if self.algorithm == "pd_class1" else assemble_class2
-        return assemble(self.custom_pd, noise=self.noise, seed=seed)
+        return assemble(self.pd, noise=self.noise, seed=seed)
 
     def solver_config(self, beta):
         spec = dict(self.solver_spec)
@@ -217,10 +211,10 @@ class Experiment:
 
     def reference(self):
         """Oracle solution for demo problems (primal blocks), cached."""
-        if not self.want_reference or self.demo is None:
+        if not self.want_reference or not isinstance(self.problem, DemoProblem):
             return None
         if self._reference is None:
-            self._reference = reference_oracle(self.demo, tol=1e-10)
+            self._reference = reference_oracle(self.problem, tol=1e-10)
         return self._reference
 
 
@@ -255,24 +249,26 @@ def build_experiment(cfg, base_dir="."):
     )
     problem = cfg["problem"]
     if "demo" in problem:
-        exp.demo = build_demo(problem["demo"]["name"],
-                              problem["demo"].get("params", {}))
-        exp.pd_form = problem["demo"].get("form")
+        exp.problem = build_demo(problem["demo"]["name"],
+                                 problem["demo"].get("params", {}))
+        exp.pd_form = exp.problem.check_form(problem["demo"].get("form"))
+        if algorithm != "sifb":
+            exp.pd = pd_problem(exp.problem, exp.pd_form)
     elif "custom" in problem:
         if algorithm != "sifb":
             raise ConfigurationError(
                 "flat custom problems run on the sifb route; use custom_pd "
                 "for the primal-dual routes"
             )
-        exp.custom_flat = _build_custom_flat(problem["custom"], base_dir)
-        exp.constants_given = exp.custom_flat["beta_given"]
+        exp.problem = FlatProblem(problem["custom"], base_dir)
+        exp.constants_given = exp.problem.beta is not None
     elif "custom_pd" in problem:
         if algorithm == "sifb":
             raise ConfigurationError(
                 "custom_pd problems run on the primal-dual routes"
             )
-        exp.custom_pd, exp.constants_given = _build_custom_pd(
-            problem["custom_pd"], base_dir)
+        exp.pd, exp.constants_given = _build_custom_pd(problem["custom_pd"], base_dir)
+        exp.problem = exp.pd
     else:
         raise ConfigurationError(
             "problem section needs one of 'demo', 'custom', 'custom_pd'"

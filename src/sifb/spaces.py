@@ -116,9 +116,6 @@ class BlockVector:
             pos += d
         return cls._wrap(out)
 
-    def all_finite(self):
-        return all(np.isfinite(b).all() for b in self.blocks)
-
     def __repr__(self):
         return f"BlockVector(dims={self.dims})"
 
@@ -291,11 +288,6 @@ class BlockLinearOperator:
     @classmethod
     def zero(cls, dims_in, dims_out):
         return cls([[None] * len(dims_in) for _ in dims_out], dims_in, dims_out)
-
-    @classmethod
-    def from_matrix(cls, m):
-        m = np.asarray(m, dtype=np.float64)
-        return cls([[m]], [m.shape[1]], [m.shape[0]])
 
     def apply(self, x):
         if x.dims != self.dims_in:

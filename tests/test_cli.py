@@ -171,6 +171,89 @@ def test_run_exit_code_2_on_nan_coupling(tmp_path, capsys):
     assert err.startswith("run failure: ") and "non-finite" in err
 
 
+def _refuse_constant(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+def test_diverged_run_writes_strict_json(tmp_path):
+    # an x0 of +-1e200 overflows the first residual: a diverged run whose
+    # residual and step norm are infinite
+    cfg = {
+        "problem": {"custom": {
+            "blocks": [{"dim": 2, "operator": {"family": "l1", "lam": 0.1}}],
+            "map": {"kind": "lstsq", "a": [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]],
+                    "b": [1.0, 0.0, 2.0]},
+            "x0": [1e200, -1e200],
+        }},
+        "algorithm": "sifb",
+        "noise": {"mode": "zero"},
+        "inertia": {"mode": "zero"},
+    }
+    path = write_config(tmp_path, cfg)
+    out, sweep = tmp_path / "o", tmp_path / "s"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert main(["sweep", path, "--jobs", "1", "--out", str(sweep)]) == 2
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert summary["status"] == "diverged"
+    assert summary["final_fp_residual"] is None
+    assert summary["max_step_norm"] is None
+    aggregate = json.loads((sweep / "sweep_summary.json").read_text(),
+                           parse_constant=_refuse_constant)
+    assert aggregate["max_final_residual"] is None
+
+
+@pytest.mark.parametrize("x0", [{"file": "x0.txt"}, [float("nan"), 1.0, 2.0, 0.0, 0.0]],
+                         ids=["file", "inline"])
+def test_non_finite_x0_is_refused(tmp_path, capsys, x0):
+    (tmp_path / "x0.txt").write_text("nan 1 2 inf 0\n")
+    rng = np.random.default_rng(4)
+    cfg = {
+        "problem": {"custom": {
+            "blocks": [{"dim": 5, "operator": {"family": "l1", "lam": 0.1}}],
+            "map": {"kind": "lstsq", "a": rng.standard_normal((7, 5)).tolist(),
+                    "b": rng.standard_normal(7).tolist()},
+            "x0": x0,
+        }},
+        "algorithm": "sifb",
+        "noise": {"mode": "zero"},
+        "inertia": {"mode": "zero"},
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", path]) == 1
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "x0" in err and "non-finite" in err
+    if isinstance(x0, dict):
+        assert "x0.txt" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("demo,form", [
+    ({"name": "lasso", "params": {"n": 6, "p": 5, "lam": 0.1}}, "bogus"),
+    ({"name": "coupled_box_qp", "params": {"m": 2, "dims": 3}}, "split"),
+    ({"name": "parallel_sum", "params": {"dims": 5, "mu": 0.5, "lam": 0.1}}, "smooth"),
+], ids=["lasso", "coupled_box_qp", "parallel_sum"])
+@pytest.mark.parametrize("algorithm", ["sifb", "pd_class1"])
+def test_undeclared_form_is_refused_on_every_route(tmp_path, capsys, demo, form,
+                                                   algorithm):
+    cfg = lasso_config(problem={"demo": dict(demo, form=form)}, algorithm=algorithm)
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "constants"):
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert f"has no form {form!r}" in err
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_split_form_on_sifb_lasso_stays_valid(tmp_path):
+    cfg = lasso_config()
+    cfg["problem"]["demo"]["form"] = "split"
+    assert main(["validate", write_config(tmp_path, cfg)]) == 0
+
+
 @pytest.fixture
 def count_builds(monkeypatch):
     calls = []

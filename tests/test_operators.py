@@ -329,8 +329,8 @@ def test_least_squares_beta_matches_dense_and_power_iteration(shape, weighted):
     sw = np.sqrt(metric.diag_blocks()[0])
     dense = np.linalg.eigvalsh(sw[:, None] * (a.T @ a) * sw[None, :])[-1]
     assert b_map.beta_exact == pytest.approx(1.0 / dense, rel=1e-12)
-    nrm = estimate_weighted_norm(BlockLinearOperator.from_matrix(a), metric,
-                                 Preconditioner.identity((shape[0],)))
+    op = BlockLinearOperator([[a]], (shape[1],), (shape[0],))
+    nrm = estimate_weighted_norm(op, metric, Preconditioner.identity((shape[0],)))
     assert b_map.beta_exact == pytest.approx(1.0 / nrm**2, rel=1e-10)
     assert b_map.beta == b_map.beta_exact
 

@@ -208,14 +208,14 @@ def test_adjoint_consistency_random_pairs():
 
 
 def test_norm_diagonal_operator():
-    op = BlockLinearOperator.from_matrix(np.diag([2.0, 1.0]))
+    op = BlockLinearOperator([[np.diag([2.0, 1.0])]], (2,), (2,))
     ident = Preconditioner.identity((2,))
     got = estimate_weighted_norm(op, ident, ident)
     assert got == pytest.approx(2.0, rel=1e-10)
 
 
 def test_norm_scalar_metrics_1x1():
-    op = BlockLinearOperator.from_matrix(np.array([[1.0]]))
+    op = BlockLinearOperator([[np.array([[1.0]])]], (1,), (1,))
     tau, sig = 0.3, 1.7
     got = estimate_weighted_norm(
         op, Preconditioner.scalar([tau], (1,)), Preconditioner.scalar([sig], (1,))
@@ -228,7 +228,7 @@ def test_norm_matches_dense_eigensolve():
     a = rng.standard_normal((5, 4))
     v = rng.uniform(0.5, 2.0, 4)
     w = rng.uniform(0.5, 2.0, 5)
-    op = BlockLinearOperator.from_matrix(a)
+    op = BlockLinearOperator([[a]], (4,), (5,))
     got = estimate_weighted_norm(
         op,
         Preconditioner.diagonal([v]),
@@ -251,7 +251,7 @@ def test_norm_zero_operator():
 def test_norm_non_finite_coupling_raises(bad):
     a = np.array([[1.0, 0.0], [0.0, 0.5], [0.2, 0.1]])
     a[1, 0] = bad
-    op = BlockLinearOperator.from_matrix(a)
+    op = BlockLinearOperator([[a]], (2,), (3,))
     with pytest.raises(NormEstimationError):
         estimate_weighted_norm(op, Preconditioner.identity((2,)),
                                Preconditioner.identity((3,)))
@@ -260,7 +260,7 @@ def test_norm_non_finite_coupling_raises(bad):
 def test_norm_deterministic():
     rng = np.random.default_rng(42)
     a = rng.standard_normal((6, 6))
-    op = BlockLinearOperator.from_matrix(a)
+    op = BlockLinearOperator([[a]], (6,), (6,))
     ident = Preconditioner.identity((6,))
     assert estimate_weighted_norm(op, ident, ident) == estimate_weighted_norm(
         op, ident, ident
