@@ -18,6 +18,7 @@ import os
 import statistics
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import build_experiment, load_config
@@ -36,6 +37,8 @@ from .stochastic import validate_schedules
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUN = 2
+
+SWEEP_ERROR = "error"  # status of a sweep replica that raised
 
 
 def _validation_rows(exp):
@@ -163,6 +166,8 @@ def _execute_single(exp, seed, out_dir=None, trace_name="trace.csv"):
 
 
 def cmd_run(args):
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError(f"--seed must be a non-negative integer, got {args.seed}")
     exp = _load_experiment(args)
     code = cmd_validate(args, exp)
     if code != EXIT_OK:
@@ -185,11 +190,22 @@ def cmd_run(args):
 
 
 def _sweep_worker(payload):
+    """One replica's summary; a replica that raises gets status `error`.
+
+    The error is caught here, so it costs only its own replica: the others
+    keep their traces, and the sweep reports it (a one-line message in the
+    summaries, the traceback on stderr) and exits 2.
+    """
     cfg, base_dir, seed, out_dir, index = payload
-    exp = build_experiment(cfg, base_dir=base_dir)
-    exp.want_reference = False  # parent reports distances; workers stay lean
-    _, trace, summary = _execute_single(exp, seed, out_dir=out_dir,
-                                        trace_name=f"trace_{index:03d}.csv")
+    try:
+        exp = build_experiment(cfg, base_dir=base_dir)
+        exp.want_reference = False  # parent reports distances; workers stay lean
+        _, trace, summary = _execute_single(exp, seed, out_dir=out_dir,
+                                            trace_name=f"trace_{index:03d}.csv")
+    except Exception as e:
+        summary = {"status": SWEEP_ERROR,
+                   "error": " ".join(f"{type(e).__name__}: {e}".split()),
+                   "traceback": traceback.format_exc()}
     summary["index"] = index
     return summary
 
@@ -217,23 +233,35 @@ def cmd_sweep(args):
             results = list(pool.map(_sweep_worker, payloads))
     results.sort(key=lambda s: s["index"])
 
+    ran = [s for s in results if s["status"] != SWEEP_ERROR]
     rows = ["index,seed,status,iterations,final_fp_residual"]
     for s, seed in zip(results, seeds):
-        rows.append(f"{s['index']},{seed},{s['status']},{s['iterations']},"
-                    f"{s['final_fp_residual']:.17g}")
+        if s["status"] == SWEEP_ERROR:
+            rows.append(f"{s['index']},{seed},{SWEEP_ERROR},,")
+        else:
+            rows.append(f"{s['index']},{seed},{s['status']},{s['iterations']},"
+                        f"{s['final_fp_residual']:.17g}")
     with open(os.path.join(out_dir, "sweep_summary.csv"), "w", encoding="utf-8") as f:
         f.write("\n".join(rows) + "\n")
     frac = sum(1 for s in results if s["status"] == CONVERGED) / len(results)
     aggregate = {
         "fraction_converged": frac,
-        "median_iterations": statistics.median(s["iterations"] for s in results),
-        "max_final_residual": max(s["final_fp_residual"] for s in results),
+        "median_iterations": (statistics.median(s["iterations"] for s in ran)
+                              if ran else None),
+        "max_final_residual": max((s["final_fp_residual"] for s in ran), default=None),
         "seeds": list(seeds),
+        "errors": [{"index": s["index"], "seed": seed, "message": s["error"]}
+                   for s, seed in zip(results, seeds) if s["status"] == SWEEP_ERROR],
     }
     _write_json(os.path.join(out_dir, "sweep_summary.json"), aggregate)
     for s, seed in zip(results, seeds):
-        print(f"seed={seed} status={s['status']} iterations={s['iterations']} "
-              f"final_fp_residual={s['final_fp_residual']:.6g}")
+        if s["status"] == SWEEP_ERROR:
+            print(f"seed={seed} status={SWEEP_ERROR} {s['error']}")
+            print(f"replica {s['index']} (seed={seed}) failed:\n{s['traceback']}",
+                  end="", file=sys.stderr)
+        else:
+            print(f"seed={seed} status={s['status']} iterations={s['iterations']} "
+                  f"final_fp_residual={s['final_fp_residual']:.6g}")
     print(f"fraction_converged={frac:.3f} -> {out_dir}")
     return EXIT_OK if frac == 1.0 else EXIT_RUN
 

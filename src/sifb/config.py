@@ -236,6 +236,10 @@ def build_experiment(cfg, base_dir="."):
                              seeds_spec.get("count", 1))
     else:
         seeds = [int(s) for s in seeds_spec]
+        for seed in seeds:
+            if seed < 0:
+                raise ConfigurationError(
+                    f"seeds must be non-negative integers, got {seed}")
     exp = Experiment(
         raw=cfg,
         base_dir=base_dir,

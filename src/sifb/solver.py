@@ -19,11 +19,17 @@ When a recorded row is followed by an exact step at the same point and step
 the residual's step), the step gets back the residual's map value and sweep
 instead of recomputing them: one evaluation and one sweep per iteration
 instead of two. A noisy step with alpha_n = 0 still reuses the map value.
+
+`run` resolves a constant gamma (the default step included) and lambda, and
+range-checks them, once before the first iteration; a callable one is
+resolved and checked at every iteration. The norms ||x_n - p_n|| of the residual and ||x_{n+1} - x_n|| of
+the trace are summed block by block without building the difference vector.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,7 +191,7 @@ class ProblemInstance:
     def default_gamma(self):
         if self.gamma_fixed is not None:
             return self.gamma_fixed
-        return self.beta if np.isfinite(self.beta) else 1.0
+        return self.beta if math.isfinite(self.beta) else 1.0
 
 
 def fp_residual(prob, x):
@@ -195,7 +201,7 @@ def fp_residual(prob, x):
     """
     b = prob.oracle.exact(x)
     p = prob.backward(x, prob.default_gamma, b)
-    return (x - p).norm()
+    return x.distance(p)
 
 
 @dataclass
@@ -265,18 +271,23 @@ class RunTrace:
         }
 
 
-def step(prob, cfg, state, n):
+def step(prob, cfg, state, n, gamma=None, lam=None):
     """One solver iteration; returns the new (x_{n+1}, x_n) pair.
 
-    Draws from the oracle exactly once.
+    Draws from the oracle exactly once. `gamma` and `lam` are gamma_n and
+    lambda_n when the caller has already resolved and range-checked them, as
+    `run` does for constant ones; left None, they are read from `cfg` and
+    checked here.
     """
     x, x_prev = state
     alpha = cfg.inertia.alpha(n)
     w = x if alpha == 0.0 else x.axpy(alpha, x - x_prev)
-    gamma = cfg.gamma_at(n, prob.default_gamma)
+    if gamma is None:
+        gamma = cfg.gamma_at(n, prob.default_gamma)
     r = prob.oracle.sample(n, w)
     p = prob.backward(w, gamma, r)
-    lam = cfg.relaxation_at(n)
+    if lam is None:
+        lam = cfg.relaxation_at(n)
     # at lam = 1 the relaxed update collapses to p exactly; keep it exact
     x_next = p if lam == 1.0 else x.axpy(lam, p - x)
     return x_next, x
@@ -300,22 +311,27 @@ def run(prob, cfg, reference=None):
             f"this instance defines its backward map only at "
             f"gamma={prob.gamma_fixed}; a callable step size cannot be used"
         )
-    prob.check_gamma(cfg.gamma_at(0, prob.default_gamma))
+    gamma = prob.check_gamma(cfg.gamma_at(0, prob.default_gamma))
     report = validate_schedules(prob.oracle.noise, cfg.inertia,
                                 noise_summable=prob.oracle.summable_variance())
     if not report.ok:
         msgs = "; ".join(f"{v.condition}: {v.detail}" for v in report.violations)
         raise ConfigurationError(f"schedule validation failed: {msgs}")
+    # a constant step and relaxation are range-checked once, here; callable
+    # ones at every iteration, by `step`
+    if callable(cfg.gamma):
+        gamma = None
+    lam = None if callable(cfg.relaxation) else cfg.relaxation_at(0)
 
     trace = RunTrace()
     x = prob.x0
     x_prev = prob.x0  # x_{-1} = x_0
-    sn = (x - x_prev).norm()  # ||x_n - x_{n-1}||, then carried over from each step
+    sn = x.distance(x_prev)  # ||x_n - x_{n-1}||, then carried over from each step
     for n in range(cfg.max_iter + 1):
         recorded = (n % cfg.record_every == 0) or n == cfg.max_iter
         if recorded:
             res = fp_residual(prob, x)
-            dist = (x - reference).norm() if reference is not None else float("nan")
+            dist = x.distance(reference) if reference is not None else float("nan")
             trace.append(TraceRow(n, res, sn, dist,
                                   prob.oracle.noise.sigma(n), cfg.inertia.alpha(n)))
             if res <= cfg.stop_tol:
@@ -324,8 +340,8 @@ def run(prob, cfg, reference=None):
                 return x, trace
         if n == cfg.max_iter:
             break
-        x_next, x_curr = step(prob, cfg, (x, x_prev), n)
-        sn = (x_next - x).norm()
+        x_next, x_curr = step(prob, cfg, (x, x_prev), n, gamma, lam)
+        sn = x_next.distance(x)
         if trace.first_step_norm is None and sn > 0.0:
             trace.first_step_norm = sn
         trace.max_step_norm = max(trace.max_step_norm, sn)

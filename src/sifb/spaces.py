@@ -9,13 +9,15 @@ matrix, so they are exact to rounding and deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NormEstimationError
 
 
 def _freeze(a):
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -25,21 +27,30 @@ def _offsets(dims):
 
 
 class BlockVector:
-    """Element of a product of Euclidean spaces, one dense 1-D array per block."""
+    """Element of a product of Euclidean spaces, one dense 1-D array per block.
 
-    __slots__ = ("blocks",)
+    `dims` (the block lengths) is fixed at construction. The arrays are
+    read-only and never mutated, so one object always holds one value.
+    """
+
+    __slots__ = ("blocks", "dims")
 
     def __init__(self, blocks):
         self.blocks = tuple(
             _freeze(np.asarray(b, dtype=np.float64).reshape(-1).copy()) for b in blocks
         )
+        self.dims = tuple(b.shape[0] for b in self.blocks)
 
     @classmethod
-    def _wrap(cls, arrays):
+    def _wrap(cls, arrays, dims=None):
         # Internal fast path: takes ownership of freshly computed (or already
-        # immutable) float64 arrays without copying.
+        # immutable) float64 arrays without copying. `dims`, when given, must
+        # be their lengths (an operand's dims, for elementwise results).
+        for a in arrays:
+            a.setflags(write=False)
         v = object.__new__(cls)
-        v.blocks = tuple(_freeze(a) for a in arrays)
+        v.blocks = tuple(arrays)
+        v.dims = tuple(map(len, arrays)) if dims is None else dims
         return v
 
     @classmethod
@@ -47,55 +58,69 @@ class BlockVector:
         return cls._wrap([np.zeros(int(d)) for d in dims])
 
     @property
-    def dims(self):
-        return tuple(b.shape[0] for b in self.blocks)
-
-    @property
     def nblocks(self):
         return len(self.blocks)
 
     def _check_same(self, other):
-        if len(self.blocks) != len(other.blocks):
-            raise DimensionMismatch(
-                f"block count mismatch: {len(self.blocks)} vs {len(other.blocks)}"
-            )
-        for i, (a, b) in enumerate(zip(self.blocks, other.blocks)):
-            if a.shape[0] != b.shape[0]:
+        if self.dims != other.dims:
+            if len(self.dims) != len(other.dims):
                 raise DimensionMismatch(
-                    f"block {i}: length {a.shape[0]} vs {b.shape[0]}"
+                    f"block count mismatch: {len(self.dims)} vs {len(other.dims)}"
                 )
+            i = next(i for i, (a, b) in enumerate(zip(self.dims, other.dims)) if a != b)
+            raise DimensionMismatch(
+                f"block {i}: length {self.dims[i]} vs {other.dims[i]}"
+            )
 
     def __add__(self, other):
         self._check_same(other)
-        return BlockVector._wrap([a + b for a, b in zip(self.blocks, other.blocks)])
+        return BlockVector._wrap([a + b for a, b in zip(self.blocks, other.blocks)],
+                                 self.dims)
 
     def __sub__(self, other):
         self._check_same(other)
-        return BlockVector._wrap([a - b for a, b in zip(self.blocks, other.blocks)])
+        return BlockVector._wrap([a - b for a, b in zip(self.blocks, other.blocks)],
+                                 self.dims)
 
     def __rmul__(self, c):
         c = float(c)
-        return BlockVector._wrap([c * a for a in self.blocks])
+        return BlockVector._wrap([c * a for a in self.blocks], self.dims)
 
     def __neg__(self):
-        return BlockVector._wrap([-a for a in self.blocks])
+        return BlockVector._wrap([-a for a in self.blocks], self.dims)
 
     def axpy(self, c, other):
         """self + c * other, in one pass."""
         self._check_same(other)
         c = float(c)
         return BlockVector._wrap(
-            [a + c * b for a, b in zip(self.blocks, other.blocks)]
+            [a + c * b for a, b in zip(self.blocks, other.blocks)], self.dims
         )
+
+    # dot, norm and distance add the per-block products in block order,
+    # starting from 0, as sum() would
 
     def dot(self, other):
         self._check_same(other)
-        return float(
-            sum(np.dot(a, b) for a, b in zip(self.blocks, other.blocks))
-        )
+        acc = 0
+        for a, b in zip(self.blocks, other.blocks):
+            acc += np.dot(a, b)
+        return float(acc)
 
     def norm(self):
-        return float(np.sqrt(sum(np.dot(a, a) for a in self.blocks)))
+        acc = 0
+        for a in self.blocks:
+            acc += np.dot(a, a)
+        return math.sqrt(acc)
+
+    def distance(self, other):
+        """(self - other).norm(), bit for bit, without building the difference."""
+        self._check_same(other)
+        acc = 0
+        for a, b in zip(self.blocks, other.blocks):
+            d = a - b
+            acc += np.dot(d, d)
+        return math.sqrt(acc)
 
     def concatenated(self):
         """All blocks stacked into one flat array (a copy)."""
@@ -122,7 +147,8 @@ class BlockVector:
 
 def block_concat(primal, dual):
     """Stack two block vectors; `block_split` is its exact inverse."""
-    return BlockVector._wrap(list(primal.blocks) + list(dual.blocks))
+    return BlockVector._wrap(list(primal.blocks) + list(dual.blocks),
+                             primal.dims + dual.dims)
 
 
 def block_split(x, n_first):
@@ -132,8 +158,8 @@ def block_split(x, n_first):
             f"cannot split {x.nblocks} blocks at position {n_first}"
         )
     return (
-        BlockVector._wrap(list(x.blocks[:n_first])),
-        BlockVector._wrap(list(x.blocks[n_first:])),
+        BlockVector._wrap(list(x.blocks[:n_first]), x.dims[:n_first]),
+        BlockVector._wrap(list(x.blocks[n_first:]), x.dims[n_first:]),
     )
 
 
@@ -198,20 +224,20 @@ class Preconditioner:
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector._wrap([w * b for w, b in zip(self._diag, x.blocks)])
+        return BlockVector._wrap([w * b for w, b in zip(self._diag, x.blocks)], x.dims)
 
     def apply_inverse(self, x):
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector._wrap([b / w for w, b in zip(self._diag, x.blocks)])
+        return BlockVector._wrap([b / w for w, b in zip(self._diag, x.blocks)], x.dims)
 
     def apply_sqrt(self, x):
         self._check(x)
         if self.kind == "identity":
             return x
         return BlockVector._wrap(
-            [np.sqrt(w) * b for w, b in zip(self._diag, x.blocks)]
+            [np.sqrt(w) * b for w, b in zip(self._diag, x.blocks)], x.dims
         )
 
     def inverse(self):

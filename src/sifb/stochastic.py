@@ -5,10 +5,19 @@ independent zero-mean Gaussian noise to the exact map value, minibatch mode
 averages a uniformly drawn subset of component gradients. The noise stream at
 step n is a deterministic function of (seed, n) alone, so runs replay exactly
 and replicas with distinct seeds are independent.
+
+That stream is numpy's: the draws at step n are those of
+`np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))`,
+bit for bit. Building that generator costs far more than the draw, so each
+oracle keeps one PCG64 generator and sets its state to the one numpy would
+seed. The state comes from a port of numpy's SeedSequence mixing and PCG64
+seeding: the seed's words are mixed once per oracle, and the spawn-key words
+of n are mixed vectorised for an aligned block of consecutive steps at a time.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +26,19 @@ from .errors import ConfigurationError
 from .spaces import BlockVector
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+# numpy's SeedSequence hash constants (4-word pool) and PCG64's 128-bit LCG
+# multiplier
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# steps whose seed states are mixed together; divides 2**32, so an aligned
+# block never straddles a change in the words of n above the lowest
+_SEED_BLOCK = 256
 
 
 def derive_seeds(master_seed, count):
@@ -35,6 +57,101 @@ def derive_seeds(master_seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         out.append((z ^ (z >> 31)) & _MASK64)
     return out
+
+
+def _uint32_words(value):
+    """The 32-bit words of a non-negative int, least significant first; 0 is [0]."""
+    out = [value & _MASK32]
+    value >>= 32
+    while value:
+        out.append(value & _MASK32)
+        value >>= 32
+    return out
+
+
+def _hashmix(value, hc, mult=_MULT_A):
+    """SeedSequence's hashmix: (mixed value, next hash constant).
+
+    `value` may be an int or a uint32 array, whose products wrap mod 2**32.
+    generate_state hashes its output words the same way with `_MULT_B`.
+    """
+    value = value ^ hc
+    hc = (hc * mult) & _MASK32
+    value = (value * hc) & _MASK32
+    return value ^ (value >> 16), hc
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words (ints or uint32 arrays)."""
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix_words(pool, words, hc):
+    """SeedSequence's mixing of further entropy words into each pool word.
+
+    Updates `pool` in place and returns the next hash constant.
+    """
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, hc = _hashmix(word, hc)
+            pool[dst] = _mix(pool[dst], value)
+    return hc
+
+
+def _seed_pool(seed):
+    """SeedSequence's pool and hash constant after the seed's words, before n's.
+
+    numpy pads the seed's words with zeros to the pool size when a spawn key
+    follows, mixes the first four into the pool, then any further ones.
+    """
+    entropy = _uint32_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hc = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hc = _hashmix(word, hc)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], value)
+    return pool, _mix_words(pool, entropy[_POOL_SIZE:], hc)
+
+
+def _spawn_block(pool, hc, base):
+    """PCG64 seed words of the streams of steps base, ..., base + _SEED_BLOCK - 1.
+
+    Mixes the spawn-key words of each step n into the seed's pool, as
+    SeedSequence(entropy=seed, spawn_key=(n,)) does: across an aligned block
+    only the lowest word of n varies, so that word is a uint32 array and the
+    others are shared ints. Then draws SeedSequence's generate_state(4, uint64)
+    from each pool. Returns one [s_hi, s_lo, inc_hi, inc_lo] list of ints per
+    step, PCG64's 128-bit initial state and stream.
+    """
+    low = base & _MASK32
+    words = [np.arange(low, low + _SEED_BLOCK, dtype=np.uint32)]
+    if base >> 32:
+        words += _uint32_words(base >> 32)
+    pool = [np.full(_SEED_BLOCK, word, dtype=np.uint32) for word in pool]
+    _mix_words(pool, words, hc)
+    hc = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value, hc = _hashmix(pool[i % _POOL_SIZE], hc, _MULT_B)
+        state.append(value.astype(np.uint64))
+    # little-endian pairs of 32-bit words make the 64-bit words
+    return np.stack([state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)],
+                    axis=1).tolist()
+
+
+def _pcg64_state(words):
+    """PCG64's (state, inc) after seeding with the four 64-bit seed words."""
+    s_hi, s_lo, inc_hi, inc_lo = words
+    inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
+    # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one step
+    return ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 @dataclass(frozen=True)
@@ -227,9 +344,11 @@ class StochasticOracle:
     or the first batch already covers every component; any other minibatch
     oracle is refused.
 
-    The variates at step n come from a child generator spawned from
-    (rng_seed, n); the value of sample(n, w) is deterministic in those two
-    plus w, whatever the call order.
+    The variates at step n are those of numpy's
+    `default_rng(SeedSequence(entropy=rng_seed, spawn_key=(n,)))`; the value
+    of sample(n, w) is deterministic in (rng_seed, n, w), whatever the call
+    order. The oracle reseeds one generator of its own to that stream for
+    each draw, under a lock, so concurrent draws from one oracle stay correct.
     """
 
     def __init__(self, base, noise=None, rng_seed=0, mode="additive_gaussian",
@@ -244,6 +363,9 @@ class StochasticOracle:
             )
         if batch0 < 1:
             raise ConfigurationError(f"batch0 must be at least 1, got {batch0}")
+        if int(rng_seed) < 0:
+            raise ConfigurationError(
+                f"rng_seed must be a non-negative integer, got {rng_seed}")
         # minibatch size batch0 (n+1)^growth
         growth = 2.0 * noise.theta if noise.mode == "poly" else 0.0
         if mode == "minibatch":
@@ -264,11 +386,29 @@ class StochasticOracle:
         self.batch0 = int(batch0)
         self._growth = growth
         self._last_exact = None
+        self._lock = threading.Lock()
+        # built at the first draw, so that a noise-free run never pays for them
+        self._pool = None
+        self._rng = None
+        self._block = (None, None)  # (first step, seed words of its block)
 
     def _stream(self, n):
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.rng_seed, spawn_key=(int(n),))
-        )
+        """The oracle's generator, reseeded to the stream of step n.
+
+        Call with the lock held, and draw before releasing it.
+        """
+        if self._rng is None:
+            self._pool = _seed_pool(self.rng_seed)
+            self._rng = np.random.Generator(np.random.PCG64(0))
+        n = int(n)
+        base = n - n % _SEED_BLOCK
+        if self._block[0] != base:
+            self._block = (base, _spawn_block(*self._pool, base))
+        state, inc = _pcg64_state(self._block[1][n - base])
+        self._rng.bit_generator.state = {"bit_generator": "PCG64",
+                                         "state": {"state": state, "inc": inc},
+                                         "has_uint32": 0, "uinteger": 0}
+        return self._rng
 
     def exact(self, w):
         """The noise-free map value B(w).
@@ -309,18 +449,19 @@ class StochasticOracle:
             exact = self.exact(w)
             if s == 0.0:
                 return exact
-            rng = self._stream(n)
-            noise = BlockVector._wrap(
-                [s * rng.standard_normal(d) for d in exact.dims]
-            )
-            return exact + noise
+            with self._lock:
+                rng = self._stream(n)
+                blocks = [e + s * rng.standard_normal(d)
+                          for e, d in zip(exact.blocks, exact.dims)]
+            return BlockVector._wrap(blocks, exact.dims)
         count, batch_fn = self.base.components
         bsz = self.batch_size(n)
         if bsz >= count:
             # the grown batch covers the sum: the exact map, zero variance
             return self.exact(w)
-        rng = self._stream(n)
-        return batch_fn(rng.integers(0, count, size=bsz), w)
+        with self._lock:
+            idx = self._stream(n).integers(0, count, size=bsz)
+        return batch_fn(idx, w)
 
     def sample_batch(self, n, w, draws):
         """Independent replicas of the step-n draw, for Monte Carlo diagnostics.
@@ -330,15 +471,15 @@ class StochasticOracle:
         """
         if self.mode != "additive_gaussian":
             raise ConfigurationError("sample_batch supports additive mode only")
+        if n < 0:
+            raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
         s = self.noise.sigma(n)
         exact = self.exact(w)
-        rng = self._stream(n)
-        out = []
-        for _ in range(int(draws)):
-            if s == 0.0:
-                out.append(exact)
-            else:
-                out.append(exact + BlockVector._wrap(
-                    [s * rng.standard_normal(d) for d in exact.dims]
-                ))
-        return out
+        if s == 0.0:
+            return [exact] * int(draws)
+        with self._lock:
+            rng = self._stream(n)
+            out = [[e + s * rng.standard_normal(d)
+                    for e, d in zip(exact.blocks, exact.dims)]
+                   for _ in range(int(draws))]
+        return [BlockVector._wrap(blocks, exact.dims) for blocks in out]

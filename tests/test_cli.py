@@ -445,3 +445,57 @@ def test_missing_matrix_file_reported(tmp_path, capsys):
     assert main(["validate", path]) == 1
     err = capsys.readouterr().err
     assert "nope.txt" in err
+
+
+NOISY = {"mode": "poly", "sigma0": 0.2, "theta": 0.75}
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_negative_config_seed_is_refused(tmp_path, capsys, command):
+    path = write_config(tmp_path, lasso_config(noise=NOISY, seeds=[3, -1]))
+    args = [command, path] + ([] if command == "validate" else ["--out", str(tmp_path / "o")])
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "configuration error: seeds must be non-negative integers, got -1"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_option_is_refused(tmp_path, capsys):
+    path = write_config(tmp_path, lasso_config(noise=NOISY))
+    assert main(["run", path, "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "configuration error: --seed must be a non-negative integer, got -1"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_replica_that_raises_costs_only_itself(tmp_path, capsys, jobs):
+    # a directory where replica 1's trace goes makes that replica, and only
+    # that one, raise while it writes
+    cfg = lasso_config(noise=NOISY, solver={"max_iter": 20000, "stop_tol": 1e-4,
+                                            "record_every": 10}, seeds=[4, 5, 6])
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    (out / "trace_001.csv").mkdir(parents=True)
+    assert main(["sweep", path, "--jobs", jobs, "--out", str(out)]) == 2
+    rows = (out / "sweep_summary.csv").read_text().strip().split("\n")
+    assert rows[0] == "index,seed,status,iterations,final_fp_residual"
+    assert rows[2] == "1,5,error,,"
+    for row, seed in zip((rows[1], rows[3]), (4, 6)):
+        index, row_seed, status, iters, res = row.split(",")
+        assert (int(row_seed), status) == (seed, "converged")
+        trace = (out / f"trace_{int(index):03d}.csv").read_text().strip().split("\n")
+        assert int(trace[-1].split(",")[0]) == int(iters)
+    agg = json.loads((out / "sweep_summary.json").read_text())
+    assert agg["fraction_converged"] == 2 / 3
+    [error] = agg["errors"]
+    assert (error["index"], error["seed"]) == (1, 5)
+    assert error["message"].startswith("IsADirectoryError:")
+    assert "trace_001.csv" in error["message"] and "\n" not in error["message"]
+    captured = capsys.readouterr()
+    assert "seed=5 status=error IsADirectoryError" in captured.out
+    assert "replica 1 (seed=5) failed:\nTraceback" in captured.err

@@ -86,6 +86,28 @@ def test_zero_dim_blocks_are_absorbing():
     assert x.norm() == 1.0
 
 
+def test_norm_dot_and_distance_sum_blocks_in_order():
+    # bit for bit the per-block sums of the original formulas
+    rng = np.random.default_rng(15)
+    for dims in [(), (0,), (3, 0, 5), (30,), (1, 1, 1, 1)]:
+        x, y = rand_bv(rng, dims), rand_bv(rng, dims)
+        assert x.norm() == float(np.sqrt(sum(np.dot(a, a) for a in x.blocks)))
+        assert x.dot(y) == float(sum(np.dot(a, b) for a, b in zip(x.blocks, y.blocks)))
+        assert x.distance(y) == (x - y).norm()
+        assert x.distance(x) == 0.0
+    x = BlockVector([[np.nan, 1.0], [np.inf]])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(x.distance(x)) and np.isnan((x - x).norm())
+
+
+def test_dimension_mismatch_messages():
+    x = BlockVector([[1.0, 2.0], [3.0]])
+    with pytest.raises(DimensionMismatch, match="block 1: length 1 vs 2"):
+        x.distance(BlockVector([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(DimensionMismatch, match="block count mismatch: 2 vs 1"):
+        x + BlockVector([[1.0, 2.0]])
+
+
 def test_concat_split_roundtrip():
     rng = np.random.default_rng(13)
     p = rand_bv(rng, (3, 2))

@@ -1,5 +1,12 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 from sifb import (
@@ -254,3 +261,141 @@ def test_oracle_streams_bit_identical_across_instances():
     assert (a1[0] - a2[2]).norm() == 0.0
     assert (a1[1] - a2[0]).norm() == 0.0
     assert (a1[2] - a2[1]).norm() == 0.0
+
+
+# --- the noise stream is numpy's SeedSequence stream, bit for bit --------------
+
+# word boundaries of numpy's seed hashing: seeds of 1 to 5 words, steps at the
+# edges of the oracle's 256-step reseed blocks and of the second word of n
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 1]
+EDGE_STEPS = [0, 255, 256, 2**32 - 1, 2**32]
+CONSTANT_SIGMA = NoiseSchedule.geometric(0.5, 1.0)  # sigma_n = 0.5 at every n
+
+
+def numpy_stream(seed, n):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
+
+
+def additive_oracle(dims, seed):
+    return StochasticOracle(CocoerciveMap.scaled_identity(dims, 1.0), CONSTANT_SIGMA,
+                            rng_seed=seed)
+
+
+def numpy_additive_draw(oracle, n, w):
+    rng = numpy_stream(oracle.rng_seed, n)
+    exact = oracle.base.apply(w)
+    return [e + 0.5 * rng.standard_normal(d) for e, d in zip(exact.blocks, exact.dims)]
+
+
+def assert_same_bytes(got, want):
+    assert len(got.blocks) == len(want)
+    for a, b in zip(got.blocks, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_additive_draws_at_edge_seeds_and_steps_match_numpy():
+    w = BlockVector([np.linspace(-1.0, 1.0, 4), [2.0], np.arange(3.0)])
+    for seed in EDGE_SEEDS:
+        oracle = additive_oracle(w.dims, seed)
+        # each step is asked twice, the second round in reverse order
+        for n in EDGE_STEPS + EDGE_STEPS[::-1]:
+            assert_same_bytes(oracle.sample(n, w), numpy_additive_draw(oracle, n, w))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140)),
+       steps=st.lists(st.one_of(st.sampled_from(EDGE_STEPS), st.integers(0, 2**70)),
+                      min_size=1, max_size=6),
+       dims=st.lists(st.integers(0, 6), min_size=1, max_size=4))
+def test_additive_draws_match_numpy(seed, steps, dims):
+    oracle = additive_oracle(dims, seed)
+    w = BlockVector([np.linspace(0.0, 1.0, d) for d in dims])
+    for n in steps:  # in the order drawn, not sorted
+        assert_same_bytes(oracle.sample(n, w), numpy_additive_draw(oracle, n, w))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140)),
+       steps=st.lists(st.one_of(st.sampled_from(EDGE_STEPS), st.integers(0, 2**40)),
+                      min_size=1, max_size=6))
+def test_minibatch_draws_match_numpy(seed, steps):
+    # theta = 0.01 keeps the batch at a few of the 50 rows even at n = 2**40,
+    # so every step draws row indices
+    rng = np.random.default_rng(8)
+    b_map = CocoerciveMap.least_squares_gradient(rng.standard_normal((50, 4)),
+                                                 rng.standard_normal(50))
+    oracle = StochasticOracle(b_map, NoiseSchedule.polynomial(1.0, 0.01),
+                              rng_seed=seed, mode="minibatch", batch0=2)
+    count, batch_fn = b_map.components
+    w = BlockVector([[0.3, -1.0, 2.0, 0.5]])
+    for n in steps:
+        size = oracle.batch_size(n)
+        assert size < count
+        idx = numpy_stream(seed, n).integers(0, count, size=size)
+        assert_same_bytes(oracle.sample(n, w), list(batch_fn(idx, w).blocks))
+
+
+def test_sample_batch_continues_numpys_stream():
+    w = BlockVector([[1.0, 2.0], [3.0]])
+    oracle = additive_oracle(w.dims, 2**64 - 1)
+    draws = oracle.sample_batch(300, w, 3)
+    rng = numpy_stream(2**64 - 1, 300)
+    for got in draws:
+        assert_same_bytes(got, [e + 0.5 * rng.standard_normal(len(e)) for e in w.blocks])
+
+
+def test_negative_seed_is_refused_before_any_draw():
+    with pytest.raises(ConfigurationError, match="rng_seed.*-1"):
+        StochasticOracle(lstsq_map(), NoiseSchedule.polynomial(1.0, 0.75), rng_seed=-1)
+
+
+def test_concurrent_draws_equal_serial_draws():
+    # more threads than cores and a short switch interval, so that threads are
+    # preempted between reseeding the oracle's generator and drawing from it
+    dims = (7, 3)
+    w = BlockVector([np.ones(7), np.arange(3.0)])
+    steps = [n for base in (0, 256, 2**32 - 256, 2**32) for n in range(base, base + 256, 5)]
+    serial = {n: numpy_additive_draw(additive_oracle(dims, 2**64 + 5), n, w) for n in steps}
+    oracle = additive_oracle(dims, 2**64 + 5)
+    threads = min(4 * (os.cpu_count() or 1), 16) + 1
+    deadline = time.monotonic() + 5.0
+    results = [[] for _ in range(threads)]
+
+    def work(k):
+        mine = steps[k::threads] + steps[::-1][k::threads]
+        for i, n in enumerate(mine):
+            if time.monotonic() > deadline:
+                return
+            if i % 3 == 0:
+                results[k].append((n, oracle.sample_batch(n, w, 1)[0]))
+            else:
+                results[k].append((n, oracle.sample(n, w)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    assert all(results)
+    for got in results:
+        for n, draw in got:
+            assert_same_bytes(draw, serial[n])
+
+
+@pytest.mark.parametrize("relaxation", [1.0, 0.7])
+def test_run_returns_read_only_iterate(relaxation):
+    inst = sifb_instance(build_lasso(12, 10, 0.1, seed=1),
+                         noise=NoiseSchedule.polynomial(0.2, 0.75), seed=4)
+    cfg = SolverConfig(beta=inst.beta, relaxation=relaxation, max_iter=30,
+                       inertia=InertiaSchedule.polynomial(0.3, 1.5))
+    x, _ = run(inst, cfg)
+    for block in x.blocks:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 1.0
