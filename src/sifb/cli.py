@@ -32,7 +32,7 @@ from .operators import check_cocoercivity
 from .primal_dual import compute_constants
 from .problems import DemoProblem, pd_problem
 from .solver import CONVERGED, run
-from .stochastic import validate_schedules
+from .stochastic import derive_seeds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,14 +43,9 @@ SWEEP_ERROR = "error"  # status of a sweep replica that raised
 
 def _validation_rows(exp):
     """(name, passed, value) rows for every condition gating this experiment."""
-    rows = []
-    sched = validate_schedules(exp.noise, exp.inertia)
-    noise_ok = all(v.condition != "summable_noise_variance" for v in sched.violations)
-    inertia_ok = all(v.condition != "summable_inertia" for v in sched.violations)
-    rows.append(("summable noise variance (sum sigma_n^2 < inf)", noise_ok,
-                 json.dumps(exp.noise.to_config())))
-    rows.append(("summable inertia (sum alpha_n < inf)", inertia_ok,
-                 json.dumps(exp.inertia.to_config())))
+    rows = [(name, sched.violation() is None, json.dumps(sched.to_config()))
+            for name, sched in (("summable noise variance (sum sigma_n^2 < inf)", exp.noise),
+                                ("summable inertia (sum alpha_n < inf)", exp.inertia))]
 
     inst = None
     try:
@@ -211,16 +206,15 @@ def _sweep_worker(payload):
 
 
 def cmd_sweep(args):
+    if args.seeds is not None and args.seeds < 1:
+        raise ConfigurationError(f"--seeds must be at least 1, got {args.seeds}")
     exp = _load_experiment(args)
     code = cmd_validate(args, exp)
     if code != EXIT_OK:
         return code
     seeds = exp.seeds
     if args.seeds is not None:
-        from .stochastic import derive_seeds
-
-        master = seeds[0] if seeds else 0
-        seeds = derive_seeds(master, args.seeds)
+        seeds = derive_seeds(seeds[0], args.seeds)
     out_dir = args.out or exp.output_dir
     os.makedirs(out_dir, exist_ok=True)
     payloads = [(exp.raw, exp.base_dir, seed, out_dir, i)

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_number
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
 from .problems import (DemoProblem, build_demo, pd_problem, reference_oracle,
                        sifb_instance)
 from .solver import ProblemInstance, SolverConfig
 from .spaces import BlockLinearOperator, BlockVector, Preconditioner
-from .stochastic import InertiaSchedule, NoiseSchedule, StochasticOracle
+from .stochastic import InertiaSchedule, NoiseSchedule, StochasticOracle, derive_seeds
 
 ALGORITHMS = ("sifb", "pd_class1", "pd_class2")
 
@@ -78,6 +78,14 @@ def _load_map(spec, dims, metric, base_dir):
     if kind == "scaled_identity":
         return CocoerciveMap.scaled_identity(dims, spec["mu"], metric=metric)
     raise ConfigurationError(f"unknown map kind {kind!r}")
+
+
+def _solver_spec(spec):
+    """The solver section: every value a number, except a null gamma (the default step)."""
+    for key, value in spec.items():
+        if not (key == "gamma" and value is None):
+            config_number(spec, key, "solver")
+    return spec
 
 
 def _block_operator(spec):
@@ -226,12 +234,13 @@ def build_experiment(cfg, base_dir="."):
         raise ConfigurationError(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
+    for section in ("noise", "inertia", "solver"):
+        if cfg.get(section) is not None and not isinstance(cfg[section], dict):
+            raise ConfigurationError(f"config section {section!r} must be an object")
     noise = NoiseSchedule.from_config(cfg.get("noise"))
     inertia = InertiaSchedule.from_config(cfg.get("inertia"))
     seeds_spec = cfg.get("seeds", [0])
     if isinstance(seeds_spec, dict):
-        from .stochastic import derive_seeds
-
         seeds = derive_seeds(seeds_spec.get("master_seed", 0),
                              seeds_spec.get("count", 1))
     else:
@@ -240,13 +249,15 @@ def build_experiment(cfg, base_dir="."):
             if seed < 0:
                 raise ConfigurationError(
                     f"seeds must be non-negative integers, got {seed}")
+    if not seeds:
+        raise ConfigurationError(f"seeds must give at least one seed, got {seeds_spec!r}")
     exp = Experiment(
         raw=cfg,
         base_dir=base_dir,
         algorithm=algorithm,
         noise=noise,
         inertia=inertia,
-        solver_spec=cfg.get("solver", {}),
+        solver_spec=_solver_spec(cfg.get("solver") or {}),
         seeds=seeds,
         output_dir=cfg.get("output_dir", "runs"),
         want_reference=bool(cfg.get("reference", True)),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch
+from .errors import ConfigurationError, DimensionMismatch, bind_config
 from .spaces import (
     BlockVector,
     Preconditioner,
@@ -91,18 +91,11 @@ class ProxFunction:
     def from_config(cls, spec):
         """Build from a config mapping like {"family": "l1", "lam": 0.5}."""
         spec = dict(spec)
-        family = spec.pop("family")
-        builders = {
-            "zero": lambda: cls.zero(),
-            "l1": lambda: cls.l1(spec["lam"]),
-            "sq_l2": lambda: cls.squared_l2(spec.get("lam", 1.0), spec.get("center", 0.0)),
-            "box": lambda: cls.box(spec["lo"], spec["hi"]),
-            "linf_ball": lambda: cls.linf_ball(spec["radius"]),
-            "affine": lambda: cls.affine(spec["c"]),
-        }
-        if family not in builders:
+        family = spec.pop("family", None)
+        if family not in _FAMILIES:
             raise ConfigurationError(f"unknown prox family {family!r} in config")
-        return builders[family]()
+        constructor = getattr(cls, "squared_l2" if family == "sq_l2" else family)
+        return bind_config(constructor, spec, f"prox family {family!r}")
 
     # --- evaluation -----------------------------------------------------
     def value(self, x, feas_tol=1e-9):

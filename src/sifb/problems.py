@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .errors import ConfigurationError
+from .errors import ConfigurationError, bind_config
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem
 from .solver import ProblemInstance
@@ -333,7 +333,7 @@ def build_demo(name, params):
         raise ConfigurationError(
             f"unknown demo problem {name!r}; expected one of {sorted(DEMOS)}"
         )
-    return DEMOS[name].build(**params)
+    return bind_config(DEMOS[name].build, params, f"demo {name!r} params")
 
 
 def sifb_instance(problem, noise=None, seed=0, oracle_mode="additive_gaussian",

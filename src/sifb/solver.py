@@ -91,9 +91,9 @@ class SolverConfig:
                 raise ConfigurationError(
                     f"relaxation lambda={lam} outside [eps, 1] = [{self.epsilon:g}, 1]"
                 )
-        if self.inertia.max_alpha() > 1.0 - self.epsilon:
+        if self.inertia.alpha(0) > 1.0 - self.epsilon:
             raise ConfigurationError(
-                f"inertia alpha0={self.inertia.max_alpha()} exceeds 1 - eps = "
+                f"inertia alpha0={self.inertia.alpha(0)} exceeds 1 - eps = "
                 f"{1.0 - self.epsilon:g}"
             )
 

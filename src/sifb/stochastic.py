@@ -17,12 +17,13 @@ of n are mixed vectorised for an aligned block of consecutive steps at a time.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_number
 from .spaces import BlockVector
 
 _MASK64 = (1 << 64) - 1
@@ -155,20 +156,28 @@ def _pcg64_state(words):
 
 
 @dataclass(frozen=True)
-class NoiseSchedule:
-    """Per-iteration noise magnitude sigma_n for the stochastic oracle."""
+class Schedule:
+    """A nonnegative sequence c_n that one summability gate of the theorem checks.
 
-    mode: str = "zero"          # "zero" | "poly" | "geom"
-    sigma0: float = 0.0
-    theta: float = 0.0          # poly: sigma_n = sigma0 (n+1)^-theta
-    rho: float = 0.0            # geom: sigma_n = sigma0 rho^n
+    Modes: "zero" (c_n = 0), "poly" (c_n = scale (n+1)^-decay) and "geom"
+    (c_n = scale rho^n). A subclass declares only what sets its sequence
+    apart: the config keys of `scale` and `decay` (KEYS), the bound `scale`
+    stays below (CAP), the series whose sum must be finite (SERIES, with its
+    POWER of c_n) and the gate's name (CONDITION).
+    """
+
+    mode: str = "zero"
+    scale: float = 0.0
+    decay: float = 0.0
+    rho: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("zero", "poly", "geom"):
-            raise ConfigurationError(f"unknown noise mode {self.mode!r}")
-        if self.sigma0 < 0:
-            raise ConfigurationError(f"sigma0 must be nonnegative, got {self.sigma0}")
-        if self.mode == "geom" and self.rho < 0:
+            raise ConfigurationError(f"unknown {type(self).__name__} mode {self.mode!r}")
+        if not 0.0 <= self.scale < self.CAP:
+            raise ConfigurationError(
+                f"{self.KEYS[0]} must lie in [0, {self.CAP:g}), got {self.scale}")
+        if self.mode == "geom" and not self.rho >= 0.0:
             raise ConfigurationError(f"rho must be nonnegative, got {self.rho}")
 
     @classmethod
@@ -176,120 +185,83 @@ class NoiseSchedule:
         return cls("zero")
 
     @classmethod
-    def polynomial(cls, sigma0, theta):
-        return cls("poly", sigma0=float(sigma0), theta=float(theta))
+    def polynomial(cls, scale, decay):
+        return cls("poly", scale=float(scale), decay=float(decay))
 
     @classmethod
-    def geometric(cls, sigma0, rho):
-        return cls("geom", sigma0=float(sigma0), rho=float(rho))
+    def geometric(cls, scale, rho):
+        return cls("geom", scale=float(scale), rho=float(rho))
 
-    def sigma(self, n):
-        if self.mode == "zero" or self.sigma0 == 0.0:
+    def value(self, n):
+        """c_n."""
+        if self.mode == "zero" or self.scale == 0.0:
             return 0.0
         if self.mode == "poly":
-            return self.sigma0 * (n + 1.0) ** (-self.theta)
-        return self.sigma0 * self.rho**n
+            return self.scale * (n + 1.0) ** (-self.decay)
+        return self.scale * self.rho**n
+
+    def violation(self):
+        """None when sum_n c_n^POWER is finite, otherwise why it diverges."""
+        if self.mode == "zero" or self.scale == 0.0:
+            return None
+        head = f"sum {self.SERIES} diverges"
+        if self.mode == "geom":
+            return None if self.rho < 1.0 else f"{head}: rho={self.rho} >= 1"
+        if self.POWER * self.decay > 1.0:
+            return None
+        key = self.KEYS[1]
+        gives = "" if self.POWER == 1 else f" gives {self.POWER}*{key}={self.POWER * self.decay}"
+        return f"{head}: {key}={self.decay}{gives} <= 1"
+
+    def to_config(self):
+        out = {"mode": self.mode, self.KEYS[0]: self.scale}
+        if self.mode == "poly":
+            out[self.KEYS[1]] = self.decay
+        elif self.mode == "geom":
+            out["rho"] = self.rho
+        return out
+
+    @classmethod
+    def from_config(cls, spec):
+        """The schedule of a config section; None or mode "zero" is the zero one."""
+        if spec is None or spec.get("mode", "zero") == "zero":
+            return cls.zero()
+        mode = spec["mode"]
+        if mode not in ("poly", "geom"):
+            raise ConfigurationError(f"unknown {cls.__name__} mode {mode!r} in config")
+        keys = (cls.KEYS[0], cls.KEYS[1] if mode == "poly" else "rho")
+        scale, second = (config_number(spec, key, f"{mode} {cls.__name__}") for key in keys)
+        return (cls.polynomial if mode == "poly" else cls.geometric)(scale, second)
+
+
+class NoiseSchedule(Schedule):
+    """Per-iteration noise magnitude sigma_n of the oracle."""
+
+    KEYS = ("sigma0", "theta")
+    CAP = math.inf
+    SERIES = "sigma_n^2"
+    POWER = 2
+    CONDITION = "summable_noise_variance"
+    sigma0 = property(lambda self: self.scale)
+    theta = property(lambda self: self.decay)
+    sigma = Schedule.value
 
     def summable_variance(self):
         """Whether sum_n sigma_n^2 is finite."""
-        if self.mode == "zero" or self.sigma0 == 0.0:
-            return True
-        if self.mode == "poly":
-            return 2.0 * self.theta > 1.0
-        return self.rho < 1.0
-
-    def to_config(self):
-        out = {"mode": self.mode, "sigma0": self.sigma0}
-        if self.mode == "poly":
-            out["theta"] = self.theta
-        elif self.mode == "geom":
-            out["rho"] = self.rho
-        return out
-
-    @classmethod
-    def from_config(cls, spec):
-        if spec is None:
-            return cls.zero()
-        spec = dict(spec)
-        mode = spec.get("mode", "zero")
-        if mode == "zero":
-            return cls.zero()
-        if mode == "poly":
-            return cls.polynomial(spec["sigma0"], spec["theta"])
-        if mode == "geom":
-            return cls.geometric(spec["sigma0"], spec["rho"])
-        raise ConfigurationError(f"unknown noise mode {mode!r} in config")
+        return self.violation() is None
 
 
-@dataclass(frozen=True)
-class InertiaSchedule:
-    """Extrapolation coefficients alpha_n; must be summable for convergence."""
+class InertiaSchedule(Schedule):
+    """Extrapolation coefficients alpha_n, each below 1."""
 
-    mode: str = "zero"          # "zero" | "poly" | "geom"
-    alpha0: float = 0.0
-    q: float = 0.0              # poly: alpha_n = alpha0 (n+1)^-q
-    rho: float = 0.0            # geom: alpha_n = alpha0 rho^n
-
-    def __post_init__(self):
-        if self.mode not in ("zero", "poly", "geom"):
-            raise ConfigurationError(f"unknown inertia mode {self.mode!r}")
-        if not 0.0 <= self.alpha0 < 1.0:
-            raise ConfigurationError(
-                f"alpha0 must lie in [0, 1), got {self.alpha0}"
-            )
-        if self.mode == "geom" and self.rho < 0:
-            raise ConfigurationError(f"rho must be nonnegative, got {self.rho}")
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def polynomial(cls, alpha0, q):
-        return cls("poly", alpha0=float(alpha0), q=float(q))
-
-    @classmethod
-    def geometric(cls, alpha0, rho):
-        return cls("geom", alpha0=float(alpha0), rho=float(rho))
-
-    def alpha(self, n):
-        if self.mode == "zero" or self.alpha0 == 0.0:
-            return 0.0
-        if self.mode == "poly":
-            return self.alpha0 * (n + 1.0) ** (-self.q)
-        return self.alpha0 * self.rho**n
-
-    def max_alpha(self):
-        return 0.0 if self.mode == "zero" else self.alpha0
-
-    def summable(self):
-        if self.mode == "zero" or self.alpha0 == 0.0:
-            return True
-        if self.mode == "poly":
-            return self.q > 1.0
-        return self.rho < 1.0
-
-    def to_config(self):
-        out = {"mode": self.mode, "alpha0": self.alpha0}
-        if self.mode == "poly":
-            out["q"] = self.q
-        elif self.mode == "geom":
-            out["rho"] = self.rho
-        return out
-
-    @classmethod
-    def from_config(cls, spec):
-        if spec is None:
-            return cls.zero()
-        spec = dict(spec)
-        mode = spec.get("mode", "zero")
-        if mode == "zero":
-            return cls.zero()
-        if mode == "poly":
-            return cls.polynomial(spec["alpha0"], spec["q"])
-        if mode == "geom":
-            return cls.geometric(spec["alpha0"], spec["rho"])
-        raise ConfigurationError(f"unknown inertia mode {mode!r} in config")
+    KEYS = ("alpha0", "q")
+    CAP = 1.0
+    SERIES = "alpha_n"
+    POWER = 1
+    CONDITION = "summable_inertia"
+    alpha0 = property(lambda self: self.scale)
+    q = property(lambda self: self.decay)
+    alpha = Schedule.value
 
 
 @dataclass
@@ -309,26 +281,15 @@ def validate_schedules(noise, inertia, noise_summable=None):
 
     Two conditions gate a run: the conditional variance budget
     sum_n sigma_n^2 < inf, and the inertia budget sum_n alpha_n < inf.
-    `noise_summable`, when given, answers the first in place of the schedule:
+    `noise_summable`, when true, passes the first in place of the schedule:
     `run` passes the oracle's own answer (`StochasticOracle.summable_variance`),
     because a minibatch oracle's variance does not follow sigma_n.
     """
     violations = []
-    if noise_summable is None:
-        noise_summable = noise.summable_variance()
-    if not noise_summable:
-        if noise.mode == "poly":
-            detail = (f"sum sigma_n^2 diverges: theta={noise.theta} gives "
-                      f"2*theta={2 * noise.theta} <= 1")
-        else:
-            detail = f"sum sigma_n^2 diverges: rho={noise.rho} >= 1"
-        violations.append(ScheduleViolation("summable_noise_variance", detail))
-    if not inertia.summable():
-        if inertia.mode == "poly":
-            detail = f"sum alpha_n diverges: q={inertia.q} <= 1"
-        else:
-            detail = f"sum alpha_n diverges: rho={inertia.rho} >= 1"
-        violations.append(ScheduleViolation("summable_inertia", detail))
+    for sched, passed in ((noise, noise_summable), (inertia, None)):
+        detail = None if passed else sched.violation()
+        if detail is not None:
+            violations.append(ScheduleViolation(sched.CONDITION, detail))
     return ScheduleReport(ok=not violations, violations=violations)
 
 

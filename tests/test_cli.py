@@ -499,3 +499,53 @@ def test_sweep_replica_that_raises_costs_only_itself(tmp_path, capsys, jobs):
     captured = capsys.readouterr()
     assert "seed=5 status=error IsADirectoryError" in captured.out
     assert "replica 1 (seed=5) failed:\nTraceback" in captured.err
+
+
+def custom_prox_config(operator):
+    return {"problem": {"custom": {
+                "blocks": [{"dim": 2, "operator": operator}],
+                "map": {"kind": "lstsq", "a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]}}},
+            "algorithm": "sifb"}
+
+
+MALFORMED = [
+    pytest.param(lasso_config(solver={"relaxation": None}), id="null relaxation"),
+    pytest.param(lasso_config(solver={"gamma": "abc"}), id="string gamma"),
+    pytest.param(lasso_config(solver={"max_iter": "abc"}), id="string max_iter"),
+    pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
+        "n": 4, "p": 3, "lam": 0.1, "bogus": 1}}}), id="unknown demo param"),
+    pytest.param(custom_prox_config({"family": "l1"}), id="prox key missing"),
+    pytest.param(custom_prox_config({"family": "l1", "lam": 0.5, "lamda": 2}),
+                 id="prox key unknown"),
+    pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.1}), id="noise without theta"),
+    pytest.param(lasso_config(inertia={"mode": "poly", "alpha0": None, "q": 1.5}),
+                 id="null alpha0"),
+    pytest.param(lasso_config(noise="poly"), id="noise not an object"),
+    pytest.param(lasso_config(solver=[]), id="solver not an object"),
+    pytest.param(lasso_config(seeds=[]), id="empty seed list"),
+    pytest.param(lasso_config(seeds={"count": 0}), id="zero seed count"),
+    pytest.param(lasso_config(seeds={"count": -3}), id="negative seed count"),
+]
+
+
+@pytest.mark.parametrize("cfg", MALFORMED)
+def test_malformed_value_exits_1_with_one_line(tmp_path, capsys, cfg):
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run", "sweep"):
+        args = [command, path] + ([] if command == "validate" else ["--out", str(tmp_path / "o")])
+        assert main(args) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sweep_seed_count_below_one_is_refused(tmp_path, capsys, count):
+    path = write_config(tmp_path, lasso_config(noise=NOISY))
+    assert main(["sweep", path, "--seeds", count, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"configuration error: --seeds must be at least 1, got {count}"]
+    assert not (tmp_path / "o").exists()

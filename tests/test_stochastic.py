@@ -104,6 +104,29 @@ def test_schedule_config_roundtrip():
         assert InertiaSchedule.from_config(sched.to_config()) == sched
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cls=st.sampled_from([NoiseSchedule, InertiaSchedule]),
+       mode=st.sampled_from(["zero", "poly", "geom"]),
+       scale=st.floats(0.0, 0.999), decay=st.floats(-2.0, 3.0),
+       rho=st.floats(0.0, 1.5), n=st.integers(0, 1000))
+def test_schedule_roundtrip_closed_form_and_gate(cls, mode, scale, decay, rho, n):
+    sched = {"zero": cls.zero(), "poly": cls.polynomial(scale, decay),
+             "geom": cls.geometric(scale, rho)}[mode]
+    assert cls.from_config(sched.to_config()) == sched
+    if cls is NoiseSchedule:
+        value, poly_converges = sched.sigma(n), 2.0 * decay > 1.0
+    else:
+        value, poly_converges = sched.alpha(n), decay > 1.0
+    if mode == "zero" or scale == 0.0:
+        expected, converges = 0.0, True
+    elif mode == "poly":
+        expected, converges = scale * (n + 1.0) ** (-decay), poly_converges
+    else:
+        expected, converges = scale * rho**n, rho < 1.0
+    assert value.hex() == expected.hex()
+    assert (sched.violation() is None) == converges
+
+
 # --- the oracle -----------------------------------------------------------------
 
 
