@@ -10,12 +10,13 @@ writes next to its outputs.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, config_number
+from .errors import ConfigurationError, check_keys, config_number
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
 from .problems import (DemoProblem, build_demo, pd_problem, reference_oracle,
@@ -80,8 +81,14 @@ def _load_map(spec, dims, metric, base_dir):
     raise ConfigurationError(f"unknown map kind {kind!r}")
 
 
+# the keys of the solver section, all read by `Experiment.solver_config`
+_SOLVER_KEYS = ("epsilon", "gamma", "relaxation", "max_iter", "stop_tol", "record_every")
+
+
 def _solver_spec(spec):
-    """The solver section: every value a number, except a null gamma (the default step)."""
+    """The solver section: known keys only, every value a number, except a null
+    gamma (the default step)."""
+    check_keys(spec, _SOLVER_KEYS, "solver")
     for key, value in spec.items():
         if not (key == "gamma" and value is None):
             config_number(spec, key, "solver")
@@ -226,6 +233,14 @@ class Experiment:
         return self._reference
 
 
+def _seed(value, rule):
+    """value, refused with `rule` unless it is a non-negative integer (a bool or
+    a float is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigurationError(f"{rule}, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def build_experiment(cfg, base_dir="."):
     if "problem" not in cfg:
         raise ConfigurationError("config needs a 'problem' section")
@@ -241,14 +256,16 @@ def build_experiment(cfg, base_dir="."):
     inertia = InertiaSchedule.from_config(cfg.get("inertia"))
     seeds_spec = cfg.get("seeds", [0])
     if isinstance(seeds_spec, dict):
-        seeds = derive_seeds(seeds_spec.get("master_seed", 0),
-                             seeds_spec.get("count", 1))
+        check_keys(seeds_spec, ("master_seed", "count"), "seeds")
+        seeds = derive_seeds(
+            _seed(seeds_spec.get("master_seed", 0), "master_seed must be a non-negative integer"),
+            _seed(seeds_spec.get("count", 1), "seeds count must be a non-negative integer"))
+    elif isinstance(seeds_spec, list):
+        seeds = [_seed(s, "seeds must be non-negative integers") for s in seeds_spec]
     else:
-        seeds = [int(s) for s in seeds_spec]
-        for seed in seeds:
-            if seed < 0:
-                raise ConfigurationError(
-                    f"seeds must be non-negative integers, got {seed}")
+        raise ConfigurationError(
+            "seeds must be a list of non-negative integers or an object with "
+            f"'master_seed' and 'count', got {json.dumps(seeds_spec, default=repr)}")
     if not seeds:
         raise ConfigurationError(f"seeds must give at least one seed, got {seeds_spec!r}")
     exp = Experiment(

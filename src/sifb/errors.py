@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the two checks that turn
+"""Exception types shared across the package, and the checks that turn
 malformed config values into `ConfigurationError`."""
 
 import inspect
@@ -46,13 +46,35 @@ def config_number(spec, key, where):
     return value
 
 
+def check_keys(spec, accepted, where):
+    """Refuse a key of the mapping spec that is not in accepted, listing accepted."""
+    unknown = [key for key in spec if key not in accepted]
+    if unknown:
+        raise ConfigurationError(
+            f"{where}: unknown key {', '.join(map(repr, unknown))}; "
+            f"accepted keys: {', '.join(accepted)}")
+
+
+# annotation -> (type a config value must have, its name in messages)
+_ANNOTATED = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+              "str": (str, "a string")}
+
+
 def bind_config(func, params, where):
-    """func(**params), refusing a missing or unknown key with the names func accepts."""
+    """func(**params), refusing a missing or unknown key with the names func
+    accepts, and a value of the wrong type for a parameter annotated `int`,
+    `float` or `str` (a bool is no number)."""
     signature = inspect.signature(func)
     try:
-        signature.bind(**params)
+        bound = signature.bind(**params)
     except TypeError as e:
         raise ConfigurationError(
             f"{where}: {e}; accepted keys: {', '.join(signature.parameters)}"
         ) from None
+    for key, value in bound.arguments.items():
+        annotation = signature.parameters[key].annotation
+        kind, name = _ANNOTATED.get(getattr(annotation, "__name__", annotation), (None, None))
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ConfigurationError(
+                f"{where} needs {name} for {key!r}, got {json.dumps(value, default=repr)}")
     return func(**params)

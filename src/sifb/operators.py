@@ -57,13 +57,13 @@ class ProxFunction:
         return cls("zero")
 
     @classmethod
-    def l1(cls, lam):
+    def l1(cls, lam: float):
         if lam < 0:
             raise ConfigurationError(f"l1 weight must be nonnegative, got {lam}")
         return cls("l1", lam=float(lam))
 
     @classmethod
-    def squared_l2(cls, lam=1.0, center=0.0):
+    def squared_l2(cls, lam: float = 1.0, center=0.0):
         """(lam/2) ||x - center||^2."""
         if lam <= 0:
             raise ConfigurationError(f"sq_l2 weight must be positive, got {lam}")
@@ -78,7 +78,7 @@ class ProxFunction:
         return cls("box", lo=lo, hi=hi)
 
     @classmethod
-    def linf_ball(cls, radius):
+    def linf_ball(cls, radius: float):
         if radius < 0:
             raise ConfigurationError(f"ball radius must be nonnegative, got {radius}")
         return cls("linf_ball", radius=float(radius))
@@ -256,9 +256,17 @@ class MonotoneBlock:
             raise DimensionMismatch(
                 f"operator has {len(self.rules)} blocks, vector has {z.nblocks}"
             )
-        diag = U.diag_blocks()
+        return BlockVector._wrap(self.resolvent_blocks(gamma, U.diag_blocks(), z.blocks),
+                                 z.dims)
+
+    def resolvent_blocks(self, gamma, diag, zs):
+        """J_{gamma U A} on bare block arrays, U given by its diagonal blocks.
+
+        Checks nothing (`resolvent` checks gamma and the block count) and
+        returns a list of fresh arrays.
+        """
         out = []
-        for rule, u, zb in zip(self.rules, diag, z.blocks):
+        for rule, u, zb in zip(self.rules, diag, zs):
             step = gamma * u
             if rule.kind == "zero":
                 out.append(zb.copy())
@@ -276,7 +284,7 @@ class MonotoneBlock:
                 out.append(np.linalg.solve(np.eye(n) + step[:, None] * rule.matrix, zb))
             else:
                 raise AssertionError(rule.kind)
-        return BlockVector._wrap(out)
+        return out
 
 
 def resolvent(A, gamma, U, z):

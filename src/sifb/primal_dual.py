@@ -10,8 +10,13 @@ the product-space preconditioner.
 Neither stacked preconditioner is ever formed. Class I realizes its backward
 map by the explicit resolvent/reflection sweep over blocks; class II (all
 primal operators zero) by a forward-substitution sweep whose dual solve is
-the only implicit piece. Dense Schur-complement actions for both metrics are
-available separately for audits at small sizes.
+the only implicit piece. Both sweeps work on the per-block numpy arrays
+(`BlockLinearOperator.apply_blocks`, `Preconditioner.apply_blocks`,
+`MonotoneBlock.resolvent_blocks`) and build one `BlockVector` per call. A
+coupling cell may be a number s, meaning s times the identity (the identity
+rows of a fully split problem): its product adds s x, which equals the dense
+product with s I bit for bit for finite x. Dense Schur-complement actions for
+both metrics are available separately for audits at small sizes.
 """
 
 from __future__ import annotations
@@ -201,12 +206,24 @@ def extract_primal_dual(x_stacked, prob):
     return block_split(x_stacked, prob.m)
 
 
+def _check_stacked(dims, u, a):
+    """Refuse a sweep's iterate u or draw a unless both have the stacked dims."""
+    for name, x in (("iterate", u), ("draw", a)):
+        if x.dims != dims:
+            raise DimensionMismatch(f"{name} dims {x.dims} != stacked dims {dims}")
+
+
 def assemble_class1(prob, noise=None, seed=0, oracle=None, constants=None):
     """Stacked instance whose unit-step backward map is the class-I sweep.
 
     One solver step reproduces, blockwise: primal resolvents at the
     extrapolated point, reflection, then dual resolvents against the
     reflected primal. Requires the class-I constant > 1/2.
+
+    The sweep works on the block arrays of u = (c, d) and of the draw
+    a = (a_p, b_d), and wraps one `BlockVector` at the end:
+        p = J_{V A}(c - V (L* d + a_p - z)),
+        q = J_{W B^-1}(d + W (L (2 p - c) - b_d - r)).
     """
     rep = constants if constants is not None else compute_constants(prob)
     if not rep.feasible_class1:
@@ -216,19 +233,24 @@ def assemble_class1(prob, noise=None, seed=0, oracle=None, constants=None):
     q_map = prob.smooth_pair_map(beta=rep.beta_hat)
     if oracle is None:
         oracle = StochasticOracle(q_map, noise=noise, rng_seed=seed)
-    m = prob.m
+    m, dims = prob.m, prob.stacked_dims
+    L, V, W, z, r = prob.coupling, prob.V, prob.W, prob.z.blocks, prob.r.blocks
+    v_diag, w_diag = V.diag_blocks(), W.diag_blocks()
 
     def backward(u, gamma, a):
-        c, d = block_split(u, m)
-        a_p, b_d = block_split(a, m)
-        t = prob.coupling.adjoint_apply(d) + a_p - prob.z
-        p = prob.primal_ops.resolvent(1.0, prob.V, c - prob.V.apply(t))
-        y = (2.0 * p) - c
-        u_k = prob.coupling.apply(y) - b_d - prob.r
-        q = prob.dual_inverse.resolvent(1.0, prob.W, d + prob.W.apply(u_k))
-        return block_concat(p, q)
+        _check_stacked(dims, u, a)
+        c, d = u.blocks[:m], u.blocks[m:]
+        a_p, b_d = a.blocks[:m], a.blocks[m:]
+        t = [(lt + ap) - zi for lt, ap, zi in zip(L.adjoint_apply_blocks(d), a_p, z)]
+        p = prob.primal_ops.resolvent_blocks(
+            1.0, v_diag, [ci - vt for ci, vt in zip(c, V.apply_blocks(t))])
+        y = [(2.0 * pi) - ci for pi, ci in zip(p, c)]
+        u_k = [(ly - bd) - rk for ly, bd, rk in zip(L.apply_blocks(y), b_d, r)]
+        q = prob.dual_inverse.resolvent_blocks(
+            1.0, w_diag, [dk + wu for dk, wu in zip(d, W.apply_blocks(u_k))])
+        return BlockVector._wrap(p + q, dims)
 
-    return ProblemInstance(oracle, BlockVector.zeros(prob.stacked_dims), rep.beta_hat,
+    return ProblemInstance(oracle, BlockVector.zeros(dims), rep.beta_hat,
                            backward, gamma_fixed=1.0)
 
 
@@ -238,6 +260,11 @@ def assemble_class2(prob, noise=None, seed=0, oracle=None, constants=None):
     Only valid when every primal block operator is zero; the primal half
     becomes forward substitutions around the single dual resolvent. Requires
     twice the class-II constant > 1.
+
+    The sweep works on block arrays, as the class-I one does:
+        s = c - V (a_p - z),
+        q = J_{W B^-1}(d + W (L (s - V L* d) - b_d - r)),
+        p = s - V L* q.
     """
     if not prob.primal_ops.is_zero():
         raise ConfigurationError(
@@ -251,19 +278,24 @@ def assemble_class2(prob, noise=None, seed=0, oracle=None, constants=None):
     q_map = prob.smooth_pair_map(beta=rep.beta)
     if oracle is None:
         oracle = StochasticOracle(q_map, noise=noise, rng_seed=seed)
-    m = prob.m
+    m, dims = prob.m, prob.stacked_dims
+    L, V, W, z, r = prob.coupling, prob.V, prob.W, prob.z.blocks, prob.r.blocks
+    w_diag = W.diag_blocks()
 
     def backward(u, gamma, a):
-        c, d = block_split(u, m)
-        a_p, b_d = block_split(a, m)
-        s_i = c - prob.V.apply(a_p - prob.z)
-        y = s_i - prob.V.apply(prob.coupling.adjoint_apply(d))
-        arg = d + prob.W.apply(prob.coupling.apply(y) - b_d - prob.r)
-        q = prob.dual_inverse.resolvent(1.0, prob.W, arg)
-        p = s_i - prob.V.apply(prob.coupling.adjoint_apply(q))
-        return block_concat(p, q)
+        _check_stacked(dims, u, a)
+        c, d = u.blocks[:m], u.blocks[m:]
+        a_p, b_d = a.blocks[:m], a.blocks[m:]
+        s_i = [ci - vt for ci, vt in
+               zip(c, V.apply_blocks([ap - zi for ap, zi in zip(a_p, z)]))]
+        y = [si - v for si, v in zip(s_i, V.apply_blocks(L.adjoint_apply_blocks(d)))]
+        e = [(ly - bd) - rk for ly, bd, rk in zip(L.apply_blocks(y), b_d, r)]
+        q = prob.dual_inverse.resolvent_blocks(
+            1.0, w_diag, [dk + we for dk, we in zip(d, W.apply_blocks(e))])
+        p = [si - v for si, v in zip(s_i, V.apply_blocks(L.adjoint_apply_blocks(q)))]
+        return BlockVector._wrap(p + q, dims)
 
-    return ProblemInstance(oracle, BlockVector.zeros(prob.stacked_dims), rep.beta,
+    return ProblemInstance(oracle, BlockVector.zeros(dims), rep.beta,
                            backward, gamma_fixed=1.0)
 
 

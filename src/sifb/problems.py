@@ -36,6 +36,13 @@ def _conditioned_matrix(rng, n, p, cond):
     return (qu * svals[None, :]) @ qv.T
 
 
+def _rng(seed):
+    """The data generator of a demo; a negative seed is a config error, not numpy's."""
+    if seed < 0:
+        raise ConfigurationError(f"demo seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 @dataclass
 class DemoProblem:
     """A demo problem. A subclass sets `name` and `forms` (primal-dual form ->
@@ -87,13 +94,13 @@ class Lasso(DemoProblem):
     name = "lasso"
 
     @classmethod
-    def build(cls, n, p, lam, cond=10.0, seed=0):
+    def build(cls, n: int, p: int, lam: float, cond: float = 10.0, seed: int = 0):
         """min 0.5 ||A x - b||^2 + lam ||x||_1 with synthetic data."""
         if n < 1 or p < 1:
             raise ConfigurationError(f"need n, p >= 1, got ({n}, {p})")
         if lam < 0:
             raise ConfigurationError(f"lam must be nonnegative, got {lam}")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         a = _conditioned_matrix(rng, n, p, cond)
         x_true = np.zeros(p)
         support = rng.choice(p, size=max(1, p // 5), replace=False)
@@ -154,7 +161,7 @@ class Lasso(DemoProblem):
             ),
             r=BlockVector([b, np.zeros(p)]),
             W=Preconditioner.scalar([sigma, sigma], (n, p)),
-            coupling=BlockLinearOperator([[a], [np.eye(p)]], (p,), (n, p)),
+            coupling=BlockLinearOperator([[a], [1.0]], (p,), (n, p)),
         )
 
     forms = {"split": _form_split, "smooth": _form_smooth, "cp": _form_cp}
@@ -177,11 +184,11 @@ class CoupledBoxQP(DemoProblem):
     name = "coupled_box_qp"
 
     @classmethod
-    def build(cls, m, dims, seed=0):
+    def build(cls, m: int, dims: int, seed: int = 0):
         """m-block box-constrained quadratic with dense off-diagonal coupling."""
         if m < 2:
             raise ConfigurationError(f"need at least 2 blocks, got {m}")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         total = int(m) * int(dims)
         g = rng.standard_normal((total, total))
         q = g.T @ g
@@ -233,7 +240,8 @@ class ParallelSum(DemoProblem):
     name = "parallel_sum"
 
     @classmethod
-    def build(cls, dims, mu, lam, seed=0, g_family="l1"):
+    def build(cls, dims: int, mu: float, lam: float, seed: int = 0,
+              g_family: str = "l1"):
         """min 0.5 ||A x - b||^2 + (smoothing box l1)(x): an infimal-convolution
         regularizer realized through a dual block with a single-valued inverse."""
         if mu <= 0:
@@ -247,7 +255,7 @@ class ParallelSum(DemoProblem):
             )
         if g_family != "l1":
             raise ConfigurationError(f"unsupported dual family {g_family!r}")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         p = int(dims)
         a = _conditioned_matrix(rng, p + 10, p, 10.0)
         x_true = rng.standard_normal(p)
@@ -298,7 +306,7 @@ class ParallelSum(DemoProblem):
             dual_inverse=MonotoneBlock.conjugate_subdiff([ProxFunction.l1(lam)]),
             r=BlockVector.zeros((p,)),
             W=w,
-            coupling=BlockLinearOperator([[np.eye(p)]], (p,), (p,)),
+            coupling=BlockLinearOperator([[1.0]], (p,), (p,)),
             smooth=smooth,
             dual_smooth=dual_smooth,
         )

@@ -220,11 +220,17 @@ class Preconditioner:
                 f"vector dims {x.dims} incompatible with preconditioner dims {self.dims}"
             )
 
+    def apply_blocks(self, blocks):
+        """The action on bare block arrays, unchecked; identity passes them through."""
+        if self.kind == "identity":
+            return blocks
+        return [w * b for w, b in zip(self._diag, blocks)]
+
     def apply(self, x):
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector._wrap([w * b for w, b in zip(self._diag, x.blocks)], x.dims)
+        return BlockVector._wrap(self.apply_blocks(x.blocks), x.dims)
 
     def apply_inverse(self, x):
         self._check(x)
@@ -274,11 +280,32 @@ def inner(x, y, metric=None):
     return metric.inner(x, y)
 
 
-class BlockLinearOperator:
-    """Dense block matrix L mapping a primal block space into a dual one.
+def _add_product(acc, cell, x):
+    """acc += cell @ x, where a 0-d cell s stands for s times the identity.
 
-    entries[k][i] maps primal block i into dual block k; None entries are
-    structural zeros and are skipped.
+    For finite x, s * x (and x itself when s = 1) equals the dense product
+    with s I bit for bit.
+    """
+    if cell.ndim:
+        acc += cell @ x
+    elif cell == 1.0:
+        acc += x
+    else:
+        acc += cell * x
+
+
+class BlockLinearOperator:
+    """Block matrix L mapping a primal block space into a dual one.
+
+    entries[k][i] maps primal block i into dual block k. A cell is a dense
+    matrix, None (a structural zero, skipped) or a number s, which means
+    s times the identity and is allowed on square blocks only. A number is
+    stored as a read-only 0-d float64 array and is never expanded, except one
+    strip at a time by `estimate_weighted_norm` and in `dense`.
+
+    `apply_blocks` and `adjoint_apply_blocks` work on bare block arrays and
+    check nothing; `apply` and `adjoint_apply` check the vector's dims and
+    wrap their result.
     """
 
     __slots__ = ("entries", "dims_in", "dims_out")
@@ -302,10 +329,16 @@ class BlockLinearOperator:
                     cells.append(None)
                     continue
                 m = np.asarray(cell, dtype=np.float64)
-                if m.ndim != 2 or m.shape != (self.dims_out[k], self.dims_in[i]):
+                shape = (self.dims_out[k], self.dims_in[i])
+                if m.ndim == 0:
+                    if shape[0] != shape[1]:
+                        raise DimensionMismatch(
+                            f"entry ({k},{i}): a scalar cell needs a square block, "
+                            f"got {shape}"
+                        )
+                elif m.shape != shape:
                     raise DimensionMismatch(
-                        f"entry ({k},{i}): shape {m.shape}, expected "
-                        f"({self.dims_out[k]}, {self.dims_in[i]})"
+                        f"entry ({k},{i}): shape {m.shape}, expected {shape}"
                     )
                 cells.append(_freeze(m.copy()))
             rows.append(tuple(cells))
@@ -315,31 +348,39 @@ class BlockLinearOperator:
     def zero(cls, dims_in, dims_out):
         return cls([[None] * len(dims_in) for _ in dims_out], dims_in, dims_out)
 
+    def apply_blocks(self, xs):
+        """L x from the primal block arrays xs, as a list of fresh dual block arrays."""
+        out = []
+        for d, row in zip(self.dims_out, self.entries):
+            acc = np.zeros(d)
+            for cell, x in zip(row, xs):
+                if cell is not None:
+                    _add_product(acc, cell, x)
+            out.append(acc)
+        return out
+
+    def adjoint_apply_blocks(self, vs):
+        """L* v from the dual block arrays vs, as a list of fresh primal block arrays."""
+        out = [np.zeros(d) for d in self.dims_in]
+        for row, v in zip(self.entries, vs):
+            for acc, cell in zip(out, row):
+                if cell is not None:
+                    _add_product(acc, cell.T, v)
+        return out
+
     def apply(self, x):
         if x.dims != self.dims_in:
             raise DimensionMismatch(
                 f"vector dims {x.dims} incompatible with operator input dims {self.dims_in}"
             )
-        out = []
-        for k, row in enumerate(self.entries):
-            acc = np.zeros(self.dims_out[k])
-            for i, cell in enumerate(row):
-                if cell is not None:
-                    acc += cell @ x.blocks[i]
-            out.append(acc)
-        return BlockVector._wrap(out)
+        return BlockVector._wrap(self.apply_blocks(x.blocks), self.dims_out)
 
     def adjoint_apply(self, v):
         if v.dims != self.dims_out:
             raise DimensionMismatch(
                 f"vector dims {v.dims} incompatible with operator output dims {self.dims_out}"
             )
-        out = [np.zeros(d) for d in self.dims_in]
-        for k, row in enumerate(self.entries):
-            for i, cell in enumerate(row):
-                if cell is not None:
-                    out[i] += cell.T @ v.blocks[k]
-        return BlockVector._wrap(out)
+        return BlockVector._wrap(self.adjoint_apply_blocks(v.blocks), self.dims_in)
 
     def is_zero(self):
         return all(cell is None for row in self.entries for cell in row)
@@ -350,8 +391,13 @@ class BlockLinearOperator:
         out = np.zeros((rows[-1], cols[-1]))
         for k, row in enumerate(self.entries):
             for i, cell in enumerate(row):
-                if cell is not None:
-                    out[rows[k]:rows[k + 1], cols[i]:cols[i + 1]] = cell
+                if cell is None:
+                    continue
+                block = out[rows[k]:rows[k + 1], cols[i]:cols[i + 1]]
+                if cell.ndim:
+                    block[...] = cell
+                else:
+                    np.fill_diagonal(block, cell)
         return out
 
     def __repr__(self):
@@ -363,6 +409,22 @@ class BlockLinearOperator:
 _GRAM_CHUNK = 64
 
 
+def _strip(cell, n, r, columns):
+    """Rows r to r + _GRAM_CHUNK of an n-column cell (its columns if `columns`).
+
+    A scalar cell s comes back as that strip of s I, dense and C-ordered like
+    the product of a dense cell's strip, so the Gram products read the same
+    values in the same layout as with the cell stored as a matrix.
+    """
+    if cell.ndim:
+        return cell[:, r:r + _GRAM_CHUNK] if columns else cell[r:r + _GRAM_CHUNK]
+    h = min(_GRAM_CHUNK, n - r)
+    out = np.zeros((n, h) if columns else (h, n))
+    j = np.arange(h)
+    out[(r + j, j) if columns else (j, r + j)] = cell
+    return out
+
+
 def _weighted_strips(L, V, W, tall):
     """The rows of G = sqrt(W) L sqrt(V) feeding its smaller Gram matrix.
 
@@ -370,7 +432,7 @@ def _weighted_strips(L, V, W, tall):
     the Gram side: slices of the block rows of G when G is tall (Gram G^T G),
     otherwise slices of its block columns, transposed (Gram G G^T). The sum
     of ga.T @ gb over the strips is block (a, b) of the Gram matrix. None
-    cells stay None.
+    cells stay None; scalar cells are expanded one strip at a time.
     """
     sv = [np.sqrt(d) for d in V.diag_blocks()]
     sw = [np.sqrt(d)[:, None] for d in W.diag_blocks()]
@@ -378,13 +440,15 @@ def _weighted_strips(L, V, W, tall):
         for k, row in enumerate(L.entries):
             for r in range(0, L.dims_out[k], _GRAM_CHUNK):
                 rows = slice(r, r + _GRAM_CHUNK)
-                yield [None if c is None else sw[k][rows] * c[rows] * sv[i]
+                yield [None if c is None
+                       else sw[k][rows] * _strip(c, L.dims_in[i], r, False) * sv[i]
                        for i, c in enumerate(row)]
     else:
         for i in range(len(L.dims_in)):
             for r in range(0, L.dims_in[i], _GRAM_CHUNK):
                 cols = slice(r, r + _GRAM_CHUNK)
-                yield [None if row[i] is None else (sw[k] * row[i][:, cols] * sv[i][cols]).T
+                yield [None if row[i] is None
+                       else (sw[k] * _strip(row[i], L.dims_in[i], r, True) * sv[i][cols]).T
                        for k, row in enumerate(L.entries)]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, config_number
+from .errors import ConfigurationError, check_keys, config_number
 from .spaces import BlockVector
 
 _MASK64 = (1 << 64) - 1
@@ -223,7 +223,12 @@ class Schedule:
 
     @classmethod
     def from_config(cls, spec):
-        """The schedule of a config section; None or mode "zero" is the zero one."""
+        """The schedule of a config section; None or mode "zero" is the zero one.
+
+        A key outside mode, KEYS and rho is refused, in any mode.
+        """
+        if spec is not None:
+            check_keys(spec, ("mode",) + cls.KEYS + ("rho",), cls.__name__)
         if spec is None or spec.get("mode", "zero") == "zero":
             return cls.zero()
         mode = spec["mode"]

@@ -6,7 +6,6 @@ lines. Every tolerance is pinned here; nothing is deferred to calibration.
 
 import functools
 import json
-import os
 import time
 
 import numpy as np
@@ -51,6 +50,7 @@ from sifb.problems import (
     sifb_instance,
 )
 
+from test_cli import load_json, read_file
 from test_primal_dual import (
     ReplayOracle,
     random_structured_problem,
@@ -261,14 +261,14 @@ def test_criterion_6_stochastic_sweep(tmp_path):
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "out")
     assert cli_main(["sweep", str(path), "--out", out]) == 0
-    rows = open(os.path.join(out, "sweep_summary.csv")).read().strip().split("\n")[1:]
+    rows = read_file(out, "sweep_summary.csv").strip().split("\n")[1:]
     assert len(rows) == 20
     for row in rows:
         _, _, status, iters, res = row.split(",")
         assert status == "converged"
         assert int(iters) <= 50000
         assert float(res) <= 1e-4
-    agg = json.load(open(os.path.join(out, "sweep_summary.json")))
+    agg = load_json(out, "sweep_summary.json")
     assert agg["fraction_converged"] == 1.0
 
     control = dict(cfg, noise={"mode": "poly", "sigma0": 0.25, "theta": 0.4})

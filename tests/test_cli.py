@@ -12,6 +12,16 @@ from sifb.cli import main
 from sifb.config import build_experiment
 
 
+def read_file(*parts):
+    with open(os.path.join(*parts)) as f:
+        return f.read()
+
+
+def load_json(*parts):
+    with open(os.path.join(*parts)) as f:
+        return json.load(f)
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2))
@@ -103,14 +113,14 @@ def test_run_writes_artifacts_and_is_deterministic(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, "trace.csv"))
         assert os.path.exists(os.path.join(out, "summary.json"))
         assert os.path.exists(os.path.join(out, "resolved_config.json"))
-    t1 = open(os.path.join(out1, "trace.csv")).read()
-    t2 = open(os.path.join(out2, "trace.csv")).read()
+    t1 = read_file(out1, "trace.csv")
+    t2 = read_file(out2, "trace.csv")
     assert t1 == t2
-    summary = json.load(open(os.path.join(out1, "summary.json")))
+    summary = load_json(out1, "summary.json")
     assert summary["status"] == "converged"
     assert summary["final_fp_residual"] <= 1e-8
     assert summary["dist_to_ref"] <= 1e-5
-    snap = json.load(open(os.path.join(out1, "resolved_config.json")))
+    snap = load_json(out1, "resolved_config.json")
     assert snap["resolved_seed"] == 7
 
 
@@ -122,11 +132,11 @@ def test_run_stochastic_seeds_differ_but_converge(tmp_path):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert main(["run", path, "--seed", "1", "--out", out1]) == 0
     assert main(["run", path, "--seed", "2", "--out", out2]) == 0
-    t1 = open(os.path.join(out1, "trace.csv")).read()
-    t2 = open(os.path.join(out2, "trace.csv")).read()
+    t1 = read_file(out1, "trace.csv")
+    t2 = read_file(out2, "trace.csv")
     assert t1 != t2
     for out in (out1, out2):
-        s = json.load(open(os.path.join(out, "summary.json")))
+        s = load_json(out, "summary.json")
         assert s["status"] == "converged"
         assert s["dist_to_ref"] <= 1e-2
 
@@ -309,12 +319,12 @@ def test_sweep_zero_noise_identical_traces(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     out = str(tmp_path / "sweep")
     assert main(["sweep", path, "--jobs", "1", "--out", out]) == 0
-    traces = [open(os.path.join(out, f"trace_{i:03d}.csv")).read() for i in range(3)]
+    traces = [read_file(out, f"trace_{i:03d}.csv") for i in range(3)]
     assert traces[0] == traces[1] == traces[2]  # no randomness consumed
-    rows = open(os.path.join(out, "sweep_summary.csv")).read().strip().split("\n")
+    rows = read_file(out, "sweep_summary.csv").strip().split("\n")
     assert rows[0] == "index,seed,status,iterations,final_fp_residual"
     assert len(rows) == 4
-    agg = json.load(open(os.path.join(out, "sweep_summary.json")))
+    agg = load_json(out, "sweep_summary.json")
     statuses = [r.split(",")[2] for r in rows[1:]]
     iters = [int(r.split(",")[3]) for r in rows[1:]]
     residuals = [float(r.split(",")[4]) for r in rows[1:]]
@@ -331,7 +341,7 @@ def test_sweep_derived_seeds_and_parallel(tmp_path):
     path = write_config(tmp_path, cfg)
     out = str(tmp_path / "sweep")
     assert main(["sweep", path, "--jobs", "2", "--out", out]) == 0
-    rows = open(os.path.join(out, "sweep_summary.csv")).read().strip().split("\n")
+    rows = read_file(out, "sweep_summary.csv").strip().split("\n")
     assert len(rows) == 5
     seeds = [int(r.split(",")[1]) for r in rows[1:]]
     assert len(set(seeds)) == 4
@@ -349,8 +359,8 @@ def test_single_seed_sweep_reduces_to_run(tmp_path):
     out_run, out_sweep = str(tmp_path / "run"), str(tmp_path / "sweep")
     assert main(["run", path, "--out", out_run]) == 0
     assert main(["sweep", path, "--jobs", "1", "--out", out_sweep]) == 0
-    t_run = open(os.path.join(out_run, "trace.csv")).read()
-    t_sweep = open(os.path.join(out_sweep, "trace_000.csv")).read()
+    t_run = read_file(out_run, "trace.csv")
+    t_sweep = read_file(out_sweep, "trace_000.csv")
     assert t_run == t_sweep
 
 
@@ -399,8 +409,8 @@ def test_custom_problem_with_matrix_files(tmp_path):
     path2 = write_config(tmp_path, cfg2, name="config2.json")
     out2 = str(tmp_path / "out2")
     assert main(["run", path2, "--out", out2]) == 0
-    t1 = open(os.path.join(out, "trace.csv")).read()
-    t2 = open(os.path.join(out2, "trace.csv")).read()
+    t1 = read_file(out, "trace.csv")
+    t2 = read_file(out2, "trace.csv")
     assert t1 == t2
 
 
@@ -525,6 +535,23 @@ MALFORMED = [
     pytest.param(lasso_config(seeds=[]), id="empty seed list"),
     pytest.param(lasso_config(seeds={"count": 0}), id="zero seed count"),
     pytest.param(lasso_config(seeds={"count": -3}), id="negative seed count"),
+    pytest.param(lasso_config(seeds=5), id="seeds a number"),
+    pytest.param(lasso_config(seeds=["a"]), id="string seed"),
+    pytest.param(lasso_config(seeds=[1.0]), id="float seed"),
+    pytest.param(lasso_config(seeds=[True]), id="bool seed"),
+    pytest.param(lasso_config(seeds={"master_seed": "x", "count": 2}), id="string master_seed"),
+    pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
+        "n": "12", "p": 10, "lam": 0.1}}}), id="string demo param"),
+    pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
+        "n": 12.5, "p": 10, "lam": 0.1}}}), id="float integer demo param"),
+    pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
+        "n": 12, "p": 10, "lam": 0.1, "seed": -1}}}), id="negative demo seed"),
+    pytest.param(custom_prox_config({"family": "l1", "lam": "0.5"}), id="string prox value"),
+    pytest.param(lasso_config(solver={"max_iters": 3}), id="unknown solver key"),
+    pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.2, "theta": 0.75,
+                                     "thetaa": 3}), id="unknown noise key"),
+    pytest.param(lasso_config(inertia={"mode": "zero", "alpha": 0.1}),
+                 id="unknown inertia key"),
 ]
 
 
@@ -549,3 +576,20 @@ def test_sweep_seed_count_below_one_is_refused(tmp_path, capsys, count):
     assert captured.err.strip().splitlines() == [
         f"configuration error: --seeds must be at least 1, got {count}"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section,spec,accepted", [
+    ("solver", {"max_iters": 3},
+     "epsilon, gamma, relaxation, max_iter, stop_tol, record_every"),
+    ("noise", {"mode": "poly", "sigma0": 0.2, "theta": 0.75, "thetaa": 3},
+     "mode, sigma0, theta, rho"),
+    ("inertia", {"mode": "geom", "alpha0": 0.2, "rho": 0.5, "q0": 1}, "mode, alpha0, q, rho"),
+], ids=["solver", "noise", "inertia"])
+def test_unknown_section_key_is_refused_with_the_accepted_keys(tmp_path, capsys, section,
+                                                               spec, accepted):
+    path = write_config(tmp_path, lasso_config(**{section: spec}))
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    assert "unknown key" in line and line.endswith(f"accepted keys: {accepted}")

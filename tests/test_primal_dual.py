@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -8,18 +9,21 @@ from sifb import (
     BlockVector,
     CocoerciveMap,
     ConfigurationError,
+    DimensionMismatch,
     InertiaSchedule,
     InfeasibleProblemError,
     MonotoneBlock,
     NoiseSchedule,
     Preconditioner,
     PrimalDualProblem,
+    ProblemInstance,
     ProxFunction,
     SolverConfig,
     assemble_class1,
     assemble_class2,
     beta_for_balance,
     block_concat,
+    block_split,
     compute_constants,
     duality_residuals,
     extract_primal_dual,
@@ -687,3 +691,130 @@ def test_constants_match_pinned_values(name, params, form, pinned):
     for key, want in pinned.items():
         assert getattr(rep, key) == pytest.approx(want, rel=1e-10, nan_ok=True), key
     assert rep.feasible_class1 and rep.feasible_class2
+
+
+# --- the block-array sweeps against the BlockVector sweeps they replaced -------
+
+
+def reference_class1_sweep(prob):
+    """The class-I sweep in BlockVector arithmetic, as it was before the sweeps
+    moved onto block arrays: the byte-for-byte reference."""
+    m = prob.m
+
+    def backward(u, gamma, a):
+        c, d = block_split(u, m)
+        a_p, b_d = block_split(a, m)
+        t = prob.coupling.adjoint_apply(d) + a_p - prob.z
+        p = prob.primal_ops.resolvent(1.0, prob.V, c - prob.V.apply(t))
+        y = (2.0 * p) - c
+        u_k = prob.coupling.apply(y) - b_d - prob.r
+        q = prob.dual_inverse.resolvent(1.0, prob.W, d + prob.W.apply(u_k))
+        return block_concat(p, q)
+
+    return backward
+
+
+def reference_class2_sweep(prob):
+    """The class-II sweep in BlockVector arithmetic; see reference_class1_sweep."""
+    m = prob.m
+
+    def backward(u, gamma, a):
+        c, d = block_split(u, m)
+        a_p, b_d = block_split(a, m)
+        s_i = c - prob.V.apply(a_p - prob.z)
+        y = s_i - prob.V.apply(prob.coupling.adjoint_apply(d))
+        arg = d + prob.W.apply(prob.coupling.apply(y) - b_d - prob.r)
+        q = prob.dual_inverse.resolvent(1.0, prob.W, arg)
+        p = s_i - prob.V.apply(prob.coupling.adjoint_apply(q))
+        return block_concat(p, q)
+
+    return backward
+
+
+def with_dense_coupling(prob):
+    """A copy of prob whose scalar coupling cells s are stored as matrices s I."""
+    L = prob.coupling
+    out = copy.copy(prob)
+    out.coupling = BlockLinearOperator(
+        [[c if c is None or c.ndim else float(c) * np.eye(L.dims_in[i])
+          for i, c in enumerate(row)] for row in L.entries],
+        L.dims_in, L.dims_out)
+    return out
+
+
+def two_by_two_problem(zero_primal):
+    """2 primal and 2 dual blocks, a None cell, a scalar cell 0.4 I, diagonal metrics."""
+    rng = np.random.default_rng(5)
+    pdims, ddims = (3, 4), (3, 2)
+    primal = (MonotoneBlock.zero(2) if zero_primal else MonotoneBlock.subdiff(
+        [ProxFunction.l1(0.3), ProxFunction.box(-np.ones(4), np.ones(4))]))
+    return PrimalDualProblem(
+        primal_ops=primal,
+        z=BlockVector([rng.standard_normal(d) for d in pdims]),
+        V=Preconditioner.diagonal([rng.uniform(0.1, 0.3, d) for d in pdims]),
+        dual_inverse=MonotoneBlock.conjugate_subdiff(
+            [ProxFunction.l1(0.5), ProxFunction.squared_l2(2.0, 0.1)]),
+        r=BlockVector([rng.standard_normal(d) for d in ddims]),
+        W=Preconditioner.diagonal([rng.uniform(0.1, 0.3, d) for d in ddims]),
+        coupling=BlockLinearOperator(
+            [[0.4, rng.standard_normal((3, 4))], [rng.standard_normal((2, 3)), None]],
+            pdims, ddims),
+        smooth=CocoerciveMap.scaled_identity(pdims, 0.5),
+    )
+
+
+LASSO_20x30 = {"n": 20, "p": 30, "lam": 0.1, "cond": 10.0, "seed": 3}
+BOTH, CLASS1 = ("class1", "class2"), ("class1",)
+# (id, problem, classes that assemble it); class II needs every primal operator zero
+SWEEP_CASES = [
+    ("split-tall", lambda: pd_problem(build_demo("lasso", LASSO_TALL), "split"), BOTH),
+    ("split-20x30", lambda: pd_problem(build_demo("lasso", LASSO_20x30), "split"), BOTH),
+    ("cp", lambda: pd_problem(build_demo("lasso", LASSO_WIDE), "cp"), CLASS1),
+    ("parallel_sum", lambda: pd_problem(build_demo(
+        "parallel_sum", {"dims": 6, "mu": 0.5, "lam": 0.3, "seed": 0})), BOTH),
+    ("coupled_box_qp", lambda: pd_problem(build_demo(
+        "coupled_box_qp", {"m": 3, "dims": 4, "seed": 0})), CLASS1),
+    ("two_by_two", lambda: two_by_two_problem(zero_primal=False), CLASS1),
+    ("two_by_two-zero-primal", lambda: two_by_two_problem(zero_primal=True), BOTH),
+]
+
+
+@pytest.mark.parametrize("make,which", [
+    pytest.param(make, which, id=f"{name}-{which}")
+    for name, make, classes in SWEEP_CASES for which in classes])
+def test_block_array_sweeps_match_blockvector_reference_bytes(make, which):
+    prob = make()
+    assemble = assemble_class1 if which == "class1" else assemble_class2
+    reference = (reference_class1_sweep if which == "class1"
+                 else reference_class2_sweep)(with_dense_coupling(prob))
+    inst = assemble(prob, noise=NoiseSchedule.polynomial(0.3, 0.75), seed=11)
+    ref_inst = ProblemInstance(inst.oracle, inst.x0, inst.beta, reference, gamma_fixed=1.0)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        u, a = (BlockVector([rng.standard_normal(d) for d in prob.stacked_dims])
+                for _ in range(2))
+        got, want = inst.backward_fn(u, 1.0, a), reference(u, 1.0, a)
+        assert got.dims == want.dims
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.blocks, want.blocks))
+        assert all(not g.flags.writeable for g in got.blocks)
+    # whole noisy inertial runs: the same trace and iterate bytes
+    cfg = SolverConfig(beta=inst.beta, max_iter=300, stop_tol=0.0,
+                       inertia=InertiaSchedule.polynomial(0.3, 1.5))
+    x, trace = run(inst, cfg)
+    x_ref, trace_ref = run(ref_inst, cfg)
+    assert trace.iterations == trace_ref.iterations == 300
+    assert trace.to_csv() == trace_ref.to_csv()
+    assert x.concatenated().tobytes() == x_ref.concatenated().tobytes()
+
+
+@pytest.mark.parametrize("assemble", [assemble_class1, assemble_class2])
+def test_sweep_refuses_iterate_or_draw_of_wrong_dims(assemble):
+    prob = two_by_two_problem(zero_primal=True)
+    backward = assemble(prob).backward_fn
+    good = BlockVector.zeros(prob.stacked_dims)
+    for bad in (BlockVector.zeros((3, 4, 3, 3)), BlockVector.zeros((3, 4, 3)),
+                BlockVector.zeros(prob.stacked_dims + (1,))):
+        with pytest.raises(DimensionMismatch, match="iterate dims"):
+            backward(bad, 1.0, good)
+        with pytest.raises(DimensionMismatch, match="draw dims"):
+            backward(good, 1.0, bad)

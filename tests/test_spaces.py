@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sifb import (
     BlockLinearOperator,
@@ -338,3 +340,86 @@ def test_dense_places_blocks_and_zero_fills_none_cells():
     x = BlockVector([[1.0, -2.0, 0.5], [3.0, 1.0]])
     assert np.allclose(op.dense() @ x.concatenated(), op.apply(x).concatenated())
     assert BlockLinearOperator.zero((3,), ()).dense().shape == (0, 3)
+
+
+# --- scalar cells (s times the identity) ---------------------------------------
+
+
+def _with_dense_identities(op):
+    """The same operator with each scalar cell s stored as the matrix s I."""
+    return BlockLinearOperator(
+        [[c if c is None or c.ndim else float(c) * np.eye(op.dims_in[i])
+          for i, c in enumerate(row)] for row in op.entries],
+        op.dims_in, op.dims_out)
+
+
+@st.composite
+def block_operators(draw):
+    """(operator, x, v, V, W): dense, None and scalar cells, empty blocks included."""
+    dims_in = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    dims_out = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = []
+    for dk in dims_out:
+        row = []
+        for di in dims_in:
+            kinds = ["none", "dense"] + (["scalar"] if dk == di else [])
+            kind = draw(st.sampled_from(kinds))
+            row.append(None if kind == "none"
+                       else draw(st.sampled_from([1.0, -1.0, 0.0, 0.3, 2.5])) if kind == "scalar"
+                       else rng.standard_normal((dk, di)))
+        entries.append(row)
+    op = BlockLinearOperator(entries, dims_in, dims_out)
+    return (op, rand_bv(rng, dims_in), rand_bv(rng, dims_out),
+            _metric(draw(st.sampled_from(["identity", "scalar", "diagonal"])), dims_in, rng),
+            _metric("diagonal", dims_out, rng))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=block_operators())
+def test_block_operator_adjoint_dense_and_scalar_cells(case):
+    op, x, v, V, W = case
+    lx, ltv = op.apply(x), op.adjoint_apply(v)
+    assert lx.dims == op.dims_out and ltv.dims == op.dims_in
+    # the adjoint identity <Lx, v> = <x, L*v>
+    scale = float(np.abs(op.dense()) @ np.abs(x.concatenated()) @ np.abs(v.concatenated()))
+    assert abs(lx.dot(v) - x.dot(ltv)) <= 1e-12 * scale
+    # dense() agrees with apply and adjoint_apply
+    d = op.dense()
+    assert np.allclose(d @ x.concatenated(), lx.concatenated(), rtol=1e-12, atol=1e-12)
+    assert np.allclose(d.T @ v.concatenated(), ltv.concatenated(), rtol=1e-12, atol=1e-12)
+    # a scalar cell s gives the bits of the matrix s I, in products and in the norm
+    ref = _with_dense_identities(op)
+    assert np.array_equal(ref.dense(), d)
+    for got, want in ((lx, ref.apply(x)), (ltv, ref.adjoint_apply(v))):
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.blocks, want.blocks))
+    assert estimate_weighted_norm(op, V, W) == estimate_weighted_norm(ref, V, W)
+
+
+@pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+def test_scalar_cell_norm_bit_identical_across_gram_chunks(tall):
+    # the split lasso layout [[A], [s I]] with blocks longer than one chunk
+    rng = np.random.default_rng(7)
+    n, p = (150, 140) if tall else (30, 150)
+    a = rng.standard_normal((n, p))
+    for s in (1.0, 0.5):
+        op = BlockLinearOperator([[a], [s]], (p,), (n, p))
+        V = Preconditioner.scalar([0.3], (p,))
+        W = Preconditioner.diagonal([rng.uniform(0.2, 0.9, n), rng.uniform(0.2, 0.9, p)])
+        assert (estimate_weighted_norm(op, V, W)
+                == estimate_weighted_norm(_with_dense_identities(op), V, W))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (0, 2), (1, 0)], ids=str)
+def test_scalar_cell_needs_a_square_block(shape):
+    with pytest.raises(DimensionMismatch, match="square"):
+        BlockLinearOperator([[1.0]], (shape[1],), (shape[0],))
+
+
+def test_scalar_cell_is_stored_as_a_read_only_0d_array():
+    op = BlockLinearOperator([[2, None]], (3, 1), (3,))
+    cell = op.entries[0][0]
+    assert cell.shape == () and cell.dtype == np.float64 and float(cell) == 2.0
+    assert not cell.flags.writeable and (cell.nbytes, cell.size) == (8, 1)
+    with pytest.raises(DimensionMismatch):
+        op.apply(BlockVector([[1.0, 2.0]]))
