@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, check_keys, config_number
+from .errors import ConfigurationError, DimensionMismatch, check_keys, config_number
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
 from .problems import (DemoProblem, build_demo, pd_problem, reference_oracle,
@@ -51,6 +52,16 @@ def load_matrix(spec, base_dir):
     return np.asarray(spec, dtype=np.float64)
 
 
+@contextmanager
+def _at(path):
+    """Report a shape mismatch raised while building the config entry at
+    `path` as a ConfigurationError that names it."""
+    try:
+        yield
+    except DimensionMismatch as e:
+        raise ConfigurationError(f"{path}: {e}") from None
+
+
 def _load_precond(spec, dims):
     if spec is None or spec.get("kind", "identity") == "identity":
         return Preconditioner.identity(dims)
@@ -58,8 +69,11 @@ def _load_precond(spec, dims):
     if kind == "scalar":
         return Preconditioner.scalar(spec["values"], dims)
     if kind == "diagonal":
-        return Preconditioner.diagonal([np.asarray(w, dtype=np.float64)
-                                        for w in spec["weights"]])
+        metric = Preconditioner.diagonal([np.asarray(w, dtype=np.float64)
+                                          for w in spec["weights"]])
+        if metric.dims != dims:
+            raise DimensionMismatch(f"weight lengths {metric.dims} != block dims {dims}")
+        return metric
     raise ConfigurationError(f"unknown preconditioner kind {kind!r}")
 
 
@@ -70,6 +84,8 @@ def _load_map(spec, dims, metric, base_dir):
     if kind == "lstsq":
         a = load_matrix(spec["a"], base_dir)
         b = load_matrix(spec["b"], base_dir).reshape(-1)
+        if a.ndim == 2 and (a.shape[1],) != dims:
+            raise DimensionMismatch(f"A has {a.shape[1]} columns, block dims {dims}")
         return CocoerciveMap.least_squares_gradient(a, b, metric=metric)
     if kind == "linear":
         q = load_matrix(spec["q"], base_dir)
@@ -110,9 +126,11 @@ class FlatProblem:
     def __init__(self, spec, base_dir):
         blocks = spec["blocks"]
         dims = tuple(int(b["dim"]) for b in blocks)
-        self.metric = _load_precond(spec.get("preconditioner"), dims)
+        with _at("problem.custom.preconditioner"):
+            self.metric = _load_precond(spec.get("preconditioner"), dims)
         self.operator = MonotoneBlock([_block_operator(b.get("operator")) for b in blocks])
-        self.map = _load_map(spec["map"], dims, self.metric, base_dir)
+        with _at("problem.custom.map"):
+            self.map = _load_map(spec["map"], dims, self.metric, base_dir)
         self.beta = None if spec.get("beta") is None else float(spec["beta"])
         self.x0 = BlockVector.zeros(dims)
         if "x0" in spec:
@@ -120,7 +138,8 @@ class FlatProblem:
             if not np.isfinite(flat).all():
                 where = spec["x0"].get("file") if isinstance(spec["x0"], dict) else "inline"
                 raise ConfigurationError(f"x0 ({where}) has non-finite entries")
-            self.x0 = BlockVector.from_flat(flat, dims)
+            with _at("problem.custom.x0"):
+                self.x0 = BlockVector.from_flat(flat, dims)
 
     def sifb_instance(self, noise=None, seed=0, oracle_mode="additive_gaussian",
                       batch0=1):
@@ -136,8 +155,10 @@ def _build_custom_pd(spec, base_dir):
     dual = spec.get("dual", [])
     pdims = tuple(int(b["dim"]) for b in primal)
     ddims = tuple(int(b["dim"]) for b in dual)
-    v = _load_precond(spec.get("V"), pdims)
-    w = _load_precond(spec.get("W"), ddims)
+    with _at("problem.custom_pd.V"):
+        v = _load_precond(spec.get("V"), pdims)
+    with _at("problem.custom_pd.W"):
+        w = _load_precond(spec.get("W"), ddims)
     z = BlockVector([np.asarray(b.get("z", np.zeros(b["dim"])), dtype=np.float64)
                      for b in primal])
     r = BlockVector([np.asarray(b.get("r", np.zeros(b["dim"])), dtype=np.float64)
@@ -155,13 +176,16 @@ def _build_custom_pd(spec, base_dir):
     if rows is None:
         coupling = BlockLinearOperator.zero(pdims, ddims)
     else:
-        coupling = BlockLinearOperator(
-            [[None if cell is None else load_matrix(cell, base_dir) for cell in row]
-             for row in rows],
-            pdims, ddims,
-        )
-    smooth = (_load_map(spec["smooth"], pdims, v, base_dir)
-              if "smooth" in spec else None)
+        with _at("problem.custom_pd.coupling"):
+            coupling = BlockLinearOperator(
+                [[None if cell is None else load_matrix(cell, base_dir) for cell in row]
+                 for row in rows],
+                pdims, ddims,
+            )
+    smooth = None
+    if "smooth" in spec:
+        with _at("problem.custom_pd.smooth"):
+            smooth = _load_map(spec["smooth"], pdims, v, base_dir)
     mus = [b.get("dinv_mu") for b in dual]
     dual_smooth = None
     if any(mu is not None for mu in mus):
@@ -170,12 +194,13 @@ def _build_custom_pd(spec, base_dir):
                 "per-block dinv_mu values must currently agree across dual blocks"
             )
         dual_smooth = CocoerciveMap.scaled_identity(ddims, float(mus[0]), metric=w)
-    prob = PrimalDualProblem(
-        primal_ops=primal_ops, z=z, V=v,
-        dual_inverse=MonotoneBlock(dual_rules), r=r, W=w,
-        coupling=coupling, smooth=smooth, dual_smooth=dual_smooth,
-        nu0=spec.get("nu0"), mu0=spec.get("mu0"),
-    )
+    with _at("problem.custom_pd"):
+        prob = PrimalDualProblem(
+            primal_ops=primal_ops, z=z, V=v,
+            dual_inverse=MonotoneBlock(dual_rules), r=r, W=w,
+            coupling=coupling, smooth=smooth, dual_smooth=dual_smooth,
+            nu0=spec.get("nu0"), mu0=spec.get("mu0"),
+        )
     given = spec.get("nu0") is not None or spec.get("mu0") is not None
     return prob, given
 

@@ -6,31 +6,110 @@ diagonal preconditioner reduces to an elementwise scalar prox with a
 per-coordinate step. Conjugate proxes prefer closed forms; the generalized
 Moreau decomposition is the fallback, and both paths must agree where both
 exist.
+
+Each family's prox and conjugate prox, and each block rule's resolvent, is
+written once, as a table entry that binds a step to a kernel: a function of
+one array with the step-only constants computed at binding.
+`MonotoneBlock.bind(gamma, diag)` gives the kernels of J_{gamma U A}, which
+the solve loops bind once per run; the per-call functions bind and apply.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch, bind_config
-from .spaces import (
-    BlockVector,
-    Preconditioner,
-    block_concat,
-    block_split,
-)
-
-_FAMILIES = ("zero", "l1", "sq_l2", "box", "linf_ball", "affine")
+from .spaces import BlockVector, Preconditioner, block_concat, block_split
 
 # Safety deflation applied to computed cocoercivity constants before they are
 # fed to step-size rules, so the defining inequality holds strictly in floats.
 BETA_DEFLATION = 1.01
 
 
-def _soft(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+# ---------------------------------------------------------------------------
+# per-family tables
+# ---------------------------------------------------------------------------
+# A kernel entry binds a family's parameters (or a block rule) and a step, a
+# number or a per-coordinate array, to a function of one float64 array.
+
+
+def _soft(t):
+    return lambda x: np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def _clip(lo, hi):
+    return lambda x: np.clip(x, lo, hi)
+
+
+def _minus(shift):
+    return lambda x: x - shift
+
+
+def _shift_over(shift, scale):
+    return lambda x: (x + shift) / scale
+
+
+_PROX = {
+    "zero": lambda p, step: np.copy,
+    "l1": lambda p, step: _soft(step * p["lam"]),
+    "sq_l2": lambda p, step: _shift_over(step * p["lam"] * p["center"], 1.0 + step * p["lam"]),
+    "box": lambda p, step: _clip(p["lo"], p["hi"]),
+    "linf_ball": lambda p, step: _clip(-p["radius"], p["radius"]),
+    "affine": lambda p, step: _minus(step * p["c"]),
+}
+_FAMILIES = tuple(_PROX)
+
+# function values; indicators allow `tol` of infeasibility
+_INF = float("inf")
+_VALUE = {
+    "zero": lambda p, x, tol: 0.0,
+    "l1": lambda p, x, tol: float(p["lam"] * np.abs(x).sum()),
+    "sq_l2": lambda p, x, tol: float(0.5 * p["lam"] * np.dot(x - p["center"], x - p["center"])),
+    "box": lambda p, x, tol: (
+        0.0 if np.all(x >= p["lo"] - tol) and np.all(x <= p["hi"] + tol) else _INF),
+    "linf_ball": lambda p, x, tol: (
+        0.0 if x.size == 0 or np.abs(x).max() <= p["radius"] + tol else _INF),
+    "affine": lambda p, x, tol: float(np.dot(np.broadcast_to(p["c"], x.shape), x)),
+}
+
+# closed-form proxes of the conjugates; box has none and takes `_moreau`
+_CONJ = {
+    # indicator of {0}
+    "zero": lambda p, step: np.zeros_like,
+    # indicator of the lam-radius sup-norm ball
+    "l1": lambda p, step: _clip(-p["lam"], p["lam"]),
+    # radius times the l1 norm
+    "linf_ball": lambda p, step: _soft(step * p["radius"]),
+    # <center, y> + |y|^2 / (2 lam); x + (-s) is x - s in IEEE arithmetic
+    "sq_l2": lambda p, step: _shift_over(-(step * p["center"]), 1.0 + step / p["lam"]),
+    # indicator of {c}
+    "affine": lambda p, step: lambda x: np.broadcast_to(p["c"], x.shape).astype(np.float64),
+}
+
+
+def _moreau(f, step):
+    """prox of f* by the generalized Moreau decomposition:
+    x - step * prox_{f / step}(x / step)."""
+    inner = f.kernel(1.0 / step)
+    return lambda x: x - step * inner(x / step)
+
+
+def _linear(matrix, step):
+    system = np.eye(matrix.shape[0]) + step[:, None] * matrix
+    return lambda z: np.linalg.solve(system, z)
+
+
+# rule kind -> the kernel of J_{step A} on one block
+_RULES = {
+    "zero": lambda rule, step: np.copy,
+    "subdiff": lambda rule, step: rule.fn.kernel(step),
+    "conjugate_subdiff": lambda rule, step: rule.fn.conj_kernel(step),
+    "linear": lambda rule, step: _linear(rule.matrix, step),
+}
 
 
 class ProxFunction:
@@ -99,80 +178,38 @@ class ProxFunction:
 
     # --- evaluation -----------------------------------------------------
     def value(self, x, feas_tol=1e-9):
-        x = np.asarray(x, dtype=np.float64)
-        p = self.params
-        if self.family == "zero":
-            return 0.0
-        if self.family == "l1":
-            return float(p["lam"] * np.abs(x).sum())
-        if self.family == "sq_l2":
-            d = x - p["center"]
-            return float(0.5 * p["lam"] * np.dot(d, d))
-        if self.family == "box":
-            ok = np.all(x >= p["lo"] - feas_tol) and np.all(x <= p["hi"] + feas_tol)
-            return 0.0 if ok else float("inf")
-        if self.family == "linf_ball":
-            return 0.0 if (x.size == 0 or np.abs(x).max() <= p["radius"] + feas_tol) else float("inf")
-        if self.family == "affine":
-            return float(np.dot(np.broadcast_to(p["c"], x.shape), x))
-        raise AssertionError(self.family)
+        return _VALUE[self.family](self.params, np.asarray(x, dtype=np.float64), feas_tol)
+
+    def kernel(self, step):
+        """prox with `step` bound: a function of one float64 array."""
+        return _PROX[self.family](self.params, step)
+
+    def conj_kernel(self, step):
+        """prox of the conjugate with `step` bound: the closed-form rule when
+        the family has one, else the generalized Moreau decomposition."""
+        if self.has_conjugate_rule:
+            return _CONJ[self.family](self.params, step)
+        return _moreau(self, step)
 
     def prox(self, x, step=1.0):
         """argmin_y  f(y) + (1/(2*step)) (x - y)^2, elementwise; step may be a vector."""
-        x = np.asarray(x, dtype=np.float64)
-        p = self.params
-        if self.family == "zero":
-            return x.copy()
-        if self.family == "l1":
-            return _soft(x, step * p["lam"])
-        if self.family == "sq_l2":
-            t = step * p["lam"]
-            return (x + t * p["center"]) / (1.0 + t)
-        if self.family == "box":
-            return np.clip(x, p["lo"], p["hi"])
-        if self.family == "linf_ball":
-            return np.clip(x, -p["radius"], p["radius"])
-        if self.family == "affine":
-            return x - step * p["c"]
-        raise AssertionError(self.family)
+        return self.kernel(step)(np.asarray(x, dtype=np.float64))
 
     @property
     def has_conjugate_rule(self):
-        return self.family != "box"
+        return self.family in _CONJ
 
     def prox_conj(self, x, step=1.0):
         """Closed-form prox of the conjugate f*, with step (no Moreau fallback here)."""
-        x = np.asarray(x, dtype=np.float64)
-        p = self.params
-        if self.family == "zero":
-            # conjugate is the indicator of {0}
-            return np.zeros_like(x)
-        if self.family == "l1":
-            # conjugate is the indicator of the lam-radius sup-norm ball
-            return np.clip(x, -p["lam"], p["lam"])
-        if self.family == "linf_ball":
-            # conjugate is radius * the l1 norm
-            return _soft(x, step * p["radius"])
-        if self.family == "sq_l2":
-            # conjugate is <center, y> + |y|^2 / (2 lam)
-            return (x - step * p["center"]) / (1.0 + step / p["lam"])
-        if self.family == "affine":
-            # conjugate is the indicator of {c}
-            return np.broadcast_to(p["c"], x.shape).astype(np.float64).copy()
-        raise ConfigurationError(
-            f"family {self.family!r} has no closed-form conjugate rule"
-        )
+        if not self.has_conjugate_rule:
+            raise ConfigurationError(
+                f"family {self.family!r} has no closed-form conjugate rule"
+            )
+        return self.conj_kernel(step)(np.asarray(x, dtype=np.float64))
 
     def to_config(self):
-        p = self.params
-
-        def _num(v):
-            a = np.asarray(v)
-            return float(a) if a.ndim == 0 else a.tolist()
-
-        out = {"family": self.family}
-        out.update({k: _num(v) for k, v in p.items()})
-        return out
+        params = {k: np.asarray(v).tolist() for k, v in self.params.items()}
+        return {"family": self.family, **params}
 
     def __repr__(self):
         items = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -184,15 +221,8 @@ class ProxFunction:
 # ---------------------------------------------------------------------------
 
 
-class _Rule:
-    """One block of a blockwise monotone operator."""
-
-    __slots__ = ("kind", "fn", "matrix")
-
-    def __init__(self, kind, fn=None, matrix=None):
-        self.kind = kind
-        self.fn = fn
-        self.matrix = matrix
+# one block of a blockwise monotone operator
+_Rule = namedtuple("_Rule", "kind fn matrix", defaults=(None, None))
 
 
 class MonotoneBlock:
@@ -207,17 +237,21 @@ class MonotoneBlock:
     def __init__(self, rules):
         self.rules = tuple(rules)
 
+    rule_zero = staticmethod(partial(_Rule, "zero"))
+    rule_subdiff = staticmethod(partial(_Rule, "subdiff"))
+    rule_conjugate_subdiff = staticmethod(partial(_Rule, "conjugate_subdiff"))
+
     @classmethod
     def zero(cls, nblocks):
-        return cls([_Rule("zero") for _ in range(nblocks)])
+        return cls([_Rule("zero")] * nblocks)
 
     @classmethod
     def subdiff(cls, fs):
-        return cls([_Rule("subdiff", fn=f) for f in fs])
+        return cls(map(cls.rule_subdiff, fs))
 
     @classmethod
     def conjugate_subdiff(cls, gs):
-        return cls([_Rule("conjugate_subdiff", fn=g) for g in gs])
+        return cls(map(cls.rule_conjugate_subdiff, gs))
 
     @classmethod
     def linear(cls, matrices):
@@ -229,18 +263,6 @@ class MonotoneBlock:
             rules.append(_Rule("linear", matrix=m))
         return cls(rules)
 
-    @staticmethod
-    def rule_zero():
-        return _Rule("zero")
-
-    @staticmethod
-    def rule_subdiff(f):
-        return _Rule("subdiff", fn=f)
-
-    @staticmethod
-    def rule_conjugate_subdiff(g):
-        return _Rule("conjugate_subdiff", fn=g)
-
     @property
     def nblocks(self):
         return len(self.rules)
@@ -248,43 +270,26 @@ class MonotoneBlock:
     def is_zero(self):
         return all(r.kind == "zero" for r in self.rules)
 
-    def resolvent(self, gamma, U, z):
-        """J_{gamma U A}(z) for a diagonal preconditioner U."""
+    def bind(self, gamma, diag):
+        """The kernels of J_{gamma U A}, one per block, for a diagonal
+        preconditioner U given by its diagonal blocks: each maps that block's
+        array to a fresh array."""
         if gamma <= 0:
             raise ConfigurationError(f"resolvent step must be positive, got {gamma}")
+        if len(diag) != len(self.rules):
+            raise DimensionMismatch(
+                f"operator has {len(self.rules)} blocks, metric has {len(diag)}"
+            )
+        return tuple(_RULES[r.kind](r, gamma * u) for r, u in zip(self.rules, diag))
+
+    def resolvent(self, gamma, U, z):
+        """J_{gamma U A}(z) for a diagonal preconditioner U."""
+        kernels = self.bind(gamma, U.diag_blocks())
         if len(self.rules) != z.nblocks:
             raise DimensionMismatch(
                 f"operator has {len(self.rules)} blocks, vector has {z.nblocks}"
             )
-        return BlockVector._wrap(self.resolvent_blocks(gamma, U.diag_blocks(), z.blocks),
-                                 z.dims)
-
-    def resolvent_blocks(self, gamma, diag, zs):
-        """J_{gamma U A} on bare block arrays, U given by its diagonal blocks.
-
-        Checks nothing (`resolvent` checks gamma and the block count) and
-        returns a list of fresh arrays.
-        """
-        out = []
-        for rule, u, zb in zip(self.rules, diag, zs):
-            step = gamma * u
-            if rule.kind == "zero":
-                out.append(zb.copy())
-            elif rule.kind == "subdiff":
-                out.append(rule.fn.prox(zb, step))
-            elif rule.kind == "conjugate_subdiff":
-                g = rule.fn
-                if g.has_conjugate_rule:
-                    out.append(g.prox_conj(zb, step))
-                else:
-                    # generalized Moreau decomposition in the diagonal metric
-                    out.append(zb - step * g.prox(zb / step, 1.0 / step))
-            elif rule.kind == "linear":
-                n = zb.shape[0]
-                out.append(np.linalg.solve(np.eye(n) + step[:, None] * rule.matrix, zb))
-            else:
-                raise AssertionError(rule.kind)
-        return out
+        return BlockVector._wrap([k(b) for k, b in zip(kernels, z.blocks)], z.dims)
 
 
 def resolvent(A, gamma, U, z):
@@ -298,10 +303,8 @@ def prox_weighted(f, metric, x):
     Solves argmin_y f(y) + 0.5 ||x - y||^2_metric blockwise; the effective
     per-coordinate step is the inverse diagonal entry.
     """
-    out = []
-    for w, b in zip(metric.diag_blocks(), x.blocks):
-        out.append(f.prox(b, 1.0 / w))
-    return BlockVector._wrap(out)
+    return BlockVector._wrap([f.kernel(1.0 / w)(b)
+                              for w, b in zip(metric.diag_blocks(), x.blocks)])
 
 
 def prox_conjugate(g, metric, x):
@@ -311,13 +314,8 @@ def prox_conjugate(g, metric, x):
     generalized Moreau decomposition
         prox_{g*}^{W^{-1}}(x) = x - W prox_g^W(W^{-1} x).
     """
-    out = []
-    for w, b in zip(metric.diag_blocks(), x.blocks):
-        if g.has_conjugate_rule:
-            out.append(g.prox_conj(b, w))
-        else:
-            out.append(b - w * g.prox(b / w, 1.0 / w))
-    return BlockVector._wrap(out)
+    return BlockVector._wrap([g.conj_kernel(w)(b)
+                              for w, b in zip(metric.diag_blocks(), x.blocks)])
 
 
 def moreau_check(f, x):
@@ -368,7 +366,9 @@ class CocoerciveMap:
     # --- constructors ---------------------------------------------------
     @classmethod
     def zero_map(cls, dims):
-        return cls("zero", dims, lambda x: BlockVector.zeros(dims), beta=float("inf"),
+        """x -> 0; every call returns the same read-only zero vector."""
+        zero = BlockVector.zeros(dims)
+        return cls("zero", dims, lambda x: zero, beta=float("inf"),
                    beta_exact=float("inf"))
 
     @classmethod
@@ -458,9 +458,7 @@ class CocoerciveMap:
             dims = (n,)
         if sum(dims) != n:
             raise DimensionMismatch(f"dims {dims} do not sum to {n}")
-        if offset is None:
-            offset = np.zeros(n)
-        offset = np.asarray(offset, dtype=np.float64).reshape(-1)
+        offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=np.float64).reshape(-1)
         if metric is None:
             metric = Preconditioner.identity(dims)
         extremal = None
@@ -488,23 +486,21 @@ class CocoerciveMap:
 
     @classmethod
     def paired(cls, first, second, beta, metric=None):
-        """Blockwise pairing acting as (first, second) on a stacked vector."""
+        """Blockwise pairing acting as (first, second) on a stacked vector.
+
+        A pair of zero maps returns one read-only zero vector on every call.
+        """
         dims = first.dims + second.dims
         n1 = len(first.dims)
+        if first.kind == second.kind == "zero":
+            zero = BlockVector.zeros(dims)
+            return cls("paired", dims, lambda x: zero, beta=beta, metric=metric)
 
         def apply_fn(x):
             a, b = block_split(x, n1)
             return block_concat(first.apply(a), second.apply(b))
 
         return cls("paired", dims, apply_fn, beta=beta, metric=metric)
-
-
-def _metric_apply(metric, v):
-    if metric is None:
-        return v
-    if isinstance(metric, Preconditioner):
-        return metric.apply(v)
-    return metric(v)
 
 
 @dataclass
@@ -530,13 +526,15 @@ def check_cocoercivity(b_map, metric=None, trials=100, seed=0, beta=None):
         beta = b_map.beta
     if metric is None:
         metric = b_map.metric
+    if isinstance(metric, Preconditioner):
+        metric = metric.apply
     rng = np.random.default_rng(seed)
     dims = b_map.dims
 
     def slack(x, y):
         dx = x - y
         db = b_map.apply(x) - b_map.apply(y)
-        rhs = db.dot(_metric_apply(metric, db))
+        rhs = db.dot(db if metric is None else metric(db))
         lhs = dx.dot(db)
         if rhs == 0.0:
             return lhs

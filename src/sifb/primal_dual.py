@@ -11,12 +11,14 @@ Neither stacked preconditioner is ever formed. Class I realizes its backward
 map by the explicit resolvent/reflection sweep over blocks; class II (all
 primal operators zero) by a forward-substitution sweep whose dual solve is
 the only implicit piece. Both sweeps work on the per-block numpy arrays
-(`BlockLinearOperator.apply_blocks`, `Preconditioner.apply_blocks`,
-`MonotoneBlock.resolvent_blocks`) and build one `BlockVector` per call. A
-coupling cell may be a number s, meaning s times the identity (the identity
-rows of a fully split problem): its product adds s x, which equals the dense
-product with s I bit for bit for finite x. Dense Schur-complement actions for
-both metrics are available separately for audits at small sizes.
+(`BlockLinearOperator.apply_blocks`, `Preconditioner.apply_blocks`) and build
+one `BlockVector` per call. Their resolvents J_{V A_i} and J_{W B_k^-1} are
+kernels bound once, at assembly, to the diagonals of V and W at the fixed
+step 1 (`MonotoneBlock.bind`). A coupling cell may be a number s, meaning s
+times the identity (the identity rows of a fully split problem): its product
+adds s x, which equals the dense product with s I bit for bit for finite x.
+Dense Schur-complement actions for both metrics are available separately for
+audits at small sizes.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ def assemble_class1(prob, noise=None, seed=0, oracle=None, constants=None):
     reflected primal. Requires the class-I constant > 1/2.
 
     The sweep works on the block arrays of u = (c, d) and of the draw
-    a = (a_p, b_d), and wraps one `BlockVector` at the end:
+    a = (a_p, b_d), applies the resolvent kernels bound here, and wraps one
+    `BlockVector` at the end:
         p = J_{V A}(c - V (L* d + a_p - z)),
         q = J_{W B^-1}(d + W (L (2 p - c) - b_d - r)).
     """
@@ -235,19 +238,18 @@ def assemble_class1(prob, noise=None, seed=0, oracle=None, constants=None):
         oracle = StochasticOracle(q_map, noise=noise, rng_seed=seed)
     m, dims = prob.m, prob.stacked_dims
     L, V, W, z, r = prob.coupling, prob.V, prob.W, prob.z.blocks, prob.r.blocks
-    v_diag, w_diag = V.diag_blocks(), W.diag_blocks()
+    j_va = prob.primal_ops.bind(1.0, V.diag_blocks())
+    j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())
 
     def backward(u, gamma, a):
         _check_stacked(dims, u, a)
         c, d = u.blocks[:m], u.blocks[m:]
         a_p, b_d = a.blocks[:m], a.blocks[m:]
         t = [(lt + ap) - zi for lt, ap, zi in zip(L.adjoint_apply_blocks(d), a_p, z)]
-        p = prob.primal_ops.resolvent_blocks(
-            1.0, v_diag, [ci - vt for ci, vt in zip(c, V.apply_blocks(t))])
+        p = [j(ci - vt) for j, ci, vt in zip(j_va, c, V.apply_blocks(t))]
         y = [(2.0 * pi) - ci for pi, ci in zip(p, c)]
         u_k = [(ly - bd) - rk for ly, bd, rk in zip(L.apply_blocks(y), b_d, r)]
-        q = prob.dual_inverse.resolvent_blocks(
-            1.0, w_diag, [dk + wu for dk, wu in zip(d, W.apply_blocks(u_k))])
+        q = [j(dk + wu) for j, dk, wu in zip(j_wb, d, W.apply_blocks(u_k))]
         return BlockVector._wrap(p + q, dims)
 
     return ProblemInstance(oracle, BlockVector.zeros(dims), rep.beta_hat,
@@ -280,7 +282,7 @@ def assemble_class2(prob, noise=None, seed=0, oracle=None, constants=None):
         oracle = StochasticOracle(q_map, noise=noise, rng_seed=seed)
     m, dims = prob.m, prob.stacked_dims
     L, V, W, z, r = prob.coupling, prob.V, prob.W, prob.z.blocks, prob.r.blocks
-    w_diag = W.diag_blocks()
+    j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())
 
     def backward(u, gamma, a):
         _check_stacked(dims, u, a)
@@ -290,8 +292,7 @@ def assemble_class2(prob, noise=None, seed=0, oracle=None, constants=None):
                zip(c, V.apply_blocks([ap - zi for ap, zi in zip(a_p, z)]))]
         y = [si - v for si, v in zip(s_i, V.apply_blocks(L.adjoint_apply_blocks(d)))]
         e = [(ly - bd) - rk for ly, bd, rk in zip(L.apply_blocks(y), b_d, r)]
-        q = prob.dual_inverse.resolvent_blocks(
-            1.0, w_diag, [dk + we for dk, we in zip(d, W.apply_blocks(e))])
+        q = [j(dk + we) for j, dk, we in zip(j_wb, d, W.apply_blocks(e))]
         p = [si - v for si, v in zip(s_i, V.apply_blocks(L.adjoint_apply_blocks(q)))]
         return BlockVector._wrap(p + q, dims)
 

@@ -19,6 +19,11 @@ When a recorded row is followed by an exact step at the same point and step
 the residual's step), the step gets back the residual's map value and sweep
 instead of recomputing them: one evaluation and one sweep per iteration
 instead of two. A noisy step with alpha_n = 0 still reuses the map value.
+A sweep applies resolvent kernels bound once per step value (once per run
+for a constant step; see `MonotoneBlock.bind`) to w - gamma U r computed
+block by block, and wraps one vector; the extrapolation and the relaxation
+are one fused pass each (`BlockVector.axpy_diff`). A zero map, or a pair of
+them, returns one shared zero vector.
 
 `run` resolves a constant gamma (the default step included) and lambda, and
 range-checks them, once before the first iteration; a callable one is
@@ -34,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DimensionMismatch
+from .spaces import BlockVector
 from .stochastic import InertiaSchedule, validate_schedules
 
 CONVERGED = "converged"
@@ -132,10 +138,12 @@ class ProblemInstance:
     part (`sample`, `exact`, `summable_variance` and the `noise` schedule,
     as on `StochasticOracle`), the starting point x0, its cocoercivity
     constant beta, and the backward map `backward_fn(w, gamma, r)` from the
-    extrapolated point w and the draw r to the next point. `forward_backward` builds that map as the
-    preconditioned resolvent step J_{gamma U A}(w - gamma U r); the
-    primal-dual assemblies pass their class-I/II block sweeps, which realize
-    the stacked backward map only at one step, `gamma_fixed` = 1.
+    extrapolated point w and the draw r to the next point. `forward_backward`
+    builds that map as the preconditioned resolvent step
+    J_{gamma U A}(w - gamma U r), with the resolvent kernels bound for the
+    last gamma it was called with; the primal-dual assemblies pass their
+    class-I/II block sweeps, which realize the stacked backward map only at
+    one step, `gamma_fixed` = 1.
     """
 
     oracle: object
@@ -154,9 +162,21 @@ class ProblemInstance:
             raise ConfigurationError("forward-backward instances need a metric U")
         if beta is None:
             beta = oracle.base.beta
+        dims, diag = metric.dims, metric.diag_blocks()
+        bound = None  # (gamma, the resolvent kernels bound at gamma)
 
         def backward_fn(w, gamma, r):
-            return operator.resolvent(gamma, metric, w.axpy(-gamma, metric.apply(r)))
+            nonlocal bound
+            if w.dims != dims or r.dims != dims:
+                raise DimensionMismatch(
+                    f"point dims {w.dims} and draw dims {r.dims}, metric dims {dims}")
+            last = bound
+            if last is None or last[0] != gamma:
+                last = bound = (gamma, operator.bind(gamma, diag))
+            c = float(-gamma)
+            return BlockVector._wrap(
+                [j(x + c * u) for j, x, u in
+                 zip(last[1], w.blocks, metric.apply_blocks(r.blocks))], dims)
 
         return cls(oracle, x0, beta, backward_fn)
 
@@ -281,7 +301,7 @@ def step(prob, cfg, state, n, gamma=None, lam=None):
     """
     x, x_prev = state
     alpha = cfg.inertia.alpha(n)
-    w = x if alpha == 0.0 else x.axpy(alpha, x - x_prev)
+    w = x if alpha == 0.0 else x.axpy_diff(alpha, x, x_prev)
     if gamma is None:
         gamma = cfg.gamma_at(n, prob.default_gamma)
     r = prob.oracle.sample(n, w)
@@ -289,7 +309,7 @@ def step(prob, cfg, state, n, gamma=None, lam=None):
     if lam is None:
         lam = cfg.relaxation_at(n)
     # at lam = 1 the relaxed update collapses to p exactly; keep it exact
-    x_next = p if lam == 1.0 else x.axpy(lam, p - x)
+    x_next = p if lam == 1.0 else x.axpy_diff(lam, p, x)
     return x_next, x
 
 

@@ -97,6 +97,15 @@ class BlockVector:
             [a + c * b for a, b in zip(self.blocks, other.blocks)], self.dims
         )
 
+    def axpy_diff(self, c, a, b):
+        """self + c * (a - b), in one pass, bit for bit as self.axpy(c, a - b)."""
+        self._check_same(a)
+        a._check_same(b)
+        c = float(c)
+        return BlockVector._wrap(
+            [x + c * (y - z) for x, y, z in zip(self.blocks, a.blocks, b.blocks)], self.dims
+        )
+
     # dot, norm and distance add the per-block products in block order,
     # starting from 0, as sum() would
 

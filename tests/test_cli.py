@@ -593,3 +593,46 @@ def test_unknown_section_key_is_refused_with_the_accepted_keys(tmp_path, capsys,
     assert captured.out == ""
     [line] = captured.err.strip().splitlines()
     assert "unknown key" in line and line.endswith(f"accepted keys: {accepted}")
+
+
+def assert_one_configuration_error(tmp_path, capsys, cfg, line):
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        args = [command, path] + ([] if command == "validate" else ["--out", str(tmp_path / "o")])
+        assert main(args) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [line]
+    assert not (tmp_path / "o").exists()
+
+
+def test_custom_pd_coupling_cell_of_wrong_shape_is_a_configuration_error(tmp_path, capsys):
+    cfg = {"problem": {"custom_pd": {
+               "primal": [{"dim": 2}],
+               "dual": [{"dim": 3, "g": {"family": "l1", "lam": 1.0}}],
+               "coupling": [[[[0.5, 0.0], [0.0, 0.5]]]]}},
+           "algorithm": "pd_class1"}
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg, "configuration error: problem.custom_pd.coupling: "
+        "entry (0,0): shape (2, 2), expected (3, 2)")
+
+
+def test_custom_lstsq_map_with_other_column_count_is_a_configuration_error(tmp_path, capsys):
+    cfg = {"problem": {"custom": {
+               "blocks": [{"dim": 3}],
+               "map": {"kind": "lstsq", "a": np.ones((5, 2)).tolist(), "b": [1.0] * 5}}},
+           "algorithm": "sifb"}
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg,
+        "configuration error: problem.custom.map: A has 2 columns, block dims (3,)")
+
+
+def test_custom_diagonal_metric_of_other_dims_is_a_configuration_error(tmp_path, capsys):
+    cfg = {"problem": {"custom": {
+               "blocks": [{"dim": 2}],
+               "preconditioner": {"kind": "diagonal", "weights": [[1.0, 1.0, 1.0]]},
+               "map": {"kind": "lstsq", "a": np.eye(2).tolist(), "b": [1.0, 0.0]}}},
+           "algorithm": "sifb"}
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg, "configuration error: problem.custom.preconditioner: "
+        "weight lengths (3,) != block dims (2,)")

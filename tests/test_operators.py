@@ -421,3 +421,148 @@ def test_conjugate_subdiff_distance_quadratic():
     g = ProxFunction.squared_l2(2.0, 0.0)
     v = np.array([1.0])
     assert conjugate_subdiff_distance(g, v, v / 2.0) == pytest.approx(0.0, abs=1e-15)
+
+
+# --- bound resolvent kernels ----------------------------------------------------------
+# The formulas below are the per-call prox and resolvent arithmetic as it was
+# written before the kernels bound their step constants; each kernel must
+# give the same bytes.
+
+
+def formula_prox(f, x, step):
+    p = f.params
+    if f.family == "zero":
+        return x.copy()
+    if f.family == "l1":
+        return np.sign(x) * np.maximum(np.abs(x) - step * p["lam"], 0.0)
+    if f.family == "sq_l2":
+        t = step * p["lam"]
+        return (x + t * p["center"]) / (1.0 + t)
+    if f.family == "box":
+        return np.clip(x, p["lo"], p["hi"])
+    if f.family == "linf_ball":
+        return np.clip(x, -p["radius"], p["radius"])
+    if f.family == "affine":
+        return x - step * p["c"]
+    raise AssertionError(f.family)
+
+
+def formula_prox_conj(g, x, step):
+    p = g.params
+    if g.family == "zero":
+        return np.zeros_like(x)
+    if g.family == "l1":
+        return np.clip(x, -p["lam"], p["lam"])
+    if g.family == "linf_ball":
+        return np.sign(x) * np.maximum(np.abs(x) - step * p["radius"], 0.0)
+    if g.family == "sq_l2":
+        return (x - step * p["center"]) / (1.0 + step / p["lam"])
+    if g.family == "affine":
+        return np.broadcast_to(p["c"], x.shape).astype(np.float64).copy()
+    raise AssertionError(g.family)
+
+
+def formula_resolvent(rule, step, z):
+    if rule.kind == "zero":
+        return z.copy()
+    if rule.kind == "subdiff":
+        return formula_prox(rule.fn, z, step)
+    if rule.kind == "conjugate_subdiff":
+        g = rule.fn
+        if g.has_conjugate_rule:
+            return formula_prox_conj(g, z, step)
+        return z - step * formula_prox(g, z / step, 1.0 / step)
+    if rule.kind == "linear":
+        return np.linalg.solve(np.eye(z.shape[0]) + step[:, None] * rule.matrix, z)
+    raise AssertionError(rule.kind)
+
+
+def kernel_families(n):
+    """Every catalogue family for a block of length n, edge cases included."""
+    fs = [ProxFunction.zero(), ProxFunction.l1(0.7), ProxFunction.l1(0.0),
+          ProxFunction.squared_l2(1.3, center=0.4), ProxFunction.squared_l2(0.5),
+          ProxFunction.box(-1.0, 0.6), ProxFunction.box(0.25, 0.25),
+          ProxFunction.linf_ball(0.9), ProxFunction.linf_ball(0.0),
+          ProxFunction.affine(0.3)]
+    if n:
+        ramp = np.linspace(-1.0, 1.0, n)
+        fs += [ProxFunction.squared_l2(2.0, center=ramp), ProxFunction.box(ramp - 0.5, ramp),
+               ProxFunction.affine(ramp)]
+    return fs
+
+
+def kernel_rules(n, rng):
+    rules = [MonotoneBlock.rule_zero()]
+    for f in kernel_families(n):
+        rules += [MonotoneBlock.rule_subdiff(f), MonotoneBlock.rule_conjugate_subdiff(f)]
+    m = rng.standard_normal((n, n))
+    rules += MonotoneBlock.linear([m @ m.T + (m - m.T)]).rules
+    return rules
+
+
+def kernel_point(n, rng):
+    """Random entries, then signed zeros and values on the thresholds."""
+    edges = np.array([0.0, -0.0, 0.25, -0.7, 0.9, 1.0])
+    return np.concatenate([2.0 * rng.standard_normal(n - edges.size), edges]) if n else np.zeros(0)
+
+
+@pytest.mark.parametrize("n", [9, 0], ids=["block", "empty"])
+def test_bound_resolvent_kernels_match_the_formulas_bytes(n):
+    rng = np.random.default_rng(17)
+    z = kernel_point(n, rng)
+    rules = kernel_rules(n, rng)
+    kinds = {r.kind for r in rules} | {r.fn.family for r in rules if r.fn is not None}
+    assert kinds == {"zero", "subdiff", "conjugate_subdiff", "linear", "l1", "sq_l2",
+                     "box", "linf_ball", "affine"}
+    for u in (np.full(n, 0.8), rng.uniform(0.2, 3.0, n)):  # scalar and diagonal metric
+        for gamma in (1.0, 0.37):
+            kernels = MonotoneBlock(rules).bind(gamma, [u] * len(rules))
+            for rule, kernel in zip(rules, kernels):
+                want = formula_resolvent(rule, gamma * u, z)
+                got = kernel(z)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule
+
+
+@pytest.mark.parametrize("n", [9, 0], ids=["block", "empty"])
+def test_prox_kernels_match_the_formulas_bytes(n):
+    rng = np.random.default_rng(18)
+    z = kernel_point(n, rng)
+    for f in kernel_families(n):
+        for step in (1.0, 0.37, rng.uniform(0.2, 3.0, n)):  # scalar and diagonal step
+            assert f.prox(z, step).tobytes() == formula_prox(f, z, step).tobytes(), f
+            if f.has_conjugate_rule:
+                want = formula_prox_conj(f, z, step)
+                assert f.prox_conj(z, step).tobytes() == want.tobytes(), f
+        w = rng.uniform(0.2, 3.0, n)
+        metric, x = Preconditioner.diagonal([w]), BlockVector([z])
+        assert (prox_weighted(f, metric, x).blocks[0].tobytes()
+                == formula_prox(f, z, 1.0 / w).tobytes()), f
+        conj = (formula_prox_conj(f, z, w) if f.has_conjugate_rule
+                else z - w * formula_prox(f, z / w, 1.0 / w))
+        assert prox_conjugate(f, metric, x).blocks[0].tobytes() == conj.tobytes(), f
+
+
+def test_bound_kernels_refuse_a_bad_step_or_block_count():
+    op = MonotoneBlock.subdiff([ProxFunction.l1(1.0)])
+    with pytest.raises(ConfigurationError, match="positive"):
+        op.bind(0.0, [np.ones(2)])
+    with pytest.raises(DimensionMismatch, match="operator has 1 blocks, metric has 2"):
+        op.bind(1.0, [np.ones(2), np.ones(2)])
+
+
+# --- structural zero maps -------------------------------------------------------------
+
+
+def test_zero_maps_return_one_shared_read_only_zero():
+    rng = np.random.default_rng(5)
+    zero = CocoerciveMap.zero_map((3, 2))
+    pair = CocoerciveMap.paired(CocoerciveMap.zero_map((3,)), CocoerciveMap.zero_map((2, 4)),
+                                beta=float("inf"))
+    for b_map, dims in ((zero, (3, 2)), (pair, (3, 2, 4))):
+        x, y = (BlockVector([rng.standard_normal(d) for d in dims]) for _ in range(2))
+        first = b_map.apply(x)
+        assert b_map.apply(y) is first and b_map.apply(x) is first
+        assert first.dims == dims
+        assert all(not b.flags.writeable and not b.any() for b in first.blocks)
+        with pytest.raises(DimensionMismatch):
+            b_map.apply(BlockVector([np.ones(d + 1) for d in dims]))

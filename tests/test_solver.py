@@ -7,6 +7,7 @@ from sifb import (
     BlockVector,
     CocoerciveMap,
     ConfigurationError,
+    DimensionMismatch,
     InertiaSchedule,
     MonotoneBlock,
     NoiseSchedule,
@@ -54,6 +55,28 @@ def scalar_instance(lam=1.0, target=2.0, beta_override=None, deflate=True):
         op, oracle, Preconditioner.identity((1,)), BlockVector([[0.0]]),
         beta=beta_override,
     )
+
+
+def test_forward_backward_sweep_is_the_resolvent_step_at_each_gamma():
+    # the kernels are bound for the last step seen; the sweep must give the
+    # bytes of J_{gamma U A}(w - gamma U r) through the per-call resolvent
+    rng = np.random.default_rng(8)
+    dims = (4, 3, 0)
+    op = MonotoneBlock([MonotoneBlock.rule_subdiff(ProxFunction.l1(0.3)),
+                        MonotoneBlock.rule_conjugate_subdiff(ProxFunction.box(-0.5, 0.2)),
+                        MonotoneBlock.rule_zero()])
+    metric = Preconditioner.diagonal([rng.uniform(0.5, 2.0, d) for d in dims])
+    b_map = CocoerciveMap.scaled_identity(dims, 1.0, metric=metric)
+    inst = ProblemInstance.forward_backward(op, StochasticOracle(b_map), metric,
+                                            BlockVector.zeros(dims))
+    for gamma in (0.5, 0.7, 0.7, 0.5):
+        w, r = (BlockVector([rng.standard_normal(d) for d in dims]) for _ in range(2))
+        got = inst.backward_fn(w, gamma, r)
+        want = op.resolvent(gamma, metric, w.axpy(-gamma, metric.apply(r)))
+        assert got.dims == dims
+        assert all(g.tobytes() == v.tobytes() for g, v in zip(got.blocks, want.blocks))
+    with pytest.raises(DimensionMismatch, match="draw dims"):
+        inst.backward_fn(w, 0.5, BlockVector([np.ones(4), np.ones(3)]))
 
 
 # --- single steps ---------------------------------------------------------------
@@ -279,6 +302,25 @@ def test_exact_iteration_evaluates_map_and_sweep_once(build):
     for _ in range(n):
         want = inst.backward_fn(want, inst.default_gamma, inst.oracle.base.apply(want))
     assert all(np.array_equal(a, b) for a, b in zip(x.blocks, want.blocks))
+
+
+def test_split_lasso_class1_sweeps_once_per_iteration_on_the_shared_zero():
+    # the split lasso's smooth map is a pair of zero maps, so every exact draw
+    # is one shared zero vector; the sweep memo still tells the iterations
+    # apart by their point, and reuses only the residual's sweep
+    inst = assemble_class1(pd_problem(LASSO, "split"))
+    draws = []
+
+    def counted_sweep(w, gamma, r):
+        draws.append(r)
+        return inst.backward_fn(w, gamma, r)
+
+    prob = dataclasses.replace(inst, backward_fn=counted_sweep)
+    _, trace = run(prob, SolverConfig(beta=inst.beta, max_iter=100000, stop_tol=1e-10))
+    n = trace.iterations
+    assert trace.status == "converged" and n > 10
+    assert len(draws) == n + 1
+    assert all(r is draws[0] for r in draws) and not any(b.any() for b in draws[0].blocks)
 
 
 def test_inertial_iteration_sweeps_twice_per_recorded_iteration():

@@ -1,0 +1,231 @@
+"""Check that two source trees write the same run artifacts, byte for byte.
+
+    python tools/trace_identity.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding a `sifb` package (a checkout's
+`src/`). Every config in `configs()` goes through `sifb run`, once with each
+tree: one subprocess per tree imports that tree's `sifb` and calls
+`sifb.cli.main` in process for each config. Per config the script compares
+the exit code, `trace.csv`, `summary.json` without `wall_time`, and the bytes
+of the final iterate, which the subprocess takes from `sifb.cli.run`. It
+prints every difference and exits 1 if there is one, 0 otherwise.
+
+The configs: the README's example config; every demo problem on the `sifb`
+route and on both primal-dual classes for each of its forms, one of them
+noisy and inertial; the `custom` and `custom_pd` configs of
+`tests/test_cli.py`; and two custom problems (a diagonal metric with
+relaxation and inertia, and a primal-dual problem with box, sq_l2, affine
+and linf_ball blocks and a scalar coupling cell).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ZERO = {"mode": "zero"}
+NOISY = {"mode": "poly", "sigma0": 0.2, "theta": 0.75}
+INERTIAL = {"mode": "poly", "alpha0": 0.4, "q": 1.5}
+DEMOS = {
+    "lasso": ({"n": 12, "p": 10, "lam": 0.2, "cond": 20.0, "seed": 3},
+              ["split", "smooth", "cp"]),
+    "coupled_box_qp": ({"m": 2, "dims": 3, "seed": 1}, ["smooth"]),
+    "parallel_sum": ({"dims": 6, "mu": 0.5, "lam": 0.1, "seed": 2}, [None]),
+}
+SHORT = {"max_iter": 3000, "stop_tol": 1e-8, "record_every": 5}
+
+
+def _run_config(problem, algorithm="sifb", noise=ZERO, inertia=ZERO, solver=SHORT,
+                seeds=(7,)):
+    return {"problem": problem, "algorithm": algorithm, "solver": dict(solver),
+            "noise": noise, "inertia": inertia, "seeds": list(seeds)}
+
+
+def _readme_example():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    example = re.search(r"A config is one JSON document:\n\n```json\n(.*?)```", text, re.S)
+    return json.loads(example.group(1))
+
+
+def _test_cli_configs():
+    """The custom and custom_pd configs of tests/test_cli.py, inline."""
+    import numpy as np
+
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal((8, 5)), rng.standard_normal(8)
+    lstsq = {"blocks": [{"dim": 5, "operator": {"family": "l1", "lam": 0.1}}],
+             "map": {"kind": "lstsq", "a": a.tolist(), "b": b.tolist()}}
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 4))
+    audited = {"blocks": [{"dim": 4, "operator": {"family": "l1", "lam": 0.1}}],
+               "map": {"kind": "lstsq", "a": a.tolist(),
+                       "b": rng.standard_normal(6).tolist()},
+               "beta": 50.0}
+    diverging = {"blocks": [{"dim": 2, "operator": {"family": "l1", "lam": 0.1}}],
+                 "map": {"kind": "lstsq", "a": [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]],
+                         "b": [1.0, 0.0, 2.0]},
+                 "x0": [1e200, -1e200]}
+
+    def pd(cell):
+        return {"custom_pd": {
+            "primal": [{"dim": 2}],
+            "dual": [{"dim": 2, "g": {"family": "l1", "lam": 1.0}}],
+            "coupling": [[cell]],
+            "V": {"kind": "scalar", "values": [1.0]},
+            "W": {"kind": "scalar", "values": [1.0]}}}
+
+    return {
+        "test_cli-custom-lstsq": _run_config({"custom": lstsq},
+                                             solver={"max_iter": 50000, "stop_tol": 1e-9}),
+        "test_cli-custom-audited": _run_config({"custom": audited}),
+        "test_cli-custom-diverging": _run_config({"custom": diverging}),
+        "test_cli-custom_pd-norm-above-one": _run_config(
+            pd([[2.0, 0.0], [0.0, 1.0]]), algorithm="pd_class1"),
+        "test_cli-custom_pd-nan-coupling": _run_config(
+            pd([[float("nan"), 0.0], [0.0, 0.5]]), algorithm="pd_class1"),
+    }
+
+
+def configs():
+    """name -> config, in run order."""
+    out = {"readme-example": _readme_example()}
+    for name, (params, forms) in DEMOS.items():
+        out[f"{name}-sifb"] = _run_config({"demo": {"name": name, "params": params}})
+        for form in forms:
+            demo = {"name": name, "params": params}
+            if form is not None:
+                demo["form"] = form
+            for algorithm in ("pd_class1", "pd_class2"):
+                out[f"{name}-{form or 'default'}-{algorithm}"] = _run_config(
+                    {"demo": demo}, algorithm=algorithm)
+    out["lasso-sifb-noisy-inertial"] = _run_config(
+        {"demo": {"name": "lasso", "params": DEMOS["lasso"][0]}}, noise=NOISY,
+        inertia=INERTIAL, solver={"max_iter": 20000, "stop_tol": 1e-4, "record_every": 10})
+    out.update(_test_cli_configs())
+    out["custom-diagonal-metric-relaxed-inertial"] = _run_config(
+        {"custom": {
+            "blocks": [{"dim": 3, "operator": {"family": "box", "lo": -0.5, "hi": 0.5}},
+                       {"dim": 2, "operator": {"family": "sq_l2", "lam": 0.7,
+                                               "center": 0.3}}],
+            "preconditioner": {"kind": "diagonal",
+                               "weights": [[1.0, 0.8, 0.6], [0.9, 0.7]]},
+            "map": {"kind": "linear",
+                    "q": [[2.0, 0.3, 0.0, 0.1, 0.0], [0.3, 1.5, 0.2, 0.0, 0.0],
+                          [0.0, 0.2, 1.0, 0.0, 0.1], [0.1, 0.0, 0.0, 1.2, 0.2],
+                          [0.0, 0.0, 0.1, 0.2, 0.9]],
+                    "offset": [0.5, -1.0, 0.2, 0.4, -0.3]}}},
+        inertia=INERTIAL,
+        solver={"max_iter": 5000, "stop_tol": 1e-9, "record_every": 3, "relaxation": 0.8})
+    out["custom_pd-mixed-families"] = _run_config(
+        {"custom_pd": {
+            "primal": [{"dim": 3, "operator": {"family": "sq_l2", "lam": 1.0,
+                                               "center": 0.5}, "z": [0.1, -0.2, 0.3]},
+                       {"dim": 2, "operator": {"family": "affine", "c": 0.2}}],
+            "dual": [{"dim": 3, "g": {"family": "box", "lo": -0.4, "hi": 0.6}},
+                     {"dim": 2, "g": {"family": "linf_ball", "radius": 0.3},
+                      "r": [0.2, -0.1]}],
+            "coupling": [[[[0.3, 0.1, 0.0], [0.0, 0.2, 0.1], [0.1, 0.0, 0.3]], None],
+                         [None, 0.4]],
+            "V": {"kind": "diagonal", "weights": [[1.0, 0.9, 0.8], [0.7, 0.6]]},
+            "W": {"kind": "scalar", "values": [0.9, 1.1]}}},
+        algorithm="pd_class1")
+    return out
+
+
+def collect(src, config_path, out_root):
+    """Run every config with the sifb package under src (subprocess side)."""
+    import contextlib
+
+    sys.path.insert(0, os.path.abspath(src))
+    import numpy as np
+
+    import sifb.cli
+
+    package = os.path.dirname(os.path.abspath(sifb.__file__))
+    if os.path.dirname(package) != os.path.abspath(src):
+        sys.exit(f"imported sifb from {package}, not from {src}")
+    with open(config_path, encoding="utf-8") as f:
+        cfgs = json.load(f)
+    run = sifb.cli.run
+    final = {}
+
+    def recording_run(prob, cfg, reference=None):
+        x, trace = run(prob, cfg, reference=reference)
+        final["x"] = x.concatenated()
+        return x, trace
+
+    sifb.cli.run = recording_run
+    for name, cfg in cfgs.items():
+        out = os.path.join(out_root, name)
+        os.makedirs(out)
+        path = os.path.join(out, "config.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(cfg, f)
+        final.clear()
+        with open(os.path.join(out, "log.txt"), "w", encoding="utf-8") as log, \
+                contextlib.redirect_stdout(log), contextlib.redirect_stderr(log), \
+                np.errstate(all="ignore"):
+            code = sifb.cli.main(["run", path, "--out", os.path.join(out, "run")])
+        with open(os.path.join(out, "exit_code"), "w", encoding="utf-8") as f:
+            f.write(f"{code}\n")
+        if "x" in final:
+            with open(os.path.join(out, "x.bin"), "wb") as f:
+                f.write(final["x"].tobytes())
+
+
+def _artifacts(out):
+    """The compared files of one config's output directory, as bytes."""
+    got = {}
+    for rel in ("exit_code", "x.bin", "run/trace.csv", "run/summary.json"):
+        path = os.path.join(out, rel)
+        if os.path.exists(path):
+            with open(path, "rb") as f:
+                got[rel] = f.read()
+    if "run/summary.json" in got:
+        summary = json.loads(got["run/summary.json"])
+        summary.pop("wall_time", None)
+        got["run/summary.json"] = json.dumps(summary, sort_keys=True).encode()
+    return got
+
+
+def main(argv):
+    if len(argv) == 4 and argv[0] == "--collect":
+        collect(*argv[1:])
+        return 0
+    if len(argv) != 2:
+        print("usage: python tools/trace_identity.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    cfgs = configs()
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "configs.json")
+        with open(config_path, "w", encoding="utf-8") as f:
+            json.dump(cfgs, f)
+        roots = []
+        for label, src in zip(("old", "new"), argv):
+            root = os.path.join(tmp, label)
+            subprocess.run([sys.executable, os.path.abspath(__file__), "--collect", src,
+                            config_path, root], check=True)
+            roots.append(root)
+        differences = []
+        for name in cfgs:
+            old, new = (_artifacts(os.path.join(root, name)) for root in roots)
+            for rel in sorted(set(old) | set(new)):
+                if old.get(rel) != new.get(rel):
+                    differences.append(f"{name}: {rel} differs")
+            code = new.get("exit_code", b"?").decode().strip()
+            print(f"{name}: exit {code}, "
+                  f"{'same' if old == new else 'DIFFERENT'}")
+    for line in differences:
+        print(line)
+    print(f"{len(cfgs)} configs, {len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
