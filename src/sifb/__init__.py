@@ -50,7 +50,6 @@ from .spaces import (
     block_concat,
     block_split,
     estimate_weighted_norm,
-    inner,
 )
 from .stochastic import (
     InertiaSchedule,
@@ -96,7 +95,6 @@ __all__ = [
     "estimate_weighted_norm",
     "extract_primal_dual",
     "fp_residual",
-    "inner",
     "moreau_check",
     "optimal_balance",
     "prox_conjugate",

@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, check_keys, config_number
+from .errors import ConfigurationError, DimensionMismatch, check_keys, config_key, config_number
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
 from .problems import (DemoProblem, build_demo, pd_problem, reference_oracle,
@@ -52,14 +53,19 @@ def load_matrix(spec, base_dir):
     return np.asarray(spec, dtype=np.float64)
 
 
+_BLOCK_ENTRY = re.compile(r"\w+\[\d+\]: ")  # a message naming one block: `primal[0]: ...`
+
+
 @contextmanager
 def _at(path):
     """Report a shape mismatch raised while building the config entry at
-    `path` as a ConfigurationError that names it."""
+    `path` as a ConfigurationError that names it; a message that names one of
+    its blocks extends the path (`problem.custom_pd.primal[0]: ...`)."""
     try:
         yield
     except DimensionMismatch as e:
-        raise ConfigurationError(f"{path}: {e}") from None
+        raise ConfigurationError(
+            f"{path}{'.' if _BLOCK_ENTRY.match(str(e)) else ': '}{e}") from None
 
 
 def _load_precond(spec, dims):
@@ -67,7 +73,7 @@ def _load_precond(spec, dims):
         return Preconditioner.identity(dims)
     kind = spec["kind"]
     if kind == "scalar":
-        return Preconditioner.scalar(spec["values"], dims)
+        return Preconditioner.scalar(config_key(spec, "values", "scalar preconditioner"), dims)
     if kind == "diagonal":
         metric = Preconditioner.diagonal([np.asarray(w, dtype=np.float64)
                                           for w in spec["weights"]])
@@ -78,7 +84,7 @@ def _load_precond(spec, dims):
 
 
 def _load_map(spec, dims, metric, base_dir):
-    kind = spec["kind"]
+    kind = config_key(spec, "kind", "map")
     if kind == "zero":
         return CocoerciveMap.zero_map(dims)
     if kind == "lstsq":
@@ -111,6 +117,11 @@ def _solver_spec(spec):
     return spec
 
 
+def _block_dims(blocks, where):
+    """The `dim` of every block of a block list."""
+    return tuple(int(config_key(b, "dim", f"{where}[{i}]")) for i, b in enumerate(blocks))
+
+
 def _block_operator(spec):
     if spec is None or spec.get("family") == "zero":
         return MonotoneBlock.rule_zero()
@@ -125,10 +136,12 @@ class FlatProblem:
 
     def __init__(self, spec, base_dir):
         blocks = spec["blocks"]
-        dims = tuple(int(b["dim"]) for b in blocks)
+        dims = _block_dims(blocks, "problem.custom.blocks")
         with _at("problem.custom.preconditioner"):
             self.metric = _load_precond(spec.get("preconditioner"), dims)
         self.operator = MonotoneBlock([_block_operator(b.get("operator")) for b in blocks])
+        with _at("problem.custom"):
+            self.operator.check_dims(dims, "blocks")
         with _at("problem.custom.map"):
             self.map = _load_map(spec["map"], dims, self.metric, base_dir)
         self.beta = None if spec.get("beta") is None else float(spec["beta"])
@@ -153,16 +166,16 @@ def _build_custom_pd(spec, base_dir):
     """Custom structured problem for the primal-dual routes."""
     primal = spec["primal"]
     dual = spec.get("dual", [])
-    pdims = tuple(int(b["dim"]) for b in primal)
-    ddims = tuple(int(b["dim"]) for b in dual)
+    pdims = _block_dims(primal, "problem.custom_pd.primal")
+    ddims = _block_dims(dual, "problem.custom_pd.dual")
     with _at("problem.custom_pd.V"):
         v = _load_precond(spec.get("V"), pdims)
     with _at("problem.custom_pd.W"):
         w = _load_precond(spec.get("W"), ddims)
-    z = BlockVector([np.asarray(b.get("z", np.zeros(b["dim"])), dtype=np.float64)
-                     for b in primal])
-    r = BlockVector([np.asarray(b.get("r", np.zeros(b["dim"])), dtype=np.float64)
-                     for b in dual])
+    z = BlockVector([np.asarray(b.get("z", np.zeros(d)), dtype=np.float64)
+                     for b, d in zip(primal, pdims)])
+    r = BlockVector([np.asarray(b.get("r", np.zeros(d)), dtype=np.float64)
+                     for b, d in zip(dual, ddims)])
     primal_ops = MonotoneBlock([_block_operator(b.get("operator")) for b in primal])
     dual_rules = []
     for b in dual:
@@ -306,7 +319,7 @@ def build_experiment(cfg, base_dir="."):
     )
     problem = cfg["problem"]
     if "demo" in problem:
-        exp.problem = build_demo(problem["demo"]["name"],
+        exp.problem = build_demo(config_key(problem["demo"], "name", "problem.demo"),
                                  problem["demo"].get("params", {}))
         exp.pd_form = exp.problem.check_form(problem["demo"].get("form"))
         if algorithm != "sifb":

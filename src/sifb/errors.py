@@ -35,11 +35,16 @@ class OracleError(RuntimeError):
     """An independent reference solve did not reach its requested tolerance."""
 
 
-def config_number(spec, key, where):
-    """spec[key], refused unless it is a number (a bool, null or string is not)."""
+def config_key(spec, key, where):
+    """spec[key], refused by name if spec lacks it."""
     if key not in spec:
         raise ConfigurationError(f"{where} needs {key!r}")
-    value = spec[key]
+    return spec[key]
+
+
+def config_number(spec, key, where):
+    """spec[key], refused unless it is a number (a bool, null or string is not)."""
+    value = config_key(spec, key, where)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(
             f"{where} needs a number for {key!r}, got {json.dumps(value, default=repr)}")

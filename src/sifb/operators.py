@@ -7,11 +7,14 @@ per-coordinate step. Conjugate proxes prefer closed forms; the generalized
 Moreau decomposition is the fallback, and both paths must agree where both
 exist.
 
-Each family's prox and conjugate prox, and each block rule's resolvent, is
-written once, as a table entry that binds a step to a kernel: a function of
-one array with the step-only constants computed at binding.
-`MonotoneBlock.bind(gamma, diag)` gives the kernels of J_{gamma U A}, which
-the solve loops bind once per run; the per-call functions bind and apply.
+This module is the only one that knows the families and the block rule
+kinds. A family is one `_CATALOGUE` record (prox and conjugate-prox kernels
+bound to a step, with the step-only constants computed at binding; value;
+subdifferential distances of f and f*), a rule kind one `_RULES` record
+(resolvent kernel, graph distance). `MonotoneBlock.bind(gamma, diag)` gives
+the kernels of J_{gamma U A}, bound once per run by the solve loops;
+`distances` gives the graph distances behind the optimality residuals, and
+`check_dims` refuses block dims that the rules do not fit.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ BETA_DEFLATION = 1.01
 
 
 # ---------------------------------------------------------------------------
-# per-family tables
+# the catalogue: one record per family, one per block rule
 # ---------------------------------------------------------------------------
-# A kernel entry binds a family's parameters (or a block rule) and a step, a
-# number or a per-coordinate array, to a function of one float64 array.
 
 
 def _soft(t):
@@ -53,42 +54,86 @@ def _shift_over(shift, scale):
     return lambda x: (x + shift) / scale
 
 
-_PROX = {
-    "zero": lambda p, step: np.copy,
-    "l1": lambda p, step: _soft(step * p["lam"]),
-    "sq_l2": lambda p, step: _shift_over(step * p["lam"] * p["center"], 1.0 + step * p["lam"]),
-    "box": lambda p, step: _clip(p["lo"], p["hi"]),
-    "linf_ball": lambda p, step: _clip(-p["radius"], p["radius"]),
-    "affine": lambda p, step: _minus(step * p["c"]),
-}
-_FAMILIES = tuple(_PROX)
+def _norm(a):
+    return float(np.linalg.norm(a))
 
-# function values; indicators allow `tol` of infeasibility
+
+_ACTIVE_TOL = 1e-9  # coordinates this close to a kink are on it
+
+
+def _l1_dist(p, x, u):
+    lam = p["lam"]
+    on = np.abs(x) > _ACTIVE_TOL
+    return _norm(np.where(on, np.abs(u - lam * np.sign(x)), np.maximum(np.abs(u) - lam, 0.0)))
+
+
+def _box_dist(p, x, u):
+    """Infeasible x contributes its constraint violation."""
+    lo = np.broadcast_to(p["lo"], x.shape)
+    hi = np.broadcast_to(p["hi"], x.shape)
+    viol = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
+    at_lo = np.abs(x - lo) <= _ACTIVE_TOL
+    at_hi = np.abs(x - hi) <= _ACTIVE_TOL
+    d = np.abs(u)
+    d = np.where(at_lo & ~at_hi, np.maximum(u, 0.0), d)
+    d = np.where(at_hi & ~at_lo, np.maximum(-u, 0.0), d)
+    d = np.where(at_lo & at_hi, 0.0, d)  # degenerate single-point interval
+    return float(np.linalg.norm(d) + np.linalg.norm(viol))
+
+
+# prox and conj bind (params, step), the step a number or a per-coordinate
+# array, to a kernel of f and of f*: a function of one float64 array; conj None
+# means the generalized Moreau decomposition. value is f(x), indicators allowing
+# `tol` of infeasibility. dist and conj_dist map (params, x, u), flat arrays, to
+# the distance of u from the subdifferential of f and of f* at x; None: unchecked.
+_Family = namedtuple("_Family", "prox conj value dist conj_dist")
 _INF = float("inf")
-_VALUE = {
-    "zero": lambda p, x, tol: 0.0,
-    "l1": lambda p, x, tol: float(p["lam"] * np.abs(x).sum()),
-    "sq_l2": lambda p, x, tol: float(0.5 * p["lam"] * np.dot(x - p["center"], x - p["center"])),
-    "box": lambda p, x, tol: (
-        0.0 if np.all(x >= p["lo"] - tol) and np.all(x <= p["hi"] + tol) else _INF),
-    "linf_ball": lambda p, x, tol: (
-        0.0 if x.size == 0 or np.abs(x).max() <= p["radius"] + tol else _INF),
-    "affine": lambda p, x, tol: float(np.dot(np.broadcast_to(p["c"], x.shape), x)),
+_CATALOGUE = {
+    "zero": _Family(
+        prox=lambda p, step: np.copy,
+        conj=lambda p, step: np.zeros_like,  # f* is the indicator of {0}
+        value=lambda p, x, tol: 0.0,
+        dist=lambda p, x, u: _norm(u),
+        conj_dist=lambda p, x, u: _norm(x)),  # x must vanish; any u is then admissible
+    "l1": _Family(
+        prox=lambda p, step: _soft(step * p["lam"]),
+        # f* is the indicator of the lam-radius sup-norm ball
+        conj=lambda p, step: _clip(-p["lam"], p["lam"]),
+        value=lambda p, x, tol: float(p["lam"] * np.abs(x).sum()),
+        dist=_l1_dist,
+        conj_dist=lambda p, x, u: _box_dist({"lo": -p["lam"], "hi": p["lam"]}, x, u)),
+    "sq_l2": _Family(
+        prox=lambda p, step: _shift_over(step * p["lam"] * p["center"], 1.0 + step * p["lam"]),
+        # f* is <center, y> + |y|^2 / (2 lam); x + (-s) is x - s in IEEE arithmetic
+        conj=lambda p, step: _shift_over(-(step * p["center"]), 1.0 + step / p["lam"]),
+        value=lambda p, x, tol: float(0.5 * p["lam"] * np.dot(x - p["center"], x - p["center"])),
+        dist=lambda p, x, u: _norm(u - p["lam"] * (x - p["center"])),
+        conj_dist=lambda p, x, u: _norm(  # grad f*(x) = x / lam + center
+            u - (x / p["lam"] + np.broadcast_to(p["center"], x.shape)))),
+    "box": _Family(
+        prox=lambda p, step: _clip(p["lo"], p["hi"]),
+        conj=None,
+        value=lambda p, x, tol: (
+            0.0 if np.all(x >= p["lo"] - tol) and np.all(x <= p["hi"] + tol) else _INF),
+        dist=_box_dist,
+        conj_dist=None),
+    "linf_ball": _Family(
+        prox=lambda p, step: _clip(-p["radius"], p["radius"]),
+        # f* is radius times the l1 norm
+        conj=lambda p, step: _soft(step * p["radius"]),
+        value=lambda p, x, tol: (
+            0.0 if x.size == 0 or np.abs(x).max() <= p["radius"] + tol else _INF),
+        dist=lambda p, x, u: _box_dist({"lo": -p["radius"], "hi": p["radius"]}, x, u),
+        conj_dist=lambda p, x, u: _l1_dist({"lam": p["radius"]}, x, u)),
+    "affine": _Family(
+        prox=lambda p, step: _minus(step * p["c"]),
+        # f* is the indicator of {c}
+        conj=lambda p, step: lambda x: np.broadcast_to(p["c"], x.shape).astype(np.float64),
+        value=lambda p, x, tol: float(np.dot(np.broadcast_to(p["c"], x.shape), x)),
+        dist=lambda p, x, u: _norm(u - np.broadcast_to(p["c"], u.shape)),
+        conj_dist=lambda p, x, u: _norm(x - np.broadcast_to(p["c"], x.shape))),
 }
-
-# closed-form proxes of the conjugates; box has none and takes `_moreau`
-_CONJ = {
-    # indicator of {0}
-    "zero": lambda p, step: np.zeros_like,
-    # indicator of the lam-radius sup-norm ball
-    "l1": lambda p, step: _clip(-p["lam"], p["lam"]),
-    # radius times the l1 norm
-    "linf_ball": lambda p, step: _soft(step * p["radius"]),
-    # <center, y> + |y|^2 / (2 lam); x + (-s) is x - s in IEEE arithmetic
-    "sq_l2": lambda p, step: _shift_over(-(step * p["center"]), 1.0 + step / p["lam"]),
-    # indicator of {c}
-    "affine": lambda p, step: lambda x: np.broadcast_to(p["c"], x.shape).astype(np.float64),
-}
+_FAMILIES = tuple(_CATALOGUE)
 
 
 def _moreau(f, step):
@@ -103,13 +148,19 @@ def _linear(matrix, step):
     return lambda z: np.linalg.solve(system, z)
 
 
-# rule kind -> the kernel of J_{step A} on one block
+# bind: (rule, step) to the kernel of J_{step A} on one block; distance:
+# (rule, x, u) to the distance of u from A x, or None
+_RuleKind = namedtuple("_RuleKind", "bind distance")
 _RULES = {
-    "zero": lambda rule, step: np.copy,
-    "subdiff": lambda rule, step: rule.fn.kernel(step),
-    "conjugate_subdiff": lambda rule, step: rule.fn.conj_kernel(step),
-    "linear": lambda rule, step: _linear(rule.matrix, step),
+    "zero": _RuleKind(lambda rule, step: np.copy, lambda rule, x, u: _norm(u)),
+    "subdiff": _RuleKind(lambda rule, step: rule.fn.kernel(step),
+                         lambda rule, x, u: subdiff_distance(rule.fn, x, u)),
+    "conjugate_subdiff": _RuleKind(lambda rule, step: rule.fn.conj_kernel(step),
+                                   lambda rule, x, u: conjugate_subdiff_distance(rule.fn, x, u)),
+    "linear": _RuleKind(lambda rule, step: _linear(rule.matrix, step),
+                        lambda rule, x, u: _norm(u - rule.matrix @ x)),
 }
+_VECTOR_PARAMS = ("lo", "hi", "c", "center")  # each must broadcast to its block
 
 
 class ProxFunction:
@@ -173,23 +224,23 @@ class ProxFunction:
         family = spec.pop("family", None)
         if family not in _FAMILIES:
             raise ConfigurationError(f"unknown prox family {family!r} in config")
-        constructor = getattr(cls, "squared_l2" if family == "sq_l2" else family)
+        constructor = getattr(cls, {"sq_l2": "squared_l2"}.get(family, family))
         return bind_config(constructor, spec, f"prox family {family!r}")
 
     # --- evaluation -----------------------------------------------------
     def value(self, x, feas_tol=1e-9):
-        return _VALUE[self.family](self.params, np.asarray(x, dtype=np.float64), feas_tol)
+        return _CATALOGUE[self.family].value(self.params, np.asarray(x, dtype=np.float64),
+                                             feas_tol)
 
     def kernel(self, step):
         """prox with `step` bound: a function of one float64 array."""
-        return _PROX[self.family](self.params, step)
+        return _CATALOGUE[self.family].prox(self.params, step)
 
     def conj_kernel(self, step):
         """prox of the conjugate with `step` bound: the closed-form rule when
         the family has one, else the generalized Moreau decomposition."""
-        if self.has_conjugate_rule:
-            return _CONJ[self.family](self.params, step)
-        return _moreau(self, step)
+        conj = _CATALOGUE[self.family].conj
+        return _moreau(self, step) if conj is None else conj(self.params, step)
 
     def prox(self, x, step=1.0):
         """argmin_y  f(y) + (1/(2*step)) (x - y)^2, elementwise; step may be a vector."""
@@ -197,7 +248,7 @@ class ProxFunction:
 
     @property
     def has_conjugate_rule(self):
-        return self.family in _CONJ
+        return _CATALOGUE[self.family].conj is not None
 
     def prox_conj(self, x, step=1.0):
         """Closed-form prox of the conjugate f*, with step (no Moreau fallback here)."""
@@ -206,10 +257,6 @@ class ProxFunction:
                 f"family {self.family!r} has no closed-form conjugate rule"
             )
         return self.conj_kernel(step)(np.asarray(x, dtype=np.float64))
-
-    def to_config(self):
-        params = {k: np.asarray(v).tolist() for k, v in self.params.items()}
-        return {"family": self.family, **params}
 
     def __repr__(self):
         items = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -263,12 +310,26 @@ class MonotoneBlock:
             rules.append(_Rule("linear", matrix=m))
         return cls(rules)
 
-    @property
-    def nblocks(self):
-        return len(self.rules)
-
     def is_zero(self):
         return all(r.kind == "zero" for r in self.rules)
+
+    def check_dims(self, dims, name="block"):
+        """Refuse block dims that do not fit: one dim per block, each vector
+        parameter of shape (), (1,) or (d,), each linear matrix d x d. A
+        message names block i as `name[i]`."""
+        if len(dims) != len(self.rules):
+            raise DimensionMismatch(
+                f"{name} operator has {len(self.rules)} blocks, metric has {len(dims)}"
+            )
+        for i, (rule, d) in enumerate(zip(self.rules, dims)):
+            params = rule.fn.params if rule.fn is not None else {}
+            for key in _VECTOR_PARAMS:
+                if key in params and np.shape(params[key]) not in ((), (1,), (d,)):
+                    raise DimensionMismatch(
+                        f"{name}[{i}]: {key} has shape {np.shape(params[key])}, block dim {d}")
+            if rule.matrix is not None and rule.matrix.shape != (d, d):
+                raise DimensionMismatch(
+                    f"{name}[{i}]: matrix has shape {rule.matrix.shape}, block dim {d}")
 
     def bind(self, gamma, diag):
         """The kernels of J_{gamma U A}, one per block, for a diagonal
@@ -276,20 +337,20 @@ class MonotoneBlock:
         array to a fresh array."""
         if gamma <= 0:
             raise ConfigurationError(f"resolvent step must be positive, got {gamma}")
-        if len(diag) != len(self.rules):
-            raise DimensionMismatch(
-                f"operator has {len(self.rules)} blocks, metric has {len(diag)}"
-            )
-        return tuple(_RULES[r.kind](r, gamma * u) for r, u in zip(self.rules, diag))
+        self.check_dims(tuple(map(len, diag)))
+        return tuple(_RULES[r.kind].bind(r, gamma * u) for r, u in zip(self.rules, diag))
 
     def resolvent(self, gamma, U, z):
         """J_{gamma U A}(z) for a diagonal preconditioner U."""
         kernels = self.bind(gamma, U.diag_blocks())
-        if len(self.rules) != z.nblocks:
-            raise DimensionMismatch(
-                f"operator has {len(self.rules)} blocks, vector has {z.nblocks}"
-            )
+        if z.dims != U.dims:
+            raise DimensionMismatch(f"vector dims {z.dims}, metric dims {U.dims}")
         return BlockVector._wrap([k(b) for k, b in zip(kernels, z.blocks)], z.dims)
+
+    def distances(self, xs, us):
+        """Per block, the distance of us[i] from the operator at xs[i], or
+        None where the block has no checkable rule."""
+        return [_RULES[r.kind].distance(r, x, u) for r, x, u in zip(self.rules, xs, us)]
 
 
 def resolvent(A, gamma, U, z):
@@ -556,61 +617,21 @@ def check_cocoercivity(b_map, metric=None, trials=100, seed=0, beta=None):
 # graph distances, for optimality-system residuals
 # ---------------------------------------------------------------------------
 
-_ACTIVE_TOL = 1e-9
+
+def _flat(a):
+    return np.asarray(a, dtype=np.float64).reshape(-1)
 
 
 def subdiff_distance(f, x, u):
     """Distance of u from the subdifferential of the catalogue function f at x.
 
     Infeasible x (outside the domain) contributes its constraint violation.
-    Returns None for families without a checkable rule.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    p = f.params
-    if f.family == "zero":
-        return float(np.linalg.norm(u))
-    if f.family == "l1":
-        lam = p["lam"]
-        on = np.abs(x) > _ACTIVE_TOL
-        d = np.where(on, np.abs(u - lam * np.sign(x)), np.maximum(np.abs(u) - lam, 0.0))
-        return float(np.linalg.norm(d))
-    if f.family == "sq_l2":
-        return float(np.linalg.norm(u - p["lam"] * (x - p["center"])))
-    if f.family == "affine":
-        return float(np.linalg.norm(u - np.broadcast_to(p["c"], u.shape)))
-    if f.family == "box":
-        lo = np.broadcast_to(p["lo"], x.shape)
-        hi = np.broadcast_to(p["hi"], x.shape)
-        viol = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
-        at_lo = np.abs(x - lo) <= _ACTIVE_TOL
-        at_hi = np.abs(x - hi) <= _ACTIVE_TOL
-        d = np.abs(u)
-        d = np.where(at_lo & ~at_hi, np.maximum(u, 0.0), d)
-        d = np.where(at_hi & ~at_lo, np.maximum(-u, 0.0), d)
-        d = np.where(at_lo & at_hi, 0.0, d)  # degenerate single-point interval
-        return float(np.linalg.norm(d) + np.linalg.norm(viol))
-    if f.family == "linf_ball":
-        return subdiff_distance(ProxFunction.box(-p["radius"], p["radius"]), x, u)
-    return None
+    return _CATALOGUE[f.family].dist(f.params, _flat(x), _flat(u))
 
 
 def conjugate_subdiff_distance(g, v, u):
-    """Distance of u from the subdifferential of g* at v, for catalogue g."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    p = g.params
-    if g.family == "l1":
-        box = ProxFunction.box(-p["lam"], p["lam"])
-        return subdiff_distance(box, v, u)
-    if g.family == "linf_ball":
-        return subdiff_distance(ProxFunction.l1(p["radius"]), v, u)
-    if g.family == "sq_l2":
-        # grad g*(v) = v / lam + center
-        return float(np.linalg.norm(u - (v / p["lam"] + np.broadcast_to(p["center"], v.shape))))
-    if g.family == "zero":
-        # g* is the indicator of {0}: v must vanish, any u is then admissible
-        return float(np.linalg.norm(v))
-    if g.family == "affine":
-        return float(np.linalg.norm(v - np.broadcast_to(p["c"], v.shape)))
-    return None
+    """Distance of u from the subdifferential of g* at v, for catalogue g;
+    None for a family without a checkable rule."""
+    dist = _CATALOGUE[g.family].conj_dist
+    return None if dist is None else dist(g.params, _flat(v), _flat(u))

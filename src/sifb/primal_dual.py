@@ -18,7 +18,9 @@ step 1 (`MonotoneBlock.bind`). A coupling cell may be a number s, meaning s
 times the identity (the identity rows of a fully split problem): its product
 adds s x, which equals the dense product with s I bit for bit for finite x.
 Dense Schur-complement actions for both metrics are available separately for
-audits at small sizes.
+audits at small sizes. The optimality residuals take one graph distance per
+block from each operator (`MonotoneBlock.distances`); which rule or family a
+block has is known only to `operators`.
 """
 
 from __future__ import annotations
@@ -72,16 +74,8 @@ class PrimalDualProblem:
                 f"coupling maps {coupling.dims_in}->{coupling.dims_out}, expected "
                 f"{self.primal_dims}->{self.dual_dims}"
             )
-        if primal_ops.nblocks != len(self.primal_dims):
-            raise DimensionMismatch(
-                f"{primal_ops.nblocks} primal operator blocks for "
-                f"{len(self.primal_dims)} primal blocks"
-            )
-        if dual_inverse.nblocks != len(self.dual_dims):
-            raise DimensionMismatch(
-                f"{dual_inverse.nblocks} dual operator blocks for "
-                f"{len(self.dual_dims)} dual blocks"
-            )
+        primal_ops.check_dims(self.primal_dims, "primal")
+        dual_inverse.check_dims(self.dual_dims, "dual")
         self.smooth = smooth if smooth is not None else CocoerciveMap.zero_map(self.primal_dims)
         self.dual_smooth = (dual_smooth if dual_smooth is not None
                             else CocoerciveMap.zero_map(self.dual_dims))
@@ -412,43 +406,18 @@ def duality_residuals(primal, dual, prob):
     the graph of B_k^{-1} at v_k. Blocks without a checkable rule are listed
     as unchecked, never reported as zero.
     """
-    from .operators import conjugate_subdiff_distance, subdiff_distance
-
     if primal.dims != prob.primal_dims:
         raise DimensionMismatch(f"primal dims {primal.dims} != {prob.primal_dims}")
     if dual.dims != prob.dual_dims:
         raise DimensionMismatch(f"dual dims {dual.dims} != {prob.dual_dims}")
     lt_v = prob.coupling.adjoint_apply(dual)
     cx = prob.smooth.apply(primal)
-    unchecked = []
-    primal_res = []
-    for i, rule in enumerate(prob.primal_ops.rules):
-        u = prob.z.blocks[i] - lt_v.blocks[i] - cx.blocks[i]
-        if rule.kind == "zero":
-            primal_res.append(float(np.linalg.norm(u)))
-        elif rule.kind == "subdiff":
-            d = subdiff_distance(rule.fn, primal.blocks[i], u)
-            if d is None:
-                unchecked.append(f"primal[{i}]")
-            primal_res.append(d)
-        elif rule.kind == "linear":
-            primal_res.append(float(np.linalg.norm(u - rule.matrix @ primal.blocks[i])))
-        else:
-            primal_res.append(None)
-            unchecked.append(f"primal[{i}]")
+    primal_res = prob.primal_ops.distances(
+        primal.blocks, [zi - lv - c for zi, lv, c in zip(prob.z.blocks, lt_v.blocks, cx.blocks)])
     lx = prob.coupling.apply(primal)
     dv = prob.dual_smooth.apply(dual)
-    dual_res = []
-    for k, rule in enumerate(prob.dual_inverse.rules):
-        u = lx.blocks[k] - prob.r.blocks[k] - dv.blocks[k]
-        if rule.kind == "conjugate_subdiff":
-            d = conjugate_subdiff_distance(rule.fn, dual.blocks[k], u)
-            if d is None:
-                unchecked.append(f"dual[{k}]")
-            dual_res.append(d)
-        elif rule.kind == "zero":
-            dual_res.append(float(np.linalg.norm(u)))
-        else:
-            dual_res.append(None)
-            unchecked.append(f"dual[{k}]")
+    dual_res = prob.dual_inverse.distances(
+        dual.blocks, [lk - rk - d for lk, rk, d in zip(lx.blocks, prob.r.blocks, dv.blocks)])
+    unchecked = [f"{side}[{i}]" for side, res in (("primal", primal_res), ("dual", dual_res))
+                 for i, d in enumerate(res) if d is None]
     return DualityReport(primal_res, dual_res, unchecked)

@@ -163,6 +163,7 @@ class ProblemInstance:
         if beta is None:
             beta = oracle.base.beta
         dims, diag = metric.dims, metric.diag_blocks()
+        operator.check_dims(dims)
         bound = None  # (gamma, the resolvent kernels bound at gamma)
 
         def backward_fn(w, gamma, r):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormEstimationError
+from .errors import ConfigurationError, DimensionMismatch, NormEstimationError
 
 
 def _freeze(a):
@@ -196,7 +196,7 @@ class Preconditioner:
         self._diag = tuple(diag)
         entries = np.concatenate(self._diag) if self.dims and sum(self.dims) else np.zeros(0)
         if entries.size and entries.min() <= 0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"preconditioner entries must be positive; min = {entries.min()}"
             )
         self.lower_bound = float(entries.min()) if entries.size else 1.0
@@ -275,18 +275,6 @@ class WeightedMetric:
 
     def norm_sq(self, x):
         return x.dot(self.weight.apply(x))
-
-    def norm(self, x):
-        return float(np.sqrt(max(self.norm_sq(x), 0.0)))
-
-
-def inner(x, y, metric=None):
-    """Sum of per-block inner products, optionally in a weighted metric."""
-    if metric is None:
-        return x.dot(y)
-    if isinstance(metric, Preconditioner):
-        metric = WeightedMetric(metric)
-    return metric.inner(x, y)
 
 
 def _add_product(acc, cell, x):

@@ -636,3 +636,104 @@ def test_custom_diagonal_metric_of_other_dims_is_a_configuration_error(tmp_path,
     assert_one_configuration_error(
         tmp_path, capsys, cfg, "configuration error: problem.custom.preconditioner: "
         "weight lengths (3,) != block dims (2,)")
+
+
+def custom_pd_config(primal_operator=None, dual_g=None):
+    primal = {"dim": 2} if primal_operator is None else {"dim": 2, "operator": primal_operator}
+    return {"problem": {"custom_pd": {
+                "primal": [primal],
+                "dual": [{"dim": 2, "g": dual_g or {"family": "l1", "lam": 1.0}}],
+                "coupling": [[0.5]]}},
+            "algorithm": "pd_class1"}
+
+
+# a vector parameter of a catalogue family is refused, by entry, unless its
+# shape is (), (1,) or the block's (d,)
+
+
+def test_box_lo_of_other_length_on_a_custom_block_is_a_configuration_error(tmp_path, capsys):
+    cfg = custom_prox_config({"family": "box", "lo": [-1.0, -1.0, -1.0], "hi": 1.0})
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg,
+        "configuration error: problem.custom.blocks[0]: lo has shape (3,), block dim 2")
+
+
+def test_affine_c_of_other_length_on_a_custom_pd_primal_block_is_a_configuration_error(
+        tmp_path, capsys):
+    cfg = custom_pd_config(primal_operator={"family": "affine", "c": [1.0, 2.0, 3.0]})
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg,
+        "configuration error: problem.custom_pd.primal[0]: c has shape (3,), block dim 2")
+
+
+def test_sq_l2_center_of_other_length_on_a_custom_pd_dual_g_is_a_configuration_error(
+        tmp_path, capsys):
+    cfg = custom_pd_config(dual_g={"family": "sq_l2", "lam": 1.0, "center": [1.0, 2.0, 3.0]})
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg,
+        "configuration error: problem.custom_pd.dual[0]: center has shape (3,), block dim 2")
+
+
+def test_box_of_other_length_on_a_custom_pd_dual_g_is_a_configuration_error(tmp_path, capsys):
+    # a box has no closed-form conjugate prox: its dual block takes the Moreau path
+    cfg = custom_pd_config(dual_g={"family": "box", "lo": [-1.0, -1.0, -1.0], "hi": 1.0})
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg,
+        "configuration error: problem.custom_pd.dual[0]: lo has shape (3,), block dim 2")
+
+
+def test_one_element_center_runs_as_the_scalar_center(tmp_path):
+    traces = []
+    for center in ([0.5], 0.5):
+        cfg = custom_prox_config({"family": "sq_l2", "lam": 1.0, "center": center})
+        out = tmp_path / f"o{len(traces)}"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        traces.append(read_file(out, "trace.csv"))
+    assert traces[0] == traces[1]
+
+
+# a missing key or a non-positive metric entry is refused with one line
+
+
+def test_nonpositive_diagonal_metric_weight_is_a_configuration_error(tmp_path, capsys):
+    cfg = custom_prox_config(None)
+    cfg["problem"]["custom"]["preconditioner"] = {"kind": "diagonal", "weights": [[1.0, -1.0]]}
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg,
+        "configuration error: preconditioner entries must be positive; min = -1.0")
+
+
+def test_nonpositive_scalar_metric_value_is_a_configuration_error(tmp_path, capsys):
+    cfg = custom_pd_config()
+    cfg["problem"]["custom_pd"]["W"] = {"kind": "scalar", "values": [0.0]}
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg,
+        "configuration error: preconditioner entries must be positive; min = 0.0")
+
+
+def test_scalar_metric_without_values_is_a_configuration_error(tmp_path, capsys):
+    cfg = custom_prox_config(None)
+    cfg["problem"]["custom"]["preconditioner"] = {"kind": "scalar"}
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg, "configuration error: scalar preconditioner needs 'values'")
+
+
+def test_block_without_dim_is_a_configuration_error(tmp_path, capsys):
+    cfg = custom_pd_config()
+    del cfg["problem"]["custom_pd"]["dual"][0]["dim"]
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg, "configuration error: problem.custom_pd.dual[0] needs 'dim'")
+
+
+def test_map_without_kind_is_a_configuration_error(tmp_path, capsys):
+    cfg = custom_prox_config(None)
+    del cfg["problem"]["custom"]["map"]["kind"]
+    assert_one_configuration_error(tmp_path, capsys, cfg,
+                                   "configuration error: map needs 'kind'")
+
+
+def test_demo_without_name_is_a_configuration_error(tmp_path, capsys):
+    cfg = lasso_config()
+    del cfg["problem"]["demo"]["name"]
+    assert_one_configuration_error(tmp_path, capsys, cfg,
+                                   "configuration error: problem.demo needs 'name'")

@@ -423,6 +423,142 @@ def test_conjugate_subdiff_distance_quadratic():
     assert conjugate_subdiff_distance(g, v, v / 2.0) == pytest.approx(0.0, abs=1e-15)
 
 
+# The formulas below are the graph distances as they were written before each
+# family's distances became entries of its catalogue record, and the
+# duality residual's per-rule-kind branches; the tables must give the same
+# bytes, and now check the rule kinds that were listed as unchecked.
+
+ACTIVE_TOL = 1e-9
+
+
+def formula_subdiff_distance(f, x, u):
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    p = f.params
+    if f.family == "zero":
+        return float(np.linalg.norm(u))
+    if f.family == "l1":
+        lam = p["lam"]
+        on = np.abs(x) > ACTIVE_TOL
+        d = np.where(on, np.abs(u - lam * np.sign(x)), np.maximum(np.abs(u) - lam, 0.0))
+        return float(np.linalg.norm(d))
+    if f.family == "sq_l2":
+        return float(np.linalg.norm(u - p["lam"] * (x - p["center"])))
+    if f.family == "affine":
+        return float(np.linalg.norm(u - np.broadcast_to(p["c"], u.shape)))
+    if f.family == "box":
+        lo = np.broadcast_to(p["lo"], x.shape)
+        hi = np.broadcast_to(p["hi"], x.shape)
+        viol = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
+        at_lo = np.abs(x - lo) <= ACTIVE_TOL
+        at_hi = np.abs(x - hi) <= ACTIVE_TOL
+        d = np.abs(u)
+        d = np.where(at_lo & ~at_hi, np.maximum(u, 0.0), d)
+        d = np.where(at_hi & ~at_lo, np.maximum(-u, 0.0), d)
+        d = np.where(at_lo & at_hi, 0.0, d)
+        return float(np.linalg.norm(d) + np.linalg.norm(viol))
+    if f.family == "linf_ball":
+        return formula_subdiff_distance(ProxFunction.box(-p["radius"], p["radius"]), x, u)
+    raise AssertionError(f.family)
+
+
+def formula_conjugate_subdiff_distance(g, v, u):
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    p = g.params
+    if g.family == "l1":
+        return formula_subdiff_distance(ProxFunction.box(-p["lam"], p["lam"]), v, u)
+    if g.family == "linf_ball":
+        return formula_subdiff_distance(ProxFunction.l1(p["radius"]), v, u)
+    if g.family == "sq_l2":
+        return float(np.linalg.norm(u - (v / p["lam"] + np.broadcast_to(p["center"], v.shape))))
+    if g.family == "zero":
+        return float(np.linalg.norm(v))
+    if g.family == "affine":
+        return float(np.linalg.norm(v - np.broadcast_to(p["c"], v.shape)))
+    return None
+
+
+def formula_rule_distance(rule, x, u):
+    if rule.kind == "zero":
+        return float(np.linalg.norm(u))
+    if rule.kind == "subdiff":
+        return formula_subdiff_distance(rule.fn, x, u)
+    if rule.kind == "conjugate_subdiff":
+        return formula_conjugate_subdiff_distance(rule.fn, x, u)
+    if rule.kind == "linear":
+        return float(np.linalg.norm(u - rule.matrix @ x))
+    raise AssertionError(rule.kind)
+
+
+def distance_pairs(n, rng):
+    """(x, u) pairs: random points; points on each family's active set of
+    `kernel_families` (x = +-lam, +-radius, lo, hi, within the active
+    tolerance of them, and lo == hi); infeasible points; candidates u of
+    either sign, on the thresholds and zero."""
+    ramp = np.linspace(-1.0, 1.0, n)
+    xs = [2.0 * rng.standard_normal(n), kernel_point(n, rng), ramp, ramp - 0.5,
+          ramp + 1.0, ramp - 1.5]
+    for value in (0.0, 5e-10, 1.5e-9, 0.7, 0.9, 1.0, 0.6, 0.25, 0.6 + 5e-10, 0.25 - 2e-9, 3.0):
+        xs += [np.full(n, value), np.full(n, -value)]
+    us = [rng.standard_normal(n), 3.0 * rng.standard_normal(n), np.full(n, 0.7),
+          np.full(n, -0.9), np.zeros(n)]
+    return [(x, u) for x in xs for u in us]
+
+
+def same_distance(got, want):
+    return (got is None and want is None) or (
+        isinstance(got, float) and isinstance(want, float) and got.hex() == want.hex())
+
+
+@pytest.mark.parametrize("n", [9, 0], ids=["block", "empty"])
+def test_subdiff_distances_match_the_formulas_bytes(n):
+    rng = np.random.default_rng(19)
+    families = kernel_families(n)
+    assert {f.family for f in families} == {"zero", "l1", "sq_l2", "box", "linf_ball", "affine"}
+    for x, u in distance_pairs(n, rng):
+        for f in families:
+            assert same_distance(subdiff_distance(f, x, u),
+                                 formula_subdiff_distance(f, x, u)), (f, x, u)
+            assert same_distance(conjugate_subdiff_distance(f, x, u),
+                                 formula_conjugate_subdiff_distance(f, x, u)), (f, x, u)
+    box = ProxFunction.box(-1.0, 0.6)
+    assert conjugate_subdiff_distance(box, np.zeros(n), np.zeros(n)) is None
+
+
+@pytest.mark.parametrize("n", [9, 0], ids=["block", "empty"])
+def test_block_distances_match_the_rule_formulas_bytes(n):
+    rng = np.random.default_rng(20)
+    rules = kernel_rules(n, rng)
+    op = MonotoneBlock(rules)
+    for x, u in distance_pairs(n, rng)[::7]:
+        got = op.distances([x] * len(rules), [u] * len(rules))
+        for rule, d in zip(rules, got):
+            assert same_distance(d, formula_rule_distance(rule, x, u)), rule
+    unchecked = [r for r, d in zip(rules, got) if d is None]
+    assert unchecked and all(r.kind == "conjugate_subdiff" and r.fn.family == "box"
+                             for r in unchecked)
+
+
+def test_check_dims_refuses_a_block_count_a_parameter_or_a_matrix_of_other_shape():
+    rules = [MonotoneBlock.rule_subdiff(ProxFunction.box([-1.0, -2.0], 1.0)),
+             MonotoneBlock.rule_conjugate_subdiff(ProxFunction.squared_l2(1.0, [0.5])),
+             MonotoneBlock.rule_subdiff(ProxFunction.affine(0.3)),
+             MonotoneBlock.rule_zero(), *MonotoneBlock.linear([np.eye(2)]).rules]
+    op = MonotoneBlock(rules)
+    op.check_dims((2, 3, 4, 5, 2))  # (d,), (1,) and () parameters broadcast
+    with pytest.raises(DimensionMismatch, match="primal operator has 5 blocks, metric has 4"):
+        op.check_dims((2, 3, 4, 5), "primal")
+    with pytest.raises(DimensionMismatch, match=r"^dual\[0\]: lo has shape \(2,\), block dim 3$"):
+        op.check_dims((3, 3, 4, 5, 2), "dual")
+    with pytest.raises(DimensionMismatch, match=r"^block\[4\]: matrix has shape \(2, 2\), "
+                                                r"block dim 3$"):
+        op.check_dims((2, 3, 4, 5, 3))
+    center = MonotoneBlock.subdiff([ProxFunction.squared_l2(1.0, np.zeros((1, 2)))])
+    with pytest.raises(DimensionMismatch, match=r"center has shape \(1, 2\), block dim 2"):
+        center.check_dims((2,))
+
+
 # --- bound resolvent kernels ----------------------------------------------------------
 # The formulas below are the per-call prox and resolvent arithmetic as it was
 # written before the kernels bound their step constants; each kernel must

@@ -603,6 +603,63 @@ def test_duality_residuals_zero_problem():
     assert rep.max_residual == 0.0
 
 
+def test_box_dual_block_is_unchecked_never_zero():
+    # a box has no closed-form conjugate rule, so its dual block has no
+    # checkable distance; the l1 block beside it stays checked
+    prob = PrimalDualProblem(
+        primal_ops=MonotoneBlock.zero(1),
+        z=BlockVector.zeros((2,)),
+        V=Preconditioner.identity((2,)),
+        dual_inverse=MonotoneBlock.conjugate_subdiff(
+            [ProxFunction.l1(1.0), ProxFunction.box(-1.0, 1.0)]),
+        r=BlockVector.zeros((2, 2)),
+        W=Preconditioner.identity((2, 2)),
+        coupling=BlockLinearOperator([[0.5], [0.5]], (2,), (2, 2)),
+    )
+    rep = duality_residuals(BlockVector([[0.3, -0.2]]), BlockVector([[0.1, 0.4], [0.2, 0.0]]),
+                            prob)
+    assert rep.dual_block_res[1] is None and rep.dual_block_res[0] is not None
+    assert rep.unchecked == ["dual[1]"]
+
+
+def conjugate_primal_subdiff_dual_problem(rng):
+    """A primal block A = d(g*) (the normal cone of a box), and dual blocks
+    B^-1 = d(sq_l2) and B^-1 = M, monotone linear: reachable from library code."""
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
+    v = Preconditioner.scalar([0.5 / np.linalg.norm(a, 2) ** 2], (3,))
+    m = rng.standard_normal((2, 2))
+    dual_ops = MonotoneBlock(
+        [MonotoneBlock.rule_subdiff(ProxFunction.squared_l2(2.0, center=np.array([0.3, -0.2]))),
+         *MonotoneBlock.linear([m @ m.T + (m - m.T)]).rules])
+    return PrimalDualProblem(
+        primal_ops=MonotoneBlock.conjugate_subdiff([ProxFunction.l1(0.15)]),
+        z=BlockVector([rng.standard_normal(3)]),
+        V=v,
+        dual_inverse=dual_ops,
+        r=BlockVector([rng.standard_normal(2), rng.standard_normal(2)]),
+        W=Preconditioner.scalar([0.2, 0.2], (2, 2)),
+        coupling=BlockLinearOperator([[rng.standard_normal((2, 3))],
+                                      [rng.standard_normal((2, 3))]], (3,), (2, 2)),
+        smooth=CocoerciveMap.least_squares_gradient(a, b, metric=v),
+    )
+
+
+def test_conjugate_primal_and_subdiff_and_linear_dual_blocks_are_checked():
+    prob = conjugate_primal_subdiff_dual_problem(np.random.default_rng(61))
+    inst = assemble_class1(prob)
+    xy, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=100000, stop_tol=1e-10))
+    assert trace.status == "converged"
+    primal, dual = extract_primal_dual(xy, prob)
+    assert np.sum(np.abs(primal.blocks[0]) == 0.15) >= 1  # on the box's boundary
+    rep = duality_residuals(primal, dual, prob)
+    assert rep.unchecked == []
+    assert all(d is not None for d in rep.primal_block_res + rep.dual_block_res)
+    assert rep.max_residual <= 1e-8
+    off = duality_residuals(primal + BlockVector([[0.0, 0.0, 0.3]]),
+                            dual + BlockVector([[0.2, 0.0], [0.0, -0.3]]), prob)
+    assert min(off.primal_block_res + off.dual_block_res) > 0.05
+
+
 def test_classes_agree_on_ball_constrained_quadratic():
     # smooth quadratic data term, sup-norm-ball dual block, dims (4, 3):
     # with no primal operator both assemblies apply and must agree

@@ -13,7 +13,6 @@ from sifb import (
     block_concat,
     block_split,
     estimate_weighted_norm,
-    inner,
 )
 
 
@@ -27,7 +26,7 @@ def rand_bv(rng, dims):
 def test_inner_orthogonal_vectors():
     x = BlockVector([[1.0, 0.0]])
     y = BlockVector([[0.0, 1.0]])
-    assert inner(x, y) == 0.0
+    assert x.dot(y) == 0.0
 
 
 def test_inner_weighted_by_hand():
@@ -35,7 +34,7 @@ def test_inner_weighted_by_hand():
     y = BlockVector([[1.0, 2.0]])
     metric = WeightedMetric(Preconditioner.diagonal([[2.0, 3.0]]))
     # 2*1 + 3*4
-    assert inner(x, y, metric) == pytest.approx(14.0, abs=1e-14)
+    assert metric.inner(x, y) == pytest.approx(14.0, abs=1e-14)
 
 
 def test_inner_matches_elementwise_bruteforce():
@@ -44,7 +43,7 @@ def test_inner_matches_elementwise_bruteforce():
     x = rand_bv(rng, dims)
     y = rand_bv(rng, dims)
     w = [rng.uniform(0.5, 2.0, d) for d in dims]
-    got = inner(x, y, WeightedMetric(Preconditioner.diagonal(w)))
+    got = WeightedMetric(Preconditioner.diagonal(w)).inner(x, y)
     want = sum(
         float(np.sum(wj * xj * yj)) for wj, xj, yj in zip(w, x.blocks, y.blocks)
     )
@@ -56,14 +55,16 @@ def test_inner_symmetry():
     dims = (5, 3)
     x, y = rand_bv(rng, dims), rand_bv(rng, dims)
     m = WeightedMetric(Preconditioner.diagonal([rng.uniform(0.5, 2, d) for d in dims]))
-    assert inner(x, y, m) == pytest.approx(inner(y, x, m), rel=1e-12)
+    assert m.inner(x, y) == pytest.approx(m.inner(y, x), rel=1e-12)
 
 
 def test_inner_dim_mismatch_names_block():
     x = BlockVector([[1.0, 2.0], [3.0]])
     y = BlockVector([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DimensionMismatch, match="block 1"):
-        inner(x, y)
+        x.dot(y)
+    with pytest.raises(DimensionMismatch, match="block 1"):
+        WeightedMetric(Preconditioner.identity(y.dims)).inner(x, y)
 
 
 # --- block vector arithmetic ------------------------------------------------

@@ -6,16 +6,20 @@ OLD_SRC and NEW_SRC are directories holding a `sifb` package (a checkout's
 `src/`). Every config in `configs()` goes through `sifb run`, once with each
 tree: one subprocess per tree imports that tree's `sifb` and calls
 `sifb.cli.main` in process for each config. Per config the script compares
-the exit code, `trace.csv`, `summary.json` without `wall_time`, and the bytes
-of the final iterate, which the subprocess takes from `sifb.cli.run`. It
+the exit code, the `[PASS]`/`[FAIL]` rows of the validation that `sifb run`
+prints, `trace.csv`, `summary.json` without `wall_time`, the bytes of the
+final iterate, and, on the primal-dual routes, the duality residuals of the
+final iterate (each block's `float.hex`, or null, and the unchecked blocks).
+The subprocess takes the final iterate from `sifb.cli._execute_single`. It
 prints every difference and exits 1 if there is one, 0 otherwise.
 
 The configs: the README's example config; every demo problem on the `sifb`
 route and on both primal-dual classes for each of its forms, one of them
 noisy and inertial; the `custom` and `custom_pd` configs of
-`tests/test_cli.py`; and two custom problems (a diagonal metric with
-relaxation and inertia, and a primal-dual problem with box, sq_l2, affine
-and linf_ball blocks and a scalar coupling cell).
+`tests/test_cli.py`; and three custom problems (a diagonal metric with
+relaxation and inertia; a primal-dual problem with box, sq_l2, affine and
+linf_ball blocks and a scalar coupling cell; and one whose `center`, `lo`,
+`hi` and `c` are vectors of the block's length and of length 1).
 """
 
 from __future__ import annotations
@@ -135,6 +139,23 @@ def configs():
             "V": {"kind": "diagonal", "weights": [[1.0, 0.9, 0.8], [0.7, 0.6]]},
             "W": {"kind": "scalar", "values": [0.9, 1.1]}}},
         algorithm="pd_class1")
+    out["custom_pd-vector-parameters"] = _run_config(
+        {"custom_pd": {
+            "primal": [{"dim": 3, "operator": {"family": "sq_l2", "lam": 0.8,
+                                               "center": [0.5, -0.2, 0.1]}},
+                       {"dim": 2, "operator": {"family": "box", "lo": [-0.3],
+                                               "hi": [0.2, 0.4]}},
+                       {"dim": 2, "operator": {"family": "affine", "c": [0.1]}}],
+            "dual": [{"dim": 3, "g": {"family": "box", "lo": [-0.5, -0.4, -0.3],
+                                      "hi": [0.5]}, "r": [0.1, 0.0, -0.2]},
+                     {"dim": 2, "g": {"family": "affine", "c": [0.2, -0.1]}},
+                     {"dim": 2, "g": {"family": "sq_l2", "lam": 1.5, "center": [0.3]}}],
+            "coupling": [[[[0.3, 0.1, 0.0], [0.0, 0.2, 0.1], [0.1, 0.0, 0.3]], None, None],
+                         [None, 0.4, None],
+                         [None, [[0.2, 0.1], [0.0, 0.3]], 0.3]],
+            "V": {"kind": "diagonal", "weights": [[1.0, 0.9, 0.8], [0.7, 0.6], [0.8, 0.9]]},
+            "W": {"kind": "scalar", "values": [0.9, 1.1, 1.0]}}},
+        algorithm="pd_class1")
     return out
 
 
@@ -146,21 +167,29 @@ def collect(src, config_path, out_root):
     import numpy as np
 
     import sifb.cli
+    from sifb.primal_dual import duality_residuals, extract_primal_dual
 
     package = os.path.dirname(os.path.abspath(sifb.__file__))
     if os.path.dirname(package) != os.path.abspath(src):
         sys.exit(f"imported sifb from {package}, not from {src}")
     with open(config_path, encoding="utf-8") as f:
         cfgs = json.load(f)
-    run = sifb.cli.run
+    execute = sifb.cli._execute_single
     final = {}
 
-    def recording_run(prob, cfg, reference=None):
-        x, trace = run(prob, cfg, reference=reference)
+    def recording_execute(exp, seed, *args, **kwargs):
+        x, trace, summary = execute(exp, seed, *args, **kwargs)
         final["x"] = x.concatenated()
-        return x, trace
+        if exp.pd is not None:
+            rep = duality_residuals(*extract_primal_dual(x, exp.pd), exp.pd)
+            final["residuals"] = {
+                side: [None if d is None else d.hex() for d in res]
+                for side, res in (("primal", rep.primal_block_res),
+                                  ("dual", rep.dual_block_res))}
+            final["residuals"]["unchecked"] = rep.unchecked
+        return x, trace, summary
 
-    sifb.cli.run = recording_run
+    sifb.cli._execute_single = recording_execute
     for name, cfg in cfgs.items():
         out = os.path.join(out_root, name)
         os.makedirs(out)
@@ -177,12 +206,15 @@ def collect(src, config_path, out_root):
         if "x" in final:
             with open(os.path.join(out, "x.bin"), "wb") as f:
                 f.write(final["x"].tobytes())
+        if "residuals" in final:
+            with open(os.path.join(out, "residuals.json"), "w", encoding="utf-8") as f:
+                json.dump(final["residuals"], f, sort_keys=True)
 
 
 def _artifacts(out):
     """The compared files of one config's output directory, as bytes."""
     got = {}
-    for rel in ("exit_code", "x.bin", "run/trace.csv", "run/summary.json"):
+    for rel in ("exit_code", "x.bin", "residuals.json", "run/trace.csv", "run/summary.json"):
         path = os.path.join(out, rel)
         if os.path.exists(path):
             with open(path, "rb") as f:
@@ -191,6 +223,9 @@ def _artifacts(out):
         summary = json.loads(got["run/summary.json"])
         summary.pop("wall_time", None)
         got["run/summary.json"] = json.dumps(summary, sort_keys=True).encode()
+    with open(os.path.join(out, "log.txt"), "rb") as f:
+        got["validation rows"] = b"".join(
+            line for line in f if line.startswith((b"[PASS]", b"[FAIL]")))
     return got
 
 
