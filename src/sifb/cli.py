@@ -206,8 +206,9 @@ def _sweep_worker(payload):
 
 
 def cmd_sweep(args):
-    if args.seeds is not None and args.seeds < 1:
-        raise ConfigurationError(f"--seeds must be at least 1, got {args.seeds}")
+    for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{option} must be at least 1, got {value}")
     exp = _load_experiment(args)
     code = cmd_validate(args, exp)
     if code != EXIT_OK:

@@ -17,10 +17,13 @@ kernels bound once, at assembly, to the diagonals of V and W at the fixed
 step 1 (`MonotoneBlock.bind`). A coupling cell may be a number s, meaning s
 times the identity (the identity rows of a fully split problem): its product
 adds s x, which equals the dense product with s I bit for bit for finite x.
-Dense Schur-complement actions for both metrics are available separately for
-audits at small sizes. The optimality residuals take one graph distance per
-block from each operator (`MonotoneBlock.distances`); which rule or family a
-block has is known only to `operators`.
+The coupling norm c = ||sqrt(W) L sqrt(V)|| behind both assemblies' gates is
+computed once per problem (`PrimalDualProblem.coupling_norm`), however often
+`compute_constants` asks for it. Dense Schur-complement actions for both
+metrics are available separately for audits at small sizes. The optimality
+residuals take one graph distance per block from each operator
+(`MonotoneBlock.distances`); which rule or family a block has is known only
+to `operators`.
 """
 
 from __future__ import annotations
@@ -85,6 +88,19 @@ class PrimalDualProblem:
             raise ConfigurationError(
                 f"cocoercivity constants must be positive (nu0={self.nu0}, mu0={self.mu0})"
             )
+        self._norm = None
+
+    def coupling_norm(self):
+        """c = ||sqrt(W) L sqrt(V)||, one eigensolve per (coupling, V, W).
+
+        The three are immutable, so c is kept in a one-slot cache keyed on
+        their identity; a copy whose coupling, V or W is replaced computes its
+        own. A NormEstimationError is not cached: the next call raises again.
+        """
+        key = (self.coupling, self.V, self.W)
+        if self._norm is None or any(a is not b for a, b in zip(self._norm, key)):
+            self._norm = key + (estimate_weighted_norm(*key),)
+        return self._norm[3]
 
     @property
     def m(self):
@@ -145,8 +161,13 @@ def optimal_balance(nu0, mu0, c):
 
 
 def compute_constants(prob):
-    """Norm, optimal balance, and both feasibility constants for a problem."""
-    c = estimate_weighted_norm(prob.coupling, prob.V, prob.W)
+    """Norm, optimal balance, and both feasibility constants for a problem.
+
+    The norm comes from `prob.coupling_norm()`, so repeated calls on one
+    problem (validation, then each assembly) share one eigensolve; c >= 1
+    raises InfeasibleProblemError on every call.
+    """
+    c = prob.coupling_norm()
     if c >= 1.0:
         raise InfeasibleProblemError(
             f"||sqrt(W) L sqrt(V)|| = {c:.6g} >= 1; the stacked preconditioners "

@@ -297,8 +297,9 @@ class BlockLinearOperator:
     entries[k][i] maps primal block i into dual block k. A cell is a dense
     matrix, None (a structural zero, skipped) or a number s, which means
     s times the identity and is allowed on square blocks only. A number is
-    stored as a read-only 0-d float64 array and is never expanded, except one
-    strip at a time by `estimate_weighted_norm` and in `dense`.
+    stored as a read-only 0-d float64 array and is expanded only by `dense`:
+    products add s x, and `estimate_weighted_norm` adds its diagonal to the
+    Gram matrix.
 
     `apply_blocks` and `adjoint_apply_blocks` work on bare block arrays and
     check nothing; `apply` and `adjoint_apply` check the vector's dims and
@@ -406,47 +407,65 @@ class BlockLinearOperator:
 _GRAM_CHUNK = 64
 
 
-def _strip(cell, n, r, columns):
-    """Rows r to r + _GRAM_CHUNK of an n-column cell (its columns if `columns`).
+def _strip(cell, sw, sv, r, columns):
+    """Rows r to r + _GRAM_CHUNK of the weighted cell sw * cell * sv.
 
-    A scalar cell s comes back as that strip of s I, dense and C-ordered like
-    the product of a dense cell's strip, so the Gram products read the same
-    values in the same layout as with the cell stored as a matrix.
+    sw and sv are the square roots of the metric diagonals on the cell's rows
+    and columns. With `columns` the strip is of the cell's columns instead,
+    transposed. A scalar cell s comes back as the 1-D array of the strip's
+    nonzero entries (sw * s) * sv, the one of row j in column r + j: the
+    values the dense strip of s I would hold there, computed in the same
+    order.
     """
-    if cell.ndim:
-        return cell[:, r:r + _GRAM_CHUNK] if columns else cell[r:r + _GRAM_CHUNK]
-    h = min(_GRAM_CHUNK, n - r)
-    out = np.zeros((n, h) if columns else (h, n))
-    j = np.arange(h)
-    out[(r + j, j) if columns else (j, r + j)] = cell
-    return out
+    chunk = slice(r, r + _GRAM_CHUNK)
+    if not cell.ndim:
+        return (sw[chunk] * cell) * sv[chunk]
+    if columns:
+        return (sw[:, None] * cell[:, chunk] * sv[chunk]).T
+    return sw[chunk, None] * cell[chunk] * sv
 
 
 def _weighted_strips(L, V, W, tall):
     """The rows of G = sqrt(W) L sqrt(V) feeding its smaller Gram matrix.
 
-    Yields strips of at most _GRAM_CHUNK rows, each a list over the blocks of
-    the Gram side: slices of the block rows of G when G is tall (Gram G^T G),
-    otherwise slices of its block columns, transposed (Gram G G^T). The sum
-    of ga.T @ gb over the strips is block (a, b) of the Gram matrix. None
-    cells stay None; scalar cells are expanded one strip at a time.
+    Yields (r, strip) for strips of at most _GRAM_CHUNK rows starting at row
+    r of a block, each strip a list over the blocks of the Gram side: slices
+    of the block rows of G when G is tall (Gram G^T G), otherwise slices of
+    its block columns, transposed (Gram G G^T). The sum of ga.T @ gb over the
+    strips is block (a, b) of the Gram matrix. None cells stay None; a scalar
+    cell is the 1-D array of its strip's diagonal (`_strip`).
     """
     sv = [np.sqrt(d) for d in V.diag_blocks()]
-    sw = [np.sqrt(d)[:, None] for d in W.diag_blocks()]
+    sw = [np.sqrt(d) for d in W.diag_blocks()]
     if tall:
         for k, row in enumerate(L.entries):
             for r in range(0, L.dims_out[k], _GRAM_CHUNK):
-                rows = slice(r, r + _GRAM_CHUNK)
-                yield [None if c is None
-                       else sw[k][rows] * _strip(c, L.dims_in[i], r, False) * sv[i]
-                       for i, c in enumerate(row)]
+                yield r, [None if c is None else _strip(c, sw[k], sv[i], r, False)
+                          for i, c in enumerate(row)]
     else:
         for i in range(len(L.dims_in)):
             for r in range(0, L.dims_in[i], _GRAM_CHUNK):
-                cols = slice(r, r + _GRAM_CHUNK)
-                yield [None if row[i] is None
-                       else (sw[k] * _strip(row[i], L.dims_in[i], r, True) * sv[i][cols]).T
-                       for k, row in enumerate(L.entries)]
+                yield r, [None if row[i] is None else _strip(row[i], sw[k], sv[i], r, True)
+                          for k, row in enumerate(L.entries)]
+
+
+def _add_gram_product(block, r, ga, gb):
+    """block += ga.T @ gb for one strip, a 1-D ga or gb being a diagonal at column r.
+
+    The dense strip of a scalar cell has one nonzero per row, so each entry of
+    its product is one float product plus exact zeros: a row scaling against
+    a dense strip, and a diagonal against another scalar cell's. Those
+    products are added directly, which gives the gemm's bits.
+    """
+    if ga.ndim == gb.ndim == 2:
+        block += ga.T @ gb
+    elif gb.ndim == 2:
+        block[r:r + len(ga)] += ga[:, None] * gb
+    elif ga.ndim == 2:
+        block[:, r:r + len(gb)] += (ga * gb[:, None]).T
+    else:
+        j = np.arange(r, r + len(ga))
+        block[j, j] += ga * gb
 
 
 def estimate_weighted_norm(L, V, W):
@@ -454,9 +473,11 @@ def estimate_weighted_norm(L, V, W):
 
     Accumulates the smaller Gram matrix of G = sqrt(W) L sqrt(V) block by
     block (G^T G when G has no more columns than rows, G G^T otherwise) and
-    returns the square root of its largest eigenvalue. Raises
-    NormEstimationError when that matrix is not finite or the eigensolve
-    fails.
+    returns the square root of its largest eigenvalue. A scalar cell adds its
+    products to the Gram matrix as a diagonal or a row or column scaling, at
+    the point of the accumulation where its dense strips would be added.
+    Raises NormEstimationError when that matrix is not finite or the
+    eigensolve fails.
     """
     if L.dims_in != V.dims:
         raise DimensionMismatch(f"V dims {V.dims} != operator input dims {L.dims_in}")
@@ -467,14 +488,15 @@ def estimate_weighted_norm(L, V, W):
     tall = sum(L.dims_in) <= sum(L.dims_out)
     off = _offsets(L.dims_in if tall else L.dims_out)
     gram = np.zeros((off[-1], off[-1]))
-    for strip in _weighted_strips(L, V, W, tall):
+    for r, strip in _weighted_strips(L, V, W, tall):
         # upper block triangle only; eigvalsh below reads that triangle
         for a, ga in enumerate(strip):
             if ga is None:
                 continue
             for b in range(a, len(strip)):
                 if strip[b] is not None:
-                    gram[off[a]:off[a + 1], off[b]:off[b + 1]] += ga.T @ strip[b]
+                    _add_gram_product(gram[off[a]:off[a + 1], off[b]:off[b + 1]],
+                                      r, ga, strip[b])
     if not np.isfinite(gram).all():
         raise NormEstimationError(
             "weighted coupling norm: the Gram matrix of sqrt(W) L sqrt(V) "

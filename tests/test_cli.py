@@ -309,6 +309,61 @@ def test_validate_lists_only_checks_that_can_fail(tmp_path, capsys):
     assert "xi_hat" not in out
 
 
+@pytest.fixture
+def count_constants(monkeypatch):
+    """Calls of compute_constants (every binding) and of the norm eigensolve."""
+    calls = {"compute_constants": 0, "estimate_weighted_norm": 0}
+
+    def counted(name):
+        original = getattr(sifb.primal_dual, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counting
+
+    constants = counted("compute_constants")
+    monkeypatch.setattr("sifb.primal_dual.compute_constants", constants)
+    monkeypatch.setattr("sifb.cli.compute_constants", constants)
+    monkeypatch.setattr("sifb.primal_dual.estimate_weighted_norm",
+                        counted("estimate_weighted_norm"))
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ["pd_class1", "pd_class2"])
+def test_run_computes_the_coupling_norm_once(tmp_path, count_constants, algorithm):
+    cfg = pd_lasso_config()
+    cfg["algorithm"] = algorithm
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    # validation, its assembly and the run's assembly share one eigensolve
+    assert count_constants == {"compute_constants": 3, "estimate_weighted_norm": 1}
+
+
+@pytest.mark.parametrize("command", ["validate", "constants"])
+def test_validate_and_constants_compute_the_coupling_norm_once(tmp_path, count_constants,
+                                                               command):
+    path = write_config(tmp_path, pd_lasso_config())
+    assert main([command, path]) == 0
+    assert count_constants["estimate_weighted_norm"] == 1
+
+
+def test_run_exit_code_2_on_a_coupling_norm_that_overflows(tmp_path, capsys):
+    cfg = {"problem": {"custom_pd": {
+        "primal": [{"dim": 2}],
+        "dual": [{"dim": 2, "g": {"family": "l1", "lam": 1.0}}],
+        "coupling": [[1e200]],
+        "V": {"kind": "scalar", "values": [1.0]},
+        "W": {"kind": "scalar", "values": [1.0]}}},
+        "algorithm": "pd_class1"}
+    path = write_config(tmp_path, cfg)
+    with np.errstate(over="ignore"):
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failure: ") and "non-finite" in err
+
+
 def test_experiment_builds_pd_problem_once():
     exp = build_experiment(pd_lasso_config())
     assert exp.pd is exp.pd
@@ -575,6 +630,17 @@ def test_sweep_seed_count_below_one_is_refused(tmp_path, capsys, count):
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
         f"configuration error: --seeds must be at least 1, got {count}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_is_refused(tmp_path, capsys, jobs):
+    path = write_config(tmp_path, lasso_config(seeds=[1, 2]))
+    assert main(["sweep", path, "--jobs", jobs, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"configuration error: --jobs must be at least 1, got {jobs}"]
     assert not (tmp_path / "o").exists()
 
 

@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sifb import (
     BlockLinearOperator,
@@ -14,6 +16,7 @@ from sifb import (
     InfeasibleProblemError,
     MonotoneBlock,
     NoiseSchedule,
+    NormEstimationError,
     Preconditioner,
     PrimalDualProblem,
     ProblemInstance,
@@ -163,6 +166,118 @@ def test_infinite_constants_for_zero_couplings():
     assert rep2.beta_hat == pytest.approx(0.75 * 4.0)
     rep3 = compute_constants(small_problem(0.5, nu=4.0, mu=float("inf")))
     assert rep3.beta_hat == pytest.approx(0.75 * 4.0)
+
+
+@st.composite
+def scalar_metric_problems(draw):
+    """(problem, nu, mu, tau, sigma, ||L||): V = tau I, W = sigma I, c <= 0.95.
+
+    Zero primal operators (class II), 1-2 blocks a side of dims <= 4, and
+    dense, None and scalar coupling cells; sigma sets c = sqrt(tau sigma) ||L||.
+    """
+    dims_in = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    dims_out = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = []
+    for dk in dims_out:
+        row = []
+        for di in dims_in:
+            kind = draw(st.sampled_from(["none", "dense"] + (["scalar"] if dk == di else [])))
+            row.append(None if kind == "none"
+                       else draw(st.sampled_from([1.0, -1.0, 0.0, 0.3, 2.5])) if kind == "scalar"
+                       else rng.standard_normal((dk, di)))
+        entries.append(row)
+    coupling = BlockLinearOperator(entries, dims_in, dims_out)
+    l_norm = float(np.linalg.norm(coupling.dense(), 2))
+    tau, nu, mu = (draw(st.floats(0.05, 5.0)) for _ in range(3))
+    c = draw(st.floats(0.01, 0.95))
+    sigma = c * c / (tau * l_norm**2) if l_norm > 0 else draw(st.floats(0.05, 5.0))
+    prob = PrimalDualProblem(
+        primal_ops=MonotoneBlock.zero(len(dims_in)),
+        z=BlockVector.zeros(dims_in),
+        V=Preconditioner.scalar([tau] * len(dims_in), dims_in),
+        dual_inverse=MonotoneBlock.conjugate_subdiff(
+            [ProxFunction.l1(1.0) for _ in dims_out]),
+        r=BlockVector.zeros(dims_out),
+        W=Preconditioner.scalar([sigma] * len(dims_out), dims_out),
+        coupling=coupling,
+        nu0=nu / tau,
+        mu0=mu / sigma,
+    )
+    return prob, nu, mu, tau, sigma, l_norm
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=scalar_metric_problems())
+def test_class2_constant_equals_the_scalar_metric_closed_form(case):
+    # with V = tau I and W = sigma I the assembled class-II constant is
+    # min(nu/tau, (mu/sigma)(1 - tau sigma ||L||^2))
+    prob, nu, mu, tau, sigma, l_norm = case
+    rep = compute_constants(prob)
+    want = scalar_feasibility_constant(nu, mu, tau, sigma, l_norm)
+    assert rep.beta == pytest.approx(want, rel=1e-12)
+
+
+@pytest.fixture
+def count_norms(monkeypatch):
+    """The calls of the coupling-norm eigensolve made through sifb.primal_dual."""
+    import sifb.primal_dual
+
+    calls = []
+    norm = sifb.primal_dual.estimate_weighted_norm
+
+    def counting(*args):
+        calls.append(args)
+        return norm(*args)
+
+    monkeypatch.setattr("sifb.primal_dual.estimate_weighted_norm", counting)
+    return calls
+
+
+def test_constants_of_one_problem_share_one_norm(count_norms):
+    prob = two_by_two_problem(zero_primal=True)
+    reps = [compute_constants(prob) for _ in range(3)]
+    assemble_class1(prob)
+    assemble_class2(prob)
+    assert len(count_norms) == 1
+    assert len({rep.c.hex() for rep in reps}) == 1
+
+
+def test_copy_with_a_replaced_coupling_or_metric_computes_its_own_norm(count_norms):
+    prob = two_by_two_problem(zero_primal=True)
+    c = compute_constants(prob).c
+    # the scalar cell 0.4 stored as the matrix 0.4 I: a new object, the same bits
+    dense = with_dense_coupling(prob)
+    assert compute_constants(dense).c.hex() == c.hex()
+    assert len(count_norms) == 2 and count_norms[-1][0] is dense.coupling
+    rescaled = copy.copy(prob)
+    rescaled.V = Preconditioner.diagonal([0.25 * d for d in prob.V.diag_blocks()])
+    assert compute_constants(rescaled).c == pytest.approx(0.5 * c, rel=1e-12)
+    assert len(count_norms) == 3
+    # the original keeps its own value
+    assert compute_constants(prob).c.hex() == c.hex() and len(count_norms) == 3
+
+
+def test_norm_failure_is_not_cached(count_norms):
+    huge = PrimalDualProblem(
+        primal_ops=MonotoneBlock.zero(1), z=BlockVector.zeros((2,)),
+        V=Preconditioner.identity((2,)),
+        dual_inverse=MonotoneBlock.conjugate_subdiff([ProxFunction.l1(1.0)]),
+        r=BlockVector.zeros((2,)), W=Preconditioner.identity((2,)),
+        coupling=BlockLinearOperator([[1e200]], (2,), (2,)))
+    for _ in range(2):
+        with pytest.raises(NormEstimationError, match="non-finite"), \
+                np.errstate(over="ignore"):
+            compute_constants(huge)
+    assert len(count_norms) == 2
+
+
+def test_infeasible_norm_raises_on_every_call(count_norms):
+    prob = small_problem(1.2)
+    for _ in range(2):
+        with pytest.raises(InfeasibleProblemError, match=">= 1"):
+            compute_constants(prob)
+    assert len(count_norms) == 1
 
 
 # --- assembly fidelity -----------------------------------------------------------

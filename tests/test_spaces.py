@@ -410,6 +410,18 @@ def test_block_operator_adjoint_dense_and_scalar_cells(case):
     assert estimate_weighted_norm(op, V, W) == estimate_weighted_norm(ref, V, W)
 
 
+# (primal dims, dual dims, cell kinds) with blocks longer than one Gram chunk,
+# in tall form (more dual than primal coordinates); the wide form is the
+# transpose. "s" is a scalar cell, "d" a dense one.
+CHUNKED_SCALAR_LAYOUTS = [
+    # a scalar cell beside a dense cell in one block row, on either side of
+    # it, and a dense cell beside None
+    ((130, 70), (130, 70, 90), [["s", "d"], ["d", "s"], [None, "d"]]),
+    # two scalar cells in one block row, and a scalar cell beside None
+    ((100, 100), (100, 150, 100), [["s", "s"], ["d", None], [None, "s"]]),
+]
+
+
 @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
 def test_scalar_cell_norm_bit_identical_across_gram_chunks(tall):
     # the split lasso layout [[A], [s I]] with blocks longer than one chunk
@@ -420,6 +432,20 @@ def test_scalar_cell_norm_bit_identical_across_gram_chunks(tall):
         op = BlockLinearOperator([[a], [s]], (p,), (n, p))
         V = Preconditioner.scalar([0.3], (p,))
         W = Preconditioner.diagonal([rng.uniform(0.2, 0.9, n), rng.uniform(0.2, 0.9, p)])
+        assert (estimate_weighted_norm(op, V, W)
+                == estimate_weighted_norm(_with_dense_identities(op), V, W))
+    for dims_in, dims_out, kinds in CHUNKED_SCALAR_LAYOUTS:
+        cells = [[None if kind is None else float(rng.uniform(-2.0, 2.0)) if kind == "s"
+                  else rng.standard_normal((dk, di)) for di, kind in zip(dims_in, row)]
+                 for dk, row in zip(dims_out, kinds)]
+        if not tall:
+            cells = [[c if c is None or np.ndim(c) == 0 else c.T for c in col]
+                     for col in zip(*cells)]
+            dims_in, dims_out = dims_out, dims_in
+        op = BlockLinearOperator(cells, dims_in, dims_out)
+        assert (sum(dims_in) <= sum(dims_out)) == tall
+        V = Preconditioner.diagonal([rng.uniform(0.2, 0.9, d) for d in dims_in])
+        W = Preconditioner.diagonal([rng.uniform(0.2, 0.9, d) for d in dims_out])
         assert (estimate_weighted_norm(op, V, W)
                 == estimate_weighted_norm(_with_dense_identities(op), V, W))
 

@@ -10,8 +10,11 @@ the exit code, the `[PASS]`/`[FAIL]` rows of the validation that `sifb run`
 prints, `trace.csv`, `summary.json` without `wall_time`, the bytes of the
 final iterate, and, on the primal-dual routes, the duality residuals of the
 final iterate (each block's `float.hex`, or null, and the unchecked blocks).
-The subprocess takes the final iterate from `sifb.cli._execute_single`. It
-prints every difference and exits 1 if there is one, 0 otherwise.
+It also compares the exit code and stdout of `sifb constants` on the config,
+which print the full `repr` of c, xi_hat, beta_hat and beta, so c is checked
+bit for bit. The subprocess takes the final iterate from
+`sifb.cli._execute_single`. It prints every difference and exits 1 if there
+is one, 0 otherwise.
 
 The configs: the README's example config; every demo problem on the `sifb`
 route and on both primal-dual classes for each of its forms, one of them
@@ -209,12 +212,20 @@ def collect(src, config_path, out_root):
         if "residuals" in final:
             with open(os.path.join(out, "residuals.json"), "w", encoding="utf-8") as f:
                 json.dump(final["residuals"], f, sort_keys=True)
+        with open(os.path.join(out, "constants.txt"), "w", encoding="utf-8") as stdout, \
+                open(os.path.join(out, "log.txt"), "a", encoding="utf-8") as log, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(log), \
+                np.errstate(all="ignore"):
+            code = sifb.cli.main(["constants", path])
+        with open(os.path.join(out, "constants_exit_code"), "w", encoding="utf-8") as f:
+            f.write(f"{code}\n")
 
 
 def _artifacts(out):
     """The compared files of one config's output directory, as bytes."""
     got = {}
-    for rel in ("exit_code", "x.bin", "residuals.json", "run/trace.csv", "run/summary.json"):
+    for rel in ("exit_code", "x.bin", "residuals.json", "run/trace.csv", "run/summary.json",
+                "constants.txt", "constants_exit_code"):
         path = os.path.join(out, rel)
         if os.path.exists(path):
             with open(path, "rb") as f:
