@@ -167,7 +167,7 @@ def cmd_run(args):
     code = cmd_validate(args, exp)
     if code != EXIT_OK:
         return code
-    seed = args.seed if args.seed is not None else exp.seeds[0]
+    seed = args.seed if args.seed is not None else exp.run_seed
     out_dir = args.out or exp.output_dir
     try:
         _, trace, summary = _execute_single(exp, seed, out_dir=out_dir)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import numbers
 import os
-import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, check_keys, config_key, config_number
+from .errors import (ConfigurationError, DimensionMismatch, bind_config, bind_kind, check_type,
+                     config_entry)
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
 from .problems import (DemoProblem, build_demo, pd_problem, reference_oracle,
@@ -41,117 +40,134 @@ def load_config(path):
         ) from e
 
 
-def load_matrix(spec, base_dir):
-    """A matrix given inline (nested lists) or as {"file": path} plain text."""
-    if isinstance(spec, dict):
-        if "file" not in spec:
-            raise ConfigurationError(f"matrix reference needs a 'file' key, got {spec}")
-        path = os.path.join(base_dir, spec["file"])
-        if not os.path.exists(path):
-            raise ConfigurationError(f"matrix file does not exist: {path}")
+def _matrix_file(file: str, *, base_dir):
+    path = os.path.join(base_dir, file)
+    if not os.path.exists(path):
+        raise ConfigurationError(f"matrix file does not exist: {path}")
+    try:
         return np.atleast_1d(np.loadtxt(path, dtype=np.float64))
+    except ValueError as e:
+        raise ConfigurationError(f"matrix file {path}: {e}") from None
+
+
+def load_matrix(spec, base_dir, where):
+    """The matrix at config path `where`: inline (a number or nested lists of
+    numbers) or a {"file": path} reference to plain text, relative to base_dir."""
+    if isinstance(spec, dict):
+        return bind_config(_matrix_file, spec, where, base_dir=base_dir)
+    check_type(spec, "np.ndarray", where)
     return np.asarray(spec, dtype=np.float64)
 
 
-_BLOCK_ENTRY = re.compile(r"\w+\[\d+\]: ")  # a message naming one block: `primal[0]: ...`
+# readers that `bind_config` binds to config objects: each signature is the
+# schema of the object it reads
 
 
-@contextmanager
-def _at(path):
-    """Report a shape mismatch raised while building the config entry at
-    `path` as a ConfigurationError that names it; a message that names one of
-    its blocks extends the path (`problem.custom_pd.primal[0]: ...`)."""
-    try:
-        yield
-    except DimensionMismatch as e:
-        raise ConfigurationError(
-            f"{path}{'.' if _BLOCK_ENTRY.match(str(e)) else ': '}{e}") from None
+def _scalar_metric(values: list[float], *, dims):
+    return Preconditioner.scalar(values, dims)
 
 
-def _load_precond(spec, dims):
-    if spec is None or spec.get("kind", "identity") == "identity":
-        return Preconditioner.identity(dims)
-    kind = spec["kind"]
-    if kind == "scalar":
-        return Preconditioner.scalar(config_key(spec, "values", "scalar preconditioner"), dims)
-    if kind == "diagonal":
-        metric = Preconditioner.diagonal([np.asarray(w, dtype=np.float64)
-                                          for w in spec["weights"]])
-        if metric.dims != dims:
-            raise DimensionMismatch(f"weight lengths {metric.dims} != block dims {dims}")
-        return metric
-    raise ConfigurationError(f"unknown preconditioner kind {kind!r}")
+def _diagonal_metric(weights: list[np.ndarray], *, dims):
+    metric = Preconditioner.diagonal(weights)
+    if metric.dims != dims:
+        raise DimensionMismatch(f"weight lengths {metric.dims} != block dims {dims}")
+    return metric
 
 
-def _load_map(spec, dims, metric, base_dir):
-    kind = config_key(spec, "kind", "map")
-    if kind == "zero":
-        return CocoerciveMap.zero_map(dims)
-    if kind == "lstsq":
-        a = load_matrix(spec["a"], base_dir)
-        b = load_matrix(spec["b"], base_dir).reshape(-1)
-        if a.ndim == 2 and (a.shape[1],) != dims:
-            raise DimensionMismatch(f"A has {a.shape[1]} columns, block dims {dims}")
-        return CocoerciveMap.least_squares_gradient(a, b, metric=metric)
-    if kind == "linear":
-        q = load_matrix(spec["q"], base_dir)
-        offset = (load_matrix(spec["offset"], base_dir).reshape(-1)
-                  if "offset" in spec else None)
-        return CocoerciveMap.linear(q, offset, dims=dims, metric=metric)
-    if kind == "scaled_identity":
-        return CocoerciveMap.scaled_identity(dims, spec["mu"], metric=metric)
-    raise ConfigurationError(f"unknown map kind {kind!r}")
+_METRICS = {"identity": lambda *, dims: Preconditioner.identity(dims),
+            "scalar": _scalar_metric, "diagonal": _diagonal_metric}
 
 
-# the keys of the solver section, all read by `Experiment.solver_config`
-_SOLVER_KEYS = ("epsilon", "gamma", "relaxation", "max_iter", "stop_tol", "record_every")
+def _metric(spec, dims, where):
+    """The metric at `where`; none, or one without a kind, is the identity."""
+    return bind_kind(_METRICS, {} if spec is None else spec, where, default="identity",
+                     dims=dims)
 
 
-def _solver_spec(spec):
-    """The solver section: known keys only, every value a number, except a null
-    gamma (the default step)."""
-    check_keys(spec, _SOLVER_KEYS, "solver")
-    for key, value in spec.items():
-        if not (key == "gamma" and value is None):
-            config_number(spec, key, "solver")
-    return spec
+def _lstsq_map(a, b, *, dims, metric, base_dir, path):
+    a = load_matrix(a, base_dir, f"{path}.a")
+    b = load_matrix(b, base_dir, f"{path}.b").reshape(-1)
+    if a.ndim == 2 and (a.shape[1],) != dims:
+        raise DimensionMismatch(f"A has {a.shape[1]} columns, block dims {dims}")
+    return CocoerciveMap.least_squares_gradient(a, b, metric=metric)
 
 
-def _block_dims(blocks, where):
-    """The `dim` of every block of a block list."""
-    return tuple(int(config_key(b, "dim", f"{where}[{i}]")) for i, b in enumerate(blocks))
+def _linear_map(q, offset=None, *, dims, metric, base_dir, path):
+    if offset is not None:
+        offset = load_matrix(offset, base_dir, f"{path}.offset").reshape(-1)
+    return CocoerciveMap.linear(load_matrix(q, base_dir, f"{path}.q"), offset, dims=dims,
+                                metric=metric)
 
 
-def _block_operator(spec):
-    if spec is None or spec.get("family") == "zero":
-        return MonotoneBlock.rule_zero()
-    return MonotoneBlock.rule_subdiff(ProxFunction.from_config(spec))
+def _scaled_identity_map(mu: float, *, dims, metric, **_):
+    return CocoerciveMap.scaled_identity(dims, mu, metric=metric)
+
+
+_MAPS = {"zero": lambda *, dims, **_: CocoerciveMap.zero_map(dims), "lstsq": _lstsq_map,
+         "linear": _linear_map, "scaled_identity": _scaled_identity_map}
+
+
+def _map(spec, where, dims, metric, base_dir):
+    return bind_kind(_MAPS, spec, where, dims=dims, metric=metric, base_dir=base_dir,
+                     path=where)
+
+
+def _block(dim: int, operator: dict | None = None, *, path):
+    """A block of `custom`: its dim and the rule of its operator, the
+    subdifferential of a catalogue function (none: zero)."""
+    if dim < 0:
+        raise DimensionMismatch(f"dim must be non-negative, got {dim}")
+    fn = None if operator is None else ProxFunction.from_config(operator, f"{path}.operator")
+    zero = fn is None or fn.family == "zero"
+    return dim, MonotoneBlock.rule_zero() if zero else MonotoneBlock.rule_subdiff(fn)
+
+
+def _primal_block(dim: int, operator: dict | None = None, z: np.ndarray | None = None, *,
+                  path):
+    """A primal block of `custom_pd`: a `custom` block and its offset z (none: 0)."""
+    dim, rule = _block(dim, operator, path=path)
+    return dim, rule, np.zeros(dim) if z is None else np.asarray(z, np.float64)
+
+
+def _dual_block(dim: int, g: dict | None = None, r: np.ndarray | None = None,
+                dinv_mu: float | None = None, *, path):
+    """A dual block of `custom_pd`: its dim, the rule of g's conjugate (no g:
+    zero), its offset r (none: 0) and D^-1 = dinv_mu I (none: no D^-1)."""
+    dim, rule = _block(dim, path=path)
+    if g is not None:
+        rule = MonotoneBlock.rule_conjugate_subdiff(ProxFunction.from_config(g, f"{path}.g"))
+    return dim, rule, np.zeros(dim) if r is None else np.asarray(r, np.float64), dinv_mu
+
+
+def _blocks(specs, where, reader, fields):
+    """The `fields` columns (dims, rules, ...) of the block list at `where`."""
+    blocks = [bind_config(reader, spec, f"{where}[{i}]", path=f"{where}[{i}]")
+              for i, spec in enumerate(specs)]
+    return [tuple(b[k] for b in blocks) for k in range(fields)]
 
 
 class FlatProblem:
-    """Custom single-inclusion problem for the sifb route, parsed once.
+    """Custom single-inclusion problem for the sifb route, parsed once; the
+    constructor's signature is the schema of `problem.custom`.
 
     `beta` is the constant the config gives, or None to take the map's own.
     """
 
-    def __init__(self, spec, base_dir):
-        blocks = spec["blocks"]
-        dims = _block_dims(blocks, "problem.custom.blocks")
-        with _at("problem.custom.preconditioner"):
-            self.metric = _load_precond(spec.get("preconditioner"), dims)
-        self.operator = MonotoneBlock([_block_operator(b.get("operator")) for b in blocks])
-        with _at("problem.custom"):
-            self.operator.check_dims(dims, "blocks")
-        with _at("problem.custom.map"):
-            self.map = _load_map(spec["map"], dims, self.metric, base_dir)
-        self.beta = None if spec.get("beta") is None else float(spec["beta"])
+    def __init__(self, blocks: list, map: dict, preconditioner: dict | None = None,
+                 beta: float | None = None, x0=None, *, base_dir):
+        dims, rules = _blocks(blocks, "problem.custom.blocks", _block, 2)
+        self.metric = _metric(preconditioner, dims, "problem.custom.preconditioner")
+        self.operator = MonotoneBlock(rules)
+        self.operator.check_dims(dims, "blocks")
+        self.map = _map(map, "problem.custom.map", dims, self.metric, base_dir)
+        self.beta = None if beta is None else float(beta)
         self.x0 = BlockVector.zeros(dims)
-        if "x0" in spec:
-            flat = load_matrix(spec["x0"], base_dir).reshape(-1)
+        if x0 is not None:
+            flat = load_matrix(x0, base_dir, "problem.custom.x0").reshape(-1)
             if not np.isfinite(flat).all():
-                where = spec["x0"].get("file") if isinstance(spec["x0"], dict) else "inline"
+                where = x0.get("file") if isinstance(x0, dict) else "inline"
                 raise ConfigurationError(f"x0 ({where}) has non-finite entries")
-            with _at("problem.custom.x0"):
+            with config_entry("problem.custom.x0"):
                 self.x0 = BlockVector.from_flat(flat, dims)
 
     def sifb_instance(self, noise=None, seed=0, oracle_mode="additive_gaussian",
@@ -162,60 +178,38 @@ class FlatProblem:
                                                 self.x0, beta=self.beta)
 
 
-def _build_custom_pd(spec, base_dir):
-    """Custom structured problem for the primal-dual routes."""
-    primal = spec["primal"]
-    dual = spec.get("dual", [])
-    pdims = _block_dims(primal, "problem.custom_pd.primal")
-    ddims = _block_dims(dual, "problem.custom_pd.dual")
-    with _at("problem.custom_pd.V"):
-        v = _load_precond(spec.get("V"), pdims)
-    with _at("problem.custom_pd.W"):
-        w = _load_precond(spec.get("W"), ddims)
-    z = BlockVector([np.asarray(b.get("z", np.zeros(d)), dtype=np.float64)
-                     for b, d in zip(primal, pdims)])
-    r = BlockVector([np.asarray(b.get("r", np.zeros(d)), dtype=np.float64)
-                     for b, d in zip(dual, ddims)])
-    primal_ops = MonotoneBlock([_block_operator(b.get("operator")) for b in primal])
-    dual_rules = []
-    for b in dual:
-        g = b.get("g")
-        if g is None:
-            dual_rules.append(MonotoneBlock.rule_zero())
-        else:
-            dual_rules.append(
-                MonotoneBlock.rule_conjugate_subdiff(ProxFunction.from_config(g)))
-    rows = spec.get("coupling")
-    if rows is None:
+def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | None = None,
+               coupling: list[list] | None = None, smooth: dict | None = None,
+               nu0: float | None = None, mu0: float | None = None, *, base_dir):
+    """`problem.custom_pd`: a structured problem for the primal-dual routes, and
+    whether the config gives its constants."""
+    where = "problem.custom_pd"
+    pdims, primal_rules, z = _blocks(primal, f"{where}.primal", _primal_block, 3)
+    ddims, dual_rules, r, mus = _blocks(dual, f"{where}.dual", _dual_block, 4)
+    v, w = _metric(V, pdims, f"{where}.V"), _metric(W, ddims, f"{where}.W")
+    if coupling is None:
         coupling = BlockLinearOperator.zero(pdims, ddims)
     else:
-        with _at("problem.custom_pd.coupling"):
+        with config_entry(f"{where}.coupling"):
             coupling = BlockLinearOperator(
-                [[None if cell is None else load_matrix(cell, base_dir) for cell in row]
-                 for row in rows],
+                [[None if cell is None else
+                  load_matrix(cell, base_dir, f"{where}.coupling[{k}][{i}]")
+                  for i, cell in enumerate(row)] for k, row in enumerate(coupling)],
                 pdims, ddims,
             )
-    smooth = None
-    if "smooth" in spec:
-        with _at("problem.custom_pd.smooth"):
-            smooth = _load_map(spec["smooth"], pdims, v, base_dir)
-    mus = [b.get("dinv_mu") for b in dual]
-    dual_smooth = None
-    if any(mu is not None for mu in mus):
-        if len(set(mus)) != 1:
-            raise ConfigurationError(
-                "per-block dinv_mu values must currently agree across dual blocks"
-            )
-        dual_smooth = CocoerciveMap.scaled_identity(ddims, float(mus[0]), metric=w)
-    with _at("problem.custom_pd"):
-        prob = PrimalDualProblem(
-            primal_ops=primal_ops, z=z, V=v,
-            dual_inverse=MonotoneBlock(dual_rules), r=r, W=w,
-            coupling=coupling, smooth=smooth, dual_smooth=dual_smooth,
-            nu0=spec.get("nu0"), mu0=spec.get("mu0"),
-        )
-    given = spec.get("nu0") is not None or spec.get("mu0") is not None
-    return prob, given
+    if smooth is not None:
+        smooth = _map(smooth, f"{where}.smooth", pdims, v, base_dir)
+    if len(set(mus)) > 1:
+        raise ConfigurationError("per-block dinv_mu values must currently agree across "
+                                 "dual blocks")
+    dual_smooth = (None if not mus or mus[0] is None
+                   else CocoerciveMap.scaled_identity(ddims, float(mus[0]), metric=w))
+    prob = PrimalDualProblem(
+        primal_ops=MonotoneBlock(primal_rules), z=BlockVector(z), V=v,
+        dual_inverse=MonotoneBlock(dual_rules), r=BlockVector(r), W=w,
+        coupling=coupling, smooth=smooth, dual_smooth=dual_smooth, nu0=nu0, mu0=mu0,
+    )
+    return prob, nu0 is not None or mu0 is not None
 
 
 @dataclass
@@ -224,7 +218,8 @@ class Experiment:
 
     `problem` is what the config names: a demo, a `FlatProblem` or a custom
     `PrimalDualProblem`. `pd` is the structured problem the primal-dual routes
-    assemble (None on sifb), and `pd_form` the demo's checked form.
+    assemble (None on sifb), and `pd_form` the demo's checked form. `run_seed`,
+    the seed of `sifb run` without `--seed`, is `resolved_seed` or else seeds[0].
     """
 
     raw: dict
@@ -234,6 +229,7 @@ class Experiment:
     inertia: InertiaSchedule
     solver_spec: dict
     seeds: list
+    run_seed: int
     output_dir: str
     problem: object = None
     pd: PrimalDualProblem = None
@@ -249,18 +245,7 @@ class Experiment:
         return assemble(self.pd, noise=self.noise, seed=seed)
 
     def solver_config(self, beta):
-        spec = dict(self.solver_spec)
-        stop_default = 1e-8 if self.noise.mode == "zero" else 1e-4
-        return SolverConfig(
-            beta=beta,
-            epsilon=spec.get("epsilon", 1e-3),
-            gamma=spec.get("gamma"),
-            relaxation=spec.get("relaxation", 1.0),
-            inertia=self.inertia,
-            max_iter=int(spec.get("max_iter", 100000)),
-            stop_tol=float(spec.get("stop_tol", stop_default)),
-            record_every=int(spec.get("record_every", 1)),
-        )
+        return SolverConfig(beta=beta, inertia=self.inertia, **self.solver_spec)
 
     def reference(self):
         """Oracle solution for demo problems (primal blocks), cached."""
@@ -279,68 +264,79 @@ def _seed(value, rule):
     return value
 
 
-def build_experiment(cfg, base_dir="."):
-    if "problem" not in cfg:
-        raise ConfigurationError("config needs a 'problem' section")
-    algorithm = cfg.get("algorithm", "sifb")
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    for section in ("noise", "inertia", "solver"):
-        if cfg.get(section) is not None and not isinstance(cfg[section], dict):
-            raise ConfigurationError(f"config section {section!r} must be an object")
-    noise = NoiseSchedule.from_config(cfg.get("noise"))
-    inertia = InertiaSchedule.from_config(cfg.get("inertia"))
-    seeds_spec = cfg.get("seeds", [0])
-    if isinstance(seeds_spec, dict):
-        check_keys(seeds_spec, ("master_seed", "count"), "seeds")
-        seeds = derive_seeds(
-            _seed(seeds_spec.get("master_seed", 0), "master_seed must be a non-negative integer"),
-            _seed(seeds_spec.get("count", 1), "seeds count must be a non-negative integer"))
-    elif isinstance(seeds_spec, list):
-        seeds = [_seed(s, "seeds must be non-negative integers") for s in seeds_spec]
-    else:
-        raise ConfigurationError(
-            "seeds must be a list of non-negative integers or an object with "
-            f"'master_seed' and 'count', got {json.dumps(seeds_spec, default=repr)}")
-    if not seeds:
-        raise ConfigurationError(f"seeds must give at least one seed, got {seeds_spec!r}")
-    exp = Experiment(
-        raw=cfg,
-        base_dir=base_dir,
-        algorithm=algorithm,
-        noise=noise,
-        inertia=inertia,
-        solver_spec=_solver_spec(cfg.get("solver") or {}),
-        seeds=seeds,
-        output_dir=cfg.get("output_dir", "runs"),
-        want_reference=bool(cfg.get("reference", True)),
-    )
-    problem = cfg["problem"]
-    if "demo" in problem:
-        exp.problem = build_demo(config_key(problem["demo"], "name", "problem.demo"),
-                                 problem["demo"].get("params", {}))
-        exp.pd_form = exp.problem.check_form(problem["demo"].get("form"))
-        if algorithm != "sifb":
-            exp.pd = pd_problem(exp.problem, exp.pd_form)
-    elif "custom" in problem:
+def _derived_seeds(master_seed: int = 0, count: int = 1):
+    return derive_seeds(_seed(master_seed, "master_seed must be a non-negative integer"),
+                        _seed(count, "seeds count must be a non-negative integer"))
+
+
+def _solver(epsilon: float = 1e-3, gamma: float | None = None, relaxation: float = 1.0,
+            max_iter: int = 100000, stop_tol: float = None, record_every: int = 1, *,
+            noise):
+    """The `solver` section as SolverConfig arguments; a null gamma is the default
+    step, and the stop tolerance defaults to 1e-8 without noise, 1e-4 with it."""
+    if stop_tol is None:
+        stop_tol = 1e-8 if noise.mode == "zero" else 1e-4
+    return dict(epsilon=epsilon, gamma=gamma, relaxation=relaxation, max_iter=max_iter,
+                stop_tol=float(stop_tol), record_every=record_every)
+
+
+def _demo(name: str, params: dict | None = None, form: str | None = None, *, algorithm):
+    demo = build_demo(name, {} if params is None else params, "problem.demo.params")
+    form = demo.check_form(form)
+    return dict(problem=demo, pd_form=form,
+                pd=None if algorithm == "sifb" else pd_problem(demo, form))
+
+
+def _problem(demo: dict | None = None, custom: dict | None = None,
+             custom_pd: dict | None = None, *, algorithm, base_dir):
+    """The `problem` section as the Experiment fields it sets."""
+    named = [repr(k) for k, v in (("demo", demo), ("custom", custom), ("custom_pd", custom_pd))
+             if v is not None]
+    if len(named) != 1:
+        raise ConfigurationError("problem needs exactly one of 'demo', 'custom', 'custom_pd'"
+                                 + (f", got {' and '.join(named)}" if named else ""))
+    if demo is not None:
+        return bind_config(_demo, demo, "problem.demo", algorithm=algorithm)
+    if custom is not None:
         if algorithm != "sifb":
             raise ConfigurationError(
                 "flat custom problems run on the sifb route; use custom_pd "
                 "for the primal-dual routes"
             )
-        exp.problem = FlatProblem(problem["custom"], base_dir)
-        exp.constants_given = exp.problem.beta is not None
-    elif "custom_pd" in problem:
-        if algorithm == "sifb":
-            raise ConfigurationError(
-                "custom_pd problems run on the primal-dual routes"
-            )
-        exp.pd, exp.constants_given = _build_custom_pd(problem["custom_pd"], base_dir)
-        exp.problem = exp.pd
-    else:
+        flat = bind_config(FlatProblem, custom, "problem.custom", base_dir=base_dir)
+        return dict(problem=flat, constants_given=flat.beta is not None)
+    if algorithm == "sifb":
+        raise ConfigurationError("custom_pd problems run on the primal-dual routes")
+    pd, given = bind_config(_custom_pd, custom_pd, "problem.custom_pd", base_dir=base_dir)
+    return dict(problem=pd, pd=pd, constants_given=given)
+
+
+def _experiment(problem: dict, algorithm: str = "sifb", solver: dict | None = None,
+                noise: dict | None = None, inertia: dict | None = None,
+                seeds: list | dict = (0,), output_dir: str = "runs", reference: bool = True,
+                resolved_seed: int | None = None, *, raw, base_dir):
+    """The config document `raw`; `sifb run` writes `resolved_seed` into its snapshot."""
+    if algorithm not in ALGORITHMS:
         raise ConfigurationError(
-            "problem section needs one of 'demo', 'custom', 'custom_pd'"
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
-    return exp
+    noise = NoiseSchedule.from_config(noise)
+    inertia = InertiaSchedule.from_config(inertia)
+    seed_list = (bind_config(_derived_seeds, seeds, "seeds") if isinstance(seeds, dict) else
+                 [_seed(s, "seeds must be non-negative integers") for s in seeds])
+    if not seed_list:
+        raise ConfigurationError(f"seeds must give at least one seed, got {seeds!r}")
+    if resolved_seed is not None:
+        _seed(resolved_seed, "resolved_seed must be a non-negative integer")
+    return Experiment(
+        raw=raw, base_dir=base_dir, algorithm=algorithm, noise=noise, inertia=inertia,
+        solver_spec=bind_config(_solver, {} if solver is None else solver, "solver",
+                                noise=noise),
+        seeds=seed_list, run_seed=seed_list[0] if resolved_seed is None else resolved_seed,
+        output_dir=output_dir, want_reference=reference,
+        **bind_config(_problem, problem, "problem", algorithm=algorithm, base_dir=base_dir))
+
+
+def build_experiment(cfg, base_dir="."):
+    """The Experiment of the config document cfg; matrix files are relative to base_dir."""
+    return bind_config(_experiment, cfg, "", raw=cfg, base_dir=base_dir)

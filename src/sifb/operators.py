@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, bind_config
+from .errors import ConfigurationError, DimensionMismatch, bind_kind
 from .spaces import BlockVector, Preconditioner, block_concat, block_split
 
 # Safety deflation applied to computed cocoercivity constants before they are
@@ -193,16 +193,18 @@ class ProxFunction:
         return cls("l1", lam=float(lam))
 
     @classmethod
-    def squared_l2(cls, lam: float = 1.0, center=0.0):
+    def squared_l2(cls, lam: float = 1.0, center: np.ndarray = 0.0):
         """(lam/2) ||x - center||^2."""
         if lam <= 0:
             raise ConfigurationError(f"sq_l2 weight must be positive, got {lam}")
         return cls("sq_l2", lam=float(lam), center=np.asarray(center, dtype=np.float64))
 
     @classmethod
-    def box(cls, lo, hi):
+    def box(cls, lo: np.ndarray, hi: np.ndarray):
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
+        if lo.size > 1 and hi.size > 1 and lo.shape != hi.shape:
+            raise DimensionMismatch(f"lo has shape {lo.shape}, hi has shape {hi.shape}")
         if np.any(lo > hi):
             raise ConfigurationError("box indicator needs lo <= hi")
         return cls("box", lo=lo, hi=hi)
@@ -214,18 +216,15 @@ class ProxFunction:
         return cls("linf_ball", radius=float(radius))
 
     @classmethod
-    def affine(cls, c):
+    def affine(cls, c: np.ndarray):
         return cls("affine", c=np.asarray(c, dtype=np.float64))
 
     @classmethod
-    def from_config(cls, spec):
-        """Build from a config mapping like {"family": "l1", "lam": 0.5}."""
-        spec = dict(spec)
-        family = spec.pop("family", None)
-        if family not in _FAMILIES:
-            raise ConfigurationError(f"unknown prox family {family!r} in config")
-        constructor = getattr(cls, {"sq_l2": "squared_l2"}.get(family, family))
-        return bind_config(constructor, spec, f"prox family {family!r}")
+    def from_config(cls, spec, where="prox function"):
+        """Build from the config object at `where`, like {"family": "l1", "lam": 0.5}."""
+        constructors = {family: getattr(cls, {"sq_l2": "squared_l2"}.get(family, family))
+                        for family in _FAMILIES}
+        return bind_kind(constructors, spec, where, key="family")
 
     # --- evaluation -----------------------------------------------------
     def value(self, x, feas_tol=1e-9):
@@ -510,7 +509,7 @@ class CocoerciveMap:
     def linear(cls, q, offset=None, dims=None, metric=None, deflate=True):
         """x -> Q x + offset on the flat concatenation, Q symmetric PSD."""
         q = np.asarray(q, dtype=np.float64)
-        n = q.shape[0]
+        n = q.shape[0] if q.ndim else 0
         if q.shape != (n, n):
             raise ConfigurationError(f"quadratic matrix must be square, got {q.shape}")
         if not np.allclose(q, q.T, atol=1e-10):
@@ -520,6 +519,8 @@ class CocoerciveMap:
         if sum(dims) != n:
             raise DimensionMismatch(f"dims {dims} do not sum to {n}")
         offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=np.float64).reshape(-1)
+        if offset.size not in (1, n):
+            raise DimensionMismatch(f"offset has length {offset.size}, expected {n}")
         if metric is None:
             metric = Preconditioner.identity(dims)
         extremal = None

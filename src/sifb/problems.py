@@ -100,6 +100,8 @@ class Lasso(DemoProblem):
             raise ConfigurationError(f"need n, p >= 1, got ({n}, {p})")
         if lam < 0:
             raise ConfigurationError(f"lam must be nonnegative, got {lam}")
+        if not cond >= 1:
+            raise ConfigurationError(f"cond must be at least 1, got {cond}")
         rng = _rng(seed)
         a = _conditioned_matrix(rng, n, p, cond)
         x_true = np.zeros(p)
@@ -335,13 +337,14 @@ build_parallel_sum_instance = ParallelSum.build
 DEMOS = {cls.name: cls for cls in (Lasso, CoupledBoxQP, ParallelSum)}
 
 
-def build_demo(name, params):
-    """Config-facing entry: build a demo problem by name and parameter dict."""
+def build_demo(name, params, where="params"):
+    """Config-facing entry: build a demo problem by name and parameter dict,
+    the config object at `where`."""
     if name not in DEMOS:
         raise ConfigurationError(
             f"unknown demo problem {name!r}; expected one of {sorted(DEMOS)}"
         )
-    return bind_config(DEMOS[name].build, params, f"demo {name!r} params")
+    return bind_config(DEMOS[name].build, params, where)
 
 
 def sifb_instance(problem, noise=None, seed=0, oracle_mode="additive_gaussian",

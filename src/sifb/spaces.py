@@ -488,15 +488,17 @@ def estimate_weighted_norm(L, V, W):
     tall = sum(L.dims_in) <= sum(L.dims_out)
     off = _offsets(L.dims_in if tall else L.dims_out)
     gram = np.zeros((off[-1], off[-1]))
-    for r, strip in _weighted_strips(L, V, W, tall):
-        # upper block triangle only; eigvalsh below reads that triangle
-        for a, ga in enumerate(strip):
-            if ga is None:
-                continue
-            for b in range(a, len(strip)):
-                if strip[b] is not None:
-                    _add_gram_product(gram[off[a]:off[a + 1], off[b]:off[b + 1]],
-                                      r, ga, strip[b])
+    # an overflow shows as a non-finite entry, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, strip in _weighted_strips(L, V, W, tall):
+            # upper block triangle only; eigvalsh below reads that triangle
+            for a, ga in enumerate(strip):
+                if ga is None:
+                    continue
+                for b in range(a, len(strip)):
+                    if strip[b] is not None:
+                        _add_gram_product(gram[off[a]:off[a + 1], off[b]:off[b + 1]],
+                                          r, ga, strip[b])
     if not np.isfinite(gram).all():
         raise NormEstimationError(
             "weighted coupling norm: the Gram matrix of sqrt(W) L sqrt(V) "

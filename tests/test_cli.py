@@ -1,10 +1,18 @@
+import contextlib
+import copy
+import dataclasses
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sifb
 from sifb import NormEstimationError, OracleError
@@ -512,6 +520,16 @@ def test_missing_matrix_file_reported(tmp_path, capsys):
     assert "nope.txt" in err
 
 
+def test_matrix_file_that_is_not_numeric_is_reported(tmp_path, capsys):
+    (tmp_path / "a.txt").write_text("a b\n1 2\n")
+    cfg = custom_prox_config(None)
+    cfg["problem"]["custom"]["map"]["a"] = {"file": "a.txt"}
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", path]) == 1
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("configuration error: matrix file ") and "a.txt" in line
+
+
 NOISY = {"mode": "poly", "sigma0": 0.2, "theta": 0.75}
 
 
@@ -573,51 +591,129 @@ def custom_prox_config(operator):
             "algorithm": "sifb"}
 
 
+def custom_pd_config(primal_operator=None, dual_g=None):
+    primal = {"dim": 2} if primal_operator is None else {"dim": 2, "operator": primal_operator}
+    return {"problem": {"custom_pd": {
+                "primal": [primal],
+                "dual": [{"dim": 2, "g": dual_g or {"family": "l1", "lam": 1.0}}],
+                "coupling": [[0.5]]}},
+            "algorithm": "pd_class1"}
+
+
+def edited(cfg, change):
+    """cfg after change(cfg) edits it in place."""
+    change(cfg)
+    return cfg
+
+
+# (config, the entry its one-line refusal names first)
 MALFORMED = [
-    pytest.param(lasso_config(solver={"relaxation": None}), id="null relaxation"),
-    pytest.param(lasso_config(solver={"gamma": "abc"}), id="string gamma"),
-    pytest.param(lasso_config(solver={"max_iter": "abc"}), id="string max_iter"),
+    pytest.param(lasso_config(solver={"relaxation": None}), "solver.relaxation",
+                 id="null relaxation"),
+    pytest.param(lasso_config(solver={"gamma": "abc"}), "solver.gamma", id="string gamma"),
+    pytest.param(lasso_config(solver={"max_iter": "abc"}), "solver.max_iter",
+                 id="string max_iter"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
-        "n": 4, "p": 3, "lam": 0.1, "bogus": 1}}}), id="unknown demo param"),
-    pytest.param(custom_prox_config({"family": "l1"}), id="prox key missing"),
+        "n": 4, "p": 3, "lam": 0.1, "bogus": 1}}}), "problem.demo.params",
+                 id="unknown demo param"),
+    pytest.param(custom_prox_config({"family": "l1"}), "problem.custom.blocks[0].operator",
+                 id="prox key missing"),
     pytest.param(custom_prox_config({"family": "l1", "lam": 0.5, "lamda": 2}),
-                 id="prox key unknown"),
-    pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.1}), id="noise without theta"),
+                 "problem.custom.blocks[0].operator", id="prox key unknown"),
+    pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.1}), "poly NoiseSchedule",
+                 id="noise without theta"),
     pytest.param(lasso_config(inertia={"mode": "poly", "alpha0": None, "q": 1.5}),
-                 id="null alpha0"),
-    pytest.param(lasso_config(noise="poly"), id="noise not an object"),
-    pytest.param(lasso_config(solver=[]), id="solver not an object"),
-    pytest.param(lasso_config(seeds=[]), id="empty seed list"),
-    pytest.param(lasso_config(seeds={"count": 0}), id="zero seed count"),
-    pytest.param(lasso_config(seeds={"count": -3}), id="negative seed count"),
-    pytest.param(lasso_config(seeds=5), id="seeds a number"),
-    pytest.param(lasso_config(seeds=["a"]), id="string seed"),
-    pytest.param(lasso_config(seeds=[1.0]), id="float seed"),
-    pytest.param(lasso_config(seeds=[True]), id="bool seed"),
-    pytest.param(lasso_config(seeds={"master_seed": "x", "count": 2}), id="string master_seed"),
+                 "poly InertiaSchedule", id="null alpha0"),
+    pytest.param(lasso_config(noise="poly"), "noise", id="noise not an object"),
+    pytest.param(lasso_config(solver=[]), "solver", id="solver not an object"),
+    pytest.param(lasso_config(seeds=[]), "seeds", id="empty seed list"),
+    pytest.param(lasso_config(seeds={"count": 0}), "seeds", id="zero seed count"),
+    pytest.param(lasso_config(seeds={"count": -3}), "seeds count", id="negative seed count"),
+    pytest.param(lasso_config(seeds=5), "seeds", id="seeds a number"),
+    pytest.param(lasso_config(seeds=["a"]), "seeds", id="string seed"),
+    pytest.param(lasso_config(seeds=[1.0]), "seeds", id="float seed"),
+    pytest.param(lasso_config(seeds=[True]), "seeds", id="bool seed"),
+    pytest.param(lasso_config(seeds={"master_seed": "x", "count": 2}), "seeds.master_seed",
+                 id="string master_seed"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
-        "n": "12", "p": 10, "lam": 0.1}}}), id="string demo param"),
+        "n": "12", "p": 10, "lam": 0.1}}}), "problem.demo.params.n", id="string demo param"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
-        "n": 12.5, "p": 10, "lam": 0.1}}}), id="float integer demo param"),
+        "n": 12.5, "p": 10, "lam": 0.1}}}), "problem.demo.params.n",
+                 id="float integer demo param"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
-        "n": 12, "p": 10, "lam": 0.1, "seed": -1}}}), id="negative demo seed"),
-    pytest.param(custom_prox_config({"family": "l1", "lam": "0.5"}), id="string prox value"),
-    pytest.param(lasso_config(solver={"max_iters": 3}), id="unknown solver key"),
+        "n": 12, "p": 10, "lam": 0.1, "seed": -1}}}), "demo seed", id="negative demo seed"),
+    pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
+        "n": 12, "p": 10, "lam": 0.1, "cond": -1.0}}}), "cond", id="negative lasso cond"),
+    pytest.param(custom_prox_config({"family": "l1", "lam": "0.5"}),
+                 "problem.custom.blocks[0].operator.lam", id="string prox value"),
+    pytest.param(lasso_config(solver={"max_iters": 3}), "solver", id="unknown solver key"),
     pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.2, "theta": 0.75,
-                                     "thetaa": 3}), id="unknown noise key"),
-    pytest.param(lasso_config(inertia={"mode": "zero", "alpha": 0.1}),
+                                     "thetaa": 3}), "NoiseSchedule", id="unknown noise key"),
+    pytest.param(lasso_config(inertia={"mode": "zero", "alpha": 0.1}), "InertiaSchedule",
                  id="unknown inertia key"),
+    pytest.param(lasso_config(algoritm="pd_class1"), "config", id="misspelled algorithm key"),
+    pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
+        "n": 4, "p": 3, "lam": 0.1}, "frm": "cp"}}), "problem.demo",
+                 id="misspelled demo form key"),
+    pytest.param({"problem": {"custom": {
+        "blocks": [{"dim": 2}],
+        "map": {"kind": "linear", "q": [[1.0, 0.0], [0.0, 1.0]], "offest": [1.0, 0.0]}}},
+                  "algorithm": "sifb"}, "problem.custom.map", id="misspelled linear map offset"),
+    pytest.param(edited(custom_pd_config(),
+                        lambda c: c["problem"]["custom_pd"]["dual"][0].update(dinv_muu=0.5)),
+                 "problem.custom_pd.dual[0]", id="misspelled dinv_mu"),
+    pytest.param(edited(custom_pd_config(), lambda c: c["problem"].update(
+        demo={"name": "lasso", "params": {"n": 4, "p": 3, "lam": 0.1}})), "problem",
+                 id="demo and custom_pd"),
+    pytest.param(edited(custom_prox_config(None),
+                        lambda c: c["problem"]["custom"]["blocks"][0].update(dim="two")),
+                 "problem.custom.blocks[0].dim", id="string dim"),
+    pytest.param(edited(custom_prox_config(None),
+                        lambda c: c["problem"]["custom"]["blocks"][0].update(dim=-1)),
+                 "problem.custom.blocks[0]", id="negative dim"),
+    pytest.param(edited(custom_prox_config(None),
+                        lambda c: c["problem"]["custom"].update(blocks=3)),
+                 "problem.custom.blocks", id="blocks a number"),
+    pytest.param(lasso_config(problem=5), "problem", id="problem a number"),
+    pytest.param(edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(
+        preconditioner={"kind": "diagonal"})), "problem.custom.preconditioner",
+                 id="diagonal metric without weights"),
+    pytest.param(edited(custom_pd_config(),
+                        lambda c: c["problem"]["custom_pd"].update(coupling=[["a"]])),
+                 "problem.custom_pd.coupling[0][0]", id="string coupling cell"),
+    pytest.param(custom_prox_config({"family": "box", "lo": "a", "hi": 1.0}),
+                 "problem.custom.blocks[0].operator.lo", id="string box lo"),
+    pytest.param(edited(custom_prox_config(None),
+                        lambda c: c["problem"]["custom"].update(beta="a")),
+                 "problem.custom.beta", id="string beta"),
+    pytest.param(edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(nu0="a")),
+                 "problem.custom_pd.nu0", id="string nu0"),
+    pytest.param(custom_prox_config(3), "problem.custom.blocks[0].operator",
+                 id="operator a number"),
+    pytest.param(edited(custom_prox_config(None),
+                        lambda c: c["problem"]["custom"]["map"].update(bogus=1)),
+                 "problem.custom.map", id="unknown map key"),
+    pytest.param(edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
+        V={"kind": "scalar", "values": [1.0], "valuse": [2.0]})), "problem.custom_pd.V",
+                 id="unknown metric key"),
+    pytest.param(edited(custom_prox_config(None), lambda c: c["problem"]["custom"]["blocks"][0]
+                        .update(operatr={"family": "l1", "lam": 0.1})),
+                 "problem.custom.blocks[0]", id="unknown block key"),
+    pytest.param(edited(custom_prox_config(None), lambda c: c["problem"]["custom"]["map"].update(
+        b={"file": "b.txt", "rows": 2})), "problem.custom.map.b",
+                 id="unknown matrix reference key"),
 ]
 
 
-@pytest.mark.parametrize("cfg", MALFORMED)
-def test_malformed_value_exits_1_with_one_line(tmp_path, capsys, cfg):
+@pytest.mark.parametrize("cfg,entry", MALFORMED)
+def test_malformed_value_exits_1_with_one_line(tmp_path, capsys, cfg, entry):
+    (tmp_path / "b.txt").write_text("1 0\n")  # a matrix file the configs may reference
     path = write_config(tmp_path, cfg)
     for command in ("validate", "run", "sweep"):
         args = [command, path] + ([] if command == "validate" else ["--out", str(tmp_path / "o")])
         assert main(args) == 1, command
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "Traceback" not in err
+        assert err.startswith(f"configuration error: {entry}") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
@@ -693,6 +789,22 @@ def test_custom_lstsq_map_with_other_column_count_is_a_configuration_error(tmp_p
         "configuration error: problem.custom.map: A has 2 columns, block dims (3,)")
 
 
+def test_linear_map_with_a_number_for_q_is_a_configuration_error(tmp_path, capsys):
+    cfg = custom_prox_config(None)
+    cfg["problem"]["custom"]["map"] = {"kind": "linear", "q": 5.0}
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg, "configuration error: quadratic matrix must be square, got ()")
+
+
+def test_linear_map_offset_of_other_length_is_a_configuration_error(tmp_path, capsys):
+    cfg = custom_prox_config(None)
+    cfg["problem"]["custom"]["map"] = {"kind": "linear", "q": np.eye(2).tolist(),
+                                       "offset": [1.0, 2.0, 3.0]}
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg,
+        "configuration error: problem.custom.map: offset has length 3, expected 2")
+
+
 def test_custom_diagonal_metric_of_other_dims_is_a_configuration_error(tmp_path, capsys):
     cfg = {"problem": {"custom": {
                "blocks": [{"dim": 2}],
@@ -704,15 +816,6 @@ def test_custom_diagonal_metric_of_other_dims_is_a_configuration_error(tmp_path,
         "weight lengths (3,) != block dims (2,)")
 
 
-def custom_pd_config(primal_operator=None, dual_g=None):
-    primal = {"dim": 2} if primal_operator is None else {"dim": 2, "operator": primal_operator}
-    return {"problem": {"custom_pd": {
-                "primal": [primal],
-                "dual": [{"dim": 2, "g": dual_g or {"family": "l1", "lam": 1.0}}],
-                "coupling": [[0.5]]}},
-            "algorithm": "pd_class1"}
-
-
 # a vector parameter of a catalogue family is refused, by entry, unless its
 # shape is (), (1,) or the block's (d,)
 
@@ -722,6 +825,13 @@ def test_box_lo_of_other_length_on_a_custom_block_is_a_configuration_error(tmp_p
     assert_one_configuration_error(
         tmp_path, capsys, cfg,
         "configuration error: problem.custom.blocks[0]: lo has shape (3,), block dim 2")
+
+
+def test_box_bounds_of_two_shapes_are_a_configuration_error(tmp_path, capsys):
+    cfg = custom_prox_config({"family": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0]})
+    assert_one_configuration_error(
+        tmp_path, capsys, cfg, "configuration error: problem.custom.blocks[0].operator: "
+        "lo has shape (3,), hi has shape (2,)")
 
 
 def test_affine_c_of_other_length_on_a_custom_pd_primal_block_is_a_configuration_error(
@@ -781,7 +891,7 @@ def test_scalar_metric_without_values_is_a_configuration_error(tmp_path, capsys)
     cfg = custom_prox_config(None)
     cfg["problem"]["custom"]["preconditioner"] = {"kind": "scalar"}
     assert_one_configuration_error(
-        tmp_path, capsys, cfg, "configuration error: scalar preconditioner needs 'values'")
+        tmp_path, capsys, cfg, "configuration error: problem.custom.preconditioner needs 'values'")
 
 
 def test_block_without_dim_is_a_configuration_error(tmp_path, capsys):
@@ -795,7 +905,7 @@ def test_map_without_kind_is_a_configuration_error(tmp_path, capsys):
     cfg = custom_prox_config(None)
     del cfg["problem"]["custom"]["map"]["kind"]
     assert_one_configuration_error(tmp_path, capsys, cfg,
-                                   "configuration error: map needs 'kind'")
+                                   "configuration error: problem.custom.map needs 'kind'")
 
 
 def test_demo_without_name_is_a_configuration_error(tmp_path, capsys):
@@ -803,3 +913,125 @@ def test_demo_without_name_is_a_configuration_error(tmp_path, capsys):
     del cfg["problem"]["demo"]["name"]
     assert_one_configuration_error(tmp_path, capsys, cfg,
                                    "configuration error: problem.demo needs 'name'")
+
+
+def test_run_on_its_snapshot_replays_the_run(tmp_path):
+    path = write_config(tmp_path, lasso_config(noise=NOISY, seeds=[3], solver={
+        "max_iter": 20000, "stop_tol": 1e-4, "record_every": 10}))
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["run", path, "--seed", "7", "--out", str(first)]) in (0, 2)
+    snapshot = str(first / "resolved_config.json")
+    assert load_json(snapshot)["resolved_seed"] == 7
+    assert main(["run", snapshot, "--out", str(replay)]) in (0, 2)
+    assert read_file(replay, "trace.csv") == read_file(first, "trace.csv")
+    assert load_json(replay, "resolved_config.json") == load_json(snapshot)
+
+
+def test_overflowing_coupling_norm_exits_2_without_a_warning(tmp_path, capsys):
+    cfg = custom_pd_config()
+    cfg["problem"]["custom_pd"]["coupling"] = [[1e200]]
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("run failure: ") and "non-finite" in line
+
+
+# a config fuzzer: known-good configs, each mutated once
+
+
+def readme_example():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        text = f.read()
+    return json.loads(re.search(r"A config is one JSON document:\n\n```json\n(.*?)```", text,
+                                re.S).group(1))
+
+
+def fuzz_bases():
+    """The README example and this file's demo, custom and custom_pd configs,
+    with a short solver budget."""
+    bases = [readme_example(), lasso_config(), pd_lasso_config(),
+             lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
+                 "dims": 4, "mu": 0.5, "lam": 0.3, "seed": 5}}}, algorithm="pd_class1"),
+             lasso_config(problem={"demo": {"name": "coupled_box_qp", "params": {
+                 "m": 2, "dims": 2, "seed": 1}, "form": "smooth"}}, algorithm="pd_class2"),
+             custom_prox_config({"family": "box", "lo": -1.0, "hi": [1.0, 2.0]}),
+             edited(custom_prox_config({"family": "l1", "lam": 0.1}), lambda c: c["problem"][
+                 "custom"].update(beta=0.5, x0=[0.5, 0.5], preconditioner={
+                     "kind": "diagonal", "weights": [[1.0, 2.0]]})),
+             edited(custom_prox_config(None), lambda c: c["problem"]["custom"]["map"].update(
+                 a={"file": "a.txt"})),
+             edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(map={
+                 "kind": "linear", "q": [[1.0, 0.0], [0.0, 2.0]], "offset": [1.0, 0.0]})),
+             edited(custom_pd_config(dual_g={"family": "sq_l2", "lam": 1.0}), lambda c: c[
+                 "problem"]["custom_pd"].update(V={"kind": "scalar", "values": [1.0]}, nu0=1.0)),
+             edited(custom_pd_config(primal_operator={"family": "box", "lo": -1.0, "hi": 1.0}),
+                    lambda c: c["problem"]["custom_pd"]["dual"][0].update(dinv_mu=0.5))]
+    for cfg in bases:
+        cfg["solver"] = {"max_iter": 20, "stop_tol": 1e-8, "record_every": 5}
+    return bases
+
+
+FUZZ_BASES = fuzz_bases()
+# a replacement leaf: null, a bool, a string, a negative, a huge number, an
+# empty list and object, a matrix of the wrong shape, a nested list
+FUZZ_VALUES = [None, True, "x", -1, 1e308, [], {}, [[1.0, 2.0, 3.0]], [[[1.0]]]]
+# keys a mutant adds: every key of the bases, the optional keys they omit, and a misspelling
+FUZZ_KEYS = sorted({"x0", "z", "r", "nu0", "mu0", "beta", "dinv_mu", "offset", "smooth",
+                    "form", "reference", "resolved_seed", "weights", "gamma", "operatr"}
+                   | {key for cfg in FUZZ_BASES for key in re.findall(r'"(\w+)":',
+                                                                       json.dumps(cfg))})
+
+
+def _entries(node, path=()):
+    """(path, value) of every entry below node."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _entries(value, path + (key,))
+
+
+@st.composite
+def config_mutants(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    entries = [p for p, _ in _entries(cfg)]
+    objects = [()] + [p for p, v in _entries(cfg) if isinstance(v, dict)]
+    op = draw(st.sampled_from(["delete", "add", "replace"]))
+    path = draw(st.sampled_from(objects if op == "add" else entries))
+    parent = cfg
+    for key in path[:-1] if op != "add" else path:
+        parent = parent[key]
+    if op == "delete" and isinstance(parent, dict):  # a list entry is replaced instead
+        del parent[path[-1]]
+    elif op == "add":
+        parent[draw(st.sampled_from(FUZZ_KEYS))] = draw(st.sampled_from(FUZZ_VALUES))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    return cfg
+
+
+def test_mutated_configs_exit_by_the_contract(tmp_path, monkeypatch):
+    # validate exits 0 or 1 and a config it passes runs to 0, 1 or 2; an
+    # escape raises out of main here. A mutant without the bases' solver
+    # budget runs 50 iterations at most.
+    np.savetxt(tmp_path / "a.txt", np.eye(2))
+    monkeypatch.setattr("sifb.cli.run", lambda inst, cfg, **kw: sifb.run(
+        inst, dataclasses.replace(cfg, max_iter=min(cfg.max_iter, 50)), **kw))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(cfg=config_mutants())
+    def check(cfg):
+        path = write_config(tmp_path, cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            code = main(["validate", path])
+            assert code in (0, 1)
+            if code == 0:
+                assert main(["run", path, "--out", str(tmp_path / "o")]) in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    check()
