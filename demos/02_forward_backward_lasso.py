@@ -7,13 +7,7 @@ stochastic run keeps the conditions the convergence guarantee needs: unbiased
 draws, summable noise variance, summable inertia.
 """
 
-from sifb import (
-    InertiaSchedule,
-    NoiseSchedule,
-    SolverConfig,
-    run,
-    validate_schedules,
-)
+from sifb import InertiaSchedule, NoiseSchedule, SolverConfig, run
 from sifb.problems import build_lasso, objective, reference_oracle, sifb_instance
 
 demo = build_lasso(n=20, p=30, lam=0.1, cond=100.0, seed=42)
@@ -38,8 +32,8 @@ print(f"status={trace_in.status} after {trace_in.iterations} iterations, "
 print("\n== stochastic run ==")
 noise = NoiseSchedule.polynomial(0.25, 0.75)   # sum sigma_n^2 finite
 inertia = InertiaSchedule.polynomial(0.5, 1.5)  # sum alpha_n finite
-report = validate_schedules(noise, inertia)
-print(f"schedule validation ok: {report.ok}")
+ok = noise.violation() is None and inertia.violation() is None
+print(f"schedule validation ok: {ok}")
 inst_s = sifb_instance(demo, noise=noise, seed=7)
 cfg_s = SolverConfig(beta=inst_s.beta, max_iter=50000, stop_tol=1e-4,
                      inertia=inertia, record_every=25)

@@ -14,7 +14,6 @@ from sifb import (
     SolverConfig,
     derive_seeds,
     run,
-    validate_schedules,
 )
 from sifb.problems import build_lasso, reference_oracle, sifb_instance
 
@@ -24,11 +23,10 @@ noise = NoiseSchedule.polynomial(0.25, 0.75)
 inertia = InertiaSchedule.polynomial(0.5, 1.5)
 
 print("== schedule gate ==")
-print(f"theta=0.75, q=1.5 -> ok={validate_schedules(noise, inertia).ok}")
+print(f"theta=0.75, q=1.5 -> ok={noise.violation() is None and inertia.violation() is None}")
 too_slow = NoiseSchedule.polynomial(0.25, 0.4)
-report = validate_schedules(too_slow, inertia)
-print(f"theta=0.40, q=1.5 -> ok={report.ok} "
-      f"({report.violations[0].condition}: {report.violations[0].detail})")
+print(f"theta=0.40, q=1.5 -> ok={too_slow.violation() is None} "
+      f"({too_slow.CONDITION}: {too_slow.violation()})")
 
 print("\n== twenty replicas, seeds split from master 2024 ==")
 print(f"{'seed':>22s} {'status':>10s} {'iters':>7s} {'residual':>10s} {'dist':>10s}")

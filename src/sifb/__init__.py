@@ -56,7 +56,6 @@ from .stochastic import (
     NoiseSchedule,
     StochasticOracle,
     derive_seeds,
-    validate_schedules,
 )
 
 __all__ = [
@@ -103,7 +102,6 @@ __all__ = [
     "run",
     "scalar_feasibility_constant",
     "step",
-    "validate_schedules",
 ]
 
 __version__ = "0.1.0"

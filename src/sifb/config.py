@@ -115,8 +115,8 @@ def _map(spec, where, dims, metric, base_dir):
 def _block(dim: int, operator: dict | None = None, *, path):
     """A block of `custom`: its dim and the rule of its operator, the
     subdifferential of a catalogue function (none: zero)."""
-    if dim < 0:
-        raise DimensionMismatch(f"dim must be non-negative, got {dim}")
+    if dim < 1:
+        raise DimensionMismatch(f"dim must be at least 1, got {dim}")
     fn = None if operator is None else ProxFunction.from_config(operator, f"{path}.operator")
     zero = fn is None or fn.family == "zero"
     return dim, MonotoneBlock.rule_zero() if zero else MonotoneBlock.rule_subdiff(fn)
@@ -139,8 +139,11 @@ def _dual_block(dim: int, g: dict | None = None, r: np.ndarray | None = None,
     return dim, rule, np.zeros(dim) if r is None else np.asarray(r, np.float64), dinv_mu
 
 
-def _blocks(specs, where, reader, fields):
-    """The `fields` columns (dims, rules, ...) of the block list at `where`."""
+def _blocks(specs, where, reader, fields, empty=False):
+    """The `fields` columns (dims, rules, ...) of the block list at `where`,
+    which must give a block unless `empty`."""
+    if not specs and not empty:
+        raise ConfigurationError(f"{where} must give at least one block, got []")
     blocks = [bind_config(reader, spec, f"{where}[{i}]", path=f"{where}[{i}]")
               for i, spec in enumerate(specs)]
     return [tuple(b[k] for b in blocks) for k in range(fields)]
@@ -185,7 +188,7 @@ def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | N
     whether the config gives its constants."""
     where = "problem.custom_pd"
     pdims, primal_rules, z = _blocks(primal, f"{where}.primal", _primal_block, 3)
-    ddims, dual_rules, r, mus = _blocks(dual, f"{where}.dual", _dual_block, 4)
+    ddims, dual_rules, r, mus = _blocks(dual, f"{where}.dual", _dual_block, 4, empty=True)
     v, w = _metric(V, pdims, f"{where}.V"), _metric(W, ddims, f"{where}.W")
     if coupling is None:
         coupling = BlockLinearOperator.zero(pdims, ddims)
@@ -320,8 +323,8 @@ def _experiment(problem: dict, algorithm: str = "sifb", solver: dict | None = No
         raise ConfigurationError(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
-    noise = NoiseSchedule.from_config(noise)
-    inertia = InertiaSchedule.from_config(inertia)
+    noise = NoiseSchedule.from_config(noise, "noise")
+    inertia = InertiaSchedule.from_config(inertia, "inertia")
     seed_list = (bind_config(_derived_seeds, seeds, "seeds") if isinstance(seeds, dict) else
                  [_seed(s, "seeds must be non-negative integers") for s in seeds])
     if not seed_list:

@@ -38,15 +38,6 @@ class OracleError(RuntimeError):
     """An independent reference solve did not reach its requested tolerance."""
 
 
-def config_number(spec, key, where):
-    """spec[key], refused unless it is a number (a bool, null or string is not)."""
-    if key not in spec:
-        raise ConfigurationError(f"{where} needs {key!r}")
-    if not _number(spec[key]):
-        raise ConfigurationError(f"{where} needs a number for {key!r}, got {_shown(spec[key])}")
-    return spec[key]
-
-
 def check_keys(spec, accepted, where):
     """Refuse a key of the mapping spec that is not in accepted, listing accepted."""
     unknown = [key for key in spec if key not in accepted]
@@ -142,7 +133,8 @@ def bind_config(func, spec, where, **context):
 
 def bind_kind(readers, spec, where, key="kind", default=None, **context):
     """`bind_config` of the reader that spec[key] (else `default`) names in
-    `readers`, on the rest of spec."""
+    `readers`, on the rest of spec; an unknown key is refused with `key` first
+    among the accepted ones."""
     check_type(spec, dict, where)
     kind = spec.get(key, default)
     if kind is None:
@@ -150,5 +142,6 @@ def bind_kind(readers, spec, where, key="kind", default=None, **context):
     if not isinstance(kind, str) or kind not in readers:
         raise ConfigurationError(f"{where}: unknown {key} {_shown(kind)}; "
                                  f"expected one of {', '.join(readers)}")
+    check_keys(spec, (key, *_keys(readers[kind])), where)
     rest = {k: v for k, v in spec.items() if k != key}
     return bind_config(readers[kind], rest, where, **context)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch
 from .spaces import BlockVector
-from .stochastic import InertiaSchedule, validate_schedules
+from .stochastic import InertiaSchedule
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -333,11 +333,12 @@ def run(prob, cfg, reference=None):
             f"gamma={prob.gamma_fixed}; a callable step size cannot be used"
         )
     gamma = prob.check_gamma(cfg.gamma_at(0, prob.default_gamma))
-    report = validate_schedules(prob.oracle.noise, cfg.inertia,
-                                noise_summable=prob.oracle.summable_variance())
-    if not report.ok:
-        msgs = "; ".join(f"{v.condition}: {v.detail}" for v in report.violations)
-        raise ConfigurationError(f"schedule validation failed: {msgs}")
+    # the summability gates; a minibatch oracle answers the noise gate itself
+    noise = None if prob.oracle.summable_variance() else prob.oracle.noise
+    failed = [f"{s.CONDITION}: {s.violation()}" for s in (noise, cfg.inertia)
+              if s is not None and s.violation() is not None]
+    if failed:
+        raise ConfigurationError(f"schedule validation failed: {'; '.join(failed)}")
     # a constant step and relaxation are range-checked once, here; callable
     # ones at every iteration, by `step`
     if callable(cfg.gamma):

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_keys, config_number
+from .errors import ConfigurationError, bind_kind
 from .spaces import BlockVector
 
 _MASK64 = (1 << 64) - 1
@@ -161,9 +161,10 @@ class Schedule:
 
     Modes: "zero" (c_n = 0), "poly" (c_n = scale (n+1)^-decay) and "geom"
     (c_n = scale rho^n). A subclass declares only what sets its sequence
-    apart: the config keys of `scale` and `decay` (KEYS), the bound `scale`
-    stays below (CAP), the series whose sum must be finite (SERIES, with its
-    POWER of c_n) and the gate's name (CONDITION).
+    apart: the config keys of `scale` and `decay` (KEYS), the reader of a
+    config section in each mode (READERS), the bound `scale` stays below
+    (CAP), the series whose sum must be finite (SERIES, with its POWER of c_n)
+    and the gate's name (CONDITION).
     """
 
     mode: str = "zero"
@@ -222,21 +223,13 @@ class Schedule:
         return out
 
     @classmethod
-    def from_config(cls, spec):
-        """The schedule of a config section; None or mode "zero" is the zero one.
-
-        A key outside mode, KEYS and rho is refused, in any mode.
-        """
-        if spec is not None:
-            check_keys(spec, ("mode",) + cls.KEYS + ("rho",), cls.__name__)
-        if spec is None or spec.get("mode", "zero") == "zero":
-            return cls.zero()
-        mode = spec["mode"]
-        if mode not in ("poly", "geom"):
-            raise ConfigurationError(f"unknown {cls.__name__} mode {mode!r} in config")
-        keys = (cls.KEYS[0], cls.KEYS[1] if mode == "poly" else "rho")
-        scale, second = (config_number(spec, key, f"{mode} {cls.__name__}") for key in keys)
-        return (cls.polynomial if mode == "poly" else cls.geometric)(scale, second)
+    def from_config(cls, spec, where=None):
+        """The schedule of the config section spec at path `where` (default: the
+        class name); None, or a section without a mode, is the zero one. The
+        reader of the section's mode takes exactly the keys that mode reads."""
+        where = where or cls.__name__
+        return bind_kind(cls.READERS, {} if spec is None else spec, where, key="mode",
+                         default="zero", path=where)
 
 
 class NoiseSchedule(Schedule):
@@ -250,10 +243,6 @@ class NoiseSchedule(Schedule):
     sigma0 = property(lambda self: self.scale)
     theta = property(lambda self: self.decay)
     sigma = Schedule.value
-
-    def summable_variance(self):
-        """Whether sum_n sigma_n^2 is finite."""
-        return self.violation() is None
 
 
 class InertiaSchedule(Schedule):
@@ -269,33 +258,43 @@ class InertiaSchedule(Schedule):
     alpha = Schedule.value
 
 
-@dataclass
-class ScheduleViolation:
-    condition: str
-    detail: str
+# the readers of a schedule section, one per mode: each signature names the
+# keys its mode reads. Zero mode takes its scale key only at 0, which is what
+# `to_config` writes.
 
 
-@dataclass
-class ScheduleReport:
-    ok: bool
-    violations: list = field(default_factory=list)
+def _zero(cls, scale, path):
+    if scale != 0.0:
+        raise ConfigurationError(f"{path}: zero mode takes {cls.KEYS[0]} only at 0, got {scale}")
+    return cls.zero()
 
 
-def validate_schedules(noise, inertia, noise_summable=None):
-    """Check the summability conditions the convergence guarantee needs.
+def _zero_noise(sigma0: float = 0.0, *, path):
+    return _zero(NoiseSchedule, sigma0, path)
 
-    Two conditions gate a run: the conditional variance budget
-    sum_n sigma_n^2 < inf, and the inertia budget sum_n alpha_n < inf.
-    `noise_summable`, when true, passes the first in place of the schedule:
-    `run` passes the oracle's own answer (`StochasticOracle.summable_variance`),
-    because a minibatch oracle's variance does not follow sigma_n.
-    """
-    violations = []
-    for sched, passed in ((noise, noise_summable), (inertia, None)):
-        detail = None if passed else sched.violation()
-        if detail is not None:
-            violations.append(ScheduleViolation(sched.CONDITION, detail))
-    return ScheduleReport(ok=not violations, violations=violations)
+
+def _poly_noise(sigma0: float, theta: float, **_):
+    return NoiseSchedule.polynomial(sigma0, theta)
+
+
+def _geom_noise(sigma0: float, rho: float, **_):
+    return NoiseSchedule.geometric(sigma0, rho)
+
+
+def _zero_inertia(alpha0: float = 0.0, *, path):
+    return _zero(InertiaSchedule, alpha0, path)
+
+
+def _poly_inertia(alpha0: float, q: float, **_):
+    return InertiaSchedule.polynomial(alpha0, q)
+
+
+def _geom_inertia(alpha0: float, rho: float, **_):
+    return InertiaSchedule.geometric(alpha0, rho)
+
+
+NoiseSchedule.READERS = {"zero": _zero_noise, "poly": _poly_noise, "geom": _geom_noise}
+InertiaSchedule.READERS = {"zero": _zero_inertia, "poly": _poly_inertia, "geom": _geom_inertia}
 
 
 class StochasticOracle:
@@ -399,7 +398,7 @@ class StochasticOracle:
         once its batch covers every row, which the constructor guarantees
         happens after finitely many steps, whatever sigma0.
         """
-        return self.mode == "minibatch" or self.noise.summable_variance()
+        return self.mode == "minibatch" or self.noise.violation() is None
 
     def batch_size(self, n):
         if self.mode != "minibatch":

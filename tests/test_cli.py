@@ -619,11 +619,12 @@ MALFORMED = [
     pytest.param(custom_prox_config({"family": "l1"}), "problem.custom.blocks[0].operator",
                  id="prox key missing"),
     pytest.param(custom_prox_config({"family": "l1", "lam": 0.5, "lamda": 2}),
-                 "problem.custom.blocks[0].operator", id="prox key unknown"),
-    pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.1}), "poly NoiseSchedule",
+                 "problem.custom.blocks[0].operator: unknown key 'lamda'; "
+                 "accepted keys: family, lam", id="prox key unknown"),
+    pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.1}), "noise needs 'theta'",
                  id="noise without theta"),
     pytest.param(lasso_config(inertia={"mode": "poly", "alpha0": None, "q": 1.5}),
-                 "poly InertiaSchedule", id="null alpha0"),
+                 "inertia.alpha0", id="null alpha0"),
     pytest.param(lasso_config(noise="poly"), "noise", id="noise not an object"),
     pytest.param(lasso_config(solver=[]), "solver", id="solver not an object"),
     pytest.param(lasso_config(seeds=[]), "seeds", id="empty seed list"),
@@ -648,9 +649,20 @@ MALFORMED = [
                  "problem.custom.blocks[0].operator.lam", id="string prox value"),
     pytest.param(lasso_config(solver={"max_iters": 3}), "solver", id="unknown solver key"),
     pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.2, "theta": 0.75,
-                                     "thetaa": 3}), "NoiseSchedule", id="unknown noise key"),
-    pytest.param(lasso_config(inertia={"mode": "zero", "alpha": 0.1}), "InertiaSchedule",
+                                     "thetaa": 3}),
+                 "noise: unknown key 'thetaa'; accepted keys: mode, sigma0, theta",
+                 id="unknown noise key"),
+    pytest.param(lasso_config(inertia={"mode": "zero", "alpha": 0.1}),
+                 "inertia: unknown key 'alpha'; accepted keys: mode, alpha0",
                  id="unknown inertia key"),
+    pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.2, "theta": 0.75, "rho": 0.5}),
+                 "noise: unknown key 'rho'", id="noise key of another mode"),
+    pytest.param(lasso_config(noise={"mode": "zero", "sigma0": 5}), "noise: zero mode",
+                 id="nonzero scale of zero noise"),
+    pytest.param(lasso_config(noise={"mode": "geom", "sigma0": 0.2, "rho": 0.5, "theta": 1}),
+                 "noise: unknown key 'theta'", id="geom noise with theta"),
+    pytest.param(lasso_config(noise={"mode": "poly", "sigma0": 0.2, "theta": "x"}),
+                 "noise.theta", id="string noise theta"),
     pytest.param(lasso_config(algoritm="pd_class1"), "config", id="misspelled algorithm key"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
         "n": 4, "p": 3, "lam": 0.1}, "frm": "cp"}}), "problem.demo",
@@ -658,7 +670,9 @@ MALFORMED = [
     pytest.param({"problem": {"custom": {
         "blocks": [{"dim": 2}],
         "map": {"kind": "linear", "q": [[1.0, 0.0], [0.0, 1.0]], "offest": [1.0, 0.0]}}},
-                  "algorithm": "sifb"}, "problem.custom.map", id="misspelled linear map offset"),
+                  "algorithm": "sifb"},
+                 "problem.custom.map: unknown key 'offest'; accepted keys: kind, q, offset",
+                 id="misspelled linear map offset"),
     pytest.param(edited(custom_pd_config(),
                         lambda c: c["problem"]["custom_pd"]["dual"][0].update(dinv_muu=0.5)),
                  "problem.custom_pd.dual[0]", id="misspelled dinv_mu"),
@@ -671,6 +685,12 @@ MALFORMED = [
     pytest.param(edited(custom_prox_config(None),
                         lambda c: c["problem"]["custom"]["blocks"][0].update(dim=-1)),
                  "problem.custom.blocks[0]", id="negative dim"),
+    pytest.param({"problem": {"custom": {"blocks": [{"dim": 0}], "map": {"kind": "zero"}}}},
+                 "problem.custom.blocks[0]", id="zero dim"),
+    pytest.param({"problem": {"custom": {"blocks": [], "map": {"kind": "zero"}}}},
+                 "problem.custom.blocks", id="no blocks"),
+    pytest.param(edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
+        primal=[], coupling=None)), "problem.custom_pd.primal", id="no primal blocks"),
     pytest.param(edited(custom_prox_config(None),
                         lambda c: c["problem"]["custom"].update(blocks=3)),
                  "problem.custom.blocks", id="blocks a number"),
@@ -694,7 +714,8 @@ MALFORMED = [
                         lambda c: c["problem"]["custom"]["map"].update(bogus=1)),
                  "problem.custom.map", id="unknown map key"),
     pytest.param(edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
-        V={"kind": "scalar", "values": [1.0], "valuse": [2.0]})), "problem.custom_pd.V",
+        V={"kind": "scalar", "values": [1.0], "valuse": [2.0]})),
+                 "problem.custom_pd.V: unknown key 'valuse'; accepted keys: kind, values",
                  id="unknown metric key"),
     pytest.param(edited(custom_prox_config(None), lambda c: c["problem"]["custom"]["blocks"][0]
                         .update(operatr={"family": "l1", "lam": 0.1})),
@@ -744,8 +765,8 @@ def test_sweep_jobs_below_one_is_refused(tmp_path, capsys, jobs):
     ("solver", {"max_iters": 3},
      "epsilon, gamma, relaxation, max_iter, stop_tol, record_every"),
     ("noise", {"mode": "poly", "sigma0": 0.2, "theta": 0.75, "thetaa": 3},
-     "mode, sigma0, theta, rho"),
-    ("inertia", {"mode": "geom", "alpha0": 0.2, "rho": 0.5, "q0": 1}, "mode, alpha0, q, rho"),
+     "mode, sigma0, theta"),
+    ("inertia", {"mode": "geom", "alpha0": 0.2, "rho": 0.5, "q0": 1}, "mode, alpha0, rho"),
 ], ids=["solver", "noise", "inertia"])
 def test_unknown_section_key_is_refused_with_the_accepted_keys(tmp_path, capsys, section,
                                                                spec, accepted):

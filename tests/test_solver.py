@@ -394,14 +394,24 @@ def test_overstated_constant_is_detected_as_divergence():
     assert not trace.steps_bounded or not np.isfinite(x.concatenated()).all() or x.norm() > 1e11
 
 
-def test_run_rejects_nonsummable_schedules():
+NOISE_FAILS = "summable_noise_variance: sum sigma_n^2 diverges: theta=0.4 gives 2*theta=0.8 <= 1"
+INERTIA_FAILS = "summable_inertia: sum alpha_n diverges: q=1.0 <= 1"
+
+
+@pytest.mark.parametrize("noise,inertia,failed", [
+    (NoiseSchedule.polynomial(1.0, 0.4), InertiaSchedule.zero(), NOISE_FAILS),
+    (NoiseSchedule.zero(), InertiaSchedule.polynomial(0.3, 1.0), INERTIA_FAILS),
+    (NoiseSchedule.polynomial(1.0, 0.4), InertiaSchedule.polynomial(0.3, 1.0),
+     f"{NOISE_FAILS}; {INERTIA_FAILS}"),
+], ids=["noise", "inertia", "both"])
+def test_run_rejects_nonsummable_schedules(noise, inertia, failed):
     prob = scalar_instance()
-    bad = StochasticOracle(prob.oracle.base, NoiseSchedule.polynomial(1.0, 0.4),
-                           rng_seed=0)
+    bad = StochasticOracle(prob.oracle.base, noise, rng_seed=0)
     prob = dataclasses.replace(prob, oracle=bad)
-    cfg = SolverConfig(beta=prob.beta, max_iter=10)
-    with pytest.raises(ConfigurationError, match="summable_noise_variance"):
+    cfg = SolverConfig(beta=prob.beta, max_iter=10, inertia=inertia)
+    with pytest.raises(ConfigurationError) as e:
         run(prob, cfg)
+    assert str(e.value) == f"schedule validation failed: {failed}"
 
 
 def test_config_validates_ranges():

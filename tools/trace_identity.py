@@ -17,9 +17,11 @@ bit for bit. The subprocess takes the final iterate from
 is one, 0 otherwise.
 
 The configs: the README's example config; every demo problem on the `sifb`
-route and on both primal-dual classes for each of its forms, one of them
-noisy and inertial; the `custom` and `custom_pd` configs of
-`tests/test_cli.py`; and three custom problems (a diagonal metric with
+route and on both primal-dual classes for each of its forms; the lasso demo
+with poly noise and poly inertia, with geom noise and geom inertia, with
+geom noise on class I, and with no `noise` or `inertia` section, so that
+every mode of both schedule sections is read; the `custom` and `custom_pd`
+configs of `tests/test_cli.py`; and three custom problems (a diagonal metric with
 relaxation and inertia; a primal-dual problem with box, sq_l2, affine and
 linf_ball blocks and a scalar coupling cell; and one whose `center`, `lo`,
 `hi` and `c` are vectors of the block's length and of length 1).
@@ -38,6 +40,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ZERO = {"mode": "zero"}
 NOISY = {"mode": "poly", "sigma0": 0.2, "theta": 0.75}
 INERTIAL = {"mode": "poly", "alpha0": 0.4, "q": 1.5}
+GEOM_NOISY = {"mode": "geom", "sigma0": 0.2, "rho": 0.9}
+GEOM_INERTIAL = {"mode": "geom", "alpha0": 0.3, "rho": 0.8}
+STOCHASTIC = {"max_iter": 20000, "stop_tol": 1e-4, "record_every": 10}
 DEMOS = {
     "lasso": ({"n": 12, "p": 10, "lam": 0.2, "cond": 20.0, "seed": 3},
               ["split", "smooth", "cp"]),
@@ -111,9 +116,15 @@ def configs():
             for algorithm in ("pd_class1", "pd_class2"):
                 out[f"{name}-{form or 'default'}-{algorithm}"] = _run_config(
                     {"demo": demo}, algorithm=algorithm)
-    out["lasso-sifb-noisy-inertial"] = _run_config(
-        {"demo": {"name": "lasso", "params": DEMOS["lasso"][0]}}, noise=NOISY,
-        inertia=INERTIAL, solver={"max_iter": 20000, "stop_tol": 1e-4, "record_every": 10})
+    lasso = {"demo": {"name": "lasso", "params": DEMOS["lasso"][0]}}
+    out["lasso-sifb-noisy-inertial"] = _run_config(lasso, noise=NOISY, inertia=INERTIAL,
+                                                   solver=STOCHASTIC)
+    out["lasso-sifb-geom-noise-geom-inertia"] = _run_config(
+        lasso, noise=GEOM_NOISY, inertia=GEOM_INERTIAL, solver=STOCHASTIC)
+    out["lasso-split-pd_class1-geom-noise"] = _run_config(
+        lasso, algorithm="pd_class1", noise=GEOM_NOISY, solver=STOCHASTIC)
+    out["lasso-sifb-no-schedule-sections"] = {
+        k: v for k, v in _run_config(lasso).items() if k not in ("noise", "inertia")}
     out.update(_test_cli_configs())
     out["custom-diagonal-metric-relaxed-inertial"] = _run_config(
         {"custom": {
