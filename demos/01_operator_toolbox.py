@@ -18,7 +18,6 @@ from sifb import (
     moreau_check,
     prox_conjugate,
     prox_weighted,
-    resolvent,
 )
 
 rng = np.random.default_rng(0)
@@ -56,7 +55,7 @@ print(f"two paths agree to {(closed - decomp).norm():.2e}")
 print("\n== resolvents in a weighted metric ==")
 a = MonotoneBlock.subdiff([ProxFunction.l1(1.0)])
 u = Preconditioner.diagonal([[0.5]])
-p = resolvent(a, 2.0, u, BlockVector([[3.0]]))
+p = a.resolvent(2.0, u, BlockVector([[3.0]]))
 print(f"J with step 2 and metric weight 0.5 maps 3.0 to {p.blocks[0][0]}")
 print("(effective threshold is step * weight = 1)")
 

@@ -17,7 +17,6 @@ from .operators import (
     moreau_check,
     prox_conjugate,
     prox_weighted,
-    resolvent,
 )
 from .primal_dual import (
     ConstantsReport,
@@ -29,7 +28,6 @@ from .primal_dual import (
     duality_residuals,
     extract_primal_dual,
     optimal_balance,
-    scalar_feasibility_constant,
 )
 from .solver import (
     CONVERGED,
@@ -46,7 +44,6 @@ from .spaces import (
     BlockLinearOperator,
     BlockVector,
     Preconditioner,
-    WeightedMetric,
     block_concat,
     block_split,
     estimate_weighted_norm,
@@ -81,7 +78,6 @@ __all__ = [
     "RunTrace",
     "SolverConfig",
     "StochasticOracle",
-    "WeightedMetric",
     "assemble_class1",
     "assemble_class2",
     "beta_for_balance",
@@ -98,9 +94,7 @@ __all__ = [
     "optimal_balance",
     "prox_conjugate",
     "prox_weighted",
-    "resolvent",
     "run",
-    "scalar_feasibility_constant",
     "step",
 ]
 

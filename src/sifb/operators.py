@@ -352,11 +352,6 @@ class MonotoneBlock:
         return [_RULES[r.kind].distance(r, x, u) for r, x, u in zip(self.rules, xs, us)]
 
 
-def resolvent(A, gamma, U, z):
-    """Resolvent of A in the metric scaled by gamma and the preconditioner U."""
-    return A.resolvent(gamma, U, z)
-
-
 def prox_weighted(f, metric, x):
     """Prox of a separable catalogue function in a diagonal metric.
 

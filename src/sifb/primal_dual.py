@@ -19,11 +19,9 @@ times the identity (the identity rows of a fully split problem): its product
 adds s x, which equals the dense product with s I bit for bit for finite x.
 The coupling norm c = ||sqrt(W) L sqrt(V)|| behind both assemblies' gates is
 computed once per problem (`PrimalDualProblem.coupling_norm`), however often
-`compute_constants` asks for it. Dense Schur-complement actions for both
-metrics are available separately for audits at small sizes. The optimality
-residuals take one graph distance per block from each operator
-(`MonotoneBlock.distances`); which rule or family a block has is known only
-to `operators`.
+`compute_constants` asks for it. The optimality residuals take one graph
+distance per block from each operator (`MonotoneBlock.distances`); which rule
+or family a block has is known only to `operators`.
 """
 
 from __future__ import annotations
@@ -36,12 +34,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionMismatch, InfeasibleProblemError
 from .operators import CocoerciveMap
 from .solver import ProblemInstance
-from .spaces import (
-    BlockVector,
-    block_concat,
-    block_split,
-    estimate_weighted_norm,
-)
+from .spaces import BlockVector, block_split, estimate_weighted_norm
 from .stochastic import StochasticOracle
 
 # Feasibility thresholds use a strict margin to avoid boundary flakiness.
@@ -201,19 +194,6 @@ def compute_constants(prob):
     )
 
 
-def scalar_feasibility_constant(nu, mu, tau, sigma, coupling_norm):
-    """Class-II constant for the all-scalar metric choice.
-
-    With V = tau Id, W = sigma Id, C nu-cocoercive and D^{-1} mu-cocoercive in
-    the plain metric, the constant is min(nu/tau, (mu/sigma)(1 - tau sigma
-    ||L||^2)); positive for tau and sigma small enough.
-    """
-    for name, v in (("nu", nu), ("mu", mu), ("tau", tau), ("sigma", sigma)):
-        if v <= 0:
-            raise ConfigurationError(f"{name} must be positive, got {v}")
-    return min(nu / tau, (mu / sigma) * (1.0 - tau * sigma * coupling_norm**2))
-
-
 def extract_primal_dual(x_stacked, prob):
     """Undo the stacking: (primal blocks, dual blocks)."""
     if x_stacked.dims != prob.stacked_dims:
@@ -313,93 +293,6 @@ def assemble_class2(prob, noise=None, seed=0, oracle=None, constants=None):
 
     return ProblemInstance(oracle, BlockVector.zeros(dims), rep.beta,
                            backward, gamma_fixed=1.0)
-
-
-# ---------------------------------------------------------------------------
-# dense metric actions (audits only; never used by the solve loop)
-# ---------------------------------------------------------------------------
-
-
-class _SchurActions:
-    """Shared dense machinery behind the two stacked-metric actions."""
-
-    def __init__(self, prob):
-        self.prob = prob
-        self.ld = prob.coupling.dense()
-        self.v_diag = (np.concatenate(prob.V.diag_blocks())
-                       if sum(prob.primal_dims) else np.zeros(0))
-        self.w_diag = (np.concatenate(prob.W.diag_blocks())
-                       if sum(prob.dual_dims) else np.zeros(0))
-        schur = np.diag(1.0 / self.w_diag) - (self.ld * self.v_diag[None, :]) @ self.ld.T
-        # positive definite exactly when ||sqrt(W) L sqrt(V)|| < 1
-        try:
-            np.linalg.cholesky(schur) if schur.size else None
-        except np.linalg.LinAlgError as e:
-            raise InfeasibleProblemError(
-                "dual Schur complement is not positive definite; "
-                "||sqrt(W) L sqrt(V)|| >= 1"
-            ) from e
-        self.schur = schur
-
-    def _solve(self, rhs):
-        if self.schur.size == 0:
-            return rhs
-        return np.linalg.solve(self.schur, rhs)
-
-    def split(self, xy):
-        x, v = block_split(xy, self.prob.m)
-        return x.concatenated(), v.concatenated()
-
-    def join(self, xf, vf):
-        return block_concat(
-            BlockVector.from_flat(xf, self.prob.primal_dims),
-            BlockVector.from_flat(vf, self.prob.dual_dims),
-        )
-
-    def class1_apply(self, xy):
-        # inverse of the block operator [[V^-1, -L*], [-L, W^-1]]
-        a, b = self.split(xy)
-        v = self._solve(b + self.ld @ (self.v_diag * a))
-        x = self.v_diag * (a + self.ld.T @ v)
-        return self.join(x, v)
-
-    def class2_apply(self, xy):
-        a, b = self.split(xy)
-        return self.join(self.v_diag * a, self._solve(b))
-
-    def class1_dense(self):
-        n_p, n_d = self.ld.shape[1], self.ld.shape[0]
-        up = np.zeros((n_p + n_d, n_p + n_d))
-        up[:n_p, :n_p] = np.diag(1.0 / self.v_diag)
-        up[:n_p, n_p:] = -self.ld.T
-        up[n_p:, :n_p] = -self.ld
-        up[n_p:, n_p:] = np.diag(1.0 / self.w_diag)
-        return np.linalg.inv(up)
-
-    def class2_dense(self):
-        n_p, n_d = self.ld.shape[1], self.ld.shape[0]
-        t = np.zeros((n_p + n_d, n_p + n_d))
-        t[:n_p, :n_p] = np.diag(self.v_diag)
-        t[n_p:, n_p:] = np.linalg.inv(self.schur)
-        return t
-
-
-def class1_metric_apply(prob):
-    """Action of the class-I stacked metric, via the dual Schur solve."""
-    actions = _SchurActions(prob)
-    return actions.class1_apply
-
-
-def class2_metric_apply(prob):
-    """Action of the class-II stacked metric (block diagonal)."""
-    actions = _SchurActions(prob)
-    return actions.class2_apply
-
-
-def dense_metrics(prob):
-    """Both stacked metrics as dense matrices, for small cross-checks."""
-    actions = _SchurActions(prob)
-    return actions.class1_dense(), actions.class2_dense()
 
 
 # ---------------------------------------------------------------------------

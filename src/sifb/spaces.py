@@ -89,6 +89,9 @@ class BlockVector:
     def __neg__(self):
         return BlockVector._wrap([-a for a in self.blocks], self.dims)
 
+    # axpy, Preconditioner.apply_inverse and Preconditioner.apply_sqrt have no
+    # caller in the package: they stay only as patch points that
+    # perfbench/tracer.py wraps by name, until ROADMAP item 1 redoes its list.
     def axpy(self, c, other):
         """self + c * other, in one pass."""
         self._check_same(other)
@@ -255,26 +258,8 @@ class Preconditioner:
             [np.sqrt(w) * b for w, b in zip(self._diag, x.blocks)], x.dims
         )
 
-    def inverse(self):
-        return Preconditioner(self.kind, self.dims, [1.0 / w for w in self._diag])
-
     def __repr__(self):
         return f"Preconditioner(kind={self.kind!r}, dims={self.dims}, chi={self.lower_bound:g})"
-
-
-class WeightedMetric:
-    """The inner product (x, y) -> <x, W y> induced by a preconditioner W."""
-
-    __slots__ = ("weight",)
-
-    def __init__(self, weight):
-        self.weight = weight
-
-    def inner(self, x, y):
-        return x.dot(self.weight.apply(y))
-
-    def norm_sq(self, x):
-        return x.dot(self.weight.apply(x))
 
 
 def _add_product(acc, cell, x):
@@ -297,9 +282,9 @@ class BlockLinearOperator:
     entries[k][i] maps primal block i into dual block k. A cell is a dense
     matrix, None (a structural zero, skipped) or a number s, which means
     s times the identity and is allowed on square blocks only. A number is
-    stored as a read-only 0-d float64 array and is expanded only by `dense`:
-    products add s x, and `estimate_weighted_norm` adds its diagonal to the
-    Gram matrix.
+    stored as a read-only 0-d float64 array and is never expanded: products
+    add s x, and `estimate_weighted_norm` adds its diagonal to the Gram
+    matrix.
 
     `apply_blocks` and `adjoint_apply_blocks` work on bare block arrays and
     check nothing; `apply` and `adjoint_apply` check the vector's dims and
@@ -382,21 +367,6 @@ class BlockLinearOperator:
 
     def is_zero(self):
         return all(cell is None for row in self.entries for cell in row)
-
-    def dense(self):
-        """The whole operator as one (sum dims_out, sum dims_in) array; None cells are zeros."""
-        rows, cols = _offsets(self.dims_out), _offsets(self.dims_in)
-        out = np.zeros((rows[-1], cols[-1]))
-        for k, row in enumerate(self.entries):
-            for i, cell in enumerate(row):
-                if cell is None:
-                    continue
-                block = out[rows[k]:rows[k + 1], cols[i]:cols[i + 1]]
-                if cell.ndim:
-                    block[...] = cell
-                else:
-                    np.fill_diagonal(block, cell)
-        return out
 
     def __repr__(self):
         return f"BlockLinearOperator({self.dims_in} -> {self.dims_out})"

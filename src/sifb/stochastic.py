@@ -260,7 +260,14 @@ class InertiaSchedule(Schedule):
 
 # the readers of a schedule section, one per mode: each signature names the
 # keys its mode reads. Zero mode takes its scale key only at 0, which is what
-# `to_config` writes.
+# `to_config` writes. A range refusal names its key under the section's path.
+
+
+def _at(path, make, *args):
+    try:
+        return make(*args)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{path}.{e}") from None
 
 
 def _zero(cls, scale, path):
@@ -273,24 +280,24 @@ def _zero_noise(sigma0: float = 0.0, *, path):
     return _zero(NoiseSchedule, sigma0, path)
 
 
-def _poly_noise(sigma0: float, theta: float, **_):
-    return NoiseSchedule.polynomial(sigma0, theta)
+def _poly_noise(sigma0: float, theta: float, *, path):
+    return _at(path, NoiseSchedule.polynomial, sigma0, theta)
 
 
-def _geom_noise(sigma0: float, rho: float, **_):
-    return NoiseSchedule.geometric(sigma0, rho)
+def _geom_noise(sigma0: float, rho: float, *, path):
+    return _at(path, NoiseSchedule.geometric, sigma0, rho)
 
 
 def _zero_inertia(alpha0: float = 0.0, *, path):
     return _zero(InertiaSchedule, alpha0, path)
 
 
-def _poly_inertia(alpha0: float, q: float, **_):
-    return InertiaSchedule.polynomial(alpha0, q)
+def _poly_inertia(alpha0: float, q: float, *, path):
+    return _at(path, InertiaSchedule.polynomial, alpha0, q)
 
 
-def _geom_inertia(alpha0: float, rho: float, **_):
-    return InertiaSchedule.geometric(alpha0, rho)
+def _geom_inertia(alpha0: float, rho: float, *, path):
+    return _at(path, InertiaSchedule.geometric, alpha0, rho)
 
 
 NoiseSchedule.READERS = {"zero": _zero_noise, "poly": _poly_noise, "geom": _geom_noise}

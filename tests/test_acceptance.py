@@ -23,7 +23,6 @@ from sifb import (
     ProxFunction,
     SolverConfig,
     StochasticOracle,
-    WeightedMetric,
     assemble_class1,
     assemble_class2,
     beta_for_balance,
@@ -34,9 +33,7 @@ from sifb import (
     extract_primal_dual,
     moreau_check,
     optimal_balance,
-    resolvent,
     run,
-    scalar_feasibility_constant,
     step,
 )
 from sifb.cli import main as cli_main
@@ -50,6 +47,7 @@ from sifb.problems import (
     sifb_instance,
 )
 
+from audits import WeightedMetric, inverse, scalar_feasibility_constant
 from test_cli import load_json, read_file
 from test_primal_dual import (
     ReplayOracle,
@@ -97,12 +95,12 @@ def test_criterion_1_operator_identities():
     for f in CATALOGUE:
         a = MonotoneBlock.subdiff([f])
         u = Preconditioner.diagonal([rng.uniform(0.4, 2.0, 6)])
-        inv_metric = WeightedMetric(u.inverse())
+        inv_metric = WeightedMetric(inverse(u))
         gamma = float(rng.uniform(0.3, 2.0))
         for _ in range(100):
             x = BlockVector([rng.uniform(-4, 4, 6)])
             y = BlockVector([rng.uniform(-4, 4, 6)])
-            d = resolvent(a, gamma, u, x) - resolvent(a, gamma, u, y)
+            d = a.resolvent(gamma, u, x) - a.resolvent(gamma, u, y)
             slack = inv_metric.inner(x - y, d) - inv_metric.norm_sq(d)
             assert slack >= -1e-10
     assert time.perf_counter() - t0 < 5.0

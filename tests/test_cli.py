@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -59,6 +60,27 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    # a name in sifb.__all__ must be read (a loaded name or attribute) by the
+    # package outside __init__.py and its own definition, by a demo or by a
+    # tool; a name only tests read belongs in tests/audits.py
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.dirname(os.path.abspath(sifb.__file__))
+    files = [os.path.join(package, f) for f in os.listdir(package)
+             if f.endswith(".py") and f != "__init__.py"]
+    for folder in ("demos", "tools"):
+        files += [os.path.join(repo, folder, f) for f in os.listdir(os.path.join(repo, folder))
+                  if f.endswith(".py")]
+    read = set()
+    for path in files:
+        for stmt in ast.parse(read_file(path), path).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+            names.discard(getattr(stmt, "name", None))
+            read |= names
+    assert [name for name in sifb.__all__ if name not in read] == []
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -776,6 +798,21 @@ def test_unknown_section_key_is_refused_with_the_accepted_keys(tmp_path, capsys,
     assert captured.out == ""
     [line] = captured.err.strip().splitlines()
     assert "unknown key" in line and line.endswith(f"accepted keys: {accepted}")
+
+
+@pytest.mark.parametrize("section,spec,prefix", [
+    ("noise", {"mode": "poly", "sigma0": -1, "theta": 1}, "noise.sigma0 must lie in [0, inf)"),
+    ("inertia", {"mode": "poly", "alpha0": 1.5, "q": 2}, "inertia.alpha0 must lie in [0, 1)"),
+    ("noise", {"mode": "geom", "sigma0": 0.1, "rho": -0.5}, "noise.rho must be nonnegative"),
+    ("inertia", {"mode": "geom", "alpha0": 0.1, "rho": -1}, "inertia.rho must be nonnegative"),
+], ids=["noise.sigma0", "inertia.alpha0", "noise.rho", "inertia.rho"])
+def test_schedule_range_refusal_names_its_path(tmp_path, capsys, section, spec, prefix):
+    path = write_config(tmp_path, lasso_config(**{section: spec}))
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    assert line.startswith(f"configuration error: {prefix}")
 
 
 def assert_one_configuration_error(tmp_path, capsys, cfg, line):

@@ -9,15 +9,15 @@ from sifb import (
     MonotoneBlock,
     Preconditioner,
     ProxFunction,
-    WeightedMetric,
     check_cocoercivity,
     moreau_check,
     prox_conjugate,
     prox_weighted,
-    resolvent,
 )
 from sifb.operators import conjugate_subdiff_distance, subdiff_distance
 from sifb.spaces import BlockLinearOperator, estimate_weighted_norm
+
+from audits import WeightedMetric, inverse
 
 CATALOGUE = [
     ProxFunction.zero(),
@@ -183,7 +183,7 @@ def test_prox_conjugate_decomposition_fallback_for_box():
     # same fallback drives the resolvent of the conjugate subdifferential
     a = MonotoneBlock.conjugate_subdiff([g])
     z = BlockVector([np.array([2.5, -0.2])])
-    p = resolvent(a, 1.0, Preconditioner.scalar([0.5], (2,)), z)
+    p = a.resolvent(1.0, Preconditioner.scalar([0.5], (2,)), z)
     assert np.allclose(p.blocks[0], [2.0, 0.0], atol=1e-12)
 
 
@@ -192,20 +192,20 @@ def test_prox_conjugate_decomposition_fallback_for_box():
 
 def test_resolvent_zero_operator_is_identity():
     z = BlockVector([[3.0, -1.0]])
-    got = resolvent(MonotoneBlock.zero(1), 1.7,
-                    Preconditioner.diagonal([[0.5, 2.0]]), z)
+    got = MonotoneBlock.zero(1).resolvent(1.7,
+                                          Preconditioner.diagonal([[0.5, 2.0]]), z)
     assert (got - z).norm() == 0.0
 
 
 def test_resolvent_quadratic_subdiff():
     a = MonotoneBlock.subdiff([ProxFunction.squared_l2(1.0, 0.0)])
-    got = resolvent(a, 1.0, Preconditioner.identity((1,)), BlockVector([[4.0]]))
+    got = a.resolvent(1.0, Preconditioner.identity((1,)), BlockVector([[4.0]]))
     assert got.blocks[0][0] == pytest.approx(2.0)
 
 
 def test_resolvent_l1_soft_threshold():
     a = MonotoneBlock.subdiff([ProxFunction.l1(1.0)])
-    got = resolvent(a, 1.0, Preconditioner.identity((1,)), BlockVector([[3.0]]))
+    got = a.resolvent(1.0, Preconditioner.identity((1,)), BlockVector([[3.0]]))
     assert got.blocks[0][0] == pytest.approx(2.0)
 
 
@@ -215,7 +215,7 @@ def test_resolvent_weighted_l1_vs_grid_oracle():
     f = ProxFunction.l1(1.0)
     a = MonotoneBlock.subdiff([f])
     gamma, u, z = 2.0, 0.5, 3.0
-    got = resolvent(a, gamma, Preconditioner.diagonal([[u]]), BlockVector([[z]]))
+    got = a.resolvent(gamma, Preconditioner.diagonal([[u]]), BlockVector([[z]]))
 
     def obj(p):
         return np.abs(p) + (1.0 / u) * (z - p) ** 2 / (2.0 * gamma)
@@ -234,7 +234,7 @@ def test_resolvent_weighted_l1_vs_grid_oracle():
 def test_resolvent_linear_block():
     m = np.array([[2.0]])
     a = MonotoneBlock.linear([m])
-    got = resolvent(a, 1.0, Preconditioner.identity((1,)), BlockVector([[3.0]]))
+    got = a.resolvent(1.0, Preconditioner.identity((1,)), BlockVector([[3.0]]))
     assert got.blocks[0][0] == pytest.approx(1.0)  # (I + M)^{-1} z
 
 
@@ -249,8 +249,8 @@ def test_resolvent_characterization_subdiff_families():
             gamma = float(rng.uniform(0.2, 3.0))
             u = rng.uniform(0.3, 2.0, 4)
             z = rng.uniform(-4, 4, 4)
-            p = resolvent(a, gamma, Preconditioner.diagonal([u]),
-                          BlockVector([z])).blocks[0]
+            p = a.resolvent(gamma, Preconditioner.diagonal([u]),
+                            BlockVector([z])).blocks[0]
             residual = (z - p) / (gamma * u)
             assert subdiff_distance(f, p, residual) <= 1e-10
 
@@ -262,13 +262,13 @@ def test_resolvent_firm_nonexpansiveness_in_inverse_metric():
     for f in CATALOGUE:
         a = MonotoneBlock.subdiff([f])
         u = Preconditioner.diagonal([rng.uniform(0.4, 2.2, 5)])
-        metric = WeightedMetric(u.inverse())
+        metric = WeightedMetric(inverse(u))
         gamma = float(rng.uniform(0.3, 2.0))
         for _ in range(100):
             x = BlockVector([rng.uniform(-3, 3, 5)])
             y = BlockVector([rng.uniform(-3, 3, 5)])
-            jx = resolvent(a, gamma, u, x)
-            jy = resolvent(a, gamma, u, y)
+            jx = a.resolvent(gamma, u, x)
+            jy = a.resolvent(gamma, u, y)
             d = jx - jy
             slack = metric.inner(x - y, d) - metric.norm_sq(d)
             assert slack >= -1e-10
@@ -277,7 +277,7 @@ def test_resolvent_firm_nonexpansiveness_in_inverse_metric():
 def test_resolvent_rejects_nonpositive_step():
     a = MonotoneBlock.zero(1)
     with pytest.raises(ConfigurationError):
-        resolvent(a, 0.0, Preconditioner.identity((1,)), BlockVector([[1.0]]))
+        a.resolvent(0.0, Preconditioner.identity((1,)), BlockVector([[1.0]]))
 
 
 # --- cocoercive maps -----------------------------------------------------------------

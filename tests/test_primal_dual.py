@@ -32,11 +32,17 @@ from sifb import (
     extract_primal_dual,
     optimal_balance,
     run,
-    scalar_feasibility_constant,
     step,
 )
-from sifb.primal_dual import class1_metric_apply, class2_metric_apply, dense_metrics
 from sifb.problems import build_demo, build_lasso, pd_problem, reference_oracle
+
+from audits import (
+    class1_metric_apply,
+    class2_metric_apply,
+    dense,
+    dense_metrics,
+    scalar_feasibility_constant,
+)
 
 
 class ReplayOracle:
@@ -188,7 +194,7 @@ def scalar_metric_problems(draw):
                        else rng.standard_normal((dk, di)))
         entries.append(row)
     coupling = BlockLinearOperator(entries, dims_in, dims_out)
-    l_norm = float(np.linalg.norm(coupling.dense(), 2))
+    l_norm = float(np.linalg.norm(dense(coupling), 2))
     tau, nu, mu = (draw(st.floats(0.05, 5.0)) for _ in range(3))
     c = draw(st.floats(0.01, 0.95))
     sigma = c * c / (tau * l_norm**2) if l_norm > 0 else draw(st.floats(0.05, 5.0))
