@@ -69,14 +69,18 @@ def _validation_rows(exp):
             rows.append(("coupling norm c < 1", False, str(e)))
 
     if inst is not None:
+        step_row = "step size in [eps, (2-eps)*beta]"
         try:
             cfg = exp.solver_config(inst.beta)
-            gamma = inst.check_gamma(cfg.gamma_at(0, inst.default_gamma))
-            lo, hi = cfg.gamma_range
-            rows.append((f"step size in [eps, (2-eps)*beta] = [{lo:.3g}, {hi:.3g}]",
-                         True, f"gamma={gamma:.6g}"))
         except ConfigurationError as e:
-            rows.append(("step size in [eps, (2-eps)*beta]", False, str(e)))
+            rows.append(("solver settings", False, str(e)))
+        else:
+            try:
+                gamma = cfg.step_size(inst)
+                lo, hi = cfg.gamma_range
+                rows.append((f"{step_row} = [{lo:.3g}, {hi:.3g}]", True, f"gamma={gamma:.6g}"))
+            except ConfigurationError as e:
+                rows.append((step_row, False, str(e)))
         if exp.constants_given:
             if exp.pd is not None:
                 prob = exp.pd

@@ -13,8 +13,7 @@ class ConfigurationError(ValueError):
     """A solver, schedule, or problem was wired together inconsistently.
 
     Raised when a piece is built or called with bad arguments, and by `run`
-    before the first iteration. Inside the loop only a callable step size or
-    relaxation, whose values are known one iteration at a time, raises it.
+    before the first iteration; never raised inside the loop.
     """
 
 

@@ -537,12 +537,12 @@ class CocoerciveMap:
                    metric=metric, extremal=extremal)
 
     @classmethod
-    def from_callable(cls, dims, fn, beta, metric=None, extremal=None):
+    def from_callable(cls, dims, fn, beta, metric=None):
         """Wrap a user map with a caller-certified constant."""
-        return cls("callable", dims, fn, beta=beta, metric=metric, extremal=extremal)
+        return cls("callable", dims, fn, beta=beta, metric=metric)
 
     @classmethod
-    def paired(cls, first, second, beta, metric=None):
+    def paired(cls, first, second, beta):
         """Blockwise pairing acting as (first, second) on a stacked vector.
 
         A pair of zero maps returns one read-only zero vector on every call.
@@ -551,20 +551,19 @@ class CocoerciveMap:
         n1 = len(first.dims)
         if first.kind == second.kind == "zero":
             zero = BlockVector.zeros(dims)
-            return cls("paired", dims, lambda x: zero, beta=beta, metric=metric)
+            return cls("paired", dims, lambda x: zero, beta=beta)
 
         def apply_fn(x):
             a, b = block_split(x, n1)
             return block_concat(first.apply(a), second.apply(b))
 
-        return cls("paired", dims, apply_fn, beta=beta, metric=metric)
+        return cls("paired", dims, apply_fn, beta=beta)
 
 
 @dataclass
 class CocoercivityReport:
     min_slack: float
     passed: bool
-    trials: int
     beta: float
 
 
@@ -605,8 +604,7 @@ def check_cocoercivity(b_map, metric=None, trials=100, seed=0, beta=None):
     if b_map.extremal is not None:
         x = BlockVector._wrap([rng.standard_normal(d) for d in dims])
         worst = min(worst, slack(x + b_map.extremal, x))
-    return CocoercivityReport(min_slack=worst, passed=worst >= -1e-10,
-                              trials=trials, beta=beta)
+    return CocoercivityReport(min_slack=worst, passed=worst >= -1e-10, beta=beta)
 
 
 # ---------------------------------------------------------------------------

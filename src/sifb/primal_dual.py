@@ -100,17 +100,12 @@ class PrimalDualProblem:
         return len(self.primal_dims)
 
     @property
-    def s(self):
-        return len(self.dual_dims)
-
-    @property
     def stacked_dims(self):
         return self.primal_dims + self.dual_dims
 
-    def smooth_pair_map(self, beta, metric=None):
+    def smooth_pair_map(self, beta):
         """The stacked map (x, v) -> (C x, D^{-1} v) with an attached constant."""
-        return CocoerciveMap.paired(self.smooth, self.dual_smooth, beta=beta,
-                                    metric=metric)
+        return CocoerciveMap.paired(self.smooth, self.dual_smooth, beta=beta)
 
 
 @dataclass
@@ -210,7 +205,7 @@ def _check_stacked(dims, u, a):
             raise DimensionMismatch(f"{name} dims {x.dims} != stacked dims {dims}")
 
 
-def assemble_class1(prob, noise=None, seed=0, oracle=None, constants=None):
+def assemble_class1(prob, noise=None, seed=0, constants=None):
     """Stacked instance whose unit-step backward map is the class-I sweep.
 
     One solver step reproduces, blockwise: primal resolvents at the
@@ -228,9 +223,8 @@ def assemble_class1(prob, noise=None, seed=0, oracle=None, constants=None):
         raise InfeasibleProblemError(
             f"class-I assembly requires beta_hat > 1/2; got beta_hat={rep.beta_hat:.6g}"
         )
-    q_map = prob.smooth_pair_map(beta=rep.beta_hat)
-    if oracle is None:
-        oracle = StochasticOracle(q_map, noise=noise, rng_seed=seed)
+    oracle = StochasticOracle(prob.smooth_pair_map(beta=rep.beta_hat), noise=noise,
+                              rng_seed=seed)
     m, dims = prob.m, prob.stacked_dims
     L, V, W, z, r = prob.coupling, prob.V, prob.W, prob.z.blocks, prob.r.blocks
     j_va = prob.primal_ops.bind(1.0, V.diag_blocks())
@@ -251,7 +245,7 @@ def assemble_class1(prob, noise=None, seed=0, oracle=None, constants=None):
                            backward, gamma_fixed=1.0)
 
 
-def assemble_class2(prob, noise=None, seed=0, oracle=None, constants=None):
+def assemble_class2(prob, noise=None, seed=0, constants=None):
     """Stacked instance for the all-explicit-primal variant.
 
     Only valid when every primal block operator is zero; the primal half
@@ -272,9 +266,8 @@ def assemble_class2(prob, noise=None, seed=0, oracle=None, constants=None):
         raise InfeasibleProblemError(
             f"class-II assembly requires 2*beta > 1; got beta={rep.beta:.6g}"
         )
-    q_map = prob.smooth_pair_map(beta=rep.beta)
-    if oracle is None:
-        oracle = StochasticOracle(q_map, noise=noise, rng_seed=seed)
+    oracle = StochasticOracle(prob.smooth_pair_map(beta=rep.beta), noise=noise,
+                              rng_seed=seed)
     m, dims = prob.m, prob.stacked_dims
     L, V, W, z, r = prob.coupling, prob.V, prob.W, prob.z.blocks, prob.r.blocks
     j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())

@@ -25,10 +25,12 @@ block by block, and wraps one vector; the extrapolation and the relaxation
 are one fused pass each (`BlockVector.axpy_diff`). A zero map, or a pair of
 them, returns one shared zero vector.
 
-`run` resolves a constant gamma (the default step included) and lambda, and
-range-checks them, once before the first iteration; a callable one is
-resolved and checked at every iteration. The norms ||x_n - p_n|| of the residual and ||x_{n+1} - x_n|| of
-the trace are summed block by block without building the difference vector.
+The step gamma and the relaxation lambda are numbers fixed for a run (a
+constant sequence, which the paper admits). `run` resolves gamma, the
+default step included, and checks every gate before the first iteration;
+nothing inside the loop raises a ConfigurationError. The norms
+||x_n - p_n|| of the residual and ||x_{n+1} - x_n|| of the trace are summed
+block by block without building the difference vector.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch
+from .errors import ConfigurationError, DimensionMismatch, check_type
 from .spaces import BlockVector
 from .stochastic import InertiaSchedule
 
@@ -56,16 +58,16 @@ class SolverConfig:
     """Step-size, relaxation, inertia and stopping configuration.
 
     `beta` is the cocoercivity constant of the instance being solved; the
-    admissible ranges are gamma_n in [eps, (2 - eps) beta], lambda_n in
-    [eps, 1], alpha_n in [0, 1 - eps], all checked at construction.
-    gamma / relaxation may be floats (constant schedules) or callables of n;
-    callables are range-checked per iteration.
+    admissible ranges are gamma in [eps, (2 - eps) beta], lambda in [eps, 1],
+    alpha_n in [0, 1 - eps], all checked at construction. gamma and
+    relaxation are real numbers fixed for the run; gamma None is the
+    instance's default step (`step_size`).
     """
 
     beta: float
     epsilon: float = 1e-3
-    gamma: object = None          # None -> constant beta (or the fixed assembled step)
-    relaxation: object = 1.0
+    gamma: float | None = None    # None -> the instance's default step
+    relaxation: float = 1.0
     inertia: InertiaSchedule = field(default_factory=InertiaSchedule.zero)
     max_iter: int = 1000
     stop_tol: float = 1e-8
@@ -84,19 +86,15 @@ class SolverConfig:
             raise ConfigurationError(f"record_every must be positive, got {self.record_every}")
         if self.stop_tol < 0:
             raise ConfigurationError(f"stop_tol must be nonnegative, got {self.stop_tol}")
-        lo, hi = self.gamma_range
-        if isinstance(self.gamma, (int, float)):
-            g = float(self.gamma)
-            if not lo <= g <= hi:
-                raise ConfigurationError(
-                    f"step size gamma={g} outside [eps, (2-eps)*beta] = [{lo:g}, {hi:g}]"
-                )
-        if isinstance(self.relaxation, (int, float)):
-            lam = float(self.relaxation)
-            if not self.epsilon <= lam <= 1.0:
-                raise ConfigurationError(
-                    f"relaxation lambda={lam} outside [eps, 1] = [{self.epsilon:g}, 1]"
-                )
+        check_type(self.gamma, "float | None", "gamma")
+        check_type(self.relaxation, "float", "relaxation")
+        if self.gamma is not None:
+            self.gamma = self._in_range(float(self.gamma))
+        self.relaxation = lam = float(self.relaxation)
+        if not self.epsilon <= lam <= 1.0:
+            raise ConfigurationError(
+                f"relaxation lambda={lam} outside [eps, 1] = [{self.epsilon:g}, 1]"
+            )
         if self.inertia.alpha(0) > 1.0 - self.epsilon:
             raise ConfigurationError(
                 f"inertia alpha0={self.inertia.alpha(0)} exceeds 1 - eps = "
@@ -107,27 +105,20 @@ class SolverConfig:
     def gamma_range(self):
         return self.epsilon, (2.0 - self.epsilon) * self.beta
 
-    def gamma_at(self, n, default):
-        if self.gamma is None:
-            g = default
-        elif callable(self.gamma):
-            g = float(self.gamma(n))
-        else:
-            g = float(self.gamma)
+    def _in_range(self, g):
         lo, hi = self.gamma_range
         if not lo <= g <= hi:
             raise ConfigurationError(
-                f"step size gamma_{n}={g} outside [eps, (2-eps)*beta] = [{lo:g}, {hi:g}]"
+                f"step size gamma={g} outside [eps, (2-eps)*beta] = [{lo:g}, {hi:g}]"
             )
         return g
 
-    def relaxation_at(self, n):
-        lam = float(self.relaxation(n)) if callable(self.relaxation) else float(self.relaxation)
-        if not self.epsilon <= lam <= 1.0:
-            raise ConfigurationError(
-                f"relaxation lambda_{n}={lam} outside [eps, 1] = [{self.epsilon:g}, 1]"
-            )
-        return lam
+    def step_size(self, prob):
+        """The run's step on the instance prob: gamma, else prob's default step,
+        refused unless it lies in `gamma_range` and prob's backward map is
+        defined at it (`ProblemInstance.check_gamma`)."""
+        return prob.check_gamma(self._in_range(
+            prob.default_gamma if self.gamma is None else self.gamma))
 
 
 @dataclass
@@ -295,20 +286,19 @@ class RunTrace:
 def step(prob, cfg, state, n, gamma=None, lam=None):
     """One solver iteration; returns the new (x_{n+1}, x_n) pair.
 
-    Draws from the oracle exactly once. `gamma` and `lam` are gamma_n and
-    lambda_n when the caller has already resolved and range-checked them, as
-    `run` does for constant ones; left None, they are read from `cfg` and
-    checked here.
+    Draws from the oracle exactly once. `gamma` and `lam` are the run's step
+    and relaxation, as `run` resolves them once; left None, they are
+    `cfg.step_size(prob)` and `cfg.relaxation`.
     """
     x, x_prev = state
     alpha = cfg.inertia.alpha(n)
     w = x if alpha == 0.0 else x.axpy_diff(alpha, x, x_prev)
     if gamma is None:
-        gamma = cfg.gamma_at(n, prob.default_gamma)
+        gamma = cfg.step_size(prob)
     r = prob.oracle.sample(n, w)
     p = prob.backward(w, gamma, r)
     if lam is None:
-        lam = cfg.relaxation_at(n)
+        lam = cfg.relaxation
     # at lam = 1 the relaxed update collapses to p exactly; keep it exact
     x_next = p if lam == 1.0 else x.axpy_diff(lam, p, x)
     return x_next, x
@@ -319,31 +309,21 @@ def run(prob, cfg, reference=None):
 
     Returns (final iterate, RunTrace). The trace records every `record_every`
     iterations; non-finite iterates or norm blow-up terminate with the
-    `diverged` status and the offending iteration index. An instance with a
-    fixed step refuses any other step, and any callable one, before the
-    first iteration.
+    `diverged` status and the offending iteration index. Every gate, the
+    step size included, is checked before the first oracle draw.
     """
     if np.isfinite(prob.beta) and cfg.beta > prob.beta * (1.0 + 1e-12):
         raise ConfigurationError(
             f"config beta={cfg.beta:g} exceeds the instance constant {prob.beta:g}"
         )
-    if prob.gamma_fixed is not None and callable(cfg.gamma):
-        raise ConfigurationError(
-            f"this instance defines its backward map only at "
-            f"gamma={prob.gamma_fixed}; a callable step size cannot be used"
-        )
-    gamma = prob.check_gamma(cfg.gamma_at(0, prob.default_gamma))
+    gamma = cfg.step_size(prob)
     # the summability gates; a minibatch oracle answers the noise gate itself
     noise = None if prob.oracle.summable_variance() else prob.oracle.noise
     failed = [f"{s.CONDITION}: {s.violation()}" for s in (noise, cfg.inertia)
               if s is not None and s.violation() is not None]
     if failed:
         raise ConfigurationError(f"schedule validation failed: {'; '.join(failed)}")
-    # a constant step and relaxation are range-checked once, here; callable
-    # ones at every iteration, by `step`
-    if callable(cfg.gamma):
-        gamma = None
-    lam = None if callable(cfg.relaxation) else cfg.relaxation_at(0)
+    lam = cfg.relaxation
 
     trace = RunTrace()
     x = prob.x0

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
+import dataclasses
 import functools
 import json
 import time
@@ -174,7 +175,7 @@ def test_criterion_4_assembly_fidelity():
             b = [rng.standard_normal(d) for d in ddims]
             replay = ReplayOracle(prob.smooth_pair_map(beta=float("inf")),
                                   block_concat(BlockVector(a), BlockVector(b)))
-            inst = assemble(prob, oracle=replay)
+            inst = dataclasses.replace(assemble(prob), oracle=replay)
             inertia = (InertiaSchedule.polynomial(alpha, 2.0) if alpha > 0
                        else InertiaSchedule.zero())
             cfg = SolverConfig(beta=inst.beta, relaxation=relax,

@@ -134,6 +134,22 @@ def test_fixed_step_gate_fails_validate_and_run_before_iterating(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("solver,inertia,refusal", [
+    ({"relaxation": 0.0}, {"mode": "zero"}, "relaxation lambda=0.0 outside [eps, 1]"),
+    ({"epsilon": 0.3}, {"mode": "geom", "alpha0": 0.9, "rho": 0.5},
+     "inertia alpha0=0.9 exceeds 1 - eps = 0.7"),
+    ({"max_iter": -1}, {"mode": "zero"}, "max_iter must be nonnegative, got -1"),
+], ids=["relaxation", "inertia", "max_iter"])
+def test_validate_files_a_solver_setting_refusal_under_solver_settings(
+        tmp_path, capsys, solver, inertia, refusal):
+    # only a refused step size is filed under the step-size row
+    path = write_config(tmp_path, lasso_config(solver=solver, inertia=inertia))
+    assert main(["validate", path]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] solver settings  ({refusal}" in out
+    assert "step size" not in out
+
+
 def test_run_writes_artifacts_and_is_deterministic(tmp_path, capsys):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     path = write_config(tmp_path, lasso_config())

@@ -34,7 +34,13 @@ from sifb import (
     run,
     step,
 )
-from sifb.problems import build_demo, build_lasso, pd_problem, reference_oracle
+from sifb.problems import (
+    build_demo,
+    build_lasso,
+    pd_problem,
+    reference_oracle,
+    sifb_instance,
+)
 
 from audits import (
     class1_metric_apply,
@@ -466,7 +472,7 @@ def test_assembly_matches_transcription(which):
         replay = ReplayOracle(prob.smooth_pair_map(beta=float("inf")),
                               block_concat(BlockVector(a), BlockVector(b)))
         assemble = assemble_class1 if which == "class1" else assemble_class2
-        inst = assemble(prob, oracle=replay)
+        inst = dataclasses.replace(assemble(prob), oracle=replay)
         inertia = (InertiaSchedule.polynomial(alpha, 2.0) if alpha > 0
                    else InertiaSchedule.zero())
         cfg = SolverConfig(beta=inst.beta, relaxation=relax, inertia=inertia,
@@ -498,7 +504,7 @@ def test_class1_decoupled_when_coupling_vanishes():
     b = BlockVector([rng.standard_normal(2)])
     replay = ReplayOracle(prob.smooth_pair_map(beta=float("inf")),
                           block_concat(a, b))
-    inst = assemble_class1(prob, oracle=replay)
+    inst = dataclasses.replace(assemble_class1(prob), oracle=replay)
     x = BlockVector([rng.standard_normal(3)])
     v = BlockVector([rng.standard_normal(2)])
     state = (block_concat(x, v),) * 2
@@ -528,7 +534,7 @@ def test_class2_decoupled_primal_is_pure_forward_step():
     b = BlockVector([rng.standard_normal(2)])
     replay = ReplayOracle(prob.smooth_pair_map(beta=float("inf")),
                           block_concat(a, b))
-    inst = assemble_class2(prob, oracle=replay)
+    inst = dataclasses.replace(assemble_class2(prob), oracle=replay)
     x = BlockVector([rng.standard_normal(3)])
     v = BlockVector([rng.standard_normal(2)])
     state = (block_concat(x, v),) * 2
@@ -579,23 +585,40 @@ def test_run_rejects_other_step_on_assembled_instance_at_once(assemble):
     assert steps == []
 
 
-@pytest.mark.parametrize("assemble", [assemble_class1, assemble_class2])
-def test_run_refuses_callable_step_on_assembled_instance_before_drawing(assemble):
-    # a callable step is known one iteration at a time; this one leaves 1 at n = 3
-    inst = assemble(pd_problem(build_lasso(12, 10, 0.2, cond=20.0, seed=3), "split"))
+def split_lasso():
+    return pd_problem(build_lasso(12, 10, 0.2, cond=20.0, seed=3), "split")
+
+
+@pytest.mark.parametrize("make,beta_scale,gamma,refusal", [
+    (lambda: assemble_class1(split_lasso()), 1.0, 0.9, "only at gamma=1.0, got 0.9"),
+    (lambda: assemble_class2(split_lasso()), 1.0, 0.9, "only at gamma=1.0, got 0.9"),
+    # the assemblies' constants are infinite here; a plain instance has a finite one
+    (lambda: sifb_instance(build_lasso(12, 10, 0.2, cond=20.0, seed=3)), 2.0, None,
+     "exceeds the instance constant"),
+    (lambda: assemble_class2(split_lasso(), noise=NoiseSchedule.polynomial(1.0, 0.4)),
+     1.0, None, "summable_noise_variance"),
+], ids=["gamma-class1", "gamma-class2", "beta", "noise"])
+def test_run_refuses_before_drawing(make, beta_scale, gamma, refusal):
+    # every gate is decided before the first iteration, so a refused run
+    # draws nothing and evaluates no map
+    inst = make()
     draws = []
 
     class CountingOracle:
-        base, noise = inst.oracle.base, inst.oracle.noise
+        def __getattr__(self, name):
+            return getattr(inst.oracle, name)
 
         def sample(self, n, w):
             draws.append(n)
             return inst.oracle.sample(n, w)
 
+        def exact(self, x):
+            draws.append("exact")
+            return inst.oracle.exact(x)
+
     counted = dataclasses.replace(inst, oracle=CountingOracle())
-    cfg = SolverConfig(beta=inst.beta, gamma=lambda n: 1.0 if n < 3 else 0.9,
-                       max_iter=10)
-    with pytest.raises(ConfigurationError, match="callable step size"):
+    cfg = SolverConfig(beta=beta_scale * inst.beta, gamma=gamma, max_iter=10)
+    with pytest.raises(ConfigurationError, match=refusal):
         run(counted, cfg)
     assert draws == []
 

@@ -426,13 +426,13 @@ def test_config_validates_ranges():
         SolverConfig(beta=0.5, epsilon=0.7)
 
 
-def test_callable_gamma_checked_per_iteration():
-    prob = scalar_instance(deflate=False)
-    # under-relaxed so the fixed point is only approached, never hit exactly
-    cfg = SolverConfig(beta=1.0, gamma=lambda n: 1.0 if n < 2 else 5.0,
-                       relaxation=0.5, max_iter=10, stop_tol=0.0)
-    with pytest.raises(ConfigurationError, match="gamma_2"):
-        run(prob, cfg)
+def test_config_refuses_a_step_or_relaxation_that_is_not_a_number():
+    # gamma and lambda are numbers fixed for the run; anything else is refused
+    # at construction, naming the field
+    for name, value in (("gamma", lambda n: 1.0), ("gamma", "0.5"), ("gamma", True),
+                        ("gamma", [0.5]), ("relaxation", "1")):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a number"):
+            SolverConfig(beta=1.0, **{name: value})
 
 
 # --- traces -----------------------------------------------------------------------------

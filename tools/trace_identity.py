@@ -20,9 +20,10 @@ The configs: the README's example config; every demo problem on the `sifb`
 route and on both primal-dual classes for each of its forms; the lasso demo
 with poly noise and poly inertia, with geom noise and geom inertia, with
 geom noise on class I, and with no `noise` or `inertia` section, so that
-every mode of both schedule sections is read; the `custom` and `custom_pd`
-configs of `tests/test_cli.py`; and three custom problems (a diagonal metric with
-relaxation and inertia; a primal-dual problem with box, sq_l2, affine and
+every mode of both schedule sections is read; the lasso demo with a given
+step on the `sifb` route, and with a given step and relaxation on class I;
+the `custom` and `custom_pd` configs of `tests/test_cli.py`; and three
+custom problems (a diagonal metric with relaxation and inertia; a primal-dual problem with box, sq_l2, affine and
 linf_ball blocks and a scalar coupling cell; and one whose `center`, `lo`,
 `hi` and `c` are vectors of the block's length and of length 1).
 """
@@ -125,6 +126,9 @@ def configs():
         lasso, algorithm="pd_class1", noise=GEOM_NOISY, solver=STOCHASTIC)
     out["lasso-sifb-no-schedule-sections"] = {
         k: v for k, v in _run_config(lasso).items() if k not in ("noise", "inertia")}
+    out["lasso-sifb-given-step"] = _run_config(lasso, solver={**SHORT, "gamma": 0.5})
+    out["lasso-split-pd_class1-given-step-relaxed"] = _run_config(
+        lasso, algorithm="pd_class1", solver={**SHORT, "gamma": 1.0, "relaxation": 0.9})
     out.update(_test_cli_configs())
     out["custom-diagonal-metric-relaxed-inertial"] = _run_config(
         {"custom": {
