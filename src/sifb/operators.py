@@ -43,7 +43,9 @@ def _soft(t):
 
 
 def _clip(lo, hi):
-    return lambda x: np.clip(x, lo, hi)
+    # the method np.clip dispatches to: the same ufunc and signed zeros,
+    # without the dispatch
+    return lambda x: x.clip(lo, hi)
 
 
 def _minus(shift):
@@ -148,11 +150,17 @@ def _linear(matrix, step):
     return lambda z: np.linalg.solve(system, z)
 
 
+def _identity(x):
+    return x
+
+
 # bind: (rule, step) to the kernel of J_{step A} on one block; distance:
 # (rule, x, u) to the distance of u from A x, or None
 _RuleKind = namedtuple("_RuleKind", "bind distance")
 _RULES = {
-    "zero": _RuleKind(lambda rule, step: np.copy, lambda rule, x, u: _norm(u)),
+    # the kernels' inputs are arrays that the solve loops have just computed,
+    # so the zero operator's resolvent, the identity, returns its input
+    "zero": _RuleKind(lambda rule, step: _identity, lambda rule, x, u: _norm(u)),
     "subdiff": _RuleKind(lambda rule, step: rule.fn.kernel(step),
                          lambda rule, x, u: subdiff_distance(rule.fn, x, u)),
     "conjugate_subdiff": _RuleKind(lambda rule, step: rule.fn.conj_kernel(step),
@@ -333,7 +341,7 @@ class MonotoneBlock:
     def bind(self, gamma, diag):
         """The kernels of J_{gamma U A}, one per block, for a diagonal
         preconditioner U given by its diagonal blocks: each maps that block's
-        array to a fresh array."""
+        array to a fresh array, except that a zero block returns its input."""
         if gamma <= 0:
             raise ConfigurationError(f"resolvent step must be positive, got {gamma}")
         self.check_dims(tuple(map(len, diag)))

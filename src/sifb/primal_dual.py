@@ -12,13 +12,16 @@ map by the explicit resolvent/reflection sweep over blocks; class II (all
 primal operators zero) by a forward-substitution sweep whose dual solve is
 the only implicit piece. Both sweeps work on the per-block numpy arrays
 (`BlockLinearOperator.apply_blocks`, `Preconditioner.apply_blocks`) and build
-one `BlockVector` per call. Their resolvents J_{V A_i} and J_{W B_k^-1} are
-kernels bound once, at assembly, to the diagonals of V and W at the fixed
-step 1 (`MonotoneBlock.bind`). A coupling cell may be a number s, meaning s
-times the identity (the identity rows of a fully split problem): its product
-adds s x, which equals the dense product with s I bit for bit for finite x.
-The coupling norm c = ||sqrt(W) L sqrt(V)|| behind both assemblies' gates is
-computed once per problem (`PrimalDualProblem.coupling_norm`), however often
+one `BlockVector` per call; they update the temporaries they create in
+place, and skip the subtraction of a shift block z_i or r_k that is all
++0.0 (`_shifts`, decided at assembly), so every bit stays as it was. Their
+resolvents J_{V A_i} and J_{W B_k^-1} are kernels bound once, at assembly,
+to the diagonals of V and W at the fixed step 1 (`MonotoneBlock.bind`). A
+coupling cell may be a number s, meaning s times the identity (the identity
+rows of a fully split problem): its product adds s x, which equals the dense
+product with s I bit for bit for finite x. The coupling norm
+c = ||sqrt(W) L sqrt(V)|| behind both assemblies' gates is computed once per
+problem (`PrimalDualProblem.coupling_norm`), however often
 `compute_constants` asks for it. The optimality residuals take one graph
 distance per block from each operator (`MonotoneBlock.distances`); which rule
 or family a block has is known only to `operators`.
@@ -205,6 +208,24 @@ def _check_stacked(dims, u, a):
             raise DimensionMismatch(f"{name} dims {x.dims} != stacked dims {dims}")
 
 
+def _shifts(v):
+    """The blocks of a shift z or r, None where a block is all +0.0.
+
+    x - (+0.0) is x bit for bit for every x, -0.0 and NaN included, so the
+    sweeps skip those subtractions; a block holding -0.0 is kept.
+    """
+    return [None if not (b.any() or np.signbit(b).any()) else b for b in v.blocks]
+
+
+def _minus_draw(xs, draws, shifts):
+    """(x - draw) - shift per block, in the fresh arrays xs; a None shift is skipped."""
+    for x, b, s in zip(xs, draws, shifts):
+        x -= b
+        if s is not None:
+            x -= s
+    return xs
+
+
 def assemble_class1(prob, noise=None, seed=0, constants=None):
     """Stacked instance whose unit-step backward map is the class-I sweep.
 
@@ -226,7 +247,7 @@ def assemble_class1(prob, noise=None, seed=0, constants=None):
     oracle = StochasticOracle(prob.smooth_pair_map(beta=rep.beta_hat), noise=noise,
                               rng_seed=seed)
     m, dims = prob.m, prob.stacked_dims
-    L, V, W, z, r = prob.coupling, prob.V, prob.W, prob.z.blocks, prob.r.blocks
+    L, V, W, z, r = prob.coupling, prob.V, prob.W, _shifts(prob.z), _shifts(prob.r)
     j_va = prob.primal_ops.bind(1.0, V.diag_blocks())
     j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())
 
@@ -234,11 +255,19 @@ def assemble_class1(prob, noise=None, seed=0, constants=None):
         _check_stacked(dims, u, a)
         c, d = u.blocks[:m], u.blocks[m:]
         a_p, b_d = a.blocks[:m], a.blocks[m:]
-        t = [(lt + ap) - zi for lt, ap, zi in zip(L.adjoint_apply_blocks(d), a_p, z)]
-        p = [j(ci - vt) for j, ci, vt in zip(j_va, c, V.apply_blocks(t))]
-        y = [(2.0 * pi) - ci for pi, ci in zip(p, c)]
-        u_k = [(ly - bd) - rk for ly, bd, rk in zip(L.apply_blocks(y), b_d, r)]
-        q = [j(dk + wu) for j, dk, wu in zip(j_wb, d, W.apply_blocks(u_k))]
+        t = L.adjoint_apply_blocks(d)
+        for ti, ap, zi in zip(t, a_p, z):
+            ti += ap
+            if zi is not None:
+                ti -= zi
+        p = [j(np.subtract(ci, vt, out=vt))
+             for j, ci, vt in zip(j_va, c, V.apply_blocks(t, overwrite=True))]
+        y = [2.0 * pi for pi in p]
+        for yi, ci in zip(y, c):
+            yi -= ci
+        u_k = _minus_draw(L.apply_blocks(y), b_d, r)
+        q = [j(np.add(dk, wu, out=wu))
+             for j, dk, wu in zip(j_wb, d, W.apply_blocks(u_k, overwrite=True))]
         return BlockVector._wrap(p + q, dims)
 
     return ProblemInstance(oracle, BlockVector.zeros(dims), rep.beta_hat,
@@ -269,20 +298,25 @@ def assemble_class2(prob, noise=None, seed=0, constants=None):
     oracle = StochasticOracle(prob.smooth_pair_map(beta=rep.beta), noise=noise,
                               rng_seed=seed)
     m, dims = prob.m, prob.stacked_dims
-    L, V, W, z, r = prob.coupling, prob.V, prob.W, prob.z.blocks, prob.r.blocks
+    L, V, W, z, r = prob.coupling, prob.V, prob.W, _shifts(prob.z), _shifts(prob.r)
     j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())
+
+    def minus_v_adjoint(s_i, v):
+        """s - V L* v, computed in the arrays of L* v."""
+        return [np.subtract(si, x, out=x) for si, x in
+                zip(s_i, V.apply_blocks(L.adjoint_apply_blocks(v), overwrite=True))]
 
     def backward(u, gamma, a):
         _check_stacked(dims, u, a)
         c, d = u.blocks[:m], u.blocks[m:]
         a_p, b_d = a.blocks[:m], a.blocks[m:]
-        s_i = [ci - vt for ci, vt in
-               zip(c, V.apply_blocks([ap - zi for ap, zi in zip(a_p, z)]))]
-        y = [si - v for si, v in zip(s_i, V.apply_blocks(L.adjoint_apply_blocks(d)))]
-        e = [(ly - bd) - rk for ly, bd, rk in zip(L.apply_blocks(y), b_d, r)]
-        q = [j(dk + we) for j, dk, we in zip(j_wb, d, W.apply_blocks(e))]
-        p = [si - v for si, v in zip(s_i, V.apply_blocks(L.adjoint_apply_blocks(q)))]
-        return BlockVector._wrap(p + q, dims)
+        # not in place: a skipped shift leaves the draw's own read-only array
+        s_i = [ci - vt for ci, vt in zip(c, V.apply_blocks(
+            [ap if zi is None else ap - zi for ap, zi in zip(a_p, z)]))]
+        e = _minus_draw(L.apply_blocks(minus_v_adjoint(s_i, d)), b_d, r)
+        q = [j(np.add(dk, we, out=we))
+             for j, dk, we in zip(j_wb, d, W.apply_blocks(e, overwrite=True))]
+        return BlockVector._wrap(minus_v_adjoint(s_i, q) + q, dims)
 
     return ProblemInstance(oracle, BlockVector.zeros(dims), rep.beta,
                            backward, gamma_fixed=1.0)

@@ -19,11 +19,16 @@ When a recorded row is followed by an exact step at the same point and step
 the residual's step), the step gets back the residual's map value and sweep
 instead of recomputing them: one evaluation and one sweep per iteration
 instead of two. A noisy step with alpha_n = 0 still reuses the map value.
-A sweep applies resolvent kernels bound once per step value (once per run
-for a constant step; see `MonotoneBlock.bind`) to w - gamma U r computed
-block by block, and wraps one vector; the extrapolation and the relaxation
-are one fused pass each (`BlockVector.axpy_diff`). A zero map, or a pair of
-them, returns one shared zero vector.
+At lambda = 1 that exact step returns the residual's own p, so the trace's
+||x_{n+1} - x_n|| is the residual ||x_n - p_n|| already computed: one norm
+of a difference per iteration. The divergence test computes ||x_n|| only
+when ||x_0|| plus the step norms so far reaches half its limit, and stops
+at the same iterate as a test of every norm would. A sweep applies
+resolvent kernels bound once per step value (once per run for a constant
+step; see `MonotoneBlock.bind`) to w - gamma U r computed block by block,
+and wraps one vector; the extrapolation and the relaxation are one fused
+pass each (`BlockVector.axpy_diff`). A zero map, or a pair of them, returns
+one shared zero vector.
 
 The step gamma and the relaxation lambda are numbers fixed for a run (a
 constant sequence, which the paper admits). `run` resolves gamma, the
@@ -61,7 +66,9 @@ class SolverConfig:
     admissible ranges are gamma in [eps, (2 - eps) beta], lambda in [eps, 1],
     alpha_n in [0, 1 - eps], all checked at construction. gamma and
     relaxation are real numbers fixed for the run; gamma None is the
-    instance's default step (`step_size`).
+    instance's default step (`step_size`). Every field's type is checked
+    first: `max_iter` and `record_every` are integers, the others real
+    numbers (a bool is neither).
     """
 
     beta: float
@@ -74,6 +81,10 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for name, kind in (("beta", "float"), ("epsilon", "float"), ("max_iter", "int"),
+                           ("stop_tol", "float"), ("record_every", "int"),
+                           ("gamma", "float | None"), ("relaxation", "float")):
+            check_type(getattr(self, name), kind, name)
         if not (self.beta > 0):
             raise ConfigurationError(f"beta must be positive, got {self.beta}")
         if not (0 < self.epsilon < min(1.0, self.beta)):
@@ -86,8 +97,6 @@ class SolverConfig:
             raise ConfigurationError(f"record_every must be positive, got {self.record_every}")
         if self.stop_tol < 0:
             raise ConfigurationError(f"stop_tol must be nonnegative, got {self.stop_tol}")
-        check_type(self.gamma, "float | None", "gamma")
-        check_type(self.relaxation, "float", "relaxation")
         if self.gamma is not None:
             self.gamma = self._in_range(float(self.gamma))
         self.relaxation = lam = float(self.relaxation)
@@ -143,6 +152,7 @@ class ProblemInstance:
     backward_fn: object
     gamma_fixed: float = None
     _last_backward: tuple = field(default=None, init=False, repr=False, compare=False)
+    _last_residual: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.beta = float(self.beta)
@@ -209,11 +219,15 @@ class ProblemInstance:
 def fp_residual(prob, x):
     """Noise-free fixed-point residual ||x - J_{gbar U A}(x - gbar U B x)||.
 
-    Vanishes exactly on the solution set for catalogue operators.
+    Vanishes exactly on the solution set for catalogue operators. The last
+    (x, p, residual) is kept on prob, so that `run` can take the norm of a
+    step that returns this p from x without computing it again.
     """
     b = prob.oracle.exact(x)
     p = prob.backward(x, prob.default_gamma, b)
-    return x.distance(p)
+    res = x.distance(p)
+    prob._last_residual = (x, p, res)
+    return res
 
 
 @dataclass
@@ -329,6 +343,10 @@ def run(prob, cfg, reference=None):
     x = prob.x0
     x_prev = prob.x0  # x_{-1} = x_0
     sn = x.distance(x_prev)  # ||x_n - x_{n-1}||, then carried over from each step
+    # an upper bound on ||x_n||, since ||x_{n+1}|| <= ||x_n|| + ||x_{n+1} - x_n||;
+    # below half the divergence limit, which absorbs every rounding of the
+    # norms and sums, the norm itself cannot reach the limit and is skipped
+    bound = x.norm()
     for n in range(cfg.max_iter + 1):
         recorded = (n % cfg.record_every == 0) or n == cfg.max_iter
         if recorded:
@@ -343,18 +361,27 @@ def run(prob, cfg, reference=None):
         if n == cfg.max_iter:
             break
         x_next, x_curr = step(prob, cfg, (x, x_prev), n, gamma, lam)
-        sn = x_next.distance(x)
+        last = prob._last_residual
+        # an exact step at lambda = 1 returns the residual's own sweep p from x,
+        # and ||p - x|| is ||x - p|| bit for bit (p - x is -(x - p) exactly)
+        if last is not None and last[1] is x_next and last[0] is x:
+            sn = last[2]
+        else:
+            sn = x_next.distance(x)
         if trace.first_step_norm is None and sn > 0.0:
             trace.first_step_norm = sn
         trace.max_step_norm = max(trace.max_step_norm, sn)
         x, x_prev = x_next, x_curr
-        # a NaN or infinite entry, or an overflowing sum of squares, makes
-        # the norm NaN or inf, which fails the comparison
-        if not x.norm() <= _DIVERGE_NORM:
-            trace.status = DIVERGED
-            trace.iterations = n + 1
-            trace.diverged_at = n
-            return x, trace
+        bound += sn
+        if not bound <= 0.5 * _DIVERGE_NORM:
+            bound = x.norm()
+            # a NaN or infinite entry, or an overflowing sum of squares, makes
+            # the norm (and the bound) NaN or inf, which fails the comparison
+            if not bound <= _DIVERGE_NORM:
+                trace.status = DIVERGED
+                trace.iterations = n + 1
+                trace.diverged_at = n
+                return x, trace
     trace.status = MAX_ITER
     trace.iterations = cfg.max_iter
     return x, trace

@@ -232,10 +232,16 @@ class Preconditioner:
                 f"vector dims {x.dims} incompatible with preconditioner dims {self.dims}"
             )
 
-    def apply_blocks(self, blocks):
-        """The action on bare block arrays, unchecked; identity passes them through."""
+    def apply_blocks(self, blocks, overwrite=False):
+        """The action on bare block arrays, unchecked; identity passes them through.
+
+        With overwrite, the products are written into `blocks`, fresh arrays
+        that the caller owns, with the operands in the same order.
+        """
         if self.kind == "identity":
             return blocks
+        if overwrite:
+            return [np.multiply(w, b, out=b) for w, b in zip(self._diag, blocks)]
         return [w * b for w, b in zip(self._diag, blocks)]
 
     def apply(self, x):
@@ -263,17 +269,27 @@ class Preconditioner:
 
 
 def _add_product(acc, cell, x):
-    """acc += cell @ x, where a 0-d cell s stands for s times the identity.
+    """acc + cell @ x, where a 0-d cell s stands for s times the identity and
+    acc None for the zero accumulator; returns the accumulator.
 
     For finite x, s * x (and x itself when s = 1) equals the dense product
-    with s I bit for bit.
+    with s I bit for bit. The first product becomes the accumulator, fresh,
+    plus +0.0 once: v + 0.0 equals 0 + v bit for bit, a -0.0 entry turning
+    into +0.0 in both, so the sum matches zeros(d) followed by `+=` without
+    the zero fill. Later products are added in place.
     """
-    if cell.ndim:
+    if acc is None:
+        if not cell.ndim and cell == 1.0:
+            return x + 0.0
+        acc = cell @ x if cell.ndim else cell * x
+        acc += 0.0
+    elif cell.ndim:
         acc += cell @ x
     elif cell == 1.0:
         acc += x
     else:
         acc += cell * x
+    return acc
 
 
 class BlockLinearOperator:
@@ -335,21 +351,21 @@ class BlockLinearOperator:
         """L x from the primal block arrays xs, as a list of fresh dual block arrays."""
         out = []
         for d, row in zip(self.dims_out, self.entries):
-            acc = np.zeros(d)
+            acc = None
             for cell, x in zip(row, xs):
                 if cell is not None:
-                    _add_product(acc, cell, x)
-            out.append(acc)
+                    acc = _add_product(acc, cell, x)
+            out.append(np.zeros(d) if acc is None else acc)
         return out
 
     def adjoint_apply_blocks(self, vs):
         """L* v from the dual block arrays vs, as a list of fresh primal block arrays."""
-        out = [np.zeros(d) for d in self.dims_in]
+        out = [None] * len(self.dims_in)
         for row, v in zip(self.entries, vs):
-            for acc, cell in zip(out, row):
+            for i, cell in enumerate(row):
                 if cell is not None:
-                    _add_product(acc, cell.T, v)
-        return out
+                    out[i] = _add_product(out[i], cell.T, v)
+        return [np.zeros(d) if acc is None else acc for d, acc in zip(self.dims_in, out)]
 
     def apply(self, x):
         if x.dims != self.dims_in:

@@ -964,6 +964,27 @@ def two_by_two_problem(zero_primal):
     )
 
 
+def signed_zero_shift_problem():
+    """Zero primal operators, r all +0.0, and z = (a block with a -0.0 entry,
+    the zero block (-0.0, +0.0)). No coupling cell reaches primal block 1, so
+    its sweep output is s = c - V (a_p - z) itself, where subtracting the
+    -0.0 shows in the sign of a zero."""
+    rng = np.random.default_rng(6)
+    pdims, ddims = (3, 2), (3,)
+    z = [rng.standard_normal(3), np.array([-0.0, 0.0])]
+    z[0][0] = -0.0
+    return PrimalDualProblem(
+        primal_ops=MonotoneBlock.zero(2),
+        z=BlockVector(z),
+        V=Preconditioner.diagonal([rng.uniform(0.1, 0.3, d) for d in pdims]),
+        dual_inverse=MonotoneBlock.conjugate_subdiff([ProxFunction.l1(0.5)]),
+        r=BlockVector.zeros(ddims),
+        W=Preconditioner.diagonal([rng.uniform(0.1, 0.3, d) for d in ddims]),
+        coupling=BlockLinearOperator([[rng.standard_normal((3, 3)), None]], pdims, ddims),
+        smooth=CocoerciveMap.scaled_identity(pdims, 0.5),
+    )
+
+
 LASSO_20x30 = {"n": 20, "p": 30, "lam": 0.1, "cond": 10.0, "seed": 3}
 BOTH, CLASS1 = ("class1", "class2"), ("class1",)
 # (id, problem, classes that assemble it); class II needs every primal operator zero
@@ -977,6 +998,7 @@ SWEEP_CASES = [
         "coupled_box_qp", {"m": 3, "dims": 4, "seed": 0})), CLASS1),
     ("two_by_two", lambda: two_by_two_problem(zero_primal=False), CLASS1),
     ("two_by_two-zero-primal", lambda: two_by_two_problem(zero_primal=True), BOTH),
+    ("signed-zero-shifts", signed_zero_shift_problem, BOTH),
 ]
 
 
@@ -992,8 +1014,9 @@ def test_block_array_sweeps_match_blockvector_reference_bytes(make, which):
     ref_inst = ProblemInstance(inst.oracle, inst.x0, inst.beta, reference, gamma_fixed=1.0)
     rng = np.random.default_rng(17)
     for _ in range(20):
-        u, a = (BlockVector([rng.standard_normal(d) for d in prob.stacked_dims])
-                for _ in range(2))
+        # about half the entries -0.0, so that signed zeros meet the shifts
+        u, a = (BlockVector([np.where(rng.random(d) < 0.5, -0.0, rng.standard_normal(d))
+                             for d in prob.stacked_dims]) for _ in range(2))
         got, want = inst.backward_fn(u, 1.0, a), reference(u, 1.0, a)
         assert got.dims == want.dims
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got.blocks, want.blocks))

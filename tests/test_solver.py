@@ -20,7 +20,7 @@ from sifb import (
     run,
     step,
 )
-from sifb.primal_dual import assemble_class1
+from sifb.primal_dual import assemble_class1, assemble_class2
 from sifb.problems import build_lasso, pd_problem, reference_oracle, sifb_instance
 
 
@@ -334,6 +334,58 @@ def test_inertial_iteration_sweeps_twice_per_recorded_iteration():
     assert calls["sweep"] == 2 * trace.iterations + 1
 
 
+STEP_NORM_BUILDS = {
+    "forward_backward": lambda noise=None: sifb_instance(LASSO, noise=noise, seed=4),
+    "split-class1": lambda noise=None: assemble_class1(pd_problem(LASSO, "split"),
+                                                       noise=noise, seed=4),
+    "split-class2": lambda noise=None: assemble_class2(pd_problem(LASSO, "split"),
+                                                       noise=noise, seed=4),
+}
+
+
+@pytest.fixture
+def distances(monkeypatch):
+    """The number of `BlockVector.distance` calls, as a one-element list."""
+    count, original = [0], BlockVector.distance
+
+    def counted(self, other):
+        count[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(BlockVector, "distance", counted)
+    return count
+
+
+@pytest.mark.parametrize("name", list(STEP_NORM_BUILDS))
+def test_exact_step_norm_is_the_residual_of_the_row_before(name, distances):
+    # an exact step at lambda = 1 returns the residual's sweep p, so
+    # ||x_{n+1} - x_n|| is ||x_n - p_n||: one distance per iteration
+    inst = STEP_NORM_BUILDS[name]()
+    _, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=100000, stop_tol=1e-10))
+    n, rows = trace.iterations, trace.rows
+    assert trace.status == "converged" and n > 10 and len(rows) == n + 1
+    assert [r.step_norm.hex() for r in rows[1:]] == [r.fp_residual.hex() for r in rows[:-1]]
+    assert distances[0] == (n + 1) + 1  # the residuals, and ||x_0 - x_{-1}||
+    # every third row: a step that follows no residual computes its norm, to
+    # the same bits as the step norms of the run that records every row
+    distances[0], m = 0, n - 1  # m iterations, none of them converged
+    every, sparse = (run(inst, SolverConfig(beta=inst.beta, max_iter=m, stop_tol=0.0,
+                                            record_every=k))[1] for k in (1, 3))
+    assert [r.n for r in sparse.rows] == list(range(0, m, 3)) + [m]
+    assert all(r.step_norm.hex() == every.rows[r.n].step_norm.hex() for r in sparse.rows)
+    reused = len(range(0, m, 3))  # the steps right after a recorded row
+    assert distances[0] == (m + 2) + (len(sparse.rows) + (m - reused) + 1)
+
+
+@pytest.mark.parametrize("name", list(STEP_NORM_BUILDS))
+def test_noisy_step_norm_is_computed_at_every_iteration(name, distances):
+    inst = STEP_NORM_BUILDS[name](NoiseSchedule.polynomial(0.2, 0.75))
+    _, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=40, stop_tol=0.0))
+    assert trace.iterations == 40
+    assert distances[0] == 41 + 40 + 1  # the residuals, every step, ||x_0 - x_{-1}||
+    assert not any(r.step_norm == q.fp_residual for q, r in zip(trace.rows, trace.rows[1:]))
+
+
 def test_backward_recomputes_for_other_operands():
     prob, calls = counted(scalar_instance())
     w, r = BlockVector([[3.0]]), BlockVector([[0.5]])
@@ -394,6 +446,21 @@ def test_overstated_constant_is_detected_as_divergence():
     assert not trace.steps_bounded or not np.isfinite(x.concatenated()).all() or x.norm() > 1e11
 
 
+@pytest.mark.parametrize("beta", [30.0, 2.2])  # x - 2 grows 29-fold or 1.2-fold a step
+def test_divergence_stops_at_the_first_iterate_past_the_limit(beta):
+    # the loop skips the norm while ||x_0|| plus the step norms stays below
+    # half the limit; it still stops at the first iterate whose norm exceeds it
+    prob = scalar_instance(lam=0.0, beta_override=beta, deflate=False)
+    cfg = SolverConfig(beta=beta, max_iter=10000, stop_tol=1e-12)
+    x, trace = run(prob, cfg)
+    state, n = step(prob, cfg, (prob.x0, prob.x0), 0), 0
+    while state[0].norm() <= 1e12 and n < cfg.max_iter:
+        n += 1
+        state = step(prob, cfg, state, n)
+    assert n > 5 and (trace.status, trace.diverged_at, trace.iterations) == ("diverged", n, n + 1)
+    assert x.concatenated().tobytes() == state[0].concatenated().tobytes()
+
+
 NOISE_FAILS = "summable_noise_variance: sum sigma_n^2 diverges: theta=0.4 gives 2*theta=0.8 <= 1"
 INERTIA_FAILS = "summable_inertia: sum alpha_n diverges: q=1.0 <= 1"
 
@@ -433,6 +500,26 @@ def test_config_refuses_a_step_or_relaxation_that_is_not_a_number():
                         ("gamma", [0.5]), ("relaxation", "1")):
         with pytest.raises(ConfigurationError, match=f"^{name} must be a number"):
             SolverConfig(beta=1.0, **{name: value})
+
+
+@pytest.mark.parametrize("name,value,kind", [
+    ("max_iter", 2.5, "an integer"), ("max_iter", "5", "an integer"),
+    ("max_iter", True, "an integer"), ("record_every", 2.5, "an integer"),
+    ("record_every", None, "an integer"), ("stop_tol", "1e-8", "a number"),
+    ("stop_tol", None, "a number"), ("epsilon", "0.001", "a number"),
+    ("epsilon", False, "a number"), ("beta", "1.0", "a number"),
+])
+def test_config_refuses_counts_and_tolerances_of_the_wrong_type(name, value, kind):
+    # refused at construction, before any comparison could raise a TypeError
+    # or a float count could reach the loop
+    with pytest.raises(ConfigurationError, match=f"^{name} must be {kind}, got "):
+        SolverConfig(**{"beta": 1.0, name: value})
+
+
+def test_config_takes_numpy_numbers():
+    cfg = SolverConfig(beta=np.float64(0.5), epsilon=np.float32(1e-3), max_iter=np.int64(5),
+                       stop_tol=np.float64(0.0), record_every=np.int32(2))
+    assert run(scalar_instance(), cfg)[1].iterations == 5
 
 
 # --- traces -----------------------------------------------------------------------------

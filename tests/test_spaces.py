@@ -464,3 +464,47 @@ def test_scalar_cell_is_stored_as_a_read_only_0d_array():
     assert not cell.flags.writeable and (cell.nbytes, cell.size) == (8, 1)
     with pytest.raises(DimensionMismatch):
         op.apply(BlockVector([[1.0, 2.0]]))
+
+
+def _zeros_plus_products(op, xs, adjoint):
+    """L x or L* v as zeros(d) followed by one `+=` per cell product: the
+    accumulation the block products are bit-equal to."""
+    rows = ([[c if c is None else c.T for c in col] for col in zip(*op.entries)]
+            if adjoint else op.entries)
+    out = []
+    for d, row in zip(op.dims_in if adjoint else op.dims_out, rows):
+        acc = np.zeros(d)
+        for cell, x in zip(row, xs):
+            if cell is not None:
+                acc += cell @ x if cell.ndim else cell * x
+        out.append(acc)
+    return out
+
+
+def test_block_products_match_zeros_plus_products_bytes_with_signed_zeros():
+    # -0.0 entries in x and v, an all-zero dense cell (a row of products that
+    # are all zeros), scalar cells 1 and s, a None cell, and a block row and
+    # column with no cell at all
+    rng = np.random.default_rng(11)
+    dims_in, dims_out = (4, 3, 2), (4, 3, 2, 3)
+    op = BlockLinearOperator(
+        [[1.0, None, None],
+         [np.zeros((3, 4)), -0.5, None],
+         [rng.standard_normal((2, 4)), None, None],
+         [None, np.zeros((3, 3)), None]],
+        dims_in, dims_out)
+
+    def signed(dims):
+        blocks = [rng.standard_normal(d) for d in dims]
+        for b in blocks:
+            b[::2] = -0.0
+        return blocks
+
+    for _ in range(5):
+        xs, vs = signed(dims_in), signed(dims_out)
+        for got, want in ((op.apply_blocks(xs), _zeros_plus_products(op, xs, False)),
+                          (op.adjoint_apply_blocks(vs), _zeros_plus_products(op, vs, True))):
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert all(g.flags.writeable and not any(g is b for b in xs + vs) for g in got)
+    # the -0.0 entries of x pass the identity cell as +0.0, as 0 + x gives them
+    assert not np.signbit(op.apply_blocks(xs)[0]).any()

@@ -22,10 +22,13 @@ with poly noise and poly inertia, with geom noise and geom inertia, with
 geom noise on class I, and with no `noise` or `inertia` section, so that
 every mode of both schedule sections is read; the lasso demo with a given
 step on the `sifb` route, and with a given step and relaxation on class I;
-the `custom` and `custom_pd` configs of `tests/test_cli.py`; and three
-custom problems (a diagonal metric with relaxation and inertia; a primal-dual problem with box, sq_l2, affine and
-linf_ball blocks and a scalar coupling cell; and one whose `center`, `lo`,
-`hi` and `c` are vectors of the block's length and of length 1).
+the split lasso on both primal-dual classes recording every third row; the
+`custom` and `custom_pd` configs of `tests/test_cli.py`; and four custom
+problems (a diagonal metric with relaxation and inertia; a primal-dual
+problem with box, sq_l2, affine and linf_ball blocks and a scalar coupling
+cell; one whose `center`, `lo`, `hi` and `c` are vectors of the block's
+length and of length 1; and one whose `z` holds -0.0 entries and one of
+whose `r` is all zeros, on both classes).
 """
 
 from __future__ import annotations
@@ -129,6 +132,10 @@ def configs():
     out["lasso-sifb-given-step"] = _run_config(lasso, solver={**SHORT, "gamma": 0.5})
     out["lasso-split-pd_class1-given-step-relaxed"] = _run_config(
         lasso, algorithm="pd_class1", solver={**SHORT, "gamma": 1.0, "relaxation": 0.9})
+    split = {"demo": {"name": "lasso", "params": DEMOS["lasso"][0], "form": "split"}}
+    for algorithm in ("pd_class1", "pd_class2"):
+        out[f"lasso-split-{algorithm}-record-every-3"] = _run_config(
+            split, algorithm=algorithm, solver={**SHORT, "record_every": 3})
     out.update(_test_cli_configs())
     out["custom-diagonal-metric-relaxed-inertial"] = _run_config(
         {"custom": {
@@ -174,6 +181,19 @@ def configs():
             "V": {"kind": "diagonal", "weights": [[1.0, 0.9, 0.8], [0.7, 0.6], [0.8, 0.9]]},
             "W": {"kind": "scalar", "values": [0.9, 1.1, 1.0]}}},
         algorithm="pd_class1")
+    # a -0.0 in z, also in the zero z of a primal block that no coupling cell
+    # reaches, and a dual block whose r is all zeros
+    for algorithm in ("pd_class1", "pd_class2"):
+        out[f"custom_pd-signed-zero-shifts-{algorithm}"] = _run_config(
+            {"custom_pd": {
+                "primal": [{"dim": 3, "z": [-0.0, 0.4, -0.2]}, {"dim": 2, "z": [-0.0, 0.0]}],
+                "dual": [{"dim": 3, "g": {"family": "sq_l2", "lam": 1.0}, "r": [0.0, 0.0, 0.0]},
+                         {"dim": 2, "g": {"family": "l1", "lam": 0.3}, "r": [0.1, -0.2]}],
+                "coupling": [[[[0.3, 0.1, 0.0], [0.0, 0.2, 0.1], [0.1, 0.0, 0.3]], None],
+                             [[[0.2, 0.0, 0.1], [0.0, 0.3, 0.0]], None]],
+                "V": {"kind": "scalar", "values": [0.9, 1.1]},
+                "W": {"kind": "scalar", "values": [1.0, 0.8]}}},
+            algorithm=algorithm)
     return out
 
 
