@@ -198,7 +198,9 @@ def _sweep_worker(payload):
     cfg, base_dir, seed, out_dir, index = payload
     try:
         exp = build_experiment(cfg, base_dir=base_dir)
-        exp.want_reference = False  # parent reports distances; workers stay lean
+        # a sweep reports no distance to the reference, so a replica skips
+        # the reference solve that its rebuilt experiment would repeat
+        exp.want_reference = False
         _, trace, summary = _execute_single(exp, seed, out_dir=out_dir,
                                             trace_name=f"trace_{index:03d}.csv")
     except Exception as e:

@@ -22,9 +22,9 @@ from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
 from .problems import (DemoProblem, build_demo, pd_problem, reference_oracle,
                        sifb_instance)
-from .solver import ProblemInstance, SolverConfig
+from .solver import SolverConfig
 from .spaces import BlockLinearOperator, BlockVector, Preconditioner
-from .stochastic import InertiaSchedule, NoiseSchedule, StochasticOracle, derive_seeds
+from .stochastic import InertiaSchedule, NoiseSchedule, derive_seeds
 
 ALGORITHMS = ("sifb", "pd_class1", "pd_class2")
 
@@ -153,7 +153,8 @@ class FlatProblem:
     """Custom single-inclusion problem for the sifb route, parsed once; the
     constructor's signature is the schema of `problem.custom`.
 
-    `beta` is the constant the config gives, or None to take the map's own.
+    `problems.sifb_instance` reads its `operator`, `map`, `metric`, `x0` and
+    `beta`, the constant the config gives or None to take the map's own.
     """
 
     def __init__(self, blocks: list, map: dict, preconditioner: dict | None = None,
@@ -172,13 +173,6 @@ class FlatProblem:
                 raise ConfigurationError(f"x0 ({where}) has non-finite entries")
             with config_entry("problem.custom.x0"):
                 self.x0 = BlockVector.from_flat(flat, dims)
-
-    def sifb_instance(self, noise=None, seed=0, oracle_mode="additive_gaussian",
-                      batch0=1):
-        oracle = StochasticOracle(self.map, noise=noise, rng_seed=seed,
-                                  mode=oracle_mode, batch0=batch0)
-        return ProblemInstance.forward_backward(self.operator, oracle, self.metric,
-                                                self.x0, beta=self.beta)
 
 
 def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | None = None,

@@ -12,7 +12,7 @@ kinds. A family is one `_CATALOGUE` record (prox and conjugate-prox kernels
 bound to a step, with the step-only constants computed at binding; value;
 subdifferential distances of f and f*), a rule kind one `_RULES` record
 (resolvent kernel, graph distance). `MonotoneBlock.bind(gamma, diag)` gives
-the kernels of J_{gamma U A}, bound once per run by the solve loops;
+the kernels of J_{gamma U A}, bound once per run and step by the solve loops;
 `distances` gives the graph distances behind the optimality residuals, and
 `check_dims` refuses block dims that the rules do not fit.
 """
@@ -186,6 +186,10 @@ class ProxFunction:
             raise ConfigurationError(
                 f"unknown prox family {family!r}; expected one of {_FAMILIES}"
             )
+        # a vector parameter may hold an infinite entry (an open side of a box)
+        for key in _VECTOR_PARAMS:
+            if key in params and np.isnan(params[key]).any():
+                raise ConfigurationError(f"{key} has a NaN entry")
         self.family = family
         self.params = params
 
@@ -196,14 +200,14 @@ class ProxFunction:
 
     @classmethod
     def l1(cls, lam: float):
-        if lam < 0:
+        if not lam >= 0:
             raise ConfigurationError(f"l1 weight must be nonnegative, got {lam}")
         return cls("l1", lam=float(lam))
 
     @classmethod
     def squared_l2(cls, lam: float = 1.0, center: np.ndarray = 0.0):
         """(lam/2) ||x - center||^2."""
-        if lam <= 0:
+        if not lam > 0:
             raise ConfigurationError(f"sq_l2 weight must be positive, got {lam}")
         return cls("sq_l2", lam=float(lam), center=np.asarray(center, dtype=np.float64))
 
@@ -219,7 +223,7 @@ class ProxFunction:
 
     @classmethod
     def linf_ball(cls, radius: float):
-        if radius < 0:
+        if not radius >= 0:
             raise ConfigurationError(f"ball radius must be nonnegative, got {radius}")
         return cls("linf_ball", radius=float(radius))
 
@@ -438,7 +442,7 @@ class CocoerciveMap:
     def scaled_identity(cls, dims, mu, metric=None):
         """x -> mu * x; exact constant 1/(mu * ||metric||), tight, so no deflation."""
         mu = float(mu)
-        if mu <= 0:
+        if not mu > 0:
             raise ConfigurationError(f"scale must be positive, got {mu}")
         if metric is None:
             metric = Preconditioner.identity(dims)

@@ -18,6 +18,22 @@ def _top_eig(mat):
     return float(np.linalg.eigvalsh(mat)[-1])
 
 
+def _prox_gradient(name, h, v, prox, tol, max_iter):
+    """x <- prox(x - t (H x - v), t) from x = 0, with t = 1 / lambda_max(H).
+
+    Stops when the fixed-point residual ||x_new - x|| falls below tol, and
+    raises, naming the solver `name`, when max_iter iterations do not get there.
+    """
+    t = 1.0 / _top_eig(h)
+    x = np.zeros(h.shape[0])
+    for _ in range(max_iter):
+        x_new = prox(x - t * (h @ x - v), t)
+        if np.linalg.norm(x_new - x) <= tol:
+            return x_new
+        x = x_new
+    raise OracleError(f"{name} did not reach tol={tol} in {max_iter} iterations")
+
+
 def ista_lasso(a, b, lam, tol=1e-10, max_iter=500000):
     """Proximal gradient on 0.5 ||A x - b||^2 + lam ||x||_1.
 
@@ -26,37 +42,17 @@ def ista_lasso(a, b, lam, tol=1e-10, max_iter=500000):
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    gram = a.T @ a
-    atb = a.T @ b
-    t = 1.0 / _top_eig(gram)
-    x = np.zeros(a.shape[1])
-    for _ in range(max_iter):
-        g = gram @ x - atb
-        z = x - t * g
-        x_new = np.sign(z) * np.maximum(np.abs(z) - t * lam, 0.0)
-        if np.linalg.norm(x_new - x) <= tol:
-            return x_new
-        x = x_new
-    raise OracleError(
-        f"ista_lasso did not reach tol={tol} in {max_iter} iterations"
-    )
+    return _prox_gradient("ista_lasso", a.T @ a, a.T @ b,
+                          lambda z, t: np.sign(z) * np.maximum(np.abs(z) - t * lam, 0.0),
+                          tol, max_iter)
 
 
 def projected_gradient_box(q, c, lo, hi, tol=1e-12, max_iter=500000):
     """Projected gradient for min 0.5 x'Qx - c'x over the box [lo, hi]."""
-    q = np.asarray(q, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    t = 1.0 / _top_eig(q)
-    x = np.zeros(q.shape[0])
-    for _ in range(max_iter):
-        g = q @ x - c
-        x_new = np.minimum(np.maximum(x - t * g, lo), hi)
-        if np.linalg.norm(x_new - x) <= tol:
-            return x_new
-        x = x_new
-    raise OracleError(
-        f"projected_gradient_box did not reach tol={tol} in {max_iter} iterations"
-    )
+    return _prox_gradient(
+        "projected_gradient_box", np.asarray(q, dtype=np.float64),
+        np.asarray(c, dtype=np.float64).reshape(-1),
+        lambda z, t: np.minimum(np.maximum(z, lo), hi), tol, max_iter)
 
 
 def huber_value(u, lam, mu):
@@ -87,19 +83,8 @@ def smoothed_lasso_ista(a, b, lam, mu, tol=1e-10, max_iter=500000):
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    gram = a.T @ a
-    atb = a.T @ b
-    t = 1.0 / _top_eig(gram)
-    x = np.zeros(a.shape[1])
-    for _ in range(max_iter):
-        g = gram @ x - atb
-        x_new = huber_prox(x - t * g, t, lam, mu)
-        if np.linalg.norm(x_new - x) <= tol:
-            return x_new
-        x = x_new
-    raise OracleError(
-        f"smoothed_lasso_ista did not reach tol={tol} in {max_iter} iterations"
-    )
+    return _prox_gradient("smoothed_lasso_ista", a.T @ a, a.T @ b,
+                          lambda z, t: huber_prox(z, t, lam, mu), tol, max_iter)
 
 
 def least_squares(a, b):

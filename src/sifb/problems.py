@@ -62,15 +62,6 @@ class DemoProblem:
                                      f"declared: {sorted(f for f in self.forms if f)}")
         return form
 
-    def sifb_instance(self, noise=None, seed=0, oracle_mode="additive_gaussian",
-                      batch0=1):
-        """The split in the identity metric, its map drawn, from x0 = 0."""
-        u = Preconditioner.identity(self.dims)
-        op, b_map = self.split(u)
-        oracle = StochasticOracle(b_map, noise=noise, rng_seed=seed,
-                                  mode=oracle_mode, batch0=batch0)
-        return ProblemInstance.forward_backward(op, oracle, u, BlockVector.zeros(self.dims))
-
     def _smooth_form(self, v):
         """No dual block: the split's map, in the metric V, is the smooth term."""
         op, smooth = self.split(v)
@@ -98,7 +89,7 @@ class Lasso(DemoProblem):
         """min 0.5 ||A x - b||^2 + lam ||x||_1 with synthetic data."""
         if n < 1 or p < 1:
             raise ConfigurationError(f"need n, p >= 1, got ({n}, {p})")
-        if lam < 0:
+        if not lam >= 0:
             raise ConfigurationError(f"lam must be nonnegative, got {lam}")
         if not cond >= 1:
             raise ConfigurationError(f"cond must be at least 1, got {cond}")
@@ -246,9 +237,9 @@ class ParallelSum(DemoProblem):
               g_family: str = "l1"):
         """min 0.5 ||A x - b||^2 + (smoothing box l1)(x): an infimal-convolution
         regularizer realized through a dual block with a single-valued inverse."""
-        if mu <= 0:
+        if not mu > 0:
             raise ConfigurationError(f"smoothing mu must be positive, got {mu}")
-        if lam < 0:
+        if not lam >= 0:
             raise ConfigurationError(f"lam must be nonnegative, got {lam}")
         if g_family == "zero":
             raise ConfigurationError(
@@ -349,9 +340,19 @@ def build_demo(name, params, where="params"):
 
 def sifb_instance(problem, noise=None, seed=0, oracle_mode="additive_gaussian",
                   batch0=1):
-    """A demo (or a parsed flat custom problem) as a forward-backward instance."""
-    return problem.sifb_instance(noise=noise, seed=seed, oracle_mode=oracle_mode,
-                                 batch0=batch0)
+    """A demo (its split in the identity metric, from x0 = 0) or a parsed flat
+    custom problem (its own operator, map, metric, x0 and beta) as a
+    forward-backward instance whose map is drawn through a `StochasticOracle`."""
+    if isinstance(problem, DemoProblem):
+        metric = Preconditioner.identity(problem.dims)
+        operator, b_map = problem.split(metric)
+        x0, beta = BlockVector.zeros(problem.dims), None
+    else:
+        operator, b_map, metric = problem.operator, problem.map, problem.metric
+        x0, beta = problem.x0, problem.beta
+    oracle = StochasticOracle(b_map, noise=noise, rng_seed=seed, mode=oracle_mode,
+                              batch0=batch0)
+    return ProblemInstance.forward_backward(operator, oracle, metric, x0, beta)
 
 
 def pd_problem(demo, form=None):

@@ -14,21 +14,22 @@ extrapolation and relaxation lines are shared.
 
 Cost: a step makes one oracle draw and one backward sweep, and a recorded
 row one exact map evaluation and one sweep for its fixed-point residual.
-When a recorded row is followed by an exact step at the same point and step
-(alpha_n = 0, sigma_n = 0 or a minibatch covering every row, gamma_n equal to
-the residual's step), the step gets back the residual's map value and sweep
-instead of recomputing them: one evaluation and one sweep per iteration
-instead of two. A noisy step with alpha_n = 0 still reuses the map value.
-At lambda = 1 that exact step returns the residual's own p, so the trace's
-||x_{n+1} - x_n|| is the residual ||x_n - p_n|| already computed: one norm
-of a difference per iteration. The divergence test computes ||x_n|| only
-when ||x_0|| plus the step norms so far reaches half its limit, and stops
-at the same iterate as a test of every norm would. A sweep applies
-resolvent kernels bound once per step value (once per run for a constant
-step; see `MonotoneBlock.bind`) to w - gamma U r computed block by block,
-and wraps one vector; the extrapolation and the relaxation are one fused
-pass each (`BlockVector.axpy_diff`). A zero map, or a pair of them, returns
-one shared zero vector.
+`fp_residual` keeps a record (x, B x, p, ||x - p||) on the instance. A step
+at that point whose draw is that map value (alpha_n = 0, and sigma_n = 0 or
+a minibatch covering every row) at the residual's step gbar takes p from the
+record: one evaluation and one sweep per iteration instead of two. A noisy
+step with alpha_n = 0 still reuses the map value (`StochasticOracle.exact`).
+At lambda = 1 that step returns the record's p, so `run` takes the trace's
+||x_{n+1} - x_n|| from the record: one norm of a difference per iteration.
+The divergence test computes ||x_n|| only when ||x_0|| plus the step norms
+so far reaches half its limit, and stops at the same iterate as a test of
+every norm would. A sweep applies resolvent kernels bound once per step
+value (the forward-backward map keeps those of its last two steps, so a
+given step and gbar bind once each per run; see `MonotoneBlock.bind`) to
+w - gamma U r computed block by block, and wraps one vector; the
+extrapolation and the relaxation are one fused pass each
+(`BlockVector.axpy_diff`). A zero map, or a pair of them, returns one shared
+zero vector.
 
 The step gamma and the relaxation lambda are numbers fixed for a run (a
 constant sequence, which the paper admits). `run` resolves gamma, the
@@ -95,7 +96,7 @@ class SolverConfig:
             raise ConfigurationError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.record_every < 1:
             raise ConfigurationError(f"record_every must be positive, got {self.record_every}")
-        if self.stop_tol < 0:
+        if not self.stop_tol >= 0:
             raise ConfigurationError(f"stop_tol must be nonnegative, got {self.stop_tol}")
         if self.gamma is not None:
             self.gamma = self._in_range(float(self.gamma))
@@ -141,7 +142,7 @@ class ProblemInstance:
     extrapolated point w and the draw r to the next point. `forward_backward`
     builds that map as the preconditioned resolvent step
     J_{gamma U A}(w - gamma U r), with the resolvent kernels bound for the
-    last gamma it was called with; the primal-dual assemblies pass their
+    last two steps it was called with; the primal-dual assemblies pass their
     class-I/II block sweeps, which realize the stacked backward map only at
     one step, `gamma_fixed` = 1.
     """
@@ -151,7 +152,6 @@ class ProblemInstance:
     beta: float
     backward_fn: object
     gamma_fixed: float = None
-    _last_backward: tuple = field(default=None, init=False, repr=False, compare=False)
     _last_residual: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -165,20 +165,21 @@ class ProblemInstance:
             beta = oracle.base.beta
         dims, diag = metric.dims, metric.diag_blocks()
         operator.check_dims(dims)
-        bound = None  # (gamma, the resolvent kernels bound at gamma)
+        bound = {}  # gamma -> the resolvent kernels bound at gamma, for the last two
 
         def backward_fn(w, gamma, r):
-            nonlocal bound
             if w.dims != dims or r.dims != dims:
                 raise DimensionMismatch(
                     f"point dims {w.dims} and draw dims {r.dims}, metric dims {dims}")
-            last = bound
-            if last is None or last[0] != gamma:
-                last = bound = (gamma, operator.bind(gamma, diag))
+            kernels = bound.get(gamma)
+            if kernels is None:
+                if len(bound) == 2:
+                    del bound[next(iter(bound))]
+                kernels = bound[gamma] = operator.bind(gamma, diag)
             c = float(-gamma)
             return BlockVector._wrap(
                 [j(x + c * u) for j, x, u in
-                 zip(last[1], w.blocks, metric.apply_blocks(r.blocks))], dims)
+                 zip(kernels, w.blocks, metric.apply_blocks(r.blocks))], dims)
 
         return cls(oracle, x0, beta, backward_fn)
 
@@ -192,22 +193,8 @@ class ProblemInstance:
         return gamma
 
     def backward(self, w, gamma, r):
-        """The resolvent half-step: from the extrapolated point w and draw r.
-
-        Keeps the last (w, gamma, r, p) and returns that p again for the same
-        w and r objects and an equal gamma, so an exact step reuses the sweep
-        of the residual recorded just before it. This assumes that a
-        `BlockVector` is never mutated (its arrays are read-only), so one
-        object always holds one value, and that `backward_fn` depends on its
-        arguments alone.
-        """
-        gamma = self.check_gamma(gamma)
-        last = self._last_backward
-        if last is not None and last[0] is w and last[2] is r and last[1] == gamma:
-            return last[3]
-        p = self.backward_fn(w, gamma, r)
-        self._last_backward = (w, gamma, r, p)
-        return p
+        """The resolvent half-step: from the extrapolated point w and draw r."""
+        return self.backward_fn(w, self.check_gamma(gamma), r)
 
     @property
     def default_gamma(self):
@@ -219,14 +206,16 @@ class ProblemInstance:
 def fp_residual(prob, x):
     """Noise-free fixed-point residual ||x - J_{gbar U A}(x - gbar U B x)||.
 
-    Vanishes exactly on the solution set for catalogue operators. The last
-    (x, p, residual) is kept on prob, so that `run` can take the norm of a
-    step that returns this p from x without computing it again.
+    Vanishes exactly on the solution set for catalogue operators. Keeps the
+    record (x, B x, p, residual) on prob, from which `step` takes p for a
+    draw of that B x at x and gbar, and `run` the norm of a step from x to p.
+    Block vectors are immutable and `backward_fn` depends on its arguments
+    alone, so the record's p is what a new sweep would return.
     """
     b = prob.oracle.exact(x)
     p = prob.backward(x, prob.default_gamma, b)
     res = x.distance(p)
-    prob._last_residual = (x, p, res)
+    prob._last_residual = (x, b, p, res)
     return res
 
 
@@ -310,7 +299,13 @@ def step(prob, cfg, state, n, gamma=None, lam=None):
     if gamma is None:
         gamma = cfg.step_size(prob)
     r = prob.oracle.sample(n, w)
-    p = prob.backward(w, gamma, r)
+    last = prob._last_residual
+    # the draw is the recorded residual's map value at its point and step:
+    # the residual's own sweep
+    if last is not None and last[0] is w and last[1] is r and gamma == prob.default_gamma:
+        p = last[2]
+    else:
+        p = prob.backward(w, gamma, r)
     if lam is None:
         lam = cfg.relaxation
     # at lam = 1 the relaxed update collapses to p exactly; keep it exact
@@ -364,8 +359,8 @@ def run(prob, cfg, reference=None):
         last = prob._last_residual
         # an exact step at lambda = 1 returns the residual's own sweep p from x,
         # and ||p - x|| is ||x - p|| bit for bit (p - x is -(x - p) exactly)
-        if last is not None and last[1] is x_next and last[0] is x:
-            sn = last[2]
+        if last is not None and last[2] is x_next and last[0] is x:
+            sn = last[3]
         else:
             sn = x_next.distance(x)
         if trace.first_step_norm is None and sn > 0.0:

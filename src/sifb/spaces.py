@@ -1,8 +1,11 @@
 """Block product-space vectors and the diagonal linear-algebra substrate.
 
-Everything at this layer is an immutable value: vectors own read-only numpy
-arrays, operators own read-only matrices, and every operation returns a fresh
-object. That makes all of it safe to share across concurrent replica runs.
+`BlockVector` values are immutable: a vector owns read-only numpy arrays and
+an operator read-only matrices, so one object always holds one value and all
+of it is safe to share across concurrent replica runs. The helpers on bare
+block arrays may reuse arrays that their caller owns: `apply_blocks` with
+overwrite writes into its argument, the identity's `apply_blocks` and `apply`
+return their input, and `_add_product` accumulates in place.
 Weighted norms of block couplings come from one dense eigensolve of a Gram
 matrix, so they are exact to rounding and deterministic.
 """
@@ -198,7 +201,7 @@ class Preconditioner:
             diag.append(_freeze(a.copy()))
         self._diag = tuple(diag)
         entries = np.concatenate(self._diag) if self.dims and sum(self.dims) else np.zeros(0)
-        if entries.size and entries.min() <= 0:
+        if entries.size and not entries.min() > 0:
             raise ConfigurationError(
                 f"preconditioner entries must be positive; min = {entries.min()}"
             )

@@ -777,6 +777,63 @@ def test_malformed_value_exits_1_with_one_line(tmp_path, capsys, cfg, entry):
     assert not (tmp_path / "o").exists()
 
 
+NAN = float("nan")  # json writes it as NaN, which json reads back
+
+
+def _nan_pd_dinv_mu(c):
+    c["problem"]["custom_pd"]["dual"][0]["dinv_mu"] = NAN
+
+
+# (config with one NaN value, the refusal it prints)
+NAN_VALUES = [
+    pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
+        "n": 12, "p": 10, "lam": NAN}}}), "lam must be nonnegative, got nan", id="lasso lam"),
+    pytest.param(lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
+        "dims": 6, "mu": 0.5, "lam": NAN}}}), "lam must be nonnegative, got nan",
+                 id="parallel_sum lam"),
+    pytest.param(lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
+        "dims": 6, "mu": NAN, "lam": 0.1}}}), "smoothing mu must be positive, got nan",
+                 id="parallel_sum mu"),
+    pytest.param(custom_prox_config({"family": "l1", "lam": NAN}),
+                 "l1 weight must be nonnegative, got nan", id="l1 lam"),
+    pytest.param(custom_prox_config({"family": "sq_l2", "lam": NAN}),
+                 "sq_l2 weight must be positive, got nan", id="sq_l2 lam"),
+    pytest.param(custom_prox_config({"family": "sq_l2", "lam": 1.0, "center": [0.0, NAN]}),
+                 "center has a NaN entry", id="sq_l2 center"),
+    pytest.param(custom_prox_config({"family": "linf_ball", "radius": NAN}),
+                 "ball radius must be nonnegative, got nan", id="linf_ball radius"),
+    pytest.param(custom_prox_config({"family": "box", "lo": NAN, "hi": 1.0}),
+                 "lo has a NaN entry", id="box lo"),
+    pytest.param(custom_prox_config({"family": "box", "lo": -1.0, "hi": [NAN, 1.0]}),
+                 "hi has a NaN entry", id="box hi"),
+    pytest.param(custom_prox_config({"family": "affine", "c": NAN}),
+                 "c has a NaN entry", id="affine c"),
+    pytest.param(custom_pd_config(dual_g={"family": "box", "lo": -1.0, "hi": NAN}),
+                 "hi has a NaN entry", id="custom_pd box hi"),
+    pytest.param(edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(
+        preconditioner={"kind": "scalar", "values": [NAN]})),
+                 "preconditioner entries must be positive; min = nan", id="metric entry"),
+    pytest.param(edited(custom_pd_config(), _nan_pd_dinv_mu),
+                 "scale must be positive, got nan", id="dinv_mu"),
+    pytest.param(lasso_config(solver={"stop_tol": NAN}),
+                 "stop_tol must be nonnegative, got nan", id="stop_tol"),
+]
+
+
+@pytest.mark.parametrize("cfg,refusal", NAN_VALUES)
+def test_nan_value_exits_1_before_any_solve(tmp_path, capsys, cfg, refusal):
+    # a range check written so that NaN fails it: the value never reaches a
+    # solve, where it diverges or runs the reference to its iteration cap
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run", "sweep"):
+        args = [command, path] + ([] if command == "validate" else ["--out", str(tmp_path / "o")])
+        assert main(args) == 1, command
+        captured = capsys.readouterr()
+        assert refusal in captured.out + captured.err, command
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_sweep_seed_count_below_one_is_refused(tmp_path, capsys, count):
     path = write_config(tmp_path, lasso_config(noise=NOISY))

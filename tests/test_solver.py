@@ -58,8 +58,8 @@ def scalar_instance(lam=1.0, target=2.0, beta_override=None, deflate=True):
 
 
 def test_forward_backward_sweep_is_the_resolvent_step_at_each_gamma():
-    # the kernels are bound for the last step seen; the sweep must give the
-    # bytes of J_{gamma U A}(w - gamma U r) through the per-call resolvent
+    # the kernels are kept for the last two steps seen; the sweep must give
+    # the bytes of J_{gamma U A}(w - gamma U r) through the per-call resolvent
     rng = np.random.default_rng(8)
     dims = (4, 3, 0)
     op = MonotoneBlock([MonotoneBlock.rule_subdiff(ProxFunction.l1(0.3)),
@@ -306,8 +306,9 @@ def test_exact_iteration_evaluates_map_and_sweep_once(build):
 
 def test_split_lasso_class1_sweeps_once_per_iteration_on_the_shared_zero():
     # the split lasso's smooth map is a pair of zero maps, so every exact draw
-    # is one shared zero vector; the sweep memo still tells the iterations
-    # apart by their point, and reuses only the residual's sweep
+    # is one shared zero vector; the residual record still tells the
+    # iterations apart by their point, so a step reuses only the sweep of the
+    # residual recorded at its own point
     inst = assemble_class1(pd_problem(LASSO, "split"))
     draws = []
 
@@ -321,6 +322,24 @@ def test_split_lasso_class1_sweeps_once_per_iteration_on_the_shared_zero():
     assert trace.status == "converged" and n > 10
     assert len(draws) == n + 1
     assert all(r is draws[0] for r in draws) and not any(b.any() for b in draws[0].blocks)
+
+
+def test_given_step_binds_its_kernels_once_per_step_value(monkeypatch):
+    # at gamma != gbar every recorded row sweeps at gbar between two steps at
+    # gamma; the forward-backward map keeps the kernels of both step values
+    binds, bind = [], MonotoneBlock.bind
+
+    def counted_bind(self, gamma, diag):
+        binds.append(gamma)
+        return bind(self, gamma, diag)
+
+    monkeypatch.setattr(MonotoneBlock, "bind", counted_bind)
+    inst = sifb_instance(LASSO)
+    _, trace = run(inst, SolverConfig(beta=inst.beta, gamma=0.5, max_iter=100000,
+                                      stop_tol=1e-10))
+    assert trace.status == "converged" and trace.iterations > 10
+    assert inst.default_gamma != 0.5
+    assert sorted(binds) == [0.5, inst.default_gamma]
 
 
 def test_inertial_iteration_sweeps_twice_per_recorded_iteration():

@@ -21,7 +21,10 @@ route and on both primal-dual classes for each of its forms; the lasso demo
 with poly noise and poly inertia, with geom noise and geom inertia, with
 geom noise on class I, and with no `noise` or `inertia` section, so that
 every mode of both schedule sections is read; the lasso demo with a given
-step on the `sifb` route, and with a given step and relaxation on class I;
+step on the `sifb` route, recording every fifth row and every row (where
+the forward-backward map alternates between the kernels of the given step
+and of the residual's default step), and with a given step and relaxation on
+class I;
 the split lasso on both primal-dual classes recording every third row; the
 `custom` and `custom_pd` configs of `tests/test_cli.py`; and four custom
 problems (a diagonal metric with relaxation and inertia; a primal-dual
@@ -130,6 +133,8 @@ def configs():
     out["lasso-sifb-no-schedule-sections"] = {
         k: v for k, v in _run_config(lasso).items() if k not in ("noise", "inertia")}
     out["lasso-sifb-given-step"] = _run_config(lasso, solver={**SHORT, "gamma": 0.5})
+    out["lasso-sifb-given-step-every-row"] = _run_config(
+        lasso, solver={**SHORT, "gamma": 0.5, "record_every": 1})
     out["lasso-split-pd_class1-given-step-relaxed"] = _run_config(
         lasso, algorithm="pd_class1", solver={**SHORT, "gamma": 1.0, "relaxation": 0.9})
     split = {"demo": {"name": "lasso", "params": DEMOS["lasso"][0], "form": "split"}}
