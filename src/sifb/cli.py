@@ -12,6 +12,7 @@ a reference solve that does not converge, or an I/O problem).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .errors import (
     OracleError,
 )
 from .operators import check_cocoercivity
-from .primal_dual import compute_constants
+from .primal_dual import compute_constants, extract_primal_dual
 from .problems import DemoProblem, pd_problem
 from .solver import CONVERGED, run
 from .stochastic import derive_seeds
@@ -50,7 +51,7 @@ def _validation_rows(exp):
     inst = None
     try:
         inst = exp.make_instance(exp.seeds[0])
-    except (ConfigurationError, InfeasibleProblemError) as e:
+    except ConfigurationError as e:
         rows.append(("problem assembly", False, str(e)))
 
     if exp.pd is not None:
@@ -153,8 +154,6 @@ def _execute_single(exp, seed, out_dir=None, trace_name="trace.csv"):
         if exp.algorithm == "sifb":
             summary["dist_to_ref"] = (x - ref_primal).norm()
         else:
-            from .primal_dual import extract_primal_dual
-
             primal, _ = extract_primal_dual(x, exp.pd)
             summary["dist_to_ref"] = (primal - ref_primal).norm()
     if out_dir is not None:
@@ -282,7 +281,7 @@ def cmd_constants(args):
     except InfeasibleProblemError as e:
         print(f"INFEASIBLE: {e}")
         return EXIT_VALIDATION
-    for key, value in rep.as_dict().items():
+    for key, value in dataclasses.asdict(rep).items():
         print(f"{key}={value}")
     return EXIT_OK
 
@@ -322,7 +321,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, InfeasibleProblemError) as e:
+    except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:

@@ -9,7 +9,7 @@ exist.
 
 This module is the only one that knows the families and the block rule
 kinds. A family is one `_CATALOGUE` record (prox and conjugate-prox kernels
-bound to a step, with the step-only constants computed at binding; value;
+bound to a step, with the step-only constants computed at binding;
 subdifferential distances of f and f*), a rule kind one `_RULES` record
 (resolvent kernel, graph distance). `MonotoneBlock.bind(gamma, diag)` gives
 the kernels of J_{gamma U A}, bound once per run and step by the solve loops;
@@ -85,53 +85,44 @@ def _box_dist(p, x, u):
 
 # prox and conj bind (params, step), the step a number or a per-coordinate
 # array, to a kernel of f and of f*: a function of one float64 array; conj None
-# means the generalized Moreau decomposition. value is f(x), indicators allowing
-# `tol` of infeasibility. dist and conj_dist map (params, x, u), flat arrays, to
-# the distance of u from the subdifferential of f and of f* at x; None: unchecked.
-_Family = namedtuple("_Family", "prox conj value dist conj_dist")
-_INF = float("inf")
+# means the generalized Moreau decomposition. dist and conj_dist map (params, x,
+# u), flat arrays, to the distance of u from the subdifferential of f and of f*
+# at x; None: unchecked.
+_Family = namedtuple("_Family", "prox conj dist conj_dist")
 _CATALOGUE = {
     "zero": _Family(
         prox=lambda p, step: np.copy,
         conj=lambda p, step: np.zeros_like,  # f* is the indicator of {0}
-        value=lambda p, x, tol: 0.0,
         dist=lambda p, x, u: _norm(u),
         conj_dist=lambda p, x, u: _norm(x)),  # x must vanish; any u is then admissible
     "l1": _Family(
         prox=lambda p, step: _soft(step * p["lam"]),
         # f* is the indicator of the lam-radius sup-norm ball
         conj=lambda p, step: _clip(-p["lam"], p["lam"]),
-        value=lambda p, x, tol: float(p["lam"] * np.abs(x).sum()),
         dist=_l1_dist,
         conj_dist=lambda p, x, u: _box_dist({"lo": -p["lam"], "hi": p["lam"]}, x, u)),
     "sq_l2": _Family(
         prox=lambda p, step: _shift_over(step * p["lam"] * p["center"], 1.0 + step * p["lam"]),
         # f* is <center, y> + |y|^2 / (2 lam); x + (-s) is x - s in IEEE arithmetic
         conj=lambda p, step: _shift_over(-(step * p["center"]), 1.0 + step / p["lam"]),
-        value=lambda p, x, tol: float(0.5 * p["lam"] * np.dot(x - p["center"], x - p["center"])),
         dist=lambda p, x, u: _norm(u - p["lam"] * (x - p["center"])),
         conj_dist=lambda p, x, u: _norm(  # grad f*(x) = x / lam + center
             u - (x / p["lam"] + np.broadcast_to(p["center"], x.shape)))),
     "box": _Family(
         prox=lambda p, step: _clip(p["lo"], p["hi"]),
         conj=None,
-        value=lambda p, x, tol: (
-            0.0 if np.all(x >= p["lo"] - tol) and np.all(x <= p["hi"] + tol) else _INF),
         dist=_box_dist,
         conj_dist=None),
     "linf_ball": _Family(
         prox=lambda p, step: _clip(-p["radius"], p["radius"]),
         # f* is radius times the l1 norm
         conj=lambda p, step: _soft(step * p["radius"]),
-        value=lambda p, x, tol: (
-            0.0 if x.size == 0 or np.abs(x).max() <= p["radius"] + tol else _INF),
         dist=lambda p, x, u: _box_dist({"lo": -p["radius"], "hi": p["radius"]}, x, u),
         conj_dist=lambda p, x, u: _l1_dist({"lam": p["radius"]}, x, u)),
     "affine": _Family(
         prox=lambda p, step: _minus(step * p["c"]),
         # f* is the indicator of {c}
         conj=lambda p, step: lambda x: np.broadcast_to(p["c"], x.shape).astype(np.float64),
-        value=lambda p, x, tol: float(np.dot(np.broadcast_to(p["c"], x.shape), x)),
         dist=lambda p, x, u: _norm(u - np.broadcast_to(p["c"], u.shape)),
         conj_dist=lambda p, x, u: _norm(x - np.broadcast_to(p["c"], x.shape))),
 }
@@ -175,8 +166,8 @@ class ProxFunction:
     """A convex function from the built-in catalogue, identified by family name.
 
     Exposes the scalar building blocks used everywhere else: `prox` with a
-    per-coordinate step, `prox_conj` (prox of the convex conjugate) when a
-    closed-form rule exists, and plain function values.
+    per-coordinate step and `prox_conj` (prox of the convex conjugate) when a
+    closed-form rule exists.
     """
 
     __slots__ = ("family", "params")
@@ -239,10 +230,6 @@ class ProxFunction:
         return bind_kind(constructors, spec, where, key="family")
 
     # --- evaluation -----------------------------------------------------
-    def value(self, x, feas_tol=1e-9):
-        return _CATALOGUE[self.family].value(self.params, np.asarray(x, dtype=np.float64),
-                                             feas_tol)
-
     def kernel(self, step):
         """prox with `step` bound: a function of one float64 array."""
         return _CATALOGUE[self.family].prox(self.params, step)

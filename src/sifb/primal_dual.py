@@ -122,16 +122,6 @@ class ConstantsReport:
     feasible_class1: bool    # beta_hat > 1/2
     feasible_class2: bool    # 2 beta > 1
 
-    def as_dict(self):
-        return {
-            "c": self.c,
-            "xi_hat": self.xi_hat,
-            "beta_hat": self.beta_hat,
-            "beta": self.beta,
-            "feasible_class1": self.feasible_class1,
-            "feasible_class2": self.feasible_class2,
-        }
-
 
 def beta_for_balance(nu0, mu0, c, xi):
     """The class-I constant produced by one balance parameter xi > 0."""

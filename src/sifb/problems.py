@@ -91,8 +91,8 @@ class Lasso(DemoProblem):
             raise ConfigurationError(f"need n, p >= 1, got ({n}, {p})")
         if not lam >= 0:
             raise ConfigurationError(f"lam must be nonnegative, got {lam}")
-        if not cond >= 1:
-            raise ConfigurationError(f"cond must be at least 1, got {cond}")
+        if not 1 <= cond < np.inf:
+            raise ConfigurationError(f"cond must be finite and at least 1, got {cond}")
         rng = _rng(seed)
         a = _conditioned_matrix(rng, n, p, cond)
         x_true = np.zeros(p)
@@ -181,6 +181,8 @@ class CoupledBoxQP(DemoProblem):
         """m-block box-constrained quadratic with dense off-diagonal coupling."""
         if m < 2:
             raise ConfigurationError(f"need at least 2 blocks, got {m}")
+        if dims < 1:
+            raise ConfigurationError(f"dims must be at least 1, got {dims}")
         rng = _rng(seed)
         total = int(m) * int(dims)
         g = rng.standard_normal((total, total))
@@ -233,21 +235,17 @@ class ParallelSum(DemoProblem):
     name = "parallel_sum"
 
     @classmethod
-    def build(cls, dims: int, mu: float, lam: float, seed: int = 0,
-              g_family: str = "l1"):
+    def build(cls, dims: int, mu: float, lam: float, seed: int = 0):
         """min 0.5 ||A x - b||^2 + (smoothing box l1)(x): an infimal-convolution
         regularizer realized through a dual block with a single-valued inverse."""
+        if dims < 1:
+            raise ConfigurationError(f"dims must be at least 1, got {dims}")
         if not mu > 0:
             raise ConfigurationError(f"smoothing mu must be positive, got {mu}")
+        if mu == np.inf:
+            raise ConfigurationError(f"smoothing mu must be finite, got {mu}")
         if not lam >= 0:
             raise ConfigurationError(f"lam must be nonnegative, got {lam}")
-        if g_family == "zero":
-            raise ConfigurationError(
-                "a zero dual function makes the infimal convolution degenerate; "
-                "use lam=0 for the purely smooth reduction instead"
-            )
-        if g_family != "l1":
-            raise ConfigurationError(f"unsupported dual family {g_family!r}")
         rng = _rng(seed)
         p = int(dims)
         a = _conditioned_matrix(rng, p + 10, p, 10.0)

@@ -19,6 +19,7 @@ import sifb
 from sifb import NormEstimationError, OracleError
 from sifb.cli import main
 from sifb.config import build_experiment
+from sifb.stochastic import derive_seeds
 
 
 def read_file(*parts):
@@ -448,6 +449,44 @@ def test_sweep_derived_seeds_and_parallel(tmp_path):
     assert len(set(seeds)) == 4
 
 
+def test_sweep_seeds_option_runs_replicas_of_derived_seeds(tmp_path, capsys):
+    # --seeds N replaces the config's seed list by derive_seeds(seeds[0], N);
+    # each replica's trace is that of `sifb run --seed` at its derived seed
+    cfg = lasso_config(noise=NOISY, solver={"max_iter": 20000, "stop_tol": 1e-4,
+                                            "record_every": 50},
+                       seeds=[9, 4], reference=False)
+    path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", path, "--seeds", "3", "--jobs", "1", "--out", out]) == 0
+    seeds = derive_seeds(9, 3)
+    assert load_json(out, "sweep_summary.json")["seeds"] == seeds
+    rows = read_file(out, "sweep_summary.csv").strip().split("\n")
+    assert [int(r.split(",")[1]) for r in rows[1:]] == seeds
+    for i, seed in enumerate(seeds):
+        run_out = str(tmp_path / f"run{i}")
+        assert main(["run", path, "--seed", str(seed), "--out", run_out]) == 0
+        assert read_file(out, f"trace_{i:03d}.csv") == read_file(run_out, "trace.csv")
+    assert not os.path.exists(os.path.join(out, "trace_003.csv"))
+
+
+def test_run_into_an_existing_file_is_an_io_failure(tmp_path, capsys):
+    path = write_config(tmp_path, lasso_config(reference=False))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["run", path, "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o failure at {blocker}") and "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
+def test_validate_of_a_missing_config_file_is_an_io_failure(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert main(["validate", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o failure: ") and str(missing) in captured.err
+
+
 def test_sweep_exit_2_on_partial_failure(tmp_path):
     cfg = lasso_config(solver={"max_iter": 3, "stop_tol": 1e-12}, seeds=[1, 2])
     path = write_config(tmp_path, cfg)
@@ -761,6 +800,25 @@ MALFORMED = [
     pytest.param(edited(custom_prox_config(None), lambda c: c["problem"]["custom"]["map"].update(
         b={"file": "b.txt", "rows": 2})), "problem.custom.map.b",
                  id="unknown matrix reference key"),
+    pytest.param(lasso_config(problem={"demo": {"name": "coupled_box_qp", "params": {
+        "m": 2, "dims": 0}}}), "dims must be at least 1, got 0", id="zero coupled_box_qp dims"),
+    pytest.param(lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
+        "dims": -1, "mu": 0.5, "lam": 0.1}}}), "dims must be at least 1, got -1",
+                 id="negative parallel_sum dims"),
+    pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
+        "n": 12, "p": 10, "lam": 0.1, "cond": float("inf")}}}),
+                 "cond must be finite and at least 1, got inf", id="infinite lasso cond"),
+    pytest.param(lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
+        "dims": 6, "mu": float("inf"), "lam": 0.1}}}), "smoothing mu must be finite, got inf",
+                 id="infinite parallel_sum mu"),
+    pytest.param(lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
+        "dims": 6, "mu": 0.5, "lam": 0.1, "g_family": "l1"}}}),
+                 "problem.demo.params: unknown key 'g_family'", id="removed g_family key"),
+    pytest.param(edited(custom_prox_config(None), lambda c: c.update(algorithm="pd_class1")),
+                 "flat custom problems run on the sifb route", id="custom on pd_class1"),
+    pytest.param(edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
+        dual=[{"dim": 2, "dinv_mu": 0.5}, {"dim": 1, "dinv_mu": 0.25}], coupling=[[0.5], [None]])),
+                 "per-block dinv_mu values must currently agree", id="different dinv_mu"),
 ]
 
 

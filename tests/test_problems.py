@@ -135,16 +135,18 @@ def test_parallel_sum_small_mu_approaches_lasso():
     assert np.linalg.norm(x_mu.blocks[0] - x_l1) <= 1e-3
 
 
+def test_lasso_lam_zero_reference_is_least_squares():
+    demo = build_lasso(9, 6, 0.0, cond=5.0, seed=2)
+    ref = reference_oracle(demo)
+    want = least_squares(demo.data["a"], demo.data["b"])
+    assert ref.blocks[0].tobytes() == want.tobytes()
+
+
 def test_parallel_sum_lam_zero_is_least_squares():
     demo = build_parallel_sum_instance(8, mu=0.5, lam=0.0, seed=4)
     ref = reference_oracle(demo)
     want = least_squares(demo.data["a"], demo.data["b"])
     assert np.linalg.norm(ref.blocks[0] - want) <= 1e-8
-
-
-def test_parallel_sum_rejects_zero_dual_family():
-    with pytest.raises(ConfigurationError, match="degenerate"):
-        build_parallel_sum_instance(8, mu=0.5, lam=0.4, g_family="zero")
 
 
 def test_parallel_sum_all_routes_match_oracle():

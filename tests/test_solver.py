@@ -342,6 +342,26 @@ def test_given_step_binds_its_kernels_once_per_step_value(monkeypatch):
     assert sorted(binds) == [0.5, inst.default_gamma]
 
 
+def test_forward_backward_evicts_the_kernels_of_its_oldest_step(monkeypatch):
+    # the map keeps the kernels of its last two step values: a third evicts
+    # the first, which binds again when it comes back, and the third stays
+    rng = np.random.default_rng(5)
+    w, r = (BlockVector([rng.standard_normal(10)]) for _ in range(2))
+    steps = (0.2, 0.3, 0.4, 0.2, 0.4)
+    want = [sifb_instance(LASSO).backward(w, gamma, r) for gamma in steps]
+    binds, bind = [], MonotoneBlock.bind
+
+    def counted_bind(self, gamma, diag):
+        binds.append(gamma)
+        return bind(self, gamma, diag)
+
+    monkeypatch.setattr(MonotoneBlock, "bind", counted_bind)
+    inst = sifb_instance(LASSO)
+    for gamma, fresh in zip(steps, want):
+        assert inst.backward(w, gamma, r).blocks[0].tobytes() == fresh.blocks[0].tobytes()
+    assert binds == [0.2, 0.3, 0.4, 0.2]
+
+
 def test_inertial_iteration_sweeps_twice_per_recorded_iteration():
     # alpha_n > 0 moves the step off the residual's point: nothing is reused
     inst = sifb_instance(LASSO)

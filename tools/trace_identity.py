@@ -26,12 +26,15 @@ the forward-backward map alternates between the kernels of the given step
 and of the residual's default step), and with a given step and relaxation on
 class I;
 the split lasso on both primal-dual classes recording every third row; the
-`custom` and `custom_pd` configs of `tests/test_cli.py`; and four custom
+`custom` and `custom_pd` configs of `tests/test_cli.py`; and seven custom
 problems (a diagonal metric with relaxation and inertia; a primal-dual
 problem with box, sq_l2, affine and linf_ball blocks and a scalar coupling
 cell; one whose `center`, `lo`, `hi` and `c` are vectors of the block's
-length and of length 1; and one whose `z` holds -0.0 entries and one of
-whose `r` is all zeros, on both classes).
+length and of length 1; one whose `z` holds -0.0 entries and one of whose
+`r` is all zeros, on both classes; a `scaled_identity` map in a diagonal
+metric from a nonzero x0; a `zero` map; and a `custom_pd` whose `smooth` is
+a `linear` map, on class I), so that every `map` kind and the `smooth` key
+are read.
 """
 
 from __future__ import annotations
@@ -199,6 +202,33 @@ def configs():
                 "V": {"kind": "scalar", "values": [0.9, 1.1]},
                 "W": {"kind": "scalar", "values": [1.0, 0.8]}}},
             algorithm=algorithm)
+    out["custom-scaled-identity-map"] = _run_config(
+        {"custom": {
+            "blocks": [{"dim": 3, "operator": {"family": "sq_l2", "lam": 0.6,
+                                               "center": [0.5, -0.2, 0.1]}},
+                       {"dim": 2, "operator": {"family": "l1", "lam": 0.3}}],
+            "preconditioner": {"kind": "diagonal", "weights": [[1.0, 0.8, 0.6], [0.9, 0.7]]},
+            "map": {"kind": "scaled_identity", "mu": 0.8},
+            "x0": [1.0, -0.5, 0.3, 0.8, -1.2]}})
+    out["custom-zero-map"] = _run_config(
+        {"custom": {
+            "blocks": [{"dim": 2, "operator": {"family": "sq_l2", "lam": 0.5,
+                                               "center": [0.4, -0.3]}},
+                       {"dim": 3, "operator": {"family": "box", "lo": -0.5, "hi": 0.5}}],
+            "map": {"kind": "zero"},
+            "x0": [1.0, -1.0, 2.0, -0.1, 0.3]}})
+    out["custom_pd-linear-smooth-pd_class1"] = _run_config(
+        {"custom_pd": {
+            "primal": [{"dim": 3, "operator": {"family": "l1", "lam": 0.2}}],
+            "dual": [{"dim": 2, "g": {"family": "box", "lo": -0.5, "hi": 0.5},
+                      "r": [0.3, -0.1]}],
+            "coupling": [[[[0.3, 0.1, 0.0], [0.0, 0.2, 0.4]]]],
+            "smooth": {"kind": "linear",
+                       "q": [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.6]],
+                       "offset": [0.5, -0.4, 0.2]},
+            "V": {"kind": "scalar", "values": [0.8]},
+            "W": {"kind": "scalar", "values": [0.9]}}},
+        algorithm="pd_class1")
     return out
 
 
