@@ -138,7 +138,7 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _execute_single(exp, seed, out_dir=None, trace_name="trace.csv"):
+def _execute_single(exp, seed, out_dir, trace_name="trace.csv"):
     inst = exp.make_instance(seed)
     cfg = exp.solver_config(inst.beta)
     ref_primal = exp.reference()
@@ -156,10 +156,9 @@ def _execute_single(exp, seed, out_dir=None, trace_name="trace.csv"):
         else:
             primal, _ = extract_primal_dual(x, exp.pd)
             summary["dist_to_ref"] = (primal - ref_primal).norm()
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, trace_name), "w", encoding="utf-8") as f:
-            trace.to_csv(f)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, trace_name), "w", encoding="utf-8") as f:
+        trace.to_csv(f)
     return x, trace, summary
 
 
@@ -173,7 +172,7 @@ def cmd_run(args):
     seed = args.seed if args.seed is not None else exp.run_seed
     out_dir = args.out or exp.output_dir
     try:
-        _, trace, summary = _execute_single(exp, seed, out_dir=out_dir)
+        _, trace, summary = _execute_single(exp, seed, out_dir)
         _write_json(os.path.join(out_dir, "summary.json"), summary)
         snapshot = dict(exp.raw)
         snapshot["resolved_seed"] = seed
@@ -200,7 +199,7 @@ def _sweep_worker(payload):
         # a sweep reports no distance to the reference, so a replica skips
         # the reference solve that its rebuilt experiment would repeat
         exp.want_reference = False
-        _, trace, summary = _execute_single(exp, seed, out_dir=out_dir,
+        _, trace, summary = _execute_single(exp, seed, out_dir,
                                             trace_name=f"trace_{index:03d}.csv")
     except Exception as e:
         summary = {"status": SWEEP_ERROR,
@@ -233,35 +232,36 @@ def cmd_sweep(args):
             results = list(pool.map(_sweep_worker, payloads))
     results.sort(key=lambda s: s["index"])
 
-    ran = [s for s in results if s["status"] != SWEEP_ERROR]
-    rows = ["index,seed,status,iterations,final_fp_residual"]
+    # report: per replica, its stdout line and the traceback of one that raised
+    rows, ran, errors, report = ["index,seed,status,iterations,final_fp_residual"], [], [], []
     for s, seed in zip(results, seeds):
         if s["status"] == SWEEP_ERROR:
             rows.append(f"{s['index']},{seed},{SWEEP_ERROR},,")
+            errors.append({"index": s["index"], "seed": seed, "message": s["error"]})
+            report.append((f"seed={seed} status={SWEEP_ERROR} {s['error']}",
+                           f"replica {s['index']} (seed={seed}) failed:\n{s['traceback']}"))
         else:
+            ran.append(s)
             rows.append(f"{s['index']},{seed},{s['status']},{s['iterations']},"
                         f"{s['final_fp_residual']:.17g}")
+            report.append((f"seed={seed} status={s['status']} iterations={s['iterations']} "
+                           f"final_fp_residual={s['final_fp_residual']:.6g}", None))
     with open(os.path.join(out_dir, "sweep_summary.csv"), "w", encoding="utf-8") as f:
         f.write("\n".join(rows) + "\n")
-    frac = sum(1 for s in results if s["status"] == CONVERGED) / len(results)
+    frac = sum(s["status"] == CONVERGED for s in ran) / len(results)
     aggregate = {
         "fraction_converged": frac,
         "median_iterations": (statistics.median(s["iterations"] for s in ran)
                               if ran else None),
         "max_final_residual": max((s["final_fp_residual"] for s in ran), default=None),
         "seeds": list(seeds),
-        "errors": [{"index": s["index"], "seed": seed, "message": s["error"]}
-                   for s, seed in zip(results, seeds) if s["status"] == SWEEP_ERROR],
+        "errors": errors,
     }
     _write_json(os.path.join(out_dir, "sweep_summary.json"), aggregate)
-    for s, seed in zip(results, seeds):
-        if s["status"] == SWEEP_ERROR:
-            print(f"seed={seed} status={SWEEP_ERROR} {s['error']}")
-            print(f"replica {s['index']} (seed={seed}) failed:\n{s['traceback']}",
-                  end="", file=sys.stderr)
-        else:
-            print(f"seed={seed} status={s['status']} iterations={s['iterations']} "
-                  f"final_fp_residual={s['final_fp_residual']:.6g}")
+    for line, failure in report:
+        print(line)
+        if failure is not None:
+            print(failure, end="", file=sys.stderr)
     print(f"fraction_converged={frac:.3f} -> {out_dir}")
     return EXIT_OK if frac == 1.0 else EXIT_RUN
 

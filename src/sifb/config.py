@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,12 +228,11 @@ class Experiment:
     seeds: list
     run_seed: int
     output_dir: str
-    problem: object = None
+    want_reference: bool
+    problem: object
     pd: PrimalDualProblem = None
     pd_form: str = None
     constants_given: bool = False
-    want_reference: bool = True
-    _reference: object = field(default=None, repr=False)
 
     def make_instance(self, seed):
         if self.pd is None:
@@ -245,12 +244,10 @@ class Experiment:
         return SolverConfig(beta=beta, inertia=self.inertia, **self.solver_spec)
 
     def reference(self):
-        """Oracle solution for demo problems (primal blocks), cached."""
+        """Oracle solution for demo problems (primal blocks)."""
         if not self.want_reference or not isinstance(self.problem, DemoProblem):
             return None
-        if self._reference is None:
-            self._reference = reference_oracle(self.problem, tol=1e-10)
-        return self._reference
+        return reference_oracle(self.problem, tol=1e-10)
 
 
 def _seed(value, rule):

@@ -426,13 +426,11 @@ class CocoerciveMap:
                    beta_exact=float("inf"))
 
     @classmethod
-    def scaled_identity(cls, dims, mu, metric=None):
+    def scaled_identity(cls, dims, mu, metric):
         """x -> mu * x; exact constant 1/(mu * ||metric||), tight, so no deflation."""
         mu = float(mu)
         if not mu > 0:
             raise ConfigurationError(f"scale must be positive, got {mu}")
-        if metric is None:
-            metric = Preconditioner.identity(dims)
         top = 1.0
         extremal = None
         if sum(dims):
@@ -447,7 +445,7 @@ class CocoerciveMap:
                    beta_exact=beta, metric=metric, extremal=extremal)
 
     @classmethod
-    def least_squares_gradient(cls, a, b, metric=None, deflate=True):
+    def least_squares_gradient(cls, a, b, metric=None):
         """Gradient of 0.5 ||A x - b||^2 on a single block.
 
         beta = 1 / ||sqrt(M) A^T A sqrt(M)|| with respect to the metric M,
@@ -483,7 +481,7 @@ class CocoerciveMap:
             if lam_max > 0:
                 extremal = BlockVector._wrap([sw * (top / np.linalg.norm(top))])
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
-        beta = beta_exact / BETA_DEFLATION if (deflate and np.isfinite(beta_exact)) else beta_exact
+        beta = beta_exact / BETA_DEFLATION
 
         def apply_fn(x):
             g = a.T @ (a @ x.blocks[0] - b)
@@ -500,23 +498,20 @@ class CocoerciveMap:
                    metric=metric, components=(nrows, batch_fn), extremal=extremal)
 
     @classmethod
-    def linear(cls, q, offset=None, dims=None, metric=None, deflate=True):
-        """x -> Q x + offset on the flat concatenation, Q symmetric PSD."""
+    def linear(cls, q, offset, dims, metric):
+        """x -> Q x + offset on the flat concatenation, Q symmetric PSD; an
+        offset None is 0."""
         q = np.asarray(q, dtype=np.float64)
         n = q.shape[0] if q.ndim else 0
         if q.shape != (n, n):
             raise ConfigurationError(f"quadratic matrix must be square, got {q.shape}")
         if not np.allclose(q, q.T, atol=1e-10):
             raise ConfigurationError("quadratic matrix must be symmetric")
-        if dims is None:
-            dims = (n,)
         if sum(dims) != n:
             raise DimensionMismatch(f"dims {dims} do not sum to {n}")
         offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=np.float64).reshape(-1)
         if offset.size not in (1, n):
             raise DimensionMismatch(f"offset has length {offset.size}, expected {n}")
-        if metric is None:
-            metric = Preconditioner.identity(dims)
         extremal = None
         lam_max = 0.0
         if n:
@@ -528,7 +523,7 @@ class CocoerciveMap:
         if lam_max < -1e-10:
             raise ConfigurationError("quadratic matrix must be positive semidefinite")
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
-        beta = beta_exact / BETA_DEFLATION if (deflate and np.isfinite(beta_exact)) else beta_exact
+        beta = beta_exact / BETA_DEFLATION
 
         def apply_fn(x):
             return BlockVector.from_flat(q @ x.concatenated() + offset, dims)
@@ -573,7 +568,8 @@ def check_cocoercivity(b_map, metric=None, trials=100, seed=0, beta=None):
     random pairs plus, when the map exposes one, a deterministic probe along
     its estimated extremal direction (random pairs alone cannot reliably
     refute a slightly inflated constant in more than one dimension). Passes
-    iff the minimum slack is >= -1e-10.
+    iff the minimum slack is >= -1e-10. M is the `Preconditioner` metric,
+    else the map's own; a map without one is audited with M = I.
     """
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
@@ -581,15 +577,13 @@ def check_cocoercivity(b_map, metric=None, trials=100, seed=0, beta=None):
         beta = b_map.beta
     if metric is None:
         metric = b_map.metric
-    if isinstance(metric, Preconditioner):
-        metric = metric.apply
     rng = np.random.default_rng(seed)
     dims = b_map.dims
 
     def slack(x, y):
         dx = x - y
         db = b_map.apply(x) - b_map.apply(y)
-        rhs = db.dot(db if metric is None else metric(db))
+        rhs = db.dot(db if metric is None else metric.apply(db))
         lhs = dx.dot(db)
         if rhs == 0.0:
             return lhs

@@ -13,28 +13,31 @@ import numpy as np
 
 from .errors import OracleError
 
+# iterations a reference solve may take before it raises OracleError
+_MAX_ITER = 500000
+
 
 def _top_eig(mat):
     return float(np.linalg.eigvalsh(mat)[-1])
 
 
-def _prox_gradient(name, h, v, prox, tol, max_iter):
+def _prox_gradient(name, h, v, prox, tol):
     """x <- prox(x - t (H x - v), t) from x = 0, with t = 1 / lambda_max(H).
 
     Stops when the fixed-point residual ||x_new - x|| falls below tol, and
-    raises, naming the solver `name`, when max_iter iterations do not get there.
+    raises, naming the solver `name`, when _MAX_ITER iterations do not get there.
     """
     t = 1.0 / _top_eig(h)
     x = np.zeros(h.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x_new = prox(x - t * (h @ x - v), t)
         if np.linalg.norm(x_new - x) <= tol:
             return x_new
         x = x_new
-    raise OracleError(f"{name} did not reach tol={tol} in {max_iter} iterations")
+    raise OracleError(f"{name} did not reach tol={tol} in {_MAX_ITER} iterations")
 
 
-def ista_lasso(a, b, lam, tol=1e-10, max_iter=500000):
+def ista_lasso(a, b, lam, tol):
     """Proximal gradient on 0.5 ||A x - b||^2 + lam ||x||_1.
 
     Stops when the fixed-point residual of the prox-gradient map falls below
@@ -44,15 +47,15 @@ def ista_lasso(a, b, lam, tol=1e-10, max_iter=500000):
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     return _prox_gradient("ista_lasso", a.T @ a, a.T @ b,
                           lambda z, t: np.sign(z) * np.maximum(np.abs(z) - t * lam, 0.0),
-                          tol, max_iter)
+                          tol)
 
 
-def projected_gradient_box(q, c, lo, hi, tol=1e-12, max_iter=500000):
+def projected_gradient_box(q, c, lo, hi, tol):
     """Projected gradient for min 0.5 x'Qx - c'x over the box [lo, hi]."""
     return _prox_gradient(
         "projected_gradient_box", np.asarray(q, dtype=np.float64),
         np.asarray(c, dtype=np.float64).reshape(-1),
-        lambda z, t: np.minimum(np.maximum(z, lo), hi), tol, max_iter)
+        lambda z, t: np.minimum(np.maximum(z, lo), hi), tol)
 
 
 def huber_value(u, lam, mu):
@@ -74,7 +77,7 @@ def huber_prox(z, step, lam, mu):
     return np.where(inner, z * (mu / (mu + step)), z - step * lam * np.sign(z))
 
 
-def smoothed_lasso_ista(a, b, lam, mu, tol=1e-10, max_iter=500000):
+def smoothed_lasso_ista(a, b, lam, mu, tol):
     """Proximal gradient on 0.5 ||A x - b||^2 + sum_j huber(x_j).
 
     Treats the smoothed separable term by its closed-form prox, so the step
@@ -84,7 +87,7 @@ def smoothed_lasso_ista(a, b, lam, mu, tol=1e-10, max_iter=500000):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     return _prox_gradient("smoothed_lasso_ista", a.T @ a, a.T @ b,
-                          lambda z, t: huber_prox(z, t, lam, mu), tol, max_iter)
+                          lambda z, t: huber_prox(z, t, lam, mu), tol)
 
 
 def least_squares(a, b):

@@ -116,7 +116,7 @@ class ConstantsReport:
     """Feasibility constants of the two assemblies."""
 
     c: float                 # ||sqrt(W) L sqrt(V)||
-    xi_hat: float            # optimal balance parameter (nan where singular)
+    xi_hat: float            # optimal balance parameter (`optimal_balance`)
     beta_hat: float          # best class-I constant
     beta: float              # class-II constant
     feasible_class1: bool    # beta_hat > 1/2
@@ -131,9 +131,15 @@ def beta_for_balance(nu0, mu0, c, xi):
 
 
 def optimal_balance(nu0, mu0, c):
-    """The xi maximizing beta_for_balance; nan where the formula is singular."""
-    if c == 0.0 or not (np.isfinite(nu0) and np.isfinite(mu0)):
+    """The xi maximizing beta_for_balance: inf when only nu0 is infinite and 0
+    when only mu0 is (the limit where the other term alone counts), nan when
+    c = 0 or both are infinite (no xi is singled out)."""
+    if c == 0.0 or not (np.isfinite(nu0) or np.isfinite(mu0)):
         return float("nan")
+    if not np.isfinite(nu0):
+        return float("inf")
+    if not np.isfinite(mu0):
+        return 0.0
     if nu0 == mu0:
         # the discriminant collapses to (2 c nu0)^2; keep the value exact
         return 1.0
@@ -156,21 +162,13 @@ def compute_constants(prob):
         )
     nu0, mu0 = prob.nu0, prob.mu0
     one_m_c2 = 1.0 - c * c
-    if c == 0.0:
-        xi_hat = float("nan")
-        beta_hat = min(nu0, mu0)
-    elif not np.isfinite(nu0) and not np.isfinite(mu0):
-        xi_hat = float("nan")
-        beta_hat = float("inf")
-    elif not np.isfinite(nu0):
-        xi_hat = float("inf")
-        beta_hat = one_m_c2 * mu0
-    elif not np.isfinite(mu0):
-        xi_hat = 0.0
-        beta_hat = one_m_c2 * nu0
-    else:
-        xi_hat = optimal_balance(nu0, mu0, c)
+    xi_hat = optimal_balance(nu0, mu0, c)
+    if c > 0.0 and np.isfinite(nu0) and np.isfinite(mu0):
         beta_hat = beta_for_balance(nu0, mu0, c, xi_hat)
+    else:
+        # at c = 0 the factor 1 - c^2 is exactly 1, and an infinite constant
+        # drops its term of beta_for_balance's minimum
+        beta_hat = one_m_c2 * min(nu0, mu0)
     beta = min(nu0, mu0 * one_m_c2)
     return ConstantsReport(
         c=c,
@@ -216,7 +214,7 @@ def _minus_draw(xs, draws, shifts):
     return xs
 
 
-def assemble_class1(prob, noise=None, seed=0, constants=None):
+def assemble_class1(prob, noise=None, seed=0):
     """Stacked instance whose unit-step backward map is the class-I sweep.
 
     One solver step reproduces, blockwise: primal resolvents at the
@@ -229,7 +227,7 @@ def assemble_class1(prob, noise=None, seed=0, constants=None):
         p = J_{V A}(c - V (L* d + a_p - z)),
         q = J_{W B^-1}(d + W (L (2 p - c) - b_d - r)).
     """
-    rep = constants if constants is not None else compute_constants(prob)
+    rep = compute_constants(prob)
     if not rep.feasible_class1:
         raise InfeasibleProblemError(
             f"class-I assembly requires beta_hat > 1/2; got beta_hat={rep.beta_hat:.6g}"
@@ -264,7 +262,7 @@ def assemble_class1(prob, noise=None, seed=0, constants=None):
                            backward, gamma_fixed=1.0)
 
 
-def assemble_class2(prob, noise=None, seed=0, constants=None):
+def assemble_class2(prob, noise=None, seed=0):
     """Stacked instance for the all-explicit-primal variant.
 
     Only valid when every primal block operator is zero; the primal half
@@ -280,7 +278,7 @@ def assemble_class2(prob, noise=None, seed=0, constants=None):
         raise ConfigurationError(
             "class-II assembly requires every primal block operator to be zero"
         )
-    rep = constants if constants is not None else compute_constants(prob)
+    rep = compute_constants(prob)
     if not rep.feasible_class2:
         raise InfeasibleProblemError(
             f"class-II assembly requires 2*beta > 1; got beta={rep.beta:.6g}"

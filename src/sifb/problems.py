@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracles
 from .errors import ConfigurationError, bind_config
-from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
+from .operators import BETA_DEFLATION, CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem
 from .solver import ProblemInstance
 from .spaces import BlockLinearOperator, BlockVector, Preconditioner
@@ -275,7 +275,7 @@ class ParallelSum(DemoProblem):
             return BlockVector._wrap([g])
 
         b_map = CocoerciveMap.from_callable(self.dims, grad_fn,
-                                            beta=1.0 / (1.01 * lip), metric=metric)
+                                            beta=1.0 / (BETA_DEFLATION * lip), metric=metric)
         return MonotoneBlock.zero(1), b_map
 
     def _form(self):
@@ -359,9 +359,8 @@ def pd_problem(demo, form=None):
 
 
 def objective(demo, x):
-    """Objective value at a primal point (BlockVector or flat array)."""
-    flat = x.concatenated() if isinstance(x, BlockVector) else np.asarray(x, dtype=np.float64)
-    return demo.value(flat)
+    """Objective value at a primal point, a BlockVector."""
+    return demo.value(x.concatenated())
 
 
 def reference_oracle(demo, tol=1e-10):

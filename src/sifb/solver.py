@@ -41,7 +41,6 @@ block by block without building the difference vector.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -259,9 +258,8 @@ class RunTrace:
             return True
         return self.max_step_norm <= _STEP_GROWTH_LIMIT * self.first_step_norm
 
-    def to_csv(self, fileobj=None):
-        own = fileobj is None
-        f = io.StringIO() if own else fileobj
+    def to_csv(self, f):
+        """Write the trace, schema line first, to the text file f."""
         f.write("#schema=2\n")
         f.write(self.CSV_COLUMNS + "\n")
         for r in self.rows:
@@ -270,9 +268,6 @@ class RunTrace:
                 f"{r.n},{r.fp_residual:.17g},{r.step_norm:.17g},{dist},"
                 f"{r.sigma:.17g},{r.alpha:.17g}\n"
             )
-        if own:
-            return f.getvalue()
-        return None
 
     def summary(self):
         return {
@@ -286,18 +281,16 @@ class RunTrace:
         }
 
 
-def step(prob, cfg, state, n, gamma=None, lam=None):
+def step(prob, cfg, state, n, gamma, lam):
     """One solver iteration; returns the new (x_{n+1}, x_n) pair.
 
     Draws from the oracle exactly once. `gamma` and `lam` are the run's step
-    and relaxation, as `run` resolves them once; left None, they are
-    `cfg.step_size(prob)` and `cfg.relaxation`.
+    and relaxation, `cfg.step_size(prob)` and `cfg.relaxation`, which `run`
+    resolves once.
     """
     x, x_prev = state
     alpha = cfg.inertia.alpha(n)
     w = x if alpha == 0.0 else x.axpy_diff(alpha, x, x_prev)
-    if gamma is None:
-        gamma = cfg.step_size(prob)
     r = prob.oracle.sample(n, w)
     last = prob._last_residual
     # the draw is the recorded residual's map value at its point and step:
@@ -306,8 +299,6 @@ def step(prob, cfg, state, n, gamma=None, lam=None):
         p = last[2]
     else:
         p = prob.backward(w, gamma, r)
-    if lam is None:
-        lam = cfg.relaxation
     # at lam = 1 the relaxed update collapses to p exactly; keep it exact
     x_next = p if lam == 1.0 else x.axpy_diff(lam, p, x)
     return x_next, x

@@ -89,12 +89,12 @@ class BlockVector:
         c = float(c)
         return BlockVector._wrap([c * a for a in self.blocks], self.dims)
 
+    # __neg__, axpy, Preconditioner.apply_inverse and Preconditioner.apply_sqrt
+    # have no caller in the package: they stay only as patch points that
+    # perfbench/tracer.py wraps by name, until ROADMAP item 9 replaces its list.
     def __neg__(self):
         return BlockVector._wrap([-a for a in self.blocks], self.dims)
 
-    # axpy, Preconditioner.apply_inverse and Preconditioner.apply_sqrt have no
-    # caller in the package: they stay only as patch points that
-    # perfbench/tracer.py wraps by name, until ROADMAP item 1 redoes its list.
     def axpy(self, c, other):
         """self + c * other, in one pass."""
         self._check_same(other)
@@ -182,11 +182,10 @@ class Preconditioner:
     """Self-adjoint strongly positive operator on a block space.
 
     Restricted to scalar-per-block and diagonal forms, which keep apply,
-    apply_inverse and apply_sqrt exact and O(n). `lower_bound` is the
-    strong-positivity constant (the smallest diagonal entry).
+    apply_inverse and apply_sqrt exact and O(n).
     """
 
-    __slots__ = ("kind", "dims", "_diag", "lower_bound")
+    __slots__ = ("kind", "dims", "_diag")
 
     def __init__(self, kind, dims, diag_blocks):
         self.kind = kind
@@ -205,7 +204,6 @@ class Preconditioner:
             raise ConfigurationError(
                 f"preconditioner entries must be positive; min = {entries.min()}"
             )
-        self.lower_bound = float(entries.min()) if entries.size else 1.0
 
     @classmethod
     def identity(cls, dims):
@@ -268,7 +266,7 @@ class Preconditioner:
         )
 
     def __repr__(self):
-        return f"Preconditioner(kind={self.kind!r}, dims={self.dims}, chi={self.lower_bound:g})"
+        return f"Preconditioner(kind={self.kind!r}, dims={self.dims})"
 
 
 def _add_product(acc, cell, x):

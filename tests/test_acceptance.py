@@ -182,7 +182,7 @@ def test_criterion_4_assembly_fidelity():
                                inertia=inertia, max_iter=1)
             state = (block_concat(BlockVector(x), BlockVector(v)),
                      block_concat(BlockVector(xp), BlockVector(vp)))
-            new_state, _ = step(inst, cfg, state, 0)
+            new_state, _ = step(inst, cfg, state, 0, cfg.step_size(inst), cfg.relaxation)
             got_p, got_d = extract_primal_dual(new_state, prob)
             want_x, want_v = transcribe(data, x, xp, v, vp, a, b, alpha, relax)
             for got, want in zip(got_p.blocks + got_d.blocks, want_x + want_v):
@@ -300,7 +300,7 @@ def test_criterion_7_inertial_reduction():
         q = g.T @ g
         q /= np.linalg.eigvalsh(q)[-1]
         c = rng.standard_normal(6)
-        bm = CocoerciveMap.linear(q, c, dims=(6,))
+        bm = CocoerciveMap.linear(q, c, dims=(6,), metric=Preconditioner.identity((6,)))
         op = MonotoneBlock.subdiff([ProxFunction.box(-1.0, 1.0)])
         oracle = StochasticOracle(bm, NoiseSchedule.zero())
         prob_inst = ProblemInstance.forward_backward(

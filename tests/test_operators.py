@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sifb import (
     BlockVector,
@@ -14,7 +16,7 @@ from sifb import (
     prox_conjugate,
     prox_weighted,
 )
-from sifb.operators import conjugate_subdiff_distance, subdiff_distance
+from sifb.operators import BETA_DEFLATION, conjugate_subdiff_distance, subdiff_distance
 from sifb.spaces import BlockLinearOperator, estimate_weighted_norm
 
 from audits import WeightedMetric, inverse
@@ -274,6 +276,59 @@ def test_resolvent_firm_nonexpansiveness_in_inverse_metric():
             assert slack >= -1e-10
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def catalogue_resolvent_cases(draw):
+    """(f, gamma, u, x, y): a catalogue function on a block of dim 0 to 4, a
+    step, the diagonal of a metric U, and two points. The draws include l1
+    with lam = 0, a radius-0 ball, boxes with lo == hi and empty blocks."""
+    d = draw(st.integers(0, 4))
+
+    def vector(lo, hi):
+        return draw(st.lists(_floats(lo, hi), min_size=d, max_size=d).map(np.array))
+
+    family = draw(st.sampled_from(["zero", "l1", "sq_l2", "box", "linf_ball", "affine"]))
+    if family == "l1":
+        f = ProxFunction.l1(draw(st.just(0.0) | _floats(0.0, 2.0)))
+    elif family == "sq_l2":
+        f = ProxFunction.squared_l2(draw(_floats(0.1, 2.0)), vector(-3.0, 3.0))
+    elif family == "box":
+        lo = vector(-3.0, 3.0)
+        width = vector(0.0, 3.0) * draw(st.sampled_from([0.0, 1.0]))  # 0: lo == hi
+        f = ProxFunction.box(lo, lo + width)
+    elif family == "linf_ball":
+        f = ProxFunction.linf_ball(draw(st.just(0.0) | _floats(0.0, 2.0)))
+    elif family == "affine":
+        f = ProxFunction.affine(vector(-3.0, 3.0))
+    else:
+        f = ProxFunction.zero()
+    return (f, draw(_floats(0.1, 2.0)), vector(0.1, 2.0), vector(-10.0, 10.0),
+            vector(-10.0, 10.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=catalogue_resolvent_cases())
+def test_catalogue_resolvents_moreau_identity_and_firm_nonexpansiveness(case):
+    # with D = gamma U diagonal: x = J_{D df}(x) + D J_{D^-1 df*}(D^-1 x), and
+    # both resolvents are firmly nonexpansive in the metric of their own D^-1
+    f, gamma, u, x, y = case
+    metric, inverse_metric, d = (Preconditioner.diagonal([u]),
+                                 Preconditioner.diagonal([1.0 / u]), gamma * u)
+    prox, conj = MonotoneBlock.subdiff([f]), MonotoneBlock.conjugate_subdiff([f])
+    p = prox.resolvent(gamma, metric, BlockVector([x])).blocks[0]
+    q = conj.resolvent(1.0 / gamma, inverse_metric, BlockVector([x / d])).blocks[0]
+    assert np.all(np.abs(p + d * q - x) <= 1e-9 * (1.0 + np.abs(x)))
+    for rule, step, m, w in ((prox, gamma, metric, d),
+                             (conj, 1.0 / gamma, inverse_metric, 1.0 / d)):
+        jx, jy = (rule.resolvent(step, m, BlockVector([v])).blocks[0] for v in (x, y))
+        dj, dx = jx - jy, x - y
+        scale = 1.0 + float(np.sum(dx * dx / w))
+        assert float(np.sum(dj * dx / w) - np.sum(dj * dj / w)) >= -1e-9 * scale
+
+
 def test_resolvent_rejects_nonpositive_step():
     a = MonotoneBlock.zero(1)
     with pytest.raises(ConfigurationError):
@@ -284,7 +339,7 @@ def test_resolvent_rejects_nonpositive_step():
 
 
 def test_identity_map_equality_case():
-    ident = CocoerciveMap.scaled_identity((2,), 1.0)
+    ident = CocoerciveMap.scaled_identity((2,), 1.0, metric=Preconditioner.identity((2,)))
     rep = check_cocoercivity(ident, trials=50, seed=0)
     assert rep.passed
     assert rep.min_slack == pytest.approx(0.0, abs=1e-10)
@@ -292,9 +347,8 @@ def test_identity_map_equality_case():
 
 def test_least_squares_beta_pass_and_fail_1d():
     # gradient of 0.5 (2x - b)^2: curvature 4, so 0.25 passes and 0.26 fails
-    b_map = CocoerciveMap.least_squares_gradient(np.array([[2.0]]), np.array([0.0]),
-                                                 deflate=False)
-    assert b_map.beta == pytest.approx(0.25, rel=1e-10)
+    b_map = CocoerciveMap.least_squares_gradient(np.array([[2.0]]), np.array([0.0]))
+    assert b_map.beta_exact == pytest.approx(0.25, rel=1e-10)
     assert check_cocoercivity(b_map, trials=20, seed=1, beta=0.25).passed
     assert not check_cocoercivity(b_map, trials=20, seed=1, beta=0.26).passed
 
@@ -325,14 +379,14 @@ def _lstsq_case(shape, weighted, seed):
 @pytest.mark.parametrize("shape", [(12, 8), (8, 12), (1, 1)])
 def test_least_squares_beta_matches_dense_and_power_iteration(shape, weighted):
     a, b, metric = _lstsq_case(shape, weighted, seed=20)
-    b_map = CocoerciveMap.least_squares_gradient(a, b, metric=metric, deflate=False)
+    b_map = CocoerciveMap.least_squares_gradient(a, b, metric=metric)
     sw = np.sqrt(metric.diag_blocks()[0])
     dense = np.linalg.eigvalsh(sw[:, None] * (a.T @ a) * sw[None, :])[-1]
     assert b_map.beta_exact == pytest.approx(1.0 / dense, rel=1e-12)
     op = BlockLinearOperator([[a]], (shape[1],), (shape[0],))
     nrm = estimate_weighted_norm(op, metric, Preconditioner.identity((shape[0],)))
     assert b_map.beta_exact == pytest.approx(1.0 / nrm**2, rel=1e-10)
-    assert b_map.beta == b_map.beta_exact
+    assert b_map.beta == b_map.beta_exact / BETA_DEFLATION
 
 
 def test_least_squares_beta_bit_identical_between_builds():
@@ -370,9 +424,8 @@ def test_cocoercive_implies_lipschitz_bound():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((6, 4))
     metric = Preconditioner.diagonal([rng.uniform(0.5, 2.0, 4)])
-    b_map = CocoerciveMap.least_squares_gradient(a, rng.standard_normal(6),
-                                                 metric=metric, deflate=False)
-    bound = 1.0 / (b_map.beta * metric.lower_bound)
+    b_map = CocoerciveMap.least_squares_gradient(a, rng.standard_normal(6), metric=metric)
+    bound = 1.0 / (b_map.beta_exact * metric.diag_blocks()[0].min())
     for _ in range(50):
         x = BlockVector([rng.standard_normal(4)])
         y = BlockVector([rng.standard_normal(4)])
@@ -382,10 +435,10 @@ def test_cocoercive_implies_lipschitz_bound():
 
 def test_linear_map_against_quadratic():
     q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    b_map = CocoerciveMap.linear(q, deflate=False)
+    b_map = CocoerciveMap.linear(q, None, (2,), Preconditioner.identity((2,)))
     lam_max = np.linalg.eigvalsh(q)[-1]
-    assert b_map.beta == pytest.approx(1.0 / lam_max, rel=1e-12)
-    assert check_cocoercivity(b_map, trials=50, seed=4).passed
+    assert b_map.beta_exact == pytest.approx(1.0 / lam_max, rel=1e-12)
+    assert check_cocoercivity(b_map, trials=50, seed=4, beta=b_map.beta_exact).passed
 
 
 def test_minibatch_requires_finite_sum():

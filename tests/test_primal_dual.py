@@ -42,6 +42,8 @@ from sifb.problems import (
     sifb_instance,
 )
 
+from test_solver import csv_text
+
 from audits import (
     class1_metric_apply,
     class2_metric_apply,
@@ -139,6 +141,21 @@ def test_constants_c_zero_limit():
     # audited continuity at c = 1e-6
     tiny = compute_constants(small_problem(1e-6, nu=2.0, mu=3.0))
     assert tiny.beta_hat == pytest.approx(2.0, abs=1e-4)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("c,nu,mu,xi", [(0.0, 2.0, 3.0, NAN), (0.5, INF, INF, NAN),
+                                        (0.5, INF, 3.0, INF), (0.5, 2.0, INF, 0.0)],
+                         ids=["c-zero", "both-infinite", "nu0-infinite", "mu0-infinite"])
+def test_balance_where_the_formula_has_no_interior_optimum(c, nu, mu, xi):
+    # compute_constants reports optimal_balance's xi; an infinite constant
+    # drops its term of the class-I minimum
+    rep = compute_constants(small_problem(c, nu=nu, mu=mu))
+    for got in (optimal_balance(nu, mu, rep.c), rep.xi_hat):
+        assert got == xi or (np.isnan(xi) and np.isnan(got))
+    assert rep.beta_hat == (1.0 - rep.c * rep.c) * min(nu, mu)
 
 
 def test_constants_infeasible_norm():
@@ -479,7 +496,7 @@ def test_assembly_matches_transcription(which):
                            max_iter=1)
         state = (block_concat(BlockVector(x), BlockVector(v)),
                  block_concat(BlockVector(xp), BlockVector(vp)))
-        new_state, _ = step(inst, cfg, state, 0)
+        new_state, _ = step(inst, cfg, state, 0, cfg.step_size(inst), cfg.relaxation)
         primal_new, dual_new = extract_primal_dual(new_state, prob)
         transcribe = transcribe_class1 if which == "class1" else transcribe_class2
         want_x, want_v = transcribe(data, x, xp, v, vp, a, b, alpha, relax)
@@ -508,7 +525,8 @@ def test_class1_decoupled_when_coupling_vanishes():
     x = BlockVector([rng.standard_normal(3)])
     v = BlockVector([rng.standard_normal(2)])
     state = (block_concat(x, v),) * 2
-    new_state, _ = step(inst, SolverConfig(beta=inst.beta, max_iter=1), state, 0)
+    cfg = SolverConfig(beta=inst.beta, max_iter=1)
+    new_state, _ = step(inst, cfg, state, 0, cfg.step_size(inst), cfg.relaxation)
     p_got, q_got = extract_primal_dual(new_state, prob)
     # primal and dual halves decouple into independent resolvent updates
     z_arg = x - prob.V.apply(a - prob.z)
@@ -538,7 +556,8 @@ def test_class2_decoupled_primal_is_pure_forward_step():
     x = BlockVector([rng.standard_normal(3)])
     v = BlockVector([rng.standard_normal(2)])
     state = (block_concat(x, v),) * 2
-    new_state, _ = step(inst, SolverConfig(beta=inst.beta, max_iter=1), state, 0)
+    cfg = SolverConfig(beta=inst.beta, max_iter=1)
+    new_state, _ = step(inst, cfg, state, 0, cfg.step_size(inst), cfg.relaxation)
     p_got, _ = extract_primal_dual(new_state, prob)
     p_want = x - prob.V.apply(a - prob.z)
     assert (p_got - p_want).norm() <= 1e-14
@@ -960,7 +979,7 @@ def two_by_two_problem(zero_primal):
         coupling=BlockLinearOperator(
             [[0.4, rng.standard_normal((3, 4))], [rng.standard_normal((2, 3)), None]],
             pdims, ddims),
-        smooth=CocoerciveMap.scaled_identity(pdims, 0.5),
+        smooth=CocoerciveMap.scaled_identity(pdims, 0.5, metric=Preconditioner.identity(pdims)),
     )
 
 
@@ -981,7 +1000,7 @@ def signed_zero_shift_problem():
         r=BlockVector.zeros(ddims),
         W=Preconditioner.diagonal([rng.uniform(0.1, 0.3, d) for d in ddims]),
         coupling=BlockLinearOperator([[rng.standard_normal((3, 3)), None]], pdims, ddims),
-        smooth=CocoerciveMap.scaled_identity(pdims, 0.5),
+        smooth=CocoerciveMap.scaled_identity(pdims, 0.5, metric=Preconditioner.identity(pdims)),
     )
 
 
@@ -1027,7 +1046,7 @@ def test_block_array_sweeps_match_blockvector_reference_bytes(make, which):
     x, trace = run(inst, cfg)
     x_ref, trace_ref = run(ref_inst, cfg)
     assert trace.iterations == trace_ref.iterations == 300
-    assert trace.to_csv() == trace_ref.to_csv()
+    assert csv_text(trace) == csv_text(trace_ref)
     assert x.concatenated().tobytes() == x_ref.concatenated().tobytes()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -44,10 +45,11 @@ class CountingOracle:
         return self.inner.sample(n, w)
 
 
-def scalar_instance(lam=1.0, target=2.0, beta_override=None, deflate=True):
-    """A = subdiff(lam |.|), B = gradient of 0.5 (x - target)^2."""
+def scalar_instance(lam=1.0, target=2.0, beta_override=None):
+    """A = subdiff(lam |.|), B = gradient of 0.5 (x - target)^2, whose exact
+    constant (`beta_exact`) is 1."""
     b_map = CocoerciveMap.least_squares_gradient(
-        np.array([[1.0]]), np.array([target]), deflate=deflate
+        np.array([[1.0]]), np.array([target])
     )
     op = MonotoneBlock.subdiff([ProxFunction.l1(lam)])
     oracle = StochasticOracle(b_map, NoiseSchedule.zero(), rng_seed=0)
@@ -83,14 +85,14 @@ def test_forward_backward_sweep_is_the_resolvent_step_at_each_gamma():
 
 
 def test_step_identity_map_reaches_zero_in_one_step():
-    b_map = CocoerciveMap.scaled_identity((1,), 1.0)
+    b_map = CocoerciveMap.scaled_identity((1,), 1.0, metric=Preconditioner.identity((1,)))
     op = MonotoneBlock.zero(1)
     oracle = StochasticOracle(b_map, NoiseSchedule.zero())
     prob = ProblemInstance.forward_backward(
         op, oracle, Preconditioner.identity((1,)), BlockVector([[1.0]])
     )
     cfg = SolverConfig(beta=1.0, gamma=1.0)
-    x1, x0 = step(prob, cfg, (prob.x0, prob.x0), 0)
+    x1, x0 = step(prob, cfg, (prob.x0, prob.x0), 0, cfg.step_size(prob), cfg.relaxation)
     assert x1.blocks[0][0] == 0.0
     assert x0.blocks[0][0] == 1.0
 
@@ -106,18 +108,19 @@ def test_step_extrapolation_arithmetic():
     )
     cfg = SolverConfig(beta=1.0, gamma=1.0,
                        inertia=InertiaSchedule.polynomial(0.5, 2.0))
-    x1, _ = step(prob, cfg, (BlockVector([[2.0]]), BlockVector([[1.0]])), 0)
+    x1, _ = step(prob, cfg, (BlockVector([[2.0]]), BlockVector([[1.0]])), 0,
+                 cfg.step_size(prob), cfg.relaxation)
     assert x1.blocks[0][0] == pytest.approx(2.5)
 
 
 def test_step_scalar_lasso_reaches_minimizer_and_stays():
     # 0 in x - 2 + subdiff|x| has the unique solution x = 1
-    prob = scalar_instance(deflate=False)
+    prob = scalar_instance(beta_override=1.0)
     cfg = SolverConfig(beta=1.0, gamma=1.0)
     state = (prob.x0, prob.x0)
-    state = step(prob, cfg, state, 0)
+    state = step(prob, cfg, state, 0, cfg.step_size(prob), cfg.relaxation)
     assert state[0].blocks[0][0] == pytest.approx(1.0)
-    state = step(prob, cfg, state, 1)
+    state = step(prob, cfg, state, 1, cfg.step_size(prob), cfg.relaxation)
     assert state[0].blocks[0][0] == pytest.approx(1.0)
     assert fp_residual(prob, state[0]) <= 1e-14
 
@@ -129,7 +132,7 @@ def test_step_draws_oracle_exactly_once():
     cfg = SolverConfig(beta=prob.beta)
     state = (prob.x0, prob.x0)
     for n in range(7):
-        state = step(prob, cfg, state, n)
+        state = step(prob, cfg, state, n, cfg.step_size(prob), cfg.relaxation)
     assert counter.calls == 7
 
 
@@ -147,7 +150,7 @@ def test_run_deterministic_lasso_matches_ista_oracle():
 
 
 def test_run_from_solution_terminates_at_n0():
-    prob = scalar_instance(deflate=False)
+    prob = scalar_instance(beta_override=1.0)
     prob = dataclasses.replace(prob, x0=BlockVector([[1.0]]))
     cfg = SolverConfig(beta=1.0, gamma=1.0, stop_tol=1e-12)
     x, trace = run(prob, cfg)
@@ -164,7 +167,7 @@ def test_fp_residual_zero_problem_and_sign():
         op, oracle, Preconditioner.identity((2,)), BlockVector([[0.0, 0.0]]), beta=1.0
     )
     assert fp_residual(prob, BlockVector([[3.0, -4.0]])) == 0.0
-    lasso = scalar_instance(deflate=False)
+    lasso = scalar_instance(beta_override=1.0)
     assert fp_residual(lasso, BlockVector([[5.0]])) > 0.1
 
 
@@ -211,7 +214,7 @@ def test_reduction_bit_identical_to_classical_loop():
         else:
             q, c = a_or_q, b_or_c
             dims = (q.shape[0],)
-            bm = CocoerciveMap.linear(q, c, dims=dims)
+            bm = CocoerciveMap.linear(q, c, dims=dims, metric=Preconditioner.identity(dims))
             op = MonotoneBlock.subdiff([ProxFunction.box(-1.0, 1.0)])
         gamma = bm.beta
         oracle = StochasticOracle(bm, NoiseSchedule.zero())
@@ -477,7 +480,7 @@ def test_step_norm_decays_on_converged_runs():
 
 def test_overstated_constant_is_detected_as_divergence():
     # the advertised constant is a lie: the induced step size is unstable
-    prob = scalar_instance(beta_override=30.0, deflate=False)
+    prob = scalar_instance(beta_override=30.0)
     cfg = SolverConfig(beta=30.0, max_iter=10000, stop_tol=1e-12)
     x, trace = run(prob, cfg)
     assert trace.status == "diverged"
@@ -489,13 +492,14 @@ def test_overstated_constant_is_detected_as_divergence():
 def test_divergence_stops_at_the_first_iterate_past_the_limit(beta):
     # the loop skips the norm while ||x_0|| plus the step norms stays below
     # half the limit; it still stops at the first iterate whose norm exceeds it
-    prob = scalar_instance(lam=0.0, beta_override=beta, deflate=False)
+    prob = scalar_instance(lam=0.0, beta_override=beta)
     cfg = SolverConfig(beta=beta, max_iter=10000, stop_tol=1e-12)
     x, trace = run(prob, cfg)
-    state, n = step(prob, cfg, (prob.x0, prob.x0), 0), 0
+    gamma, lam = cfg.step_size(prob), cfg.relaxation
+    state, n = step(prob, cfg, (prob.x0, prob.x0), 0, gamma, lam), 0
     while state[0].norm() <= 1e12 and n < cfg.max_iter:
         n += 1
-        state = step(prob, cfg, state, n)
+        state = step(prob, cfg, state, n, gamma, lam)
     assert n > 5 and (trace.status, trace.diverged_at, trace.iterations) == ("diverged", n, n + 1)
     assert x.concatenated().tobytes() == state[0].concatenated().tobytes()
 
@@ -564,13 +568,19 @@ def test_config_takes_numpy_numbers():
 # --- traces -----------------------------------------------------------------------------
 
 
+def csv_text(trace):
+    f = io.StringIO()
+    trace.to_csv(f)
+    return f.getvalue()
+
+
 def test_trace_csv_format_and_determinism():
     demo = build_lasso(10, 8, 0.1, cond=10.0, seed=23)
     inst = sifb_instance(demo, noise=NoiseSchedule.polynomial(0.3, 0.75), seed=99)
     cfg = SolverConfig(beta=inst.beta, max_iter=500, stop_tol=1e-5, record_every=10)
     _, t1 = run(inst, cfg)
     _, t2 = run(inst, cfg)
-    c1, c2 = t1.to_csv(), t2.to_csv()
+    c1, c2 = csv_text(t1), csv_text(t2)
     assert c1 == c2  # same seed, same bytes
     lines = c1.strip().split("\n")
     assert lines[0] == "#schema=2"

@@ -15,6 +15,7 @@ from sifb import (
     ConfigurationError,
     InertiaSchedule,
     NoiseSchedule,
+    Preconditioner,
     StochasticOracle,
     derive_seeds,
 )
@@ -297,8 +298,9 @@ def numpy_stream(seed, n):
 
 
 def additive_oracle(dims, seed):
-    return StochasticOracle(CocoerciveMap.scaled_identity(dims, 1.0), CONSTANT_SIGMA,
-                            rng_seed=seed)
+    return StochasticOracle(
+        CocoerciveMap.scaled_identity(dims, 1.0, metric=Preconditioner.identity(dims)),
+        CONSTANT_SIGMA, rng_seed=seed)
 
 
 def numpy_additive_draw(oracle, n, w):

@@ -35,10 +35,22 @@ length and of length 1; one whose `z` holds -0.0 entries and one of whose
 metric from a nonzero x0; a `zero` map; and a `custom_pd` whose `smooth` is
 a `linear` map, on class I), so that every `map` kind and the `smooth` key
 are read.
+
+The sweeps: every config in `sweep_configs()` also goes through `sifb sweep`
+with each tree, in the same subprocess. Per sweep the script compares the
+exit code, the stdout (the validation rows, one line per replica and the
+closing fraction, with the output directory written as `<out>`), every
+`trace_*.csv`, `sweep_summary.csv` and `sweep_summary.json`, which hold no
+wall time. They run the noisy inertial lasso and the noise-free lasso on the
+`sifb` route, each serially (`--jobs 1`) and across two worker processes
+(`--jobs 2`), and the noisy split lasso on class I with `--seeds 3` across
+two workers, stopped by `max_iter` before it converges, so that the sweep
+exits 2.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -65,7 +77,8 @@ SHORT = {"max_iter": 3000, "stop_tol": 1e-8, "record_every": 5}
 def _run_config(problem, algorithm="sifb", noise=ZERO, inertia=ZERO, solver=SHORT,
                 seeds=(7,)):
     return {"problem": problem, "algorithm": algorithm, "solver": dict(solver),
-            "noise": noise, "inertia": inertia, "seeds": list(seeds)}
+            "noise": noise, "inertia": inertia,
+            "seeds": seeds if isinstance(seeds, dict) else list(seeds)}
 
 
 def _readme_example():
@@ -232,6 +245,24 @@ def configs():
     return out
 
 
+def sweep_configs():
+    """name -> (config, options of `sifb sweep`), in run order."""
+    lasso = {"demo": {"name": "lasso", "params": DEMOS["lasso"][0]}}
+    split = {"demo": {"name": "lasso", "params": DEMOS["lasso"][0], "form": "split"}}
+    noisy = _run_config(lasso, noise=NOISY, inertia=INERTIAL, solver=STOCHASTIC,
+                        seeds={"count": 3, "master_seed": 11})
+    noise_free = _run_config(lasso, seeds=(7, 8))
+    out = {}
+    for jobs in ("1", "2"):
+        out[f"sweep-lasso-sifb-noisy-inertial-jobs-{jobs}"] = (noisy, ["--jobs", jobs])
+        out[f"sweep-lasso-sifb-noise-free-jobs-{jobs}"] = (noise_free, ["--jobs", jobs])
+    out["sweep-lasso-split-pd_class1-noisy-max-iter-seeds-3"] = (
+        _run_config(split, algorithm="pd_class1", noise=NOISY,
+                    solver={"max_iter": 200, "stop_tol": 1e-8, "record_every": 10}),
+        ["--seeds", "3", "--jobs", "2"])
+    return out
+
+
 def collect(src, config_path, out_root):
     """Run every config with the sifb package under src (subprocess side)."""
     import contextlib
@@ -246,7 +277,7 @@ def collect(src, config_path, out_root):
     if os.path.dirname(package) != os.path.abspath(src):
         sys.exit(f"imported sifb from {package}, not from {src}")
     with open(config_path, encoding="utf-8") as f:
-        cfgs = json.load(f)
+        cfgs, sweeps = json.load(f)
     execute = sifb.cli._execute_single
     final = {}
 
@@ -289,17 +320,37 @@ def collect(src, config_path, out_root):
             code = sifb.cli.main(["constants", path])
         with open(os.path.join(out, "constants_exit_code"), "w", encoding="utf-8") as f:
             f.write(f"{code}\n")
+    sifb.cli._execute_single = execute
+    for name, (cfg, options) in sweeps.items():
+        out = os.path.join(out_root, name)
+        os.makedirs(out)
+        path = os.path.join(out, "config.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(cfg, f)
+        with open(os.path.join(out, "stdout.txt"), "w", encoding="utf-8") as stdout, \
+                open(os.path.join(out, "log.txt"), "w", encoding="utf-8") as log, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(log), \
+                np.errstate(all="ignore"):
+            code = sifb.cli.main(["sweep", path, "--out", os.path.join(out, "sweep"),
+                                  *options])
+        with open(os.path.join(out, "exit_code"), "w", encoding="utf-8") as f:
+            f.write(f"{code}\n")
 
 
 def _artifacts(out):
-    """The compared files of one config's output directory, as bytes."""
+    """The compared files of one config's or sweep's output directory, as bytes."""
     got = {}
+    sweep = sorted(os.path.relpath(p, out)
+                   for p in glob.glob(os.path.join(out, "sweep", "*")))
     for rel in ("exit_code", "x.bin", "residuals.json", "run/trace.csv", "run/summary.json",
-                "constants.txt", "constants_exit_code"):
+                "constants.txt", "constants_exit_code", "stdout.txt", *sweep):
         path = os.path.join(out, rel)
         if os.path.exists(path):
             with open(path, "rb") as f:
                 got[rel] = f.read()
+    if "stdout.txt" in got:
+        got["stdout.txt"] = got["stdout.txt"].replace(
+            os.path.join(out, "sweep").encode(), b"<out>")
     if "run/summary.json" in got:
         summary = json.loads(got["run/summary.json"])
         summary.pop("wall_time", None)
@@ -317,11 +368,11 @@ def main(argv):
     if len(argv) != 2:
         print("usage: python tools/trace_identity.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
-    cfgs = configs()
+    cfgs, sweeps = configs(), sweep_configs()
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "configs.json")
         with open(config_path, "w", encoding="utf-8") as f:
-            json.dump(cfgs, f)
+            json.dump([cfgs, sweeps], f)
         roots = []
         for label, src in zip(("old", "new"), argv):
             root = os.path.join(tmp, label)
@@ -329,7 +380,7 @@ def main(argv):
                             config_path, root], check=True)
             roots.append(root)
         differences = []
-        for name in cfgs:
+        for name in [*cfgs, *sweeps]:
             old, new = (_artifacts(os.path.join(root, name)) for root in roots)
             for rel in sorted(set(old) | set(new)):
                 if old.get(rel) != new.get(rel):
@@ -339,7 +390,7 @@ def main(argv):
                   f"{'same' if old == new else 'DIFFERENT'}")
     for line in differences:
         print(line)
-    print(f"{len(cfgs)} configs, {len(differences)} differences")
+    print(f"{len(cfgs)} configs, {len(sweeps)} sweeps, {len(differences)} differences")
     return 1 if differences else 0
 
 
