@@ -133,7 +133,8 @@ def beta_for_balance(nu0, mu0, c, xi):
 def optimal_balance(nu0, mu0, c):
     """The xi maximizing beta_for_balance: inf when only nu0 is infinite and 0
     when only mu0 is (the limit where the other term alone counts), nan when
-    c = 0 or both are infinite (no xi is singled out)."""
+    c = 0 or both are infinite (no xi is singled out). Finite constants whose
+    ratio leaves the float range give the same limits."""
     if c == 0.0 or not (np.isfinite(nu0) or np.isfinite(mu0)):
         return float("nan")
     if not np.isfinite(nu0):
@@ -143,8 +144,19 @@ def optimal_balance(nu0, mu0, c):
     if nu0 == mu0:
         # the discriminant collapses to (2 c nu0)^2; keep the value exact
         return 1.0
-    disc = math.sqrt((mu0 - nu0) ** 2 + 4.0 * c * c * nu0 * mu0)
-    return (nu0 - mu0 + disc) / (2.0 * mu0 * c)
+    # one power of two scales nu0, mu0, disc and both sides of the quotient
+    # exactly, and keeps the squares finite
+    e = math.frexp(max(nu0, mu0))[1]
+    nu, mu = math.ldexp(nu0, -e), math.ldexp(mu0, -e)
+    disc = math.sqrt((mu - nu) ** 2 + 4.0 * c * c * nu * mu)
+    den = 2.0 * mu * c
+    # den underflows to 0 only when mu0 / nu0 or c is below the float range;
+    # xi is then inf, and compute_constants takes the limit either way
+    xi = (nu - mu + disc) / den if den else math.inf
+    if xi == 0.0:
+        # nu - mu + disc cancelled: the same xi, rationalised
+        xi = 2.0 * c * nu / (mu - nu + disc)
+    return xi
 
 
 def compute_constants(prob):
@@ -163,10 +175,11 @@ def compute_constants(prob):
     nu0, mu0 = prob.nu0, prob.mu0
     one_m_c2 = 1.0 - c * c
     xi_hat = optimal_balance(nu0, mu0, c)
-    if c > 0.0 and np.isfinite(nu0) and np.isfinite(mu0):
+    if 0.0 < xi_hat < math.inf:
         beta_hat = beta_for_balance(nu0, mu0, c, xi_hat)
     else:
-        # at c = 0 the factor 1 - c^2 is exactly 1, and an infinite constant
+        # at c = 0 the factor 1 - c^2 is exactly 1, and an infinite constant,
+        # or one too large against the other for xi_hat to be a float,
         # drops its term of beta_for_balance's minimum
         beta_hat = one_m_c2 * min(nu0, mu0)
     beta = min(nu0, mu0 * one_m_c2)

@@ -389,69 +389,52 @@ class BlockLinearOperator:
         return f"BlockLinearOperator({self.dims_in} -> {self.dims_out})"
 
 
-# Rows of G = sqrt(W) L sqrt(V) weighted at a time while its Gram matrix is
-# accumulated; bounds the weighted copy to this many rows of one block strip.
-_GRAM_CHUNK = 64
-
-
-def _strip(cell, sw, sv, r, columns):
-    """Rows r to r + _GRAM_CHUNK of the weighted cell sw * cell * sv.
-
-    sw and sv are the square roots of the metric diagonals on the cell's rows
-    and columns. With `columns` the strip is of the cell's columns instead,
-    transposed. A scalar cell s comes back as the 1-D array of the strip's
-    nonzero entries (sw * s) * sv, the one of row j in column r + j: the
-    values the dense strip of s I would hold there, computed in the same
-    order.
+def _weighted(cell, sw, sv):
+    """sw * cell * sv, for the square roots sw and sv of the metric diagonals
+    on the cell's rows and columns. A scalar cell s gives the 1-D array
+    (sw * s) * sv of its diagonal: the values the dense s I would hold there,
+    computed in the same order.
     """
-    chunk = slice(r, r + _GRAM_CHUNK)
     if not cell.ndim:
-        return (sw[chunk] * cell) * sv[chunk]
-    if columns:
-        return (sw[:, None] * cell[:, chunk] * sv[chunk]).T
-    return sw[chunk, None] * cell[chunk] * sv
+        return (sw * cell) * sv
+    return sw[:, None] * cell * sv
 
 
-def _weighted_strips(L, V, W, tall):
-    """The rows of G = sqrt(W) L sqrt(V) feeding its smaller Gram matrix.
+def _weighted_blocks(L, V, W, tall):
+    """The block rows of G = sqrt(W) L sqrt(V) when G is tall (Gram G^T G),
+    otherwise its block columns, transposed (Gram G G^T), one at a time.
 
-    Yields (r, strip) for strips of at most _GRAM_CHUNK rows starting at row
-    r of a block, each strip a list over the blocks of the Gram side: slices
-    of the block rows of G when G is tall (Gram G^T G), otherwise slices of
-    its block columns, transposed (Gram G G^T). The sum of ga.T @ gb over the
-    strips is block (a, b) of the Gram matrix. None cells stay None; a scalar
-    cell is the 1-D array of its strip's diagonal (`_strip`).
+    Each is a list over the blocks of the Gram side, and the sum of
+    ga.T @ gb over them is block (a, b) of the Gram matrix. None cells stay
+    None; a scalar cell is the 1-D array of its diagonal (`_weighted`).
     """
     sv = [np.sqrt(d) for d in V.diag_blocks()]
     sw = [np.sqrt(d) for d in W.diag_blocks()]
     if tall:
         for k, row in enumerate(L.entries):
-            for r in range(0, L.dims_out[k], _GRAM_CHUNK):
-                yield r, [None if c is None else _strip(c, sw[k], sv[i], r, False)
-                          for i, c in enumerate(row)]
+            yield [None if c is None else _weighted(c, sw[k], sv[i]) for i, c in enumerate(row)]
     else:
         for i in range(len(L.dims_in)):
-            for r in range(0, L.dims_in[i], _GRAM_CHUNK):
-                yield r, [None if row[i] is None else _strip(row[i], sw[k], sv[i], r, True)
-                          for k, row in enumerate(L.entries)]
+            yield [None if row[i] is None else _weighted(row[i], sw[k], sv[i]).T
+                   for k, row in enumerate(L.entries)]
 
 
-def _add_gram_product(block, r, ga, gb):
-    """block += ga.T @ gb for one strip, a 1-D ga or gb being a diagonal at column r.
+def _add_gram_product(block, ga, gb):
+    """block += ga.T @ gb, a 1-D ga or gb being the diagonal of a scalar cell.
 
-    The dense strip of a scalar cell has one nonzero per row, so each entry of
-    its product is one float product plus exact zeros: a row scaling against
-    a dense strip, and a diagonal against another scalar cell's. Those
-    products are added directly, which gives the gemm's bits.
+    The dense s I has one nonzero per row, so each entry of its product is
+    one float product plus exact zeros: a row scaling against a dense block,
+    and a diagonal against another scalar cell's. Those products are added
+    directly, which gives the gemm's bits.
     """
     if ga.ndim == gb.ndim == 2:
         block += ga.T @ gb
     elif gb.ndim == 2:
-        block[r:r + len(ga)] += ga[:, None] * gb
+        block += ga[:, None] * gb
     elif ga.ndim == 2:
-        block[:, r:r + len(gb)] += (ga * gb[:, None]).T
+        block += (ga * gb[:, None]).T
     else:
-        j = np.arange(r, r + len(ga))
+        j = np.arange(len(ga))
         block[j, j] += ga * gb
 
 
@@ -460,9 +443,10 @@ def estimate_weighted_norm(L, V, W):
 
     Accumulates the smaller Gram matrix of G = sqrt(W) L sqrt(V) block by
     block (G^T G when G has no more columns than rows, G G^T otherwise) and
-    returns the square root of its largest eigenvalue. A scalar cell adds its
-    products to the Gram matrix as a diagonal or a row or column scaling, at
-    the point of the accumulation where its dense strips would be added.
+    returns the square root of its largest eigenvalue, adding one weighted
+    block row (or column) of G at a time. A scalar cell adds its products to
+    the Gram matrix as a diagonal or a row or column scaling, at the point of
+    the accumulation where its dense s I would be added.
     Raises NormEstimationError when that matrix is not finite or the
     eigensolve fails.
     """
@@ -477,15 +461,15 @@ def estimate_weighted_norm(L, V, W):
     gram = np.zeros((off[-1], off[-1]))
     # an overflow shows as a non-finite entry, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for r, strip in _weighted_strips(L, V, W, tall):
+        for g in _weighted_blocks(L, V, W, tall):
             # upper block triangle only; eigvalsh below reads that triangle
-            for a, ga in enumerate(strip):
+            for a, ga in enumerate(g):
                 if ga is None:
                     continue
-                for b in range(a, len(strip)):
-                    if strip[b] is not None:
+                for b in range(a, len(g)):
+                    if g[b] is not None:
                         _add_gram_product(gram[off[a]:off[a + 1], off[b]:off[b + 1]],
-                                          r, ga, strip[b])
+                                          ga, g[b])
     if not np.isfinite(gram).all():
         raise NormEstimationError(
             "weighted coupling norm: the Gram matrix of sqrt(W) L sqrt(V) "

@@ -683,6 +683,19 @@ def edited(cfg, change):
     return cfg
 
 
+@pytest.mark.parametrize("nu0,mu0", [(1e160, 1.0), (1.0, 1e20)],
+                         ids=["square-overflows", "cancels"])
+def test_validate_passes_extreme_given_constants(tmp_path, capsys, nu0, mu0):
+    # beta_hat = 0.75 > 1/2 for a 0.5 coupling; the balance parameter neither
+    # overflows nor cancels to 0
+    cfg = edited(custom_pd_config(),
+                 lambda c: c["problem"]["custom_pd"].update(nu0=nu0, mu0=mu0))
+    assert main(["validate", write_config(tmp_path, cfg)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert rows and all(row.startswith("[PASS]") for row in rows)
+    assert "[PASS] class-I constant beta_hat > 1/2  (beta_hat=0.75)" in rows
+
+
 # (config, the entry its one-line refusal names first)
 MALFORMED = [
     pytest.param(lasso_config(solver={"relaxation": None}), "solver.relaxation",

@@ -147,8 +147,10 @@ INF, NAN = float("inf"), float("nan")
 
 
 @pytest.mark.parametrize("c,nu,mu,xi", [(0.0, 2.0, 3.0, NAN), (0.5, INF, INF, NAN),
-                                        (0.5, INF, 3.0, INF), (0.5, 2.0, INF, 0.0)],
-                         ids=["c-zero", "both-infinite", "nu0-infinite", "mu0-infinite"])
+                                        (0.5, INF, 3.0, INF), (0.5, 2.0, INF, 0.0),
+                                        (0.5, 1e200, 1e-200, INF), (0.5, 1e-200, 1e200, 0.0)],
+                         ids=["c-zero", "both-infinite", "nu0-infinite", "mu0-infinite",
+                              "nu0-over-mu0-overflows", "nu0-over-mu0-underflows"])
 def test_balance_where_the_formula_has_no_interior_optimum(c, nu, mu, xi):
     # compute_constants reports optimal_balance's xi; an infinite constant
     # drops its term of the class-I minimum
@@ -156,6 +158,18 @@ def test_balance_where_the_formula_has_no_interior_optimum(c, nu, mu, xi):
     for got in (optimal_balance(nu, mu, rep.c), rep.xi_hat):
         assert got == xi or (np.isnan(xi) and np.isnan(got))
     assert rep.beta_hat == (1.0 - rep.c * rep.c) * min(nu, mu)
+
+
+@pytest.mark.parametrize("nu,mu,beta_hat", [
+    (1e160, 1.0, 0.75), (1.0, 1e160, 0.75), (1.0, 1e20, 0.75),
+    (1e160, np.nextafter(1e160, INF), 5e159)],
+    ids=["square-overflows", "square-overflows-mu0", "cancels", "product-overflows"])
+def test_balance_without_overflow_or_cancellation(nu, mu, beta_hat):
+    # (mu0 - nu0)^2 or 4 c^2 nu0 mu0 overflows, or nu0 - mu0 + disc cancels
+    # to 0, unless nu0 and mu0 are scaled first and the quotient rationalised
+    xi = optimal_balance(nu, mu, 0.5)
+    assert 0.0 < xi < INF
+    assert beta_for_balance(nu, mu, 0.5, xi) == pytest.approx(beta_hat, rel=1e-12)
 
 
 def test_constants_infeasible_norm():
@@ -245,6 +259,102 @@ def test_class2_constant_equals_the_scalar_metric_closed_form(case):
     rep = compute_constants(prob)
     want = scalar_feasibility_constant(nu, mu, tau, sigma, l_norm)
     assert rep.beta == pytest.approx(want, rel=1e-12)
+
+
+CATALOGUE = ["zero", "l1", "sq_l2", "box", "linf_ball", "affine"]
+# the primal families whose function is coercive on its own
+COERCIVE = ["sq_l2", "box", "linf_ball"]
+
+
+@st.composite
+def gated_problems(draw):
+    """(problem, primal operators all zero): a problem that has a solution.
+
+    1-2 primal and 1-2 dual blocks of dims <= 4, scalar or diagonal metrics,
+    catalogue functions on both sides, and dense, None and scalar coupling
+    cells scaled to a target c in [0.05, 0.95]. Optional smooth terms
+    C = mu I and D^-1 = mu I set nu0 and mu0 in [0.3, 5]. The primal side is
+    coercive (C is present, or every primal function is coercive), and a box
+    or ball holds the point that x = 0 gives it, so a primal-dual solution
+    exists (Fenchel-Rockafellar).
+    """
+    dims_in = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    dims_out = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def metric(dims):
+        if draw(st.booleans()):
+            return Preconditioner.scalar(rng.uniform(0.2, 2.0, len(dims)), dims)
+        return Preconditioner.diagonal([rng.uniform(0.2, 2.0, d) for d in dims])
+
+    def function(family, d, inside):
+        if family == "l1":
+            return ProxFunction.l1(draw(st.floats(0.0, 2.0)))
+        if family == "sq_l2":
+            return ProxFunction.squared_l2(draw(st.floats(0.1, 2.0)), rng.uniform(-1, 1, d))
+        if family == "box":
+            return ProxFunction.box(inside - rng.uniform(0.1, 2.0, d),
+                                    inside + rng.uniform(0.1, 2.0, d))
+        if family == "linf_ball":
+            return ProxFunction.linf_ball(np.abs(inside).max() + draw(st.floats(0.1, 2.0)))
+        if family == "affine":
+            return ProxFunction.affine(rng.uniform(-1, 1, d))
+        return ProxFunction.zero()
+
+    def scaled_identity(dims, metric):
+        # constant nu0 (or mu0) = 1 / (mu max(metric)) relative to the metric
+        top = max(float(w.max()) for w in metric.diag_blocks())
+        return CocoerciveMap.scaled_identity(dims, 1.0 / (draw(st.floats(0.3, 5.0)) * top),
+                                             metric)
+
+    V, W = metric(dims_in), metric(dims_out)
+    zero_primal = draw(st.booleans())
+    smooth = zero_primal or draw(st.booleans())
+    families = CATALOGUE if smooth else COERCIVE
+    primal_ops = (MonotoneBlock.zero(len(dims_in)) if zero_primal else MonotoneBlock.subdiff(
+        [function(draw(st.sampled_from(families)), d, np.zeros(d)) for d in dims_in]))
+    r = [rng.uniform(-1, 1, d) for d in dims_out]
+    dual_inverse = MonotoneBlock.conjugate_subdiff(
+        [function(draw(st.sampled_from(CATALOGUE)), d, -rk) for d, rk in zip(dims_out, r)])
+    entries = []
+    for dk in dims_out:
+        row = []
+        for di in dims_in:
+            kind = draw(st.sampled_from(["none", "dense"] + (["scalar"] if dk == di else [])))
+            row.append(None if kind == "none" else draw(st.floats(-2.0, 2.0)) if kind == "scalar"
+                       else rng.standard_normal((dk, di)))
+        entries.append(row)
+    coupling = BlockLinearOperator(entries, dims_in, dims_out)
+    sv, sw = (np.sqrt(np.concatenate(m.diag_blocks())) for m in (V, W))
+    c0 = float(np.linalg.norm(sw[:, None] * dense(coupling) * sv, 2))
+    if c0 > 0:
+        t = draw(st.floats(0.05, 0.95)) / c0
+        coupling = BlockLinearOperator(
+            [[None if c is None else c * t for c in row] for row in coupling.entries],
+            dims_in, dims_out)
+    prob = PrimalDualProblem(
+        primal_ops=primal_ops, z=BlockVector([rng.uniform(-1, 1, d) for d in dims_in]), V=V,
+        dual_inverse=dual_inverse, r=BlockVector(r), W=W, coupling=coupling,
+        smooth=scaled_identity(dims_in, V) if smooth else None,
+        dual_smooth=scaled_identity(dims_out, W) if draw(st.booleans()) else None)
+    return prob, zero_primal
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=gated_problems())
+def test_gates_admit_only_runs_that_converge(case):
+    # an assembly that compute_constants admits converges noise-free within a
+    # fixed budget, and its iterates stay bounded; a counterexample is a gate bug
+    prob, zero_primal = case
+    rep = compute_constants(prob)
+    admitted = [assemble_class1] if rep.feasible_class1 else []
+    if zero_primal and rep.feasible_class2:
+        admitted.append(assemble_class2)
+    for assemble in admitted:
+        inst = assemble(prob)
+        x, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=20000, stop_tol=1e-9))
+        assert trace.status == "converged", (assemble.__name__, trace.iterations, rep)
+        assert trace.steps_bounded and np.isfinite(x.concatenated()).all()
 
 
 @pytest.fixture

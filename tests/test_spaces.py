@@ -327,7 +327,7 @@ NORM_LAYOUTS = {
     "none_cells": ((3, 4, 2), (5, 3), ((0, 1), (1, 0), (1, 2))),
     "wide_none_cells": ((7, 5), (2, 3), ((1, 0),)),
     "zero_length_block": ((3, 0, 4), (0, 5), ()),
-    # longer than one accumulation chunk of rows
+    # blocks of more than 64 rows
     "tall_chunked": ((70, 2), (150, 3), ((1, 0),)),
     "wide_chunked": ((140, 5), (30,), ()),
 }
@@ -416,7 +416,7 @@ def test_block_operator_adjoint_dense_and_scalar_cells(case):
     assert estimate_weighted_norm(op, V, W) == estimate_weighted_norm(ref, V, W)
 
 
-# (primal dims, dual dims, cell kinds) with blocks longer than one Gram chunk,
+# (primal dims, dual dims, cell kinds) with blocks of more than 64 rows,
 # in tall form (more dual than primal coordinates); the wide form is the
 # transpose. "s" is a scalar cell, "d" a dense one.
 CHUNKED_SCALAR_LAYOUTS = [
@@ -430,7 +430,7 @@ CHUNKED_SCALAR_LAYOUTS = [
 
 @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
 def test_scalar_cell_norm_bit_identical_across_gram_chunks(tall):
-    # the split lasso layout [[A], [s I]] with blocks longer than one chunk
+    # the split lasso layout [[A], [s I]] with blocks of more than 64 rows
     rng = np.random.default_rng(7)
     n, p = (150, 140) if tall else (30, 150)
     a = rng.standard_normal((n, p))

@@ -16,6 +16,12 @@ bit for bit. The subprocess takes the final iterate from
 `sifb.cli._execute_single`. It prints every difference and exits 1 if there
 is one, 0 otherwise.
 
+Traces (`trace.csv`, and a sweep's `trace_*.csv`) are compared by
+`compare_traces`. With the same `#schema=` line any byte difference is a
+difference, as for every other file. When the schema lines differ, every
+column that both headers name is compared byte for byte, and each column
+that only one trace has is one difference, listed by name.
+
 The configs: the README's example config; every demo problem on the `sifb`
 route and on both primal-dual classes for each of its forms; the lasso demo
 with poly noise and poly inertia, with geom noise and geom inertia, with
@@ -24,8 +30,8 @@ every mode of both schedule sections is read; the lasso demo with a given
 step on the `sifb` route, recording every fifth row and every row (where
 the forward-backward map alternates between the kernels of the given step
 and of the residual's default step), and with a given step and relaxation on
-class I;
-the split lasso on both primal-dual classes recording every third row; the
+class I; the split lasso on both primal-dual classes recording every third
+row, and at 80x70, whose coupling has a block of more than 64 rows; the
 `custom` and `custom_pd` configs of `tests/test_cli.py`; and seven custom
 problems (a diagonal metric with relaxation and inertia; a primal-dual
 problem with box, sq_l2, affine and linf_ball blocks and a scalar coupling
@@ -157,6 +163,10 @@ def configs():
     for algorithm in ("pd_class1", "pd_class2"):
         out[f"lasso-split-{algorithm}-record-every-3"] = _run_config(
             split, algorithm=algorithm, solver={**SHORT, "record_every": 3})
+    large = {"demo": {"name": "lasso", "params": {**DEMOS["lasso"][0], "n": 80, "p": 70},
+                      "form": "split"}}
+    for algorithm in ("pd_class1", "pd_class2"):
+        out[f"lasso-split-80x70-{algorithm}"] = _run_config(large, algorithm=algorithm)
     out.update(_test_cli_configs())
     out["custom-diagonal-metric-relaxed-inertial"] = _run_config(
         {"custom": {
@@ -337,6 +347,41 @@ def collect(src, config_path, out_root):
             f.write(f"{code}\n")
 
 
+def _columns(lines):
+    """Column name -> its fields, row by row, of a trace split into lines.
+
+    A short row has no field in the columns it lacks (None), and the empty
+    line after the last newline is a row, so the row count is compared too.
+    """
+    header = lines[1].decode().split(",")
+    rows = [line.split(b",") for line in lines[2:]]
+    return {name: [row[j] if j < len(row) else None for row in rows]
+            for j, name in enumerate(header)}
+
+
+def compare_traces(old, new):
+    """The differences between two traces (`trace.csv` bytes), as text.
+
+    Traces with the same `#schema=` line must match byte for byte: any
+    difference is one, "differs". Across schemas, every column that both
+    headers name is compared field by field, byte for byte, and each column
+    that only one of them has is listed by name as added or removed; the
+    schema line itself is not a difference.
+    """
+    if old == new:
+        return []
+    old_lines, new_lines = old.split(b"\n"), new.split(b"\n")
+    if old_lines[0] == new_lines[0] or not all(
+            len(lines) > 1 and lines[0].startswith(b"#schema=")
+            for lines in (old_lines, new_lines)):
+        return ["differs"]
+    old_cols, new_cols = _columns(old_lines), _columns(new_lines)
+    return ([f"column {n!r} removed" for n in old_cols if n not in new_cols]
+            + [f"column {n!r} added" for n in new_cols if n not in old_cols]
+            + [f"column {n!r} differs" for n in old_cols
+               if n in new_cols and old_cols[n] != new_cols[n]])
+
+
 def _artifacts(out):
     """The compared files of one config's or sweep's output directory, as bytes."""
     got = {}
@@ -382,12 +427,17 @@ def main(argv):
         differences = []
         for name in [*cfgs, *sweeps]:
             old, new = (_artifacts(os.path.join(root, name)) for root in roots)
+            found = []
             for rel in sorted(set(old) | set(new)):
-                if old.get(rel) != new.get(rel):
-                    differences.append(f"{name}: {rel} differs")
+                if old.get(rel) == new.get(rel):
+                    continue
+                if os.path.basename(rel).startswith("trace") and rel in old and rel in new:
+                    found += [f"{name}: {rel} {d}" for d in compare_traces(old[rel], new[rel])]
+                else:
+                    found.append(f"{name}: {rel} differs")
+            differences += found
             code = new.get("exit_code", b"?").decode().strip()
-            print(f"{name}: exit {code}, "
-                  f"{'same' if old == new else 'DIFFERENT'}")
+            print(f"{name}: exit {code}, {'DIFFERENT' if found else 'same'}")
     for line in differences:
         print(line)
     print(f"{len(cfgs)} configs, {len(sweeps)} sweeps, {len(differences)} differences")
