@@ -406,7 +406,18 @@ class CocoerciveMap:
         self.beta_exact = float(beta_exact) if beta_exact is not None else float(beta)
         self.metric = metric
         self.components = components  # (count, batch_fn) for finite sums
-        self.extremal = extremal      # BlockVector probe direction, if known
+        # BlockVector probe direction, or a function computing it on first read;
+        # None if unknown
+        self._extremal = extremal
+
+    @property
+    def extremal(self):
+        """The audit's probe direction, computed when first read. Two threads
+        that read it at once each compute the same vector."""
+        probe = self._extremal
+        if callable(probe):
+            probe = self._extremal = probe()
+        return probe
 
     def apply(self, x):
         if x.dims != self.dims:
@@ -449,8 +460,9 @@ class CocoerciveMap:
         """Gradient of 0.5 ||A x - b||^2 on a single block.
 
         beta = 1 / ||sqrt(M) A^T A sqrt(M)|| with respect to the metric M,
-        from one dense eigensolve of the smaller Gram matrix of A sqrt(M),
-        which also yields the extremal probe direction.
+        from one eigenvalue-only dense solve of the smaller Gram matrix of
+        A sqrt(M); the extremal probe direction is computed when an audit
+        first reads it.
         """
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -464,22 +476,23 @@ class CocoerciveMap:
         if metric.dims != dims:
             raise DimensionMismatch(f"metric dims {metric.dims} != map dims {dims}")
 
-        # top eigenpair of G^T G, G = A sqrt(M); for wide A through G G^T,
-        # whose top eigenvector u gives the right singular vector G^T u / ||G^T u||
+        # top eigenvalue of G^T G, G = A sqrt(M); for wide A that of G G^T
         sw = np.sqrt(metric.diag_blocks()[0])
-        lam_max = 0.0
-        extremal = None
-        if a.size:
+        wide = a.shape[0] < a.shape[1]
+
+        def gram():
             g = a * sw
-            if g.shape[0] < g.shape[1]:
-                vals, vecs = np.linalg.eigh(g @ g.T)
-                top = g.T @ vecs[:, -1]
-            else:
-                vals, vecs = np.linalg.eigh(g.T @ g)
-                top = vecs[:, -1]
-            lam_max = float(vals[-1])
-            if lam_max > 0:
-                extremal = BlockVector._wrap([sw * (top / np.linalg.norm(top))])
+            return g, (g @ g.T if wide else g.T @ g)
+
+        def extremal():
+            # top eigenvector of G^T G; for wide A the top eigenvector u of
+            # G G^T gives the right singular vector G^T u / ||G^T u||
+            g, mat = gram()
+            vecs = np.linalg.eigh(mat)[1]
+            top = g.T @ vecs[:, -1] if wide else vecs[:, -1]
+            return BlockVector._wrap([sw * (top / np.linalg.norm(top))])
+
+        lam_max = float(np.linalg.eigvalsh(gram()[1])[-1]) if a.size else 0.0
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
         beta = beta_exact / BETA_DEFLATION
 
@@ -495,12 +508,18 @@ class CocoerciveMap:
             return BlockVector._wrap([g])
 
         return cls("lstsq", dims, apply_fn, beta=beta, beta_exact=beta_exact,
-                   metric=metric, components=(nrows, batch_fn), extremal=extremal)
+                   metric=metric, components=(nrows, batch_fn),
+                   extremal=extremal if lam_max > 0 else None)
 
     @classmethod
     def linear(cls, q, offset, dims, metric):
         """x -> Q x + offset on the flat concatenation, Q symmetric PSD; an
-        offset None is 0."""
+        offset None is 0.
+
+        beta = 1 / ||sqrt(M) Q sqrt(M)|| with respect to the metric M, from one
+        eigenvalue-only dense solve; the extremal probe direction is computed
+        when an audit first reads it.
+        """
         q = np.asarray(q, dtype=np.float64)
         n = q.shape[0] if q.ndim else 0
         if q.shape != (n, n):
@@ -515,11 +534,15 @@ class CocoerciveMap:
         extremal = None
         lam_max = 0.0
         if n:
-            w = np.concatenate(metric.diag_blocks())
-            sym = np.sqrt(w)[:, None] * q * np.sqrt(w)[None, :]
-            vals, vecs = np.linalg.eigh(sym)
-            lam_max = float(vals[-1])
-            extremal = BlockVector.from_flat(np.sqrt(w) * vecs[:, -1], dims)
+            sw = np.sqrt(np.concatenate(metric.diag_blocks()))
+
+            def sym():
+                return sw[:, None] * q * sw[None, :]
+
+            def extremal():
+                return BlockVector.from_flat(sw * np.linalg.eigh(sym())[1][:, -1], dims)
+
+            lam_max = float(np.linalg.eigvalsh(sym())[-1])
         if lam_max < -1e-10:
             raise ConfigurationError("quadratic matrix must be positive semidefinite")
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max

@@ -149,14 +149,13 @@ def optimal_balance(nu0, mu0, c):
     e = math.frexp(max(nu0, mu0))[1]
     nu, mu = math.ldexp(nu0, -e), math.ldexp(mu0, -e)
     disc = math.sqrt((mu - nu) ** 2 + 4.0 * c * c * nu * mu)
+    if mu > nu:
+        # nu - mu + disc cancels, partly or wholly: the same xi, rationalised
+        return 2.0 * c * nu / (mu - nu + disc)
     den = 2.0 * mu * c
     # den underflows to 0 only when mu0 / nu0 or c is below the float range;
     # xi is then inf, and compute_constants takes the limit either way
-    xi = (nu - mu + disc) / den if den else math.inf
-    if xi == 0.0:
-        # nu - mu + disc cancelled: the same xi, rationalised
-        xi = 2.0 * c * nu / (mu - nu + disc)
-    return xi
+    return (nu - mu + disc) / den if den else math.inf
 
 
 def compute_constants(prob):

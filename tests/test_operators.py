@@ -365,6 +365,9 @@ def test_least_squares_beta_both_directions_multidim():
     assert check_cocoercivity(b_map, trials=100, seed=3).passed
     inflated = 1.05 * b_map.beta
     assert not check_cocoercivity(b_map, trials=100, seed=3, beta=inflated).passed
+    # the probe along the top eigenvector refutes a constant 1e-9 too large
+    assert not check_cocoercivity(b_map, trials=100, seed=3,
+                                  beta=b_map.beta_exact * (1 + 1e-9)).passed
 
 
 def _lstsq_case(shape, weighted, seed):
@@ -404,6 +407,26 @@ def test_least_squares_wide_weighted_probe_stays_sharp():
     assert check_cocoercivity(b_map, trials=100, seed=3).passed
     inflated = 1.05 * b_map.beta
     assert not check_cocoercivity(b_map, trials=100, seed=3, beta=inflated).passed
+    assert not check_cocoercivity(b_map, trials=100, seed=3,
+                                  beta=b_map.beta_exact * (1 + 1e-9)).passed
+
+
+def _top_direction(mat):
+    """The top eigenvector of a symmetric matrix, from a full eigh."""
+    return np.linalg.eigh(mat)[1][:, -1]
+
+
+@pytest.mark.parametrize("shape", [(12, 8), (8, 14)], ids=["tall", "wide"])
+def test_least_squares_probe_is_computed_on_first_read(shape):
+    a, b, metric = _lstsq_case(shape, True, seed=23)
+    b_map = CocoerciveMap.least_squares_gradient(a, b, metric=metric)
+    sw = np.sqrt(metric.diag_blocks()[0])
+    g = a * sw
+    top = g.T @ _top_direction(g @ g.T) if shape[0] < shape[1] else _top_direction(g.T @ g)
+    want = sw * (top / np.linalg.norm(top))
+    got = b_map.extremal
+    assert got.blocks[0].tobytes() == want.tobytes()
+    assert b_map.extremal is got  # computed once
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (3, 0), (0, 3)])
@@ -439,6 +462,21 @@ def test_linear_map_against_quadratic():
     lam_max = np.linalg.eigvalsh(q)[-1]
     assert b_map.beta_exact == pytest.approx(1.0 / lam_max, rel=1e-12)
     assert check_cocoercivity(b_map, trials=50, seed=4, beta=b_map.beta_exact).passed
+    assert check_cocoercivity(b_map, trials=50, seed=4).passed
+    assert not check_cocoercivity(b_map, trials=50, seed=4,
+                                  beta=b_map.beta_exact * (1 + 1e-9)).passed
+
+
+def test_linear_map_probe_is_computed_on_first_read():
+    rng = np.random.default_rng(24)
+    m = rng.standard_normal((5, 5))
+    q = m @ m.T
+    dims = (2, 3)
+    metric = Preconditioner.diagonal([rng.uniform(0.5, 2.0, d) for d in dims])
+    b_map = CocoerciveMap.linear(q, None, dims, metric)
+    sw = np.sqrt(np.concatenate(metric.diag_blocks()))
+    want = sw * _top_direction(sw[:, None] * q * sw[None, :])
+    assert b_map.extremal.concatenated().tobytes() == want.tobytes()
 
 
 def test_minibatch_requires_finite_sum():

@@ -172,6 +172,21 @@ def test_balance_without_overflow_or_cancellation(nu, mu, beta_hat):
     assert beta_for_balance(nu, mu, 0.5, xi) == pytest.approx(beta_hat, rel=1e-12)
 
 
+def test_balance_is_accurate_where_mu0_dwarfs_nu0():
+    # nu0 - mu0 + disc keeps a few digits only, so the unrationalised quotient
+    # was positive but gave beta_hat about 0.51 of its value here
+    from decimal import Decimal, localcontext
+
+    nu, mu, c = 0.09423940836164477, 119850200374628.05, 0.40334920379139044
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, m, k = Decimal(nu), Decimal(mu), Decimal(c)
+        xi = 2 * k * n / (m - n + ((m - n) ** 2 + 4 * k * k * n * m).sqrt())
+        want = float((1 - k * k) * n / (1 + xi * k))
+    got = beta_for_balance(nu, mu, c, optimal_balance(nu, mu, c))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_constants_infeasible_norm():
     with pytest.raises(InfeasibleProblemError, match=">= 1"):
         compute_constants(small_problem(1.2))

@@ -194,6 +194,20 @@ def test_demo_constants_pass_cocoercivity_audit():
     assert compute_constants(smooth_form).feasible_class1
 
 
+def test_instances_and_runs_need_no_eigenvectors(monkeypatch):
+    # beta comes from eigenvalues alone; only an audit reads the probe
+    # direction, which needs eigh
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for demo in (build_lasso(12, 8, 0.2, seed=15), build_lasso(8, 12, 0.2, seed=16),
+                 build_coupled_system(2, 3, seed=17)):
+        solve(sifb_instance(demo), tol=1e-8)
+    psum = build_parallel_sum_instance(6, mu=0.5, lam=0.1, seed=18)
+    solve(assemble_class1(pd_problem(psum)), tol=1e-8)
+
+
 def test_oracle_objective_dominates_solver_outputs():
     demo = build_lasso(20, 30, 0.1, cond=100.0, seed=14)
     ref = reference_oracle(demo, tol=1e-10)

@@ -32,8 +32,11 @@ the forward-backward map alternates between the kernels of the given step
 and of the residual's default step), and with a given step and relaxation on
 class I; the split lasso on both primal-dual classes recording every third
 row, and at 80x70, whose coupling has a block of more than 64 rows; the
-`custom` and `custom_pd` configs of `tests/test_cli.py`; and seven custom
-problems (a diagonal metric with relaxation and inertia; a primal-dual
+lasso demo at 20x30 on the `sifb` route, whose wide data take the map's
+constant from the row-space Gram matrix; the `custom` and `custom_pd`
+configs of `tests/test_cli.py`; and eight custom problems (a wide `lstsq`
+map with a given `beta`, whose audit reads the map's probe direction; a
+diagonal metric with relaxation and inertia; a primal-dual
 problem with box, sq_l2, affine and linf_ball blocks and a scalar coupling
 cell; one whose `center`, `lo`, `hi` and `c` are vectors of the block's
 length and of length 1; one whose `z` holds -0.0 entries and one of whose
@@ -135,6 +138,8 @@ def _test_cli_configs():
 
 def configs():
     """name -> config, in run order."""
+    import numpy as np
+
     out = {"readme-example": _readme_example()}
     for name, (params, forms) in DEMOS.items():
         out[f"{name}-sifb"] = _run_config({"demo": {"name": name, "params": params}})
@@ -167,6 +172,8 @@ def configs():
                       "form": "split"}}
     for algorithm in ("pd_class1", "pd_class2"):
         out[f"lasso-split-80x70-{algorithm}"] = _run_config(large, algorithm=algorithm)
+    out["lasso-sifb-20x30"] = _run_config(
+        {"demo": {"name": "lasso", "params": {**DEMOS["lasso"][0], "n": 20, "p": 30}}})
     out.update(_test_cli_configs())
     out["custom-diagonal-metric-relaxed-inertial"] = _run_config(
         {"custom": {
@@ -240,6 +247,13 @@ def configs():
                        {"dim": 3, "operator": {"family": "box", "lo": -0.5, "hi": 0.5}}],
             "map": {"kind": "zero"},
             "x0": [1.0, -1.0, 2.0, -0.1, 0.3]}})
+    # beta is 0.0865 here, so the audit of the given 0.08 passes
+    rng = np.random.default_rng(5)
+    out["custom-wide-lstsq-given-beta"] = _run_config(
+        {"custom": {"blocks": [{"dim": 7, "operator": {"family": "l1", "lam": 0.1}}],
+                    "map": {"kind": "lstsq", "a": rng.standard_normal((4, 7)).tolist(),
+                            "b": rng.standard_normal(4).tolist()},
+                    "beta": 0.08}})
     out["custom_pd-linear-smooth-pd_class1"] = _run_config(
         {"custom_pd": {
             "primal": [{"dim": 3, "operator": {"family": "l1", "lam": 0.2}}],
