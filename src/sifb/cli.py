@@ -141,7 +141,7 @@ def _write_json(path, payload):
 def _execute_single(exp, seed, out_dir, trace_name="trace.csv"):
     inst = exp.make_instance(seed)
     cfg = exp.solver_config(inst.beta)
-    ref_primal = exp.reference()
+    ref_primal, certificate = exp.reference()
     # the trace tracks distances only on the plain route; the primal-dual
     # routes report the primal distance in the summary below
     reference = ref_primal if exp.algorithm == "sifb" else None
@@ -151,6 +151,7 @@ def _execute_single(exp, seed, out_dir, trace_name="trace.csv"):
     summary = trace.summary()
     summary.update({"seed": seed, "algorithm": exp.algorithm})
     if ref_primal is not None:
+        summary["reference_certificate"] = certificate
         if exp.algorithm == "sifb":
             summary["dist_to_ref"] = (x - ref_primal).norm()
         else:

@@ -20,7 +20,7 @@ from .errors import (ConfigurationError, DimensionMismatch, bind_config, bind_ki
                      config_entry)
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
-from .problems import (DemoProblem, build_demo, pd_problem, reference_oracle,
+from .problems import (DemoProblem, build_demo, certified_reference, pd_problem,
                        sifb_instance)
 from .solver import SolverConfig
 from .spaces import BlockLinearOperator, BlockVector, Preconditioner
@@ -244,10 +244,11 @@ class Experiment:
         return SolverConfig(beta=beta, inertia=self.inertia, **self.solver_spec)
 
     def reference(self):
-        """Oracle solution for demo problems (primal blocks)."""
+        """Oracle solution for demo problems (primal blocks) and its
+        certificate; (None, None) when there is none."""
         if not self.want_reference or not isinstance(self.problem, DemoProblem):
-            return None
-        return reference_oracle(self.problem, tol=1e-10)
+            return None, None
+        return certified_reference(self.problem, tol=1e-10)
 
 
 def _seed(value, rule):

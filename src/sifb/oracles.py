@@ -2,9 +2,21 @@
 
 These provide the ground-truth solutions that the acceptance checks compare
 against. They deliberately share no code with the solver modules: plain numpy
-loops, dense eigendecompositions for step sizes, and their own stopping
-rules. Never approximate silently: failure to reach the requested tolerance
-raises.
+loops and dense eigenvalue solves for step sizes. Never approximate silently:
+failure to reach the requested tolerance raises.
+
+Each solver returns its point and a certificate. The three proximal-gradient
+solvers run x <- prox(x - t (H x - v), t) only to a loose stop (a step of at
+most max(tol, _LOOSE_TOL)). Their proxes are separable and piecewise affine,
+so they then polish: one linear solve for the fixed point of the map with the
+prox held on its affine piece at that iterate (for the lasso, the normal
+equations on the support with its signs). The polished point is returned
+only if its own fixed-point residual ||x - prox(x - t (H x - v), t)|| is at
+most tol; otherwise the loop goes on to a step of at most tol, and returns
+the point whose step that is. The certificate is the fixed-point residual of
+the returned point: a point with certificate 0 is exactly optimal. The
+least-squares solver's certificate is its normal-equation residual
+||A'(A x - b)||.
 """
 
 from __future__ import annotations
@@ -15,47 +27,100 @@ from .errors import OracleError
 
 # iterations a reference solve may take before it raises OracleError
 _MAX_ITER = 500000
+# step at which the prox-gradient loop polishes, when tol is tighter
+_LOOSE_TOL = 1e-4
 
 
 def _top_eig(mat):
     return float(np.linalg.eigvalsh(mat)[-1])
 
 
-def _prox_gradient(name, h, v, prox, tol):
-    """x <- prox(x - t (H x - v), t) from x = 0, with t = 1 / lambda_max(H).
+def _gram_top(a, gram):
+    """lambda_max of gram = A'A, from the smaller of A'A and AA' (the same value)."""
+    return _top_eig(a @ a.T if a.shape[0] < a.shape[1] else gram)
 
-    Stops when the fixed-point residual ||x_new - x|| falls below tol, and
-    raises, naming the solver `name`, when _MAX_ITER iterations do not get there.
+
+def _polish(h, v, t, d, e):
+    """The fixed point of x = d (x - t (H x - v)) + e, elementwise d in [0, 1]:
+    the prox-gradient map with the prox held on its affine piece d z + e.
+
+    Where d = 0, x = e. On the other entries, divided by t d, the fixed point
+    solves (H + diag((1 - d) / (t d))) x = v + e / (t d), the rest held at e.
+    Raises numpy's LinAlgError when that system is singular.
     """
-    t = 1.0 / _top_eig(h)
+    x = e.copy()
+    free = d > 0
+    if free.any():
+        df, rows = d[free], h[free]
+        lhs = rows[:, free] + np.diag((1.0 - df) / (t * df))
+        rhs = v[free] + e[free] / (t * df) - rows[:, ~free] @ e[~free]
+        x[free] = np.linalg.solve(lhs, rhs)
+    return x
+
+
+def _prox_gradient(name, h, v, top, piece, tol):
+    """x <- prox(x - t (H x - v), t) from x = 0, with t = 1 / top, top = lambda_max(H),
+    polished once at the loose stop; (point, certificate) as the module says.
+
+    piece(z, t) is the affine piece (d, e) of the prox at z: prox(z, t) = d z + e.
+    Raises, naming the solver `name`, when _MAX_ITER iterations do not reach tol.
+    """
+    t = 1.0 / top
+
+    def prox_step(x):
+        z = x - t * (h @ x - v)
+        d, e = piece(z, t)
+        return d * z + e, d, e
+
+    loose, polish = max(tol, _LOOSE_TOL), True
     x = np.zeros(h.shape[0])
     for _ in range(_MAX_ITER):
-        x_new = prox(x - t * (h @ x - v), t)
-        if np.linalg.norm(x_new - x) <= tol:
-            return x_new
+        x_new, d, e = prox_step(x)
+        step = float(np.linalg.norm(x_new - x))
+        if polish and step <= loose:
+            polish = False
+            try:
+                y = _polish(h, v, t, d, e)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                certificate = float(np.linalg.norm(y - prox_step(y)[0]))
+                if certificate <= tol:
+                    return y, certificate
+        if step <= tol:
+            return x, step
         x = x_new
     raise OracleError(f"{name} did not reach tol={tol} in {_MAX_ITER} iterations")
 
 
 def ista_lasso(a, b, lam, tol):
-    """Proximal gradient on 0.5 ||A x - b||^2 + lam ||x||_1.
-
-    Stops when the fixed-point residual of the prox-gradient map falls below
-    tol.
-    """
+    """Proximal gradient on 0.5 ||A x - b||^2 + lam ||x||_1, polished on its
+    support; (x, certificate)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    return _prox_gradient("ista_lasso", a.T @ a, a.T @ b,
-                          lambda z, t: np.sign(z) * np.maximum(np.abs(z) - t * lam, 0.0),
-                          tol)
+
+    def piece(z, t):
+        # soft thresholding: z - t lam sign(z) where |z| > t lam, 0 elsewhere
+        live = np.abs(z) > t * lam
+        return live.astype(np.float64), np.where(live, -t * lam * np.sign(z), 0.0)
+
+    gram = a.T @ a
+    return _prox_gradient("ista_lasso", gram, a.T @ b, _gram_top(a, gram), piece, tol)
 
 
 def projected_gradient_box(q, c, lo, hi, tol):
-    """Projected gradient for min 0.5 x'Qx - c'x over the box [lo, hi]."""
-    return _prox_gradient(
-        "projected_gradient_box", np.asarray(q, dtype=np.float64),
-        np.asarray(c, dtype=np.float64).reshape(-1),
-        lambda z, t: np.minimum(np.maximum(z, lo), hi), tol)
+    """Projected gradient for min 0.5 x'Qx - c'x over the box [lo, hi],
+    polished on its free set; (x, certificate)."""
+    q = np.asarray(q, dtype=np.float64)
+
+    def piece(z, t):
+        # projection: z inside the box, the bound it crosses outside
+        inside = (z > lo) & (z < hi)
+        return inside.astype(np.float64), np.where(z <= lo, lo, np.where(z >= hi, hi, 0.0))
+
+    return _prox_gradient("projected_gradient_box", q,
+                          np.asarray(c, dtype=np.float64).reshape(-1), _top_eig(q),
+                          piece, tol)
 
 
 def huber_value(u, lam, mu):
@@ -66,32 +131,32 @@ def huber_value(u, lam, mu):
     return float(np.where(np.abs(u) <= lam * mu, quad, lin).sum())
 
 
-def huber_prox(z, step, lam, mu):
-    """Closed-form prox of the smoothed absolute value, elementwise.
-
-    Piecewise from the optimality condition: the quadratic region shrinks by
-    mu/(mu+step), the linear region soft-thresholds by step*lam.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    inner = np.abs(z) <= lam * (mu + step)
-    return np.where(inner, z * (mu / (mu + step)), z - step * lam * np.sign(z))
-
-
 def smoothed_lasso_ista(a, b, lam, mu, tol):
-    """Proximal gradient on 0.5 ||A x - b||^2 + sum_j huber(x_j).
+    """Proximal gradient on 0.5 ||A x - b||^2 + sum_j huber(x_j), polished on
+    its pieces; (x, certificate).
 
     Treats the smoothed separable term by its closed-form prox, so the step
-    size does not degrade as mu -> 0. Stops on the prox-gradient fixed-point
-    residual.
+    size does not degrade as mu -> 0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    return _prox_gradient("smoothed_lasso_ista", a.T @ a, a.T @ b,
-                          lambda z, t: huber_prox(z, t, lam, mu), tol)
+
+    def piece(z, t):
+        # closed form, from the optimality condition: the quadratic region
+        # shrinks by mu/(mu+t), the linear region soft-thresholds by t*lam
+        inner = np.abs(z) <= lam * (mu + t)
+        return (np.where(inner, mu / (mu + t), 1.0),
+                np.where(inner, 0.0, -t * lam * np.sign(z)))
+
+    gram = a.T @ a
+    return _prox_gradient("smoothed_lasso_ista", gram, a.T @ b, _gram_top(a, gram),
+                          piece, tol)
 
 
 def least_squares(a, b):
-    """Minimum-norm least-squares fit, by dense factorization."""
-    x, *_ = np.linalg.lstsq(np.asarray(a, dtype=np.float64),
-                            np.asarray(b, dtype=np.float64).reshape(-1), rcond=None)
-    return x
+    """Minimum-norm least-squares fit, by dense factorization; (x, certificate),
+    the certificate being the normal-equation residual ||A'(A x - b)||."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return x, float(np.linalg.norm(a.T @ (a @ x - b)))

@@ -48,7 +48,8 @@ class DemoProblem:
     """A demo problem. A subclass sets `name` and `forms` (primal-dual form ->
     builder, the default first; a None key is an unnamed form) and implements
     `dims`, `split` (operator and cocoercive map in a given metric), `value`
-    (objective at a flat point) and `solve` (flat reference solution)."""
+    (objective at a flat point) and `solve` (flat reference solution and its
+    certificate, from `oracles`)."""
 
     params: dict
     data: dict
@@ -363,6 +364,13 @@ def objective(demo, x):
     return demo.value(x.concatenated())
 
 
+def certified_reference(demo, tol=1e-10):
+    """Ground-truth primal solution from an independent method, and its
+    certificate: the oracle's optimality residual at it (see `oracles`)."""
+    flat, certificate = demo.solve(tol)
+    return BlockVector.from_flat(flat, demo.dims), certificate
+
+
 def reference_oracle(demo, tol=1e-10):
     """Ground-truth primal solution from an independent method."""
-    return BlockVector.from_flat(demo.solve(tol), demo.dims)
+    return certified_reference(demo, tol)[0]

@@ -171,6 +171,25 @@ def test_run_writes_artifacts_and_is_deterministic(tmp_path, capsys):
     assert snap["resolved_seed"] == 7
 
 
+@pytest.mark.parametrize("algorithm", ["sifb", "pd_class1"])
+def test_summary_carries_the_reference_certificate(tmp_path, algorithm):
+    problem = {"demo": {"name": "lasso", "params": {"n": 12, "p": 10, "lam": 0.2,
+                                                    "cond": 20.0, "seed": 3},
+                        "form": "split"}}
+    for reference in (True, False):
+        out = str(tmp_path / f"{algorithm}-{reference}")
+        path = write_config(tmp_path, lasso_config(problem=problem, algorithm=algorithm,
+                                                   reference=reference))
+        assert main(["run", path, "--out", out]) == 0
+        summary = load_json(out, "summary.json")
+        if reference:
+            assert 0 <= summary["reference_certificate"] <= 1e-12
+            assert summary["dist_to_ref"] <= 1e-5
+        else:
+            assert "reference_certificate" not in summary
+            assert "dist_to_ref" not in summary
+
+
 def test_run_stochastic_seeds_differ_but_converge(tmp_path):
     cfg = lasso_config(noise={"mode": "poly", "sigma0": 0.3, "theta": 0.75},
                        solver={"max_iter": 50000, "stop_tol": 1e-4,

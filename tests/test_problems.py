@@ -3,12 +3,14 @@ import pytest
 
 from sifb import (
     ConfigurationError,
+    OracleError,
     SolverConfig,
     assemble_class1,
     assemble_class2,
     check_cocoercivity,
     compute_constants,
     extract_primal_dual,
+    oracles,
     run,
 )
 from sifb.oracles import ista_lasso, least_squares
@@ -17,6 +19,7 @@ from sifb.problems import (
     build_demo,
     build_lasso,
     build_parallel_sum_instance,
+    certified_reference,
     objective,
     pd_problem,
     reference_oracle,
@@ -131,21 +134,21 @@ def test_coupled_sifb_and_class1_match_oracle():
 def test_parallel_sum_small_mu_approaches_lasso():
     demo = build_parallel_sum_instance(10, mu=1e-6, lam=0.4, seed=3)
     x_mu = reference_oracle(demo, tol=1e-12)
-    x_l1 = ista_lasso(demo.data["a"], demo.data["b"], 0.4, tol=1e-12)
+    x_l1, _ = ista_lasso(demo.data["a"], demo.data["b"], 0.4, tol=1e-12)
     assert np.linalg.norm(x_mu.blocks[0] - x_l1) <= 1e-3
 
 
 def test_lasso_lam_zero_reference_is_least_squares():
     demo = build_lasso(9, 6, 0.0, cond=5.0, seed=2)
     ref = reference_oracle(demo)
-    want = least_squares(demo.data["a"], demo.data["b"])
+    want, _ = least_squares(demo.data["a"], demo.data["b"])
     assert ref.blocks[0].tobytes() == want.tobytes()
 
 
 def test_parallel_sum_lam_zero_is_least_squares():
     demo = build_parallel_sum_instance(8, mu=0.5, lam=0.0, seed=4)
     ref = reference_oracle(demo)
-    want = least_squares(demo.data["a"], demo.data["b"])
+    want, _ = least_squares(demo.data["a"], demo.data["b"])
     assert np.linalg.norm(ref.blocks[0] - want) <= 1e-8
 
 
@@ -213,6 +216,106 @@ def test_oracle_objective_dominates_solver_outputs():
     ref = reference_oracle(demo, tol=1e-10)
     x = solve(sifb_instance(demo), tol=1e-8)
     assert objective(demo, ref) <= objective(demo, x) + 1e-9
+
+
+# --- certified references ------------------------------------------------------------
+
+
+def _with_data(demo, **data):
+    demo.data.update(data)
+    return demo
+
+
+# the demos whose references the tests, tools/trace_identity.py and the
+# benchmark's pd-split-cli workload read
+CERTIFIED_DEMOS = {
+    "lasso-scalar-shrinkage": lambda: _with_data(build_lasso(1, 1, 0.5, seed=0),
+                                                 a=np.array([[1.0]]), b=np.array([2.0])),
+    "lasso-scalar-dead-zone": lambda: _with_data(build_lasso(1, 1, 1.0, seed=0),
+                                                 a=np.array([[1.0]]), b=np.array([0.3])),
+    "lasso-wide-20x30-seed-42": lambda: build_lasso(20, 30, 0.1, cond=100.0, seed=42),
+    "lasso-wide-20x30-seed-7": lambda: build_lasso(20, 30, 0.1, cond=100.0, seed=7),
+    "lasso-wide-20x30-seed-14": lambda: build_lasso(20, 30, 0.1, cond=100.0, seed=14),
+    "lasso-wide-20x30-tool": lambda: build_lasso(20, 30, 0.2, cond=20.0, seed=3),
+    "lasso-wide-200x300-seed-42": lambda: build_lasso(200, 300, 0.1, cond=100.0, seed=42),
+    "lasso-square-20x20": lambda: build_lasso(20, 20, 0.15, cond=100.0, seed=7),
+    "lasso-tall-12x10-tool": lambda: build_lasso(12, 10, 0.2, cond=20.0, seed=3),
+    "lasso-tall-80x70-tool": lambda: build_lasso(80, 70, 0.2, cond=20.0, seed=3),
+    "lasso-tall-14x10": lambda: build_lasso(14, 10, 0.2, cond=50.0, seed=13),
+    "lasso-tall-8x6": lambda: build_lasso(8, 6, 0.2, cond=20.0, seed=4),
+    "lasso-lam-zero": lambda: build_lasso(9, 6, 0.0, cond=5.0, seed=2),
+    "coupled_box_qp-2x3-tool": lambda: build_coupled_system(2, 3, seed=1),
+    "coupled_box_qp-3x5": lambda: build_coupled_system(3, 5, seed=21),
+    "coupled_box_qp-clamped": lambda: _with_data(build_coupled_system(2, 3, seed=1),
+                                                 q=np.eye(6), c=3.0 * np.ones(6)),
+    "parallel_sum-6-tool": lambda: build_parallel_sum_instance(6, mu=0.5, lam=0.1, seed=2),
+    "parallel_sum-12": lambda: build_parallel_sum_instance(12, mu=0.5, lam=0.3, seed=6),
+    "parallel_sum-small-mu": lambda: build_parallel_sum_instance(10, mu=1e-6, lam=0.4,
+                                                                 seed=3),
+    "parallel_sum-lam-zero": lambda: build_parallel_sum_instance(8, mu=0.5, lam=0.0, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_DEMOS))
+def test_demo_references_are_certified(name):
+    demo = CERTIFIED_DEMOS[name]()
+    ref, certificate = certified_reference(demo, tol=1e-10)
+    assert certificate <= 1e-12
+    plain = reference_oracle(demo, tol=1e-10)
+    assert ref.concatenated().tobytes() == plain.concatenated().tobytes()
+
+
+def _lasso_certificate(a, b, lam, x):
+    """||x - S(x - t A'(A x - b))||, S soft thresholding by t lam, t = 1 / ||A||^2."""
+    t = 1.0 / np.linalg.eigvalsh(a.T @ a)[-1]
+    z = x - t * (a.T @ (a @ x - b))
+    return np.linalg.norm(x - np.sign(z) * np.maximum(np.abs(z) - t * lam, 0.0))
+
+
+def test_lasso_certificate_is_the_fixed_point_residual(monkeypatch):
+    demo = build_lasso(20, 30, 0.1, cond=100.0, seed=42)
+    a, b = demo.data["a"], demo.data["b"]
+    pieces = []
+    polish = oracles._polish
+
+    def recording_polish(h, v, t, d, e):
+        pieces.append((d, e))
+        return polish(h, v, t, d, e)
+
+    monkeypatch.setattr(oracles, "_polish", recording_polish)
+    x, certificate = ista_lasso(a, b, 0.1, tol=1e-10)
+    assert certificate == pytest.approx(_lasso_certificate(a, b, 0.1, x), abs=1e-15)
+    # one polish, on the support and with the signs of the loose iterate
+    (d, e), = pieces
+    assert np.array_equal(np.sign(x), -np.sign(e))
+    assert np.array_equal(x != 0, d == 1)
+
+
+def test_wrong_polish_is_refused_and_the_loop_goes_on_to_tol(monkeypatch):
+    demo = build_lasso(20, 30, 0.1, cond=100.0, seed=42)
+    a, b = demo.data["a"], demo.data["b"]
+    ref, _ = ista_lasso(a, b, 0.1, tol=1e-10)
+    polished = []
+    polish = oracles._polish
+
+    def recording_polish(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(oracles, "_polish", recording_polish)
+    # a loose stop that the first step meets: the polish takes its support
+    monkeypatch.setattr(oracles, "_LOOSE_TOL", 1e3)
+    x, certificate = ista_lasso(a, b, 0.1, tol=1e-10)
+    (wrong,) = polished
+    assert not np.array_equal(wrong != 0, ref != 0)
+    assert _lasso_certificate(a, b, 0.1, wrong) > 1e-10
+    assert 0 < certificate <= 1e-10
+    assert certificate == pytest.approx(_lasso_certificate(a, b, 0.1, x), rel=1e-6)
+    assert np.linalg.norm(x - ref) <= 1e-8
+
+    monkeypatch.setattr(oracles, "_MAX_ITER", 50)
+    with pytest.raises(OracleError, match="ista_lasso did not reach tol=1e-10 in 50"):
+        ista_lasso(a, b, 0.1, tol=1e-10)
 
 
 def test_build_demo_dispatch():

@@ -16,6 +16,12 @@ bit for bit. The subprocess takes the final iterate from
 `sifb.cli._execute_single`. It prints every difference and exits 1 if there
 is one, 0 otherwise.
 
+The last bits of a run depend on the BLAS build and its thread count, so the
+report opens with the numpy version, the BLAS build and the
+`OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` values (or `unset`) under which
+each tree's subprocess collected, and its closing count names them: a result
+holds under that setting.
+
 Traces (`trace.csv`, and a sweep's `trace_*.csv`) are compared by
 `compare_traces`. With the same `#schema=` line any byte difference is a
 difference, as for every other file. When the schema lines differ, every
@@ -287,6 +293,16 @@ def sweep_configs():
     return out
 
 
+def _setting():
+    """The numpy version, BLAS build and BLAS thread variables of this process."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, {threads}"
+
+
 def collect(src, config_path, out_root):
     """Run every config with the sifb package under src (subprocess side)."""
     import contextlib
@@ -317,6 +333,9 @@ def collect(src, config_path, out_root):
             final["residuals"]["unchecked"] = rep.unchecked
         return x, trace, summary
 
+    os.makedirs(out_root)
+    with open(os.path.join(out_root, "setting.txt"), "w", encoding="utf-8") as f:
+        f.write(f"{_setting()}\n")
     sifb.cli._execute_single = recording_execute
     for name, cfg in cfgs.items():
         out = os.path.join(out_root, name)
@@ -438,6 +457,11 @@ def main(argv):
             subprocess.run([sys.executable, os.path.abspath(__file__), "--collect", src,
                             config_path, root], check=True)
             roots.append(root)
+        settings = []
+        for label, root in zip(("old", "new"), roots):
+            with open(os.path.join(root, "setting.txt"), encoding="utf-8") as f:
+                settings.append(f.read().strip())
+            print(f"{label} tree collected under {settings[-1]}")
         differences = []
         for name in [*cfgs, *sweeps]:
             old, new = (_artifacts(os.path.join(root, name)) for root in roots)
@@ -454,7 +478,9 @@ def main(argv):
             print(f"{name}: exit {code}, {'DIFFERENT' if found else 'same'}")
     for line in differences:
         print(line)
-    print(f"{len(cfgs)} configs, {len(sweeps)} sweeps, {len(differences)} differences")
+    under = settings[0] if settings[0] == settings[1] else " against ".join(settings)
+    print(f"{len(cfgs)} configs, {len(sweeps)} sweeps, {len(differences)} differences, "
+          f"under {under}")
     return 1 if differences else 0
 
 
