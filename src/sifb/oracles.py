@@ -17,6 +17,9 @@ the point whose step that is. The certificate is the fixed-point residual of
 the returned point: a point with certificate 0 is exactly optimal. The
 least-squares solver's certificate is its normal-equation residual
 ||A'(A x - b)||.
+
+The step is 1 / lambda_max of the Hessian; for the two lasso solvers that is
+`gram_top(a)`, which a demo that already holds it may pass in as `top`.
 """
 
 from __future__ import annotations
@@ -35,9 +38,12 @@ def _top_eig(mat):
     return float(np.linalg.eigvalsh(mat)[-1])
 
 
-def _gram_top(a, gram):
-    """lambda_max of gram = A'A, from the smaller of A'A and AA' (the same value)."""
-    return _top_eig(a @ a.T if a.shape[0] < a.shape[1] else gram)
+def gram_top(a, gram=None):
+    """lambda_max of A'A, from the smaller of A'A and AA' (the same value);
+    gram, when given, is A'A."""
+    if a.shape[0] < a.shape[1]:
+        return _top_eig(a @ a.T)
+    return _top_eig(a.T @ a if gram is None else gram)
 
 
 def _polish(h, v, t, d, e):
@@ -93,9 +99,9 @@ def _prox_gradient(name, h, v, top, piece, tol):
     raise OracleError(f"{name} did not reach tol={tol} in {_MAX_ITER} iterations")
 
 
-def ista_lasso(a, b, lam, tol):
+def ista_lasso(a, b, lam, tol, top=None):
     """Proximal gradient on 0.5 ||A x - b||^2 + lam ||x||_1, polished on its
-    support; (x, certificate)."""
+    support; (x, certificate). top is `gram_top(a)`, computed when None."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
 
@@ -105,7 +111,8 @@ def ista_lasso(a, b, lam, tol):
         return live.astype(np.float64), np.where(live, -t * lam * np.sign(z), 0.0)
 
     gram = a.T @ a
-    return _prox_gradient("ista_lasso", gram, a.T @ b, _gram_top(a, gram), piece, tol)
+    top = gram_top(a, gram) if top is None else top
+    return _prox_gradient("ista_lasso", gram, a.T @ b, top, piece, tol)
 
 
 def projected_gradient_box(q, c, lo, hi, tol):
@@ -131,9 +138,9 @@ def huber_value(u, lam, mu):
     return float(np.where(np.abs(u) <= lam * mu, quad, lin).sum())
 
 
-def smoothed_lasso_ista(a, b, lam, mu, tol):
+def smoothed_lasso_ista(a, b, lam, mu, tol, top=None):
     """Proximal gradient on 0.5 ||A x - b||^2 + sum_j huber(x_j), polished on
-    its pieces; (x, certificate).
+    its pieces; (x, certificate). top is `gram_top(a)`, computed when None.
 
     Treats the smoothed separable term by its closed-form prox, so the step
     size does not degrade as mu -> 0.
@@ -149,8 +156,8 @@ def smoothed_lasso_ista(a, b, lam, mu, tol):
                 np.where(inner, 0.0, -t * lam * np.sign(z)))
 
     gram = a.T @ a
-    return _prox_gradient("smoothed_lasso_ista", gram, a.T @ b, _gram_top(a, gram),
-                          piece, tol)
+    top = gram_top(a, gram) if top is None else top
+    return _prox_gradient("smoothed_lasso_ista", gram, a.T @ b, top, piece, tol)
 
 
 def least_squares(a, b):

@@ -11,7 +11,7 @@ controlled condition number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,23 @@ class DemoProblem:
 
     params: dict
     data: dict
+    _gram_top: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def gram_top(self):
+        """lambda_max of A'A for a demo whose data hold a matrix A ("a"), from
+        the smaller Gram matrix (`oracles.gram_top`).
+
+        One eigensolve per demo: the value is kept in a one-slot cache keyed
+        on the identity of A, so data given a new A get their own. The
+        demo's forms and its reference read it; the lasso's `split` does not,
+        so the forward-backward route keeps its own solve. Two threads asking
+        at once each solve and store the same float.
+        """
+        a = self.data["a"]
+        last = self._gram_top
+        if last is None or last[0] is not a:
+            last = self._gram_top = (a, oracles.gram_top(a))
+        return last[1]
 
     def check_form(self, form):
         """The declared form `form` names (None: the default), or refuse it."""
@@ -116,15 +133,13 @@ class Lasso(DemoProblem):
         return MonotoneBlock.subdiff([ProxFunction.l1(self.params["lam"])]), grad
 
     def _form_smooth(self):
-        gram_top = float(np.linalg.eigvalsh(self.data["a"].T @ self.data["a"])[-1])
-        return self._smooth_form(Preconditioner.scalar([1.0 / gram_top], self.dims))
+        return self._smooth_form(Preconditioner.scalar([1.0 / self.gram_top()], self.dims))
 
     def _form_cp(self):
         """One dual block: the quadratic is dualized through the data matrix."""
         a, b, lam = self.data["a"], self.data["b"], self.params["lam"]
         n, p = a.shape
-        norm_a = float(np.sqrt(np.linalg.eigvalsh(a.T @ a)[-1]))
-        tau = sigma = 0.95 / norm_a
+        tau = sigma = 0.95 / float(np.sqrt(self.gram_top()))
         return PrimalDualProblem(
             primal_ops=MonotoneBlock.subdiff([ProxFunction.l1(lam)]),
             z=BlockVector.zeros((p,)),
@@ -140,12 +155,12 @@ class Lasso(DemoProblem):
         """Fully dualized: no primal operator, both terms enter as dual blocks.
 
         The l1 term rides through an identity coupling row, so its dual iterate
-        lives in the lam-radius sup-norm ball.
+        lives in the lam-radius sup-norm ball. The stacked coupling K = [A; I]
+        has ||K||^2 = lambda_max(A'A) + 1.
         """
         a, b, lam = self.data["a"], self.data["b"], self.params["lam"]
         n, p = a.shape
-        stack_top = float(np.linalg.eigvalsh(a.T @ a + np.eye(p))[-1])
-        tau = sigma = 0.95 / float(np.sqrt(stack_top))
+        tau = sigma = 0.95 / float(np.sqrt(self.gram_top() + 1.0))
         return PrimalDualProblem(
             primal_ops=MonotoneBlock.zero(1),
             z=BlockVector.zeros((p,)),
@@ -169,7 +184,7 @@ class Lasso(DemoProblem):
         if self.params["lam"] == 0.0:
             return oracles.least_squares(self.data["a"], self.data["b"])
         return oracles.ista_lasso(self.data["a"], self.data["b"],
-                                  self.params["lam"], tol=tol)
+                                  self.params["lam"], tol=tol, top=self.gram_top())
 
 
 class CoupledBoxQP(DemoProblem):
@@ -266,7 +281,7 @@ class ParallelSum(DemoProblem):
         lam, mu = self.params["lam"], self.params["mu"]
         gram = a.T @ a
         atb = a.T @ b
-        lip = float(np.linalg.eigvalsh(gram)[-1]) + (1.0 / mu if lam > 0 else 0.0)
+        lip = self.gram_top() + (1.0 / mu if lam > 0 else 0.0)
 
         def grad_fn(x):
             xb = x.blocks[0]
@@ -283,8 +298,7 @@ class ParallelSum(DemoProblem):
         a = self.data["a"]
         lam, mu = self.params["lam"], self.params["mu"]
         p = a.shape[1]
-        gram_top = float(np.linalg.eigvalsh(a.T @ a)[-1])
-        tau = 0.8 / gram_top
+        tau = 0.8 / self.gram_top()
         v = Preconditioner.scalar([tau], (p,))
         smooth = CocoerciveMap.least_squares_gradient(a, self.data["b"], metric=v)
         nu0 = smooth.beta
@@ -317,7 +331,7 @@ class ParallelSum(DemoProblem):
             return oracles.least_squares(self.data["a"], self.data["b"])
         return oracles.smoothed_lasso_ista(self.data["a"], self.data["b"],
                                            self.params["lam"], self.params["mu"],
-                                           tol=tol)
+                                           tol=tol, top=self.gram_top())
 
 
 build_lasso = Lasso.build

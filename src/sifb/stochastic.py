@@ -408,9 +408,16 @@ class StochasticOracle:
         return self.mode == "minibatch" or self.noise.violation() is None
 
     def batch_size(self, n):
+        """ceil(batch0 (n+1)^growth), saturated at the row count: a batch that
+        reaches it is the exact map, however far past the float range it grows."""
         if self.mode != "minibatch":
             raise ConfigurationError("batch_size only applies to minibatch mode")
-        return int(np.ceil(self.batch0 * (n + 1.0) ** self._growth))
+        count = self.base.components[0]
+        try:
+            size = self.batch0 * (n + 1.0) ** self._growth
+        except OverflowError:
+            return count
+        return count if size >= count else int(np.ceil(size))
 
     def sample(self, n, w):
         """One draw of the stochastic forward map at iteration n, point w."""

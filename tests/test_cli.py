@@ -415,6 +415,53 @@ def test_validate_and_constants_compute_the_coupling_norm_once(tmp_path, count_c
     assert count_constants["estimate_weighted_norm"] == 1
 
 
+@pytest.fixture
+def count_eigvalsh(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.eigvalsh, call by call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("demo,want", [
+    ({"name": "lasso", "params": {"n": 12, "p": 10, "lam": 0.2, "seed": 3},
+      "form": "split"}, 2),
+    ({"name": "lasso", "params": {"n": 8, "p": 12, "lam": 0.2, "seed": 3},
+      "form": "split"}, 2),
+    ({"name": "lasso", "params": {"n": 12, "p": 10, "lam": 0.2, "seed": 3},
+      "form": "cp"}, 2),
+    ({"name": "lasso", "params": {"n": 8, "p": 12, "lam": 0.2, "seed": 3},
+      "form": "smooth"}, 2),
+    ({"name": "parallel_sum", "params": {"dims": 6, "mu": 0.5, "lam": 0.1, "seed": 2}},
+     3),
+], ids=["lasso-split-tall", "lasso-split-wide", "lasso-cp", "lasso-smooth",
+        "parallel_sum"])
+def test_primal_dual_run_solves_the_data_spectrum_once(tmp_path, count_eigvalsh, demo,
+                                                       want):
+    # the form's step and the reference share one eigensolve of the demo's
+    # smaller Gram matrix; the coupling norm (and parallel_sum's smooth term,
+    # in the metric V) take one each
+    path = write_config(tmp_path, {**pd_lasso_config(), "problem": {"demo": demo}})
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(count_eigvalsh) == want, count_eigvalsh
+
+
+def test_parallel_sum_forward_backward_run_solves_the_data_spectrum_once(
+        tmp_path, count_eigvalsh):
+    # the map constant of each instance built (validation, then the run) and
+    # the reference step read one eigensolve
+    demo = {"name": "parallel_sum", "params": {"dims": 6, "mu": 0.5, "lam": 0.1, "seed": 2}}
+    path = write_config(tmp_path, lasso_config(problem={"demo": demo}))
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(count_eigvalsh) == 1
+
+
 def test_run_exit_code_2_on_a_coupling_norm_that_overflows(tmp_path, capsys):
     cfg = {"problem": {"custom_pd": {
         "primal": [{"dim": 2}],

@@ -1,5 +1,8 @@
 import copy
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -765,6 +768,75 @@ def test_run_refuses_before_drawing(make, beta_scale, gamma, refusal):
     with pytest.raises(ConfigurationError, match=refusal):
         run(counted, cfg)
     assert draws == []
+
+
+def test_class2_sweep_reuses_the_last_adjoint_product(monkeypatch):
+    # a noise-free run at alpha = 0 and lambda = 1 sweeps from the last
+    # sweep's output, whose L* q the sweep kept: one adjoint product per sweep
+    # after the first, and the bits of a sweep that recomputes it
+    inst = assemble_class2(split_lasso())
+    cfg = SolverConfig(beta=inst.beta, max_iter=5000, stop_tol=1e-9)
+    sweeps, adjoints = [], []
+    adjoint = BlockLinearOperator.adjoint_apply_blocks
+
+    def counting_adjoint(self, vs):
+        adjoints.append(1)
+        return adjoint(self, vs)
+
+    def counting_backward(u, gamma, a):
+        sweeps.append(1)
+        return inst.backward_fn(u, gamma, a)
+
+    def copying_backward(u, gamma, a):
+        # a copy of u holds new arrays, which the memo does not know
+        return inst.backward_fn(BlockVector(u.blocks), gamma, a)
+
+    monkeypatch.setattr(BlockLinearOperator, "adjoint_apply_blocks", counting_adjoint)
+    x, trace = run(dataclasses.replace(inst, backward_fn=counting_backward), cfg)
+    assert trace.status == "converged"
+    assert len(adjoints) == len(sweeps) + 1 == trace.iterations + 2
+    adjoints.clear()
+    y, again = run(dataclasses.replace(inst, backward_fn=copying_backward), cfg)
+    assert len(adjoints) == 2 * (trace.iterations + 1)
+    assert csv_text(again) == csv_text(trace)
+    assert x.concatenated().tobytes() == y.concatenated().tobytes()
+
+
+def test_threads_stepping_one_class2_instance_match_serial_steps():
+    # noisy steps at alpha = 0 sweep from the last output of their own thread,
+    # while the other threads replace the memo; more threads than cores and a
+    # switch interval of 1 us preempt them between reading the memo and
+    # storing it
+    noise = NoiseSchedule.polynomial(0.2, 0.75)
+    cfg = SolverConfig(beta=1.0, max_iter=1)
+
+    def chain(inst, count=200):
+        state, out = (inst.x0, inst.x0), []
+        for n in range(count):
+            state = step(inst, cfg, state, n, 1.0, 1.0)
+            out.append(state[0].concatenated().tobytes())
+        return out
+
+    serial = chain(assemble_class2(split_lasso(), noise=noise, seed=4))
+    shared = assemble_class2(split_lasso(), noise=noise, seed=4)
+    threads = (os.cpu_count() or 1) + 1
+    results = [None] * threads
+
+    def work(k):
+        results[k] = chain(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    assert results == [serial] * threads
 
 
 # --- stacked metrics -----------------------------------------------------------------

@@ -53,6 +53,16 @@ def test_scalar_lasso_dead_zone():
     assert ref.blocks[0][0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_demo_given_a_new_data_matrix_solves_its_own_spectrum():
+    # the form fills the demo's lambda_max; a new A, as the tests above set,
+    # gets its own, and the reference is the oracle's on the new data
+    demo = build_lasso(12, 10, 0.2, cond=20.0, seed=3)
+    pd_problem(demo, "split")
+    demo.data["a"] = 2.0 * demo.data["a"]
+    want, _ = ista_lasso(demo.data["a"], demo.data["b"], 0.2, tol=1e-10)
+    assert reference_oracle(demo).concatenated().tobytes() == want.tobytes()
+
+
 def test_lasso_data_reproducible_and_conditioned():
     d1 = build_lasso(20, 30, 0.1, cond=100.0, seed=5)
     d2 = build_lasso(20, 30, 0.1, cond=100.0, seed=5)

@@ -232,6 +232,19 @@ def test_minibatch_covering_every_row_is_exact_and_converges():
     assert trace.status == "converged"
 
 
+def test_minibatch_batch_saturates_at_the_row_count_past_the_float_range():
+    # batch0 (n+1)^400 leaves the float range at n = 5; a batch that large
+    # covers every row, so the draw is the exact map and the run goes on
+    inst = sifb_instance(build_lasso(20, 30, 0.1, cond=10.0, seed=1),
+                         noise=NoiseSchedule.polynomial(0.1, 200.0),
+                         oracle_mode="minibatch", batch0=1)
+    assert [inst.oracle.batch_size(n) for n in (0, 1, 5, 10**6)] == [1, 20, 20, 20]
+    w = BlockVector([np.ones(30)])
+    assert (inst.oracle.sample(5, w) - inst.oracle.base.apply(w)).norm() == 0.0
+    _, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=50, stop_tol=1e-12))
+    assert trace.iterations == 50
+
+
 def test_minibatch_run_does_not_gate_on_sigma0():
     # a minibatch draw never reads sigma0: sigma0 = 1 makes the same draws,
     # iterates and residuals as sigma0 = 0, and only the sigma_n column differs

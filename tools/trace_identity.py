@@ -38,6 +38,9 @@ the forward-backward map alternates between the kernels of the given step
 and of the residual's default step), and with a given step and relaxation on
 class I; the split lasso on both primal-dual classes recording every third
 row, and at 80x70, whose coupling has a block of more than 64 rows; the
+split lasso on class II with poly noise (whose sweeps take L* d from the
+memo of the last sweep's L* q), with poly noise and poly inertia, and
+relaxed at lambda = 0.9 (whose sweeps miss that memo); the
 lasso demo at 20x30 on the `sifb` route, whose wide data take the map's
 constant from the row-space Gram matrix; the `custom` and `custom_pd`
 configs of `tests/test_cli.py`; and eight custom problems (a wide `lstsq`
@@ -174,6 +177,14 @@ def configs():
     for algorithm in ("pd_class1", "pd_class2"):
         out[f"lasso-split-{algorithm}-record-every-3"] = _run_config(
             split, algorithm=algorithm, solver={**SHORT, "record_every": 3})
+    # the class-II sweep reads L* d from its memo on noisy steps at alpha = 0,
+    # and misses on inertial and relaxed ones
+    out["lasso-split-pd_class2-noisy"] = _run_config(
+        split, algorithm="pd_class2", noise=NOISY, solver=STOCHASTIC)
+    out["lasso-split-pd_class2-noisy-inertial"] = _run_config(
+        split, algorithm="pd_class2", noise=NOISY, inertia=INERTIAL, solver=STOCHASTIC)
+    out["lasso-split-pd_class2-relaxed"] = _run_config(
+        split, algorithm="pd_class2", solver={**SHORT, "relaxation": 0.9})
     large = {"demo": {"name": "lasso", "params": {**DEMOS["lasso"][0], "n": 80, "p": 70},
                       "form": "split"}}
     for algorithm in ("pd_class1", "pd_class2"):
