@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch, bind_kind
-from .spaces import BlockVector, Preconditioner, block_concat, block_split
+from .spaces import BlockVector, Preconditioner, _freeze
 
 # Safety deflation applied to computed cocoercivity constants before they are
 # fed to step-size rules, so the defining inequality holds strictly in floats.
@@ -397,15 +397,19 @@ class CocoerciveMap:
     as `beta_exact`.
     """
 
-    def __init__(self, kind, dims, apply_fn, beta, beta_exact=None, metric=None,
+    def __init__(self, kind, dims, apply_flat, beta, beta_exact=None, metric=None,
                  components=None, extremal=None):
         self.kind = kind
         self.dims = tuple(int(d) for d in dims)
-        self._apply = apply_fn
+        # the map on bare arrays: a flat float64 array in the block layout of
+        # dims to a flat array, fresh, or for a zero map one shared read-only
+        # zero; it checks nothing
+        self.apply_flat = apply_flat
         self.beta = float(beta)
         self.beta_exact = float(beta_exact) if beta_exact is not None else float(beta)
         self.metric = metric
-        self.components = components  # (count, batch_fn) for finite sums
+        # (count, batch_fn) for finite sums; batch_fn(idx, x) works on bare arrays
+        self.components = components
         # BlockVector probe direction, or a function computing it on first read;
         # None if unknown
         self._extremal = extremal
@@ -420,9 +424,11 @@ class CocoerciveMap:
         return probe
 
     def apply(self, x):
+        """B x for a block vector x: `apply_flat`, with x's dims checked and
+        the value wrapped."""
         if x.dims != self.dims:
             raise DimensionMismatch(f"map dims {self.dims}, vector dims {x.dims}")
-        return self._apply(x)
+        return BlockVector.from_flat(self.apply_flat(x.concatenated()), self.dims)
 
     @property
     def is_finite_sum(self):
@@ -431,8 +437,8 @@ class CocoerciveMap:
     # --- constructors ---------------------------------------------------
     @classmethod
     def zero_map(cls, dims):
-        """x -> 0; every call returns the same read-only zero vector."""
-        zero = BlockVector.zeros(dims)
+        """x -> 0; every bare-array call returns the same read-only zero array."""
+        zero = _freeze(np.zeros(sum(dims)))
         return cls("zero", dims, lambda x: zero, beta=float("inf"),
                    beta_exact=float("inf"))
 
@@ -496,18 +502,16 @@ class CocoerciveMap:
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
         beta = beta_exact / BETA_DEFLATION
 
-        def apply_fn(x):
-            g = a.T @ (a @ x.blocks[0] - b)
-            return BlockVector._wrap([g])
+        def apply_flat(x):
+            return a.T @ (a @ x - b)
 
         nrows = a.shape[0]
 
         def batch_fn(idx, x):
             rows = a[idx]
-            g = (nrows / len(idx)) * (rows.T @ (rows @ x.blocks[0] - b[idx]))
-            return BlockVector._wrap([g])
+            return (nrows / len(idx)) * (rows.T @ (rows @ x - b[idx]))
 
-        return cls("lstsq", dims, apply_fn, beta=beta, beta_exact=beta_exact,
+        return cls("lstsq", dims, apply_flat, beta=beta, beta_exact=beta_exact,
                    metric=metric, components=(nrows, batch_fn),
                    extremal=extremal if lam_max > 0 else None)
 
@@ -548,33 +552,30 @@ class CocoerciveMap:
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
         beta = beta_exact / BETA_DEFLATION
 
-        def apply_fn(x):
-            return BlockVector.from_flat(q @ x.concatenated() + offset, dims)
-        return cls("linear", dims, apply_fn, beta=beta, beta_exact=beta_exact,
+        return cls("linear", dims, lambda x: q @ x + offset, beta=beta, beta_exact=beta_exact,
                    metric=metric, extremal=extremal)
 
     @classmethod
     def from_callable(cls, dims, fn, beta, metric=None):
-        """Wrap a user map with a caller-certified constant."""
-        return cls("callable", dims, fn, beta=beta, metric=metric)
+        """Wrap a user map on block vectors with a caller-certified constant."""
+        dims = tuple(int(d) for d in dims)
+        return cls("callable", dims,
+                   lambda x: fn(BlockVector.from_flat(x, dims)).concatenated(),
+                   beta=beta, metric=metric)
 
     @classmethod
     def paired(cls, first, second, beta):
         """Blockwise pairing acting as (first, second) on a stacked vector.
 
-        A pair of zero maps returns one read-only zero vector on every call.
+        A pair of zero maps returns one read-only zero array on every call.
         """
         dims = first.dims + second.dims
-        n1 = len(first.dims)
         if first.kind == second.kind == "zero":
-            zero = BlockVector.zeros(dims)
+            zero = _freeze(np.zeros(sum(dims)))
             return cls("paired", dims, lambda x: zero, beta=beta)
-
-        def apply_fn(x):
-            a, b = block_split(x, n1)
-            return block_concat(first.apply(a), second.apply(b))
-
-        return cls("paired", dims, apply_fn, beta=beta)
+        k = sum(first.dims)
+        f, g = first.apply_flat, second.apply_flat
+        return cls("paired", dims, lambda x: np.concatenate((f(x[:k]), g(x[k:]))), beta=beta)
 
 
 @dataclass

@@ -10,10 +10,10 @@ the product-space preconditioner.
 Neither stacked preconditioner is ever formed. Class I realizes its backward
 map by the explicit resolvent/reflection sweep over blocks; class II (all
 primal operators zero) by a forward-substitution sweep whose dual solve is
-the only implicit piece. Both sweeps work on the per-block numpy arrays
-(`BlockLinearOperator.apply_blocks`, `Preconditioner.apply_blocks`) and build
-one `BlockVector` per call; they update the temporaries they create in
-place, and skip the subtraction of a shift block z_i or r_k that is all
+the only implicit piece. Both sweeps work on the block views of the run's
+flat arrays (`BlockLinearOperator.apply_blocks`, `Preconditioner.apply_blocks`)
+and concatenate one flat array per call; they update the temporaries they
+create in place, and skip the subtraction of a shift block z_i or r_k that is all
 +0.0 (`_shifts`, decided at assembly), so every bit stays as it was. Their
 resolvents J_{V A_i} and J_{W B_k^-1} are kernels bound once, at assembly,
 to the diagonals of V and W at the fixed step 1 (`MonotoneBlock.bind`). A
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionMismatch, InfeasibleProblemError
 from .operators import CocoerciveMap
 from .solver import ProblemInstance
-from .spaces import BlockVector, block_split, estimate_weighted_norm
+from .spaces import BlockVector, block_split, block_views, estimate_weighted_norm
 from .stochastic import StochasticOracle
 
 # Feasibility thresholds use a strict margin to avoid boundary flakiness.
@@ -201,13 +201,6 @@ def extract_primal_dual(x_stacked, prob):
     return block_split(x_stacked, prob.m)
 
 
-def _check_stacked(dims, u, a):
-    """Refuse a sweep's iterate u or draw a unless both have the stacked dims."""
-    for name, x in (("iterate", u), ("draw", a)):
-        if x.dims != dims:
-            raise DimensionMismatch(f"{name} dims {x.dims} != stacked dims {dims}")
-
-
 def _shifts(v):
     """The blocks of a shift z or r, None where a block is all +0.0.
 
@@ -226,6 +219,18 @@ def _minus_draw(xs, draws, shifts):
     return xs
 
 
+def _halves(prob):
+    """A function splitting a flat stacked array into the views of its
+    primal blocks and of its dual blocks."""
+    views, m = block_views(prob.stacked_dims), prob.m
+
+    def split(x):
+        v = views(x)
+        return v[:m], v[m:]
+
+    return split
+
+
 def assemble_class1(prob, noise=None, seed=0):
     """Stacked instance whose unit-step backward map is the class-I sweep.
 
@@ -233,9 +238,9 @@ def assemble_class1(prob, noise=None, seed=0):
     extrapolated point, reflection, then dual resolvents against the
     reflected primal. Requires the class-I constant > 1/2.
 
-    The sweep works on the block arrays of u = (c, d) and of the draw
-    a = (a_p, b_d), applies the resolvent kernels bound here, and wraps one
-    `BlockVector` at the end:
+    The sweep works on the block views of u = (c, d) and of the draw
+    a = (a_p, b_d), applies the resolvent kernels bound here, and
+    concatenates one flat array at the end:
         p = J_{V A}(c - V (L* d + a_p - z)),
         q = J_{W B^-1}(d + W (L (2 p - c) - b_d - r)).
     """
@@ -246,15 +251,14 @@ def assemble_class1(prob, noise=None, seed=0):
         )
     oracle = StochasticOracle(prob.smooth_pair_map(beta=rep.beta_hat), noise=noise,
                               rng_seed=seed)
-    m, dims = prob.m, prob.stacked_dims
+    split = _halves(prob)
     L, V, W, z, r = prob.coupling, prob.V, prob.W, _shifts(prob.z), _shifts(prob.r)
     j_va = prob.primal_ops.bind(1.0, V.diag_blocks())
     j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())
 
-    def backward(u, gamma, a):
-        _check_stacked(dims, u, a)
-        c, d = u.blocks[:m], u.blocks[m:]
-        a_p, b_d = a.blocks[:m], a.blocks[m:]
+    def backward(u, a):
+        c, d = split(u)
+        a_p, b_d = split(a)
         t = L.adjoint_apply_blocks(d)
         for ti, ap, zi in zip(t, a_p, z):
             ti += ap
@@ -268,10 +272,10 @@ def assemble_class1(prob, noise=None, seed=0):
         u_k = _minus_draw(L.apply_blocks(y), b_d, r)
         q = [j(np.add(dk, wu, out=wu))
              for j, dk, wu in zip(j_wb, d, W.apply_blocks(u_k, overwrite=True))]
-        return BlockVector._wrap(p + q, dims)
+        return np.concatenate(p + q)
 
-    return ProblemInstance(oracle, BlockVector.zeros(dims), rep.beta_hat,
-                           backward, gamma_fixed=1.0)
+    return ProblemInstance(oracle, BlockVector.zeros(prob.stacked_dims), rep.beta_hat,
+                           lambda gamma: backward, gamma_fixed=1.0)
 
 
 def assemble_class2(prob, noise=None, seed=0):
@@ -281,16 +285,14 @@ def assemble_class2(prob, noise=None, seed=0):
     becomes forward substitutions around the single dual resolvent. Requires
     twice the class-II constant > 1.
 
-    The sweep works on block arrays, as the class-I one does:
+    The sweep works on block views, as the class-I one does:
         s = c - V (a_p - z),
         q = J_{W B^-1}(d + W (L (s - V L* d) - b_d - r)),
         p = s - V L* q.
-    It keeps its last L* q, read-only, in a one-slot memo keyed on the
-    identity of q's arrays: when the next sweep's d is that q (its point is
-    the last sweep's output, as at alpha = 0 and lambda = 1), L* d is read
-    from the memo, so the sweep makes 2 coupling products instead of 3. The
-    slot is read once and replaced whole, so a race between two threads
-    stepping one instance can only miss.
+    Each run binds its own sweep, which keeps its last output and that
+    output's L* q: when the next sweep's point is that output (as at
+    alpha = 0 and lambda = 1), L* d is the kept L* q, so the sweep makes 2
+    coupling products instead of 3.
     """
     if not prob.primal_ops.is_zero():
         raise ConfigurationError(
@@ -303,40 +305,40 @@ def assemble_class2(prob, noise=None, seed=0):
         )
     oracle = StochasticOracle(prob.smooth_pair_map(beta=rep.beta), noise=noise,
                               rng_seed=seed)
-    m, dims = prob.m, prob.stacked_dims
+    split = _halves(prob)
     L, V, W, z, r = prob.coupling, prob.V, prob.W, _shifts(prob.z), _shifts(prob.r)
     j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())
-    memo = None  # (the arrays of the last q, L* q)
 
     def minus_v(s_i, lt):
         """s - V lt in fresh arrays; lt is read-only (an identity V returns it)."""
         return [np.subtract(si, x, out=None if x is t else x)
                 for si, x, t in zip(s_i, V.apply_blocks(lt), lt)]
 
-    def backward(u, gamma, a):
-        nonlocal memo
-        _check_stacked(dims, u, a)
-        c, d = u.blocks[:m], u.blocks[m:]
-        a_p, b_d = a.blocks[:m], a.blocks[m:]
-        # not in place: a skipped shift leaves the draw's own read-only array
-        s_i = [ci - vt for ci, vt in zip(c, V.apply_blocks(
-            [ap if zi is None else ap - zi for ap, zi in zip(a_p, z)]))]
-        last = memo
-        if last is not None and all(x is y for x, y in zip(last[0], d)):
-            lt_d = last[1]
-        else:
-            lt_d = L.adjoint_apply_blocks(d)
-        e = _minus_draw(L.apply_blocks(minus_v(s_i, lt_d)), b_d, r)
-        q = [j(np.add(dk, we, out=we))
-             for j, dk, we in zip(j_wb, d, W.apply_blocks(e, overwrite=True))]
-        lt_q = L.adjoint_apply_blocks(q)
-        for x in lt_q:
-            x.setflags(write=False)
-        memo = (q, lt_q)
-        return BlockVector._wrap(minus_v(s_i, lt_q) + q, dims)
+    def bind_backward(gamma):
+        last = None  # (the last output, L* q of its dual blocks)
 
-    return ProblemInstance(oracle, BlockVector.zeros(dims), rep.beta,
-                           backward, gamma_fixed=1.0)
+        def backward(u, a):
+            nonlocal last
+            c, d = split(u)
+            a_p, b_d = split(a)
+            # not in place: a skipped shift leaves the draw's own array
+            s_i = [ci - vt for ci, vt in zip(c, V.apply_blocks(
+                [ap if zi is None else ap - zi for ap, zi in zip(a_p, z)]))]
+            lt_d = last[1] if last is not None and last[0] is u else L.adjoint_apply_blocks(d)
+            e = _minus_draw(L.apply_blocks(minus_v(s_i, lt_d)), b_d, r)
+            q = [j(np.add(dk, we, out=we))
+                 for j, dk, we in zip(j_wb, d, W.apply_blocks(e, overwrite=True))]
+            lt_q = L.adjoint_apply_blocks(q)
+            for x in lt_q:
+                x.setflags(write=False)
+            out = np.concatenate(minus_v(s_i, lt_q) + q)
+            last = (out, lt_q)
+            return out
+
+        return backward
+
+    return ProblemInstance(oracle, BlockVector.zeros(prob.stacked_dims), rep.beta,
+                           bind_backward, gamma_fixed=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,31 +12,44 @@ Assembled primal-dual instances replace the middle two lines with an explicit
 per-block sequence that realizes the same backward map at gamma = 1; the
 extrapolation and relaxation lines are shared.
 
+`run` compiles the iteration once at its start (a `Plan`): the map on
+bare arrays, the backward maps bound at gamma and at the residual's step
+gbar (one map when they are equal; for forward-backward instances the
+resolvent kernels and U's diagonal, for the assemblies their sweeps),
+with every dims check made there. The loop then steps on one flat float64
+array per value: extrapolation, w - gamma U r, relaxation and differences
+run once over it, kernels, map and coupling on its block views, and norms
+are per-block dots added in block order from 0. sigma_n and alpha_n are
+computed once per iteration, for the trace row and the step. x0 and the
+reference come in as block vectors, and the iterate goes out as one.
+
 Cost: a step makes one oracle draw and one backward sweep, and a recorded
 row one exact map evaluation and one sweep for its fixed-point residual.
-`fp_residual` keeps a record (x, B x, p, ||x - p||) on the instance. A step
-at that point whose draw is that map value (alpha_n = 0, and sigma_n = 0 or
-a minibatch covering every row) at the residual's step gbar takes p from the
-record: one evaluation and one sweep per iteration instead of two. A noisy
-step with alpha_n = 0 still reuses the map value (`StochasticOracle.exact`).
-At lambda = 1 that step returns the record's p, so `run` takes the trace's
-||x_{n+1} - x_n|| from the record: one norm of a difference per iteration.
+Every reuse is decided in the run's own state, never on the instance or
+the oracle, so concurrent runs may share both:
+- `fp_residual` returns the row's record (x, B x, p, ||x - p||), which
+  `run` hands to the steps until the next row.
+- `step`, at that row's point with alpha_n = 0, passes the record's B x to
+  the draw (`StochasticOracle.sample`), which returns it itself when the
+  draw is exact (sigma_n = 0, or a minibatch covering every row); if it
+  did and gamma = gbar, the step's sweep is the record's p. So a
+  noise-free run without inertia makes one evaluation and one sweep per
+  iteration, and a noisy one without inertia still reuses the map value.
+- `run` takes the trace's ||x_{n+1} - x_n|| of such a step at lambda = 1,
+  whose x_{n+1} is the record's p, from the record: one norm of a
+  difference per iteration.
+- The class-II sweep that a run binds keeps its last output and that
+  output's L* q (`primal_dual.assemble_class2`).
 The divergence test computes ||x_n|| only when ||x_0|| plus the step norms
 so far reaches half its limit, and stops at the same iterate as a test of
-every norm would. A sweep applies resolvent kernels bound once per step
-value (the forward-backward map keeps those of its last two steps, so a
-given step and gbar bind once each per run; see `MonotoneBlock.bind`) to
-w - gamma U r computed block by block, and wraps one vector; the
-extrapolation and the relaxation are one fused pass each
-(`BlockVector.axpy_diff`). A zero map, or a pair of them, returns one shared
-zero vector.
+every norm would. A zero map, or a pair of them, returns one shared
+read-only zero array. No array of a run is written after it is made, so
+a reused value is what recomputing it would give.
 
 The step gamma and the relaxation lambda are numbers fixed for a run (a
 constant sequence, which the paper admits). `run` resolves gamma, the
 default step included, and checks every gate before the first iteration;
-nothing inside the loop raises a ConfigurationError. The norms
-||x_n - p_n|| of the residual and ||x_{n+1} - x_n|| of the trace are summed
-block by block without building the difference vector.
+nothing inside the loop raises a ConfigurationError.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch, check_type
-from .spaces import BlockVector
+from .spaces import BlockVector, block_views
 from .stochastic import InertiaSchedule
 
 CONVERGED = "converged"
@@ -135,26 +148,30 @@ class ProblemInstance:
     """A monotone inclusion packaged for the solver.
 
     The solver sees one interface: the stochastic oracle of the cocoercive
-    part (`sample`, `exact`, `summable_variance` and the `noise` schedule,
-    as on `StochasticOracle`), the starting point x0, its cocoercivity
-    constant beta, and the backward map `backward_fn(w, gamma, r)` from the
-    extrapolated point w and the draw r to the next point. `forward_backward`
-    builds that map as the preconditioned resolvent step
-    J_{gamma U A}(w - gamma U r), with the resolvent kernels bound for the
-    last two steps it was called with; the primal-dual assemblies pass their
+    part (`sample`, `summable_variance`, the `noise` schedule and the map
+    `base`, as on `StochasticOracle`), the starting point x0, its
+    cocoercivity constant beta, and `bind_backward(gamma)`, which returns
+    the backward map at the step gamma on bare arrays: a function of the
+    extrapolated point w and the draw r, flat float64 arrays in x0's block
+    layout, to the next point, a fresh flat array. `run` calls it once per
+    step value at its start, so what the map keeps between calls is the
+    run's own. `forward_backward` builds it as the preconditioned resolvent
+    step J_{gamma U A}(w - gamma U r); the primal-dual assemblies pass their
     class-I/II block sweeps, which realize the stacked backward map only at
-    one step, `gamma_fixed` = 1.
+    one step, `gamma_fixed` = 1. The map's dims must be x0's.
     """
 
     oracle: object
     x0: object
     beta: float
-    backward_fn: object
+    bind_backward: object
     gamma_fixed: float = None
-    _last_residual: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.beta = float(self.beta)
+        if self.oracle.base.dims != self.x0.dims:
+            raise DimensionMismatch(
+                f"map dims {self.oracle.base.dims}, x0 dims {self.x0.dims}")
 
     @classmethod
     def forward_backward(cls, operator, oracle, metric, x0, beta=None):
@@ -164,23 +181,30 @@ class ProblemInstance:
             beta = oracle.base.beta
         dims, diag = metric.dims, metric.diag_blocks()
         operator.check_dims(dims)
-        bound = {}  # gamma -> the resolvent kernels bound at gamma, for the last two
+        for name, v in (("map", oracle.base), ("x0", x0)):
+            if v.dims != dims:
+                raise DimensionMismatch(f"{name} dims {v.dims}, metric dims {dims}")
+        # U on the flat layout; the identity passes r through
+        u = None if metric.kind == "identity" or not dims else np.concatenate(diag)
+        views = block_views(dims)
 
-        def backward_fn(w, gamma, r):
-            if w.dims != dims or r.dims != dims:
-                raise DimensionMismatch(
-                    f"point dims {w.dims} and draw dims {r.dims}, metric dims {dims}")
-            kernels = bound.get(gamma)
-            if kernels is None:
-                if len(bound) == 2:
-                    del bound[next(iter(bound))]
-                kernels = bound[gamma] = operator.bind(gamma, diag)
+        def bind_backward(gamma):
+            kernels = operator.bind(gamma, diag)
             c = float(-gamma)
-            return BlockVector._wrap(
-                [j(x + c * u) for j, x, u in
-                 zip(kernels, w.blocks, metric.apply_blocks(r.blocks))], dims)
+            if len(kernels) == 1:
+                kernel = kernels[0]
+                if u is None:
+                    return lambda w, r: kernel(w + c * r)
+                return lambda w, r: kernel(w + c * (u * r))
 
-        return cls(oracle, x0, beta, backward_fn)
+            def backward(w, r):
+                z = w + c * (r if u is None else u * r)
+                parts = [j(v) for j, v in zip(kernels, views(z))]
+                return np.concatenate(parts) if parts else z
+
+            return backward
+
+        return cls(oracle, x0, beta, bind_backward)
 
     def check_gamma(self, gamma):
         """gamma itself, if the backward map is defined at that step."""
@@ -192,8 +216,15 @@ class ProblemInstance:
         return gamma
 
     def backward(self, w, gamma, r):
-        """The resolvent half-step: from the extrapolated point w and draw r."""
-        return self.backward_fn(w, self.check_gamma(gamma), r)
+        """The resolvent half-step from the extrapolated point w and the draw
+        r, block vectors: `bind_backward(gamma)` on their flat arrays, wrapped."""
+        self.check_gamma(gamma)
+        dims = self.x0.dims
+        for name, v in (("iterate", w), ("draw", r)):
+            if v.dims != dims:
+                raise DimensionMismatch(f"{name} dims {v.dims} != instance dims {dims}")
+        p = self.bind_backward(gamma)(w.concatenated(), r.concatenated())
+        return BlockVector.from_flat(p, dims)
 
     @property
     def default_gamma(self):
@@ -202,20 +233,60 @@ class ProblemInstance:
         return self.beta if math.isfinite(self.beta) else 1.0
 
 
-def fp_residual(prob, x):
+class Plan:
+    """One run's iteration of the instance prob at the step gamma and the
+    relaxation lam, which `run` resolves and checks first, compiled at its
+    start: the draw, the exact map, the backward maps at gamma and at the
+    residual's step gbar (one map, bound once, when they are equal) and the
+    block layout. Every value is a flat float64 array, and `views` gives
+    its blocks (None for a single block, the whole array). The bound
+    backward maps, and whatever they keep between calls, are this run's
+    own; the oracle and the map are the instance's, and hold no run state.
+    """
+
+    __slots__ = ("sample", "exact", "backward", "backward_bar", "same_step", "lam",
+                 "dims", "views")
+
+    def __init__(self, prob, gamma, lam):
+        gbar = prob.default_gamma
+        self.sample = prob.oracle.sample
+        self.exact = prob.oracle.base.apply_flat
+        self.backward = prob.bind_backward(gamma)
+        self.same_step = gamma == gbar
+        self.backward_bar = self.backward if self.same_step else prob.bind_backward(gbar)
+        self.lam = lam
+        self.dims = prob.x0.dims
+        self.views = None if len(self.dims) == 1 else block_views(self.dims)
+
+    def norm(self, x):
+        """||x||, bit for bit as the block vector's `norm`: the per-block
+        dots added in block order from 0 (a single block's dot is never
+        -0.0, so 0 + dot is the dot)."""
+        if self.views is None:
+            return math.sqrt(np.dot(x, x))
+        acc = 0
+        for v in self.views(x):
+            acc += np.dot(v, v)
+        return math.sqrt(acc)
+
+    def distance(self, a, b):
+        """||a - b||, bit for bit as the block vectors' `distance`."""
+        d = a - b
+        return math.sqrt(np.dot(d, d)) if self.views is None else self.norm(d)
+
+
+def fp_residual(plan, x):
     """Noise-free fixed-point residual ||x - J_{gbar U A}(x - gbar U B x)||.
 
-    Vanishes exactly on the solution set for catalogue operators. Keeps the
-    record (x, B x, p, residual) on prob, from which `step` takes p for a
-    draw of that B x at x and gbar, and `run` the norm of a step from x to p.
-    Block vectors are immutable and `backward_fn` depends on its arguments
-    alone, so the record's p is what a new sweep would return.
+    Vanishes exactly on the solution set for catalogue operators. Returns
+    the row's record (x, B x, p, residual), the run's flat arrays, from
+    which `step` takes B x for its draw at x, and p for an exact draw at
+    gbar, and `run` the norm of a step from x to p: the arrays are never
+    written, and the backward maps depend on their arguments alone.
     """
-    b = prob.oracle.exact(x)
-    p = prob.backward(x, prob.default_gamma, b)
-    res = x.distance(p)
-    prob._last_residual = (x, b, p, res)
-    return res
+    bx = plan.exact(x)
+    p = plan.backward_bar(x, bx)
+    return x, bx, p, plan.distance(x, p)
 
 
 @dataclass
@@ -281,26 +352,28 @@ class RunTrace:
         }
 
 
-def step(prob, cfg, state, n, gamma, lam):
-    """One solver iteration; returns the new (x_{n+1}, x_n) pair.
+def step(plan, state, n, alpha, sigma, row=None):
+    """One solver iteration on the plan's flat arrays; returns the new
+    (x_{n+1}, x_n) pair.
 
-    Draws from the oracle exactly once. `gamma` and `lam` are the run's step
-    and relaxation, `cfg.step_size(prob)` and `cfg.relaxation`, which `run`
-    resolves once.
+    Draws from the oracle exactly once. alpha and sigma are alpha_n and
+    sigma_n, and row the record of the last recorded residual (None: none
+    yet). At that row's point with alpha_n = 0 the draw takes its B x_n;
+    if that draw is the exact map and the step is gbar, the step's
+    backward map is the row's p.
     """
     x, x_prev = state
-    alpha = cfg.inertia.alpha(n)
-    w = x if alpha == 0.0 else x.axpy_diff(alpha, x, x_prev)
-    r = prob.oracle.sample(n, w)
-    last = prob._last_residual
-    # the draw is the recorded residual's map value at its point and step:
-    # the residual's own sweep
-    if last is not None and last[0] is w and last[1] is r and gamma == prob.default_gamma:
-        p = last[2]
+    at_row = alpha == 0.0 and row is not None and row[0] is x
+    w = x if alpha == 0.0 else x + alpha * (x - x_prev)
+    exact = row[1] if at_row else None
+    r = plan.sample(n, w, exact, sigma)
+    if at_row and r is exact and plan.same_step:
+        p = row[2]
     else:
-        p = prob.backward(w, gamma, r)
+        p = plan.backward(w, r)
     # at lam = 1 the relaxed update collapses to p exactly; keep it exact
-    x_next = p if lam == 1.0 else x.axpy_diff(lam, p, x)
+    lam = plan.lam
+    x_next = p if lam == 1.0 else x + lam * (p - x)
     return x_next, x
 
 
@@ -310,7 +383,9 @@ def run(prob, cfg, reference=None):
     Returns (final iterate, RunTrace). The trace records every `record_every`
     iterations; non-finite iterates or norm blow-up terminate with the
     `diverged` status and the offending iteration index. Every gate, the
-    step size included, is checked before the first oracle draw.
+    step size included, is checked before the first oracle draw. x0, the
+    reference and the returned iterate are block vectors; in between the
+    run steps on its plan's flat arrays (`Plan`).
     """
     if np.isfinite(prob.beta) and cfg.beta > prob.beta * (1.0 + 1e-12):
         raise ConfigurationError(
@@ -323,51 +398,58 @@ def run(prob, cfg, reference=None):
               if s is not None and s.violation() is not None]
     if failed:
         raise ConfigurationError(f"schedule validation failed: {'; '.join(failed)}")
-    lam = cfg.relaxation
+    plan = Plan(prob, gamma, cfg.relaxation)
+    sigma_of, alpha_of = prob.oracle.noise.sigma, cfg.inertia.alpha
+    every, last_n, stop_tol = cfg.record_every, cfg.max_iter, cfg.stop_tol
+    if reference is not None and reference.dims != plan.dims:
+        raise DimensionMismatch(f"reference dims {reference.dims} != x0 dims {plan.dims}")
+    ref = None if reference is None else reference.concatenated()
+
+    def result(x):
+        return BlockVector.from_flat(x, plan.dims)
 
     trace = RunTrace()
-    x = prob.x0
-    x_prev = prob.x0  # x_{-1} = x_0
-    sn = x.distance(x_prev)  # ||x_n - x_{n-1}||, then carried over from each step
+    x = x_prev = prob.x0.concatenated()  # x_{-1} = x_0
+    sn = plan.distance(x, x_prev)  # ||x_n - x_{n-1}||, then carried over from each step
     # an upper bound on ||x_n||, since ||x_{n+1}|| <= ||x_n|| + ||x_{n+1} - x_n||;
     # below half the divergence limit, which absorbs every rounding of the
     # norms and sums, the norm itself cannot reach the limit and is skipped
-    bound = x.norm()
-    for n in range(cfg.max_iter + 1):
-        recorded = (n % cfg.record_every == 0) or n == cfg.max_iter
-        if recorded:
-            res = fp_residual(prob, x)
-            dist = x.distance(reference) if reference is not None else float("nan")
-            trace.append(TraceRow(n, res, sn, dist,
-                                  prob.oracle.noise.sigma(n), cfg.inertia.alpha(n)))
-            if res <= cfg.stop_tol:
+    bound = plan.norm(x)
+    row = None
+    for n in range(last_n + 1):
+        sigma, alpha = sigma_of(n), alpha_of(n)
+        if n % every == 0 or n == last_n:
+            row = fp_residual(plan, x)
+            res = row[3]
+            dist = plan.distance(x, ref) if ref is not None else float("nan")
+            trace.append(TraceRow(n, res, sn, dist, sigma, alpha))
+            if res <= stop_tol:
                 trace.status = CONVERGED
                 trace.iterations = n
-                return x, trace
-        if n == cfg.max_iter:
+                return result(x), trace
+        if n == last_n:
             break
-        x_next, x_curr = step(prob, cfg, (x, x_prev), n, gamma, lam)
-        last = prob._last_residual
-        # an exact step at lambda = 1 returns the residual's own sweep p from x,
-        # and ||p - x|| is ||x - p|| bit for bit (p - x is -(x - p) exactly)
-        if last is not None and last[2] is x_next and last[0] is x:
-            sn = last[3]
+        x_next, x_curr = step(plan, (x, x_prev), n, alpha, sigma, row)
+        # a step that took the row's p at lambda = 1 returns it from x, and
+        # ||p - x|| is ||x - p|| bit for bit (p - x is -(x - p) exactly)
+        if row is not None and x_next is row[2] and row[0] is x:
+            sn = row[3]
         else:
-            sn = x_next.distance(x)
+            sn = plan.distance(x_next, x)
         if trace.first_step_norm is None and sn > 0.0:
             trace.first_step_norm = sn
         trace.max_step_norm = max(trace.max_step_norm, sn)
         x, x_prev = x_next, x_curr
         bound += sn
         if not bound <= 0.5 * _DIVERGE_NORM:
-            bound = x.norm()
+            bound = plan.norm(x)
             # a NaN or infinite entry, or an overflowing sum of squares, makes
             # the norm (and the bound) NaN or inf, which fails the comparison
             if not bound <= _DIVERGE_NORM:
                 trace.status = DIVERGED
                 trace.iterations = n + 1
                 trace.diverged_at = n
-                return x, trace
+                return result(x), trace
     trace.status = MAX_ITER
     trace.iterations = cfg.max_iter
-    return x, trace
+    return result(x), trace

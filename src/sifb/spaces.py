@@ -13,6 +13,7 @@ matrix, so they are exact to rounding and deterministic.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,6 +28,15 @@ def _freeze(a):
 def _offsets(dims):
     """Start of each block in the stacked vector, then the total length."""
     return np.concatenate(([0], np.cumsum(dims, dtype=np.int64)))
+
+
+def block_views(dims):
+    """A function from a flat array in the layout of the block lengths dims
+    to the tuple of its block views."""
+    if len(dims) < 2:
+        return lambda x: (x,) * len(dims)
+    off = _offsets(dims).tolist()
+    return itemgetter(*map(slice, off[:-1], off[1:]))
 
 
 class BlockVector:
@@ -91,7 +101,7 @@ class BlockVector:
 
     # __neg__, axpy, Preconditioner.apply_inverse and Preconditioner.apply_sqrt
     # have no caller in the package: they stay only as patch points that
-    # perfbench/tracer.py wraps by name, until ROADMAP item 9 replaces its list.
+    # perfbench/tracer.py wraps by name, until ROADMAP item 4 replaces its list.
     def __neg__(self):
         return BlockVector._wrap([-a for a in self.blocks], self.dims)
 
@@ -101,15 +111,6 @@ class BlockVector:
         c = float(c)
         return BlockVector._wrap(
             [a + c * b for a, b in zip(self.blocks, other.blocks)], self.dims
-        )
-
-    def axpy_diff(self, c, a, b):
-        """self + c * (a - b), in one pass, bit for bit as self.axpy(c, a - b)."""
-        self._check_same(a)
-        a._check_same(b)
-        c = float(c)
-        return BlockVector._wrap(
-            [x + c * (y - z) for x, y, z in zip(self.blocks, a.blocks, b.blocks)], self.dims
         )
 
     # dot, norm and distance add the per-block products in block order,

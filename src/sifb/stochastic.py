@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, bind_kind
+from .errors import ConfigurationError, DimensionMismatch, bind_kind
 from .spaces import BlockVector
 
 _MASK64 = (1 << 64) - 1
@@ -357,7 +357,6 @@ class StochasticOracle:
         self.mode = mode
         self.batch0 = int(batch0)
         self._growth = growth
-        self._last_exact = None
         self._lock = threading.Lock()
         # built at the first draw, so that a noise-free run never pays for them
         self._pool = None
@@ -382,22 +381,6 @@ class StochasticOracle:
                                          "has_uint32": 0, "uinteger": 0}
         return self._rng
 
-    def exact(self, w):
-        """The noise-free map value B(w).
-
-        Keeps the last (w, B(w)) and returns that value again for the same w
-        object, so the exact draw of a step reuses the map value of the
-        residual recorded at the same point just before it. This assumes that
-        a `BlockVector` is never mutated (its arrays are read-only), so one
-        object always holds one value.
-        """
-        last = self._last_exact
-        if last is not None and last[0] is w:
-            return last[1]
-        value = self.base.apply(w)
-        self._last_exact = (w, value)
-        return value
-
     def summable_variance(self):
         """Whether the conditional variances of the draws sum to a finite value.
 
@@ -419,25 +402,37 @@ class StochasticOracle:
             return count
         return count if size >= count else int(np.ceil(size))
 
-    def sample(self, n, w):
-        """One draw of the stochastic forward map at iteration n, point w."""
+    def sample(self, n, w, exact=None, sigma=None):
+        """One draw of the stochastic forward map at iteration n, point w.
+
+        w is a flat float64 array in the map's block layout, as a compiled
+        run steps on, and the draw is one too; `exact` is B(w), when the
+        caller holds it, and `sigma` is sigma_n, when the caller has computed
+        it. A draw that is the exact map returns that B(w) array itself. A
+        block vector w (exact and sigma unused) gives a block vector draw.
+        """
+        if isinstance(w, BlockVector):
+            if w.dims != self.base.dims:
+                raise DimensionMismatch(f"map dims {self.base.dims}, vector dims {w.dims}")
+            return BlockVector.from_flat(self.sample(n, w.concatenated()), w.dims)
         if n < 0:
             raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
         if self.mode == "additive_gaussian":
-            s = self.noise.sigma(n)
-            exact = self.exact(w)
+            s = self.noise.sigma(n) if sigma is None else sigma
+            if exact is None:
+                exact = self.base.apply_flat(w)
             if s == 0.0:
                 return exact
+            # the blocks' variates in block order are one draw of their total
+            # length from the same stream
             with self._lock:
-                rng = self._stream(n)
-                blocks = [e + s * rng.standard_normal(d)
-                          for e, d in zip(exact.blocks, exact.dims)]
-            return BlockVector._wrap(blocks, exact.dims)
+                g = self._stream(n).standard_normal(len(exact))
+            return exact + s * g
         count, batch_fn = self.base.components
         bsz = self.batch_size(n)
         if bsz >= count:
             # the grown batch covers the sum: the exact map, zero variance
-            return self.exact(w)
+            return self.base.apply_flat(w) if exact is None else exact
         with self._lock:
             idx = self._stream(n).integers(0, count, size=bsz)
         return batch_fn(idx, w)
@@ -453,7 +448,7 @@ class StochasticOracle:
         if n < 0:
             raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
         s = self.noise.sigma(n)
-        exact = self.exact(w)
+        exact = self.base.apply(w)
         if s == 0.0:
             return [exact] * int(draws)
         with self._lock:

@@ -3,7 +3,9 @@
 The solver never forms a stacked preconditioner, a weighted inner product or
 a dense coupling: both primal-dual assemblies run block sweeps. The tests
 cross-check those sweeps against the dense objects built here, at small
-sizes. Import as `from audits import ...` (pytest puts `tests/` on the path).
+sizes. The solver also steps on flat arrays only; `step_blocks` and
+`blockvector_instance` let a test step from, or sweep with, block vectors.
+Import as `from audits import ...` (pytest puts `tests/` on the path).
 """
 
 import numpy as np
@@ -13,9 +15,12 @@ from sifb import (
     ConfigurationError,
     InfeasibleProblemError,
     Preconditioner,
+    ProblemInstance,
     block_concat,
     block_split,
+    step,
 )
+from sifb.solver import Plan
 from sifb.spaces import _offsets
 
 
@@ -33,6 +38,26 @@ def dense(op):
             else:
                 np.fill_diagonal(block, cell)
     return out
+
+
+def step_blocks(inst, cfg, state, n):
+    """One `step` of inst under cfg at iteration n from a pair of block
+    vectors, on the plan a run would compile; returns the new pair."""
+    plan = Plan(inst, cfg.step_size(inst), cfg.relaxation)
+    x, x_prev = (v.concatenated() for v in state)
+    x_next, _ = step(plan, (x, x_prev), n, cfg.inertia.alpha(n), inst.oracle.noise.sigma(n))
+    return BlockVector.from_flat(x_next, inst.x0.dims), state[0]
+
+
+def blockvector_instance(oracle, x0, beta, backward_fn, gamma_fixed=None):
+    """An instance whose backward map is backward_fn(w, gamma, r) on block vectors."""
+    dims = x0.dims
+
+    def bind_backward(gamma):
+        return lambda w, r: backward_fn(BlockVector.from_flat(w, dims), gamma,
+                                        BlockVector.from_flat(r, dims)).concatenated()
+
+    return ProblemInstance(oracle, x0, beta, bind_backward, gamma_fixed)
 
 
 def inverse(p):

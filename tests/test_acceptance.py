@@ -35,7 +35,6 @@ from sifb import (
     moreau_check,
     optimal_balance,
     run,
-    step,
 )
 from sifb.cli import main as cli_main
 from sifb.problems import (
@@ -48,7 +47,7 @@ from sifb.problems import (
     sifb_instance,
 )
 
-from audits import WeightedMetric, inverse, scalar_feasibility_constant
+from audits import WeightedMetric, inverse, scalar_feasibility_constant, step_blocks
 from test_cli import load_json, read_file
 from test_primal_dual import (
     ReplayOracle,
@@ -182,7 +181,7 @@ def test_criterion_4_assembly_fidelity():
                                inertia=inertia, max_iter=1)
             state = (block_concat(BlockVector(x), BlockVector(v)),
                      block_concat(BlockVector(xp), BlockVector(vp)))
-            new_state, _ = step(inst, cfg, state, 0, cfg.step_size(inst), cfg.relaxation)
+            new_state, _ = step_blocks(inst, cfg, state, 0)
             got_p, got_d = extract_primal_dual(new_state, prob)
             want_x, want_v = transcribe(data, x, xp, v, vp, a, b, alpha, relax)
             for got, want in zip(got_p.blocks + got_d.blocks, want_x + want_v):

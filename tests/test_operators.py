@@ -787,9 +787,10 @@ def test_zero_maps_return_one_shared_read_only_zero():
                                 beta=float("inf"))
     for b_map, dims in ((zero, (3, 2)), (pair, (3, 2, 4))):
         x, y = (BlockVector([rng.standard_normal(d) for d in dims]) for _ in range(2))
-        first = b_map.apply(x)
-        assert b_map.apply(y) is first and b_map.apply(x) is first
-        assert first.dims == dims
-        assert all(not b.flags.writeable and not b.any() for b in first.blocks)
+        first = b_map.apply_flat(x.concatenated())
+        assert b_map.apply_flat(y.concatenated()) is first
+        assert first.shape == (sum(dims),) and not first.flags.writeable and not first.any()
+        value = b_map.apply(x)
+        assert value.dims == dims and not any(b.any() for b in value.blocks)
         with pytest.raises(DimensionMismatch):
             b_map.apply(BlockVector([np.ones(d + 1) for d in dims]))

@@ -22,7 +22,6 @@ from sifb import (
     NormEstimationError,
     Preconditioner,
     PrimalDualProblem,
-    ProblemInstance,
     ProxFunction,
     SolverConfig,
     assemble_class1,
@@ -44,15 +43,18 @@ from sifb.problems import (
     reference_oracle,
     sifb_instance,
 )
+from sifb.solver import Plan
 
 from test_solver import csv_text
 
 from audits import (
+    blockvector_instance,
     class1_metric_apply,
     class2_metric_apply,
     dense,
     dense_metrics,
     scalar_feasibility_constant,
+    step_blocks,
 )
 
 
@@ -61,10 +63,10 @@ class ReplayOracle:
 
     def __init__(self, base, value):
         self.base = base
-        self.value = value
+        self.value = value.concatenated()
         self.noise = NoiseSchedule.zero()
 
-    def sample(self, n, w):
+    def sample(self, n, w, *args):
         return self.value
 
 
@@ -624,7 +626,7 @@ def test_assembly_matches_transcription(which):
                            max_iter=1)
         state = (block_concat(BlockVector(x), BlockVector(v)),
                  block_concat(BlockVector(xp), BlockVector(vp)))
-        new_state, _ = step(inst, cfg, state, 0, cfg.step_size(inst), cfg.relaxation)
+        new_state, _ = step_blocks(inst, cfg, state, 0)
         primal_new, dual_new = extract_primal_dual(new_state, prob)
         transcribe = transcribe_class1 if which == "class1" else transcribe_class2
         want_x, want_v = transcribe(data, x, xp, v, vp, a, b, alpha, relax)
@@ -654,7 +656,7 @@ def test_class1_decoupled_when_coupling_vanishes():
     v = BlockVector([rng.standard_normal(2)])
     state = (block_concat(x, v),) * 2
     cfg = SolverConfig(beta=inst.beta, max_iter=1)
-    new_state, _ = step(inst, cfg, state, 0, cfg.step_size(inst), cfg.relaxation)
+    new_state, _ = step_blocks(inst, cfg, state, 0)
     p_got, q_got = extract_primal_dual(new_state, prob)
     # primal and dual halves decouple into independent resolvent updates
     z_arg = x - prob.V.apply(a - prob.z)
@@ -685,7 +687,7 @@ def test_class2_decoupled_primal_is_pure_forward_step():
     v = BlockVector([rng.standard_normal(2)])
     state = (block_concat(x, v),) * 2
     cfg = SolverConfig(beta=inst.beta, max_iter=1)
-    new_state, _ = step(inst, cfg, state, 0, cfg.step_size(inst), cfg.relaxation)
+    new_state, _ = step_blocks(inst, cfg, state, 0)
     p_got, _ = extract_primal_dual(new_state, prob)
     p_want = x - prob.V.apply(a - prob.z)
     assert (p_got - p_want).norm() <= 1e-14
@@ -718,11 +720,11 @@ def test_run_rejects_other_step_on_assembled_instance_at_once(assemble):
     inst = assemble(pd_problem(build_lasso(12, 10, 0.2, cond=20.0, seed=3), "split"))
     steps = []
 
-    def counting(w, gamma, r):
+    def counting(gamma):
         steps.append(gamma)
-        return inst.backward_fn(w, gamma, r)
+        return inst.bind_backward(gamma)
 
-    counted = dataclasses.replace(inst, backward_fn=counting)
+    counted = dataclasses.replace(inst, bind_backward=counting)
     cfg = SolverConfig(beta=inst.beta, gamma=0.5, max_iter=10)
     with pytest.raises(ConfigurationError, match="only at gamma=1.0, got 0.5"):
         run(counted, cfg)
@@ -747,7 +749,8 @@ def split_lasso():
 ], ids=["gamma-class1", "gamma-class2", "beta", "noise"])
 def test_run_refuses_before_drawing(make, beta_scale, gamma, refusal):
     # every gate is decided before the first iteration, so a refused run
-    # draws nothing and evaluates no map
+    # compiles no plan (which binds the backward maps and reads the map) and
+    # draws nothing
     inst = make()
     draws = []
 
@@ -755,15 +758,15 @@ def test_run_refuses_before_drawing(make, beta_scale, gamma, refusal):
         def __getattr__(self, name):
             return getattr(inst.oracle, name)
 
-        def sample(self, n, w):
+        def sample(self, n, w, *args):
             draws.append(n)
-            return inst.oracle.sample(n, w)
+            return inst.oracle.sample(n, w, *args)
 
-        def exact(self, x):
-            draws.append("exact")
-            return inst.oracle.exact(x)
+    def counting_bind(gamma):
+        draws.append("bind")
+        return inst.bind_backward(gamma)
 
-    counted = dataclasses.replace(inst, oracle=CountingOracle())
+    counted = dataclasses.replace(inst, oracle=CountingOracle(), bind_backward=counting_bind)
     cfg = SolverConfig(beta=beta_scale * inst.beta, gamma=gamma, max_iter=10)
     with pytest.raises(ConfigurationError, match=refusal):
         run(counted, cfg)
@@ -772,8 +775,8 @@ def test_run_refuses_before_drawing(make, beta_scale, gamma, refusal):
 
 def test_class2_sweep_reuses_the_last_adjoint_product(monkeypatch):
     # a noise-free run at alpha = 0 and lambda = 1 sweeps from the last
-    # sweep's output, whose L* q the sweep kept: one adjoint product per sweep
-    # after the first, and the bits of a sweep that recomputes it
+    # sweep's output, whose L* q the run's sweep kept: one adjoint product per
+    # sweep after the first, and the bits of a sweep that recomputes it
     inst = assemble_class2(split_lasso())
     cfg = SolverConfig(beta=inst.beta, max_iter=5000, stop_tol=1e-9)
     sweeps, adjoints = [], []
@@ -783,38 +786,45 @@ def test_class2_sweep_reuses_the_last_adjoint_product(monkeypatch):
         adjoints.append(1)
         return adjoint(self, vs)
 
-    def counting_backward(u, gamma, a):
-        sweeps.append(1)
-        return inst.backward_fn(u, gamma, a)
+    def counting_bind(gamma):
+        backward = inst.bind_backward(gamma)
 
-    def copying_backward(u, gamma, a):
-        # a copy of u holds new arrays, which the memo does not know
-        return inst.backward_fn(BlockVector(u.blocks), gamma, a)
+        def counting_backward(u, a):
+            sweeps.append(1)
+            return backward(u, a)
+
+        return counting_backward
+
+    def copying_bind(gamma):
+        # a copy of u is another array, which the kept output is not
+        backward = inst.bind_backward(gamma)
+        return lambda u, a: backward(u.copy(), a)
 
     monkeypatch.setattr(BlockLinearOperator, "adjoint_apply_blocks", counting_adjoint)
-    x, trace = run(dataclasses.replace(inst, backward_fn=counting_backward), cfg)
+    x, trace = run(dataclasses.replace(inst, bind_backward=counting_bind), cfg)
     assert trace.status == "converged"
     assert len(adjoints) == len(sweeps) + 1 == trace.iterations + 2
     adjoints.clear()
-    y, again = run(dataclasses.replace(inst, backward_fn=copying_backward), cfg)
+    y, again = run(dataclasses.replace(inst, bind_backward=copying_bind), cfg)
     assert len(adjoints) == 2 * (trace.iterations + 1)
     assert csv_text(again) == csv_text(trace)
     assert x.concatenated().tobytes() == y.concatenated().tobytes()
 
 
 def test_threads_stepping_one_class2_instance_match_serial_steps():
-    # noisy steps at alpha = 0 sweep from the last output of their own thread,
-    # while the other threads replace the memo; more threads than cores and a
-    # switch interval of 1 us preempt them between reading the memo and
-    # storing it
+    # noisy steps at alpha = 0 sweep from the last output of their own
+    # thread's plan, which keeps that output's L* q, while every thread draws
+    # from the instance's one oracle; more threads than cores and a switch
+    # interval of 1 us preempt them mid-step
     noise = NoiseSchedule.polynomial(0.2, 0.75)
-    cfg = SolverConfig(beta=1.0, max_iter=1)
 
     def chain(inst, count=200):
-        state, out = (inst.x0, inst.x0), []
+        plan = Plan(inst, 1.0, 1.0)
+        x0 = inst.x0.concatenated()
+        state, out = (x0, x0), []
         for n in range(count):
-            state = step(inst, cfg, state, n, 1.0, 1.0)
-            out.append(state[0].concatenated().tobytes())
+            state = step(plan, state, n, 0.0, noise.sigma(n))
+            out.append(state[0].tobytes())
         return out
 
     serial = chain(assemble_class2(split_lasso(), noise=noise, seed=4))
@@ -1227,13 +1237,13 @@ def test_block_array_sweeps_match_blockvector_reference_bytes(make, which):
     reference = (reference_class1_sweep if which == "class1"
                  else reference_class2_sweep)(with_dense_coupling(prob))
     inst = assemble(prob, noise=NoiseSchedule.polynomial(0.3, 0.75), seed=11)
-    ref_inst = ProblemInstance(inst.oracle, inst.x0, inst.beta, reference, gamma_fixed=1.0)
+    ref_inst = blockvector_instance(inst.oracle, inst.x0, inst.beta, reference, gamma_fixed=1.0)
     rng = np.random.default_rng(17)
     for _ in range(20):
         # about half the entries -0.0, so that signed zeros meet the shifts
         u, a = (BlockVector([np.where(rng.random(d) < 0.5, -0.0, rng.standard_normal(d))
                              for d in prob.stacked_dims]) for _ in range(2))
-        got, want = inst.backward_fn(u, 1.0, a), reference(u, 1.0, a)
+        got, want = inst.backward(u, 1.0, a), reference(u, 1.0, a)
         assert got.dims == want.dims
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got.blocks, want.blocks))
         assert all(not g.flags.writeable for g in got.blocks)
@@ -1250,7 +1260,7 @@ def test_block_array_sweeps_match_blockvector_reference_bytes(make, which):
 @pytest.mark.parametrize("assemble", [assemble_class1, assemble_class2])
 def test_sweep_refuses_iterate_or_draw_of_wrong_dims(assemble):
     prob = two_by_two_problem(zero_primal=True)
-    backward = assemble(prob).backward_fn
+    backward = assemble(prob).backward
     good = BlockVector.zeros(prob.stacked_dims)
     for bad in (BlockVector.zeros((3, 4, 3, 3)), BlockVector.zeros((3, 4, 3)),
                 BlockVector.zeros(prob.stacked_dims + (1,))):

@@ -1,5 +1,8 @@
 import dataclasses
 import io
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,12 +20,15 @@ from sifb import (
     ProxFunction,
     SolverConfig,
     StochasticOracle,
+    derive_seeds,
     fp_residual,
     run,
-    step,
 )
 from sifb.primal_dual import assemble_class1, assemble_class2
 from sifb.problems import build_lasso, pd_problem, reference_oracle, sifb_instance
+from sifb.solver import Plan
+
+from audits import step_blocks
 
 
 class CountingOracle:
@@ -40,9 +46,9 @@ class CountingOracle:
     def noise(self):
         return self.inner.noise
 
-    def sample(self, n, w):
+    def sample(self, n, w, *args):
         self.calls += 1
-        return self.inner.sample(n, w)
+        return self.inner.sample(n, w, *args)
 
 
 def scalar_instance(lam=1.0, target=2.0, beta_override=None):
@@ -60,8 +66,9 @@ def scalar_instance(lam=1.0, target=2.0, beta_override=None):
 
 
 def test_forward_backward_sweep_is_the_resolvent_step_at_each_gamma():
-    # the kernels are kept for the last two steps seen; the sweep must give
-    # the bytes of J_{gamma U A}(w - gamma U r) through the per-call resolvent
+    # the flat map bound at each step must give the bytes of
+    # J_{gamma U A}(w - gamma U r) through the per-call resolvent, on blocks
+    # of three lengths, one of them empty
     rng = np.random.default_rng(8)
     dims = (4, 3, 0)
     op = MonotoneBlock([MonotoneBlock.rule_subdiff(ProxFunction.l1(0.3)),
@@ -73,12 +80,12 @@ def test_forward_backward_sweep_is_the_resolvent_step_at_each_gamma():
                                             BlockVector.zeros(dims))
     for gamma in (0.5, 0.7, 0.7, 0.5):
         w, r = (BlockVector([rng.standard_normal(d) for d in dims]) for _ in range(2))
-        got = inst.backward_fn(w, gamma, r)
+        got = inst.backward(w, gamma, r)
         want = op.resolvent(gamma, metric, w.axpy(-gamma, metric.apply(r)))
         assert got.dims == dims
         assert all(g.tobytes() == v.tobytes() for g, v in zip(got.blocks, want.blocks))
     with pytest.raises(DimensionMismatch, match="draw dims"):
-        inst.backward_fn(w, 0.5, BlockVector([np.ones(4), np.ones(3)]))
+        inst.backward(w, 0.5, BlockVector([np.ones(4), np.ones(3)]))
 
 
 # --- single steps ---------------------------------------------------------------
@@ -92,7 +99,7 @@ def test_step_identity_map_reaches_zero_in_one_step():
         op, oracle, Preconditioner.identity((1,)), BlockVector([[1.0]])
     )
     cfg = SolverConfig(beta=1.0, gamma=1.0)
-    x1, x0 = step(prob, cfg, (prob.x0, prob.x0), 0, cfg.step_size(prob), cfg.relaxation)
+    x1, x0 = step_blocks(prob, cfg, (prob.x0, prob.x0), 0)
     assert x1.blocks[0][0] == 0.0
     assert x0.blocks[0][0] == 1.0
 
@@ -108,8 +115,7 @@ def test_step_extrapolation_arithmetic():
     )
     cfg = SolverConfig(beta=1.0, gamma=1.0,
                        inertia=InertiaSchedule.polynomial(0.5, 2.0))
-    x1, _ = step(prob, cfg, (BlockVector([[2.0]]), BlockVector([[1.0]])), 0,
-                 cfg.step_size(prob), cfg.relaxation)
+    x1, _ = step_blocks(prob, cfg, (BlockVector([[2.0]]), BlockVector([[1.0]])), 0)
     assert x1.blocks[0][0] == pytest.approx(2.5)
 
 
@@ -118,11 +124,11 @@ def test_step_scalar_lasso_reaches_minimizer_and_stays():
     prob = scalar_instance(beta_override=1.0)
     cfg = SolverConfig(beta=1.0, gamma=1.0)
     state = (prob.x0, prob.x0)
-    state = step(prob, cfg, state, 0, cfg.step_size(prob), cfg.relaxation)
+    state = step_blocks(prob, cfg, state, 0)
     assert state[0].blocks[0][0] == pytest.approx(1.0)
-    state = step(prob, cfg, state, 1, cfg.step_size(prob), cfg.relaxation)
+    state = step_blocks(prob, cfg, state, 1)
     assert state[0].blocks[0][0] == pytest.approx(1.0)
-    assert fp_residual(prob, state[0]) <= 1e-14
+    assert residual(prob, state[0]) <= 1e-14
 
 
 def test_step_draws_oracle_exactly_once():
@@ -132,7 +138,7 @@ def test_step_draws_oracle_exactly_once():
     cfg = SolverConfig(beta=prob.beta)
     state = (prob.x0, prob.x0)
     for n in range(7):
-        state = step(prob, cfg, state, n, cfg.step_size(prob), cfg.relaxation)
+        state = step_blocks(prob, cfg, state, n)
     assert counter.calls == 7
 
 
@@ -159,6 +165,11 @@ def test_run_from_solution_terminates_at_n0():
     assert trace.rows[0].fp_residual <= 1e-12
 
 
+def residual(prob, x):
+    """The fixed-point residual of prob at the block vector x."""
+    return fp_residual(Plan(prob, prob.default_gamma, 1.0), x.concatenated())[3]
+
+
 def test_fp_residual_zero_problem_and_sign():
     b_map = CocoerciveMap.zero_map((2,))
     op = MonotoneBlock.zero(1)
@@ -166,9 +177,9 @@ def test_fp_residual_zero_problem_and_sign():
     prob = ProblemInstance.forward_backward(
         op, oracle, Preconditioner.identity((2,)), BlockVector([[0.0, 0.0]]), beta=1.0
     )
-    assert fp_residual(prob, BlockVector([[3.0, -4.0]])) == 0.0
+    assert residual(prob, BlockVector([[3.0, -4.0]])) == 0.0
     lasso = scalar_instance(beta_override=1.0)
-    assert fp_residual(lasso, BlockVector([[5.0]])) > 0.1
+    assert residual(lasso, BlockVector([[5.0]])) > 0.1
 
 
 # --- reduction to the classical loop -------------------------------------------------
@@ -249,6 +260,37 @@ def test_relaxed_reduction_bit_identical():
     assert np.array_equal(x.blocks[0], want)
 
 
+def test_noisy_inertial_rows_match_a_flat_numpy_loop_bit_for_bit():
+    # fb-small-stoch's problem, written out on one flat array with its own
+    # per-step generator: every row's residual and step norm to the bit
+    demo = build_lasso(20, 30, 0.1, cond=100.0, seed=42)
+    a, b = demo.data["a"], demo.data["b"]
+
+    def soft(z, t):
+        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+    for seed in derive_seeds(2024, 2):
+        inst = sifb_instance(demo, noise=NoiseSchedule.polynomial(0.25, 0.75), seed=seed)
+        cfg = SolverConfig(beta=inst.beta, inertia=InertiaSchedule.polynomial(0.5, 1.5),
+                           max_iter=300, stop_tol=0.0)
+        _, trace = run(inst, cfg)
+        gamma = inst.default_gamma
+        x = x_prev = np.zeros(30)
+        want = []
+        step_norm = 0.0
+        for n in range(301):
+            d = x - soft(x - gamma * (a.T @ (a @ x - b)), gamma * 0.1)
+            want.append((np.sqrt(d @ d).hex(), step_norm.hex()))
+            if n == 300:
+                break
+            w = x + 0.5 * (n + 1.0) ** -1.5 * (x - x_prev)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
+            r = a.T @ (a @ w - b) + 0.25 * (n + 1.0) ** -0.75 * rng.standard_normal(30)
+            x_prev, x = x, soft(w - gamma * r, gamma * 0.1)
+            step_norm = float(np.sqrt((x - x_prev) @ (x - x_prev)))
+        assert [(r.fp_residual.hex(), r.step_norm.hex()) for r in trace.rows] == want
+
+
 def test_inertial_run_converges_to_same_solution():
     demo = build_lasso(15, 12, 0.1, cond=20.0, seed=11)
     inst = sifb_instance(demo)
@@ -265,22 +307,27 @@ def test_inertial_run_converges_to_same_solution():
 
 
 def counted(inst):
-    """`inst` with its exact map and its backward sweep counted in `calls`."""
-    base, sweep = inst.oracle.base, inst.backward_fn
+    """`inst` with its exact map and the backward maps it binds counted in `calls`."""
+    base, bind = inst.oracle.base, inst.bind_backward
     calls = {"map": 0, "sweep": 0}
 
     def counted_map(x):
         calls["map"] += 1
         return base.apply(x)
 
-    def counted_sweep(w, gamma, r):
-        calls["sweep"] += 1
-        return sweep(w, gamma, r)
+    def counted_bind(gamma):
+        sweep = bind(gamma)
+
+        def counted_sweep(w, r):
+            calls["sweep"] += 1
+            return sweep(w, r)
+
+        return counted_sweep
 
     oracle = StochasticOracle(
         CocoerciveMap.from_callable(base.dims, counted_map, base.beta),
         inst.oracle.noise, rng_seed=inst.oracle.rng_seed)
-    return dataclasses.replace(inst, oracle=oracle, backward_fn=counted_sweep), calls
+    return dataclasses.replace(inst, oracle=oracle, bind_backward=counted_bind), calls
 
 
 LASSO = build_lasso(14, 10, 0.2, cond=30.0, seed=21)
@@ -291,8 +338,8 @@ LASSO = build_lasso(14, 10, 0.2, cond=30.0, seed=21)
     lambda: assemble_class1(pd_problem(LASSO, "split")),
 ], ids=["forward_backward", "class1"])
 def test_exact_iteration_evaluates_map_and_sweep_once(build):
-    # every step reuses the map value and sweep of the residual recorded at
-    # its point: N + 1 of each in N iterations, against 2N + 1 recomputing
+    # every step takes the map value and sweep of the record of the residual
+    # at its point: N + 1 of each in N iterations, against 2N + 1 recomputing
     inst = build()
     prob, calls = counted(inst)
     x, trace = run(prob, SolverConfig(beta=inst.beta, max_iter=100000, stop_tol=1e-10))
@@ -303,33 +350,38 @@ def test_exact_iteration_evaluates_map_and_sweep_once(build):
     # bit for bit the iterate of a loop that recomputes everything
     want = inst.x0
     for _ in range(n):
-        want = inst.backward_fn(want, inst.default_gamma, inst.oracle.base.apply(want))
+        want = inst.backward(want, inst.default_gamma, inst.oracle.base.apply(want))
     assert all(np.array_equal(a, b) for a, b in zip(x.blocks, want.blocks))
 
 
 def test_split_lasso_class1_sweeps_once_per_iteration_on_the_shared_zero():
     # the split lasso's smooth map is a pair of zero maps, so every exact draw
-    # is one shared zero vector; the residual record still tells the
+    # is one shared zero array; the residual record still tells the
     # iterations apart by their point, so a step reuses only the sweep of the
     # residual recorded at its own point
     inst = assemble_class1(pd_problem(LASSO, "split"))
     draws = []
 
-    def counted_sweep(w, gamma, r):
-        draws.append(r)
-        return inst.backward_fn(w, gamma, r)
+    def counted_bind(gamma):
+        sweep = inst.bind_backward(gamma)
 
-    prob = dataclasses.replace(inst, backward_fn=counted_sweep)
+        def counted_sweep(w, r):
+            draws.append(r)
+            return sweep(w, r)
+
+        return counted_sweep
+
+    prob = dataclasses.replace(inst, bind_backward=counted_bind)
     _, trace = run(prob, SolverConfig(beta=inst.beta, max_iter=100000, stop_tol=1e-10))
     n = trace.iterations
     assert trace.status == "converged" and n > 10
     assert len(draws) == n + 1
-    assert all(r is draws[0] for r in draws) and not any(b.any() for b in draws[0].blocks)
+    assert all(r is draws[0] for r in draws) and not draws[0].any()
 
 
 def test_given_step_binds_its_kernels_once_per_step_value(monkeypatch):
     # at gamma != gbar every recorded row sweeps at gbar between two steps at
-    # gamma; the forward-backward map keeps the kernels of both step values
+    # gamma; the run binds the kernels of both step values at its start
     binds, bind = [], MonotoneBlock.bind
 
     def counted_bind(self, gamma, diag):
@@ -345,13 +397,10 @@ def test_given_step_binds_its_kernels_once_per_step_value(monkeypatch):
     assert sorted(binds) == [0.5, inst.default_gamma]
 
 
-def test_forward_backward_evicts_the_kernels_of_its_oldest_step(monkeypatch):
-    # the map keeps the kernels of its last two step values: a third evicts
-    # the first, which binds again when it comes back, and the third stays
-    rng = np.random.default_rng(5)
-    w, r = (BlockVector([rng.standard_normal(10)]) for _ in range(2))
-    steps = (0.2, 0.3, 0.4, 0.2, 0.4)
-    want = [sifb_instance(LASSO).backward(w, gamma, r) for gamma in steps]
+def test_every_run_binds_its_own_kernels_once_per_step_value(monkeypatch):
+    # the kernels are run state: two runs on one instance bind the step's
+    # and gbar's once each, per run, and give the same trace; a block-vector
+    # backward call binds its step's once
     binds, bind = [], MonotoneBlock.bind
 
     def counted_bind(self, gamma, diag):
@@ -359,10 +408,25 @@ def test_forward_backward_evicts_the_kernels_of_its_oldest_step(monkeypatch):
         return bind(self, gamma, diag)
 
     monkeypatch.setattr(MonotoneBlock, "bind", counted_bind)
-    inst = sifb_instance(LASSO)
-    for gamma, fresh in zip(steps, want):
-        assert inst.backward(w, gamma, r).blocks[0].tobytes() == fresh.blocks[0].tobytes()
-    assert binds == [0.2, 0.3, 0.4, 0.2]
+    inst = sifb_instance(LASSO, noise=NoiseSchedule.polynomial(0.2, 0.75), seed=4)
+    cfg = SolverConfig(beta=inst.beta, gamma=0.5, max_iter=200, stop_tol=0.0,
+                       inertia=InertiaSchedule.polynomial(0.3, 1.5))
+    first, second = (csv_text(run(inst, cfg)[1]) for _ in range(2))
+    assert first == second
+    gbar = inst.default_gamma
+    assert gbar != 0.5 and binds == [0.5, gbar] * 2
+    inst.backward(inst.x0, 0.3, inst.x0)
+    assert binds[4:] == [0.3]
+
+
+def test_noisy_iteration_without_inertia_takes_the_rows_map_value():
+    # a noisy draw at the recorded row's point adds its noise to the row's
+    # B x_n: N + 1 map evaluations in N iterations, and 2N + 1 sweeps
+    inst = sifb_instance(LASSO, noise=NoiseSchedule.polynomial(0.2, 0.75), seed=4)
+    prob, calls = counted(inst)
+    _, trace = run(prob, SolverConfig(beta=inst.beta, max_iter=40, stop_tol=0.0))
+    assert trace.iterations == 40
+    assert calls == {"map": 41, "sweep": 81}
 
 
 def test_inertial_iteration_sweeps_twice_per_recorded_iteration():
@@ -387,14 +451,15 @@ STEP_NORM_BUILDS = {
 
 @pytest.fixture
 def distances(monkeypatch):
-    """The number of `BlockVector.distance` calls, as a one-element list."""
-    count, original = [0], BlockVector.distance
+    """The number of norms of differences (`Plan.distance` calls), as a
+    one-element list."""
+    count, original = [0], Plan.distance
 
-    def counted(self, other):
+    def counted(self, a, b):
         count[0] += 1
-        return original(self, other)
+        return original(self, a, b)
 
-    monkeypatch.setattr(BlockVector, "distance", counted)
+    monkeypatch.setattr(Plan, "distance", counted)
     return count
 
 
@@ -426,6 +491,44 @@ def test_noisy_step_norm_is_computed_at_every_iteration(name, distances):
     assert trace.iterations == 40
     assert distances[0] == 41 + 40 + 1  # the residuals, every step, ||x_0 - x_{-1}||
     assert not any(r.step_norm == q.fp_residual for q, r in zip(trace.rows, trace.rows[1:]))
+
+
+def test_threads_running_one_shared_instance_match_the_serial_run():
+    # a shared instance holds no run state: every thread's run on one noisy,
+    # inertial forward-backward instance, and on one noisy class-II instance
+    # (whose sweeps keep L* q at alpha = 0), gives the serial run's trace and
+    # iterate bytes; more threads than cores and a switch interval of 1 us
+    # preempt them mid-iteration
+    noise = NoiseSchedule.polynomial(0.2, 0.75)
+    cases = [(sifb_instance(LASSO, noise=noise, seed=4), InertiaSchedule.polynomial(0.4, 1.5)),
+             (assemble_class2(pd_problem(LASSO, "split"), noise=noise, seed=4),
+              InertiaSchedule.zero())]
+    for inst, inertia in cases:
+        cfg = SolverConfig(beta=inst.beta, inertia=inertia, max_iter=300, stop_tol=0.0)
+
+        def run_bytes():
+            x, trace = run(inst, cfg)
+            return csv_text(trace), x.concatenated().tobytes()
+
+        serial = run_bytes()
+        threads = (os.cpu_count() or 1) + 1
+        results = [None] * threads
+
+        def work(k):
+            results[k] = run_bytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert results == [serial] * threads
 
 
 def test_backward_recomputes_for_other_operands():
@@ -478,6 +581,25 @@ def test_step_norm_decays_on_converged_runs():
 # --- guard rails ------------------------------------------------------------------------
 
 
+def test_run_refuses_a_reference_of_other_dims_before_iterating():
+    prob = scalar_instance(beta_override=1.0)
+    for reference in (BlockVector([[1.0, 2.0]]), BlockVector([[1.0], [2.0]])):
+        with pytest.raises(DimensionMismatch, match="^reference dims"):
+            run(prob, SolverConfig(beta=1.0, max_iter=3), reference=reference)
+
+
+def test_forward_backward_refuses_a_map_or_x0_of_other_dims_than_the_metric():
+    # refused at construction, not at the first map evaluation inside run
+    op = MonotoneBlock.subdiff([ProxFunction.l1(0.1)])
+    metric = Preconditioner.identity((3,))
+    wide = StochasticOracle(CocoerciveMap.least_squares_gradient(np.eye(4), np.ones(4)))
+    with pytest.raises(DimensionMismatch, match=r"^map dims \(4,\), metric dims \(3,\)$"):
+        ProblemInstance.forward_backward(op, wide, metric, BlockVector.zeros((3,)))
+    fitting = StochasticOracle(CocoerciveMap.least_squares_gradient(np.eye(3), np.ones(3)))
+    with pytest.raises(DimensionMismatch, match=r"^x0 dims \(4,\), metric dims \(3,\)$"):
+        ProblemInstance.forward_backward(op, fitting, metric, BlockVector.zeros((4,)))
+
+
 def test_overstated_constant_is_detected_as_divergence():
     # the advertised constant is a lie: the induced step size is unstable
     prob = scalar_instance(beta_override=30.0)
@@ -495,11 +617,10 @@ def test_divergence_stops_at_the_first_iterate_past_the_limit(beta):
     prob = scalar_instance(lam=0.0, beta_override=beta)
     cfg = SolverConfig(beta=beta, max_iter=10000, stop_tol=1e-12)
     x, trace = run(prob, cfg)
-    gamma, lam = cfg.step_size(prob), cfg.relaxation
-    state, n = step(prob, cfg, (prob.x0, prob.x0), 0, gamma, lam), 0
+    state, n = step_blocks(prob, cfg, (prob.x0, prob.x0), 0), 0
     while state[0].norm() <= 1e12 and n < cfg.max_iter:
         n += 1
-        state = step(prob, cfg, state, n, gamma, lam)
+        state = step_blocks(prob, cfg, state, n)
     assert n > 5 and (trace.status, trace.diverged_at, trace.iterations) == ("diverged", n, n + 1)
     assert x.concatenated().tobytes() == state[0].concatenated().tobytes()
 

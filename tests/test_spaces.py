@@ -104,19 +104,6 @@ def test_norm_dot_and_distance_sum_blocks_in_order():
         assert np.isnan(x.distance(x)) and np.isnan((x - x).norm())
 
 
-def test_axpy_diff_is_axpy_of_the_difference_bit_for_bit():
-    rng = np.random.default_rng(16)
-    for dims in [(), (0,), (3, 0, 5), (30,)]:
-        x, a, b = (rand_bv(rng, dims) for _ in range(3))
-        for c in (0.37, -1.0, 1e-300):
-            got, want = x.axpy_diff(c, a, b), x.axpy(c, a - b)
-            assert got.dims == dims
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got.blocks, want.blocks))
-    x = BlockVector([[1.0, 2.0], [3.0]])
-    with pytest.raises(DimensionMismatch):
-        x.axpy_diff(0.5, x, BlockVector([[1.0, 2.0], [3.0, 4.0]]))
-
-
 def test_dimension_mismatch_messages():
     x = BlockVector([[1.0, 2.0], [3.0]])
     with pytest.raises(DimensionMismatch, match="block 1: length 1 vs 2"):

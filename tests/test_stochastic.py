@@ -367,7 +367,7 @@ def test_minibatch_draws_match_numpy(seed, steps):
         size = oracle.batch_size(n)
         assert size < count
         idx = numpy_stream(seed, n).integers(0, count, size=size)
-        assert_same_bytes(oracle.sample(n, w), list(batch_fn(idx, w).blocks))
+        assert_same_bytes(oracle.sample(n, w), [batch_fn(idx, w.concatenated())])
 
 
 def test_sample_batch_continues_numpys_stream():
