@@ -40,19 +40,14 @@ EXIT_VALIDATION = 1
 EXIT_RUN = 2
 
 SWEEP_ERROR = "error"  # status of a sweep replica that raised
+_sweep_experiment = None  # the running sweep's: the parent's build, inherited by fork
 
 
 def _validation_rows(exp):
-    """(name, passed, value) rows for every condition gating this experiment."""
+    """(name, passed, value) rows, one per condition gating this experiment."""
     rows = [(name, sched.violation() is None, json.dumps(sched.to_config()))
             for name, sched in (("summable noise variance (sum sigma_n^2 < inf)", exp.noise),
                                 ("summable inertia (sum alpha_n < inf)", exp.inertia))]
-
-    inst = None
-    try:
-        inst = exp.make_instance(exp.seeds[0])
-    except ConfigurationError as e:
-        rows.append(("problem assembly", False, str(e)))
 
     if exp.pd is not None:
         try:
@@ -61,13 +56,20 @@ def _validation_rows(exp):
             if exp.algorithm == "pd_class2":
                 rows.append(("class-II constant 2*beta > 1", rep.feasible_class2,
                              f"beta={rep.beta:.6g}"))
-                rows.append(("all primal operators zero",
-                             exp.pd.primal_ops.is_zero(), ""))
             else:
                 rows.append(("class-I constant beta_hat > 1/2", rep.feasible_class1,
                              f"beta_hat={rep.beta_hat:.6g}"))
         except InfeasibleProblemError as e:
             rows.append(("coupling norm c < 1", False, str(e)))
+        if exp.algorithm == "pd_class2":
+            rows.append(("all primal operators zero", exp.pd.primal_ops.is_zero(), ""))
+
+    inst = None
+    if all(passed for _, passed, _ in rows[2:]):  # else a failed gate refuses it
+        try:
+            inst = exp.make_instance(exp.seeds[0])
+        except ConfigurationError as e:
+            rows.insert(2, ("problem assembly", False, str(e)))
 
     if inst is not None:
         step_row = "step size in [eps, (2-eps)*beta]"
@@ -138,25 +140,21 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _execute_single(exp, seed, out_dir, trace_name="trace.csv"):
+def _execute_single(exp, seed, out_dir, trace_name="trace.csv", reference=(None, None)):
     inst = exp.make_instance(seed)
     cfg = exp.solver_config(inst.beta)
-    ref_primal, certificate = exp.reference()
+    ref_primal, certificate = reference
+    t0 = time.perf_counter()
     # the trace tracks distances only on the plain route; the primal-dual
     # routes report the primal distance in the summary below
-    reference = ref_primal if exp.algorithm == "sifb" else None
-    t0 = time.perf_counter()
-    x, trace = run(inst, cfg, reference=reference)
+    x, trace = run(inst, cfg, reference=ref_primal if exp.algorithm == "sifb" else None)
     trace.wall_time = time.perf_counter() - t0
     summary = trace.summary()
     summary.update({"seed": seed, "algorithm": exp.algorithm})
     if ref_primal is not None:
         summary["reference_certificate"] = certificate
-        if exp.algorithm == "sifb":
-            summary["dist_to_ref"] = (x - ref_primal).norm()
-        else:
-            primal, _ = extract_primal_dual(x, exp.pd)
-            summary["dist_to_ref"] = (primal - ref_primal).norm()
+        primal = x if exp.algorithm == "sifb" else extract_primal_dual(x, exp.pd)[0]
+        summary["dist_to_ref"] = (primal - ref_primal).norm()
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, trace_name), "w", encoding="utf-8") as f:
         trace.to_csv(f)
@@ -173,7 +171,7 @@ def cmd_run(args):
     seed = args.seed if args.seed is not None else exp.run_seed
     out_dir = args.out or exp.output_dir
     try:
-        _, trace, summary = _execute_single(exp, seed, out_dir)
+        _, trace, summary = _execute_single(exp, seed, out_dir, reference=exp.reference())
         _write_json(os.path.join(out_dir, "summary.json"), summary)
         snapshot = dict(exp.raw)
         snapshot["resolved_seed"] = seed
@@ -190,17 +188,17 @@ def cmd_run(args):
 def _sweep_worker(payload):
     """One replica's summary; a replica that raises gets status `error`.
 
+    A worker that is not forked from the sweep builds its experiment once.
     The error is caught here, so it costs only its own replica: the others
     keep their traces, and the sweep reports it (a one-line message in the
     summaries, the traceback on stderr) and exits 2.
     """
+    global _sweep_experiment
     cfg, base_dir, seed, out_dir, index = payload
     try:
-        exp = build_experiment(cfg, base_dir=base_dir)
-        # a sweep reports no distance to the reference, so a replica skips
-        # the reference solve that its rebuilt experiment would repeat
-        exp.want_reference = False
-        _, trace, summary = _execute_single(exp, seed, out_dir,
+        if _sweep_experiment is None:
+            _sweep_experiment = build_experiment(cfg, base_dir=base_dir)
+        _, trace, summary = _execute_single(_sweep_experiment, seed, out_dir,
                                             trace_name=f"trace_{index:03d}.csv")
     except Exception as e:
         summary = {"status": SWEEP_ERROR,
@@ -211,6 +209,7 @@ def _sweep_worker(payload):
 
 
 def cmd_sweep(args):
+    global _sweep_experiment
     for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
         if value is not None and value < 1:
             raise ConfigurationError(f"{option} must be at least 1, got {value}")
@@ -225,13 +224,17 @@ def cmd_sweep(args):
     os.makedirs(out_dir, exist_ok=True)
     payloads = [(exp.raw, exp.base_dir, seed, out_dir, i)
                 for i, seed in enumerate(seeds)]
-    jobs = args.jobs or min(len(payloads), os.cpu_count() or 1)
-    if jobs <= 1 or len(payloads) == 1:
-        results = [_sweep_worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-    results.sort(key=lambda s: s["index"])
+    # a pool starts all its workers at once: no more than there are replicas
+    jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
+    _sweep_experiment = exp
+    try:
+        if jobs == 1:
+            results = [_sweep_worker(p) for p in payloads]
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_sweep_worker, payloads))
+    finally:
+        _sweep_experiment = None
 
     # report: per replica, its stdout line and the traceback of one that raised
     rows, ran, errors, report = ["index,seed,status,iterations,final_fp_residual"], [], [], []

@@ -20,8 +20,8 @@ from .errors import (ConfigurationError, DimensionMismatch, bind_config, bind_ki
                      config_entry)
 from .operators import CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem, assemble_class1, assemble_class2
-from .problems import (DemoProblem, build_demo, certified_reference, pd_problem,
-                       sifb_instance)
+from .problems import (DemoProblem, ForwardBackwardProblem, build_demo, certified_reference,
+                       pd_problem, sifb_instance)
 from .solver import SolverConfig
 from .spaces import BlockLinearOperator, BlockVector, Preconditioner
 from .stochastic import InertiaSchedule, NoiseSchedule, derive_seeds
@@ -149,30 +149,24 @@ def _blocks(specs, where, reader, fields, empty=False):
     return [tuple(b[k] for b in blocks) for k in range(fields)]
 
 
-class FlatProblem:
-    """Custom single-inclusion problem for the sifb route, parsed once; the
-    constructor's signature is the schema of `problem.custom`.
-
-    `problems.sifb_instance` reads its `operator`, `map`, `metric`, `x0` and
-    `beta`, the constant the config gives or None to take the map's own.
-    """
-
-    def __init__(self, blocks: list, map: dict, preconditioner: dict | None = None,
-                 beta: float | None = None, x0=None, *, base_dir):
-        dims, rules = _blocks(blocks, "problem.custom.blocks", _block, 2)
-        self.metric = _metric(preconditioner, dims, "problem.custom.preconditioner")
-        self.operator = MonotoneBlock(rules)
-        self.operator.check_dims(dims, "blocks")
-        self.map = _map(map, "problem.custom.map", dims, self.metric, base_dir)
-        self.beta = None if beta is None else float(beta)
-        self.x0 = BlockVector.zeros(dims)
-        if x0 is not None:
-            flat = load_matrix(x0, base_dir, "problem.custom.x0").reshape(-1)
-            if not np.isfinite(flat).all():
-                where = x0.get("file") if isinstance(x0, dict) else "inline"
-                raise ConfigurationError(f"x0 ({where}) has non-finite entries")
-            with config_entry("problem.custom.x0"):
-                self.x0 = BlockVector.from_flat(flat, dims)
+def _flat_problem(blocks: list, map: dict, preconditioner: dict | None = None,
+                  beta: float | None = None, x0=None, *, base_dir):
+    """`problem.custom`: a single-inclusion problem for the sifb route, with
+    the constant `beta` the config gives or None to take the map's own."""
+    dims, rules = _blocks(blocks, "problem.custom.blocks", _block, 2)
+    metric = _metric(preconditioner, dims, "problem.custom.preconditioner")
+    operator = MonotoneBlock(rules)
+    operator.check_dims(dims, "blocks")
+    b_map = _map(map, "problem.custom.map", dims, metric, base_dir)
+    start = BlockVector.zeros(dims)
+    if x0 is not None:
+        flat = load_matrix(x0, base_dir, "problem.custom.x0").reshape(-1)
+        if not np.isfinite(flat).all():
+            where = x0.get("file") if isinstance(x0, dict) else "inline"
+            raise ConfigurationError(f"x0 ({where}) has non-finite entries")
+        with config_entry("problem.custom.x0"):
+            start = BlockVector.from_flat(flat, dims)
+    return ForwardBackwardProblem(operator, b_map, metric, start, beta)
 
 
 def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | None = None,
@@ -213,10 +207,11 @@ def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | N
 class Experiment:
     """A fully resolved experiment: problem, route, schedules, solver knobs.
 
-    `problem` is what the config names: a demo, a `FlatProblem` or a custom
-    `PrimalDualProblem`. `pd` is the structured problem the primal-dual routes
-    assemble (None on sifb), and `pd_form` the demo's checked form. `run_seed`,
-    the seed of `sifb run` without `--seed`, is `resolved_seed` or else seeds[0].
+    `problem` is what the config names: a demo, a `ForwardBackwardProblem` or
+    a custom `PrimalDualProblem`. Every seed's instance is made from `fb` on the
+    sifb route (a demo's is built at the first) and from `pd` on the
+    primal-dual routes; `pd_form` is the demo's checked form. `run_seed`, the
+    seed of `sifb run` without `--seed`, is `resolved_seed` or else seeds[0].
     """
 
     raw: dict
@@ -230,13 +225,16 @@ class Experiment:
     output_dir: str
     want_reference: bool
     problem: object
+    fb: ForwardBackwardProblem = None
     pd: PrimalDualProblem = None
     pd_form: str = None
     constants_given: bool = False
 
     def make_instance(self, seed):
         if self.pd is None:
-            return sifb_instance(self.problem, noise=self.noise, seed=seed)
+            if self.fb is None:
+                self.fb = self.problem.forward_backward()
+            return sifb_instance(self.fb, noise=self.noise, seed=seed)
         assemble = assemble_class1 if self.algorithm == "pd_class1" else assemble_class2
         return assemble(self.pd, noise=self.noise, seed=seed)
 
@@ -298,8 +296,8 @@ def _problem(demo: dict | None = None, custom: dict | None = None,
                 "flat custom problems run on the sifb route; use custom_pd "
                 "for the primal-dual routes"
             )
-        flat = bind_config(FlatProblem, custom, "problem.custom", base_dir=base_dir)
-        return dict(problem=flat, constants_given=flat.beta is not None)
+        flat = bind_config(_flat_problem, custom, "problem.custom", base_dir=base_dir)
+        return dict(problem=flat, fb=flat, constants_given=flat.beta is not None)
     if algorithm == "sifb":
         raise ConfigurationError("custom_pd problems run on the primal-dual routes")
     pd, given = bind_config(_custom_pd, custom_pd, "problem.custom_pd", base_dir=base_dir)

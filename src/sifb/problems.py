@@ -11,6 +11,7 @@ controlled condition number.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,10 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+# the sifb route's problem; a beta of None takes the map's own constant
+ForwardBackwardProblem = namedtuple("ForwardBackwardProblem", "operator map metric x0 beta")
+
+
 @dataclass
 class DemoProblem:
     """A demo problem. A subclass sets `name` and `forms` (primal-dual form ->
@@ -70,6 +75,12 @@ class DemoProblem:
         if last is None or last[0] is not a:
             last = self._gram_top = (a, oracles.gram_top(a))
         return last[1]
+
+    def forward_backward(self):
+        """The demo's split in the identity metric, from x0 = 0."""
+        metric = Preconditioner.identity(self.dims)
+        operator, b_map = self.split(metric)
+        return ForwardBackwardProblem(operator, b_map, metric, BlockVector.zeros(self.dims), None)
 
     def check_form(self, form):
         """The declared form `form` names (None: the default), or refuse it."""
@@ -353,19 +364,15 @@ def build_demo(name, params, where="params"):
 
 def sifb_instance(problem, noise=None, seed=0, oracle_mode="additive_gaussian",
                   batch0=1):
-    """A demo (its split in the identity metric, from x0 = 0) or a parsed flat
-    custom problem (its own operator, map, metric, x0 and beta) as a
-    forward-backward instance whose map is drawn through a `StochasticOracle`."""
+    """A `ForwardBackwardProblem`, or a demo (its `forward_backward`, built
+    afresh), as an instance whose map is drawn through a new
+    `StochasticOracle` of the seed; the rest is the problem's own."""
     if isinstance(problem, DemoProblem):
-        metric = Preconditioner.identity(problem.dims)
-        operator, b_map = problem.split(metric)
-        x0, beta = BlockVector.zeros(problem.dims), None
-    else:
-        operator, b_map, metric = problem.operator, problem.map, problem.metric
-        x0, beta = problem.x0, problem.beta
-    oracle = StochasticOracle(b_map, noise=noise, rng_seed=seed, mode=oracle_mode,
+        problem = problem.forward_backward()
+    oracle = StochasticOracle(problem.map, noise=noise, rng_seed=seed, mode=oracle_mode,
                               batch0=batch0)
-    return ProblemInstance.forward_backward(operator, oracle, metric, x0, beta)
+    return ProblemInstance.forward_backward(problem.operator, oracle, problem.metric,
+                                            problem.x0, problem.beta)
 
 
 def pd_problem(demo, form=None):

@@ -4,11 +4,14 @@ import copy
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ import sifb
 from sifb import NormEstimationError, OracleError
 from sifb.cli import main
 from sifb.config import build_experiment
+from sifb.operators import CocoerciveMap
+from sifb.solver import run
 from sifb.stochastic import derive_seeds
 
 
@@ -331,28 +336,100 @@ def test_split_form_on_sifb_lasso_stays_valid(tmp_path):
 
 
 @pytest.fixture
-def count_builds(monkeypatch):
-    calls = []
+def count_builds(monkeypatch, tmp_path):
+    """The pids of the build_experiment calls, read back from a file, so that
+    calls in forked sweep workers are counted too."""
+    log = tmp_path / "builds.log"
+    log.touch()
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
         return build_experiment(*args, **kwargs)
 
     monkeypatch.setattr("sifb.cli.build_experiment", counting)
-    return calls
+    return lambda: log.read_text().split()
 
 
 def test_run_builds_the_experiment_once(tmp_path, count_builds):
     path = write_config(tmp_path, pd_lasso_config())
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
-    assert len(count_builds) == 1
+    assert len(count_builds()) == 1
 
 
 def test_sweep_parent_builds_the_experiment_once(tmp_path, count_builds):
+    # serial replicas run the parent's build in process, forked workers
+    # inherit it; a second sweep in the same process builds its own
     path = write_config(tmp_path, lasso_config(seeds=[1, 2, 3]))
-    assert main(["sweep", path, "--jobs", "1", "--out", str(tmp_path / "s")]) == 0
-    # one build in the parent, then one per replica run in this process
-    assert len(count_builds) == 1 + 3
+    for jobs in ("1", "2"):
+        assert main(["sweep", path, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    assert count_builds() == [str(os.getpid())] * 2
+    assert read_file(tmp_path / "1", "sweep_summary.csv") == read_file(
+        tmp_path / "2", "sweep_summary.csv")
+
+
+def test_sweep_jobs_are_capped_at_the_replica_count(tmp_path, monkeypatch):
+    # a pool starts all its workers up front; this stand-in records the size
+    # asked for and runs the replicas in process, starting none
+    sizes = []
+
+    class StandIn(contextlib.AbstractContextManager):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr("sifb.cli.ProcessPoolExecutor", StandIn)
+    path = write_config(tmp_path, lasso_config(seeds=[1, 2, 3]))
+    assert main(["sweep", path, "--jobs", "500", "--out", str(tmp_path / "s")]) == 0
+    assert sizes == [3]
+
+
+def test_spawned_sweep_workers_give_the_serial_traces(tmp_path):
+    # a worker that does not inherit the parent's build makes its own
+    cfg = lasso_config(noise=NOISY, solver={"max_iter": 20000, "stop_tol": 1e-4,
+                                            "record_every": 50}, seeds=[4, 5, 6])
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", path, "--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        assert main(["sweep", path, "--jobs", "2", "--out", str(tmp_path / "spawn")]) == 0
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    for name in ("trace_000.csv", "trace_001.csv", "trace_002.csv", "sweep_summary.csv"):
+        assert read_file(tmp_path / "spawn", name) == read_file(tmp_path / "serial", name)
+
+
+def test_instances_of_one_experiment_share_its_map():
+    exp = build_experiment(lasso_config())
+    assert exp.make_instance(1).oracle.base is exp.make_instance(2).oracle.base
+
+
+def test_two_threads_on_one_experiment_give_the_serial_traces():
+    cfg = lasso_config(noise=NOISY, inertia={"mode": "poly", "alpha0": 0.4, "q": 1.5},
+                       solver={"max_iter": 20000, "stop_tol": 1e-4, "record_every": 1},
+                       seeds=[3, 8])
+
+    def trace_of(exp, seed, barrier=None):
+        if barrier is not None:
+            barrier.wait()
+        inst = exp.make_instance(seed)
+        _, trace = run(inst, exp.solver_config(inst.beta))
+        out = io.StringIO()
+        trace.to_csv(out)
+        return out.getvalue()
+
+    exp = build_experiment(cfg)
+    serial = [trace_of(exp, seed) for seed in cfg["seeds"]]
+    barrier = threading.Barrier(2)
+    with ThreadPoolExecutor(2) as pool:
+        threaded = list(pool.map(lambda seed: trace_of(exp, seed, barrier), cfg["seeds"]))
+    assert threaded == serial and serial[0] != serial[1]
 
 
 def pd_lasso_config():
@@ -460,6 +537,49 @@ def test_parallel_sum_forward_backward_run_solves_the_data_spectrum_once(
     path = write_config(tmp_path, lasso_config(problem={"demo": demo}))
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
     assert len(count_eigvalsh) == 1
+
+
+def test_lasso_forward_backward_run_builds_its_map_once(tmp_path, count_eigvalsh,
+                                                       monkeypatch):
+    # validation and the run share one map (one eigensolve for its constant);
+    # the reference takes the other
+    builds = []
+    lstsq = CocoerciveMap.least_squares_gradient.__func__
+
+    def counting(cls, *args, **kwargs):
+        builds.append(1)
+        return lstsq(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CocoerciveMap, "least_squares_gradient", classmethod(counting))
+    path = write_config(tmp_path, lasso_config())
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(builds) == 1 and len(count_eigvalsh) == 2, count_eigvalsh
+
+
+def custom_pd_config(coupling, algorithm="pd_class1", **extra):
+    return {"problem": {"custom_pd": {
+        "primal": [{"dim": 2}],
+        "dual": [{"dim": 2, "g": {"family": "l1", "lam": 1.0}}],
+        "coupling": [[coupling]],
+        "V": {"kind": "scalar", "values": [1.0]},
+        "W": {"kind": "scalar", "values": [1.0]}, **extra}},
+        "algorithm": algorithm}
+
+
+@pytest.mark.parametrize("cfg,failed", [
+    (custom_pd_config(2.0), "coupling norm c < 1  (||sqrt(W) L sqrt(V)|| = 2 >= 1"),
+    (custom_pd_config(0.5, smooth={"kind": "scaled_identity", "mu": 4.0}, nu0=0.25),
+     "class-I constant beta_hat > 1/2  (beta_hat=0.1875)"),
+    ({**pd_lasso_config(), "algorithm": "pd_class2",
+      "problem": {"demo": {**pd_lasso_config()["problem"]["demo"], "form": "cp"}}},
+     "all primal operators zero"),
+], ids=["coupling-norm", "class-I-constant", "class-II-primal-operators"])
+def test_a_failed_gate_prints_one_fail_row(tmp_path, capsys, cfg, failed):
+    # the assembly that the gate refuses adds no row of its own
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", path]) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(rows) == 1 and rows[0].startswith(f"[FAIL] {failed}"), rows
 
 
 def test_run_exit_code_2_on_a_coupling_norm_that_overflows(tmp_path, capsys):

@@ -69,9 +69,12 @@ closing fraction, with the output directory written as `<out>`), every
 `trace_*.csv`, `sweep_summary.csv` and `sweep_summary.json`, which hold no
 wall time. They run the noisy inertial lasso and the noise-free lasso on the
 `sifb` route, each serially (`--jobs 1`) and across two worker processes
-(`--jobs 2`), and the noisy split lasso on class I with `--seeds 3` across
+(`--jobs 2`); the noisy split lasso on class I with `--seeds 3` across
 two workers, stopped by `max_iter` before it converges, so that the sweep
-exits 2.
+exits 2; and a noisy `custom` problem on the `sifb` route across two
+workers, whose `lstsq` map reads `{"file": ...}` matrices written beside
+the config. Sweep replicas run the experiment the parent built, so that
+sweep checks that a worker's map is the parent's, read from those files.
 """
 
 from __future__ import annotations
@@ -295,7 +298,10 @@ def configs():
 
 
 def sweep_configs():
-    """name -> (config, options of `sifb sweep`), in run order."""
+    """name -> (config, options of `sifb sweep`, files written beside the
+    config: name -> text), in run order."""
+    import numpy as np
+
     lasso = {"demo": {"name": "lasso", "params": DEMOS["lasso"][0]}}
     split = {"demo": {"name": "lasso", "params": DEMOS["lasso"][0], "form": "split"}}
     noisy = _run_config(lasso, noise=NOISY, inertia=INERTIAL, solver=STOCHASTIC,
@@ -303,12 +309,22 @@ def sweep_configs():
     noise_free = _run_config(lasso, seeds=(7, 8))
     out = {}
     for jobs in ("1", "2"):
-        out[f"sweep-lasso-sifb-noisy-inertial-jobs-{jobs}"] = (noisy, ["--jobs", jobs])
-        out[f"sweep-lasso-sifb-noise-free-jobs-{jobs}"] = (noise_free, ["--jobs", jobs])
+        out[f"sweep-lasso-sifb-noisy-inertial-jobs-{jobs}"] = (noisy, ["--jobs", jobs], {})
+        out[f"sweep-lasso-sifb-noise-free-jobs-{jobs}"] = (noise_free, ["--jobs", jobs], {})
     out["sweep-lasso-split-pd_class1-noisy-max-iter-seeds-3"] = (
         _run_config(split, algorithm="pd_class1", noise=NOISY,
                     solver={"max_iter": 200, "stop_tol": 1e-8, "record_every": 10}),
-        ["--seeds", "3", "--jobs", "2"])
+        ["--seeds", "3", "--jobs", "2"], {})
+    rng = np.random.default_rng(7)
+    files = {name: "\n".join(" ".join(repr(float(v)) for v in np.atleast_1d(row))
+                             for row in rng.standard_normal(shape)) + "\n"
+             for name, shape in (("a.txt", (9, 6)), ("b.txt", 9))}
+    out["sweep-custom-lstsq-files-noisy-jobs-2"] = (
+        _run_config({"custom": {
+            "blocks": [{"dim": 6, "operator": {"family": "l1", "lam": 0.1}}],
+            "map": {"kind": "lstsq", "a": {"file": "a.txt"}, "b": {"file": "b.txt"}}}},
+            noise=NOISY, solver=STOCHASTIC, seeds={"count": 3, "master_seed": 5}),
+        ["--jobs", "2"], files)
     return out
 
 
@@ -415,12 +431,13 @@ def collect(src, config_path, out_root):
         with open(os.path.join(out, "constants_exit_code"), "w", encoding="utf-8") as f:
             f.write(f"{code}\n")
     sifb.cli._execute_single = execute
-    for name, (cfg, options) in sweeps.items():
+    for name, (cfg, options, files) in sweeps.items():
         out = os.path.join(out_root, name)
         os.makedirs(out)
+        for file, text in {**files, "config.json": json.dumps(cfg)}.items():
+            with open(os.path.join(out, file), "w", encoding="utf-8") as f:
+                f.write(text)
         path = os.path.join(out, "config.json")
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(cfg, f)
         with open(os.path.join(out, "stdout.txt"), "w", encoding="utf-8") as stdout, \
                 open(os.path.join(out, "log.txt"), "w", encoding="utf-8") as log, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(log), \
