@@ -31,7 +31,6 @@ from .errors import (
 )
 from .operators import check_cocoercivity
 from .primal_dual import compute_constants, extract_primal_dual
-from .problems import DemoProblem, pd_problem
 from .solver import CONVERGED, run
 from .stochastic import derive_seeds
 
@@ -39,6 +38,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUN = 2
 
+DEFAULT_OUT = "runs"  # the output directory without --out
 SWEEP_ERROR = "error"  # status of a sweep replica that raised
 _sweep_experiment = None  # the running sweep's: the parent's build, inherited by fork
 
@@ -169,7 +169,7 @@ def cmd_run(args):
     if code != EXIT_OK:
         return code
     seed = args.seed if args.seed is not None else exp.run_seed
-    out_dir = args.out or exp.output_dir
+    out_dir = args.out or DEFAULT_OUT
     try:
         _, trace, summary = _execute_single(exp, seed, out_dir, reference=exp.reference())
         _write_json(os.path.join(out_dir, "summary.json"), summary)
@@ -220,7 +220,7 @@ def cmd_sweep(args):
     seeds = exp.seeds
     if args.seeds is not None:
         seeds = derive_seeds(seeds[0], args.seeds)
-    out_dir = args.out or exp.output_dir
+    out_dir = args.out or DEFAULT_OUT
     os.makedirs(out_dir, exist_ok=True)
     payloads = [(exp.raw, exp.base_dir, seed, out_dir, i)
                 for i, seed in enumerate(seeds)]
@@ -271,17 +271,16 @@ def cmd_sweep(args):
 
 
 def cmd_constants(args):
+    """Print the constants of the route's problem: the beta of its instance
+    on the sifb route, the primal-dual constants on the others."""
     exp = _load_experiment(args)
-    prob = exp.pd
-    if prob is None and isinstance(exp.problem, DemoProblem):
-        prob = pd_problem(exp.problem, exp.pd_form)
-    if prob is None:
+    if exp.pd is None:
         inst = exp.make_instance(exp.seeds[0])
         print(f"beta={inst.beta:.12g} (single-inclusion instance; no "
               "structured constants)")
         return EXIT_OK
     try:
-        rep = compute_constants(prob)
+        rep = compute_constants(exp.pd)
     except InfeasibleProblemError as e:
         print(f"INFEASIBLE: {e}")
         return EXIT_VALIDATION

@@ -50,13 +50,25 @@ def _matrix_file(file: str, *, base_dir):
         raise ConfigurationError(f"matrix file {path}: {e}") from None
 
 
-def load_matrix(spec, base_dir, where):
+def _finite(matrix, spec, where):
+    """matrix, read from the config value spec at `where`, refused with the
+    entry and its source (inline or the file) named if an entry is not finite."""
+    if not np.isfinite(matrix).all():
+        source = spec["file"] if isinstance(spec, dict) else "inline"
+        raise ConfigurationError(f"{where} ({source}) has non-finite entries")
+    return matrix
+
+
+def load_matrix(spec, base_dir, where, finite=True):
     """The matrix at config path `where`: inline (a number or nested lists of
-    numbers) or a {"file": path} reference to plain text, relative to base_dir."""
+    numbers) or a {"file": path} reference to plain text, relative to base_dir.
+    With `finite`, a non-finite entry is refused (`_finite`)."""
     if isinstance(spec, dict):
-        return bind_config(_matrix_file, spec, where, base_dir=base_dir)
-    check_type(spec, "np.ndarray", where)
-    return np.asarray(spec, dtype=np.float64)
+        matrix = bind_config(_matrix_file, spec, where, base_dir=base_dir)
+    else:
+        check_type(spec, "np.ndarray", where)
+        matrix = np.asarray(spec, dtype=np.float64)
+    return _finite(matrix, spec, where) if finite else matrix
 
 
 # readers that `bind_config` binds to config objects: each signature is the
@@ -126,7 +138,9 @@ def _primal_block(dim: int, operator: dict | None = None, z: np.ndarray | None =
                   path):
     """A primal block of `custom_pd`: a `custom` block and its offset z (none: 0)."""
     dim, rule = _block(dim, operator, path=path)
-    return dim, rule, np.zeros(dim) if z is None else np.asarray(z, np.float64)
+    if z is not None:
+        z = _finite(np.asarray(z, np.float64), z, f"{path}.z")
+    return dim, rule, np.zeros(dim) if z is None else z
 
 
 def _dual_block(dim: int, g: dict | None = None, r: np.ndarray | None = None,
@@ -136,7 +150,9 @@ def _dual_block(dim: int, g: dict | None = None, r: np.ndarray | None = None,
     dim, rule = _block(dim, path=path)
     if g is not None:
         rule = MonotoneBlock.rule_conjugate_subdiff(ProxFunction.from_config(g, f"{path}.g"))
-    return dim, rule, np.zeros(dim) if r is None else np.asarray(r, np.float64), dinv_mu
+    if r is not None:
+        r = _finite(np.asarray(r, np.float64), r, f"{path}.r")
+    return dim, rule, np.zeros(dim) if r is None else r, dinv_mu
 
 
 def _blocks(specs, where, reader, fields, empty=False):
@@ -161,9 +177,6 @@ def _flat_problem(blocks: list, map: dict, preconditioner: dict | None = None,
     start = BlockVector.zeros(dims)
     if x0 is not None:
         flat = load_matrix(x0, base_dir, "problem.custom.x0").reshape(-1)
-        if not np.isfinite(flat).all():
-            where = x0.get("file") if isinstance(x0, dict) else "inline"
-            raise ConfigurationError(f"x0 ({where}) has non-finite entries")
         with config_entry("problem.custom.x0"):
             start = BlockVector.from_flat(flat, dims)
     return ForwardBackwardProblem(operator, b_map, metric, start, beta)
@@ -183,8 +196,9 @@ def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | N
     else:
         with config_entry(f"{where}.coupling"):
             coupling = BlockLinearOperator(
+                # a non-finite cell fails the coupling norm: a run failure
                 [[None if cell is None else
-                  load_matrix(cell, base_dir, f"{where}.coupling[{k}][{i}]")
+                  load_matrix(cell, base_dir, f"{where}.coupling[{k}][{i}]", finite=False)
                   for i, cell in enumerate(row)] for k, row in enumerate(coupling)],
                 pdims, ddims,
             )
@@ -207,11 +221,11 @@ def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | N
 class Experiment:
     """A fully resolved experiment: problem, route, schedules, solver knobs.
 
-    `problem` is what the config names: a demo, a `ForwardBackwardProblem` or
-    a custom `PrimalDualProblem`. Every seed's instance is made from `fb` on the
-    sifb route (a demo's is built at the first) and from `pd` on the
-    primal-dual routes; `pd_form` is the demo's checked form. `run_seed`, the
-    seed of `sifb run` without `--seed`, is `resolved_seed` or else seeds[0].
+    Each seed's instance is made from the route's problem: `fb` on the sifb
+    route, `pd` on the primal-dual routes (the other is None). `demo` is the
+    demo the problem comes from, the reference's source, or None for a custom
+    problem. `run_seed`, the seed of `sifb run` without `--seed`, is
+    `resolved_seed` or else seeds[0].
     """
 
     raw: dict
@@ -222,18 +236,14 @@ class Experiment:
     solver_spec: dict
     seeds: list
     run_seed: int
-    output_dir: str
     want_reference: bool
-    problem: object
+    demo: DemoProblem = None
     fb: ForwardBackwardProblem = None
     pd: PrimalDualProblem = None
-    pd_form: str = None
     constants_given: bool = False
 
     def make_instance(self, seed):
         if self.pd is None:
-            if self.fb is None:
-                self.fb = self.problem.forward_backward()
             return sifb_instance(self.fb, noise=self.noise, seed=seed)
         assemble = assemble_class1 if self.algorithm == "pd_class1" else assemble_class2
         return assemble(self.pd, noise=self.noise, seed=seed)
@@ -244,9 +254,9 @@ class Experiment:
     def reference(self):
         """Oracle solution for demo problems (primal blocks) and its
         certificate; (None, None) when there is none."""
-        if not self.want_reference or not isinstance(self.problem, DemoProblem):
+        if not self.want_reference or self.demo is None:
             return None, None
-        return certified_reference(self.problem, tol=1e-10)
+        return certified_reference(self.demo, tol=1e-10)
 
 
 def _seed(value, rule):
@@ -276,8 +286,9 @@ def _solver(epsilon: float = 1e-3, gamma: float | None = None, relaxation: float
 def _demo(name: str, params: dict | None = None, form: str | None = None, *, algorithm):
     demo = build_demo(name, {} if params is None else params, "problem.demo.params")
     form = demo.check_form(form)
-    return dict(problem=demo, pd_form=form,
-                pd=None if algorithm == "sifb" else pd_problem(demo, form))
+    if algorithm == "sifb":
+        return dict(demo=demo, fb=demo.forward_backward())
+    return dict(demo=demo, pd=pd_problem(demo, form))
 
 
 def _problem(demo: dict | None = None, custom: dict | None = None,
@@ -297,16 +308,16 @@ def _problem(demo: dict | None = None, custom: dict | None = None,
                 "for the primal-dual routes"
             )
         flat = bind_config(_flat_problem, custom, "problem.custom", base_dir=base_dir)
-        return dict(problem=flat, fb=flat, constants_given=flat.beta is not None)
+        return dict(fb=flat, constants_given=flat.beta is not None)
     if algorithm == "sifb":
         raise ConfigurationError("custom_pd problems run on the primal-dual routes")
     pd, given = bind_config(_custom_pd, custom_pd, "problem.custom_pd", base_dir=base_dir)
-    return dict(problem=pd, pd=pd, constants_given=given)
+    return dict(pd=pd, constants_given=given)
 
 
 def _experiment(problem: dict, algorithm: str = "sifb", solver: dict | None = None,
                 noise: dict | None = None, inertia: dict | None = None,
-                seeds: list | dict = (0,), output_dir: str = "runs", reference: bool = True,
+                seeds: list | dict = (0,), reference: bool = True,
                 resolved_seed: int | None = None, *, raw, base_dir):
     """The config document `raw`; `sifb run` writes `resolved_seed` into its snapshot."""
     if algorithm not in ALGORITHMS:
@@ -326,7 +337,7 @@ def _experiment(problem: dict, algorithm: str = "sifb", solver: dict | None = No
         solver_spec=bind_config(_solver, {} if solver is None else solver, "solver",
                                 noise=noise),
         seeds=seed_list, run_seed=seed_list[0] if resolved_seed is None else resolved_seed,
-        output_dir=output_dir, want_reference=reference,
+        want_reference=reference,
         **bind_config(_problem, problem, "problem", algorithm=algorithm, base_dir=base_dir))
 
 

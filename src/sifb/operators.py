@@ -343,7 +343,7 @@ class MonotoneBlock:
         kernels = self.bind(gamma, U.diag_blocks())
         if z.dims != U.dims:
             raise DimensionMismatch(f"vector dims {z.dims}, metric dims {U.dims}")
-        return BlockVector._wrap([k(b) for k, b in zip(kernels, z.blocks)], z.dims)
+        return BlockVector([k(b) for k, b in zip(kernels, z.blocks)])
 
     def distances(self, xs, us):
         """Per block, the distance of us[i] from the operator at xs[i], or
@@ -357,8 +357,7 @@ def prox_weighted(f, metric, x):
     Solves argmin_y f(y) + 0.5 ||x - y||^2_metric blockwise; the effective
     per-coordinate step is the inverse diagonal entry.
     """
-    return BlockVector._wrap([f.kernel(1.0 / w)(b)
-                              for w, b in zip(metric.diag_blocks(), x.blocks)])
+    return BlockVector([f.kernel(1.0 / w)(b) for w, b in zip(metric.diag_blocks(), x.blocks)])
 
 
 def prox_conjugate(g, metric, x):
@@ -368,8 +367,7 @@ def prox_conjugate(g, metric, x):
     generalized Moreau decomposition
         prox_{g*}^{W^{-1}}(x) = x - W prox_g^W(W^{-1} x).
     """
-    return BlockVector._wrap([g.conj_kernel(w)(b)
-                              for w, b in zip(metric.diag_blocks(), x.blocks)])
+    return BlockVector([g.conj_kernel(w)(b) for w, b in zip(metric.diag_blocks(), x.blocks)])
 
 
 def moreau_check(f, x):
@@ -496,7 +494,7 @@ class CocoerciveMap:
             g, mat = gram()
             vecs = np.linalg.eigh(mat)[1]
             top = g.T @ vecs[:, -1] if wide else vecs[:, -1]
-            return BlockVector._wrap([sw * (top / np.linalg.norm(top))])
+            return BlockVector([sw * (top / np.linalg.norm(top))])
 
         lam_max = float(np.linalg.eigvalsh(gram()[1])[-1]) if a.size else 0.0
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
@@ -615,11 +613,11 @@ def check_cocoercivity(b_map, metric=None, trials=100, seed=0, beta=None):
 
     worst = float("inf")
     for _ in range(trials):
-        x = BlockVector._wrap([rng.standard_normal(d) for d in dims])
-        y = BlockVector._wrap([rng.standard_normal(d) for d in dims])
+        x = BlockVector([rng.standard_normal(d) for d in dims])
+        y = BlockVector([rng.standard_normal(d) for d in dims])
         worst = min(worst, slack(x, y))
     if b_map.extremal is not None:
-        x = BlockVector._wrap([rng.standard_normal(d) for d in dims])
+        x = BlockVector([rng.standard_normal(d) for d in dims])
         worst = min(worst, slack(x + b_map.extremal, x))
     return CocoercivityReport(min_slack=worst, passed=worst >= -1e-10, beta=beta)
 

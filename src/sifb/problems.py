@@ -294,16 +294,15 @@ class ParallelSum(DemoProblem):
         atb = a.T @ b
         lip = self.gram_top() + (1.0 / mu if lam > 0 else 0.0)
 
-        def grad_fn(x):
-            xb = x.blocks[0]
-            g = gram @ xb - atb
+        def apply_flat(x):
+            g = gram @ x - atb
             if lam > 0:
-                g = g + np.clip(xb / mu, -lam, lam)
-            return BlockVector._wrap([g])
+                g += np.clip(x / mu, -lam, lam)
+            return g
 
-        b_map = CocoerciveMap.from_callable(self.dims, grad_fn,
-                                            beta=1.0 / (BETA_DEFLATION * lip), metric=metric)
-        return MonotoneBlock.zero(1), b_map
+        return MonotoneBlock.zero(1), CocoerciveMap(
+            "smoothed_lstsq", self.dims, apply_flat, beta=1.0 / (BETA_DEFLATION * lip),
+            metric=metric)
 
     def _form(self):
         a = self.data["a"]

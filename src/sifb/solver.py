@@ -259,7 +259,7 @@ class Plan:
         self.views = None if len(self.dims) == 1 else block_views(self.dims)
 
     def norm(self, x):
-        """||x||, bit for bit as the block vector's `norm`: the per-block
+        """||x||, bit for bit as the block vector's `norm()`: the per-block
         dots added in block order from 0 (a single block's dot is never
         -0.0, so 0 + dot is the dot)."""
         if self.views is None:
@@ -270,7 +270,7 @@ class Plan:
         return math.sqrt(acc)
 
     def distance(self, a, b):
-        """||a - b||, bit for bit as the block vectors' `distance`."""
+        """||a - b||, bit for bit as the block vectors' `(a - b).norm()`."""
         d = a - b
         return math.sqrt(np.dot(d, d)) if self.views is None else self.norm(d)
 

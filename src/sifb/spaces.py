@@ -1,11 +1,12 @@
 """Block product-space vectors and the diagonal linear-algebra substrate.
 
-`BlockVector` values are immutable: a vector owns read-only numpy arrays and
-an operator read-only matrices, so one object always holds one value and all
-of it is safe to share across concurrent replica runs. The helpers on bare
-block arrays may reuse arrays that their caller owns: `apply_blocks` with
-overwrite writes into its argument, the identity's `apply_blocks` and `apply`
-return their input, and `_add_product` accumulates in place.
+`BlockVector` values are immutable: a vector owns read-only copies of the
+arrays it is built from and an operator read-only matrices, so one object
+always holds one value, shares no memory with its caller, and is safe to share
+across concurrent replica runs. The helpers on bare block arrays may reuse
+arrays that their caller owns: `apply_blocks` with overwrite writes into its
+argument, the identity's `apply_blocks` and `apply` return their input, and
+`_add_product` accumulates in place.
 Weighted norms of block couplings come from one dense eigensolve of a Gram
 matrix, so they are exact to rounding and deterministic.
 """
@@ -42,8 +43,8 @@ def block_views(dims):
 class BlockVector:
     """Element of a product of Euclidean spaces, one dense 1-D array per block.
 
-    `dims` (the block lengths) is fixed at construction. The arrays are
-    read-only and never mutated, so one object always holds one value.
+    `dims` (the block lengths) is fixed at construction. The constructor
+    copies each block into a read-only array, the only way a vector is made.
     """
 
     __slots__ = ("blocks", "dims")
@@ -55,20 +56,8 @@ class BlockVector:
         self.dims = tuple(b.shape[0] for b in self.blocks)
 
     @classmethod
-    def _wrap(cls, arrays, dims=None):
-        # Internal fast path: takes ownership of freshly computed (or already
-        # immutable) float64 arrays without copying. `dims`, when given, must
-        # be their lengths (an operand's dims, for elementwise results).
-        for a in arrays:
-            a.setflags(write=False)
-        v = object.__new__(cls)
-        v.blocks = tuple(arrays)
-        v.dims = tuple(map(len, arrays)) if dims is None else dims
-        return v
-
-    @classmethod
     def zeros(cls, dims):
-        return cls._wrap([np.zeros(int(d)) for d in dims])
+        return cls([np.zeros(int(d)) for d in dims])
 
     @property
     def nblocks(self):
@@ -87,34 +76,30 @@ class BlockVector:
 
     def __add__(self, other):
         self._check_same(other)
-        return BlockVector._wrap([a + b for a, b in zip(self.blocks, other.blocks)],
-                                 self.dims)
+        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other):
         self._check_same(other)
-        return BlockVector._wrap([a - b for a, b in zip(self.blocks, other.blocks)],
-                                 self.dims)
+        return BlockVector([a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __rmul__(self, c):
         c = float(c)
-        return BlockVector._wrap([c * a for a in self.blocks], self.dims)
+        return BlockVector([c * a for a in self.blocks])
 
     # __neg__, axpy, Preconditioner.apply_inverse and Preconditioner.apply_sqrt
     # have no caller in the package: they stay only as patch points that
     # perfbench/tracer.py wraps by name, until ROADMAP item 4 replaces its list.
     def __neg__(self):
-        return BlockVector._wrap([-a for a in self.blocks], self.dims)
+        return BlockVector([-a for a in self.blocks])
 
     def axpy(self, c, other):
         """self + c * other, in one pass."""
         self._check_same(other)
         c = float(c)
-        return BlockVector._wrap(
-            [a + c * b for a, b in zip(self.blocks, other.blocks)], self.dims
-        )
+        return BlockVector([a + c * b for a, b in zip(self.blocks, other.blocks)])
 
-    # dot, norm and distance add the per-block products in block order,
-    # starting from 0, as sum() would
+    # dot and norm add the per-block products in block order, starting from
+    # 0, as sum() would
 
     def dot(self, other):
         self._check_same(other)
@@ -127,15 +112,6 @@ class BlockVector:
         acc = 0
         for a in self.blocks:
             acc += np.dot(a, a)
-        return math.sqrt(acc)
-
-    def distance(self, other):
-        """(self - other).norm(), bit for bit, without building the difference."""
-        self._check_same(other)
-        acc = 0
-        for a, b in zip(self.blocks, other.blocks):
-            d = a - b
-            acc += np.dot(d, d)
         return math.sqrt(acc)
 
     def concatenated(self):
@@ -151,11 +127,7 @@ class BlockVector:
             raise DimensionMismatch(
                 f"flat length {flat.shape[0]} != sum of dims {sum(dims)}"
             )
-        out, pos = [], 0
-        for d in dims:
-            out.append(flat[pos : pos + d].copy())
-            pos += d
-        return cls._wrap(out)
+        return cls(block_views(dims)(flat))
 
     def __repr__(self):
         return f"BlockVector(dims={self.dims})"
@@ -163,8 +135,7 @@ class BlockVector:
 
 def block_concat(primal, dual):
     """Stack two block vectors; `block_split` is its exact inverse."""
-    return BlockVector._wrap(list(primal.blocks) + list(dual.blocks),
-                             primal.dims + dual.dims)
+    return BlockVector(primal.blocks + dual.blocks)
 
 
 def block_split(x, n_first):
@@ -173,10 +144,7 @@ def block_split(x, n_first):
         raise DimensionMismatch(
             f"cannot split {x.nblocks} blocks at position {n_first}"
         )
-    return (
-        BlockVector._wrap(list(x.blocks[:n_first]), x.dims[:n_first]),
-        BlockVector._wrap(list(x.blocks[n_first:]), x.dims[n_first:]),
-    )
+    return BlockVector(x.blocks[:n_first]), BlockVector(x.blocks[n_first:])
 
 
 class Preconditioner:
@@ -205,6 +173,8 @@ class Preconditioner:
             raise ConfigurationError(
                 f"preconditioner entries must be positive; min = {entries.min()}"
             )
+        if entries.size and not entries.max() < np.inf:
+            raise ConfigurationError("preconditioner entries must be finite; max = inf")
 
     @classmethod
     def identity(cls, dims):
@@ -250,21 +220,19 @@ class Preconditioner:
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector._wrap(self.apply_blocks(x.blocks), x.dims)
+        return BlockVector(self.apply_blocks(x.blocks))
 
     def apply_inverse(self, x):
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector._wrap([b / w for w, b in zip(self._diag, x.blocks)], x.dims)
+        return BlockVector([b / w for w, b in zip(self._diag, x.blocks)])
 
     def apply_sqrt(self, x):
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector._wrap(
-            [np.sqrt(w) * b for w, b in zip(self._diag, x.blocks)], x.dims
-        )
+        return BlockVector([np.sqrt(w) * b for w, b in zip(self._diag, x.blocks)])
 
     def __repr__(self):
         return f"Preconditioner(kind={self.kind!r}, dims={self.dims})"
@@ -374,14 +342,14 @@ class BlockLinearOperator:
             raise DimensionMismatch(
                 f"vector dims {x.dims} incompatible with operator input dims {self.dims_in}"
             )
-        return BlockVector._wrap(self.apply_blocks(x.blocks), self.dims_out)
+        return BlockVector(self.apply_blocks(x.blocks))
 
     def adjoint_apply(self, v):
         if v.dims != self.dims_out:
             raise DimensionMismatch(
                 f"vector dims {v.dims} incompatible with operator output dims {self.dims_out}"
             )
-        return BlockVector._wrap(self.adjoint_apply_blocks(v.blocks), self.dims_in)
+        return BlockVector(self.adjoint_apply_blocks(v.blocks))
 
     def is_zero(self):
         return all(cell is None for row in self.entries for cell in row)

@@ -456,4 +456,4 @@ class StochasticOracle:
             out = [[e + s * rng.standard_normal(d)
                     for e, d in zip(exact.blocks, exact.dims)]
                    for _ in range(int(draws))]
-        return [BlockVector._wrap(blocks, exact.dims) for blocks in out]
+        return [BlockVector(blocks) for blocks in out]

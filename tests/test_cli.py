@@ -706,6 +706,34 @@ def test_constants_command(tmp_path, capsys):
     assert "feasible_class1=True" in out
 
 
+@pytest.mark.parametrize("demo", [
+    {"name": "lasso", "params": {"n": 12, "p": 10, "lam": 0.2, "seed": 3}},
+    {"name": "coupled_box_qp", "params": {"m": 2, "dims": 3, "seed": 1}},
+    {"name": "parallel_sum", "params": {"dims": 6, "mu": 0.5, "lam": 0.1, "seed": 2}},
+], ids=lambda demo: demo["name"])
+def test_forward_backward_constants_print_the_beta_the_run_reads(
+        tmp_path, capsys, count_constants, monkeypatch, demo):
+    # the sifb route's constants are its instance's beta, read from the one
+    # map the experiment builds; no primal-dual form is assembled
+    builds = []
+    init = CocoerciveMap.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+
+    cfg = lasso_config(problem={"demo": demo})
+    path = write_config(tmp_path, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(CocoerciveMap, "__init__", counting)
+        assert main(["constants", path]) == 0
+    assert len(builds) == 1 and count_constants["compute_constants"] == 0, builds
+    beta = build_experiment(cfg).make_instance(cfg["seeds"][0]).beta
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        f"beta={beta:.12g} (single-inclusion instance; no structured constants)"]
+
+
 def test_custom_problem_with_matrix_files(tmp_path):
     rng = np.random.default_rng(2)
     a = rng.standard_normal((8, 5))
@@ -1273,6 +1301,67 @@ def test_nonpositive_scalar_metric_value_is_a_configuration_error(tmp_path, caps
     assert_one_configuration_error(
         tmp_path, capsys, cfg,
         "configuration error: preconditioner entries must be positive; min = 0.0")
+
+
+def _non_finite_cases():
+    """(config, key path of one matrix or vector in it, whether the entry may
+    name a file) for each custom-problem entry checked for non-finite values
+    (x0 has its own test)."""
+    lstsq = custom_prox_config(None)
+    linear = edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(
+        map={"kind": "linear", "q": [[1.0, 0.0], [0.0, 2.0]], "offset": [1.0, 0.0]}))
+    pd = edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
+        smooth={"kind": "lstsq", "a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]}))
+    pd["problem"]["custom_pd"]["primal"][0]["z"] = [1.0, 0.0]
+    pd["problem"]["custom_pd"]["dual"][0]["r"] = [1.0, 0.0]
+    return [pytest.param(cfg, keys, file, id=".".join(map(str, keys))) for cfg, keys, file in [
+        (lstsq, ("custom", "map", "a"), True),
+        (lstsq, ("custom", "map", "b"), True),
+        (linear, ("custom", "map", "q"), True),
+        (linear, ("custom", "map", "offset"), True),
+        (pd, ("custom_pd", "smooth", "a"), True),
+        (pd, ("custom_pd", "primal", 0, "z"), False),
+        (pd, ("custom_pd", "dual", 0, "r"), False),
+    ]]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("cfg,keys,file", _non_finite_cases())
+def test_non_finite_custom_data_exits_1_before_any_solve(tmp_path, capsys, cfg, keys, file,
+                                                         bad):
+    # NaN inline, inf from a file where the entry takes one (z and r are
+    # inline only): one line naming the entry and its source, no numpy warning
+    cfg = copy.deepcopy(cfg)
+    parent = cfg["problem"]
+    for key in keys[:-1]:
+        parent = parent[key]
+    values = np.array(parent[keys[-1]], dtype=np.float64)
+    values.flat[0] = float(bad)
+    if bad == "inf" and file:
+        np.savetxt(tmp_path / "bad.txt", values)
+        parent[keys[-1]], source = {"file": "bad.txt"}, "bad.txt"
+    else:
+        parent[keys[-1]], source = values.tolist(), "inline"
+    where = "problem" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_one_configuration_error(
+            tmp_path, capsys, cfg,
+            f"configuration error: {where} ({source}) has non-finite entries")
+
+
+@pytest.mark.parametrize("cfg", [
+    edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(
+        preconditioner={"kind": "diagonal", "weights": [[1.0, float("inf")]]})),
+    edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
+        V={"kind": "scalar", "values": [float("inf")]})),
+], ids=["diagonal", "scalar"])
+def test_infinite_metric_entry_is_a_configuration_error(tmp_path, capsys, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_one_configuration_error(
+            tmp_path, capsys, cfg, "configuration error: preconditioner entries must be "
+                                   "finite; max = inf")
 
 
 def test_scalar_metric_without_values_is_a_configuration_error(tmp_path, capsys):

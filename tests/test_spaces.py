@@ -97,19 +97,41 @@ def test_norm_dot_and_distance_sum_blocks_in_order():
         x, y = rand_bv(rng, dims), rand_bv(rng, dims)
         assert x.norm() == float(np.sqrt(sum(np.dot(a, a) for a in x.blocks)))
         assert x.dot(y) == float(sum(np.dot(a, b) for a, b in zip(x.blocks, y.blocks)))
-        assert x.distance(y) == (x - y).norm()
-        assert x.distance(x) == 0.0
+        assert (x - x).norm() == 0.0
     x = BlockVector([[np.nan, 1.0], [np.inf]])
     with np.errstate(invalid="ignore"):
-        assert np.isnan(x.distance(x)) and np.isnan((x - x).norm())
+        assert np.isnan((x - x).norm())
 
 
 def test_dimension_mismatch_messages():
     x = BlockVector([[1.0, 2.0], [3.0]])
     with pytest.raises(DimensionMismatch, match="block 1: length 1 vs 2"):
-        x.distance(BlockVector([[1.0, 2.0], [3.0, 4.0]]))
+        x - BlockVector([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DimensionMismatch, match="block count mismatch: 2 vs 1"):
         x + BlockVector([[1.0, 2.0]])
+
+
+def test_a_vector_shares_no_memory_with_its_input():
+    # every vector owns copies: of its constructor's arrays and of the
+    # operands of the operation that made it
+    rng = np.random.default_rng(16)
+    arrays = [rng.standard_normal(3), rng.standard_normal(2)]
+    x = BlockVector(arrays)
+    y, d = rand_bv(rng, (3, 2)), rand_bv(rng, (4,))
+    flat = rng.standard_normal(5)
+    metric = Preconditioner.diagonal([rng.uniform(0.5, 2.0, n) for n in (3, 2)])
+    op = BlockLinearOperator([[1.0, None], [None, rng.standard_normal((4, 2))]],
+                             (3, 2), (3, 4))
+    stacked = block_concat(x, d)
+    made = [(x, arrays), (x + y, x.blocks + y.blocks), (x - y, x.blocks + y.blocks),
+            (2.0 * x, x.blocks), (-x, x.blocks), (x.axpy(2.0, y), x.blocks + y.blocks),
+            (stacked, x.blocks + d.blocks),
+            *((part, stacked.blocks) for part in block_split(stacked, 2)),
+            (BlockVector.from_flat(flat, (3, 2)), [flat]),
+            (metric.apply(x), x.blocks), (op.apply(x), x.blocks),
+            (op.adjoint_apply(op.apply(x)), op.apply(x).blocks)]
+    for out, inputs in made:
+        assert not any(np.shares_memory(a, b) for a in out.blocks for b in inputs), out
 
 
 def test_concat_split_roundtrip():
