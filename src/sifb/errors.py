@@ -21,6 +21,11 @@ class DimensionMismatch(ValueError):
     """Block vectors or operators with incompatible shapes were combined."""
 
 
+class InvalidValue(ConfigurationError):
+    """A value refused for what it is, by the piece built from it, which does
+    not know where it came from; `config_entry` names the config entry."""
+
+
 class InfeasibleProblemError(ConfigurationError):
     """A structural feasibility condition on the problem constants fails."""
 
@@ -94,12 +99,13 @@ _BLOCK_ENTRY = re.compile(r"\w+\[\d+\]: ")  # a message naming one block: `prima
 
 @contextmanager
 def config_entry(where):
-    """Report a shape mismatch raised while building the config entry at
-    `where` as a ConfigurationError that names it; a message that names one of
-    its blocks extends the path (`problem.custom_pd.primal[0]: ...`)."""
+    """Report a shape mismatch or an `InvalidValue` raised while building the
+    config entry at `where` as a ConfigurationError that names it; a message
+    that names one of its blocks extends the path
+    (`problem.custom_pd.primal[0]: ...`)."""
     try:
         yield
-    except DimensionMismatch as e:
+    except (DimensionMismatch, InvalidValue) as e:
         raise ConfigurationError(
             f"{where}{'.' if _BLOCK_ENTRY.match(str(e)) else ': '}{e}") from None
 

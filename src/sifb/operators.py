@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, bind_kind
+from .errors import ConfigurationError, DimensionMismatch, InvalidValue, bind_kind
 from .spaces import BlockVector, Preconditioner, _freeze
 
 # Safety deflation applied to computed cocoercivity constants before they are
@@ -384,6 +384,17 @@ def moreau_check(f, x):
 # ---------------------------------------------------------------------------
 
 
+def _top_eigenvalue(mat, what):
+    """lambda_max of the symmetric matrix mat() forms, `what` in messages, by
+    one eigenvalue-only solve; refused as an InvalidValue when it is not
+    finite, as when forming the matrix overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = float(np.linalg.eigvalsh(mat())[-1])
+    if not np.isfinite(top):
+        raise InvalidValue(f"lambda_max of {what} is {top}: the matrix overflows float64")
+    return top
+
+
 class CocoerciveMap:
     """Single-valued monotone map with an audited cocoercivity constant.
 
@@ -460,13 +471,18 @@ class CocoerciveMap:
                    beta_exact=beta, metric=metric, extremal=extremal)
 
     @classmethod
-    def least_squares_gradient(cls, a, b, metric=None):
+    def least_squares_gradient(cls, a, b, metric=None, *, top=None):
         """Gradient of 0.5 ||A x - b||^2 on a single block.
 
         beta = 1 / ||sqrt(M) A^T A sqrt(M)|| with respect to the metric M,
         from one eigenvalue-only dense solve of the smaller Gram matrix of
         A sqrt(M); the extremal probe direction is computed when an audit
         first reads it.
+
+        In the identity metric, `top` may give lambda_max of A^T A as
+        `oracles.gram_top` computes it (the lasso demo's `gram_top`, which
+        is that solve on the same bits); the map then forms no Gram matrix.
+        Any other metric refuses `top`.
         """
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -479,6 +495,8 @@ class CocoerciveMap:
             metric = Preconditioner.identity(dims)
         if metric.dims != dims:
             raise DimensionMismatch(f"metric dims {metric.dims} != map dims {dims}")
+        if top is not None and metric.kind != "identity":
+            raise ValueError(f"top is lambda_max of A^T A, not of A in a {metric.kind} metric")
 
         # top eigenvalue of G^T G, G = A sqrt(M); for wide A that of G G^T
         sw = np.sqrt(metric.diag_blocks()[0])
@@ -493,10 +511,12 @@ class CocoerciveMap:
             # G G^T gives the right singular vector G^T u / ||G^T u||
             g, mat = gram()
             vecs = np.linalg.eigh(mat)[1]
-            top = g.T @ vecs[:, -1] if wide else vecs[:, -1]
-            return BlockVector([sw * (top / np.linalg.norm(top))])
+            vec = g.T @ vecs[:, -1] if wide else vecs[:, -1]
+            return BlockVector([sw * (vec / np.linalg.norm(vec))])
 
-        lam_max = float(np.linalg.eigvalsh(gram()[1])[-1]) if a.size else 0.0
+        if top is None:
+            top = _top_eigenvalue(lambda: gram()[1], "A'A in the metric") if a.size else 0.0
+        lam_max = float(top)
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
         beta = beta_exact / BETA_DEFLATION
 
@@ -544,7 +564,7 @@ class CocoerciveMap:
             def extremal():
                 return BlockVector.from_flat(sw * np.linalg.eigh(sym())[1][:, -1], dims)
 
-            lam_max = float(np.linalg.eigvalsh(sym())[-1])
+            lam_max = _top_eigenvalue(sym, "Q in the metric")
         if lam_max < -1e-10:
             raise ConfigurationError("quadratic matrix must be positive semidefinite")
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max

@@ -66,9 +66,10 @@ class DemoProblem:
 
         One eigensolve per demo: the value is kept in a one-slot cache keyed
         on the identity of A, so data given a new A get their own. The
-        demo's forms and its reference read it; the lasso's `split` does not,
-        so the forward-backward route keeps its own solve. Two threads asking
-        at once each solve and store the same float.
+        demo's forms, its reference and the lasso's `split` in the identity
+        metric (the sifb route's map) read it; a split in another metric
+        solves its own weighted spectrum. Two threads asking at once each
+        solve and store the same float.
         """
         a = self.data["a"]
         last = self._gram_top
@@ -139,8 +140,10 @@ class Lasso(DemoProblem):
         return (self.data["a"].shape[1],)
 
     def split(self, metric):
+        # in the identity metric the map's lambda_max is the demo's one solve
+        top = self.gram_top() if metric.kind == "identity" else None
         grad = CocoerciveMap.least_squares_gradient(self.data["a"], self.data["b"],
-                                                    metric=metric)
+                                                    metric=metric, top=top)
         return MonotoneBlock.subdiff([ProxFunction.l1(self.params["lam"])]), grad
 
     def _form_smooth(self):

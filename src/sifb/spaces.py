@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, NormEstimationError
+from .errors import DimensionMismatch, InvalidValue, NormEstimationError
 
 
 def _freeze(a):
@@ -170,11 +170,9 @@ class Preconditioner:
         self._diag = tuple(diag)
         entries = np.concatenate(self._diag) if self.dims and sum(self.dims) else np.zeros(0)
         if entries.size and not entries.min() > 0:
-            raise ConfigurationError(
-                f"preconditioner entries must be positive; min = {entries.min()}"
-            )
+            raise InvalidValue(f"preconditioner entries must be positive; min = {entries.min()}")
         if entries.size and not entries.max() < np.inf:
-            raise ConfigurationError("preconditioner entries must be finite; max = inf")
+            raise InvalidValue("preconditioner entries must be finite; max = inf")
 
     @classmethod
     def identity(cls, dims):

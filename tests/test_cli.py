@@ -23,6 +23,7 @@ from sifb import NormEstimationError, OracleError
 from sifb.cli import main
 from sifb.config import build_experiment
 from sifb.operators import CocoerciveMap
+from sifb.problems import build_lasso
 from sifb.solver import run
 from sifb.stochastic import derive_seeds
 
@@ -492,20 +493,6 @@ def test_validate_and_constants_compute_the_coupling_norm_once(tmp_path, count_c
     assert count_constants["estimate_weighted_norm"] == 1
 
 
-@pytest.fixture
-def count_eigvalsh(monkeypatch):
-    """The shapes of the matrices passed to np.linalg.eigvalsh, call by call."""
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
-
-
 @pytest.mark.parametrize("demo,want", [
     ({"name": "lasso", "params": {"n": 12, "p": 10, "lam": 0.2, "seed": 3},
       "form": "split"}, 2),
@@ -541,8 +528,8 @@ def test_parallel_sum_forward_backward_run_solves_the_data_spectrum_once(
 
 def test_lasso_forward_backward_run_builds_its_map_once(tmp_path, count_eigvalsh,
                                                        monkeypatch):
-    # validation and the run share one map (one eigensolve for its constant);
-    # the reference takes the other
+    # validation and the run share one map, whose constant and the reference's
+    # step read the demo's one eigensolve
     builds = []
     lstsq = CocoerciveMap.least_squares_gradient.__func__
 
@@ -553,10 +540,10 @@ def test_lasso_forward_backward_run_builds_its_map_once(tmp_path, count_eigvalsh
     monkeypatch.setattr(CocoerciveMap, "least_squares_gradient", classmethod(counting))
     path = write_config(tmp_path, lasso_config())
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
-    assert len(builds) == 1 and len(count_eigvalsh) == 2, count_eigvalsh
+    assert len(builds) == 1 and len(count_eigvalsh) == 1, count_eigvalsh
 
 
-def custom_pd_config(coupling, algorithm="pd_class1", **extra):
+def coupled_pd_config(coupling, algorithm="pd_class1", **extra):
     return {"problem": {"custom_pd": {
         "primal": [{"dim": 2}],
         "dual": [{"dim": 2, "g": {"family": "l1", "lam": 1.0}}],
@@ -567,8 +554,8 @@ def custom_pd_config(coupling, algorithm="pd_class1", **extra):
 
 
 @pytest.mark.parametrize("cfg,failed", [
-    (custom_pd_config(2.0), "coupling norm c < 1  (||sqrt(W) L sqrt(V)|| = 2 >= 1"),
-    (custom_pd_config(0.5, smooth={"kind": "scaled_identity", "mu": 4.0}, nu0=0.25),
+    (coupled_pd_config(2.0), "coupling norm c < 1  (||sqrt(W) L sqrt(V)|| = 2 >= 1"),
+    (coupled_pd_config(0.5, smooth={"kind": "scaled_identity", "mu": 4.0}, nu0=0.25),
      "class-I constant beta_hat > 1/2  (beta_hat=0.1875)"),
     ({**pd_lasso_config(), "algorithm": "pd_class2",
       "problem": {"demo": {**pd_lasso_config()["problem"]["demo"], "form": "cp"}}},
@@ -731,6 +718,21 @@ def test_forward_backward_constants_print_the_beta_the_run_reads(
     beta = build_experiment(cfg).make_instance(cfg["seeds"][0]).beta
     out = capsys.readouterr().out
     assert out.splitlines() == [
+        f"beta={beta:.12g} (single-inclusion instance; no structured constants)"]
+
+
+@pytest.mark.parametrize("shape", [(12, 10), (8, 12)], ids=["tall", "wide"])
+def test_lasso_forward_backward_constants_read_the_demos_spectrum(tmp_path, capsys,
+                                                                  count_eigvalsh, shape):
+    # one eigensolve, and the beta line of a map that solves its own spectrum
+    n, p = shape
+    demo = {"name": "lasso", "params": {"n": n, "p": p, "lam": 0.2, "seed": 3}}
+    path = write_config(tmp_path, lasso_config(problem={"demo": demo}))
+    assert main(["constants", path]) == 0
+    assert len(count_eigvalsh) == 1, count_eigvalsh
+    data = build_lasso(n, p, 0.2, seed=3).data
+    beta = CocoerciveMap.least_squares_gradient(data["a"], data["b"]).beta
+    assert capsys.readouterr().out.splitlines() == [
         f"beta={beta:.12g} (single-inclusion instance; no structured constants)"]
 
 
@@ -1292,7 +1294,8 @@ def test_nonpositive_diagonal_metric_weight_is_a_configuration_error(tmp_path, c
     cfg["problem"]["custom"]["preconditioner"] = {"kind": "diagonal", "weights": [[1.0, -1.0]]}
     assert_one_configuration_error(
         tmp_path, capsys, cfg,
-        "configuration error: preconditioner entries must be positive; min = -1.0")
+        "configuration error: problem.custom.preconditioner: "
+        "preconditioner entries must be positive; min = -1.0")
 
 
 def test_nonpositive_scalar_metric_value_is_a_configuration_error(tmp_path, capsys):
@@ -1300,7 +1303,8 @@ def test_nonpositive_scalar_metric_value_is_a_configuration_error(tmp_path, caps
     cfg["problem"]["custom_pd"]["W"] = {"kind": "scalar", "values": [0.0]}
     assert_one_configuration_error(
         tmp_path, capsys, cfg,
-        "configuration error: preconditioner entries must be positive; min = 0.0")
+        "configuration error: problem.custom_pd.W: "
+        "preconditioner entries must be positive; min = 0.0")
 
 
 def _non_finite_cases():
@@ -1350,18 +1354,42 @@ def test_non_finite_custom_data_exits_1_before_any_solve(tmp_path, capsys, cfg, 
             f"configuration error: {where} ({source}) has non-finite entries")
 
 
-@pytest.mark.parametrize("cfg", [
-    edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(
+@pytest.mark.parametrize("cfg,where", [
+    (edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(
         preconditioner={"kind": "diagonal", "weights": [[1.0, float("inf")]]})),
-    edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
-        V={"kind": "scalar", "values": [float("inf")]})),
+     "problem.custom.preconditioner"),
+    (edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
+        V={"kind": "scalar", "values": [float("inf")]})), "problem.custom_pd.V"),
 ], ids=["diagonal", "scalar"])
-def test_infinite_metric_entry_is_a_configuration_error(tmp_path, capsys, cfg):
+def test_infinite_metric_entry_is_a_configuration_error(tmp_path, capsys, cfg, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert_one_configuration_error(
-            tmp_path, capsys, cfg, "configuration error: preconditioner entries must be "
-                                   "finite; max = inf")
+            tmp_path, capsys, cfg, f"configuration error: {where}: preconditioner entries "
+                                   "must be finite; max = inf")
+
+
+@pytest.mark.parametrize("cfg,where,what", [
+    (edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(
+        map={"kind": "lstsq", "a": [[1e200, 0.0], [0.0, 2.0], [1.0, 1.0]],
+             "b": [1.0, 0.0, 0.0]})), "problem.custom.map", "A'A"),
+    (edited(custom_prox_config(None), lambda c: c["problem"]["custom"].update(
+        preconditioner={"kind": "diagonal", "weights": [[1e200, 1.0]]},
+        map={"kind": "linear", "q": [[1e200, 0.0], [0.0, 1.0]]})), "problem.custom.map", "Q"),
+    (edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
+        smooth={"kind": "lstsq", "a": [[1e200, 0.0], [0.0, 2.0], [1.0, 1.0]],
+                "b": [1.0, 0.0, 0.0]})), "problem.custom_pd.smooth", "A'A"),
+], ids=["lstsq", "linear", "custom_pd-smooth"])
+def test_map_whose_matrix_overflows_is_a_configuration_error(tmp_path, capsys, cfg, where,
+                                                             what):
+    # finite entries whose Gram matrix in the metric overflows: one line
+    # naming the map, no numpy warning and no beta of nan reported as a
+    # solver setting
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_one_configuration_error(
+            tmp_path, capsys, cfg, f"configuration error: {where}: lambda_max of {what} in "
+                                   "the metric is nan: the matrix overflows float64")
 
 
 def test_scalar_metric_without_values_is_a_configuration_error(tmp_path, capsys):

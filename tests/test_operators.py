@@ -436,6 +436,30 @@ def test_least_squares_zero_matrix_has_infinite_beta(shape):
     assert check_cocoercivity(b_map, trials=10, seed=0).passed
 
 
+@pytest.mark.parametrize("shape", [(12, 8), (8, 12)], ids=["tall", "wide"])
+def test_least_squares_given_top_solves_no_spectrum(monkeypatch, shape):
+    # in the identity metric a given lambda_max is the constant, and the
+    # probe is still computed on first read
+    a, b, metric = _lstsq_case(shape, False, seed=24)
+    own = CocoerciveMap.least_squares_gradient(a, b)
+    top = float(np.linalg.eigvalsh(a @ a.T if shape[0] < shape[1] else a.T @ a)[-1])
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", None)
+        b_map = CocoerciveMap.least_squares_gradient(a, b, metric=metric, top=top)
+    assert (b_map.beta, b_map.beta_exact) == (own.beta, own.beta_exact)
+    assert b_map.extremal.blocks[0].tobytes() == own.extremal.blocks[0].tobytes()
+
+
+@pytest.mark.parametrize("metric", [Preconditioner.scalar([2.0], (3,)),
+                                    Preconditioner.diagonal([np.ones(3)])],
+                         ids=["scalar", "diagonal"])
+def test_least_squares_refuses_top_in_a_weighted_metric(metric):
+    # top is lambda_max of A'A; a weighted metric needs that of its own Gram matrix
+    with pytest.raises(ValueError, match=r"^top is lambda_max of A\^T A"):
+        CocoerciveMap.least_squares_gradient(np.ones((4, 3)), np.ones(4), metric=metric,
+                                             top=12.0)
+
+
 def test_least_squares_rejects_metric_of_other_dims():
     with pytest.raises(DimensionMismatch):
         CocoerciveMap.least_squares_gradient(np.ones((3, 2)), np.ones(3),

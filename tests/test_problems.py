@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sifb import (
+    CocoerciveMap,
     ConfigurationError,
     OracleError,
+    Preconditioner,
     SolverConfig,
     assemble_class1,
     assemble_class2,
@@ -61,6 +63,44 @@ def test_demo_given_a_new_data_matrix_solves_its_own_spectrum():
     demo.data["a"] = 2.0 * demo.data["a"]
     want, _ = ista_lasso(demo.data["a"], demo.data["b"], 0.2, tol=1e-10)
     assert reference_oracle(demo).concatenated().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+def test_lasso_forward_backward_map_reads_the_demos_spectrum(count_eigvalsh, shape):
+    # the sifb route's beta is, bit for bit, that of a map that solves its own
+    # spectrum, and reads the eigensolve the demo's forms and reference share
+    demo = build_lasso(*shape, 0.1, cond=100.0, seed=5)
+    own = CocoerciveMap.least_squares_gradient(demo.data["a"], demo.data["b"])
+    pd_problem(demo, "split")
+    del count_eigvalsh[:]
+    inst = sifb_instance(demo)
+    assert count_eigvalsh == []
+    assert (inst.beta, inst.oracle.base.beta_exact) == (own.beta, own.beta_exact)
+
+
+def test_lasso_forward_backward_map_of_a_new_data_matrix_reads_its_spectrum():
+    demo = build_lasso(12, 10, 0.2, cond=20.0, seed=3)
+    first = sifb_instance(demo).beta
+    demo.data["a"] = 2.0 * demo.data["a"]
+    want = CocoerciveMap.least_squares_gradient(demo.data["a"], demo.data["b"]).beta
+    assert sifb_instance(demo).beta == want
+    assert want == pytest.approx(first / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("metric", [
+    Preconditioner.scalar([0.5], (10,)),
+    Preconditioner.diagonal([np.linspace(0.5, 2.0, 10)]),
+], ids=["scalar", "diagonal"])
+def test_lasso_split_in_a_weighted_metric_solves_its_own_spectrum(count_eigvalsh, metric):
+    demo = build_lasso(12, 10, 0.2, cond=20.0, seed=3)
+    a = demo.data["a"]
+    demo.gram_top()
+    del count_eigvalsh[:]
+    grad = demo.split(metric)[1]
+    assert count_eigvalsh == [(10, 10)]
+    g = a * np.sqrt(metric.diag_blocks()[0])
+    assert grad.beta_exact == pytest.approx(1.0 / np.linalg.eigvalsh(g.T @ g)[-1], rel=1e-12)
+    assert grad.beta_exact != pytest.approx(1.0 / demo.gram_top(), rel=1e-3)
 
 
 def test_lasso_data_reproducible_and_conditioned():
