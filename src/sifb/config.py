@@ -80,10 +80,7 @@ def _scalar_metric(values: list[float], *, dims):
 
 
 def _diagonal_metric(weights: list[np.ndarray], *, dims):
-    metric = Preconditioner.diagonal(weights)
-    if metric.dims != dims:
-        raise DimensionMismatch(f"weight lengths {metric.dims} != block dims {dims}")
-    return metric
+    return Preconditioner("diagonal", dims, weights)
 
 
 _METRICS = {"identity": lambda *, dims: Preconditioner.identity(dims),
@@ -207,8 +204,9 @@ def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | N
     if len(set(mus)) > 1:
         raise ConfigurationError("per-block dinv_mu values must currently agree across "
                                  "dual blocks")
-    dual_smooth = (None if not mus or mus[0] is None
-                   else CocoerciveMap.scaled_identity(ddims, float(mus[0]), metric=w))
+    with config_entry(f"{where}.dual[0].dinv_mu"):
+        dual_smooth = (None if not mus or mus[0] is None
+                       else CocoerciveMap.scaled_identity(ddims, float(mus[0]), metric=w))
     prob = PrimalDualProblem(
         primal_ops=MonotoneBlock(primal_rules), z=BlockVector(z), V=v,
         dual_inverse=MonotoneBlock(dual_rules), r=BlockVector(r), W=w,

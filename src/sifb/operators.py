@@ -180,7 +180,7 @@ class ProxFunction:
         # a vector parameter may hold an infinite entry (an open side of a box)
         for key in _VECTOR_PARAMS:
             if key in params and np.isnan(params[key]).any():
-                raise ConfigurationError(f"{key} has a NaN entry")
+                raise InvalidValue(f"{key} has a NaN entry")
         self.family = family
         self.params = params
 
@@ -192,14 +192,14 @@ class ProxFunction:
     @classmethod
     def l1(cls, lam: float):
         if not lam >= 0:
-            raise ConfigurationError(f"l1 weight must be nonnegative, got {lam}")
+            raise InvalidValue(f"l1 weight must be nonnegative, got {lam}")
         return cls("l1", lam=float(lam))
 
     @classmethod
     def squared_l2(cls, lam: float = 1.0, center: np.ndarray = 0.0):
         """(lam/2) ||x - center||^2."""
         if not lam > 0:
-            raise ConfigurationError(f"sq_l2 weight must be positive, got {lam}")
+            raise InvalidValue(f"sq_l2 weight must be positive, got {lam}")
         return cls("sq_l2", lam=float(lam), center=np.asarray(center, dtype=np.float64))
 
     @classmethod
@@ -209,13 +209,13 @@ class ProxFunction:
         if lo.size > 1 and hi.size > 1 and lo.shape != hi.shape:
             raise DimensionMismatch(f"lo has shape {lo.shape}, hi has shape {hi.shape}")
         if np.any(lo > hi):
-            raise ConfigurationError("box indicator needs lo <= hi")
+            raise InvalidValue("box indicator needs lo <= hi")
         return cls("box", lo=lo, hi=hi)
 
     @classmethod
     def linf_ball(cls, radius: float):
         if not radius >= 0:
-            raise ConfigurationError(f"ball radius must be nonnegative, got {radius}")
+            raise InvalidValue(f"ball radius must be nonnegative, got {radius}")
         return cls("linf_ball", radius=float(radius))
 
     @classmethod
@@ -437,7 +437,7 @@ class CocoerciveMap:
         the value wrapped."""
         if x.dims != self.dims:
             raise DimensionMismatch(f"map dims {self.dims}, vector dims {x.dims}")
-        return BlockVector.from_flat(self.apply_flat(x.concatenated()), self.dims)
+        return BlockVector.from_flat(self.apply_flat(x.flat), self.dims)
 
     @property
     def is_finite_sum(self):
@@ -453,20 +453,23 @@ class CocoerciveMap:
 
     @classmethod
     def scaled_identity(cls, dims, mu, metric):
-        """x -> mu * x; exact constant 1/(mu * ||metric||), tight, so no deflation."""
+        """x -> mu * x; exact constant 1/(mu * ||metric||), tight, so no deflation;
+        refused as an InvalidValue when that constant is 0 or inf in float64."""
         mu = float(mu)
         if not mu > 0:
-            raise ConfigurationError(f"scale must be positive, got {mu}")
+            raise InvalidValue(f"scale must be positive, got {mu}")
         top = 1.0
         extremal = None
         if sum(dims):
-            diag = metric.diag_blocks()
-            flat = np.concatenate(diag)
-            top = float(flat.max())
-            probe = np.zeros(flat.size)
-            probe[int(flat.argmax())] = 1.0  # the constant is tight here
+            top = float(metric.diag.max())
+            probe = np.zeros(sum(dims))
+            probe[int(metric.diag.argmax())] = 1.0  # the constant is tight here
             extremal = BlockVector.from_flat(probe, dims)
-        beta = 1.0 / (mu * top)
+        scale = mu * top
+        beta = 1.0 / scale if scale else float("inf")
+        if not 0.0 < beta < float("inf"):
+            raise InvalidValue(f"mu times the metric's largest entry is {scale}: "
+                               f"beta = 1/{scale} is out of the float64 range")
         return cls("scaled_identity", dims, lambda x: mu * x, beta=beta,
                    beta_exact=beta, metric=metric, extremal=extremal)
 
@@ -487,9 +490,7 @@ class CocoerciveMap:
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64).reshape(-1)
         if a.ndim != 2 or a.shape[0] != b.shape[0]:
-            raise ConfigurationError(
-                f"data shapes incompatible: A {a.shape}, b {b.shape}"
-            )
+            raise InvalidValue(f"data shapes incompatible: A {a.shape}, b {b.shape}")
         dims = (a.shape[1],)
         if metric is None:
             metric = Preconditioner.identity(dims)
@@ -499,7 +500,7 @@ class CocoerciveMap:
             raise ValueError(f"top is lambda_max of A^T A, not of A in a {metric.kind} metric")
 
         # top eigenvalue of G^T G, G = A sqrt(M); for wide A that of G G^T
-        sw = np.sqrt(metric.diag_blocks()[0])
+        sw = np.sqrt(metric.diag)
         wide = a.shape[0] < a.shape[1]
 
         def gram():
@@ -545,9 +546,9 @@ class CocoerciveMap:
         q = np.asarray(q, dtype=np.float64)
         n = q.shape[0] if q.ndim else 0
         if q.shape != (n, n):
-            raise ConfigurationError(f"quadratic matrix must be square, got {q.shape}")
+            raise InvalidValue(f"quadratic matrix must be square, got {q.shape}")
         if not np.allclose(q, q.T, atol=1e-10):
-            raise ConfigurationError("quadratic matrix must be symmetric")
+            raise InvalidValue("quadratic matrix must be symmetric")
         if sum(dims) != n:
             raise DimensionMismatch(f"dims {dims} do not sum to {n}")
         offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=np.float64).reshape(-1)
@@ -556,7 +557,7 @@ class CocoerciveMap:
         extremal = None
         lam_max = 0.0
         if n:
-            sw = np.sqrt(np.concatenate(metric.diag_blocks()))
+            sw = np.sqrt(metric.diag)
 
             def sym():
                 return sw[:, None] * q * sw[None, :]
@@ -566,7 +567,7 @@ class CocoerciveMap:
 
             lam_max = _top_eigenvalue(sym, "Q in the metric")
         if lam_max < -1e-10:
-            raise ConfigurationError("quadratic matrix must be positive semidefinite")
+            raise InvalidValue("quadratic matrix must be positive semidefinite")
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
         beta = beta_exact / BETA_DEFLATION
 
@@ -578,7 +579,7 @@ class CocoerciveMap:
         """Wrap a user map on block vectors with a caller-certified constant."""
         dims = tuple(int(d) for d in dims)
         return cls("callable", dims,
-                   lambda x: fn(BlockVector.from_flat(x, dims)).concatenated(),
+                   lambda x: fn(BlockVector.from_flat(x, dims)).flat,
                    beta=beta, metric=metric)
 
     @classmethod

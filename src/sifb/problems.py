@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracles
-from .errors import ConfigurationError, bind_config
+from .errors import ConfigurationError, InvalidValue, bind_config
 from .operators import BETA_DEFLATION, CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem
 from .solver import ProblemInstance
@@ -40,7 +40,7 @@ def _conditioned_matrix(rng, n, p, cond):
 def _rng(seed):
     """The data generator of a demo; a negative seed is a config error, not numpy's."""
     if seed < 0:
-        raise ConfigurationError(f"demo seed must be a non-negative integer, got {seed}")
+        raise InvalidValue(f"demo seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -118,11 +118,11 @@ class Lasso(DemoProblem):
     def build(cls, n: int, p: int, lam: float, cond: float = 10.0, seed: int = 0):
         """min 0.5 ||A x - b||^2 + lam ||x||_1 with synthetic data."""
         if n < 1 or p < 1:
-            raise ConfigurationError(f"need n, p >= 1, got ({n}, {p})")
+            raise InvalidValue(f"need n, p >= 1, got ({n}, {p})")
         if not lam >= 0:
-            raise ConfigurationError(f"lam must be nonnegative, got {lam}")
+            raise InvalidValue(f"lam must be nonnegative, got {lam}")
         if not 1 <= cond < np.inf:
-            raise ConfigurationError(f"cond must be finite and at least 1, got {cond}")
+            raise InvalidValue(f"cond must be finite and at least 1, got {cond}")
         rng = _rng(seed)
         a = _conditioned_matrix(rng, n, p, cond)
         x_true = np.zeros(p)
@@ -210,9 +210,9 @@ class CoupledBoxQP(DemoProblem):
     def build(cls, m: int, dims: int, seed: int = 0):
         """m-block box-constrained quadratic with dense off-diagonal coupling."""
         if m < 2:
-            raise ConfigurationError(f"need at least 2 blocks, got {m}")
+            raise InvalidValue(f"need at least 2 blocks, got {m}")
         if dims < 1:
-            raise ConfigurationError(f"dims must be at least 1, got {dims}")
+            raise InvalidValue(f"dims must be at least 1, got {dims}")
         rng = _rng(seed)
         total = int(m) * int(dims)
         g = rng.standard_normal((total, total))
@@ -269,13 +269,13 @@ class ParallelSum(DemoProblem):
         """min 0.5 ||A x - b||^2 + (smoothing box l1)(x): an infimal-convolution
         regularizer realized through a dual block with a single-valued inverse."""
         if dims < 1:
-            raise ConfigurationError(f"dims must be at least 1, got {dims}")
+            raise InvalidValue(f"dims must be at least 1, got {dims}")
         if not mu > 0:
-            raise ConfigurationError(f"smoothing mu must be positive, got {mu}")
+            raise InvalidValue(f"smoothing mu must be positive, got {mu}")
         if mu == np.inf:
-            raise ConfigurationError(f"smoothing mu must be finite, got {mu}")
+            raise InvalidValue(f"smoothing mu must be finite, got {mu}")
         if not lam >= 0:
-            raise ConfigurationError(f"lam must be nonnegative, got {lam}")
+            raise InvalidValue(f"lam must be nonnegative, got {lam}")
         rng = _rng(seed)
         p = int(dims)
         a = _conditioned_matrix(rng, p + 10, p, 10.0)
@@ -384,7 +384,7 @@ def pd_problem(demo, form=None):
 
 def objective(demo, x):
     """Objective value at a primal point, a BlockVector."""
-    return demo.value(x.concatenated())
+    return demo.value(x.flat)
 
 
 def certified_reference(demo, tol=1e-10):

@@ -19,9 +19,10 @@ resolvent kernels and U's diagonal, for the assemblies their sweeps),
 with every dims check made there. The loop then steps on one flat float64
 array per value: extrapolation, w - gamma U r, relaxation and differences
 run once over it, kernels, map and coupling on its block views, and norms
-are per-block dots added in block order from 0. sigma_n and alpha_n are
-computed once per iteration, for the trace row and the step. x0 and the
-reference come in as block vectors, and the iterate goes out as one.
+are `spaces.block_dot` of those views, as a block vector's are. sigma_n and
+alpha_n are computed once per iteration, for the trace row and the step.
+The run starts from x0's flat array and reads the reference's, and the
+iterate goes out as a block vector.
 
 Cost: a step makes one oracle draw and one backward sweep, and a recorded
 row one exact map evaluation and one sweep for its fixed-point residual.
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch, check_type
-from .spaces import BlockVector, block_views
+from .spaces import BlockVector, block_dot, block_views
 from .stochastic import InertiaSchedule
 
 CONVERGED = "converged"
@@ -179,17 +180,17 @@ class ProblemInstance:
             raise ConfigurationError("forward-backward instances need a metric U")
         if beta is None:
             beta = oracle.base.beta
-        dims, diag = metric.dims, metric.diag_blocks()
+        dims = metric.dims
         operator.check_dims(dims)
         for name, v in (("map", oracle.base), ("x0", x0)):
             if v.dims != dims:
                 raise DimensionMismatch(f"{name} dims {v.dims}, metric dims {dims}")
-        # U on the flat layout; the identity passes r through
-        u = None if metric.kind == "identity" or not dims else np.concatenate(diag)
+        # U's flat diagonal; the identity passes r through
+        u = None if metric.kind == "identity" else metric.diag
         views = block_views(dims)
 
         def bind_backward(gamma):
-            kernels = operator.bind(gamma, diag)
+            kernels = operator.bind(gamma, metric.diag_blocks())
             c = float(-gamma)
             if len(kernels) == 1:
                 kernel = kernels[0]
@@ -223,7 +224,7 @@ class ProblemInstance:
         for name, v in (("iterate", w), ("draw", r)):
             if v.dims != dims:
                 raise DimensionMismatch(f"{name} dims {v.dims} != instance dims {dims}")
-        p = self.bind_backward(gamma)(w.concatenated(), r.concatenated())
+        p = self.bind_backward(gamma)(w.flat, r.flat)
         return BlockVector.from_flat(p, dims)
 
     @property
@@ -259,15 +260,12 @@ class Plan:
         self.views = None if len(self.dims) == 1 else block_views(self.dims)
 
     def norm(self, x):
-        """||x||, bit for bit as the block vector's `norm()`: the per-block
-        dots added in block order from 0 (a single block's dot is never
-        -0.0, so 0 + dot is the dot)."""
+        """||x||, bit for bit as the block vector's `norm()`: `block_dot` of its
+        views; a single block's dot is never -0.0, so 0 + dot is the dot."""
         if self.views is None:
             return math.sqrt(np.dot(x, x))
-        acc = 0
-        for v in self.views(x):
-            acc += np.dot(v, v)
-        return math.sqrt(acc)
+        v = self.views(x)
+        return math.sqrt(block_dot(v, v))
 
     def distance(self, a, b):
         """||a - b||, bit for bit as the block vectors' `(a - b).norm()`."""
@@ -403,13 +401,13 @@ def run(prob, cfg, reference=None):
     every, last_n, stop_tol = cfg.record_every, cfg.max_iter, cfg.stop_tol
     if reference is not None and reference.dims != plan.dims:
         raise DimensionMismatch(f"reference dims {reference.dims} != x0 dims {plan.dims}")
-    ref = None if reference is None else reference.concatenated()
+    ref = None if reference is None else reference.flat
 
     def result(x):
         return BlockVector.from_flat(x, plan.dims)
 
     trace = RunTrace()
-    x = x_prev = prob.x0.concatenated()  # x_{-1} = x_0
+    x = x_prev = prob.x0.flat  # x_{-1} = x_0
     sn = plan.distance(x, x_prev)  # ||x_n - x_{n-1}||, then carried over from each step
     # an upper bound on ||x_n||, since ||x_{n+1}|| <= ||x_n|| + ||x_{n+1} - x_n||;
     # below half the divergence limit, which absorbs every rounding of the

@@ -1,6 +1,9 @@
 """Block product-space vectors and the diagonal linear-algebra substrate.
 
-`BlockVector` values are immutable: a vector owns read-only copies of the
+One block layout: a vector, or a metric's diagonal, is one read-only flat
+float64 array, its blocks views of it (`block_views`), and `block_dot` is the
+block-ordered inner product behind the vectors' norms and the run's.
+`BlockVector` values are immutable: a vector owns a read-only copy of the
 arrays it is built from and an operator read-only matrices, so one object
 always holds one value, shares no memory with its caller, and is safe to share
 across concurrent replica runs. The helpers on bare block arrays may reuse
@@ -40,28 +43,44 @@ def block_views(dims):
     return itemgetter(*map(slice, off[:-1], off[1:]))
 
 
-class BlockVector:
-    """Element of a product of Euclidean spaces, one dense 1-D array per block.
+def block_dot(xs, ys):
+    """The dots of the paired block arrays of xs and ys, added in block order
+    from 0 as sum() would."""
+    acc = 0
+    for a, b in zip(xs, ys):
+        acc += np.dot(a, b)
+    return acc
 
-    `dims` (the block lengths) is fixed at construction. The constructor
-    copies each block into a read-only array, the only way a vector is made.
+
+class BlockVector:
+    """Element of a product of Euclidean spaces: one read-only flat float64
+    array `flat`, the blocks of lengths `dims` stacked in order, and `blocks`,
+    its views. The constructor copies its arrays into `flat` with one
+    concatenate, `from_flat` copies its array, arithmetic makes one array.
     """
 
-    __slots__ = ("blocks", "dims")
+    __slots__ = ("flat", "dims", "blocks")
 
     def __init__(self, blocks):
-        self.blocks = tuple(
-            _freeze(np.asarray(b, dtype=np.float64).reshape(-1).copy()) for b in blocks
-        )
-        self.dims = tuple(b.shape[0] for b in self.blocks)
+        arrays = [np.asarray(b, dtype=np.float64).reshape(-1) for b in blocks]
+        self._hold(np.concatenate(arrays) if arrays else np.zeros(0), tuple(map(len, arrays)))
+
+    def _hold(self, flat, dims):
+        """Take the fresh flat array flat, in the layout of dims, without a copy."""
+        self.flat, self.dims, self.blocks = _freeze(flat), dims, block_views(dims)(flat)
+        return self
+
+    @classmethod
+    def _of(cls, flat, dims):
+        return cls.__new__(cls)._hold(flat, dims)
 
     @classmethod
     def zeros(cls, dims):
-        return cls([np.zeros(int(d)) for d in dims])
+        return cls.from_flat(np.zeros(sum(dims)), dims)
 
     @property
     def nblocks(self):
-        return len(self.blocks)
+        return len(self.dims)
 
     def _check_same(self, other):
         if self.dims != other.dims:
@@ -76,58 +95,45 @@ class BlockVector:
 
     def __add__(self, other):
         self._check_same(other)
-        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks)])
+        return BlockVector._of(self.flat + other.flat, self.dims)
 
     def __sub__(self, other):
         self._check_same(other)
-        return BlockVector([a - b for a, b in zip(self.blocks, other.blocks)])
+        return BlockVector._of(self.flat - other.flat, self.dims)
 
     def __rmul__(self, c):
-        c = float(c)
-        return BlockVector([c * a for a in self.blocks])
+        return BlockVector._of(float(c) * self.flat, self.dims)
 
     # __neg__, axpy, Preconditioner.apply_inverse and Preconditioner.apply_sqrt
     # have no caller in the package: they stay only as patch points that
     # perfbench/tracer.py wraps by name, until ROADMAP item 4 replaces its list.
     def __neg__(self):
-        return BlockVector([-a for a in self.blocks])
+        return BlockVector._of(-self.flat, self.dims)
 
     def axpy(self, c, other):
         """self + c * other, in one pass."""
         self._check_same(other)
-        c = float(c)
-        return BlockVector([a + c * b for a, b in zip(self.blocks, other.blocks)])
-
-    # dot and norm add the per-block products in block order, starting from
-    # 0, as sum() would
+        return BlockVector._of(self.flat + float(c) * other.flat, self.dims)
 
     def dot(self, other):
         self._check_same(other)
-        acc = 0
-        for a, b in zip(self.blocks, other.blocks):
-            acc += np.dot(a, b)
-        return float(acc)
+        return float(block_dot(self.blocks, other.blocks))
 
     def norm(self):
-        acc = 0
-        for a in self.blocks:
-            acc += np.dot(a, a)
-        return math.sqrt(acc)
+        return math.sqrt(block_dot(self.blocks, self.blocks))
 
     def concatenated(self):
-        """All blocks stacked into one flat array (a copy)."""
-        if not self.blocks:
-            return np.zeros(0)
-        return np.concatenate(self.blocks)
+        """All blocks stacked into one flat array: `flat` itself, read-only,
+        not a copy."""
+        return self.flat
 
     @classmethod
     def from_flat(cls, flat, dims):
-        flat = np.asarray(flat, dtype=np.float64).reshape(-1)
+        """The vector of a copy of the flat array flat, in the layout of dims."""
+        flat, dims = np.array(flat, dtype=np.float64).reshape(-1), tuple(map(int, dims))
         if flat.shape[0] != sum(dims):
-            raise DimensionMismatch(
-                f"flat length {flat.shape[0]} != sum of dims {sum(dims)}"
-            )
-        return cls(block_views(dims)(flat))
+            raise DimensionMismatch(f"flat length {flat.shape[0]} != sum of dims {sum(dims)}")
+        return cls._of(flat, dims)
 
     def __repr__(self):
         return f"BlockVector(dims={self.dims})"
@@ -135,7 +141,7 @@ class BlockVector:
 
 def block_concat(primal, dual):
     """Stack two block vectors; `block_split` is its exact inverse."""
-    return BlockVector(primal.blocks + dual.blocks)
+    return BlockVector._of(np.concatenate((primal.flat, dual.flat)), primal.dims + dual.dims)
 
 
 def block_split(x, n_first):
@@ -144,35 +150,33 @@ def block_split(x, n_first):
         raise DimensionMismatch(
             f"cannot split {x.nblocks} blocks at position {n_first}"
         )
-    return BlockVector(x.blocks[:n_first]), BlockVector(x.blocks[n_first:])
+    k = sum(x.dims[:n_first])
+    return (BlockVector.from_flat(x.flat[:k], x.dims[:n_first]),
+            BlockVector.from_flat(x.flat[k:], x.dims[n_first:]))
 
 
 class Preconditioner:
     """Self-adjoint strongly positive operator on a block space.
 
     Restricted to scalar-per-block and diagonal forms, which keep apply,
-    apply_inverse and apply_sqrt exact and O(n).
+    apply_inverse and apply_sqrt exact and O(n): one read-only flat diagonal
+    `diag`, checked here, whose views are `diag_blocks()`.
     """
 
-    __slots__ = ("kind", "dims", "_diag")
+    __slots__ = ("kind", "dims", "diag", "_diag")
 
     def __init__(self, kind, dims, diag_blocks):
         self.kind = kind
         self.dims = tuple(int(d) for d in dims)
-        diag = []
-        for d, w in zip(self.dims, diag_blocks):
-            a = np.asarray(w, dtype=np.float64).reshape(-1)
-            if a.shape[0] != d:
-                raise DimensionMismatch(
-                    f"diagonal block length {a.shape[0]} != dim {d}"
-                )
-            diag.append(_freeze(a.copy()))
-        self._diag = tuple(diag)
-        entries = np.concatenate(self._diag) if self.dims and sum(self.dims) else np.zeros(0)
-        if entries.size and not entries.min() > 0:
-            raise InvalidValue(f"preconditioner entries must be positive; min = {entries.min()}")
-        if entries.size and not entries.max() < np.inf:
+        v = BlockVector(diag_blocks)
+        if v.dims != self.dims:
+            raise DimensionMismatch(f"weight lengths {v.dims} != block dims {self.dims}")
+        diag = v.flat
+        if diag.size and not diag.min() > 0:
+            raise InvalidValue(f"preconditioner entries must be positive; min = {diag.min()}")
+        if diag.size and not diag.max() < np.inf:
             raise InvalidValue("preconditioner entries must be finite; max = inf")
+        self.diag, self._diag = diag, v.blocks
 
     @classmethod
     def identity(cls, dims):
@@ -218,19 +222,19 @@ class Preconditioner:
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector(self.apply_blocks(x.blocks))
+        return BlockVector._of(self.diag * x.flat, self.dims)
 
     def apply_inverse(self, x):
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector([b / w for w, b in zip(self._diag, x.blocks)])
+        return BlockVector._of(x.flat / self.diag, self.dims)
 
     def apply_sqrt(self, x):
         self._check(x)
         if self.kind == "identity":
             return x
-        return BlockVector([np.sqrt(w) * b for w, b in zip(self._diag, x.blocks)])
+        return BlockVector._of(np.sqrt(self.diag) * x.flat, self.dims)
 
     def __repr__(self):
         return f"Preconditioner(kind={self.kind!r}, dims={self.dims})"
@@ -375,8 +379,7 @@ def _weighted_blocks(L, V, W, tall):
     ga.T @ gb over them is block (a, b) of the Gram matrix. None cells stay
     None; a scalar cell is the 1-D array of its diagonal (`_weighted`).
     """
-    sv = [np.sqrt(d) for d in V.diag_blocks()]
-    sw = [np.sqrt(d) for d in W.diag_blocks()]
+    sv, sw = (block_views(m.dims)(np.sqrt(m.diag)) for m in (V, W))
     if tall:
         for k, row in enumerate(L.entries):
             yield [None if c is None else _weighted(c, sw[k], sv[i]) for i, c in enumerate(row)]

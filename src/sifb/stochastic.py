@@ -414,7 +414,7 @@ class StochasticOracle:
         if isinstance(w, BlockVector):
             if w.dims != self.base.dims:
                 raise DimensionMismatch(f"map dims {self.base.dims}, vector dims {w.dims}")
-            return BlockVector.from_flat(self.sample(n, w.concatenated()), w.dims)
+            return BlockVector.from_flat(self.sample(n, w.flat), w.dims)
         if n < 0:
             raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
         if self.mode == "additive_gaussian":
@@ -453,7 +453,6 @@ class StochasticOracle:
             return [exact] * int(draws)
         with self._lock:
             rng = self._stream(n)
-            out = [[e + s * rng.standard_normal(d)
-                    for e, d in zip(exact.blocks, exact.dims)]
+            out = [exact.flat + s * rng.standard_normal(exact.flat.size)
                    for _ in range(int(draws))]
-        return [BlockVector(blocks) for blocks in out]
+        return [BlockVector.from_flat(x, exact.dims) for x in out]

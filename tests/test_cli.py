@@ -948,9 +948,11 @@ MALFORMED = [
         "n": 12.5, "p": 10, "lam": 0.1}}}), "problem.demo.params.n",
                  id="float integer demo param"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
-        "n": 12, "p": 10, "lam": 0.1, "seed": -1}}}), "demo seed", id="negative demo seed"),
+        "n": 12, "p": 10, "lam": 0.1, "seed": -1}}}), "problem.demo.params: demo seed",
+                 id="negative demo seed"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
-        "n": 12, "p": 10, "lam": 0.1, "cond": -1.0}}}), "cond", id="negative lasso cond"),
+        "n": 12, "p": 10, "lam": 0.1, "cond": -1.0}}}), "problem.demo.params: cond",
+                 id="negative lasso cond"),
     pytest.param(custom_prox_config({"family": "l1", "lam": "0.5"}),
                  "problem.custom.blocks[0].operator.lam", id="string prox value"),
     pytest.param(lasso_config(solver={"max_iters": 3}), "solver", id="unknown solver key"),
@@ -1030,15 +1032,19 @@ MALFORMED = [
         b={"file": "b.txt", "rows": 2})), "problem.custom.map.b",
                  id="unknown matrix reference key"),
     pytest.param(lasso_config(problem={"demo": {"name": "coupled_box_qp", "params": {
-        "m": 2, "dims": 0}}}), "dims must be at least 1, got 0", id="zero coupled_box_qp dims"),
+        "m": 2, "dims": 0}}}), "problem.demo.params: dims must be at least 1, got 0",
+                 id="zero coupled_box_qp dims"),
     pytest.param(lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
-        "dims": -1, "mu": 0.5, "lam": 0.1}}}), "dims must be at least 1, got -1",
+        "dims": -1, "mu": 0.5, "lam": 0.1}}}),
+                 "problem.demo.params: dims must be at least 1, got -1",
                  id="negative parallel_sum dims"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
         "n": 12, "p": 10, "lam": 0.1, "cond": float("inf")}}}),
-                 "cond must be finite and at least 1, got inf", id="infinite lasso cond"),
+                 "problem.demo.params: cond must be finite and at least 1, got inf",
+                 id="infinite lasso cond"),
     pytest.param(lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
-        "dims": 6, "mu": float("inf"), "lam": 0.1}}}), "smoothing mu must be finite, got inf",
+        "dims": 6, "mu": float("inf"), "lam": 0.1}}}),
+                 "problem.demo.params: smoothing mu must be finite, got inf",
                  id="infinite parallel_sum mu"),
     pytest.param(lasso_config(problem={"demo": {"name": "parallel_sum", "params": {
         "dims": 6, "mu": 0.5, "lam": 0.1, "g_family": "l1"}}}),
@@ -1211,7 +1217,97 @@ def test_linear_map_with_a_number_for_q_is_a_configuration_error(tmp_path, capsy
     cfg = custom_prox_config(None)
     cfg["problem"]["custom"]["map"] = {"kind": "linear", "q": 5.0}
     assert_one_configuration_error(
-        tmp_path, capsys, cfg, "configuration error: quadratic matrix must be square, got ()")
+        tmp_path, capsys, cfg,
+        "configuration error: problem.custom.map: quadratic matrix must be square, got ()")
+
+
+def custom_map_config(map_spec, **custom):
+    """custom_prox_config(None) with the map map_spec and the other custom keys."""
+    return edited(custom_prox_config(None),
+                  lambda c: c["problem"]["custom"].update(map=map_spec, **custom))
+
+
+def demo_config(name, **params):
+    return lasso_config(problem={"demo": {"name": name, "params": params}})
+
+
+def beta_out_of_range(where, scale):
+    return (f"{where}: mu times the metric's largest entry is {scale}: "
+            f"beta = 1/{scale} is out of the float64 range")
+
+
+# (config, its one refusal line): a value of the right type that the piece
+# built from it refuses, reported under the config entry it came from
+NAMED_REFUSALS = [
+    pytest.param(custom_map_config({"kind": "linear", "q": [[1.0, 2.0], [0.0, 1.0]]}),
+                 "problem.custom.map: quadratic matrix must be symmetric", id="asymmetric q"),
+    pytest.param(custom_map_config({"kind": "linear", "q": [[-1.0, 0.0], [0.0, -2.0]]}),
+                 "problem.custom.map: quadratic matrix must be positive semidefinite",
+                 id="negative definite q"),
+    pytest.param(custom_map_config({"kind": "lstsq", "a": [[1.0, 0.0], [0.0, 1.0]],
+                                    "b": [1.0, 0.0, 2.0]}),
+                 "problem.custom.map: data shapes incompatible: A (2, 2), b (3,)",
+                 id="lstsq rows"),
+    pytest.param(custom_map_config({"kind": "scaled_identity", "mu": -1}),
+                 "problem.custom.map: scale must be positive, got -1.0", id="negative mu"),
+    pytest.param(edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"]["dual"][0]
+                        .update(dinv_mu=-1)),
+                 "problem.custom_pd.dual[0].dinv_mu: scale must be positive, got -1.0",
+                 id="negative dinv_mu"),
+    pytest.param(custom_prox_config({"family": "l1", "lam": -1}),
+                 "problem.custom.blocks[0].operator: l1 weight must be nonnegative, got -1",
+                 id="l1 lam"),
+    pytest.param(custom_prox_config({"family": "sq_l2", "lam": 0}),
+                 "problem.custom.blocks[0].operator: sq_l2 weight must be positive, got 0",
+                 id="sq_l2 lam"),
+    pytest.param(custom_prox_config({"family": "box", "lo": 1.0, "hi": -1.0}),
+                 "problem.custom.blocks[0].operator: box indicator needs lo <= hi",
+                 id="box bounds"),
+    pytest.param(custom_prox_config({"family": "linf_ball", "radius": -1}),
+                 "problem.custom.blocks[0].operator: ball radius must be nonnegative, got -1",
+                 id="linf_ball radius"),
+    pytest.param(custom_prox_config({"family": "affine", "c": [0.0, float("nan")]}),
+                 "problem.custom.blocks[0].operator: c has a NaN entry", id="affine c"),
+    pytest.param(custom_pd_config(dual_g={"family": "l1", "lam": -1}),
+                 "problem.custom_pd.dual[0].g: l1 weight must be nonnegative, got -1",
+                 id="custom_pd dual g"),
+    pytest.param(demo_config("lasso", n=12, p=10, lam=-1),
+                 "problem.demo.params: lam must be nonnegative, got -1", id="lasso lam"),
+    pytest.param(demo_config("lasso", n=0, p=10, lam=0.1),
+                 "problem.demo.params: need n, p >= 1, got (0, 10)", id="lasso n"),
+    pytest.param(demo_config("coupled_box_qp", m=1, dims=3),
+                 "problem.demo.params: need at least 2 blocks, got 1", id="coupled_box_qp m"),
+    pytest.param(demo_config("parallel_sum", dims=6, mu=0, lam=0.1),
+                 "problem.demo.params: smoothing mu must be positive, got 0",
+                 id="parallel_sum mu"),
+    pytest.param(demo_config("parallel_sum", dims=6, mu=0.5, lam=-1),
+                 "problem.demo.params: lam must be nonnegative, got -1", id="parallel_sum lam"),
+    # beta = 1/(mu * largest metric entry) would be 0 or inf: refused by the
+    # map's entry, not as a solver setting the config never gave
+    pytest.param(custom_map_config({"kind": "scaled_identity", "mu": 1e200},
+                                   preconditioner={"kind": "diagonal",
+                                                   "weights": [[1e200, 1.0]]}),
+                 beta_out_of_range("problem.custom.map", "inf"), id="scaled_identity overflow"),
+    pytest.param(custom_map_config({"kind": "scaled_identity", "mu": 1e-200},
+                                   preconditioner={"kind": "diagonal",
+                                                   "weights": [[1e-200, 1e-200]]}),
+                 beta_out_of_range("problem.custom.map", "0.0"),
+                 id="scaled_identity underflow"),
+    pytest.param(custom_map_config({"kind": "scaled_identity", "mu": 1e-160},
+                                   preconditioner={"kind": "scalar", "values": [1e-150]}),
+                 beta_out_of_range("problem.custom.map", "1e-310"),
+                 id="scaled_identity subnormal"),
+    pytest.param(edited(custom_pd_config(), lambda c: (
+        c["problem"]["custom_pd"]["dual"][0].update(dinv_mu=1e200),
+        c["problem"]["custom_pd"].update(W={"kind": "diagonal", "weights": [[1e200, 1.0]]}))),
+        beta_out_of_range("problem.custom_pd.dual[0].dinv_mu", "inf"), id="dinv_mu overflow"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cfg,line", NAMED_REFUSALS)
+def test_refused_value_names_its_entry(tmp_path, capsys, cfg, line):
+    assert_one_configuration_error(tmp_path, capsys, cfg, f"configuration error: {line}")
 
 
 def test_linear_map_offset_of_other_length_is_a_configuration_error(tmp_path, capsys):

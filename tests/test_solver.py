@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import os
+import struct
 import sys
 import threading
 
@@ -720,3 +721,29 @@ def test_trace_rows_strictly_increasing_guard():
     t.append(TraceRow(0, 1.0, 0.0, float("nan"), 0.0, 0.0))
     with pytest.raises(ValueError):
         t.append(TraceRow(0, 0.5, 0.0, float("nan"), 0.0, 0.0))
+
+
+@pytest.mark.parametrize("dims", [(5,), (2, 3), (1, 3, 2)])
+def test_plan_norms_are_the_block_vectors_bit_for_bit(dims):
+    # the run's norms and a vector's are one block-ordered sum: the same bits
+    # on signed zeros, squares below the float64 range, overflow and NaN
+    metric = Preconditioner.identity(dims)
+    prob = ProblemInstance.forward_backward(
+        MonotoneBlock.zero(len(dims)), StochasticOracle(CocoerciveMap.zero_map(dims)), metric,
+        BlockVector.zeros(dims))
+    plan = Plan(prob, prob.default_gamma, 1.0)
+    rng = np.random.default_rng(len(dims))
+    entries = [-0.0, 1e-300, 1e300, np.nan]
+    flats = ([np.full(sum(dims), e) for e in entries]
+             + [rng.choice(entries + [1.0, -2.5], sum(dims)) for _ in range(12)])
+
+    def bits(v):
+        return struct.pack("<d", v)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in flats:
+            x = BlockVector.from_flat(a, dims)
+            assert bits(plan.norm(x.flat)) == bits(x.norm())
+            for b in flats:
+                y = BlockVector.from_flat(b, dims)
+                assert bits(plan.distance(x.flat, y.flat)) == bits((x - y).norm())

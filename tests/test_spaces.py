@@ -134,6 +134,30 @@ def test_a_vector_shares_no_memory_with_its_input():
         assert not any(np.shares_memory(a, b) for a in out.blocks for b in inputs), out
 
 
+def test_a_vector_is_one_read_only_flat_array_and_its_blocks_view_it():
+    rng = np.random.default_rng(17)
+    dims = (3, 0, 2)
+    x, y = rand_bv(rng, dims), rand_bv(rng, dims)
+    metric = Preconditioner.diagonal([rng.uniform(0.5, 2.0, n) for n in dims])
+    stacked = block_concat(x, y)
+    made = [x, x + y, x - y, 2.0 * x, -x, x.axpy(2.0, y), BlockVector.zeros(dims),
+            BlockVector.from_flat(rng.standard_normal((5, 1)), dims), stacked,
+            *block_split(stacked, 3), metric.apply(x), metric.apply_inverse(x),
+            metric.apply_sqrt(x), BlockVector([rng.standard_normal(4)])]
+    for v in made:
+        assert v.concatenated() is v.flat
+        assert v.flat.dtype == np.float64 and v.flat.shape == (sum(v.dims),)
+        assert not v.flat.flags.writeable
+        assert tuple(map(len, v.blocks)) == v.dims
+        assert all(not b.flags.writeable for b in v.blocks)
+        assert all(np.shares_memory(b, v.flat) for b in v.blocks if b.size)
+        assert np.concatenate(v.blocks).tobytes() == v.flat.tobytes()
+    # a metric's diagonal is one read-only flat array, its blocks views of it
+    assert not metric.diag.flags.writeable
+    assert all(np.shares_memory(d, metric.diag) for d in metric.diag_blocks() if d.size)
+    assert np.concatenate(metric.diag_blocks()).tobytes() == metric.diag.tobytes()
+
+
 def test_concat_split_roundtrip():
     rng = np.random.default_rng(13)
     p = rand_bv(rng, (3, 2))

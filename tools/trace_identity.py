@@ -43,9 +43,11 @@ L* q the run's sweep kept of its last output), with poly noise and poly
 inertia, and relaxed at lambda = 0.9 (whose sweeps miss it); the
 lasso demo at 20x30 on the `sifb` route, whose wide data take the map's
 constant from the row-space Gram matrix; the `custom` and `custom_pd`
-configs of `tests/test_cli.py`; and eight custom problems (a wide `lstsq`
+configs of `tests/test_cli.py`; and nine custom problems (a wide `lstsq`
 map with a given `beta`, whose audit reads the map's probe direction; a
-diagonal metric with relaxation and inertia; a primal-dual
+diagonal metric with relaxation and inertia; a single block in a diagonal
+metric, whose forward-backward map is one kernel after the step
+w - gamma U r with U's flat diagonal; a primal-dual
 problem with box, sq_l2, affine and linf_ball blocks and a scalar coupling
 cell; one whose `center`, `lo`, `hi` and `c` are vectors of the block's
 length and of length 1; one whose `z` holds -0.0 entries and one of whose
@@ -268,6 +270,14 @@ def configs():
             "preconditioner": {"kind": "diagonal", "weights": [[1.0, 0.8, 0.6], [0.9, 0.7]]},
             "map": {"kind": "scaled_identity", "mu": 0.8},
             "x0": [1.0, -0.5, 0.3, 0.8, -1.2]}})
+    out["custom-single-block-diagonal-metric"] = _run_config(
+        {"custom": {
+            "blocks": [{"dim": 4, "operator": {"family": "l1", "lam": 0.2}}],
+            "preconditioner": {"kind": "diagonal", "weights": [[1.2, 0.9, 0.7, 1.1]]},
+            "map": {"kind": "lstsq",
+                    "a": [[1.0, 0.2, 0.0, 0.3], [0.1, 0.8, 0.4, 0.0], [0.0, 0.3, 1.1, 0.2],
+                          [0.2, 0.0, 0.1, 0.9], [0.5, 0.1, 0.0, 0.4]],
+                    "b": [1.0, -0.5, 0.3, 0.8, -0.2]}}})
     out["custom-zero-map"] = _run_config(
         {"custom": {
             "blocks": [{"dim": 2, "operator": {"family": "sq_l2", "lam": 0.5,
