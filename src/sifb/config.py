@@ -202,8 +202,8 @@ def _custom_pd(primal: list, dual: list = (), V: dict | None = None, W: dict | N
     if smooth is not None:
         smooth = _map(smooth, f"{where}.smooth", pdims, v, base_dir)
     if len(set(mus)) > 1:
-        raise ConfigurationError("per-block dinv_mu values must currently agree across "
-                                 "dual blocks")
+        raise ConfigurationError(f"{where}.dual: per-block dinv_mu values must currently "
+                                 "agree across dual blocks")
     with config_entry(f"{where}.dual[0].dinv_mu"):
         dual_smooth = (None if not mus or mus[0] is None
                        else CocoerciveMap.scaled_identity(ddims, float(mus[0]), metric=w))

@@ -159,7 +159,9 @@ _RULES = {
     "linear": _RuleKind(lambda rule, step: _linear(rule.matrix, step),
                         lambda rule, x, u: _norm(u - rule.matrix @ x)),
 }
-_VECTOR_PARAMS = ("lo", "hi", "c", "center")  # each must broadcast to its block
+# each vector parameter must broadcast to its block; the sign of the one
+# infinity it may hold (an open side of a box), 0 for none
+_VECTOR_PARAMS = {"lo": -1.0, "hi": 1.0, "c": 0.0, "center": 0.0}
 
 
 class ProxFunction:
@@ -177,10 +179,16 @@ class ProxFunction:
             raise ConfigurationError(
                 f"unknown prox family {family!r}; expected one of {_FAMILIES}"
             )
-        # a vector parameter may hold an infinite entry (an open side of a box)
-        for key in _VECTOR_PARAMS:
-            if key in params and np.isnan(params[key]).any():
+        for key, open_side in _VECTOR_PARAMS.items():
+            if key not in params:
+                continue
+            value = np.asarray(params[key])
+            if np.isnan(value).any():
                 raise InvalidValue(f"{key} has a NaN entry")
+            bad = value[np.isinf(value) & (np.sign(value) != open_side)]
+            if bad.size:
+                raise InvalidValue(f"{key} has an entry {bad[0]}, which leaves the prox "
+                                   "undefined")
         self.family = family
         self.params = params
 
@@ -200,6 +208,8 @@ class ProxFunction:
         """(lam/2) ||x - center||^2."""
         if not lam > 0:
             raise InvalidValue(f"sq_l2 weight must be positive, got {lam}")
+        if lam == np.inf:  # its prox would compute inf * 0
+            raise InvalidValue(f"sq_l2 weight must be finite, got {lam}")
         return cls("sq_l2", lam=float(lam), center=np.asarray(center, dtype=np.float64))
 
     @classmethod
@@ -384,15 +394,16 @@ def moreau_check(f, x):
 # ---------------------------------------------------------------------------
 
 
-def _top_eigenvalue(mat, what):
-    """lambda_max of the symmetric matrix mat() forms, `what` in messages, by
-    one eigenvalue-only solve; refused as an InvalidValue when it is not
-    finite, as when forming the matrix overflows."""
+def _eigenvalue_range(mat, what):
+    """(lambda_min, lambda_max) of the symmetric matrix mat() forms, `what` in
+    messages, by one eigenvalue-only solve; refused as an InvalidValue when
+    lambda_max is not finite, as when forming the matrix overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        top = float(np.linalg.eigvalsh(mat())[-1])
+        spectrum = np.linalg.eigvalsh(mat())
+    low, top = float(spectrum[0]), float(spectrum[-1])
     if not np.isfinite(top):
         raise InvalidValue(f"lambda_max of {what} is {top}: the matrix overflows float64")
-    return top
+    return low, top
 
 
 class CocoerciveMap:
@@ -407,7 +418,7 @@ class CocoerciveMap:
     """
 
     def __init__(self, kind, dims, apply_flat, beta, beta_exact=None, metric=None,
-                 components=None, extremal=None):
+                 extremal=None):
         self.kind = kind
         self.dims = tuple(int(d) for d in dims)
         # the map on bare arrays: a flat float64 array in the block layout of
@@ -417,8 +428,6 @@ class CocoerciveMap:
         self.beta = float(beta)
         self.beta_exact = float(beta_exact) if beta_exact is not None else float(beta)
         self.metric = metric
-        # (count, batch_fn) for finite sums; batch_fn(idx, x) works on bare arrays
-        self.components = components
         # BlockVector probe direction, or a function computing it on first read;
         # None if unknown
         self._extremal = extremal
@@ -438,10 +447,6 @@ class CocoerciveMap:
         if x.dims != self.dims:
             raise DimensionMismatch(f"map dims {self.dims}, vector dims {x.dims}")
         return BlockVector.from_flat(self.apply_flat(x.flat), self.dims)
-
-    @property
-    def is_finite_sum(self):
-        return self.components is not None
 
     # --- constructors ---------------------------------------------------
     @classmethod
@@ -516,7 +521,7 @@ class CocoerciveMap:
             return BlockVector([sw * (vec / np.linalg.norm(vec))])
 
         if top is None:
-            top = _top_eigenvalue(lambda: gram()[1], "A'A in the metric") if a.size else 0.0
+            top = _eigenvalue_range(lambda: gram()[1], "A'A in the metric")[1] if a.size else 0.0
         lam_max = float(top)
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
         beta = beta_exact / BETA_DEFLATION
@@ -524,15 +529,8 @@ class CocoerciveMap:
         def apply_flat(x):
             return a.T @ (a @ x - b)
 
-        nrows = a.shape[0]
-
-        def batch_fn(idx, x):
-            rows = a[idx]
-            return (nrows / len(idx)) * (rows.T @ (rows @ x - b[idx]))
-
         return cls("lstsq", dims, apply_flat, beta=beta, beta_exact=beta_exact,
-                   metric=metric, components=(nrows, batch_fn),
-                   extremal=extremal if lam_max > 0 else None)
+                   metric=metric, extremal=extremal if lam_max > 0 else None)
 
     @classmethod
     def linear(cls, q, offset, dims, metric):
@@ -555,7 +553,7 @@ class CocoerciveMap:
         if offset.size not in (1, n):
             raise DimensionMismatch(f"offset has length {offset.size}, expected {n}")
         extremal = None
-        lam_max = 0.0
+        lam_min = lam_max = 0.0
         if n:
             sw = np.sqrt(metric.diag)
 
@@ -565,8 +563,10 @@ class CocoerciveMap:
             def extremal():
                 return BlockVector.from_flat(sw * np.linalg.eigh(sym())[1][:, -1], dims)
 
-            lam_max = _top_eigenvalue(sym, "Q in the metric")
-        if lam_max < -1e-10:
+            lam_min, lam_max = _eigenvalue_range(sym, "Q in the metric")
+        # sqrt(M) Q sqrt(M) has Q's inertia; a negative eigenvalue beyond the
+        # spectrum's rounding leaves x -> Q x + offset non-monotone
+        if lam_min < -1e-10 * abs(lam_max):
             raise InvalidValue("quadratic matrix must be positive semidefinite")
         beta_exact = float("inf") if lam_max <= 0 else 1.0 / lam_max
         beta = beta_exact / BETA_DEFLATION

@@ -364,15 +364,13 @@ def build_demo(name, params, where="params"):
     return bind_config(DEMOS[name].build, params, where)
 
 
-def sifb_instance(problem, noise=None, seed=0, oracle_mode="additive_gaussian",
-                  batch0=1):
+def sifb_instance(problem, noise=None, seed=0):
     """A `ForwardBackwardProblem`, or a demo (its `forward_backward`, built
     afresh), as an instance whose map is drawn through a new
     `StochasticOracle` of the seed; the rest is the problem's own."""
     if isinstance(problem, DemoProblem):
         problem = problem.forward_backward()
-    oracle = StochasticOracle(problem.map, noise=noise, rng_seed=seed, mode=oracle_mode,
-                              batch0=batch0)
+    oracle = StochasticOracle(problem.map, noise=noise, rng_seed=seed)
     return ProblemInstance.forward_backward(problem.operator, oracle, problem.metric,
                                             problem.x0, problem.beta)
 

@@ -32,10 +32,10 @@ the oracle, so concurrent runs may share both:
   `run` hands to the steps until the next row.
 - `step`, at that row's point with alpha_n = 0, passes the record's B x to
   the draw (`StochasticOracle.sample`), which returns it itself when the
-  draw is exact (sigma_n = 0, or a minibatch covering every row); if it
-  did and gamma = gbar, the step's sweep is the record's p. So a
-  noise-free run without inertia makes one evaluation and one sweep per
-  iteration, and a noisy one without inertia still reuses the map value.
+  draw is exact (sigma_n = 0); if it did and gamma = gbar, the step's
+  sweep is the record's p. So a noise-free run without inertia makes one
+  evaluation and one sweep per iteration, and a noisy one without inertia
+  still reuses the map value.
 - `run` takes the trace's ||x_{n+1} - x_n|| of such a step at lambda = 1,
   whose x_{n+1} is the record's p, from the record: one norm of a
   difference per iteration.
@@ -149,15 +149,15 @@ class ProblemInstance:
     """A monotone inclusion packaged for the solver.
 
     The solver sees one interface: the stochastic oracle of the cocoercive
-    part (`sample`, `summable_variance`, the `noise` schedule and the map
-    `base`, as on `StochasticOracle`), the starting point x0, its
-    cocoercivity constant beta, and `bind_backward(gamma)`, which returns
-    the backward map at the step gamma on bare arrays: a function of the
-    extrapolated point w and the draw r, flat float64 arrays in x0's block
-    layout, to the next point, a fresh flat array. `run` calls it once per
-    step value at its start, so what the map keeps between calls is the
-    run's own. `forward_backward` builds it as the preconditioned resolvent
-    step J_{gamma U A}(w - gamma U r); the primal-dual assemblies pass their
+    part (`sample`, the `noise` schedule and the map `base`, as on
+    `StochasticOracle`), the starting point x0, its cocoercivity constant
+    beta, and `bind_backward(gamma)`, which returns the backward map at the
+    step gamma on bare arrays: a function of the extrapolated point w and
+    the draw r, flat float64 arrays in x0's block layout, to the next
+    point, a fresh flat array. `run` calls it once per step value at its
+    start, so what the map keeps between calls is the run's own.
+    `forward_backward` builds it as the preconditioned resolvent step
+    J_{gamma U A}(w - gamma U r); the primal-dual assemblies pass their
     class-I/II block sweeps, which realize the stacked backward map only at
     one step, `gamma_fixed` = 1. The map's dims must be x0's.
     """
@@ -390,10 +390,8 @@ def run(prob, cfg, reference=None):
             f"config beta={cfg.beta:g} exceeds the instance constant {prob.beta:g}"
         )
     gamma = cfg.step_size(prob)
-    # the summability gates; a minibatch oracle answers the noise gate itself
-    noise = None if prob.oracle.summable_variance() else prob.oracle.noise
-    failed = [f"{s.CONDITION}: {s.violation()}" for s in (noise, cfg.inertia)
-              if s is not None and s.violation() is not None]
+    failed = [f"{s.CONDITION}: {s.violation()}" for s in (prob.oracle.noise, cfg.inertia)
+              if s.violation() is not None]
     if failed:
         raise ConfigurationError(f"schedule validation failed: {'; '.join(failed)}")
     plan = Plan(prob, gamma, cfg.relaxation)

@@ -1,10 +1,9 @@
 """Stochastic forward-step oracles and the schedules that gate them.
 
-The oracles are conditionally unbiased by construction: additive mode adds
-independent zero-mean Gaussian noise to the exact map value, minibatch mode
-averages a uniformly drawn subset of component gradients. The noise stream at
-step n is a deterministic function of (seed, n) alone, so runs replay exactly
-and replicas with distinct seeds are independent.
+The oracle is conditionally unbiased by construction: it adds independent
+zero-mean Gaussian noise to the exact map value. The noise stream at step n is
+a deterministic function of (seed, n) alone, so runs replay exactly and
+replicas with distinct seeds are independent.
 
 That stream is numpy's: the draws at step n are those of
 `np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))`,
@@ -307,14 +306,8 @@ InertiaSchedule.READERS = {"zero": _zero_inertia, "poly": _poly_inertia, "geom":
 class StochasticOracle:
     """Conditionally unbiased stochastic evaluations of a cocoercive map.
 
-    additive_gaussian mode returns B(w) + sigma_n * g with g standard normal;
-    minibatch mode returns an equal-weight average over a uniformly drawn
-    batch of component gradients, with batch size ceil(b0 * (n+1)^(2 theta))
-    so the per-sample variance decays like the additive schedule. Once the
-    batch covers every component the draw is the exact map, so the variance
-    sum is finite exactly when the batch grows (theta > 0 under poly noise)
-    or the first batch already covers every component; any other minibatch
-    oracle is refused.
+    A draw at step n is B(w) + sigma_n * g, with g standard normal and
+    sigma_n the noise schedule's; at sigma_n = 0 it is B(w) itself.
 
     The variates at step n are those of numpy's
     `default_rng(SeedSequence(entropy=rng_seed, spawn_key=(n,)))`; the value
@@ -323,40 +316,15 @@ class StochasticOracle:
     each draw, under a lock, so concurrent draws from one oracle stay correct.
     """
 
-    def __init__(self, base, noise=None, rng_seed=0, mode="additive_gaussian",
-                 batch0=1):
+    def __init__(self, base, noise=None, rng_seed=0):
         if noise is None:
             noise = NoiseSchedule.zero()
-        if mode not in ("additive_gaussian", "minibatch"):
-            raise ConfigurationError(f"unknown oracle mode {mode!r}")
-        if mode == "minibatch" and not base.is_finite_sum:
-            raise ConfigurationError(
-                "minibatch mode needs a finite-sum base map with component gradients"
-            )
-        if batch0 < 1:
-            raise ConfigurationError(f"batch0 must be at least 1, got {batch0}")
         if int(rng_seed) < 0:
             raise ConfigurationError(
                 f"rng_seed must be a non-negative integer, got {rng_seed}")
-        # minibatch size batch0 (n+1)^growth
-        growth = 2.0 * noise.theta if noise.mode == "poly" else 0.0
-        if mode == "minibatch":
-            # a growing batch covers every row after finitely many steps,
-            # and from then on the draw is exact
-            count = base.components[0]
-            if growth <= 0.0 and batch0 < count:
-                raise ConfigurationError(
-                    f"summable_noise_variance: minibatch size {batch0} from "
-                    f"{count} component rows never grows under {noise.mode} "
-                    "noise, which leaves sum_n 1/batch_n divergent; use poly "
-                    "noise with theta > 0 or batch0 >= the row count"
-                )
         self.base = base
         self.noise = noise
         self.rng_seed = int(rng_seed)
-        self.mode = mode
-        self.batch0 = int(batch0)
-        self._growth = growth
         self._lock = threading.Lock()
         # built at the first draw, so that a noise-free run never pays for them
         self._pool = None
@@ -381,27 +349,6 @@ class StochasticOracle:
                                          "has_uint32": 0, "uinteger": 0}
         return self._rng
 
-    def summable_variance(self):
-        """Whether the conditional variances of the draws sum to a finite value.
-
-        Additive draws follow the noise schedule. A minibatch draw is exact
-        once its batch covers every row, which the constructor guarantees
-        happens after finitely many steps, whatever sigma0.
-        """
-        return self.mode == "minibatch" or self.noise.violation() is None
-
-    def batch_size(self, n):
-        """ceil(batch0 (n+1)^growth), saturated at the row count: a batch that
-        reaches it is the exact map, however far past the float range it grows."""
-        if self.mode != "minibatch":
-            raise ConfigurationError("batch_size only applies to minibatch mode")
-        count = self.base.components[0]
-        try:
-            size = self.batch0 * (n + 1.0) ** self._growth
-        except OverflowError:
-            return count
-        return count if size >= count else int(np.ceil(size))
-
     def sample(self, n, w, exact=None, sigma=None):
         """One draw of the stochastic forward map at iteration n, point w.
 
@@ -417,25 +364,16 @@ class StochasticOracle:
             return BlockVector.from_flat(self.sample(n, w.flat), w.dims)
         if n < 0:
             raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
-        if self.mode == "additive_gaussian":
-            s = self.noise.sigma(n) if sigma is None else sigma
-            if exact is None:
-                exact = self.base.apply_flat(w)
-            if s == 0.0:
-                return exact
-            # the blocks' variates in block order are one draw of their total
-            # length from the same stream
-            with self._lock:
-                g = self._stream(n).standard_normal(len(exact))
-            return exact + s * g
-        count, batch_fn = self.base.components
-        bsz = self.batch_size(n)
-        if bsz >= count:
-            # the grown batch covers the sum: the exact map, zero variance
-            return self.base.apply_flat(w) if exact is None else exact
+        s = self.noise.sigma(n) if sigma is None else sigma
+        if exact is None:
+            exact = self.base.apply_flat(w)
+        if s == 0.0:
+            return exact
+        # the blocks' variates in block order are one draw of their total
+        # length from the same stream
         with self._lock:
-            idx = self._stream(n).integers(0, count, size=bsz)
-        return batch_fn(idx, w)
+            g = self._stream(n).standard_normal(len(exact))
+        return exact + s * g
 
     def sample_batch(self, n, w, draws):
         """Independent replicas of the step-n draw, for Monte Carlo diagnostics.
@@ -443,8 +381,6 @@ class StochasticOracle:
         The first element equals sample(n, w); the rest continue the same
         (seed, n) stream.
         """
-        if self.mode != "additive_gaussian":
-            raise ConfigurationError("sample_batch supports additive mode only")
         if n < 0:
             raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
         s = self.noise.sigma(n)

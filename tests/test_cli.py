@@ -1053,7 +1053,8 @@ MALFORMED = [
                  "flat custom problems run on the sifb route", id="custom on pd_class1"),
     pytest.param(edited(custom_pd_config(), lambda c: c["problem"]["custom_pd"].update(
         dual=[{"dim": 2, "dinv_mu": 0.5}, {"dim": 1, "dinv_mu": 0.25}], coupling=[[0.5], [None]])),
-                 "per-block dinv_mu values must currently agree", id="different dinv_mu"),
+                 "problem.custom_pd.dual: per-block dinv_mu values must currently agree",
+                 id="different dinv_mu"),
 ]
 
 
@@ -1244,6 +1245,11 @@ NAMED_REFUSALS = [
     pytest.param(custom_map_config({"kind": "linear", "q": [[-1.0, 0.0], [0.0, -2.0]]}),
                  "problem.custom.map: quadratic matrix must be positive semidefinite",
                  id="negative definite q"),
+    # an indefinite Q is not monotone: such a run diverges
+    pytest.param(custom_map_config({"kind": "linear", "q": [[-1.0, 0.0], [0.0, 1.0]],
+                                    "offset": [1.0, 1.0]}),
+                 "problem.custom.map: quadratic matrix must be positive semidefinite",
+                 id="indefinite q"),
     pytest.param(custom_map_config({"kind": "lstsq", "a": [[1.0, 0.0], [0.0, 1.0]],
                                     "b": [1.0, 0.0, 2.0]}),
                  "problem.custom.map: data shapes incompatible: A (2, 2), b (3,)",
@@ -1268,6 +1274,25 @@ NAMED_REFUSALS = [
                  id="linf_ball radius"),
     pytest.param(custom_prox_config({"family": "affine", "c": [0.0, float("nan")]}),
                  "problem.custom.blocks[0].operator: c has a NaN entry", id="affine c"),
+    # infinite parameters that leave the prox without a point: each such run
+    # diverged at its first iteration
+    pytest.param(custom_prox_config({"family": "sq_l2", "lam": float("inf")}),
+                 "problem.custom.blocks[0].operator: sq_l2 weight must be finite, got inf",
+                 id="infinite sq_l2 lam"),
+    pytest.param(custom_prox_config({"family": "sq_l2", "center": [0.0, float("inf")]}),
+                 "problem.custom.blocks[0].operator: center has an entry inf, which leaves "
+                 "the prox undefined", id="infinite sq_l2 center"),
+    pytest.param(custom_prox_config({"family": "affine", "c": [float("-inf"), 0.0]}),
+                 "problem.custom.blocks[0].operator: c has an entry -inf, which leaves the "
+                 "prox undefined", id="infinite affine c"),
+    pytest.param(custom_prox_config({"family": "box", "lo": [0.0, float("inf")],
+                                     "hi": float("inf")}),
+                 "problem.custom.blocks[0].operator: lo has an entry inf, which leaves the "
+                 "prox undefined", id="box lo +inf"),
+    pytest.param(custom_prox_config({"family": "box", "lo": float("-inf"),
+                                     "hi": float("-inf")}),
+                 "problem.custom.blocks[0].operator: hi has an entry -inf, which leaves the "
+                 "prox undefined", id="box hi -inf"),
     pytest.param(custom_pd_config(dual_g={"family": "l1", "lam": -1}),
                  "problem.custom_pd.dual[0].g: l1 weight must be nonnegative, got -1",
                  id="custom_pd dual g"),
@@ -1308,6 +1333,31 @@ NAMED_REFUSALS = [
 @pytest.mark.parametrize("cfg,line", NAMED_REFUSALS)
 def test_refused_value_names_its_entry(tmp_path, capsys, cfg, line):
     assert_one_configuration_error(tmp_path, capsys, cfg, f"configuration error: {line}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinities_with_a_meaning_are_accepted_and_converge(tmp_path, capsys):
+    # an infinite l1 weight pins its block at 0, an infinite ball radius
+    # leaves its block free, and a box may have open sides
+    inf = float("inf")
+    cfg = {"problem": {"custom": {
+               "blocks": [{"dim": 2, "operator": {"family": "l1", "lam": inf}},
+                          {"dim": 2, "operator": {"family": "linf_ball", "radius": inf}},
+                          {"dim": 2, "operator": {"family": "box", "lo": [0.0, -inf],
+                                                  "hi": inf}}],
+               "map": {"kind": "linear", "q": np.eye(6).tolist(),
+                       "offset": [-1.0, 1.0, -2.0, 2.0, 1.0, 1.0]}}},
+           "algorithm": "sifb"}
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", path]) == 0
+    out = str(tmp_path / "o")
+    assert main(["run", path, "--out", out]) == 0
+    assert load_json(out, "summary.json")["status"] == "converged"
+    exp = build_experiment(cfg)
+    inst = exp.make_instance(exp.run_seed)
+    x, trace = run(inst, exp.solver_config(inst.beta))
+    assert trace.status == "converged"
+    assert np.allclose(x.concatenated(), [0.0, 0.0, 2.0, -2.0, 0.0, -1.0], atol=1e-7)
 
 
 def test_linear_map_offset_of_other_length_is_a_configuration_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from sifb import (
     prox_conjugate,
     prox_weighted,
 )
+from sifb.errors import InvalidValue
 from sifb.operators import BETA_DEFLATION, conjugate_subdiff_distance, subdiff_distance
 from sifb.spaces import BlockLinearOperator, estimate_weighted_norm
 
@@ -503,12 +504,24 @@ def test_linear_map_probe_is_computed_on_first_read():
     assert b_map.extremal.concatenated().tobytes() == want.tobytes()
 
 
-def test_minibatch_requires_finite_sum():
-    from sifb import StochasticOracle
+_V = np.array([[0.3, -1.7, 2.9]])
 
-    z = CocoerciveMap.zero_map((2,))
-    with pytest.raises(ConfigurationError):
-        StochasticOracle(z, mode="minibatch")
+
+@pytest.mark.parametrize("q,monotone", [
+    (np.diag([0.0, 1.0, 3.0]), True),
+    (_V.T @ _V, True),  # rank one: two eigenvalues are 0 up to rounding
+    (np.zeros((3, 3)), True),
+    (np.diag([-1.0, 1.0, 1.0]), False),
+    (np.diag([1e6, 2.0, -1e-3]), False),
+], ids=["singular", "rank-one", "zero", "indefinite", "slightly-indefinite"])
+def test_linear_map_refuses_a_q_with_a_negative_eigenvalue(q, monotone):
+    metric = Preconditioner.diagonal([np.array([0.5, 2.0, 1e3])])
+    if monotone:
+        b_map = CocoerciveMap.linear(q, None, (3,), metric)
+        assert check_cocoercivity(b_map, trials=20, seed=5).passed
+    else:
+        with pytest.raises(InvalidValue, match="positive semidefinite"):
+            CocoerciveMap.linear(q, None, (3,), metric)
 
 
 # --- graph distances ------------------------------------------------------------------

@@ -216,13 +216,6 @@ def test_parallel_sum_all_routes_match_oracle():
     assert (x - ref).norm() <= 1e-6
 
 
-def test_parallel_sum_forwards_oracle_options():
-    # its smoothed gradient has no component rows to draw a minibatch from
-    demo = build_parallel_sum_instance(8, mu=0.5, lam=0.3, seed=0)
-    with pytest.raises(ConfigurationError, match="finite-sum"):
-        sifb_instance(demo, oracle_mode="minibatch", batch0=3)
-
-
 # --- advertised constants pass their audits ------------------------------------------
 
 

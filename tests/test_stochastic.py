@@ -177,91 +177,6 @@ def test_empirical_mean_is_unbiased():
     assert err <= 4 * 0.5 / np.sqrt(100000)
 
 
-def test_minibatch_unbiased_and_deterministic():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((40, 4))
-    b_map = CocoerciveMap.least_squares_gradient(a, rng.standard_normal(40))
-    oracle = StochasticOracle(b_map, NoiseSchedule.polynomial(1.0, 0.75),
-                              rng_seed=3, mode="minibatch", batch0=4)
-    w = BlockVector([rng.standard_normal(4)])
-    s1 = oracle.sample(2, w)
-    s2 = oracle.sample(2, w)
-    assert (s1 - s2).norm() == 0.0
-    # batch grows like (n+1)^{2 theta}
-    assert oracle.batch_size(0) == 4
-    assert oracle.batch_size(3) == int(np.ceil(4 * 4 ** 1.5))
-    # unbiasedness: average many steps at growing n against the exact value
-    exact = b_map.apply(w)
-    samples = [oracle.sample(n, w) for n in range(400)]
-    mean = np.mean([s.blocks[0] for s in samples], axis=0)
-    assert np.linalg.norm(mean - exact.blocks[0]) <= 0.5
-
-
-@pytest.mark.parametrize("noise", [
-    NoiseSchedule.zero(),
-    NoiseSchedule.geometric(0.5, 0.9),
-    NoiseSchedule.polynomial(0.0, 0.0),
-], ids=["zero", "geom", "poly_theta_zero"])
-def test_minibatch_without_summable_variance_is_refused(noise):
-    # a batch that never grows keeps a variance whose sum diverges; with zero
-    # or geom noise, or poly noise at theta = 0, the batch stays at 2 of 40 rows
-    demo = build_lasso(40, 30, 0.1, seed=0)
-    with pytest.raises(ConfigurationError, match="summable_noise_variance"):
-        sifb_instance(demo, noise=noise, oracle_mode="minibatch", batch0=2)
-
-
-def test_minibatch_growing_batch_covers_every_row_and_converges():
-    # ceil(2 (n+1)^0.8) reaches all 40 rows at n = 40: any growth gets there,
-    # and from then on the draw is the exact map
-    demo = build_lasso(40, 30, 0.1, seed=0)
-    inst = sifb_instance(demo, noise=NoiseSchedule.polynomial(0.0, 0.4),
-                         oracle_mode="minibatch", batch0=2)
-    assert inst.oracle.batch_size(39) < 40 <= inst.oracle.batch_size(40)
-    w = BlockVector([np.ones(30)])
-    assert (inst.oracle.sample(40, w) - inst.oracle.base.apply(w)).norm() == 0.0
-    _, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=20000, stop_tol=1e-8))
-    assert trace.status == "converged"
-
-
-def test_minibatch_covering_every_row_is_exact_and_converges():
-    demo = build_lasso(40, 30, 0.1, seed=0)
-    inst = sifb_instance(demo, oracle_mode="minibatch", batch0=40)
-    w = BlockVector([np.ones(30)])
-    assert (inst.oracle.sample(5, w) - inst.oracle.base.apply(w)).norm() == 0.0
-    _, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=20000, stop_tol=1e-8))
-    assert trace.status == "converged"
-
-
-def test_minibatch_batch_saturates_at_the_row_count_past_the_float_range():
-    # batch0 (n+1)^400 leaves the float range at n = 5; a batch that large
-    # covers every row, so the draw is the exact map and the run goes on
-    inst = sifb_instance(build_lasso(20, 30, 0.1, cond=10.0, seed=1),
-                         noise=NoiseSchedule.polynomial(0.1, 200.0),
-                         oracle_mode="minibatch", batch0=1)
-    assert [inst.oracle.batch_size(n) for n in (0, 1, 5, 10**6)] == [1, 20, 20, 20]
-    w = BlockVector([np.ones(30)])
-    assert (inst.oracle.sample(5, w) - inst.oracle.base.apply(w)).norm() == 0.0
-    _, trace = run(inst, SolverConfig(beta=inst.beta, max_iter=50, stop_tol=1e-12))
-    assert trace.iterations == 50
-
-
-def test_minibatch_run_does_not_gate_on_sigma0():
-    # a minibatch draw never reads sigma0: sigma0 = 1 makes the same draws,
-    # iterates and residuals as sigma0 = 0, and only the sigma_n column differs
-    demo = build_lasso(40, 30, 0.1, seed=0)
-    runs = []
-    for sigma0 in (0.0, 1.0):
-        inst = sifb_instance(demo, noise=NoiseSchedule.polynomial(sigma0, 0.4),
-                             oracle_mode="minibatch", batch0=2)
-        runs.append(run(inst, SolverConfig(beta=inst.beta, max_iter=20000,
-                                           stop_tol=1e-8)))
-    (x0, t0), (x1, t1) = runs
-    assert t0.status == t1.status == "converged"
-    assert np.array_equal(x0.blocks[0], x1.blocks[0])
-    assert [r.fp_residual for r in t0.rows] == [r.fp_residual for r in t1.rows]
-    assert t1.rows[1].sigma == 2.0 ** -0.4
-
-
 def test_noisy_sample_adds_fresh_noise_to_the_reused_exact_value():
     # the second draw at the same point reuses the exact value, not the noise
     b_map = lstsq_map()
@@ -347,27 +262,6 @@ def test_additive_draws_match_numpy(seed, steps, dims):
     w = BlockVector([np.linspace(0.0, 1.0, d) for d in dims])
     for n in steps:  # in the order drawn, not sorted
         assert_same_bytes(oracle.sample(n, w), numpy_additive_draw(oracle, n, w))
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140)),
-       steps=st.lists(st.one_of(st.sampled_from(EDGE_STEPS), st.integers(0, 2**40)),
-                      min_size=1, max_size=6))
-def test_minibatch_draws_match_numpy(seed, steps):
-    # theta = 0.01 keeps the batch at a few of the 50 rows even at n = 2**40,
-    # so every step draws row indices
-    rng = np.random.default_rng(8)
-    b_map = CocoerciveMap.least_squares_gradient(rng.standard_normal((50, 4)),
-                                                 rng.standard_normal(50))
-    oracle = StochasticOracle(b_map, NoiseSchedule.polynomial(1.0, 0.01),
-                              rng_seed=seed, mode="minibatch", batch0=2)
-    count, batch_fn = b_map.components
-    w = BlockVector([[0.3, -1.0, 2.0, 0.5]])
-    for n in steps:
-        size = oracle.batch_size(n)
-        assert size < count
-        idx = numpy_stream(seed, n).integers(0, count, size=size)
-        assert_same_bytes(oracle.sample(n, w), [batch_fn(idx, w.concatenated())])
 
 
 def test_sample_batch_continues_numpys_stream():

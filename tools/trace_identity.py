@@ -56,14 +56,6 @@ metric from a nonzero x0; a `zero` map; and a `custom_pd` whose `smooth` is
 a `linear` map, on class I), so that every `map` kind and the `smooth` key
 are read.
 
-The library cases: `library_cases()` runs what no config reaches, through
-`sifb.problems.sifb_instance` and `sifb.solver.run` in the same subprocess,
-and the script compares each case's `trace.csv` and final iterate bytes. A
-minibatch oracle on the lasso demo (12 rows, first batch 1, poly noise)
-whose batch grows past the row count at step 4, so that a run draws row
-indices and then exact map values, recording every row; and the same
-oracle with poly inertia at relaxation 0.9.
-
 The sweeps: every config in `sweep_configs()` also goes through `sifb sweep`
 with each tree, in the same subprocess. Per sweep the script compares the
 exit code, the stdout (the validation rows, one line per replica and the
@@ -338,38 +330,6 @@ def sweep_configs():
     return out
 
 
-def library_cases():
-    """name -> the options of a library run (see the module doc), in run order."""
-    minibatch = {"noise": NOISY, "seed": 7, "batch0": 1, "inertia": ZERO, "relaxation": 1.0}
-    return {"library-lasso-minibatch-grown": minibatch,
-            "library-lasso-minibatch-grown-inertial-relaxed": {
-                **minibatch, "inertia": INERTIAL, "relaxation": 0.9}}
-
-
-def _run_library(case, out):
-    """One library case, its trace and final iterate written as a config's."""
-    import numpy as np
-
-    from sifb import InertiaSchedule, NoiseSchedule, SolverConfig, run
-    from sifb.problems import build_demo, sifb_instance
-
-    inst = sifb_instance(build_demo("lasso", DEMOS["lasso"][0]),
-                         noise=NoiseSchedule.from_config(case["noise"]), seed=case["seed"],
-                         oracle_mode="minibatch", batch0=case["batch0"])
-    cfg = SolverConfig(beta=inst.beta, inertia=InertiaSchedule.from_config(case["inertia"]),
-                       relaxation=case["relaxation"], max_iter=3000, stop_tol=1e-8)
-    with np.errstate(all="ignore"):
-        x, trace = run(inst, cfg)
-    os.makedirs(os.path.join(out, "run"))
-    with open(os.path.join(out, "run", "trace.csv"), "w", encoding="utf-8") as f:
-        trace.to_csv(f)
-    with open(os.path.join(out, "x.bin"), "wb") as f:
-        f.write(x.concatenated().tobytes())
-    for name, text in (("exit_code", "0\n"), ("log.txt", "")):
-        with open(os.path.join(out, name), "w", encoding="utf-8") as f:
-            f.write(text)
-
-
 def _setting():
     """The numpy version, BLAS build and BLAS thread variables of this process."""
     import numpy as np
@@ -394,7 +354,7 @@ def collect(src, config_path, out_root):
     if os.path.dirname(package) != os.path.abspath(src):
         sys.exit(f"imported sifb from {package}, not from {src}")
     with open(config_path, encoding="utf-8") as f:
-        cfgs, sweeps, library = json.load(f)
+        cfgs, sweeps = json.load(f)
     execute = sifb.cli._execute_single
     final = {}
 
@@ -456,8 +416,6 @@ def collect(src, config_path, out_root):
                                   *options])
         with open(os.path.join(out, "exit_code"), "w", encoding="utf-8") as f:
             f.write(f"{code}\n")
-    for name, case in library.items():
-        _run_library(case, os.path.join(out_root, name))
 
 
 def _columns(lines):
@@ -526,11 +484,11 @@ def main(argv):
     if len(argv) != 2:
         print("usage: python tools/trace_identity.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
-    cfgs, sweeps, library = configs(), sweep_configs(), library_cases()
+    cfgs, sweeps = configs(), sweep_configs()
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "configs.json")
         with open(config_path, "w", encoding="utf-8") as f:
-            json.dump([cfgs, sweeps, library], f)
+            json.dump([cfgs, sweeps], f)
         roots = []
         for label, src in zip(("old", "new"), argv):
             root = os.path.join(tmp, label)
@@ -543,7 +501,7 @@ def main(argv):
                 settings.append(f.read().strip())
             print(f"{label} tree collected under {settings[-1]}")
         differences = []
-        for name in [*cfgs, *sweeps, *library]:
+        for name in [*cfgs, *sweeps]:
             old, new = (_artifacts(os.path.join(root, name)) for root in roots)
             found = []
             for rel in sorted(set(old) | set(new)):
@@ -559,8 +517,8 @@ def main(argv):
     for line in differences:
         print(line)
     under = settings[0] if settings[0] == settings[1] else " against ".join(settings)
-    print(f"{len(cfgs)} configs, {len(sweeps)} sweeps, {len(library)} library cases, "
-          f"{len(differences)} differences, under {under}")
+    print(f"{len(cfgs)} configs, {len(sweeps)} sweeps, {len(differences)} differences, "
+          f"under {under}")
     return 1 if differences else 0
 
 
