@@ -10,19 +10,25 @@ the product-space preconditioner.
 Neither stacked preconditioner is ever formed. Class I realizes its backward
 map by the explicit resolvent/reflection sweep over blocks; class II (all
 primal operators zero) by a forward-substitution sweep whose dual solve is
-the only implicit piece. Both sweeps work on the block views of the run's
-flat arrays (`BlockLinearOperator.apply_blocks`, `Preconditioner.apply_blocks`)
-and concatenate one flat array per call; they update the temporaries they
-create in place, and skip the subtraction of a shift block z_i or r_k that is all
-+0.0 (`_shifts`, decided at assembly), so every bit stays as it was. Their
-resolvents J_{V A_i} and J_{W B_k^-1} are kernels bound once, at assembly,
-to the diagonals of V and W at the fixed step 1 (`MonotoneBlock.bind`). A
-coupling cell may be a number s, meaning s times the identity (the identity
-rows of a fully split problem): its product adds s x, which equals the dense
-product with s I bit for bit for finite x. The coupling norm
-c = ||sqrt(W) L sqrt(V)|| behind both assemblies' gates is computed once per
-problem (`PrimalDualProblem.coupling_norm`), however often
-`compute_constants` asks for it. The optimality residuals take one graph
+the only implicit piece. Both sweeps are compiled at assembly to the
+problem's structure: each metric becomes one multiply of its diagonal
+with a flat half, each shift one subtraction of its flat array, skipped
+when every entry is +0.0 (`_shift`),
+and each coupling product the compiled terms of its output blocks (one gemv
+per dense cell, a multiply per scalar cell, nothing but the add for a cell
+equal to 1; `BlockLinearOperator`). A sweep writes its output through the
+block views of one fresh flat array, and every element sees the operations
+of the block-by-block sweep in the same order, so every bit stays as it was.
+Their resolvents J_{V A_i} and J_{W B_k^-1} are kernels bound once, at
+assembly, to the diagonals of V and W at the fixed step 1
+(`MonotoneBlock.bind`). A coupling cell may be a number s, meaning s times
+the identity (the identity rows of a fully split problem): its product adds
+s x, which equals the dense product with s I bit for bit for finite x. The
+coupling norm c = ||sqrt(W) L sqrt(V)|| behind both assemblies' gates is
+computed once per problem (`PrimalDualProblem.coupling_norm`), however often
+`compute_constants` asks for it, and not at all when the code that makes
+the problem gives it (the lasso demo's `split` and `cp` forms take it from the one
+spectrum of their data). The optimality residuals take one graph
 distance per block from each operator (`MonotoneBlock.distances`); which rule
 or family a block has is known only to `operators`.
 """
@@ -51,10 +57,12 @@ class PrimalDualProblem:
     holds the INVERSES B_k^{-1} as resolvent rules (conjugate subdifferentials
     for catalogue functions). smooth is the coupling C with constant nu0
     relative to V; dual_smooth is D^{-1} with constant mu0 relative to W.
+    norm, when given, is the coupling norm c = ||sqrt(W) L sqrt(V)||, known
+    to the code that makes the problem (`coupling_norm`).
     """
 
     def __init__(self, primal_ops, z, V, dual_inverse, r, W, coupling,
-                 smooth=None, dual_smooth=None, nu0=None, mu0=None):
+                 smooth=None, dual_smooth=None, nu0=None, mu0=None, norm=None):
         self.primal_ops = primal_ops
         self.z = z
         self.V = V
@@ -84,14 +92,16 @@ class PrimalDualProblem:
             raise ConfigurationError(
                 f"cocoercivity constants must be positive (nu0={self.nu0}, mu0={self.mu0})"
             )
-        self._norm = None
+        self._norm = None if norm is None else (coupling, V, W, float(norm))
 
     def coupling_norm(self):
         """c = ||sqrt(W) L sqrt(V)||, one eigensolve per (coupling, V, W).
 
         The three are immutable, so c is kept in a one-slot cache keyed on
         their identity; a copy whose coupling, V or W is replaced computes its
-        own. A NormEstimationError is not cached: the next call raises again.
+        own. A norm given to the constructor fills that cache, so the problem
+        it was given for makes no eigensolve. A NormEstimationError is not
+        cached: the next call raises again.
         """
         key = (self.coupling, self.V, self.W)
         if self._norm is None or any(a is not b for a, b in zip(self._norm, key)):
@@ -201,34 +211,53 @@ def extract_primal_dual(x_stacked, prob):
     return block_split(x_stacked, prob.m)
 
 
-def _shifts(v):
-    """The blocks of a shift z or r, None where a block is all +0.0.
+def _shift(v):
+    """The flat array of a shift z or r, or None when every entry is +0.0.
 
     x - (+0.0) is x bit for bit for every x, -0.0 and NaN included, so the
-    sweeps skip those subtractions; a block holding -0.0 is kept.
+    sweeps skip that subtraction, and subtracting the whole flat array is
+    subtracting each block that holds something other than +0.0.
     """
-    return [None if not (b.any() or np.signbit(b).any()) else b for b in v.blocks]
+    return v.flat if v.flat.any() or np.signbit(v.flat).any() else None
 
 
-def _minus_draw(xs, draws, shifts):
-    """(x - draw) - shift per block, in the fresh arrays xs; a None shift is skipped."""
-    for x, b, s in zip(xs, draws, shifts):
-        x -= b
-        if s is not None:
-            x -= s
-    return xs
+def _factor(metric):
+    """The flat diagonal that multiplies a flat half, or None for the
+    identity, whose multiply is skipped."""
+    return None if metric.kind == "identity" else metric.diag
 
 
-def _halves(prob):
-    """A function splitting a flat stacked array into the views of its
-    primal blocks and of its dual blocks."""
-    views, m = block_views(prob.stacked_dims), prob.m
+def _resolve(kernels, xs):
+    """Each block array of xs replaced by its kernel's value, in place."""
+    for j, x in zip(kernels, xs):
+        y = j(x)
+        if y is not x:
+            x[...] = y
 
-    def split(x):
-        v = views(x)
-        return v[:m], v[m:]
 
-    return split
+def _dual_half(prob):
+    """The dual half of both sweeps, bound to prob: a function of the
+    primal blocks y, the dual half d of the point and b_d of the draw, and
+    the dual half q of the output, which writes
+        q = J_{W B^-1}(d + W (L y - b_d - r))
+    through q's block views and returns them."""
+    L, dv, kernels = prob.coupling, block_views(prob.dual_dims), prob.dual_inverse.bind(
+        1.0, prob.W.diag_blocks())
+    r, w = _shift(prob.r), _factor(prob.W)
+
+    def dual(y, d, b_d, q):
+        qs = dv(q)
+        L.apply_blocks(y, qs)
+        q -= b_d
+        if r is not None:
+            q -= r
+        if w is not None:
+            np.multiply(w, q, out=q)
+        np.add(d, q, out=q)
+        _resolve(kernels, qs)
+        return qs
+
+    return dual
 
 
 def assemble_class1(prob, noise=None, seed=0):
@@ -238,9 +267,9 @@ def assemble_class1(prob, noise=None, seed=0):
     extrapolated point, reflection, then dual resolvents against the
     reflected primal. Requires the class-I constant > 1/2.
 
-    The sweep works on the block views of u = (c, d) and of the draw
-    a = (a_p, b_d), applies the resolvent kernels bound here, and
-    concatenates one flat array at the end:
+    The sweep works on the flat halves of u = (c, d) and of the draw
+    a = (a_p, b_d), and writes each half of its output, one fresh flat
+    array, in place through its block views:
         p = J_{V A}(c - V (L* d + a_p - z)),
         q = J_{W B^-1}(d + W (L (2 p - c) - b_d - r)).
     """
@@ -251,28 +280,26 @@ def assemble_class1(prob, noise=None, seed=0):
         )
     oracle = StochasticOracle(prob.smooth_pair_map(beta=rep.beta_hat), noise=noise,
                               rng_seed=seed)
-    split = _halves(prob)
-    L, V, W, z, r = prob.coupling, prob.V, prob.W, _shifts(prob.z), _shifts(prob.r)
-    j_va = prob.primal_ops.bind(1.0, V.diag_blocks())
-    j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())
+    n, k, L = sum(prob.stacked_dims), sum(prob.primal_dims), prob.coupling
+    pv, dv = block_views(prob.primal_dims), block_views(prob.dual_dims)
+    v, z, dual = _factor(prob.V), _shift(prob.z), _dual_half(prob)
+    j_va = prob.primal_ops.bind(1.0, prob.V.diag_blocks())
 
     def backward(u, a):
-        c, d = split(u)
-        a_p, b_d = split(a)
-        t = L.adjoint_apply_blocks(d)
-        for ti, ap, zi in zip(t, a_p, z):
-            ti += ap
-            if zi is not None:
-                ti -= zi
-        p = [j(np.subtract(ci, vt, out=vt))
-             for j, ci, vt in zip(j_va, c, V.apply_blocks(t, overwrite=True))]
-        y = [2.0 * pi for pi in p]
-        for yi, ci in zip(y, c):
-            yi -= ci
-        u_k = _minus_draw(L.apply_blocks(y), b_d, r)
-        q = [j(np.add(dk, wu, out=wu))
-             for j, dk, wu in zip(j_wb, d, W.apply_blocks(u_k, overwrite=True))]
-        return np.concatenate(p + q)
+        out = np.empty(n)
+        c, d, p = u[:k], u[k:], out[:k]
+        ps = L.adjoint_apply_blocks(dv(d), pv(p))
+        p += a[:k]
+        if z is not None:
+            p -= z
+        if v is not None:
+            np.multiply(v, p, out=p)
+        np.subtract(c, p, out=p)
+        _resolve(j_va, ps)
+        y = 2.0 * p
+        y -= c
+        dual(pv(y), d, a[k:], out[k:])
+        return out
 
     return ProblemInstance(oracle, BlockVector.zeros(prob.stacked_dims), rep.beta_hat,
                            lambda gamma: backward, gamma_fixed=1.0)
@@ -285,7 +312,8 @@ def assemble_class2(prob, noise=None, seed=0):
     becomes forward substitutions around the single dual resolvent. Requires
     twice the class-II constant > 1.
 
-    The sweep works on block views, as the class-I one does:
+    The sweep works on flat halves, as the class-I one does, and writes L* d
+    and L* q through the block views of one flat array each:
         s = c - V (a_p - z),
         q = J_{W B^-1}(d + W (L (s - V L* d) - b_d - r)),
         p = s - V L* q.
@@ -305,33 +333,36 @@ def assemble_class2(prob, noise=None, seed=0):
         )
     oracle = StochasticOracle(prob.smooth_pair_map(beta=rep.beta), noise=noise,
                               rng_seed=seed)
-    split = _halves(prob)
-    L, V, W, z, r = prob.coupling, prob.V, prob.W, _shifts(prob.z), _shifts(prob.r)
-    j_wb = prob.dual_inverse.bind(1.0, W.diag_blocks())
+    n, k, L = sum(prob.stacked_dims), sum(prob.primal_dims), prob.coupling
+    pv, dv = block_views(prob.primal_dims), block_views(prob.dual_dims)
+    v, z, dual = _factor(prob.V), _shift(prob.z), _dual_half(prob)
 
-    def minus_v(s_i, lt):
-        """s - V lt in fresh arrays; lt is read-only (an identity V returns it)."""
-        return [np.subtract(si, x, out=None if x is t else x)
-                for si, x, t in zip(s_i, V.apply_blocks(lt), lt)]
+    def adjoint(qs):
+        """L* q of the dual blocks qs, as one fresh flat array."""
+        lt = np.empty(k)
+        L.adjoint_apply_blocks(qs, pv(lt))
+        return lt
+
+    def minus_v(s, lt, out=None):
+        """s - V lt, into out (a fresh array when None)."""
+        return np.subtract(s, lt if v is None else v * lt, out=out)
 
     def bind_backward(gamma):
         last = None  # (the last output, L* q of its dual blocks)
 
         def backward(u, a):
             nonlocal last
-            c, d = split(u)
-            a_p, b_d = split(a)
-            # not in place: a skipped shift leaves the draw's own array
-            s_i = [ci - vt for ci, vt in zip(c, V.apply_blocks(
-                [ap if zi is None else ap - zi for ap, zi in zip(a_p, z)]))]
-            lt_d = last[1] if last is not None and last[0] is u else L.adjoint_apply_blocks(d)
-            e = _minus_draw(L.apply_blocks(minus_v(s_i, lt_d)), b_d, r)
-            q = [j(np.add(dk, we, out=we))
-                 for j, dk, we in zip(j_wb, d, W.apply_blocks(e, overwrite=True))]
-            lt_q = L.adjoint_apply_blocks(q)
-            for x in lt_q:
-                x.setflags(write=False)
-            out = np.concatenate(minus_v(s_i, lt_q) + q)
+            out = np.empty(n)
+            c, d = u[:k], u[k:]
+            s = a[:k] if z is None else a[:k] - z
+            if v is not None:
+                s = v * s
+            s = c - s
+            lt_d = last[1] if last is not None and last[0] is u else adjoint(dv(d))
+            qs = dual(pv(minus_v(s, lt_d)), d, a[k:], out[k:])
+            lt_q = adjoint(qs)
+            lt_q.setflags(write=False)
+            minus_v(s, lt_q, out[:k])
             last = (out, lt_q)
             return out
 

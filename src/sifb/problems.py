@@ -150,10 +150,16 @@ class Lasso(DemoProblem):
         return self._smooth_form(Preconditioner.scalar([1.0 / self.gram_top()], self.dims))
 
     def _form_cp(self):
-        """One dual block: the quadratic is dualized through the data matrix."""
+        """One dual block: the quadratic is dualized through the data matrix.
+
+        ||A||^2 = lambda_max(A'A), the demo's one spectrum, so with tau = sigma
+        the coupling norm sqrt(tau sigma) ||A|| is tau ||A||, given to the
+        problem rather than solved for again.
+        """
         a, b, lam = self.data["a"], self.data["b"], self.params["lam"]
         n, p = a.shape
-        tau = sigma = 0.95 / float(np.sqrt(self.gram_top()))
+        root = float(np.sqrt(self.gram_top()))
+        tau = sigma = 0.95 / root
         return PrimalDualProblem(
             primal_ops=MonotoneBlock.subdiff([ProxFunction.l1(lam)]),
             z=BlockVector.zeros((p,)),
@@ -163,6 +169,7 @@ class Lasso(DemoProblem):
             r=BlockVector([b]),
             W=Preconditioner.scalar([sigma], (n,)),
             coupling=BlockLinearOperator([[a]], (p,), (n,)),
+            norm=tau * root,
         )
 
     def _form_split(self):
@@ -170,11 +177,14 @@ class Lasso(DemoProblem):
 
         The l1 term rides through an identity coupling row, so its dual iterate
         lives in the lam-radius sup-norm ball. The stacked coupling K = [A; I]
-        has ||K||^2 = lambda_max(A'A) + 1.
+        has ||K||^2 = lambda_max(A'A) + 1, from the demo's one spectrum, so
+        with tau = sigma the coupling norm tau ||K|| is given to the problem
+        rather than solved for again.
         """
         a, b, lam = self.data["a"], self.data["b"], self.params["lam"]
         n, p = a.shape
-        tau = sigma = 0.95 / float(np.sqrt(self.gram_top() + 1.0))
+        root = float(np.sqrt(self.gram_top() + 1.0))
+        tau = sigma = 0.95 / root
         return PrimalDualProblem(
             primal_ops=MonotoneBlock.zero(1),
             z=BlockVector.zeros((p,)),
@@ -185,6 +195,7 @@ class Lasso(DemoProblem):
             r=BlockVector([b, np.zeros(p)]),
             W=Preconditioner.scalar([sigma, sigma], (n, p)),
             coupling=BlockLinearOperator([[a], [1.0]], (p,), (n, p)),
+            norm=tau * root,
         )
 
     forms = {"split": _form_split, "smooth": _form_smooth, "cp": _form_cp}

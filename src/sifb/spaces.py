@@ -6,10 +6,10 @@ block-ordered inner product behind the vectors' norms and the run's.
 `BlockVector` values are immutable: a vector owns a read-only copy of the
 arrays it is built from and an operator read-only matrices, so one object
 always holds one value, shares no memory with its caller, and is safe to share
-across concurrent replica runs. The helpers on bare block arrays may reuse
-arrays that their caller owns: `apply_blocks` with overwrite writes into its
-argument, the identity's `apply_blocks` and `apply` return their input, and
-`_add_product` accumulates in place.
+across concurrent replica runs. The products on bare block arrays may write
+into arrays that their caller owns: `BlockLinearOperator.apply_blocks` and
+`adjoint_apply_blocks` fill the output blocks they are given, and the
+identity preconditioner's `apply` returns its input.
 Weighted norms of block couplings come from one dense eigensolve of a Gram
 matrix, so they are exact to rounding and deterministic.
 """
@@ -206,18 +206,6 @@ class Preconditioner:
                 f"vector dims {x.dims} incompatible with preconditioner dims {self.dims}"
             )
 
-    def apply_blocks(self, blocks, overwrite=False):
-        """The action on bare block arrays, unchecked; identity passes them through.
-
-        With overwrite, the products are written into `blocks`, fresh arrays
-        that the caller owns, with the operands in the same order.
-        """
-        if self.kind == "identity":
-            return blocks
-        if overwrite:
-            return [np.multiply(w, b, out=b) for w, b in zip(self._diag, blocks)]
-        return [w * b for w, b in zip(self._diag, blocks)]
-
     def apply(self, x):
         self._check(x)
         if self.kind == "identity":
@@ -240,28 +228,51 @@ class Preconditioner:
         return f"Preconditioner(kind={self.kind!r}, dims={self.dims})"
 
 
-def _add_product(acc, cell, x):
-    """acc + cell @ x, where a 0-d cell s stands for s times the identity and
-    acc None for the zero accumulator; returns the accumulator.
+def _terms(cells, transpose):
+    """The products of one output block, compiled: (input index, cell) per
+    cell that is not None, in order, a dense cell as its matrix (its transpose
+    when transpose), a number s as the float s, and s = 1 as None."""
+    out = []
+    for i, cell in enumerate(cells):
+        if cell is None:
+            continue
+        if cell.ndim:
+            out.append((i, cell.T if transpose else cell))
+        else:
+            out.append((i, None if cell == 1.0 else float(cell)))
+    return tuple(out)
 
-    For finite x, s * x (and x itself when s = 1) equals the dense product
-    with s I bit for bit. The first product becomes the accumulator, fresh,
-    plus +0.0 once: v + 0.0 equals 0 + v bit for bit, a -0.0 entry turning
-    into +0.0 in both, so the sum matches zeros(d) followed by `+=` without
-    the zero fill. Later products are added in place.
+
+def _products(terms, xs, acc):
+    """The sum of the products of the compiled terms with the arrays xs,
+    written into acc, which is returned; with no term, zeros.
+
+    A number s times x equals the dense product with s I bit for bit for
+    finite x, and x itself stands for s = 1. The first product is written
+    plus +0.0: v + 0.0 equals 0 + v bit for bit, a -0.0 entry turning into
+    +0.0 in both, so the sum matches zeros(d) followed by `+=` without the
+    zero fill. Later products are added in place.
     """
-    if acc is None:
-        if not cell.ndim and cell == 1.0:
-            return x + 0.0
-        acc = cell @ x if cell.ndim else cell * x
-        acc += 0.0
-    elif cell.ndim:
-        acc += cell @ x
-    elif cell == 1.0:
-        acc += x
-    else:
-        acc += cell * x
+    if not terms:
+        acc.fill(0.0)
+    for n, (i, m) in enumerate(terms):
+        x = xs[i]
+        prod = x if m is None else m * x if type(m) is float else m @ x
+        if n:
+            acc += prod
+        else:
+            np.add(prod, 0.0, out=acc)
     return acc
+
+
+def _apply(block_terms, dims, xs, out):
+    """The products of each output block's terms with xs, written into the
+    block arrays out (fresh ones of lengths dims when None), which are returned."""
+    if out is None:
+        out = [np.empty(d) for d in dims]
+    for terms, acc in zip(block_terms, out):
+        _products(terms, xs, acc)
+    return out
 
 
 class BlockLinearOperator:
@@ -275,11 +286,12 @@ class BlockLinearOperator:
     matrix.
 
     `apply_blocks` and `adjoint_apply_blocks` work on bare block arrays and
-    check nothing; `apply` and `adjoint_apply` check the vector's dims and
-    wrap their result.
+    check nothing, each product compiled once, here, to the terms of its
+    output blocks (`_terms`); `apply` and `adjoint_apply` check the vector's
+    dims and wrap their result.
     """
 
-    __slots__ = ("entries", "dims_in", "dims_out")
+    __slots__ = ("entries", "dims_in", "dims_out", "_rows", "_cols")
 
     def __init__(self, entries, dims_in, dims_out):
         self.dims_in = tuple(int(d) for d in dims_in)
@@ -314,30 +326,23 @@ class BlockLinearOperator:
                 cells.append(_freeze(m.copy()))
             rows.append(tuple(cells))
         self.entries = tuple(rows)
+        self._rows = tuple(_terms(row, False) for row in rows)
+        self._cols = tuple(_terms([row[i] for row in rows], True)
+                           for i in range(len(self.dims_in)))
 
     @classmethod
     def zero(cls, dims_in, dims_out):
         return cls([[None] * len(dims_in) for _ in dims_out], dims_in, dims_out)
 
-    def apply_blocks(self, xs):
-        """L x from the primal block arrays xs, as a list of fresh dual block arrays."""
-        out = []
-        for d, row in zip(self.dims_out, self.entries):
-            acc = None
-            for cell, x in zip(row, xs):
-                if cell is not None:
-                    acc = _add_product(acc, cell, x)
-            out.append(np.zeros(d) if acc is None else acc)
-        return out
+    def apply_blocks(self, xs, out=None):
+        """L x from the primal block arrays xs, written into the dual block
+        arrays out (fresh ones when None), which are returned."""
+        return _apply(self._rows, self.dims_out, xs, out)
 
-    def adjoint_apply_blocks(self, vs):
-        """L* v from the dual block arrays vs, as a list of fresh primal block arrays."""
-        out = [None] * len(self.dims_in)
-        for row, v in zip(self.entries, vs):
-            for i, cell in enumerate(row):
-                if cell is not None:
-                    out[i] = _add_product(out[i], cell.T, v)
-        return [np.zeros(d) if acc is None else acc for d, acc in zip(self.dims_in, out)]
+    def adjoint_apply_blocks(self, vs, out=None):
+        """L* v from the dual block arrays vs, written into the primal block
+        arrays out (fresh ones when None), which are returned."""
+        return _apply(self._cols, self.dims_in, vs, out)
 
     def apply(self, x):
         if x.dims != self.dims_in:

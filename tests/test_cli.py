@@ -477,29 +477,47 @@ def count_constants(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["pd_class1", "pd_class2"])
 def test_run_computes_the_coupling_norm_once(tmp_path, count_constants, algorithm):
-    cfg = pd_lasso_config()
+    # a custom problem has no known norm: validation, its assembly and the
+    # run's assembly share one eigensolve
+    cfg = custom_pd_config()
     cfg["algorithm"] = algorithm
     path = write_config(tmp_path, cfg)
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
-    # validation, its assembly and the run's assembly share one eigensolve
     assert count_constants == {"compute_constants": 3, "estimate_weighted_norm": 1}
 
 
 @pytest.mark.parametrize("command", ["validate", "constants"])
 def test_validate_and_constants_compute_the_coupling_norm_once(tmp_path, count_constants,
                                                                command):
-    path = write_config(tmp_path, pd_lasso_config())
+    path = write_config(tmp_path, custom_pd_config())
     assert main([command, path]) == 0
     assert count_constants["estimate_weighted_norm"] == 1
 
 
+@pytest.mark.parametrize("form,algorithm", [("split", "pd_class1"), ("split", "pd_class2"),
+                                            ("cp", "pd_class1")])
+@pytest.mark.parametrize("command", ["run", "validate", "constants"])
+def test_lasso_forms_take_the_coupling_norm_from_the_demo(tmp_path, count_constants, form,
+                                                          algorithm, command):
+    # the split and cp forms give c from the demo's spectrum: no eigensolve of
+    # the coupling, however often compute_constants asks
+    cfg = pd_lasso_config()
+    cfg["problem"]["demo"]["form"], cfg["algorithm"] = form, algorithm
+    path = write_config(tmp_path, cfg)
+    args = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, path, *args]) == 0
+    assert count_constants["estimate_weighted_norm"] == 0
+    if command == "run":
+        assert count_constants["compute_constants"] == 3
+
+
 @pytest.mark.parametrize("demo,want", [
     ({"name": "lasso", "params": {"n": 12, "p": 10, "lam": 0.2, "seed": 3},
-      "form": "split"}, 2),
+      "form": "split"}, 1),
     ({"name": "lasso", "params": {"n": 8, "p": 12, "lam": 0.2, "seed": 3},
-      "form": "split"}, 2),
+      "form": "split"}, 1),
     ({"name": "lasso", "params": {"n": 12, "p": 10, "lam": 0.2, "seed": 3},
-      "form": "cp"}, 2),
+      "form": "cp"}, 1),
     ({"name": "lasso", "params": {"n": 8, "p": 12, "lam": 0.2, "seed": 3},
       "form": "smooth"}, 2),
     ({"name": "parallel_sum", "params": {"dims": 6, "mu": 0.5, "lam": 0.1, "seed": 2}},
@@ -508,9 +526,10 @@ def test_validate_and_constants_compute_the_coupling_norm_once(tmp_path, count_c
         "parallel_sum"])
 def test_primal_dual_run_solves_the_data_spectrum_once(tmp_path, count_eigvalsh, demo,
                                                        want):
-    # the form's step and the reference share one eigensolve of the demo's
-    # smaller Gram matrix; the coupling norm (and parallel_sum's smooth term,
-    # in the metric V) take one each
+    # the form's step, its coupling norm (split and cp) and the reference
+    # share one eigensolve of the demo's smaller Gram matrix; the coupling
+    # norm of the other forms (and parallel_sum's smooth term, in the metric
+    # V) take one each
     path = write_config(tmp_path, {**pd_lasso_config(), "problem": {"demo": demo}})
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
     assert len(count_eigvalsh) == want, count_eigvalsh

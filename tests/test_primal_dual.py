@@ -44,6 +44,7 @@ from sifb.problems import (
     sifb_instance,
 )
 from sifb.solver import Plan
+from sifb.spaces import estimate_weighted_norm
 
 from test_solver import csv_text
 
@@ -417,6 +418,41 @@ def test_copy_with_a_replaced_coupling_or_metric_computes_its_own_norm(count_nor
     assert compute_constants(prob).c.hex() == c.hex() and len(count_norms) == 3
 
 
+LASSO_SHAPES = {"tall": (12, 10), "wide": (8, 14), "square": (10, 10)}
+
+
+@pytest.mark.parametrize("form", ["split", "cp"])
+@pytest.mark.parametrize("shape", list(LASSO_SHAPES))
+def test_lasso_forms_give_the_norm_the_eigensolve_finds(count_norms, form, shape):
+    n, p = LASSO_SHAPES[shape]
+    for seed in (1, 3, 42):
+        prob = pd_problem(build_lasso(n, p, 0.2, cond=20.0, seed=seed), form)
+        c = compute_constants(prob).c
+        assert count_norms == []
+        # the eigensolve, called here, where count_norms does not count it
+        solved = estimate_weighted_norm(prob.coupling, prob.V, prob.W)
+        assert c == pytest.approx(solved, rel=1e-12, abs=0.0)
+        assert compute_constants(prob).c == c
+
+
+@pytest.mark.parametrize("form", ["split", "cp"])
+def test_copy_of_a_lasso_form_with_a_replaced_coupling_computes_its_own_norm(count_norms,
+                                                                            form):
+    prob = pd_problem(build_lasso(12, 10, 0.2, cond=20.0, seed=3), form)
+    given = compute_constants(prob).c
+    dense = with_dense_coupling(prob)
+    assert compute_constants(dense).c == pytest.approx(given, rel=1e-12)
+    assert len(count_norms) == 1 and count_norms[0][0] is dense.coupling
+    halved = copy.copy(prob)
+    halved.coupling = BlockLinearOperator(
+        [[None if c is None else 0.5 * c for c in row] for row in prob.coupling.entries],
+        prob.coupling.dims_in, prob.coupling.dims_out)
+    assert compute_constants(halved).c == pytest.approx(0.5 * given, rel=1e-12)
+    assert len(count_norms) == 2
+    # the original keeps the norm it was given
+    assert compute_constants(prob).c == given and len(count_norms) == 2
+
+
 def test_norm_failure_is_not_cached(count_norms):
     huge = PrimalDualProblem(
         primal_ops=MonotoneBlock.zero(1), z=BlockVector.zeros((2,)),
@@ -782,9 +818,9 @@ def test_class2_sweep_reuses_the_last_adjoint_product(monkeypatch):
     sweeps, adjoints = [], []
     adjoint = BlockLinearOperator.adjoint_apply_blocks
 
-    def counting_adjoint(self, vs):
+    def counting_adjoint(self, vs, out=None):
         adjoints.append(1)
-        return adjoint(self, vs)
+        return adjoint(self, vs, out)
 
     def counting_bind(gamma):
         backward = inst.bind_backward(gamma)
@@ -1211,6 +1247,59 @@ def signed_zero_shift_problem():
     )
 
 
+METRIC_KINDS = {
+    # a scalar metric with one factor for every block and with one factor per
+    # block, a diagonal one whose entries are one number, a diagonal one, and
+    # the identity
+    "scalar-one-factor": lambda rng, dims: Preconditioner.scalar([0.3] * len(dims), dims),
+    "scalar-per-block": lambda rng, dims: Preconditioner.scalar(
+        rng.uniform(0.2, 0.4, len(dims)), dims),
+    "diagonal-one-value": lambda rng, dims: Preconditioner.diagonal(
+        [np.full(d, 0.25) for d in dims]),
+    "diagonal": lambda rng, dims: Preconditioner.diagonal(
+        [rng.uniform(0.2, 0.4, d) for d in dims]),
+    "identity": lambda rng, dims: Preconditioner.identity(dims),
+}
+
+
+def compiled_sweep_problem(v_kind, w_kind, zero_primal):
+    """Each thing the compiled sweeps branch on: dense cells, scalar cells 1
+    and -0.7, None cells, a primal block that no cell reaches and a dual
+    block row with no cell; the metric kinds of V and W; z holding only
+    -0.0 and +0.0 entries, and r one block with a -0.0, one nonzero and two
+    all +0.0.
+    The metrics that are not the identity are scaled so that c = 0.6."""
+    rng = np.random.default_rng(8)
+    pdims, ddims = (3, 3, 2, 2), (3, 3, 2, 2)
+    coupling = BlockLinearOperator(
+        [[0.3 * rng.standard_normal((3, 3)), 1.0, None, None],
+         [-0.7, None, 0.3 * rng.standard_normal((3, 2)), None],
+         [None, None, 1.0, None],
+         [None, None, None, None]], pdims, ddims)
+    V, W = METRIC_KINDS[v_kind](rng, pdims), METRIC_KINDS[w_kind](rng, ddims)
+    scaled = [m for m in (V, W) if m.kind != "identity"]
+    f = (0.6 / estimate_weighted_norm(coupling, V, W)) ** (2 / len(scaled))
+    V, W = (m if m.kind == "identity" else
+            Preconditioner(m.kind, m.dims, [f * b for b in m.diag_blocks()]) for m in (V, W))
+    z = [np.array([-0.0, 0.0, 0.0]), np.zeros(3), np.zeros(2), np.array([0.0, -0.0])]
+    r = [np.array([0.0, -0.0, 0.0]), rng.standard_normal(3), np.zeros(2), np.zeros(2)]
+    primal = (MonotoneBlock.zero(4) if zero_primal else MonotoneBlock.subdiff(
+        [ProxFunction.l1(0.3), ProxFunction.box(-np.ones(3), np.ones(3)),
+         ProxFunction.zero(), ProxFunction.squared_l2(0.5, 0.2)]))
+    return PrimalDualProblem(
+        primal_ops=primal, z=BlockVector(z), V=V,
+        dual_inverse=MonotoneBlock.conjugate_subdiff(
+            [ProxFunction.l1(0.5), ProxFunction.squared_l2(2.0, 0.1),
+             ProxFunction.box(-np.ones(2), np.ones(2)), ProxFunction.l1(0.2)]),
+        r=BlockVector(r), W=W, coupling=coupling)
+
+
+def compiled_case(v_kind, w_kind, classes):
+    return (f"compiled-V-{v_kind}-W-{w_kind}",
+            lambda: compiled_sweep_problem(v_kind, w_kind, zero_primal=True),
+            classes)
+
+
 LASSO_20x30 = {"n": 20, "p": 30, "lam": 0.1, "cond": 10.0, "seed": 3}
 BOTH, CLASS1 = ("class1", "class2"), ("class1",)
 # (id, problem, classes that assemble it); class II needs every primal operator zero
@@ -1225,6 +1314,13 @@ SWEEP_CASES = [
     ("two_by_two", lambda: two_by_two_problem(zero_primal=False), CLASS1),
     ("two_by_two-zero-primal", lambda: two_by_two_problem(zero_primal=True), BOTH),
     ("signed-zero-shifts", signed_zero_shift_problem, BOTH),
+    compiled_case("scalar-one-factor", "diagonal", BOTH),
+    compiled_case("scalar-per-block", "identity", BOTH),
+    compiled_case("diagonal-one-value", "scalar-one-factor", BOTH),
+    compiled_case("identity", "scalar-per-block", BOTH),
+    compiled_case("diagonal", "diagonal-one-value", BOTH),
+    ("compiled-primal-resolvents", lambda: compiled_sweep_problem(
+        "diagonal", "scalar-per-block", zero_primal=False), CLASS1),
 ]
 
 
@@ -1253,6 +1349,37 @@ def test_block_array_sweeps_match_blockvector_reference_bytes(make, which):
     x, trace = run(inst, cfg)
     x_ref, trace_ref = run(ref_inst, cfg)
     assert trace.iterations == trace_ref.iterations == 300
+    assert csv_text(trace) == csv_text(trace_ref)
+    assert x.concatenated().tobytes() == x_ref.concatenated().tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    split_lasso, lambda: compiled_sweep_problem("scalar-per-block", "diagonal", True)],
+    ids=["split-lasso", "compiled"])
+def test_relaxed_noisy_class2_run_misses_the_kept_adjoint_and_matches_the_reference(
+        monkeypatch, make):
+    # at lambda = 0.9 the next point is never the last output, so every sweep
+    # makes both adjoint products; noisy draws at alpha = 0
+    prob = make()
+    inst = assemble_class2(prob, noise=NoiseSchedule.polynomial(0.3, 0.75), seed=5)
+    ref_inst = blockvector_instance(inst.oracle, inst.x0, inst.beta,
+                                    reference_class2_sweep(with_dense_coupling(prob)),
+                                    gamma_fixed=1.0)
+    cfg = SolverConfig(beta=inst.beta, max_iter=200, stop_tol=0.0, relaxation=0.9)
+    adjoints = []
+    adjoint = BlockLinearOperator.adjoint_apply_blocks
+
+    def counting_adjoint(self, vs, out=None):
+        adjoints.append(1)
+        return adjoint(self, vs, out)
+
+    monkeypatch.setattr(BlockLinearOperator, "adjoint_apply_blocks", counting_adjoint)
+    x, trace = run(inst, cfg)
+    monkeypatch.undo()
+    # one sweep per step and one per recorded row
+    sweeps = trace.iterations + len(trace.rows)
+    assert trace.iterations == 200 and len(adjoints) == 2 * sweeps
+    x_ref, trace_ref = run(ref_inst, cfg)
     assert csv_text(trace) == csv_text(trace_ref)
     assert x.concatenated().tobytes() == x_ref.concatenated().tobytes()
 

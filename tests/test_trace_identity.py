@@ -51,3 +51,16 @@ def test_a_lost_row_across_schemas_changes_every_shared_column():
     assert compare_traces(TRACE, WIDER.replace(b"0,0.5,0,0.75,1\n", b"")) == [
         "column 'draws' added", "column 'n' differs", "column 'fp_residual' differs",
         "column 'step_norm' differs", "column 'dist_to_ref' differs"]
+
+
+def test_line_diff_shows_the_first_three_differing_lines():
+    line_diff = trace_identity.line_diff
+    old = b"c=0.9499999999999993\nxi_hat=nan\nbeta_hat=inf\n"
+    assert line_diff(old, old.replace(b"0.9499999999999993", b"0.95")) == [
+        "- c=0.9499999999999993", "+ c=0.95"]
+    assert line_diff(b"a\nb\nc\nd\ne\n", b"A\nb\nC\nD\nE\n") == [
+        "- a", "+ A", "- c", "+ C", "- d", "+ D"]
+    # a line that only one side has is shown on that side alone
+    assert line_diff(b"a\n", b"a\nb\n") == ["+ b"]
+    assert line_diff(b"a\nb\n", b"a\n") == ["- b"]
+    assert line_diff(old, old) == []

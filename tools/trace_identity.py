@@ -14,7 +14,9 @@ It also compares the exit code and stdout of `sifb constants` on the config,
 which print the full `repr` of c, xi_hat, beta_hat and beta, so c is checked
 bit for bit. The subprocess takes the final iterate from
 `sifb.cli._execute_single`. It prints every difference and exits 1 if there
-is one, 0 otherwise.
+is one, 0 otherwise. Under a difference in a file other than a trace or
+the final iterate it prints the first three lines that differ, as
+`- old` and `+ new` (`line_diff`).
 
 The last bits of a run depend on the BLAS build and its thread count, so the
 report opens with the numpy version, the BLAS build and the
@@ -74,6 +76,7 @@ sweep checks that a worker's map is the parent's, read from those files.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import os
 import re
@@ -453,6 +456,17 @@ def compare_traces(old, new):
                if n in new_cols and old_cols[n] != new_cols[n]])
 
 
+def line_diff(old, new, limit=3):
+    """The first `limit` lines in which two text artifacts (bytes) differ,
+    paired by position: "- old" then "+ new", a side without that line
+    left out."""
+    pairs = [pair for pair in itertools.zip_longest(
+        *(text.decode(errors="backslashreplace").splitlines() for text in (old, new)))
+        if pair[0] != pair[1]]
+    return [f"{sign} {text}" for pair in pairs[:limit]
+            for sign, text in zip("-+", pair) if text is not None]
+
+
 def _artifacts(out):
     """The compared files of one config's or sweep's output directory, as bytes."""
     got = {}
@@ -500,22 +514,28 @@ def main(argv):
             with open(os.path.join(root, "setting.txt"), encoding="utf-8") as f:
                 settings.append(f.read().strip())
             print(f"{label} tree collected under {settings[-1]}")
-        differences = []
+        differences = []  # (difference, lines shown under it)
         for name in [*cfgs, *sweeps]:
             old, new = (_artifacts(os.path.join(root, name)) for root in roots)
             found = []
             for rel in sorted(set(old) | set(new)):
                 if old.get(rel) == new.get(rel):
                     continue
-                if os.path.basename(rel).startswith("trace") and rel in old and rel in new:
-                    found += [f"{name}: {rel} {d}" for d in compare_traces(old[rel], new[rel])]
+                if rel not in old or rel not in new:
+                    found.append((f"{name}: {rel} differs", []))
+                elif os.path.basename(rel).startswith("trace"):
+                    found += [(f"{name}: {rel} {d}", [])
+                              for d in compare_traces(old[rel], new[rel])]
                 else:
-                    found.append(f"{name}: {rel} differs")
+                    found.append((f"{name}: {rel} differs",
+                                  [] if rel == "x.bin" else line_diff(old[rel], new[rel])))
             differences += found
             code = new.get("exit_code", b"?").decode().strip()
             print(f"{name}: exit {code}, {'DIFFERENT' if found else 'same'}")
-    for line in differences:
+    for line, shown in differences:
         print(line)
+        for text in shown:
+            print(f"    {text}")
     under = settings[0] if settings[0] == settings[1] else " against ".join(settings)
     print(f"{len(cfgs)} configs, {len(sweeps)} sweeps, {len(differences)} differences, "
           f"under {under}")
