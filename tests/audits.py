@@ -14,12 +14,14 @@ from sifb import (
     BlockVector,
     ConfigurationError,
     InfeasibleProblemError,
+    OracleError,
     Preconditioner,
     ProblemInstance,
     block_concat,
     block_split,
     step,
 )
+from sifb import oracles
 from sifb.solver import Plan
 from sifb.spaces import _offsets
 
@@ -63,6 +65,40 @@ def blockvector_instance(oracle, x0, beta, backward_fn, gamma_fixed=None):
 def inverse(p):
     """The inverse of a diagonal Preconditioner, as a Preconditioner of the same kind."""
     return Preconditioner(p.kind, p.dims, [1.0 / w for w in p.diag_blocks()])
+
+
+def loose_stop_prox_gradient(name, h, v, top, piece, tol):
+    """The reference loop the accelerated one replaced, as a test oracle with
+    `oracles._prox_gradient`'s signature: plain steps x <- prox(x - t (H x - v), t)
+    from x = 0 to a step of at most max(tol, 1e-4), one polish on that step's
+    piece, returned if its fixed-point residual is at most tol; otherwise plain
+    steps on to a step of at most tol, returning the point it is taken from."""
+    t = 1.0 / top
+
+    def prox_step(x):
+        z = x - t * (h @ x - v)
+        d, e = piece(z, t)
+        return d * z + e, d, e
+
+    loose, polish = max(tol, 1e-4), True
+    x = np.zeros(h.shape[0])
+    for _ in range(oracles._MAX_ITER):
+        x_new, d, e = prox_step(x)
+        step = float(np.linalg.norm(x_new - x))
+        if polish and step <= loose:
+            polish = False
+            try:
+                y = oracles._polish(h, v, t, d, e)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                certificate = float(np.linalg.norm(y - prox_step(y)[0]))
+                if certificate <= tol:
+                    return y, certificate
+        if step <= tol:
+            return x, step
+        x = x_new
+    raise OracleError(f"{name} did not reach tol={tol} in {oracles._MAX_ITER} iterations")
 
 
 class WeightedMetric:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 
+import numpy as np
 import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -33,7 +34,9 @@ def git(repo, *args):
                     *args], check=True, capture_output=True)
 
 
-def test_pairs_alternate_sides_and_summarize_each_metric(tmp_path, monkeypatch):
+def stub_repo(tmp_path):
+    """A checkout whose committed src/ reads speed 2.0 and whose working tree,
+    the change, reads 1.0: twice as fast."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "src").mkdir()
@@ -47,8 +50,12 @@ def test_pairs_alternate_sides_and_summarize_each_metric(tmp_path, monkeypatch):
     git(repo, "init", "-q")
     git(repo, "add", "-A")
     git(repo, "commit", "-q", "-m", "base")
-    # the working tree is the change: twice as fast
     (repo / "src" / "speed.txt").write_text("1.0")
+    return repo
+
+
+def test_pairs_alternate_sides_and_summarize_each_metric(tmp_path, monkeypatch):
+    repo = stub_repo(tmp_path)
     before = sorted(p.relative_to(repo) for p in repo.rglob("*") if ".git" not in p.parts)
     log = tmp_path / "log.txt"
     monkeypatch.setenv("PAIR_BENCH_LOG", str(log))
@@ -65,8 +72,11 @@ def test_pairs_alternate_sides_and_summarize_each_metric(tmp_path, monkeypatch):
     assert after == before
 
     doc = json.loads(out.read_text())
-    assert doc["machine"] == {"nproc": 2}
+    assert (doc["base"], doc["machine"]) == ("HEAD", {"nproc": 2})
     assert list(doc["workloads"]) == ["w", "v"]
+    for name, entry in doc["workloads"].items():
+        assert entry.pop("command") == (
+            f"python3 perfbench/run.py --workload {name} --trace 0 --seconds 1.5")
     assert doc["workloads"]["v"] == doc["workloads"]["w"]
     assert doc["claim"] == {
         "workload": "w", "metric": "setup_s",
@@ -105,3 +115,56 @@ def test_a_claim_needs_nine_of_ten_pairs_and_a_gap_above_the_iqr():
     assert pair_bench.claim(workloads(9, True), "w:setup_s", None)["met"]
     assert not pair_bench.claim(workloads(8, True), "w:setup_s", None)["met"]
     assert not pair_bench.claim(workloads(10, False), "w:setup_s", None)["met"]
+
+
+def test_aa_puts_the_checkout_on_both_sides_and_merges_by_seed(tmp_path, monkeypatch):
+    repo = stub_repo(tmp_path)
+    log = tmp_path / "log.txt"
+    monkeypatch.setenv("PAIR_BENCH_LOG", str(log))
+    out = tmp_path / "aa.json"
+    assert pair_bench.main(["--aa", "--pairs", "2", "--workload", "w",
+                            "--repo", str(repo), "--out", str(out)]) == 0
+    assert pair_bench.main(["--aa", "--pairs", "1", "--workload", "w", "--seed", "7",
+                            "--repo", str(repo), "--out", str(out), "--merge"]) == 0
+    assert log.read_text().split("\n")[:-1] == [
+        "parent --workload w --trace 0", "change --workload w --trace 0",
+        "change --workload w --trace 0", "parent --workload w --trace 0",
+        "parent --workload w --trace 0 --seed 7", "change --workload w --trace 0 --seed 7"]
+
+    doc = json.loads(out.read_text())
+    assert doc["base"] == "A/A" and "claim" not in doc
+    assert list(doc["workloads"]) == ["w", "w-seed-7"]
+    assert doc["workloads"]["w-seed-7"]["seeds"] == [7]
+    for entry in doc["workloads"].values():
+        # the working tree's speed on both sides, not the committed one
+        setup = entry["metrics"]["setup_s"]
+        assert setup["parent"] == setup["change"] == [1.0] * entry["pairs"]
+        # equal runs: any gain at all passes, and only a gain
+        assert {m["aa_resolution"] for m in entry["metrics"].values()} == {0.0}
+
+    # a merge keeps to one base, and a claim needs two sides
+    with pytest.raises(SystemExit):
+        pair_bench.main(["--base", "HEAD", "--pairs", "1", "--workload", "w",
+                         "--repo", str(repo), "--out", str(out), "--merge"])
+    with pytest.raises(SystemExit):
+        pair_bench.main(["--aa", "--pairs", "1", "--workload", "w", "--claim", "w:setup_s",
+                         "--repo", str(repo)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("direction", ["lower", "higher"])
+def test_aa_resolution_is_the_smallest_gain_that_passes_the_claim_rule(direction, seed):
+    rng = np.random.default_rng(seed)
+    parent, change = (list(1.0 + 0.05 * rng.standard_normal(10)) for _ in range(2))
+    r = pair_bench.resolution(parent, change, direction)
+
+    def passes(gain):
+        scale = 1.0 - gain if direction == "lower" else 1.0 + gain
+        runs = {"parent": [{"m": p} for p in parent],
+                "change": [{"m": c * scale} for c in change]}
+        workloads = {"w": {"pairs": 10,
+                           "metrics": pair_bench.summarize(runs, {"m": direction})}}
+        return pair_bench.claim(workloads, "w:m", None)["met"]
+
+    assert passes(r + 1e-9) and not passes(r - 1e-9)
+    assert pair_bench.resolution(parent, [0.0] + change[1:], direction) is None

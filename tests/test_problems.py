@@ -28,6 +28,8 @@ from sifb.problems import (
     sifb_instance,
 )
 
+from audits import loose_stop_prox_gradient
+
 
 def solve(inst, tol=1e-10, max_iter=100000):
     cfg = SolverConfig(beta=inst.beta, max_iter=max_iter, stop_tol=tol)
@@ -308,6 +310,39 @@ def test_demo_references_are_certified(name):
     assert ref.concatenated().tobytes() == plain.concatenated().tobytes()
 
 
+def _loose_stop_reference(monkeypatch, demo):
+    """demo's certified reference from the loose-stop test oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "_prox_gradient", loose_stop_prox_gradient)
+        return certified_reference(demo)
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_DEMOS))
+def test_accelerated_references_keep_the_loose_stop_oracles_bytes(monkeypatch, name):
+    # the piece the accelerated loop polishes on once it repeats is the one the
+    # plain loop polishes on at its loose stop, so the point and its
+    # certificate keep their bits (the demos include lasso 20x30 and 200x300
+    # at seed 42, the tests' and the pd-split-cli benchmark's)
+    want, want_certificate = _loose_stop_reference(monkeypatch, CERTIFIED_DEMOS[name]())
+    ref, certificate = certified_reference(CERTIFIED_DEMOS[name]())
+    assert ref.concatenated().tobytes() == want.concatenated().tobytes()
+    assert certificate == want_certificate
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_parallel_sum_instance(34, mu=0.5, lam=0.2, seed=4),
+    lambda: build_lasso(200, 300, 0.1, cond=100.0, seed=13),
+], ids=["parallel_sum-34-seed-4", "lasso-wide-200x300-seed-13"])
+def test_a_piece_that_settles_after_the_loose_stop_is_polished(monkeypatch, make):
+    # the plain loop's polish at its loose stop is refused here, and it returns
+    # an iterate at a step of tol; the accelerated loop polishes on the settled
+    # piece, a point no farther from optimal
+    want, want_certificate = _loose_stop_reference(monkeypatch, make())
+    ref, certificate = certified_reference(make())
+    assert certificate <= 1e-12 < want_certificate <= 1e-10
+    assert (ref - want).norm() <= 1e-8
+
+
 def _lasso_certificate(a, b, lam, x):
     """||x - S(x - t A'(A x - b))||, S soft thresholding by t lam, t = 1 / ||A||^2."""
     t = 1.0 / np.linalg.eigvalsh(a.T @ a)[-1]
@@ -328,8 +363,8 @@ def test_lasso_certificate_is_the_fixed_point_residual(monkeypatch):
     monkeypatch.setattr(oracles, "_polish", recording_polish)
     x, certificate = ista_lasso(a, b, 0.1, tol=1e-10)
     assert certificate == pytest.approx(_lasso_certificate(a, b, 0.1, x), abs=1e-15)
-    # one polish, on the support and with the signs of the loose iterate
-    (d, e), = pieces
+    # the last polish is on the support and with the signs of the returned point
+    d, e = pieces[-1]
     assert np.array_equal(np.sign(x), -np.sign(e))
     assert np.array_equal(x != 0, d == 1)
 
@@ -338,18 +373,23 @@ def test_wrong_polish_is_refused_and_the_loop_goes_on_to_tol(monkeypatch):
     demo = build_lasso(20, 30, 0.1, cond=100.0, seed=42)
     a, b = demo.data["a"], demo.data["b"]
     ref, _ = ista_lasso(a, b, 0.1, tol=1e-10)
-    polished = []
+    wrong_points = []
     polish = oracles._polish
 
-    def recording_polish(*args):
-        polished.append(polish(*args))
-        return polished[-1]
+    def wrong_polish_on_the_settled_piece(h, v, t, d, e):
+        # the polish on ref's support drops the first entry of that support
+        if np.array_equal(d == 1, ref != 0):
+            k = np.flatnonzero(d)[0]
+            d, e = d.copy(), e.copy()
+            d[k] = e[k] = 0.0
+            wrong_points.append(polish(h, v, t, d, e))
+            return wrong_points[-1]
+        return polish(h, v, t, d, e)
 
-    monkeypatch.setattr(oracles, "_polish", recording_polish)
-    # a loose stop that the first step meets: the polish takes its support
-    monkeypatch.setattr(oracles, "_LOOSE_TOL", 1e3)
+    monkeypatch.setattr(oracles, "_polish", wrong_polish_on_the_settled_piece)
     x, certificate = ista_lasso(a, b, 0.1, tol=1e-10)
-    (wrong,) = polished
+    # refused, and not tried again: the loop goes on to a step of tol
+    (wrong,) = wrong_points
     assert not np.array_equal(wrong != 0, ref != 0)
     assert _lasso_certificate(a, b, 0.1, wrong) > 1e-10
     assert 0 < certificate <= 1e-10

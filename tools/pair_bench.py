@@ -1,18 +1,20 @@
 """Paired benchmark runs of the checkout against a base revision.
 
-    python tools/pair_bench.py --base REV --pairs N --workload W [--workload W2 ...]
+    python tools/pair_bench.py (--base REV | --aa) --pairs N --workload W [--workload W2 ...]
                                [--seconds S] [--seed K]
-                               [--claim W:METRIC [--expected TEXT]] [--out FILE]
+                               [--claim W:METRIC [--expected TEXT]] [--out FILE [--merge]]
 
 `perfbench/run.py` imports `sifb` from the `src/` beside its own parent
 directory, so the script builds two trees under a temporary directory. Each
 holds a copy of the checkout's `perfbench/` and `BENCHMARK.json`, and one
 side's `src/`: the base's from `git archive REV`, the change's copied from
-the checkout's working tree. It then runs
+the checkout's working tree. With `--aa` (A/A) both sides hold the
+checkout's `src/`. It then runs
 `python3 perfbench/run.py --workload W --trace 0` (with `--seconds` and
 `--seed` when given) in the two trees in turn, N times, swapping which side
 runs first from pair to pair; with several workloads, each in the order
-given, its N pairs before the next one's.
+given, its N pairs before the next one's. A workload run with `--seed K`
+is keyed `W-seed-K` in the document, else `W`.
 
 It writes one JSON document, to FILE or to stdout, in the layout of the
 repository's `BENCH_<PR>.json` files: per workload the pair count, the
@@ -27,8 +29,13 @@ run. With `--claim W:METRIC` it adds the claim block: that metric of that
 workload, and whether the change reads better in at least 9 of every 10
 pairs with a gap of the medians above the parent's IQR (`met`), with TEXT,
 the gain expected before the runs, as `expected_beforehand`. The base side
-is named `parent`. Nothing is written into the checkout
-unless FILE is in it, and the temporary trees are removed at the end.
+is named `parent`. In A/A mode each metric also gets `aa_resolution`: the
+smallest relative gain that would pass that rule on these runs, had the
+change side read better by it (see `resolution`); a claim of a smaller
+gain cannot be told from noise. With `--merge` the workloads are added to
+the document already in FILE (same base and mode), its claim kept unless
+`--claim` is given. Nothing is written into the checkout unless FILE is in
+it, and the temporary trees are removed at the end.
 """
 
 from __future__ import annotations
@@ -51,28 +58,38 @@ SIDES = ("parent", "change")
 
 def build_trees(repo, base, tmp):
     """side -> a tree holding the checkout's perfbench/ and BENCHMARK.json and
-    that side's src/."""
+    that side's src/; with base None (A/A), the checkout's on both sides."""
     trees = {side: os.path.join(tmp, side) for side in SIDES}
     for tree in trees.values():
         shutil.copytree(os.path.join(repo, "perfbench"), os.path.join(tree, "perfbench"),
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(os.path.join(repo, "BENCHMARK.json"), tree)
-    archive = subprocess.run(["git", "-C", repo, "archive", "--format=tar", base, "src"],
-                             check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(trees["parent"], filter="data")
-    shutil.copytree(os.path.join(repo, "src"), os.path.join(trees["change"], "src"),
-                    ignore=shutil.ignore_patterns("__pycache__"))
+    copied = SIDES
+    if base is not None:
+        archive = subprocess.run(["git", "-C", repo, "archive", "--format=tar", base, "src"],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(trees["parent"], filter="data")
+        copied = ("change",)
+    for side in copied:
+        shutil.copytree(os.path.join(repo, "src"), os.path.join(trees[side], "src"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
     return trees
 
 
-def run_once(tree, workload, args):
-    """(exit code, the run's closing JSON object or None, its machine note)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
+def run_args(workload, args):
+    """The arguments of `perfbench/run.py` for one run of workload."""
+    cmd = ["--workload", workload, "--trace", "0"]
     if args.seconds is not None:
         cmd += ["--seconds", str(args.seconds)]
     if args.seed is not None:
         cmd += ["--seed", str(args.seed)]
+    return cmd
+
+
+def run_once(tree, workload, args):
+    """(exit code, the run's closing JSON object or None, its machine note)."""
+    cmd = [sys.executable, "perfbench/run.py", *run_args(workload, args)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     result, machine = None, None
     for line in proc.stdout.splitlines():
@@ -90,9 +107,32 @@ def _quartiles(values):
     return [q[0], q[2]]
 
 
-def summarize(runs, better):
+def resolution(parent, change, direction):
+    """The smallest relative gain r at which the claim rule passes on these
+    runs had every change value read better by r (times 1 - r where lower is
+    better, 1 + r where higher is): for every larger r the change is better in
+    at least 9 of every 10 pairs, with a median gap above the parent's IQR.
+    Negative when the change already passes; None when a change value is 0."""
+    if 0 in change:
+        return None
+    lower = direction == "lower"
+
+    def gain(p, c):
+        # the r above which c, scaled by r, reads better than p
+        return (c - p) / c if lower else (p - c) / c
+
+    quart = _quartiles(parent)
+    iqr = quart[1] - quart[0]
+    bar = statistics.median(parent) + (-iqr if lower else iqr)
+    pairs = sorted(gain(p, c) for p, c in zip(parent, change))
+    need = -(-9 * len(pairs) // 10)
+    return max(pairs[need - 1], gain(bar, statistics.median(change)))
+
+
+def summarize(runs, better, aa=False):
     """The per-metric entries of one workload from runs: side -> the list of
-    each pair's metrics ({name: value}); better: name -> "lower" or "higher"."""
+    each pair's metrics ({name: value}); better: name -> "lower" or "higher";
+    aa: add each metric's `aa_resolution`."""
     out = {}
     for name, direction in better.items():
         values = {side: [r.get(name) for r in runs[side]] for side in SIDES}
@@ -118,6 +158,9 @@ def summarize(runs, better):
             "relative_change_of_medians": (med["change"] / med["parent"] - 1.0
                                            if med["parent"] else None),
         }
+        if aa:
+            out[name]["aa_resolution"] = resolution(values["parent"], values["change"],
+                                                    direction)
     return out
 
 
@@ -139,13 +182,14 @@ def measure(trees, workload, args):
             runs[side].append({name: m["value"] for name, m in
                                (result or {}).get("metrics", {}).items()})
     return {
+        "command": " ".join(["python3", "perfbench/run.py", *run_args(workload, args)]),
         "pairs": args.pairs,
         "seeds": [args.seed] * args.pairs,
         "first": first,
         "exit_codes": sorted(codes),
         "correct": correct,
         "failed": failed,
-        "metrics": summarize(runs, args.better),
+        "metrics": summarize(runs, args.better, aa=args.aa),
     }, machine
 
 
@@ -168,7 +212,10 @@ def claim(workloads, target, expected):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--base", required=True, help="the base revision, for git archive")
+    side = parser.add_mutually_exclusive_group(required=True)
+    side.add_argument("--base", help="the base revision, for git archive")
+    side.add_argument("--aa", action="store_true",
+                      help="A/A: the checkout's src/ on both sides")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload; repeat for several")
@@ -179,37 +226,54 @@ def main(argv=None):
     parser.add_argument("--expected", default=None, help="the claim's expected gain")
     parser.add_argument("--repo", default=ROOT, help="the checkout (default: this one)")
     parser.add_argument("--out", default=None, help="the JSON file (default: stdout)")
+    parser.add_argument("--merge", action="store_true",
+                        help="add the workloads to the document already in --out")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.claim is not None and args.aa:
+        parser.error("--claim compares two sides; --aa has one")
+    if args.merge and args.out is None:
+        parser.error("--merge needs --out")
     if args.claim is not None and args.claim.split(":", 1)[0] not in args.workload:
         parser.error("--claim must name one of the workloads, as W:METRIC")
+    key = (lambda w: w) if args.seed is None else (lambda w: f"{w}-seed-{args.seed}")
+    base = "A/A" if args.aa else args.base
+    doc = {}
+    if args.merge and os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as f:
+            doc = json.load(f)
+        if doc.get("base") != base:
+            parser.error(f"--merge: {args.out} holds base {doc.get('base')!r}, not {base!r}")
     with open(os.path.join(args.repo, "BENCHMARK.json"), encoding="utf-8") as f:
         args.better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
-    workloads, machine = {}, None
+    workloads, machine = doc.get("workloads", {}), None
     with tempfile.TemporaryDirectory() as tmp:
         trees = build_trees(args.repo, args.base, tmp)
         for workload in args.workload:
-            workloads[workload], note = measure(trees, workload, args)
+            workloads[key(workload)], note = measure(trees, workload, args)
             machine = machine or note
-    seconds = "" if args.seconds is None else f" --seconds {args.seconds:g}"
-    seed = "" if args.seed is None else f" --seed {args.seed}"
-    doc = {
+    sides = ("the checkout's src/ on both sides (A/A; `parent` and `change` name the two "
+             "trees), each copied from the working tree" if args.aa else
+             f"base {args.base} (parent) against the checkout (change), the parent's src/ "
+             "from `git archive` and the change's copied from the working tree")
+    doc.update({
         "description": (
-            f"Paired benchmark runs, base {args.base} (parent) against the checkout "
-            f"(change), {args.pairs} pairs of `python3 perfbench/run.py --workload W"
-            f"{seconds}{seed} --trace 0` per workload W, the parent's src/ from `git archive` "
-            "and the change's copied from the working tree, each beside a copy of the "
-            "checkout's perfbench/, alternating which side runs first from pair to pair "
-            "(`first`). Per metric: every run, each side's median and quartiles (inclusive), "
-            "the parent's IQR, the pairs in which the change reads better (ties count for "
-            "neither), the gap of the medians in the better direction and the relative "
-            "change of the medians."),
-        "machine": machine,
-    }
+            f"Paired benchmark runs, {sides}, each beside a copy of the checkout's "
+            "perfbench/: per workload, `pairs` pairs of `command`, alternating which side "
+            "runs first from pair to pair (`first`). Per metric: every run, each side's "
+            "median and quartiles (inclusive), the parent's IQR, the pairs in which the "
+            "change reads better (ties count for neither), the gap of the medians in the "
+            "better direction and the relative change of the medians"
+            + ("; `aa_resolution` is the smallest relative gain that would pass the claim "
+               "rule on these runs." if args.aa else ".")),
+        "base": base,
+        "machine": doc.get("machine") or machine,
+    })
     if args.claim is not None:
-        doc["claim"] = claim(workloads, args.claim, args.expected)
+        workload, metric = args.claim.split(":", 1)
+        doc["claim"] = claim(workloads, f"{key(workload)}:{metric}", args.expected)
     doc["workloads"] = workloads
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
