@@ -208,6 +208,14 @@ def _sweep_worker(payload):
     return summary
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args):
     global _sweep_experiment
     for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
@@ -225,7 +233,7 @@ def cmd_sweep(args):
     payloads = [(exp.raw, exp.base_dir, seed, out_dir, i)
                 for i, seed in enumerate(seeds)]
     # a pool starts all its workers at once: no more than there are replicas
-    jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
+    jobs = min(args.jobs or _usable_cpus(), len(payloads))
     _sweep_experiment = exp
     try:
         if jobs == 1:

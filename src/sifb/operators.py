@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch, InvalidValue, bind_kind
-from .spaces import BlockVector, Preconditioner, _freeze
+from .spaces import BlockVector, Preconditioner, _freeze, one_blas_thread
 
 # Safety deflation applied to computed cocoercivity constants before they are
 # fed to step-size rules, so the defining inequality holds strictly in floats.
@@ -396,9 +396,10 @@ def moreau_check(f, x):
 
 def _eigenvalue_range(mat, what):
     """(lambda_min, lambda_max) of the symmetric matrix mat() forms, `what` in
-    messages, by one eigenvalue-only solve; refused as an InvalidValue when
-    lambda_max is not finite, as when forming the matrix overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    messages, by one eigenvalue-only solve, formed and solved at one BLAS
+    thread; refused as an InvalidValue when lambda_max is not finite, as when
+    forming the matrix overflows."""
+    with one_blas_thread, np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.linalg.eigvalsh(mat())
     low, top = float(spectrum[0]), float(spectrum[-1])
     if not np.isfinite(top):
@@ -485,7 +486,7 @@ class CocoerciveMap:
         beta = 1 / ||sqrt(M) A^T A sqrt(M)|| with respect to the metric M,
         from one eigenvalue-only dense solve of the smaller Gram matrix of
         A sqrt(M); the extremal probe direction is computed when an audit
-        first reads it.
+        first reads it. Both solves run at one BLAS thread.
 
         In the identity metric, `top` may give lambda_max of A^T A as
         `oracles.gram_top` computes it (the lasso demo's `gram_top`, which
@@ -515,9 +516,10 @@ class CocoerciveMap:
         def extremal():
             # top eigenvector of G^T G; for wide A the top eigenvector u of
             # G G^T gives the right singular vector G^T u / ||G^T u||
-            g, mat = gram()
-            vecs = np.linalg.eigh(mat)[1]
-            vec = g.T @ vecs[:, -1] if wide else vecs[:, -1]
+            with one_blas_thread:
+                g, mat = gram()
+                vecs = np.linalg.eigh(mat)[1]
+                vec = g.T @ vecs[:, -1] if wide else vecs[:, -1]
             return BlockVector([sw * (vec / np.linalg.norm(vec))])
 
         if top is None:
@@ -539,7 +541,7 @@ class CocoerciveMap:
 
         beta = 1 / ||sqrt(M) Q sqrt(M)|| with respect to the metric M, from one
         eigenvalue-only dense solve; the extremal probe direction is computed
-        when an audit first reads it.
+        when an audit first reads it. Both solves run at one BLAS thread.
         """
         q = np.asarray(q, dtype=np.float64)
         n = q.shape[0] if q.ndim else 0
@@ -561,7 +563,9 @@ class CocoerciveMap:
                 return sw[:, None] * q * sw[None, :]
 
             def extremal():
-                return BlockVector.from_flat(sw * np.linalg.eigh(sym())[1][:, -1], dims)
+                with one_blas_thread:
+                    vecs = np.linalg.eigh(sym())[1]
+                return BlockVector.from_flat(sw * vecs[:, -1], dims)
 
             lam_min, lam_max = _eigenvalue_range(sym, "Q in the metric")
         # sqrt(M) Q sqrt(M) has Q's inertia; a negative eigenvalue beyond the

@@ -27,6 +27,11 @@ least-squares solver's certificate is its normal-equation residual
 
 The step is 1 / lambda_max of the Hessian; for the two lasso solvers that is
 `gram_top(a)`, which a demo that already holds it may pass in as `top`.
+
+The solvers run at whatever BLAS thread count their caller set. The demos
+call them at one thread (`problems.certified_reference` and
+`DemoProblem.gram_top`), so a demo's reference and its certificate do not
+depend on the thread count.
 """
 
 from __future__ import annotations

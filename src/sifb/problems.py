@@ -6,7 +6,10 @@ Every acceptance number for these problems comes from the independent
 solvers in `oracles`, generated at desk scale; nothing here is quoted from
 elsewhere. Data matrices are synthesized from seeded orthogonal factors with
 a geometric singular-value ladder, so instances are reproducible and have a
-controlled condition number.
+controlled condition number. The builders, the demo's spectrum (`gram_top`)
+and the reference (`certified_reference`) run at one BLAS thread
+(`spaces.one_blas_thread`): a threaded QR or eigensolve splits its sums by
+thread, and a demo's numbers would then depend on the thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import ConfigurationError, InvalidValue, bind_config
 from .operators import BETA_DEFLATION, CocoerciveMap, MonotoneBlock, ProxFunction
 from .primal_dual import PrimalDualProblem
 from .solver import ProblemInstance
-from .spaces import BlockLinearOperator, BlockVector, Preconditioner
+from .spaces import BlockLinearOperator, BlockVector, Preconditioner, one_blas_thread
 from .stochastic import StochasticOracle
 
 
@@ -69,12 +72,14 @@ class DemoProblem:
         demo's forms, its reference and the lasso's `split` in the identity
         metric (the sifb route's map) read it; a split in another metric
         solves its own weighted spectrum. Two threads asking at once each
-        solve and store the same float.
+        solve and store the same float. The solve runs at one BLAS thread; a
+        cached read makes no BLAS call.
         """
         a = self.data["a"]
         last = self._gram_top
         if last is None or last[0] is not a:
-            last = self._gram_top = (a, oracles.gram_top(a))
+            with one_blas_thread:
+                last = self._gram_top = (a, oracles.gram_top(a))
         return last[1]
 
     def forward_backward(self):
@@ -115,6 +120,7 @@ class Lasso(DemoProblem):
     name = "lasso"
 
     @classmethod
+    @one_blas_thread
     def build(cls, n: int, p: int, lam: float, cond: float = 10.0, seed: int = 0):
         """min 0.5 ||A x - b||^2 + lam ||x||_1 with synthetic data."""
         if n < 1 or p < 1:
@@ -218,6 +224,7 @@ class CoupledBoxQP(DemoProblem):
     name = "coupled_box_qp"
 
     @classmethod
+    @one_blas_thread
     def build(cls, m: int, dims: int, seed: int = 0):
         """m-block box-constrained quadratic with dense off-diagonal coupling."""
         if m < 2:
@@ -276,6 +283,7 @@ class ParallelSum(DemoProblem):
     name = "parallel_sum"
 
     @classmethod
+    @one_blas_thread
     def build(cls, dims: int, mu: float, lam: float, seed: int = 0):
         """min 0.5 ||A x - b||^2 + (smoothing box l1)(x): an infimal-convolution
         regularizer realized through a dual block with a single-valued inverse."""
@@ -398,8 +406,10 @@ def objective(demo, x):
 
 def certified_reference(demo, tol=1e-10):
     """Ground-truth primal solution from an independent method, and its
-    certificate: the oracle's optimality residual at it (see `oracles`)."""
-    flat, certificate = demo.solve(tol)
+    certificate: the oracle's optimality residual at it (see `oracles`),
+    solved at one BLAS thread."""
+    with one_blas_thread:
+        flat, certificate = demo.solve(tol)
     return BlockVector.from_flat(flat, demo.dims), certificate
 
 

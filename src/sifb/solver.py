@@ -329,7 +329,7 @@ class RunTrace:
 
     def to_csv(self, f):
         """Write the trace, schema line first, to the text file f."""
-        f.write("#schema=5\n")
+        f.write("#schema=6\n")
         f.write(self.CSV_COLUMNS + "\n")
         for r in self.rows:
             dist = "" if np.isnan(r.dist_to_ref) else f"{r.dist_to_ref:.17g}"

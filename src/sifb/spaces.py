@@ -12,11 +12,19 @@ into arrays that their caller owns: `BlockLinearOperator.apply_blocks` and
 identity preconditioner's `apply` returns its input.
 Weighted norms of block couplings come from one dense eigensolve of a Gram
 matrix, so they are exact to rounding and deterministic.
+
+`one_blas_thread` runs the set-up that defines a problem's numbers (its data,
+spectra, coupling norm and reference) with numpy's bundled OpenBLAS at one
+thread. A threaded BLAS splits its sums by thread, so without it those numbers
+would depend on the thread count in their last bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import threading
 from operator import itemgetter
 
 import numpy as np
@@ -27,6 +35,55 @@ from .errors import DimensionMismatch, InvalidValue, NormEstimationError
 def _freeze(a):
     a.setflags(write=False)
     return a
+
+
+def _openblas_thread_calls():
+    """numpy's bundled OpenBLAS (get, set) thread-count functions, found
+    through the handle of numpy's extension module, which links it; None
+    where numpy links another BLAS or exports neither."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator: its body runs with the BLAS at one
+    thread, and the count read on the outermost entry is restored when the
+    last body leaves. Entries nest and may overlap across threads; the count
+    is process-wide, so BLAS calls in other threads meanwhile run at one
+    thread too. Without the thread calls (`calls` None) it does nothing."""
+
+    def __init__(self, calls):
+        self.calls = calls
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def __enter__(self):
+        if self.calls is not None:
+            get, set_ = self.calls
+            with self._lock:
+                if not self._depth:
+                    self._saved = get()
+                    set_(1)
+                self._depth += 1
+
+    def __exit__(self, *exc):
+        if self.calls is not None:
+            with self._lock:
+                self._depth -= 1
+                if not self._depth:
+                    self.calls[1](self._saved)
+
+
+one_blas_thread = _OneBlasThread(_openblas_thread_calls())
 
 
 def _offsets(dims):
@@ -413,6 +470,7 @@ def _add_gram_product(block, ga, gb):
         block[j, j] += ga * gb
 
 
+@one_blas_thread
 def estimate_weighted_norm(L, V, W):
     """Operator norm of sqrt(W) L sqrt(V), from one dense eigensolve.
 
@@ -423,7 +481,7 @@ def estimate_weighted_norm(L, V, W):
     the Gram matrix as a diagonal or a row or column scaling, at the point of
     the accumulation where its dense s I would be added.
     Raises NormEstimationError when that matrix is not finite or the
-    eigensolve fails.
+    eigensolve fails. Runs at one BLAS thread (`one_blas_thread`).
     """
     if L.dims_in != V.dims:
         raise DimensionMismatch(f"V dims {V.dims} != operator input dims {L.dims_in}")

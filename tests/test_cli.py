@@ -69,6 +69,54 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+# per config given: the exit code of `sifb run`, its trace.csv, its
+# summary.json less wall_time, and the stdout of `sifb constants`
+_RUN_ARTIFACTS = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from sifb.cli import main
+out = {}
+for path in sys.argv[2:]:
+    run = path + ".run-" + os.environ["OPENBLAS_NUM_THREADS"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", path, "--out", run])
+    constants = io.StringIO()
+    with contextlib.redirect_stdout(constants):
+        main(["constants", path])
+    with open(os.path.join(run, "trace.csv")) as f:
+        trace = f.read()
+    with open(os.path.join(run, "summary.json")) as f:
+        summary = json.load(f)
+    del summary["wall_time"]
+    out[os.path.basename(path)] = [code, trace, summary, constants.getvalue()]
+print(json.dumps(out))
+"""
+
+
+def test_artifacts_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the set-up runs at one BLAS thread: at 200x300 the demo's QRs thread
+    # at two, and the solve loop's products at this size give the same bits
+    split = {"n": 200, "p": 300, "lam": 0.1, "cond": 100.0, "seed": 42}
+    solver = {"max_iter": 100000, "stop_tol": 1e-8, "record_every": 1}
+    paths = [write_config(tmp_path, lasso_config(
+        problem={"demo": {"name": "lasso", "params": split, "form": "split"}},
+        algorithm=algorithm, solver=solver, seeds=[0]), f"{algorithm}.json")
+        for algorithm in ("pd_class1", "pd_class2")]
+    paths.append(write_config(tmp_path, lasso_config(problem={"demo": {
+        "name": "lasso", "params": {**split, "n": 20, "p": 30}}}, solver=solver),
+        "sifb.json"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sifb.__file__)))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _RUN_ARTIFACTS, src, *paths], capture_output=True,
+        text=True, check=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout)
+        for threads in ("1", "2")]
+    assert sorted(runs[0]) == ["pd_class1.json", "pd_class2.json", "sifb.json"]
+    for name, (code, trace, summary, constants) in runs[0].items():
+        assert code == 0 and trace.count("\n") > 100, name
+        assert runs[1][name] == [code, trace, summary, constants], name
+
+
 def test_every_exported_name_has_a_reader_outside_the_tests():
     # a name in sifb.__all__ must be read (a loaded name or attribute) by the
     # package outside __init__.py and its own definition, by a demo or by a
@@ -388,6 +436,24 @@ def test_sweep_jobs_are_capped_at_the_replica_count(tmp_path, monkeypatch):
     path = write_config(tmp_path, lasso_config(seeds=[1, 2, 3]))
     assert main(["sweep", path, "--jobs", "500", "--out", str(tmp_path / "s")]) == 0
     assert sizes == [3]
+
+
+@pytest.mark.parametrize("platform", ["affinity", "no affinity"])
+def test_sweep_on_one_usable_cpu_runs_serially(tmp_path, monkeypatch, platform):
+    # --jobs defaults to the CPUs the process may run on, else the CPU count
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} started")
+
+    monkeypatch.setattr("sifb.cli.ProcessPoolExecutor", no_pool)
+    if platform == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    path = write_config(tmp_path, lasso_config(seeds=[1, 2, 3]))
+    assert main(["sweep", path, "--out", str(tmp_path / "s")]) == 0
+    assert len(read_file(tmp_path / "s", "sweep_summary.csv").splitlines()) == 4
 
 
 def test_spawned_sweep_workers_give_the_serial_traces(tmp_path):

@@ -27,6 +27,7 @@ from sifb.problems import (
     reference_oracle,
     sifb_instance,
 )
+from sifb.spaces import one_blas_thread
 
 from audits import loose_stop_prox_gradient
 
@@ -65,6 +66,18 @@ def test_demo_given_a_new_data_matrix_solves_its_own_spectrum():
     demo.data["a"] = 2.0 * demo.data["a"]
     want, _ = ista_lasso(demo.data["a"], demo.data["b"], 0.2, tol=1e-10)
     assert reference_oracle(demo).concatenated().tobytes() == want.tobytes()
+
+
+def test_a_cached_spectrum_makes_no_blas_thread_call(monkeypatch):
+    # the first read solves at one BLAS thread; a cached read sets nothing
+    demo = build_lasso(12, 10, 0.2, cond=20.0, seed=3)
+    calls = []
+    monkeypatch.setattr(one_blas_thread, "calls",
+                        (lambda: calls.append("get") or 2, calls.append))
+    top = demo.gram_top()
+    assert calls == ["get", 1, 2]
+    assert demo.gram_top() == top
+    assert calls == ["get", 1, 2]
 
 
 @pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])

@@ -705,7 +705,7 @@ def test_trace_csv_format_and_determinism():
     c1, c2 = csv_text(t1), csv_text(t2)
     assert c1 == c2  # same seed, same bytes
     lines = c1.strip().split("\n")
-    assert lines[0] == "#schema=5"
+    assert lines[0] == "#schema=6"
     assert lines[1] == "n,fp_residual,step_norm,dist_to_ref,sigma_n,alpha_n"
     first = lines[2].split(",")
     assert first[0] == "0"

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from sifb import (
     block_split,
     estimate_weighted_norm,
 )
+from sifb.spaces import one_blas_thread
 
 from audits import WeightedMetric, dense, inverse
 
@@ -546,3 +549,113 @@ def test_block_products_match_zeros_plus_products_bytes_with_signed_zeros():
             assert all(g.flags.writeable and not any(g is b for b in xs + vs) for g in got)
     # the -0.0 entries of x pass the identity cell as +0.0, as 0 + x gives them
     assert not np.signbit(op.apply_blocks(xs)[0]).any()
+
+
+# --- one BLAS thread ----------------------------------------------------------
+
+
+class FakeBlasThreads:
+    """A (get, set) pair over a thread count held here, logging each set."""
+
+    def __init__(self, count):
+        self.count, self.sets = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    fake = FakeBlasThreads(3)
+    monkeypatch.setattr(one_blas_thread, "calls", (fake.get, fake.set))
+    return fake
+
+
+def test_one_blas_thread_runs_its_body_at_one_thread_and_restores_the_count(fake_blas):
+    with one_blas_thread:
+        assert fake_blas.count == 1
+        with one_blas_thread:
+            assert fake_blas.count == 1
+        assert fake_blas.count == 1
+    assert fake_blas.count == 3
+    assert fake_blas.sets == [1, 3]
+
+
+def test_one_blas_thread_restores_the_count_when_its_body_raises(fake_blas):
+    with pytest.raises(ZeroDivisionError):
+        with one_blas_thread:
+            1 / 0
+    assert fake_blas.count == 3
+
+    @one_blas_thread
+    def failing():
+        raise KeyError("x")
+
+    with pytest.raises(KeyError):
+        failing()
+    assert fake_blas.count == 3
+    assert fake_blas.sets == [1, 3, 1, 3]
+
+
+def test_overlapping_threads_restore_the_count_the_first_one_found(fake_blas):
+    # A enters, B enters, A leaves while B is inside, then B leaves
+    entered, left = threading.Event(), threading.Event()
+    seen = {}
+
+    def a():
+        with one_blas_thread:
+            entered.set()
+            assert left.wait(10)
+        seen["after a"] = fake_blas.count
+
+    def b():
+        assert entered.wait(10)
+        with one_blas_thread:
+            left.set()
+            thread_a.join(10)
+            seen["inside b"] = fake_blas.count
+
+    thread_a, thread_b = threading.Thread(target=a), threading.Thread(target=b)
+    thread_a.start()
+    thread_b.start()
+    thread_b.join(10)
+    assert not thread_a.is_alive() and not thread_b.is_alive()
+    assert seen == {"after a": 1, "inside b": 1}
+    assert fake_blas.count == 3
+    assert fake_blas.sets == [1, 3]
+
+
+def test_one_blas_thread_without_thread_calls_does_nothing(monkeypatch):
+    # the bundled OpenBLAS, if there is one, keeps its count throughout
+    real = one_blas_thread.calls
+    count = (lambda: None) if real is None else real[0]
+    before = count()
+    monkeypatch.setattr(one_blas_thread, "calls", None)
+    with one_blas_thread:
+        with one_blas_thread:
+            assert count() == before
+            value = estimate_weighted_norm(BlockLinearOperator([[2.0]], (3,), (3,)),
+                                           Preconditioner.identity((3,)),
+                                           Preconditioner.identity((3,)))
+            assert count() == before
+    assert value == 2.0 and count() == before
+
+
+def test_one_blas_thread_sets_the_bundled_openblas():
+    if one_blas_thread.calls is None:
+        pytest.skip("numpy does not bundle an OpenBLAS with thread calls")
+    get = one_blas_thread.calls[0]
+    before = get()
+    with one_blas_thread:
+        assert get() == 1
+    assert get() == before
+
+
+def test_the_coupling_norm_is_solved_at_one_blas_thread(fake_blas):
+    L = BlockLinearOperator([[np.ones((2, 3))]], (3,), (2,))
+    estimate_weighted_norm(L, Preconditioner.identity((3,)), Preconditioner.identity((2,)))
+    assert fake_blas.sets == [1, 3]

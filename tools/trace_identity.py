@@ -39,7 +39,8 @@ step on the `sifb` route, recording every fifth row and every row (where
 the forward-backward map alternates between the kernels of the given step
 and of the residual's default step), and with a given step and relaxation on
 class I; the split lasso on both primal-dual classes recording every third
-row, and at 80x70, whose coupling has a block of more than 64 rows; the
+row, at 80x70, whose coupling has a block of more than 64 rows, and at
+200x300, whose set-up a threaded BLAS would split by thread; the
 split lasso on class II with poly noise (whose sweeps take L* d from the
 L* q the run's sweep kept of its last output), with poly noise and poly
 inertia, and relaxed at lambda = 0.9 (whose sweeps miss it); the
@@ -193,10 +194,12 @@ def configs():
         split, algorithm="pd_class2", noise=NOISY, inertia=INERTIAL, solver=STOCHASTIC)
     out["lasso-split-pd_class2-relaxed"] = _run_config(
         split, algorithm="pd_class2", solver={**SHORT, "relaxation": 0.9})
-    large = {"demo": {"name": "lasso", "params": {**DEMOS["lasso"][0], "n": 80, "p": 70},
-                      "form": "split"}}
-    for algorithm in ("pd_class1", "pd_class2"):
-        out[f"lasso-split-80x70-{algorithm}"] = _run_config(large, algorithm=algorithm)
+    # at 200x300 a threaded BLAS would split the set-up's QRs by thread
+    for n, p in ((80, 70), (200, 300)):
+        large = {"demo": {"name": "lasso", "params": {**DEMOS["lasso"][0], "n": n, "p": p},
+                          "form": "split"}}
+        for algorithm in ("pd_class1", "pd_class2"):
+            out[f"lasso-split-{n}x{p}-{algorithm}"] = _run_config(large, algorithm=algorithm)
     out["lasso-sifb-20x30"] = _run_config(
         {"demo": {"name": "lasso", "params": {**DEMOS["lasso"][0], "n": 20, "p": 30}}})
     out.update(_test_cli_configs())
