@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Tour of the operator toolbox.
 
-Walks through the proximity catalogue, the Moreau decomposition, resolvents
-in weighted metrics, and the cocoercivity audit that certifies forward-step
-constants before a solver ever runs.
+Walks through the proximity catalogue and the subdifferential distance that
+certifies each prox point, the Moreau decomposition, resolvents in weighted
+metrics, and the cocoercivity audit that certifies forward-step constants
+before a solver ever runs.
 """
 
 import numpy as np
@@ -19,14 +20,17 @@ from sifb import (
     prox_conjugate,
     prox_weighted,
 )
+from sifb.operators import subdiff_distance
 
 rng = np.random.default_rng(0)
 
 print("== proximity catalogue ==")
+print("at unit step, p = prox_f(x) exactly when x - p is in the subdifferential of f at p:")
 x = np.array([3.0, -0.4, 1.2])
-for f in (ProxFunction.l1(1.0), ProxFunction.box(-1, 1),
-          ProxFunction.squared_l2(1.0, 0.0), ProxFunction.linf_ball(0.5)):
-    print(f"{f!r:42s} prox({x}) = {f.prox(x, 1.0)}")
+for f in (ProxFunction.zero(), ProxFunction.l1(1.0), ProxFunction.squared_l2(1.0, 0.0),
+          ProxFunction.box(-1, 1), ProxFunction.linf_ball(0.5), ProxFunction.affine(0.2)):
+    p = f.prox(x, 1.0)
+    print(f"{f!r:42s} prox({x}) = {p}, distance {subdiff_distance(f, p, x - p):.1e}")
 
 print("\n== Moreau decomposition at unit step ==")
 print("prox_f(x) + prox_{f*}(x) recovers x for every conjugate pair:")

@@ -274,9 +274,10 @@ def _solver(epsilon: float = 1e-3, gamma: float | None = None, relaxation: float
             max_iter: int = 100000, stop_tol: float = None, record_every: int = 1, *,
             noise):
     """The `solver` section as SolverConfig arguments; a null gamma is the default
-    step, and the stop tolerance defaults to 1e-8 without noise, 1e-4 with it."""
+    step, and the stop tolerance defaults to 1e-8 without noise (every sigma_n
+    0, as in zero mode or at sigma0 = 0), 1e-4 with it."""
     if stop_tol is None:
-        stop_tol = 1e-8 if noise.mode == "zero" else 1e-4
+        stop_tol = 1e-8 if noise.scale == 0.0 else 1e-4
     return dict(epsilon=epsilon, gamma=gamma, relaxation=relaxation, max_iter=max_iter,
                 stop_tol=float(stop_tol), record_every=record_every)
 

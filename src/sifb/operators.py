@@ -136,11 +136,6 @@ def _moreau(f, step):
     return lambda x: x - step * inner(x / step)
 
 
-def _linear(matrix, step):
-    system = np.eye(matrix.shape[0]) + step[:, None] * matrix
-    return lambda z: np.linalg.solve(system, z)
-
-
 def _identity(x):
     return x
 
@@ -156,8 +151,6 @@ _RULES = {
                          lambda rule, x, u: subdiff_distance(rule.fn, x, u)),
     "conjugate_subdiff": _RuleKind(lambda rule, step: rule.fn.conj_kernel(step),
                                    lambda rule, x, u: conjugate_subdiff_distance(rule.fn, x, u)),
-    "linear": _RuleKind(lambda rule, step: _linear(rule.matrix, step),
-                        lambda rule, x, u: _norm(u - rule.matrix @ x)),
 }
 # each vector parameter must broadcast to its block; the sign of the one
 # infinity it may hold (an open side of a box), 0 for none
@@ -277,7 +270,7 @@ class ProxFunction:
 
 
 # one block of a blockwise monotone operator
-_Rule = namedtuple("_Rule", "kind fn matrix", defaults=(None, None))
+_Rule = namedtuple("_Rule", "kind fn", defaults=(None,))
 
 
 class MonotoneBlock:
@@ -285,8 +278,7 @@ class MonotoneBlock:
     resolvent rules.
 
     Supported block kinds: the zero operator, subdifferentials of catalogue
-    functions, subdifferentials of conjugates (for dual blocks), and monotone
-    linear maps.
+    functions, and subdifferentials of conjugates (for dual blocks).
     """
 
     def __init__(self, rules):
@@ -308,23 +300,13 @@ class MonotoneBlock:
     def conjugate_subdiff(cls, gs):
         return cls(map(cls.rule_conjugate_subdiff, gs))
 
-    @classmethod
-    def linear(cls, matrices):
-        rules = []
-        for m in matrices:
-            m = np.asarray(m, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ConfigurationError(f"linear block must be square, got {m.shape}")
-            rules.append(_Rule("linear", matrix=m))
-        return cls(rules)
-
     def is_zero(self):
         return all(r.kind == "zero" for r in self.rules)
 
     def check_dims(self, dims, name="block"):
         """Refuse block dims that do not fit: one dim per block, each vector
-        parameter of shape (), (1,) or (d,), each linear matrix d x d. A
-        message names block i as `name[i]`."""
+        parameter of shape (), (1,) or (d,). A message names block i as
+        `name[i]`."""
         if len(dims) != len(self.rules):
             raise DimensionMismatch(
                 f"{name} operator has {len(self.rules)} blocks, metric has {len(dims)}"
@@ -335,9 +317,6 @@ class MonotoneBlock:
                 if key in params and np.shape(params[key]) not in ((), (1,), (d,)):
                     raise DimensionMismatch(
                         f"{name}[{i}]: {key} has shape {np.shape(params[key])}, block dim {d}")
-            if rule.matrix is not None and rule.matrix.shape != (d, d):
-                raise DimensionMismatch(
-                    f"{name}[{i}]: matrix has shape {rule.matrix.shape}, block dim {d}")
 
     def bind(self, gamma, diag):
         """The kernels of J_{gamma U A}, one per block, for a diagonal

@@ -192,9 +192,6 @@ class BlockVector:
             raise DimensionMismatch(f"flat length {flat.shape[0]} != sum of dims {sum(dims)}")
         return cls._of(flat, dims)
 
-    def __repr__(self):
-        return f"BlockVector(dims={self.dims})"
-
 
 def block_concat(primal, dual):
     """Stack two block vectors; `block_split` is its exact inverse."""
@@ -280,9 +277,6 @@ class Preconditioner:
         if self.kind == "identity":
             return x
         return BlockVector._of(np.sqrt(self.diag) * x.flat, self.dims)
-
-    def __repr__(self):
-        return f"Preconditioner(kind={self.kind!r}, dims={self.dims})"
 
 
 def _terms(cells, transpose):
@@ -417,9 +411,6 @@ class BlockLinearOperator:
 
     def is_zero(self):
         return all(cell is None for row in self.entries for cell in row)
-
-    def __repr__(self):
-        return f"BlockLinearOperator({self.dims_in} -> {self.dims_out})"
 
 
 def _weighted(cell, sw, sv):

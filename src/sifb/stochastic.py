@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, bind_kind
-from .spaces import BlockVector
+from .errors import ConfigurationError, bind_kind
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -355,13 +354,8 @@ class StochasticOracle:
         w is a flat float64 array in the map's block layout, as a compiled
         run steps on, and the draw is one too; `exact` is B(w), when the
         caller holds it, and `sigma` is sigma_n, when the caller has computed
-        it. A draw that is the exact map returns that B(w) array itself. A
-        block vector w (exact and sigma unused) gives a block vector draw.
+        it. A draw that is the exact map returns that B(w) array itself.
         """
-        if isinstance(w, BlockVector):
-            if w.dims != self.base.dims:
-                raise DimensionMismatch(f"map dims {self.base.dims}, vector dims {w.dims}")
-            return BlockVector.from_flat(self.sample(n, w.flat), w.dims)
         if n < 0:
             raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
         s = self.noise.sigma(n) if sigma is None else sigma
@@ -374,21 +368,3 @@ class StochasticOracle:
         with self._lock:
             g = self._stream(n).standard_normal(len(exact))
         return exact + s * g
-
-    def sample_batch(self, n, w, draws):
-        """Independent replicas of the step-n draw, for Monte Carlo diagnostics.
-
-        The first element equals sample(n, w); the rest continue the same
-        (seed, n) stream.
-        """
-        if n < 0:
-            raise ConfigurationError(f"iteration index must be nonnegative, got {n}")
-        s = self.noise.sigma(n)
-        exact = self.base.apply(w)
-        if s == 0.0:
-            return [exact] * int(draws)
-        with self._lock:
-            rng = self._stream(n)
-            out = [exact.flat + s * rng.standard_normal(exact.flat.size)
-                   for _ in range(int(draws))]
-        return [BlockVector.from_flat(x, exact.dims) for x in out]

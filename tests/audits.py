@@ -5,15 +5,21 @@ a dense coupling: both primal-dual assemblies run block sweeps. The tests
 cross-check those sweeps against the dense objects built here, at small
 sizes. The solver also steps on flat arrays only; `step_blocks` and
 `blockvector_instance` let a test step from, or sweep with, block vectors.
+`LinearBlocks` gives an assembly monotone linear blocks, which no config
+builds, and `sample_batch` draws many replicas of one oracle step.
 Import as `from audits import ...` (pytest puts `tests/` on the path).
 """
+
+from functools import partial
 
 import numpy as np
 
 from sifb import (
     BlockVector,
     ConfigurationError,
+    DimensionMismatch,
     InfeasibleProblemError,
+    MonotoneBlock,
     OracleError,
     Preconditioner,
     ProblemInstance,
@@ -60,6 +66,50 @@ def blockvector_instance(oracle, x0, beta, backward_fn, gamma_fixed=None):
                                         BlockVector.from_flat(r, dims)).concatenated()
 
     return ProblemInstance(oracle, x0, beta, bind_backward, gamma_fixed)
+
+
+def sample_batch(oracle, n, w, draws):
+    """`draws` independent replicas of the oracle's step-n draw at the flat
+    point w, for Monte Carlo checks: the first is `oracle.sample(n, w)`, the
+    rest continue the same (seed, n) stream."""
+    exact = oracle.base.apply_flat(w)
+    sigma = oracle.noise.sigma(n)
+    with oracle._lock:
+        rng = oracle._stream(n)
+        return [exact + sigma * rng.standard_normal(exact.size) for _ in range(draws)]
+
+
+class LinearBlocks(MonotoneBlock):
+    """The blocks of `rules`, then one monotone linear map x -> M x per
+    square matrix M of `matrices`. It overrides the three methods that the
+    assemblies call: `check_dims`, `bind` and `distances`."""
+
+    def __init__(self, rules, matrices):
+        super().__init__(rules)
+        self.matrices = [np.asarray(m, dtype=np.float64) for m in matrices]
+
+    def check_dims(self, dims, name="block"):
+        k = len(self.rules)
+        if len(dims) != k + len(self.matrices):
+            raise DimensionMismatch(f"{name} operator has {k + len(self.matrices)} blocks, "
+                                    f"metric has {len(dims)}")
+        MonotoneBlock(self.rules).check_dims(dims[:k], name)
+        for i, (m, d) in enumerate(zip(self.matrices, dims[k:]), k):
+            if m.shape != (d, d):
+                raise DimensionMismatch(f"{name}[{i}]: matrix has shape {m.shape}, block dim {d}")
+
+    def bind(self, gamma, diag):
+        """The catalogue kernels, then z -> (I + gamma U M)^-1 z per matrix."""
+        self.check_dims(tuple(map(len, diag)))
+        k = len(self.rules)
+        return MonotoneBlock(self.rules).bind(gamma, diag[:k]) + tuple(
+            partial(np.linalg.solve, np.eye(len(u)) + (gamma * u)[:, None] * m)
+            for m, u in zip(self.matrices, diag[k:]))
+
+    def distances(self, xs, us):
+        k = len(self.rules)
+        return MonotoneBlock(self.rules).distances(xs[:k], us[:k]) + [
+            float(np.linalg.norm(u - m @ x)) for m, x, u in zip(self.matrices, xs[k:], us[k:])]
 
 
 def inverse(p):

@@ -22,7 +22,7 @@ import sifb
 from sifb import NormEstimationError, OracleError
 from sifb.cli import main
 from sifb.config import build_experiment
-from sifb.operators import CocoerciveMap
+from sifb.operators import CocoerciveMap, check_cocoercivity
 from sifb.problems import build_lasso
 from sifb.solver import run
 from sifb.stochastic import derive_seeds
@@ -475,6 +475,18 @@ def test_spawned_sweep_workers_give_the_serial_traces(tmp_path):
 def test_instances_of_one_experiment_share_its_map():
     exp = build_experiment(lasso_config())
     assert exp.make_instance(1).oracle.base is exp.make_instance(2).oracle.base
+
+
+@pytest.mark.parametrize("noise, want", [
+    ({"mode": "zero"}, 1e-8),
+    ({"mode": "poly", "sigma0": 0.0, "theta": 1.0}, 1e-8),
+    ({"mode": "geom", "sigma0": 0.0, "rho": 0.5}, 1e-8),
+    ({"mode": "poly", "sigma0": 0.2, "theta": 1.0}, 1e-4),
+    ({"mode": "geom", "sigma0": 0.2, "rho": 0.5}, 1e-4),
+], ids=["zero", "poly-sigma0-0", "geom-sigma0-0", "poly-noisy", "geom-noisy"])
+def test_default_stop_tolerance_is_the_noise_free_one_when_every_sigma_is_0(noise, want):
+    cfg = lasso_config(noise=noise, solver={"max_iter": 10})
+    assert build_experiment(cfg).solver_spec["stop_tol"] == want
 
 
 def test_two_threads_on_one_experiment_give_the_serial_traces():
@@ -1771,3 +1783,138 @@ def test_mutated_configs_exit_by_the_contract(tmp_path, monkeypatch):
         assert "Traceback" not in err.getvalue()
 
     check()
+
+
+# --- property B: the sifb route's gates against the runs they admit -----------------
+
+FAMILIES = ("zero", "l1", "sq_l2", "box", "linf_ball", "affine")
+BUDGET = 20000  # iterations of one admitted run
+
+
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _psd(rng, n, rank):
+    """A symmetric PSD n x n matrix of the given rank, its top eigenvalue 1
+    and its other nonzero ones in [0.3, 1], which is 0 outside the rows and
+    columns of `rank` coordinates: the others span its null space."""
+    s = rng.uniform(0.3, 1.0, rank)
+    s[:1] = 1.0
+    u = _orthogonal(rng, rank)
+    q = np.zeros((n, n))
+    on = rng.permutation(n)[:rank]
+    q[np.ix_(on, on)] = (u * s) @ u.T
+    return q
+
+
+@st.composite
+def gated_custom_configs(draw):
+    """A noise-free `custom` config on the sifb route whose inclusion has a
+    zero, and where its step lies in the gate's range (0: eps, 1: the top).
+
+    The map is lstsq (tall or wide, on one block), linear (PSD, singular ones
+    included), scaled_identity or zero; the metric identity, scalar or
+    diagonal; each block's operator any catalogue family. A zero exists
+    because the linear term that no block can cancel lies in the map's
+    range: a linear offset plus the affine blocks' c is Q y (without affine
+    blocks, the offset lies in Q's range), an affine c on an lstsq block is
+    A'A y, and on a zero map 0.
+
+    The slowest run fits the budget: the map's top eigenvalue in the metric,
+    1/beta, lies in [0.5, 2], and its other nonzero ones within a factor 0.3
+    of it in the plain metric; a singular Q's null space is spanned by
+    coordinates, so that no block function meets it at a small angle; an l1
+    or sq_l2 weight is 0 (l1) or in [0.2, 2]; and eps, the least step and
+    relaxation, lies in [0.2, 0.4].
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lstsq", "linear", "scaled_identity", "zero"]))
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=1 if kind == "lstsq" else 2))
+    n = sum(dims)
+    cfg = {"blocks": [], "x0": rng.uniform(-2.0, 2.0, n).tolist()}
+    metric = draw(st.sampled_from(["identity", "scalar", "diagonal"]))
+    diag = np.ones(n)
+    if metric == "scalar":
+        values = rng.uniform(0.5, 2.0, len(dims))
+        diag = np.repeat(values, dims)
+        cfg["preconditioner"] = {"kind": "scalar", "values": values.tolist()}
+    elif metric == "diagonal":
+        diag = rng.uniform(0.5, 2.0, n)
+        cfg["preconditioner"] = {"kind": "diagonal", "weights": [
+            w.tolist() for w in np.split(diag, np.cumsum(dims)[:-1])]}
+    sw, top = np.sqrt(diag), draw(st.floats(0.5, 2.0))
+    hessian = np.zeros((n, n))
+    if kind == "lstsq":
+        wide = n > 1 and draw(st.booleans())
+        rows = draw(st.integers(1, n - 1) if wide else st.integers(n + 1, n + 3))
+        k = min(rows, n)
+        a = (_orthogonal(rng, rows)[:, :k] * rng.uniform(0.55, 1.0, k)) @ _orthogonal(rng, n)[:k]
+        a *= np.sqrt(top / np.linalg.eigvalsh((a * sw).T @ (a * sw))[-1])
+        hessian = a.T @ a
+        cfg["map"] = {"kind": "lstsq", "a": a.tolist(), "b": rng.standard_normal(rows).tolist()}
+    elif kind == "linear":
+        q = _psd(rng, n, draw(st.integers(0, n)))
+        scale = np.linalg.eigvalsh(sw[:, None] * q * sw[None, :])[-1]
+        hessian = q * (top / scale) if scale > 0 else q
+        cfg["map"] = {"kind": "linear", "q": hessian.tolist()}
+    elif kind == "scaled_identity":
+        hessian = np.eye(n) * top / diag.max()
+        cfg["map"] = {"kind": "scaled_identity", "mu": top / diag.max()}
+    else:
+        cfg["map"] = {"kind": "zero"}
+    linear_term = np.zeros(n)
+    for d, start in zip(dims, np.cumsum([0, *dims[:-1]])):
+        family = draw(st.sampled_from(FAMILIES))
+        params = {}
+        if family in ("l1", "sq_l2"):
+            params["lam"] = draw(st.floats(0.2, 2.0))
+            if family == "l1" and draw(st.booleans()):
+                params["lam"] = 0.0
+        if family == "sq_l2":
+            params["center"] = rng.uniform(-1.0, 1.0, d).tolist()
+        if family == "box":
+            mid = rng.uniform(-1.0, 1.0, d)
+            params.update(lo=(mid - rng.uniform(0.0, 1.0, d)).tolist(),
+                          hi=(mid + rng.uniform(0.0, 1.0, d)).tolist())
+        if family == "linf_ball":
+            params["radius"] = draw(st.floats(0.0, 2.0))
+        if family == "affine":
+            c = rng.uniform(-1.0, 1.0, d)
+            if kind == "lstsq":
+                c = hessian @ rng.uniform(-1.0, 1.0, n)
+            elif kind == "zero":
+                c = np.zeros(d)
+            linear_term[start:start + d] = c
+            params["c"] = c.tolist()
+        cfg["blocks"].append({"dim": d, "operator": {"family": family, **params}})
+    if kind == "linear":
+        cfg["map"]["offset"] = (hessian @ rng.uniform(-1.0, 1.0, n) - linear_term).tolist()
+    eps = draw(st.floats(0.2, 0.4))
+    relaxation = draw(st.one_of(st.just(eps), st.just(1.0), st.floats(eps, 1.0)))
+    step = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return {"problem": {"custom": cfg}, "algorithm": "sifb",
+            "solver": {"epsilon": eps, "relaxation": relaxation, "max_iter": BUDGET,
+                       "stop_tol": 1e-8, "record_every": 100},
+            "seeds": [0]}, step
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=gated_custom_configs())
+def test_sifb_gates_admit_only_runs_that_converge(case):
+    # a custom problem that validate admits converges noise-free within a
+    # fixed budget with bounded steps, and its map passes the audit at the
+    # beta the instance reads; a counterexample is a gate bug
+    cfg, step = case
+    beta = build_experiment(cfg).make_instance(0).beta
+    eps = cfg["solver"]["epsilon"]
+    lo, hi = eps, min((2.0 - eps) * beta, 10.0)  # a zero map has beta = inf
+    cfg["solver"]["gamma"] = hi if step == 1.0 else lo + step * (hi - lo)
+    exp = build_experiment(cfg)
+    if not all(passed for _, passed, _ in sifb.cli._validation_rows(exp)):
+        return
+    inst = exp.make_instance(0)
+    x, trace = run(inst, exp.solver_config(inst.beta))
+    assert trace.status == "converged", (trace.iterations, trace.final_residual)
+    assert trace.steps_bounded and np.isfinite(x.flat).all()
+    assert check_cocoercivity(inst.oracle.base, beta=inst.beta).passed

@@ -234,13 +234,6 @@ def test_resolvent_weighted_l1_vs_grid_oracle():
     assert subdiff_distance(f, np.array([p]), np.array([residual])) <= 1e-12
 
 
-def test_resolvent_linear_block():
-    m = np.array([[2.0]])
-    a = MonotoneBlock.linear([m])
-    got = a.resolvent(1.0, Preconditioner.identity((1,)), BlockVector([[3.0]]))
-    assert got.blocks[0][0] == pytest.approx(1.0)  # (I + M)^{-1} z
-
-
 def test_resolvent_characterization_subdiff_families():
     rng = np.random.default_rng(8)
     # the radius-0 ball is the indicator of {0}: every residual is admissible
@@ -614,8 +607,6 @@ def formula_rule_distance(rule, x, u):
         return formula_subdiff_distance(rule.fn, x, u)
     if rule.kind == "conjugate_subdiff":
         return formula_conjugate_subdiff_distance(rule.fn, x, u)
-    if rule.kind == "linear":
-        return float(np.linalg.norm(u - rule.matrix @ x))
     raise AssertionError(rule.kind)
 
 
@@ -657,7 +648,7 @@ def test_subdiff_distances_match_the_formulas_bytes(n):
 @pytest.mark.parametrize("n", [9, 0], ids=["block", "empty"])
 def test_block_distances_match_the_rule_formulas_bytes(n):
     rng = np.random.default_rng(20)
-    rules = kernel_rules(n, rng)
+    rules = kernel_rules(n)
     op = MonotoneBlock(rules)
     for x, u in distance_pairs(n, rng)[::7]:
         got = op.distances([x] * len(rules), [u] * len(rules))
@@ -668,20 +659,17 @@ def test_block_distances_match_the_rule_formulas_bytes(n):
                              for r in unchecked)
 
 
-def test_check_dims_refuses_a_block_count_a_parameter_or_a_matrix_of_other_shape():
+def test_check_dims_refuses_a_block_count_or_a_parameter_of_other_shape():
     rules = [MonotoneBlock.rule_subdiff(ProxFunction.box([-1.0, -2.0], 1.0)),
              MonotoneBlock.rule_conjugate_subdiff(ProxFunction.squared_l2(1.0, [0.5])),
              MonotoneBlock.rule_subdiff(ProxFunction.affine(0.3)),
-             MonotoneBlock.rule_zero(), *MonotoneBlock.linear([np.eye(2)]).rules]
+             MonotoneBlock.rule_zero()]
     op = MonotoneBlock(rules)
-    op.check_dims((2, 3, 4, 5, 2))  # (d,), (1,) and () parameters broadcast
-    with pytest.raises(DimensionMismatch, match="primal operator has 5 blocks, metric has 4"):
-        op.check_dims((2, 3, 4, 5), "primal")
+    op.check_dims((2, 3, 4, 5))  # (d,), (1,) and () parameters broadcast
+    with pytest.raises(DimensionMismatch, match="primal operator has 4 blocks, metric has 3"):
+        op.check_dims((2, 3, 4), "primal")
     with pytest.raises(DimensionMismatch, match=r"^dual\[0\]: lo has shape \(2,\), block dim 3$"):
-        op.check_dims((3, 3, 4, 5, 2), "dual")
-    with pytest.raises(DimensionMismatch, match=r"^block\[4\]: matrix has shape \(2, 2\), "
-                                                r"block dim 3$"):
-        op.check_dims((2, 3, 4, 5, 3))
+        op.check_dims((3, 3, 4, 5), "dual")
     center = MonotoneBlock.subdiff([ProxFunction.squared_l2(1.0, np.zeros((1, 2)))])
     with pytest.raises(DimensionMismatch, match=r"center has shape \(1, 2\), block dim 2"):
         center.check_dims((2,))
@@ -736,8 +724,6 @@ def formula_resolvent(rule, step, z):
         if g.has_conjugate_rule:
             return formula_prox_conj(g, z, step)
         return z - step * formula_prox(g, z / step, 1.0 / step)
-    if rule.kind == "linear":
-        return np.linalg.solve(np.eye(z.shape[0]) + step[:, None] * rule.matrix, z)
     raise AssertionError(rule.kind)
 
 
@@ -755,12 +741,10 @@ def kernel_families(n):
     return fs
 
 
-def kernel_rules(n, rng):
+def kernel_rules(n):
     rules = [MonotoneBlock.rule_zero()]
     for f in kernel_families(n):
         rules += [MonotoneBlock.rule_subdiff(f), MonotoneBlock.rule_conjugate_subdiff(f)]
-    m = rng.standard_normal((n, n))
-    rules += MonotoneBlock.linear([m @ m.T + (m - m.T)]).rules
     return rules
 
 
@@ -774,10 +758,10 @@ def kernel_point(n, rng):
 def test_bound_resolvent_kernels_match_the_formulas_bytes(n):
     rng = np.random.default_rng(17)
     z = kernel_point(n, rng)
-    rules = kernel_rules(n, rng)
+    rules = kernel_rules(n)
     kinds = {r.kind for r in rules} | {r.fn.family for r in rules if r.fn is not None}
-    assert kinds == {"zero", "subdiff", "conjugate_subdiff", "linear", "l1", "sq_l2",
-                     "box", "linf_ball", "affine"}
+    assert kinds == {"zero", "subdiff", "conjugate_subdiff", "l1", "sq_l2", "box",
+                     "linf_ball", "affine"}
     for u in (np.full(n, 0.8), rng.uniform(0.2, 3.0, n)):  # scalar and diagonal metric
         for gamma in (1.0, 0.37):
             kernels = MonotoneBlock(rules).bind(gamma, [u] * len(rules))

@@ -49,6 +49,7 @@ from sifb.spaces import estimate_weighted_norm
 from test_solver import csv_text
 
 from audits import (
+    LinearBlocks,
     blockvector_instance,
     class1_metric_apply,
     class2_metric_apply,
@@ -1030,13 +1031,13 @@ def test_box_dual_block_is_unchecked_never_zero():
 
 def conjugate_primal_subdiff_dual_problem(rng):
     """A primal block A = d(g*) (the normal cone of a box), and dual blocks
-    B^-1 = d(sq_l2) and B^-1 = M, monotone linear: reachable from library code."""
+    B^-1 = d(sq_l2) and B^-1 = M, monotone linear and skew in part."""
     a, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
     v = Preconditioner.scalar([0.5 / np.linalg.norm(a, 2) ** 2], (3,))
     m = rng.standard_normal((2, 2))
-    dual_ops = MonotoneBlock(
-        [MonotoneBlock.rule_subdiff(ProxFunction.squared_l2(2.0, center=np.array([0.3, -0.2]))),
-         *MonotoneBlock.linear([m @ m.T + (m - m.T)]).rules])
+    dual_ops = LinearBlocks(
+        [MonotoneBlock.rule_subdiff(ProxFunction.squared_l2(2.0, center=np.array([0.3, -0.2])))],
+        [m @ m.T + (m - m.T)])
     return PrimalDualProblem(
         primal_ops=MonotoneBlock.conjugate_subdiff([ProxFunction.l1(0.15)]),
         z=BlockVector([rng.standard_normal(3)]),

@@ -22,6 +22,8 @@ from sifb import (
 from sifb.problems import build_lasso, sifb_instance
 from sifb.solver import SolverConfig, run
 
+from audits import sample_batch
+
 
 # --- schedule summability -----------------------------------------------------
 
@@ -137,20 +139,19 @@ def lstsq_map():
 def test_zero_noise_is_exact():
     b_map = lstsq_map()
     oracle = StochasticOracle(b_map, NoiseSchedule.zero(), rng_seed=1)
-    w = BlockVector([[0.4, -0.2, 1.0]])
-    assert (oracle.sample(7, w) - b_map.apply(w)).norm() == 0.0
+    w = np.array([0.4, -0.2, 1.0])
+    assert np.array_equal(oracle.sample(7, w), b_map.apply_flat(w))
 
 
 def test_sample_reproducible_given_seed_and_n():
     b_map = lstsq_map()
-    w = BlockVector([[0.4, -0.2, 1.0]])
+    w = np.array([0.4, -0.2, 1.0])
     o1 = StochasticOracle(b_map, NoiseSchedule.polynomial(1.0, 0.75), rng_seed=42)
     o2 = StochasticOracle(b_map, NoiseSchedule.polynomial(1.0, 0.75), rng_seed=42)
     s1 = o1.sample(3, w)
     s2 = o2.sample(3, w)
-    for a, b in zip(s1.blocks, s2.blocks):
-        assert np.array_equal(a, b)  # bit-identical
-    assert (o1.sample(4, w) - s1).norm() > 0  # different n, different draw
+    assert s1.tobytes() == s2.tobytes()  # bit-identical
+    assert np.linalg.norm(o1.sample(4, w) - s1) > 0  # different n, different draw
 
 
 def test_sigma_decay_and_empirical_std():
@@ -159,21 +160,21 @@ def test_sigma_decay_and_empirical_std():
     assert noise.sigma(3) == pytest.approx(0.25)
     b_map = CocoerciveMap.zero_map((1,))
     oracle = StochasticOracle(b_map, noise, rng_seed=5)
-    draws = oracle.sample_batch(3, BlockVector([[0.0]]), 100000)
-    vals = np.array([d.blocks[0][0] for d in draws])
+    draws = sample_batch(oracle, 3, np.zeros(1), 100000)
+    vals = np.array([d[0] for d in draws])
     assert 0.247 <= vals.std() <= 0.253
 
 
 def test_empirical_mean_is_unbiased():
     # independent draws across n at constant sigma; mean within 4 sigma / sqrt(N)
     b_map = lstsq_map()
-    w = BlockVector([[0.4, -0.2, 1.0]])
-    exact = b_map.apply(w)
+    w = np.array([0.4, -0.2, 1.0])
+    exact = b_map.apply_flat(w)
     noise = NoiseSchedule.polynomial(0.5, 0.0)  # constant sigma
     oracle = StochasticOracle(b_map, noise, rng_seed=9)
-    draws = oracle.sample_batch(0, w, 100000)
-    mean = np.mean([d.blocks[0] for d in draws], axis=0)
-    err = np.linalg.norm(mean - exact.blocks[0])
+    draws = sample_batch(oracle, 0, w, 100000)
+    mean = np.mean(draws, axis=0)
+    err = np.linalg.norm(mean - exact)
     assert err <= 4 * 0.5 / np.sqrt(100000)
 
 
@@ -181,14 +182,14 @@ def test_noisy_sample_adds_fresh_noise_to_the_reused_exact_value():
     # the second draw at the same point reuses the exact value, not the noise
     b_map = lstsq_map()
     noise = NoiseSchedule.polynomial(1.0, 0.75)
-    w = BlockVector([[0.4, -0.2, 1.0]])
+    w = np.array([0.4, -0.2, 1.0])
     oracle = StochasticOracle(b_map, noise, rng_seed=42)
     s3, s4 = oracle.sample(3, w), oracle.sample(4, w)
     for n, got in ((3, s3), (4, s4)):
         want = StochasticOracle(b_map, noise, rng_seed=42).sample(n, w)
-        assert np.array_equal(got.blocks[0], want.blocks[0])
-        assert (got - b_map.apply(w)).norm() > 0
-    assert (s3 - s4).norm() > 0
+        assert np.array_equal(got, want)
+        assert np.linalg.norm(got - b_map.apply_flat(w)) > 0
+    assert np.linalg.norm(s3 - s4) > 0
 
 
 def test_derive_seeds_distinct_and_deterministic():
@@ -201,15 +202,15 @@ def test_derive_seeds_distinct_and_deterministic():
 def test_oracle_streams_bit_identical_across_instances():
     b_map = lstsq_map()
     noise = NoiseSchedule.geometric(1.0, 0.9)
-    w = BlockVector([[1.0, 2.0, 3.0]])
+    w = np.array([1.0, 2.0, 3.0])
     o1 = StochasticOracle(b_map, noise, rng_seed=77)
     o2 = StochasticOracle(b_map, noise, rng_seed=77)
     # interrogate in different orders; streams depend only on (seed, n)
     a1 = [o1.sample(n, w) for n in (5, 1, 3)]
     a2 = [o2.sample(n, w) for n in (1, 3, 5)]
-    assert (a1[0] - a2[2]).norm() == 0.0
-    assert (a1[1] - a2[0]).norm() == 0.0
-    assert (a1[2] - a2[1]).norm() == 0.0
+    assert np.array_equal(a1[0], a2[2])
+    assert np.array_equal(a1[1], a2[0])
+    assert np.array_equal(a1[2], a2[1])
 
 
 # --- the noise stream is numpy's SeedSequence stream, bit for bit --------------
@@ -238,9 +239,8 @@ def numpy_additive_draw(oracle, n, w):
 
 
 def assert_same_bytes(got, want):
-    assert len(got.blocks) == len(want)
-    for a, b in zip(got.blocks, want):
-        assert a.tobytes() == b.tobytes()
+    """The flat draw got holds the block arrays of want, in block order."""
+    assert got.tobytes() == b"".join(b.tobytes() for b in want)
 
 
 def test_additive_draws_at_edge_seeds_and_steps_match_numpy():
@@ -249,7 +249,7 @@ def test_additive_draws_at_edge_seeds_and_steps_match_numpy():
         oracle = additive_oracle(w.dims, seed)
         # each step is asked twice, the second round in reverse order
         for n in EDGE_STEPS + EDGE_STEPS[::-1]:
-            assert_same_bytes(oracle.sample(n, w), numpy_additive_draw(oracle, n, w))
+            assert_same_bytes(oracle.sample(n, w.flat), numpy_additive_draw(oracle, n, w))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -261,13 +261,13 @@ def test_additive_draws_match_numpy(seed, steps, dims):
     oracle = additive_oracle(dims, seed)
     w = BlockVector([np.linspace(0.0, 1.0, d) for d in dims])
     for n in steps:  # in the order drawn, not sorted
-        assert_same_bytes(oracle.sample(n, w), numpy_additive_draw(oracle, n, w))
+        assert_same_bytes(oracle.sample(n, w.flat), numpy_additive_draw(oracle, n, w))
 
 
 def test_sample_batch_continues_numpys_stream():
     w = BlockVector([[1.0, 2.0], [3.0]])
     oracle = additive_oracle(w.dims, 2**64 - 1)
-    draws = oracle.sample_batch(300, w, 3)
+    draws = sample_batch(oracle, 300, w.flat, 3)
     rng = numpy_stream(2**64 - 1, 300)
     for got in draws:
         assert_same_bytes(got, [e + 0.5 * rng.standard_normal(len(e)) for e in w.blocks])
@@ -296,9 +296,9 @@ def test_concurrent_draws_equal_serial_draws():
             if time.monotonic() > deadline:
                 return
             if i % 3 == 0:
-                results[k].append((n, oracle.sample_batch(n, w, 1)[0]))
+                results[k].append((n, sample_batch(oracle, n, w.flat, 1)[0]))
             else:
-                results[k].append((n, oracle.sample(n, w)))
+                results[k].append((n, oracle.sample(n, w.flat)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,10 +1,12 @@
 import importlib.util
+import json
 import os
 
+import numpy as np
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "trace_identity.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "trace_identity.py")
 spec = importlib.util.spec_from_file_location("trace_identity", TOOL)
 trace_identity = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(trace_identity)
@@ -64,3 +66,23 @@ def test_line_diff_shows_the_first_three_differing_lines():
     assert line_diff(b"a\n", b"a\nb\n") == ["+ b"]
     assert line_diff(b"a\nb\n", b"a\n") == ["- b"]
     assert line_diff(old, old) == []
+
+
+def test_collect_writes_the_objective_of_a_demo_config_only(tmp_path):
+    from sifb.problems import build_demo
+
+    cfgs = trace_identity.configs()
+    names = ("lasso-sifb", "lasso-split-pd_class1", "custom-zero-map")
+    path = tmp_path / "configs.json"
+    path.write_text(json.dumps([{name: cfgs[name] for name in names}, {}]))
+    trace_identity.collect(os.path.join(ROOT, "src"), str(path), str(tmp_path / "out"))
+    assert not (tmp_path / "out" / "custom-zero-map" / "objective.txt").exists()
+    got = {name: (tmp_path / "out" / name / "objective.txt").read_text() for name in names[:2]}
+    # the sifb route's final iterate is the primal point: its objective, in hex
+    x = np.frombuffer((tmp_path / "out" / "lasso-sifb" / "x.bin").read_bytes())
+    demo = build_demo("lasso", trace_identity.DEMOS["lasso"][0])
+    assert got["lasso-sifb"] == f"{float(demo.value(x)).hex()}\n"
+    # both routes reach the lasso's minimum
+    assert float.fromhex(got["lasso-split-pd_class1"]) == pytest.approx(
+        float.fromhex(got["lasso-sifb"]), rel=1e-8)
+    assert "objective.txt" in trace_identity._artifacts(str(tmp_path / "out" / "lasso-sifb"))

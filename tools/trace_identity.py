@@ -8,8 +8,10 @@ tree: one subprocess per tree imports that tree's `sifb` and calls
 `sifb.cli.main` in process for each config. Per config the script compares
 the exit code, the `[PASS]`/`[FAIL]` rows of the validation that `sifb run`
 prints, `trace.csv`, `summary.json` without `wall_time`, the bytes of the
-final iterate, and, on the primal-dual routes, the duality residuals of the
-final iterate (each block's `float.hex`, or null, and the unchecked blocks).
+final iterate, on the primal-dual routes the duality residuals of the
+final iterate (each block's `float.hex`, or null, and the unchecked blocks),
+and on demo configs the demo's objective at the final primal point
+(`objective.txt`: the `float.hex` of `problems.objective`).
 It also compares the exit code and stdout of `sifb constants` on the config,
 which print the full `repr` of c, xi_hat, beta_hat and beta, so c is checked
 bit for bit. The subprocess takes the final iterate from
@@ -57,7 +59,11 @@ length and of length 1; one whose `z` holds -0.0 entries and one of whose
 `r` is all zeros, on both classes; a `scaled_identity` map in a diagonal
 metric from a nonzero x0; a `zero` map; and a `custom_pd` whose `smooth` is
 a `linear` map, on class I), so that every `map` kind and the `smooth` key
-are read.
+are read. Then a `custom` block and a `custom_pd` dual `g` of the `zero`
+family; the lasso demo at `lam` 0, whose reference is the least-squares fit,
+and with `"reference": false`; a `linear` map with a given `beta`, whose
+audit reads the map's probe direction; and the lasso demo with a string
+`max_iter`, which `sifb run` refuses with exit 1.
 
 The sweeps: every config in `sweep_configs()` also goes through `sifb sweep`
 with each tree, in the same subprocess. Per sweep the script compares the
@@ -302,6 +308,44 @@ def configs():
             "V": {"kind": "scalar", "values": [0.8]},
             "W": {"kind": "scalar", "values": [0.9]}}},
         algorithm="pd_class1")
+    # the zero family as a block's operator, which the reader makes the zero
+    # rule, and as a dual g, whose conjugate is the indicator of {0}
+    out["custom-zero-family-block"] = _run_config(
+        {"custom": {
+            "blocks": [{"dim": 2, "operator": {"family": "zero"}},
+                       {"dim": 3, "operator": {"family": "l1", "lam": 0.2}}],
+            "map": {"kind": "linear",
+                    "q": [[2.0, 0.3, 0.0, 0.1, 0.0], [0.3, 1.5, 0.2, 0.0, 0.0],
+                          [0.0, 0.2, 1.0, 0.0, 0.1], [0.1, 0.0, 0.0, 1.2, 0.2],
+                          [0.0, 0.0, 0.1, 0.2, 0.9]],
+                    "offset": [0.5, -1.0, 0.2, 0.4, -0.3]}}})
+    out["custom_pd-zero-family-dual-g-pd_class1"] = _run_config(
+        {"custom_pd": {
+            "primal": [{"dim": 2, "operator": {"family": "sq_l2", "lam": 1.0,
+                                               "center": [0.5, -0.3]}}],
+            "dual": [{"dim": 2, "g": {"family": "zero"}, "r": [0.2, -0.1]},
+                     {"dim": 2, "g": {"family": "l1", "lam": 0.5}, "r": [0.1, 0.2]}],
+            "coupling": [[0.3], [[[0.2, 0.1], [0.0, 0.4]]]],
+            "V": {"kind": "scalar", "values": [1.0]},
+            "W": {"kind": "scalar", "values": [1.0, 1.0]}}},
+        algorithm="pd_class1")
+    # lam 0: the reference is the least-squares fit
+    out["lasso-sifb-lam-0"] = _run_config(
+        {"demo": {"name": "lasso", "params": {**DEMOS["lasso"][0], "lam": 0.0}}},
+        solver={**SHORT, "max_iter": 20000})
+    out["lasso-sifb-no-reference"] = {**_run_config(lasso), "reference": False}
+    # beta is 0.62 here, so the audit of the given 0.5 passes; it reads the
+    # map's probe direction
+    out["custom-linear-map-given-beta"] = _run_config(
+        {"custom": {
+            "blocks": [{"dim": 3, "operator": {"family": "box", "lo": -1.0, "hi": 1.0}}],
+            "map": {"kind": "linear",
+                    "q": [[1.5, 0.2, 0.0], [0.2, 1.0, 0.3], [0.0, 0.3, 0.8]],
+                    "offset": [0.5, -1.0, 0.2]},
+            "beta": 0.5}})
+    # refused before the run: a string where the solver takes an integer
+    out["lasso-sifb-refused-string-max-iter"] = _run_config(
+        lasso, solver={**SHORT, "max_iter": "3000"})
     return out
 
 
@@ -355,6 +399,7 @@ def collect(src, config_path, out_root):
 
     import sifb.cli
     from sifb.primal_dual import duality_residuals, extract_primal_dual
+    from sifb.problems import objective
 
     package = os.path.dirname(os.path.abspath(sifb.__file__))
     if os.path.dirname(package) != os.path.abspath(src):
@@ -366,14 +411,18 @@ def collect(src, config_path, out_root):
 
     def recording_execute(exp, seed, *args, **kwargs):
         x, trace, summary = execute(exp, seed, *args, **kwargs)
-        final["x"] = x.concatenated()
+        final["x"] = x.flat
+        primal = x
         if exp.pd is not None:
-            rep = duality_residuals(*extract_primal_dual(x, exp.pd), exp.pd)
+            primal, dual = extract_primal_dual(x, exp.pd)
+            rep = duality_residuals(primal, dual, exp.pd)
             final["residuals"] = {
                 side: [None if d is None else d.hex() for d in res]
                 for side, res in (("primal", rep.primal_block_res),
                                   ("dual", rep.dual_block_res))}
             final["residuals"]["unchecked"] = rep.unchecked
+        if exp.demo is not None:
+            final["objective"] = float(objective(exp.demo, primal)).hex()
         return x, trace, summary
 
     os.makedirs(out_root)
@@ -399,6 +448,9 @@ def collect(src, config_path, out_root):
         if "residuals" in final:
             with open(os.path.join(out, "residuals.json"), "w", encoding="utf-8") as f:
                 json.dump(final["residuals"], f, sort_keys=True)
+        if "objective" in final:
+            with open(os.path.join(out, "objective.txt"), "w", encoding="utf-8") as f:
+                f.write(f"{final['objective']}\n")
         with open(os.path.join(out, "constants.txt"), "w", encoding="utf-8") as stdout, \
                 open(os.path.join(out, "log.txt"), "a", encoding="utf-8") as log, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(log), \
@@ -475,8 +527,9 @@ def _artifacts(out):
     got = {}
     sweep = sorted(os.path.relpath(p, out)
                    for p in glob.glob(os.path.join(out, "sweep", "*")))
-    for rel in ("exit_code", "x.bin", "residuals.json", "run/trace.csv", "run/summary.json",
-                "constants.txt", "constants_exit_code", "stdout.txt", *sweep):
+    for rel in ("exit_code", "x.bin", "residuals.json", "objective.txt", "run/trace.csv",
+                "run/summary.json", "constants.txt", "constants_exit_code", "stdout.txt",
+                *sweep):
         path = os.path.join(out, rel)
         if os.path.exists(path):
             with open(path, "rb") as f:
