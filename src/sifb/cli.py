@@ -28,6 +28,7 @@ from .errors import (
     InfeasibleProblemError,
     NormEstimationError,
     OracleError,
+    config_entry,
 )
 from .operators import check_cocoercivity
 from .primal_dual import compute_constants, extract_primal_dual
@@ -222,12 +223,13 @@ def cmd_sweep(args):
         if value is not None and value < 1:
             raise ConfigurationError(f"{option} must be at least 1, got {value}")
     exp = _load_experiment(args)
+    seeds = exp.seeds
+    if args.seeds is not None:
+        with config_entry("--seeds"):
+            seeds = derive_seeds(seeds[0], args.seeds)
     code = cmd_validate(args, exp)
     if code != EXIT_OK:
         return code
-    seeds = exp.seeds
-    if args.seeds is not None:
-        seeds = derive_seeds(seeds[0], args.seeds)
     out_dir = args.out or DEFAULT_OUT
     os.makedirs(out_dir, exist_ok=True)
     payloads = [(exp.raw, exp.base_dir, seed, out_dir, i)
@@ -316,7 +318,7 @@ def main(argv=None):
     p_sweep = sub.add_parser("sweep", help="independent multi-seed replicas")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--seeds", type=int, default=None,
-                         help="number of derived replica seeds")
+                         help="number of replica seeds, derived from the config's first seed")
     p_sweep.add_argument("--jobs", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
 

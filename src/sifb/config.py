@@ -80,7 +80,7 @@ def _scalar_metric(values: list[float], *, dims):
 
 
 def _diagonal_metric(weights: list[np.ndarray], *, dims):
-    return Preconditioner("diagonal", dims, weights)
+    return Preconditioner(dims, weights)
 
 
 _METRICS = {"identity": lambda *, dims: Preconditioner.identity(dims),
@@ -123,12 +123,12 @@ def _map(spec, where, dims, metric, base_dir):
 
 def _block(dim: int, operator: dict | None = None, *, path):
     """A block of `custom`: its dim and the rule of its operator, the
-    subdifferential of a catalogue function (none: zero)."""
+    subdifferential of a catalogue function (none: the zero family)."""
     if dim < 1:
         raise DimensionMismatch(f"dim must be at least 1, got {dim}")
-    fn = None if operator is None else ProxFunction.from_config(operator, f"{path}.operator")
-    zero = fn is None or fn.family == "zero"
-    return dim, MonotoneBlock.rule_zero() if zero else MonotoneBlock.rule_subdiff(fn)
+    fn = (ProxFunction.zero() if operator is None
+          else ProxFunction.from_config(operator, f"{path}.operator"))
+    return dim, MonotoneBlock.rule_subdiff(fn)
 
 
 def _primal_block(dim: int, operator: dict | None = None, z: np.ndarray | None = None, *,
@@ -266,8 +266,10 @@ def _seed(value, rule):
 
 
 def _derived_seeds(master_seed: int = 0, count: int = 1):
-    return derive_seeds(_seed(master_seed, "master_seed must be a non-negative integer"),
-                        _seed(count, "seeds count must be a non-negative integer"))
+    master_seed = _seed(master_seed, "master_seed must be a non-negative integer")
+    count = _seed(count, "seeds count must be a non-negative integer")
+    with config_entry("seeds.master_seed"):
+        return derive_seeds(master_seed, count)
 
 
 def _solver(epsilon: float = 1e-3, gamma: float | None = None, relaxation: float = 1.0,

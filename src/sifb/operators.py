@@ -7,14 +7,16 @@ per-coordinate step. Conjugate proxes prefer closed forms; the generalized
 Moreau decomposition is the fallback, and both paths must agree where both
 exist.
 
-This module is the only one that knows the families and the block rule
-kinds. A family is one `_CATALOGUE` record (prox and conjugate-prox kernels
-bound to a step, with the step-only constants computed at binding;
-subdifferential distances of f and f*), a rule kind one `_RULES` record
-(resolvent kernel, graph distance). `MonotoneBlock.bind(gamma, diag)` gives
-the kernels of J_{gamma U A}, bound once per run and step by the solve loops;
-`distances` gives the graph distances behind the optimality residuals, and
-`check_dims` refuses block dims that the rules do not fit.
+This module is the only one that knows the families. A family is one
+`_CATALOGUE` record (prox and conjugate-prox kernels bound to a step, with the
+step-only constants computed at binding; subdifferential distances of f and
+f*). A block of a `MonotoneBlock` is the subdifferential of a catalogue
+function f or, for a dual block, of a conjugate g*, as in the paper's
+minimization problems; the zero operator is the zero family's.
+`MonotoneBlock.bind(gamma, diag)` gives the kernels of J_{gamma U A}, bound
+once per run and step by the solve loops; `distances` gives the graph
+distances behind the optimality residuals, and `check_dims` refuses block
+dims that the blocks do not fit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ BETA_DEFLATION = 1.01
 
 
 # ---------------------------------------------------------------------------
-# the catalogue: one record per family, one per block rule
+# the catalogue: one record per family
 # ---------------------------------------------------------------------------
 
 
@@ -58,6 +60,10 @@ def _shift_over(shift, scale):
 
 def _norm(a):
     return float(np.linalg.norm(a))
+
+
+def _identity(x):
+    return x
 
 
 _ACTIVE_TOL = 1e-9  # coordinates this close to a kink are on it
@@ -90,8 +96,10 @@ def _box_dist(p, x, u):
 # at x; None: unchecked.
 _Family = namedtuple("_Family", "prox conj dist conj_dist")
 _CATALOGUE = {
+    # the kernels' inputs are arrays that the solve loops have just computed,
+    # so the zero operator's resolvent, the identity, returns its input
     "zero": _Family(
-        prox=lambda p, step: np.copy,
+        prox=lambda p, step: _identity,
         conj=lambda p, step: np.zeros_like,  # f* is the indicator of {0}
         dist=lambda p, x, u: _norm(u),
         conj_dist=lambda p, x, u: _norm(x)),  # x must vanish; any u is then admissible
@@ -136,22 +144,6 @@ def _moreau(f, step):
     return lambda x: x - step * inner(x / step)
 
 
-def _identity(x):
-    return x
-
-
-# bind: (rule, step) to the kernel of J_{step A} on one block; distance:
-# (rule, x, u) to the distance of u from A x, or None
-_RuleKind = namedtuple("_RuleKind", "bind distance")
-_RULES = {
-    # the kernels' inputs are arrays that the solve loops have just computed,
-    # so the zero operator's resolvent, the identity, returns its input
-    "zero": _RuleKind(lambda rule, step: _identity, lambda rule, x, u: _norm(u)),
-    "subdiff": _RuleKind(lambda rule, step: rule.fn.kernel(step),
-                         lambda rule, x, u: subdiff_distance(rule.fn, x, u)),
-    "conjugate_subdiff": _RuleKind(lambda rule, step: rule.fn.conj_kernel(step),
-                                   lambda rule, x, u: conjugate_subdiff_distance(rule.fn, x, u)),
-}
 # each vector parameter must broadcast to its block; the sign of the one
 # infinity it may hold (an open side of a box), 0 for none
 _VECTOR_PARAMS = {"lo": -1.0, "hi": 1.0, "c": 0.0, "center": 0.0}
@@ -160,9 +152,9 @@ _VECTOR_PARAMS = {"lo": -1.0, "hi": 1.0, "c": 0.0, "center": 0.0}
 class ProxFunction:
     """A convex function from the built-in catalogue, identified by family name.
 
-    Exposes the scalar building blocks used everywhere else: `prox` with a
-    per-coordinate step and `prox_conj` (prox of the convex conjugate) when a
-    closed-form rule exists.
+    Exposes the scalar building blocks used everywhere else: `kernel` and
+    `conj_kernel`, the prox of f and of its convex conjugate f* with a
+    per-coordinate step bound, and `prox`, which applies the first.
     """
 
     __slots__ = ("family", "params")
@@ -244,20 +236,13 @@ class ProxFunction:
         return _moreau(self, step) if conj is None else conj(self.params, step)
 
     def prox(self, x, step=1.0):
-        """argmin_y  f(y) + (1/(2*step)) (x - y)^2, elementwise; step may be a vector."""
-        return self.kernel(step)(np.asarray(x, dtype=np.float64))
+        """argmin_y  f(y) + (1/(2*step)) (x - y)^2, elementwise, as a fresh
+        array; step may be a vector."""
+        return self.kernel(step)(np.array(x, dtype=np.float64))
 
     @property
     def has_conjugate_rule(self):
         return _CATALOGUE[self.family].conj is not None
-
-    def prox_conj(self, x, step=1.0):
-        """Closed-form prox of the conjugate f*, with step (no Moreau fallback here)."""
-        if not self.has_conjugate_rule:
-            raise ConfigurationError(
-                f"family {self.family!r} has no closed-form conjugate rule"
-            )
-        return self.conj_kernel(step)(np.asarray(x, dtype=np.float64))
 
     def __repr__(self):
         items = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -269,28 +254,27 @@ class ProxFunction:
 # ---------------------------------------------------------------------------
 
 
-# one block of a blockwise monotone operator
-_Rule = namedtuple("_Rule", "kind fn", defaults=(None,))
+# one block of a blockwise monotone operator: the subdifferential of the
+# catalogue function fn, or of its conjugate when conjugate
+_Rule = namedtuple("_Rule", "fn conjugate")
 
 
 class MonotoneBlock:
-    """Maximally monotone operator on a block space, given blockwise by
-    resolvent rules.
-
-    Supported block kinds: the zero operator, subdifferentials of catalogue
-    functions, and subdifferentials of conjugates (for dual blocks).
+    """Maximally monotone operator on a block space, given blockwise: each
+    block the subdifferential of a catalogue function (`rule_subdiff`) or of
+    its conjugate (`rule_conjugate_subdiff`, for dual blocks). The zero
+    operator is the subdifferential of the zero family.
     """
 
     def __init__(self, rules):
         self.rules = tuple(rules)
 
-    rule_zero = staticmethod(partial(_Rule, "zero"))
-    rule_subdiff = staticmethod(partial(_Rule, "subdiff"))
-    rule_conjugate_subdiff = staticmethod(partial(_Rule, "conjugate_subdiff"))
+    rule_subdiff = staticmethod(partial(_Rule, conjugate=False))
+    rule_conjugate_subdiff = staticmethod(partial(_Rule, conjugate=True))
 
     @classmethod
     def zero(cls, nblocks):
-        return cls([_Rule("zero")] * nblocks)
+        return cls.subdiff([ProxFunction.zero()] * nblocks)
 
     @classmethod
     def subdiff(cls, fs):
@@ -301,7 +285,7 @@ class MonotoneBlock:
         return cls(map(cls.rule_conjugate_subdiff, gs))
 
     def is_zero(self):
-        return all(r.kind == "zero" for r in self.rules)
+        return all(r.fn.family == "zero" and not r.conjugate for r in self.rules)
 
     def check_dims(self, dims, name="block"):
         """Refuse block dims that do not fit: one dim per block, each vector
@@ -312,7 +296,7 @@ class MonotoneBlock:
                 f"{name} operator has {len(self.rules)} blocks, metric has {len(dims)}"
             )
         for i, (rule, d) in enumerate(zip(self.rules, dims)):
-            params = rule.fn.params if rule.fn is not None else {}
+            params = rule.fn.params
             for key in _VECTOR_PARAMS:
                 if key in params and np.shape(params[key]) not in ((), (1,), (d,)):
                     raise DimensionMismatch(
@@ -320,12 +304,15 @@ class MonotoneBlock:
 
     def bind(self, gamma, diag):
         """The kernels of J_{gamma U A}, one per block, for a diagonal
-        preconditioner U given by its diagonal blocks: each maps that block's
-        array to a fresh array, except that a zero block returns its input."""
+        preconditioner U given by its diagonal blocks: the prox of f, or of
+        f* for a conjugate block, at the step gamma U. Each maps that block's
+        array to a fresh array, except that the zero family's returns its
+        input."""
         if gamma <= 0:
             raise ConfigurationError(f"resolvent step must be positive, got {gamma}")
         self.check_dims(tuple(map(len, diag)))
-        return tuple(_RULES[r.kind].bind(r, gamma * u) for r, u in zip(self.rules, diag))
+        return tuple((r.fn.conj_kernel if r.conjugate else r.fn.kernel)(gamma * u)
+                     for r, u in zip(self.rules, diag))
 
     def resolvent(self, gamma, U, z):
         """J_{gamma U A}(z) for a diagonal preconditioner U."""
@@ -337,7 +324,8 @@ class MonotoneBlock:
     def distances(self, xs, us):
         """Per block, the distance of us[i] from the operator at xs[i], or
         None where the block has no checkable rule."""
-        return [_RULES[r.kind].distance(r, x, u) for r, x, u in zip(self.rules, xs, us)]
+        return [(conjugate_subdiff_distance if r.conjugate else subdiff_distance)(r.fn, x, u)
+                for r, x, u in zip(self.rules, xs, us)]
 
 
 def prox_weighted(f, metric, x):
@@ -364,7 +352,7 @@ def moreau_check(f, x):
     if not f.has_conjugate_rule:
         raise ConfigurationError(f"family {f.family!r} has no conjugate rule to check")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    r = f.prox(x, 1.0) + f.prox_conj(x, 1.0) - x
+    r = f.prox(x, 1.0) + f.conj_kernel(1.0)(x) - x
     return float(np.linalg.norm(r))
 
 
@@ -467,10 +455,10 @@ class CocoerciveMap:
         A sqrt(M); the extremal probe direction is computed when an audit
         first reads it. Both solves run at one BLAS thread.
 
-        In the identity metric, `top` may give lambda_max of A^T A as
-        `oracles.gram_top` computes it (the lasso demo's `gram_top`, which
-        is that solve on the same bits); the map then forms no Gram matrix.
-        Any other metric refuses `top`.
+        In a metric whose entries are all 1.0 (`factor` None), `top` may give
+        lambda_max of A^T A as `oracles.gram_top` computes it (the lasso
+        demo's `gram_top`, which is that solve on the same bits); the map then
+        forms no Gram matrix. Any other metric refuses `top`.
         """
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -481,8 +469,8 @@ class CocoerciveMap:
             metric = Preconditioner.identity(dims)
         if metric.dims != dims:
             raise DimensionMismatch(f"metric dims {metric.dims} != map dims {dims}")
-        if top is not None and metric.kind != "identity":
-            raise ValueError(f"top is lambda_max of A^T A, not of A in a {metric.kind} metric")
+        if top is not None and metric.factor is not None:
+            raise ValueError("top is lambda_max of A^T A, not of A in a weighted metric")
 
         # top eigenvalue of G^T G, G = A sqrt(M); for wide A that of G G^T
         sw = np.sqrt(metric.diag)

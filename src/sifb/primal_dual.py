@@ -12,13 +12,14 @@ map by the explicit resolvent/reflection sweep over blocks; class II (all
 primal operators zero) by a forward-substitution sweep whose dual solve is
 the only implicit piece. Both sweeps are compiled at assembly to the
 problem's structure: each metric becomes one multiply of its diagonal
-with a flat half, each shift one subtraction of its flat array, skipped
-when every entry is +0.0 (`_shift`),
-and each coupling product the compiled terms of its output blocks (one gemv
-per dense cell, a multiply per scalar cell, nothing but the add for a cell
-equal to 1; `BlockLinearOperator`). A sweep writes its output through the
-block views of one fresh flat array, and every element sees the operations
-of the block-by-block sweep in the same order, so every bit stays as it was.
+with a flat half (also a metric of ones, whose multiply keeps every bit),
+each shift one subtraction of its flat array, skipped when every entry is
++0.0 (`_shift`), and each coupling product the compiled terms of its output
+blocks (one gemv per dense cell, a multiply per scalar cell, nothing but the
+add for a cell equal to 1; `BlockLinearOperator`). A sweep writes its output
+through the block views of one fresh flat array, and every element sees the
+operations of the block-by-block sweep in the same order, so every bit stays
+as it was.
 Their resolvents J_{V A_i} and J_{W B_k^-1} are kernels bound once, at
 assembly, to the diagonals of V and W at the fixed step 1
 (`MonotoneBlock.bind`). A coupling cell may be a number s, meaning s times
@@ -29,8 +30,9 @@ computed once per problem (`PrimalDualProblem.coupling_norm`), however often
 `compute_constants` asks for it, and not at all when the code that makes
 the problem gives it (the lasso demo's `split` and `cp` forms take it from the one
 spectrum of their data). The optimality residuals take one graph
-distance per block from each operator (`MonotoneBlock.distances`); which rule
-or family a block has is known only to `operators`.
+distance per block from each operator (`MonotoneBlock.distances`); which
+family a block has, and whether it is that of f or of f*, is known only to
+`operators`.
 """
 
 from __future__ import annotations
@@ -221,12 +223,6 @@ def _shift(v):
     return v.flat if v.flat.any() or np.signbit(v.flat).any() else None
 
 
-def _factor(metric):
-    """The flat diagonal that multiplies a flat half, or None for the
-    identity, whose multiply is skipped."""
-    return None if metric.kind == "identity" else metric.diag
-
-
 def _resolve(kernels, xs):
     """Each block array of xs replaced by its kernel's value, in place."""
     for j, x in zip(kernels, xs):
@@ -243,7 +239,7 @@ def _dual_half(prob):
     through q's block views and returns them."""
     L, dv, kernels = prob.coupling, block_views(prob.dual_dims), prob.dual_inverse.bind(
         1.0, prob.W.diag_blocks())
-    r, w = _shift(prob.r), _factor(prob.W)
+    r, w = _shift(prob.r), prob.W.diag
 
     def dual(y, d, b_d, q):
         qs = dv(q)
@@ -251,8 +247,7 @@ def _dual_half(prob):
         q -= b_d
         if r is not None:
             q -= r
-        if w is not None:
-            np.multiply(w, q, out=q)
+        np.multiply(w, q, out=q)
         np.add(d, q, out=q)
         _resolve(kernels, qs)
         return qs
@@ -282,7 +277,7 @@ def assemble_class1(prob, noise=None, seed=0):
                               rng_seed=seed)
     n, k, L = sum(prob.stacked_dims), sum(prob.primal_dims), prob.coupling
     pv, dv = block_views(prob.primal_dims), block_views(prob.dual_dims)
-    v, z, dual = _factor(prob.V), _shift(prob.z), _dual_half(prob)
+    v, z, dual = prob.V.diag, _shift(prob.z), _dual_half(prob)
     j_va = prob.primal_ops.bind(1.0, prob.V.diag_blocks())
 
     def backward(u, a):
@@ -292,8 +287,7 @@ def assemble_class1(prob, noise=None, seed=0):
         p += a[:k]
         if z is not None:
             p -= z
-        if v is not None:
-            np.multiply(v, p, out=p)
+        np.multiply(v, p, out=p)
         np.subtract(c, p, out=p)
         _resolve(j_va, ps)
         y = 2.0 * p
@@ -335,7 +329,7 @@ def assemble_class2(prob, noise=None, seed=0):
                               rng_seed=seed)
     n, k, L = sum(prob.stacked_dims), sum(prob.primal_dims), prob.coupling
     pv, dv = block_views(prob.primal_dims), block_views(prob.dual_dims)
-    v, z, dual = _factor(prob.V), _shift(prob.z), _dual_half(prob)
+    v, z, dual = prob.V.diag, _shift(prob.z), _dual_half(prob)
 
     def adjoint(qs):
         """L* q of the dual blocks qs, as one fresh flat array."""
@@ -345,7 +339,7 @@ def assemble_class2(prob, noise=None, seed=0):
 
     def minus_v(s, lt, out=None):
         """s - V lt, into out (a fresh array when None)."""
-        return np.subtract(s, lt if v is None else v * lt, out=out)
+        return np.subtract(s, v * lt, out=out)
 
     def bind_backward(gamma):
         last = None  # (the last output, L* q of its dual blocks)
@@ -355,9 +349,7 @@ def assemble_class2(prob, noise=None, seed=0):
             out = np.empty(n)
             c, d = u[:k], u[k:]
             s = a[:k] if z is None else a[:k] - z
-            if v is not None:
-                s = v * s
-            s = c - s
+            s = c - v * s
             lt_d = last[1] if last is not None and last[0] is u else adjoint(dv(d))
             qs = dual(pv(minus_v(s, lt_d)), d, a[k:], out[k:])
             lt_q = adjoint(qs)

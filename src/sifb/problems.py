@@ -69,8 +69,8 @@ class DemoProblem:
 
         One eigensolve per demo: the value is kept in a one-slot cache keyed
         on the identity of A, so data given a new A get their own. The
-        demo's forms, its reference and the lasso's `split` in the identity
-        metric (the sifb route's map) read it; a split in another metric
+        demo's forms, its reference and the lasso's `split` in a metric of
+        ones (the sifb route's map) read it; a split in another metric
         solves its own weighted spectrum. Two threads asking at once each
         solve and store the same float. The solve runs at one BLAS thread; a
         cached read makes no BLAS call.
@@ -146,8 +146,8 @@ class Lasso(DemoProblem):
         return (self.data["a"].shape[1],)
 
     def split(self, metric):
-        # in the identity metric the map's lambda_max is the demo's one solve
-        top = self.gram_top() if metric.kind == "identity" else None
+        # in a metric of ones the map's lambda_max is the demo's one solve
+        top = self.gram_top() if metric.factor is None else None
         grad = CocoerciveMap.least_squares_gradient(self.data["a"], self.data["b"],
                                                     metric=metric, top=top)
         return MonotoneBlock.subdiff([ProxFunction.l1(self.params["lam"])]), grad

@@ -185,8 +185,8 @@ class ProblemInstance:
         for name, v in (("map", oracle.base), ("x0", x0)):
             if v.dims != dims:
                 raise DimensionMismatch(f"{name} dims {v.dims}, metric dims {dims}")
-        # U's flat diagonal; the identity passes r through
-        u = None if metric.kind == "identity" else metric.diag
+        # U's flat diagonal; a metric of ones passes r through
+        u = metric.factor
         views = block_views(dims)
 
         def bind_backward(gamma):

@@ -8,8 +8,9 @@ arrays it is built from and an operator read-only matrices, so one object
 always holds one value, shares no memory with its caller, and is safe to share
 across concurrent replica runs. The products on bare block arrays may write
 into arrays that their caller owns: `BlockLinearOperator.apply_blocks` and
-`adjoint_apply_blocks` fill the output blocks they are given, and the
-identity preconditioner's `apply` returns its input.
+`adjoint_apply_blocks` fill the output blocks they are given, and a
+preconditioner's `apply` returns its input when every entry of its diagonal
+is 1.0 (its `factor` is None).
 Weighted norms of block couplings come from one dense eigensolve of a Gram
 matrix, so they are exact to rounding and deterministic.
 
@@ -212,29 +213,32 @@ def block_split(x, n_first):
 class Preconditioner:
     """Self-adjoint strongly positive operator on a block space.
 
-    Restricted to scalar-per-block and diagonal forms, which keep apply,
-    apply_inverse and apply_sqrt exact and O(n): one read-only flat diagonal
-    `diag`, checked here, whose views are `diag_blocks()`.
+    Restricted to diagonal forms, which keep apply, apply_inverse and
+    apply_sqrt exact and O(n): one read-only flat diagonal `diag`, checked
+    here, whose views are `diag_blocks()`. `factor` is the diagonal that
+    multiplies a flat array, or None when every entry is 1.0, since 1.0 * x
+    is x bit for bit; the products then return their input.
     """
 
-    __slots__ = ("kind", "dims", "diag", "_diag")
+    __slots__ = ("dims", "diag", "factor", "_diag")
 
-    def __init__(self, kind, dims, diag_blocks):
-        self.kind = kind
+    def __init__(self, dims, diag_blocks):
         self.dims = tuple(int(d) for d in dims)
         v = BlockVector(diag_blocks)
         if v.dims != self.dims:
             raise DimensionMismatch(f"weight lengths {v.dims} != block dims {self.dims}")
         diag = v.flat
-        if diag.size and not diag.min() > 0:
-            raise InvalidValue(f"preconditioner entries must be positive; min = {diag.min()}")
-        if diag.size and not diag.max() < np.inf:
+        low, top = (diag.min(), diag.max()) if diag.size else (1.0, 1.0)
+        if not low > 0:
+            raise InvalidValue(f"preconditioner entries must be positive; min = {low}")
+        if not top < np.inf:
             raise InvalidValue("preconditioner entries must be finite; max = inf")
         self.diag, self._diag = diag, v.blocks
+        self.factor = None if low == top == 1.0 else diag
 
     @classmethod
     def identity(cls, dims):
-        return cls("identity", dims, [np.ones(int(d)) for d in dims])
+        return cls(dims, [np.ones(int(d)) for d in dims])
 
     @classmethod
     def scalar(cls, factors, dims):
@@ -244,12 +248,12 @@ class Preconditioner:
             raise DimensionMismatch(
                 f"{len(factors)} scalar factors for {len(dims)} blocks"
             )
-        return cls("scalar", dims, [c * np.ones(int(d)) for c, d in zip(factors, dims)])
+        return cls(dims, [c * np.ones(int(d)) for c, d in zip(factors, dims)])
 
     @classmethod
     def diagonal(cls, weights):
         weights = [np.asarray(w, dtype=np.float64).reshape(-1) for w in weights]
-        return cls("diagonal", [w.shape[0] for w in weights], weights)
+        return cls([w.shape[0] for w in weights], weights)
 
     def diag_blocks(self):
         return self._diag
@@ -262,21 +266,21 @@ class Preconditioner:
 
     def apply(self, x):
         self._check(x)
-        if self.kind == "identity":
+        if self.factor is None:
             return x
-        return BlockVector._of(self.diag * x.flat, self.dims)
+        return BlockVector._of(self.factor * x.flat, self.dims)
 
     def apply_inverse(self, x):
         self._check(x)
-        if self.kind == "identity":
+        if self.factor is None:
             return x
-        return BlockVector._of(x.flat / self.diag, self.dims)
+        return BlockVector._of(x.flat / self.factor, self.dims)
 
     def apply_sqrt(self, x):
         self._check(x)
-        if self.kind == "identity":
+        if self.factor is None:
             return x
-        return BlockVector._of(np.sqrt(self.diag) * x.flat, self.dims)
+        return BlockVector._of(np.sqrt(self.factor) * x.flat, self.dims)
 
 
 def _terms(cells, transpose):

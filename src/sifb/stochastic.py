@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, bind_kind
+from .errors import ConfigurationError, InvalidValue, bind_kind
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -41,13 +41,17 @@ _SEED_BLOCK = 256
 
 
 def derive_seeds(master_seed, count):
-    """Disjoint 64-bit replica seeds from one master seed.
+    """Disjoint 64-bit replica seeds from one master seed in [0, 2**64).
 
     Uses the splitmix64 stream (golden-gamma increment, two xor-multiply
     finalizer rounds); documented here so external tooling can reproduce the
-    per-replica seeds.
+    per-replica seeds. The stream's state is 64 bits, so a master seed out of
+    that range, which would derive the seeds of another, is refused as an
+    InvalidValue.
     """
-    x = int(master_seed) & _MASK64
+    x = int(master_seed)
+    if not 0 <= x <= _MASK64:
+        raise InvalidValue(f"master seed must be in [0, 2**64), got {x}")
     out = []
     for _ in range(int(count)):
         x = (x + 0x9E3779B97F4A7C15) & _MASK64

@@ -113,8 +113,8 @@ class LinearBlocks(MonotoneBlock):
 
 
 def inverse(p):
-    """The inverse of a diagonal Preconditioner, as a Preconditioner of the same kind."""
-    return Preconditioner(p.kind, p.dims, [1.0 / w for w in p.diag_blocks()])
+    """The inverse of a diagonal Preconditioner."""
+    return Preconditioner(p.dims, [1.0 / w for w in p.diag_blocks()])
 
 
 def loose_stop_prox_gradient(name, h, v, top, piece, tol):

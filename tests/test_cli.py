@@ -597,7 +597,7 @@ def test_lasso_forms_take_the_coupling_norm_from_the_demo(tmp_path, count_consta
     ({"name": "lasso", "params": {"n": 12, "p": 10, "lam": 0.2, "seed": 3},
       "form": "cp"}, 1),
     ({"name": "lasso", "params": {"n": 8, "p": 12, "lam": 0.2, "seed": 3},
-      "form": "smooth"}, 2),
+      "form": "smooth"}, 1),
     ({"name": "parallel_sum", "params": {"dims": 6, "mu": 0.5, "lam": 0.1, "seed": 2}},
      3),
 ], ids=["lasso-split-tall", "lasso-split-wide", "lasso-cp", "lasso-smooth",
@@ -605,9 +605,10 @@ def test_lasso_forms_take_the_coupling_norm_from_the_demo(tmp_path, count_consta
 def test_primal_dual_run_solves_the_data_spectrum_once(tmp_path, count_eigvalsh, demo,
                                                        want):
     # the form's step, its coupling norm (split and cp) and the reference
-    # share one eigensolve of the demo's smaller Gram matrix; the coupling
-    # norm of the other forms (and parallel_sum's smooth term, in the metric
-    # V) take one each
+    # share one eigensolve of the demo's smaller Gram matrix; so does the
+    # smooth form's map, whose V = 1/lambda_max is exactly 1.0 here (the
+    # data's top singular value is 1), a metric of ones. The coupling norm of
+    # parallel_sum and its smooth term, in the metric V, take one each
     path = write_config(tmp_path, {**pd_lasso_config(), "problem": {"demo": demo}})
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
     assert len(count_eigvalsh) == want, count_eigvalsh
@@ -945,6 +946,20 @@ def test_negative_seed_option_is_refused(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("first", [2**64, 2**64 + 5])
+def test_sweep_seeds_option_refuses_a_first_seed_outside_64_bits(tmp_path, capsys, first):
+    # --seeds derives from seeds[0]; masked to 64 bits, 2**64 + 5 would derive
+    # the seeds of 5. A run of that seed is an oracle seed of any size.
+    path = write_config(tmp_path, lasso_config(noise=NOISY, seeds=[first]))
+    assert main(["sweep", path, "--seeds", "2", "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"configuration error: --seeds: master seed must be in [0, 2**64), got {first}"]
+    assert not (tmp_path / "o").exists()
+    assert main(["validate", path]) == 0
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_replica_that_raises_costs_only_itself(tmp_path, capsys, jobs):
     # a directory where replica 1's trace goes makes that replica, and only
@@ -996,6 +1011,52 @@ def edited(cfg, change):
     return cfg
 
 
+def unit_metrics(dims):
+    """The identity metric spelt three ways: null, a scalar 1.0 per block and
+    a diagonal of ones."""
+    return [None, {"kind": "scalar", "values": [1.0] * len(dims)},
+            {"kind": "diagonal", "weights": [[1.0] * d for d in dims]}]
+
+
+UNIT_Q = [[1.0, 0.2, 0.0, 0.1, 0.0], [0.2, 0.9, 0.1, 0.0, 0.0], [0.0, 0.1, 0.8, 0.0, 0.1],
+          [0.1, 0.0, 0.0, 0.7, 0.2], [0.0, 0.0, 0.1, 0.2, 0.6]]
+UNIT_SMOOTH = {"kind": "linear", "q": UNIT_Q, "offset": [0.5, -1.0, 0.2, 0.4, -0.3]}
+
+
+def unit_metric_problem(route, metric):
+    """A custom problem on `route` with two blocks of each side, in `metric`."""
+    ops = [{"family": "l1", "lam": 0.2}, {"family": "sq_l2", "lam": 0.7, "center": 0.3}]
+    if route == "sifb":
+        return {"custom": {"blocks": [{"dim": d, "operator": op} for d, op in zip((2, 3), ops)],
+                           "map": UNIT_SMOOTH, "preconditioner": metric}}
+    primal = [{"dim": 2, "z": [0.1, -0.2]}, {"dim": 3, "z": [0.0, 0.3, -0.1]}]
+    if route == "pd_class1":
+        primal = [{**block, "operator": op} for block, op in zip(primal, ops)]
+    return {"custom_pd": {
+        "primal": primal,
+        "dual": [{"dim": 2, "g": {"family": "box", "lo": -0.4, "hi": 0.6}, "r": [0.2, -0.1]},
+                 {"dim": 3, "g": {"family": "l1", "lam": 0.3}}],
+        "coupling": [[[[0.3, 0.1], [0.0, 0.2]], None], [None, 0.4]],
+        "smooth": UNIT_SMOOTH, "V": metric, "W": metric}}
+
+
+@pytest.mark.parametrize("route", ["sifb", "pd_class1", "pd_class2"])
+def test_a_metric_of_ones_writes_the_identity_metrics_trace(tmp_path, route):
+    # every entry 1.0 is the identity: the same trace bytes, noisy and
+    # inertial, over 300 recorded iterations that stop short of the
+    # tolerance (exit 2)
+    traces = []
+    for i, metric in enumerate(unit_metrics((2, 3))):
+        cfg = {"problem": unit_metric_problem(route, metric), "algorithm": route,
+               "solver": {"max_iter": 300, "stop_tol": 1e-12, "record_every": 1},
+               "noise": NOISY, "inertia": {"mode": "poly", "alpha0": 0.4, "q": 1.5},
+               "seeds": [5]}
+        out = tmp_path / f"o{i}"
+        assert main(["run", write_config(tmp_path, cfg, f"c{i}.json"), "--out", str(out)]) == 2
+        traces.append((out / "trace.csv").read_bytes())
+    assert len(traces[0].splitlines()) == 303 and traces[1:] == traces[:1] * 2
+
+
 @pytest.mark.parametrize("nu0,mu0", [(1e160, 1.0), (1.0, 1e20)],
                          ids=["square-overflows", "cancels"])
 def test_validate_passes_extreme_given_constants(tmp_path, capsys, nu0, mu0):
@@ -1039,6 +1100,10 @@ MALFORMED = [
     pytest.param(lasso_config(seeds=[True]), "seeds", id="bool seed"),
     pytest.param(lasso_config(seeds={"master_seed": "x", "count": 2}), "seeds.master_seed",
                  id="string master_seed"),
+    # masked to 64 bits it would derive the seeds of master_seed 5
+    pytest.param(lasso_config(seeds={"master_seed": 2**64 + 5, "count": 3}),
+                 "seeds.master_seed: master seed must be in [0, 2**64), got 18446744073709551621",
+                 id="master_seed of 65 bits"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
         "n": "12", "p": 10, "lam": 0.1}}}), "problem.demo.params.n", id="string demo param"),
     pytest.param(lasso_config(problem={"demo": {"name": "lasso", "params": {
@@ -1686,15 +1751,33 @@ def test_overflowing_coupling_norm_exits_2_without_a_warning(tmp_path, capsys):
     assert line.startswith("run failure: ") and "non-finite" in line
 
 
+def readme_text():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        return f.read()
+
+
+def test_readme_python_blocks_run_in_order_in_one_namespace(capsys):
+    # the library quick start and the stochastic snippet that builds on it:
+    # an API change cannot leave the documented calls stale
+    blocks = re.findall(r"```python\n(.*?)```", readme_text(), re.S)
+    assert len(blocks) == 2
+    namespace = {"__name__": "readme"}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    [printed] = capsys.readouterr().out.splitlines()
+    assert float(printed) < 1e-6  # the forward-backward distance to the reference
+    reference = namespace["reference_oracle"](namespace["demo"])
+    assert (namespace["primal"] - reference).norm() < 1e-6
+    assert namespace["cfg"].beta == namespace["inst"].beta
+
+
 # a config fuzzer: known-good configs, each mutated once
 
 
 def readme_example():
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as f:
-        text = f.read()
-    return json.loads(re.search(r"A config is one JSON document:\n\n```json\n(.*?)```", text,
-                                re.S).group(1))
+    return json.loads(re.search(r"A config is one JSON document:\n\n```json\n(.*?)```",
+                                readme_text(), re.S).group(1))
 
 
 def fuzz_bases():

@@ -445,7 +445,7 @@ def test_least_squares_given_top_solves_no_spectrum(monkeypatch, shape):
 
 
 @pytest.mark.parametrize("metric", [Preconditioner.scalar([2.0], (3,)),
-                                    Preconditioner.diagonal([np.ones(3)])],
+                                    Preconditioner.diagonal([[1.0, 0.5, 2.0]])],
                          ids=["scalar", "diagonal"])
 def test_least_squares_refuses_top_in_a_weighted_metric(metric):
     # top is lambda_max of A'A; a weighted metric needs that of its own Gram matrix
@@ -546,8 +546,9 @@ def test_conjugate_subdiff_distance_quadratic():
 
 # The formulas below are the graph distances as they were written before each
 # family's distances became entries of its catalogue record, and the
-# duality residual's per-rule-kind branches; the tables must give the same
-# bytes, and now check the rule kinds that were listed as unchecked.
+# duality residual's branches on whether a block is the subdifferential of f
+# or of f*; the catalogue must give the same bytes, and now checks the blocks
+# that were listed as unchecked.
 
 ACTIVE_TOL = 1e-9
 
@@ -601,13 +602,9 @@ def formula_conjugate_subdiff_distance(g, v, u):
 
 
 def formula_rule_distance(rule, x, u):
-    if rule.kind == "zero":
-        return float(np.linalg.norm(u))
-    if rule.kind == "subdiff":
-        return formula_subdiff_distance(rule.fn, x, u)
-    if rule.kind == "conjugate_subdiff":
+    if rule.conjugate:
         return formula_conjugate_subdiff_distance(rule.fn, x, u)
-    raise AssertionError(rule.kind)
+    return formula_subdiff_distance(rule.fn, x, u)
 
 
 def distance_pairs(n, rng):
@@ -655,15 +652,14 @@ def test_block_distances_match_the_rule_formulas_bytes(n):
         for rule, d in zip(rules, got):
             assert same_distance(d, formula_rule_distance(rule, x, u)), rule
     unchecked = [r for r, d in zip(rules, got) if d is None]
-    assert unchecked and all(r.kind == "conjugate_subdiff" and r.fn.family == "box"
-                             for r in unchecked)
+    assert unchecked and all(r.conjugate and r.fn.family == "box" for r in unchecked)
 
 
 def test_check_dims_refuses_a_block_count_or_a_parameter_of_other_shape():
     rules = [MonotoneBlock.rule_subdiff(ProxFunction.box([-1.0, -2.0], 1.0)),
              MonotoneBlock.rule_conjugate_subdiff(ProxFunction.squared_l2(1.0, [0.5])),
              MonotoneBlock.rule_subdiff(ProxFunction.affine(0.3)),
-             MonotoneBlock.rule_zero()]
+             MonotoneBlock.rule_subdiff(ProxFunction.zero())]
     op = MonotoneBlock(rules)
     op.check_dims((2, 3, 4, 5))  # (d,), (1,) and () parameters broadcast
     with pytest.raises(DimensionMismatch, match="primal operator has 4 blocks, metric has 3"):
@@ -715,16 +711,12 @@ def formula_prox_conj(g, x, step):
 
 
 def formula_resolvent(rule, step, z):
-    if rule.kind == "zero":
-        return z.copy()
-    if rule.kind == "subdiff":
-        return formula_prox(rule.fn, z, step)
-    if rule.kind == "conjugate_subdiff":
-        g = rule.fn
-        if g.has_conjugate_rule:
-            return formula_prox_conj(g, z, step)
-        return z - step * formula_prox(g, z / step, 1.0 / step)
-    raise AssertionError(rule.kind)
+    g = rule.fn
+    if not rule.conjugate:
+        return formula_prox(g, z, step)
+    if g.has_conjugate_rule:
+        return formula_prox_conj(g, z, step)
+    return z - step * formula_prox(g, z / step, 1.0 / step)
 
 
 def kernel_families(n):
@@ -742,7 +734,7 @@ def kernel_families(n):
 
 
 def kernel_rules(n):
-    rules = [MonotoneBlock.rule_zero()]
+    rules = []
     for f in kernel_families(n):
         rules += [MonotoneBlock.rule_subdiff(f), MonotoneBlock.rule_conjugate_subdiff(f)]
     return rules
@@ -759,9 +751,9 @@ def test_bound_resolvent_kernels_match_the_formulas_bytes(n):
     rng = np.random.default_rng(17)
     z = kernel_point(n, rng)
     rules = kernel_rules(n)
-    kinds = {r.kind for r in rules} | {r.fn.family for r in rules if r.fn is not None}
-    assert kinds == {"zero", "subdiff", "conjugate_subdiff", "l1", "sq_l2", "box",
-                     "linf_ball", "affine"}
+    assert {r.conjugate for r in rules} == {False, True}
+    assert {r.fn.family for r in rules} == {"zero", "l1", "sq_l2", "box", "linf_ball",
+                                            "affine"}
     for u in (np.full(n, 0.8), rng.uniform(0.2, 3.0, n)):  # scalar and diagonal metric
         for gamma in (1.0, 0.37):
             kernels = MonotoneBlock(rules).bind(gamma, [u] * len(rules))
@@ -780,7 +772,7 @@ def test_prox_kernels_match_the_formulas_bytes(n):
             assert f.prox(z, step).tobytes() == formula_prox(f, z, step).tobytes(), f
             if f.has_conjugate_rule:
                 want = formula_prox_conj(f, z, step)
-                assert f.prox_conj(z, step).tobytes() == want.tobytes(), f
+                assert f.conj_kernel(step)(z).tobytes() == want.tobytes(), f
         w = rng.uniform(0.2, 3.0, n)
         metric, x = Preconditioner.diagonal([w]), BlockVector([z])
         assert (prox_weighted(f, metric, x).blocks[0].tobytes()
@@ -796,6 +788,31 @@ def test_bound_kernels_refuse_a_bad_step_or_block_count():
         op.bind(0.0, [np.ones(2)])
     with pytest.raises(DimensionMismatch, match="operator has 1 blocks, metric has 2"):
         op.bind(1.0, [np.ones(2), np.ones(2)])
+
+
+def test_zero_operator_is_the_zero_familys_subdifferential():
+    # its bound resolvent returns its input; the prox still returns a fresh array
+    x = np.array([0.5, -0.0, 2.0])
+    zero = MonotoneBlock.zero(2)
+    assert [(r.fn.family, r.conjugate) for r in zero.rules] == [("zero", False)] * 2
+    assert zero.is_zero() and MonotoneBlock.subdiff([ProxFunction.zero()]).is_zero()
+    [kernel] = MonotoneBlock.zero(1).bind(0.7, [np.full(3, 2.0)])
+    assert kernel(x) is x
+    y = ProxFunction.zero().prox(x, 0.7)
+    assert y is not x and not np.shares_memory(y, x) and y.tobytes() == x.tobytes()
+    assert zero.distances([x, x], [x, np.zeros(3)]) == [float(np.linalg.norm(x)), 0.0]
+
+
+def test_zero_family_dual_block_binds_to_zeros():
+    # the conjugate of the zero function is the indicator of {0}: its prox
+    # maps every point to 0, and the block is not the zero operator
+    x = np.array([0.5, -0.0, 2.0])
+    dual = MonotoneBlock.conjugate_subdiff([ProxFunction.zero()])
+    assert not dual.is_zero()
+    [kernel] = dual.bind(1.0, [np.full(3, 0.9)])
+    y = kernel(x)
+    assert y is not x and y.tobytes() == np.zeros(3).tobytes()
+    assert dual.distances([x], [np.ones(3)]) == [float(np.linalg.norm(x))]
 
 
 # --- structural zero maps -------------------------------------------------------------

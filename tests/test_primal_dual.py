@@ -614,7 +614,7 @@ def random_structured_problem(rng, zero_primal):
 
     def to_rule(fam):
         if fam[0] == "zero":
-            return MonotoneBlock.rule_zero()
+            return MonotoneBlock.rule_subdiff(ProxFunction.zero())
         if fam[0] == "l1":
             return MonotoneBlock.rule_subdiff(ProxFunction.l1(fam[1]))
         if fam[0] == "box":
@@ -1279,10 +1279,10 @@ def compiled_sweep_problem(v_kind, w_kind, zero_primal):
          [None, None, 1.0, None],
          [None, None, None, None]], pdims, ddims)
     V, W = METRIC_KINDS[v_kind](rng, pdims), METRIC_KINDS[w_kind](rng, ddims)
-    scaled = [m for m in (V, W) if m.kind != "identity"]
+    scaled = [m for m in (V, W) if m.factor is not None]
     f = (0.6 / estimate_weighted_norm(coupling, V, W)) ** (2 / len(scaled))
-    V, W = (m if m.kind == "identity" else
-            Preconditioner(m.kind, m.dims, [f * b for b in m.diag_blocks()]) for m in (V, W))
+    V, W = (m if m.factor is None else
+            Preconditioner(m.dims, [f * b for b in m.diag_blocks()]) for m in (V, W))
     z = [np.array([-0.0, 0.0, 0.0]), np.zeros(3), np.zeros(2), np.array([0.0, -0.0])]
     r = [np.array([0.0, -0.0, 0.0]), rng.standard_normal(3), np.zeros(2), np.zeros(2)]
     primal = (MonotoneBlock.zero(4) if zero_primal else MonotoneBlock.subdiff(

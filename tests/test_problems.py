@@ -118,6 +118,23 @@ def test_lasso_split_in_a_weighted_metric_solves_its_own_spectrum(count_eigvalsh
     assert grad.beta_exact != pytest.approx(1.0 / demo.gram_top(), rel=1e-3)
 
 
+@pytest.mark.parametrize("metric", [
+    Preconditioner.scalar([1.0], (10,)),
+    Preconditioner.diagonal([np.ones(10)]),
+], ids=["scalar", "diagonal"])
+def test_lasso_split_in_a_metric_of_ones_reads_the_demos_spectrum(count_eigvalsh, metric):
+    # every entry 1.0 is the identity: the map takes the demo's one solve,
+    # and its constants are those of the identity metric bit for bit
+    demo = build_lasso(12, 10, 0.2, cond=20.0, seed=3)
+    own = CocoerciveMap.least_squares_gradient(demo.data["a"], demo.data["b"])
+    del count_eigvalsh[:]
+    grad = demo.split(metric)[1]
+    assert count_eigvalsh == [(10, 10)]  # the demo's gram_top, solved once
+    demo.split(metric)
+    assert len(count_eigvalsh) == 1
+    assert (grad.beta, grad.beta_exact) == (own.beta, own.beta_exact)
+
+
 def test_lasso_data_reproducible_and_conditioned():
     d1 = build_lasso(20, 30, 0.1, cond=100.0, seed=5)
     d2 = build_lasso(20, 30, 0.1, cond=100.0, seed=5)

@@ -74,7 +74,7 @@ def test_forward_backward_sweep_is_the_resolvent_step_at_each_gamma():
     dims = (4, 3, 0)
     op = MonotoneBlock([MonotoneBlock.rule_subdiff(ProxFunction.l1(0.3)),
                         MonotoneBlock.rule_conjugate_subdiff(ProxFunction.box(-0.5, 0.2)),
-                        MonotoneBlock.rule_zero()])
+                        MonotoneBlock.rule_subdiff(ProxFunction.zero())])
     metric = Preconditioner.diagonal([rng.uniform(0.5, 2.0, d) for d in dims])
     b_map = CocoerciveMap.scaled_identity(dims, 1.0, metric=metric)
     inst = ProblemInstance.forward_backward(op, StochasticOracle(b_map), metric,

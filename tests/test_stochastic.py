@@ -19,6 +19,7 @@ from sifb import (
     StochasticOracle,
     derive_seeds,
 )
+from sifb.errors import InvalidValue
 from sifb.problems import build_lasso, sifb_instance
 from sifb.solver import SolverConfig, run
 
@@ -197,6 +198,14 @@ def test_derive_seeds_distinct_and_deterministic():
     assert len(set(seeds)) == 50
     assert seeds == derive_seeds(123, 50)
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+@pytest.mark.parametrize("master_seed", [2**64, 2**64 + 5, -1])
+def test_derive_seeds_refuses_a_master_seed_outside_64_bits(master_seed):
+    # masked to 64 bits, 2**64 + 5 would derive the seeds of 5
+    with pytest.raises(InvalidValue, match=r"^master seed must be in \[0, 2\*\*64\), got "):
+        derive_seeds(master_seed, 3)
+    assert derive_seeds(2**64 - 1, 2) == derive_seeds(2**64 - 1, 2)
 
 
 def test_oracle_streams_bit_identical_across_instances():

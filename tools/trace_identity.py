@@ -62,7 +62,12 @@ a `linear` map, on class I), so that every `map` kind and the `smooth` key
 are read. Then a `custom` block and a `custom_pd` dual `g` of the `zero`
 family; the lasso demo at `lam` 0, whose reference is the least-squares fit,
 and with `"reference": false`; a `linear` map with a given `beta`, whose
-audit reads the map's probe direction; and the lasso demo with a string
+audit reads the map's probe direction; a `custom_pd` with given `nu0` and
+`mu0`, whose validation audits them; the lasso demo without a solver
+`stop_tol`, noise-free and noisy, which take its two defaults; a `custom_pd`
+without `coupling`; the `parallel_sum` demo at `lam` 0 on the `sifb` route,
+whose reference is the least-squares fit; the smooth lasso form at 8x12,
+whose V = 1/lambda_max has every entry 1.0; and the lasso demo with a string
 `max_iter`, which `sifb run` refuses with exit 1.
 
 The sweeps: every config in `sweep_configs()` also goes through `sifb sweep`
@@ -343,6 +348,44 @@ def configs():
                     "q": [[1.5, 0.2, 0.0], [0.2, 1.0, 0.3], [0.0, 0.3, 0.8]],
                     "offset": [0.5, -1.0, 0.2]},
             "beta": 0.5}})
+    # given nu0 and mu0, which validation audits against the smooth map in V
+    # and D^-1 in W; here beta_hat is about 0.76 > 1/2
+    out["custom_pd-given-constants-pd_class1"] = _run_config(
+        {"custom_pd": {
+            "primal": [{"dim": 3, "operator": {"family": "l1", "lam": 0.2}}],
+            "dual": [{"dim": 2, "g": {"family": "box", "lo": -0.5, "hi": 0.5},
+                      "r": [0.3, -0.1], "dinv_mu": 0.5}],
+            "coupling": [[[[0.3, 0.1, 0.0], [0.0, 0.2, 0.4]]]],
+            "smooth": {"kind": "linear",
+                       "q": [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.6]],
+                       "offset": [0.5, -0.4, 0.2]},
+            "V": {"kind": "scalar", "values": [0.8]},
+            "W": {"kind": "scalar", "values": [0.9]},
+            "nu0": 1.0, "mu0": 2.0}},
+        algorithm="pd_class1")
+    # no solver stop_tol: 1e-8 without noise, 1e-4 with it
+    out["lasso-sifb-default-stop-tol"] = _run_config(
+        lasso, solver={"max_iter": 3000, "record_every": 5})
+    out["lasso-sifb-noisy-default-stop-tol"] = _run_config(
+        lasso, noise=NOISY, solver={"max_iter": 20000, "record_every": 10})
+    # no coupling: the zero operator, so c = 0
+    out["custom_pd-no-coupling-pd_class1"] = _run_config(
+        {"custom_pd": {
+            "primal": [{"dim": 3, "operator": {"family": "sq_l2", "lam": 1.0,
+                                               "center": [0.5, -0.2, 0.1]}}],
+            "dual": [{"dim": 2, "g": {"family": "l1", "lam": 0.3}, "r": [0.2, -0.4]}],
+            "V": {"kind": "scalar", "values": [0.8]},
+            "W": {"kind": "scalar", "values": [0.9]}}},
+        algorithm="pd_class1")
+    # lam 0: the reference is the least-squares fit
+    out["parallel_sum-sifb-lam-0"] = _run_config(
+        {"demo": {"name": "parallel_sum",
+                  "params": {**DEMOS["parallel_sum"][0], "lam": 0.0}}})
+    # 1/lambda_max is exactly 1.0 here, so the smooth form's V has every entry
+    # 1.0 and its map reads the demo's spectrum
+    out["lasso-smooth-8x12-unit-metric-pd_class1"] = _run_config(
+        {"demo": {"name": "lasso", "params": {"n": 8, "p": 12, "lam": 0.02, "seed": 3},
+                  "form": "smooth"}}, algorithm="pd_class1")
     # refused before the run: a string where the solver takes an integer
     out["lasso-sifb-refused-string-max-iter"] = _run_config(
         lasso, solver={**SHORT, "max_iter": "3000"})
